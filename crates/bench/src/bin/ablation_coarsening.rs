@@ -11,7 +11,7 @@ use pochoir_autotune::{tune_coarsening, CoarseningSpace};
 use pochoir_bench::apps::time_with_plan;
 use pochoir_bench::{fmt_ratio, fmt_seconds, scale_from_args, Table};
 use pochoir_core::boundary::Boundary;
-use pochoir_core::engine::{Coarsening, ExecutionPlan};
+use pochoir_core::engine::{Coarsening, ExecutionPlan, Sharding};
 use pochoir_core::kernel::StencilSpec;
 use pochoir_stencils::{heat, ProblemScale};
 
@@ -32,13 +32,19 @@ fn main() {
     let spec = StencilSpec::new(heat::shape::<2>());
     let kernel = heat::HeatKernel::<2>::default();
     let build = || heat::build([n, n], Boundary::Constant(0.0));
+    // `Sharding::Off`: from `Small` up the uncoarsened row fails the compiled-path
+    // size gate, and the default `Sharding::Auto` would run it through tiles that
+    // pick their own (coarsened) base case.  The ablation measures the literal
+    // recursion down to the plan's thresholds.
     let run_with = |coarsening: Coarsening<2>, run_steps: i64| {
         time_with_plan(
             build(),
             &spec,
             &kernel,
             run_steps,
-            &ExecutionPlan::trap().with_coarsening(coarsening),
+            &ExecutionPlan::trap()
+                .with_coarsening(coarsening)
+                .with_sharding(Sharding::Off),
             parallel,
         )
     };

@@ -86,10 +86,17 @@ pub enum CloneMode {
 /// executed window-by-window with a halo-exchange sync between windows (see
 /// [`crate::engine::shard`]).  Sharding never changes results — the tiles reproduce
 /// the unsharded run bitwise.
+///
+/// The plan's [`Coarsening`] decides *whether* a grid is a giant (the size gate
+/// reads it literally); inside a tile the engine picks the base-case size itself —
+/// the plan's thresholds raised to at least [`Coarsening::heuristic`] — because a
+/// tile is geometry the caller never sees.  [`Sharding::Off`] is the literal path:
+/// the recursion runs down to exactly the plan's thresholds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Sharding {
     /// Never shard: a geometry that fails the compiled-path size gate runs the
-    /// recursive reference walker (the pre-sharding behaviour).
+    /// recursive reference walker at exactly the plan's coarsening (what the
+    /// uncoarsened Figure 9/10 and Section-4 ablations measure).
     Off,
     /// Shard automatically when (and only when) the geometry fails the size gate,
     /// deriving the tile count and sync window from the geometry.  Default.
@@ -114,7 +121,9 @@ pub struct Coarsening<const D: usize> {
 
 impl<const D: usize> Coarsening<D> {
     /// No coarsening: recurse all the way down (used by the Figure 9/10 experiments,
-    /// which measure the uncoarsened algorithms).
+    /// which measure the uncoarsened algorithms).  Geometries large enough to fail
+    /// the compiled-path size gate keep that meaning only under [`Sharding::Off`];
+    /// the default [`Sharding::Auto`] runs them as tiles with their own base case.
     pub fn none() -> Self {
         Coarsening { dt: 1, dx: [1; D] }
     }
@@ -148,6 +157,15 @@ impl<const D: usize> Coarsening<D> {
             "coarsening widths must be at least 1"
         );
         Coarsening { dt, dx }
+    }
+
+    /// These thresholds raised component-wise to at least `floor`'s.
+    pub fn at_least(mut self, floor: &Self) -> Self {
+        self.dt = self.dt.max(floor.dt);
+        for (w, &f) in self.dx.iter_mut().zip(&floor.dx) {
+            *w = (*w).max(f);
+        }
+        self
     }
 }
 

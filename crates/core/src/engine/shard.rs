@@ -14,6 +14,10 @@
 //! 2. **Exchange** — seam strips are copied between neighbours so each tile's halo
 //!    rows again hold the owning tile's freshly computed interior values.
 //!
+//! The parent plan's coarsening decides only *whether* the grid is a giant (the
+//! executor's gate reads it literally, and [`Sharding::Off`] keeps the literal
+//! recursion); a tile resolves its own base-case size (`tile_coarsening`).
+//!
 //! # The bitwise guarantee
 //!
 //! Sharded execution is bitwise identical to running the same plan unsharded.  The
@@ -26,7 +30,9 @@
 //! after W steps it reaches exactly the interior/halo seam and never an interior
 //! cell.  The exchange then restores the invariant by re-copying every halo row from
 //! its owner's (correct) interior, again in every slot.  Gather finally copies every
-//! interior row of every slot back, reassembling the giant exactly.
+//! interior row of every slot back, reassembling the giant exactly.  None of this
+//! depends on how a tile decomposes its window: the garbage cone is a function of
+//! `reach₀ × W` alone.
 //!
 //! Halo rows truncated at a non-periodic global edge need no copy at all: there the
 //! tile's extent edge *is* the global domain edge, and the tile's boundary resolves
@@ -44,6 +50,7 @@ use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
 use pochoir_runtime::Parallelism;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Largest window height auto-sharding will pick.  The halo (and hence the redundant
@@ -79,6 +86,29 @@ fn minimal_compilable_k(k_floor: i64, n0: i64, compilable: impl Fn(i64) -> bool)
         }
     }
     Some(hi)
+}
+
+/// The base-case size a tile runs with — for the geometry search and the tile
+/// programs alike.  A tile is engine-made geometry the caller never sees, so it
+/// resolves its own coarsening: the parent plan's thresholds raised to at least
+/// [`Coarsening::heuristic`].  Replaying an uncoarsened parent's verbatim would
+/// stream an arena of unit zoids many times the size of the grid it updates.
+fn tile_coarsening<const D: usize>(parent: &Coarsening<D>) -> Coarsening<D> {
+    parent.at_least(&Coarsening::heuristic())
+}
+
+/// Whether the widest of `k` even tiles (halo included) compiles a `w`-step window
+/// at the tile's own base-case size.
+fn tiles_compile<const D: usize>(
+    sizes: [i64; D],
+    reach0: i64,
+    coarsening: &Coarsening<D>,
+    k: i64,
+    w: i64,
+) -> bool {
+    let mut tile_sizes = sizes;
+    tile_sizes[0] = (sizes[0] + k - 1) / k + 2 * reach0 * w;
+    schedule::should_compile(tile_sizes, &tile_coarsening(coarsening), w)
 }
 
 /// One outermost-axis tile of a [`ShardPlan`]: `len` owned rows starting at global
@@ -232,9 +262,11 @@ impl<const D: usize> ShardPlan<D> {
 
     /// Chooses a tile geometry for a grid that failed [`schedule::should_compile`]:
     /// the tallest window `W ≤ min(height, MAX_SHARD_WINDOW)` for which some tile
-    /// count `K` makes every tile compilable — preferring the smallest such `K`
-    /// (fewest seams) and requiring the redundant halo rows to stay under half the
-    /// grid.  [`Sharding::Tiles`] pins `K` instead and only searches the window.
+    /// count `K` makes every tile compilable at the tile's own base-case size
+    /// (`coarsening`, the parent plan's, raised to at least the heuristic) —
+    /// preferring the smallest such `K` (fewest seams) and requiring the redundant
+    /// halo rows to stay under half the grid.  [`Sharding::Tiles`] pins `K` instead
+    /// and only searches the window.
     ///
     /// Returns `None` when no geometry qualifies (the caller falls back to the
     /// recursive walker).
@@ -252,24 +284,13 @@ impl<const D: usize> ShardPlan<D> {
             return None;
         }
         let w_cap = height.clamp(1, MAX_SHARD_WINDOW);
-        let compilable = |k: i64, w: i64| {
-            let widest = (n0 + k - 1) / k + 2 * reach0 * w;
-            let mut tile_sizes = sizes;
-            tile_sizes[0] = widest;
-            schedule::should_compile(tile_sizes, coarsening, w)
-        };
-        let build = |k: i64, w: i64| {
-            let q = n0 / k;
-            let r = n0 % k;
-            let lens: Vec<i64> = (0..k).map(|i| if i < r { q + 1 } else { q }).collect();
-            Self::new(sizes, reach0, w, &lens, periodic0)
-        };
+        let compilable = |k: i64, w: i64| tiles_compile(sizes, reach0, coarsening, k, w);
         match sharding {
             Sharding::Off => None,
             Sharding::Tiles(k) => {
                 let k = i64::from(k).clamp(1, n0);
                 let w = (1..=w_cap).rev().find(|&w| compilable(k, w)).unwrap_or(1);
-                Some(build(k, w))
+                Some(Self::even(sizes, reach0, w, k, periodic0))
             }
             Sharding::Auto => {
                 let k_floor = (workers.max(2) as i64).min(n0);
@@ -278,7 +299,7 @@ impl<const D: usize> ShardPlan<D> {
                         // Redundant recompute lives in the halos: keep the ghost rows
                         // (2 per seam side per tile) under half the owned rows.
                         if 2 * k * reach0 * w <= n0 {
-                            return Some(build(k, w));
+                            return Some(Self::even(sizes, reach0, w, k, periodic0));
                         }
                     }
                 }
@@ -306,26 +327,21 @@ impl<const D: usize> ShardPlan<D> {
         if n0 < 1 || window < 1 {
             return None;
         }
-        let compilable = |k: i64| {
-            let widest = (n0 + k - 1) / k + 2 * reach0 * window;
-            let mut tile_sizes = sizes;
-            tile_sizes[0] = widest;
-            schedule::should_compile(tile_sizes, coarsening, window)
-        };
-        let build = |k: i64| {
-            let q = n0 / k;
-            let r = n0 % k;
-            let lens: Vec<i64> = (0..k).map(|i| if i < r { q + 1 } else { q }).collect();
-            Self::new(sizes, reach0, window, &lens, periodic0)
-        };
         match sharding {
             Sharding::Off => None,
-            Sharding::Tiles(k) => Some(build(i64::from(k).clamp(1, n0))),
-            Sharding::Auto => {
-                let k_floor = (workers.max(2) as i64).min(n0);
-                minimal_compilable_k(k_floor, n0, compilable).map(build)
-            }
+            Sharding::Tiles(k) => Some(i64::from(k).clamp(1, n0)),
+            Sharding::Auto => minimal_compilable_k((workers.max(2) as i64).min(n0), n0, |k| {
+                tiles_compile(sizes, reach0, coarsening, k, window)
+            }),
         }
+        .map(|k| Self::even(sizes, reach0, window, k, periodic0))
+    }
+
+    /// `k` tiles of near-equal interiors (the first `n₀ % k` get one extra row).
+    fn even(sizes: [i64; D], reach0: i64, window: i64, k: i64, periodic0: bool) -> Self {
+        let (q, r) = (sizes[0] / k, sizes[0] % k);
+        let lens: Vec<i64> = (0..k).map(|i| q + i64::from(i < r)).collect();
+        Self::new(sizes, reach0, window, &lens, periodic0)
     }
 
     /// The grid extents this plan tiles.
@@ -370,6 +386,30 @@ impl<const D: usize> ShardPlan<D> {
         let tile = &self.tiles[idx];
         debug_assert!(g >= tile.start && g < tile.start + tile.len);
         (idx, tile.lo_halo + (g - tile.start))
+    }
+
+    /// Splits `tile`'s local rows `locals` into maximal runs `(local, global, len)` of
+    /// consecutive global rows with one owner — one run for an interior, more where a
+    /// halo crosses a seam (a periodic wrap is the seam between last and first tile).
+    fn owner_runs<'a>(
+        &'a self,
+        tile: &'a Tile,
+        locals: Range<i64>,
+    ) -> impl Iterator<Item = (i64, i64, i64)> + 'a {
+        let mut local = locals.start;
+        std::iter::from_fn(move || {
+            (local < locals.end).then(|| {
+                let g = self.global_row(tile, local);
+                let owner = &self.tiles[self.owner_of(g).0];
+                let run = (
+                    local,
+                    g,
+                    (locals.end - local).min(owner.start + owner.len - g),
+                );
+                local += run.2;
+                run
+            })
+        })
     }
 
     /// Runs kernel-invocation times `[t0, t1)` on `array` through this plan's tile
@@ -447,17 +487,19 @@ impl<const D: usize> ShardPlan<D> {
 
     /// Compiles one program per *distinct tile extent* through the serving registry
     /// (interior tiles of equal extent share a compile), recording hit/miss counts
-    /// in `report`.  Tile programs carry the parent plan verbatim except for
-    /// sharding, which is switched off: a tile that *still* fails `should_compile`
-    /// runs its windows through the recursive walker instead of recursing into
-    /// another shard.
+    /// in `report`.  Tile programs carry the parent plan except for its base-case
+    /// size (see [`tile_coarsening`]) and sharding, which is switched off: a tile
+    /// that *still* fails `should_compile` runs its windows through the recursive
+    /// walker instead of recursing into another shard.
     pub(crate) fn tile_programs(
         &self,
         spec: &StencilSpec<D>,
         plan: &ExecutionPlan<D>,
         report: &mut ShardReport,
     ) -> Result<HashMap<i64, (Arc<CompiledProgram<D>>, RegistryLookup)>, ShardError> {
-        let tile_plan = plan.with_sharding(Sharding::Off);
+        let tile_plan = plan
+            .with_coarsening(tile_coarsening(&plan.coarsening))
+            .with_sharding(Sharding::Off);
         let mut programs = HashMap::new();
         for tile in &self.tiles {
             let extent = tile.extent();
@@ -500,11 +542,10 @@ impl<const D: usize> ShardPlan<D> {
                 let mut tile_array = PochoirArray::with_layout(tile_sizes, depth, fill);
                 tile_array.register_boundary(rebase_boundary(&boundary, tile.origin()));
                 for tau in (t0 - slices + 1)..=t0 {
-                    for local in 0..tile.extent() {
-                        let g = self.global_row(tile, local);
+                    for (local, g, len) in self.owner_runs(tile, 0..tile.extent()) {
                         tile_array
-                            .slab_mut(tau, local)
-                            .copy_from_slice(array.slab(tau, g));
+                            .slabs_mut(tau, local..local + len)
+                            .copy_from_slice(array.slabs(tau, g..g + len));
                     }
                 }
                 tile_array
@@ -522,12 +563,11 @@ impl<const D: usize> ShardPlan<D> {
     ) {
         let slices = array.time_slices() as i64;
         for (tile, tile_array) in self.tiles.iter().zip(tiles) {
+            let interior = tile.lo_halo..tile.lo_halo + tile.len;
             for tau in (t1 - slices + 1)..=t1 {
-                for r in 0..tile.len {
-                    array
-                        .slab_mut(tau, tile.start + r)
-                        .copy_from_slice(tile_array.slab(tau, tile.lo_halo + r));
-                }
+                array
+                    .slabs_mut(tau, tile.start..tile.start + tile.len)
+                    .copy_from_slice(tile_array.slabs(tau, interior.clone()));
             }
         }
     }
@@ -542,24 +582,26 @@ impl<const D: usize> ShardPlan<D> {
         slices: i64,
     ) -> u64 {
         let mut copied = 0u64;
-        let mut scratch: Vec<T> = Vec::new();
+        let mut arrays: Vec<_> = tile_arrays.iter().map(lock_tile).collect();
         for (i, tile) in self.tiles.iter().enumerate() {
-            let halo_rows = (0..tile.lo_halo).chain(tile.lo_halo + tile.len..tile.extent());
-            for local in halo_rows {
-                let g = self.global_row(tile, local);
-                let (owner, owner_local) = self.owner_of(g);
+            let halos = [0..tile.lo_halo, tile.lo_halo + tile.len..tile.extent()];
+            for (local, g, len) in halos.into_iter().flat_map(|h| self.owner_runs(tile, h)) {
+                let (owner, src) = self.owner_of(g);
                 for tau in (w1 - slices + 1)..=w1 {
-                    // Through a scratch buffer: with few tiles (or a periodic K=1
-                    // plan) a tile can own its own halo rows, and the source and
-                    // destination slab then live in the same array.
-                    scratch.clear();
-                    scratch
-                        .extend_from_slice(lock_tile(&tile_arrays[owner]).slab(tau, owner_local));
-                    lock_tile(&tile_arrays[i])
-                        .slab_mut(tau, local)
-                        .copy_from_slice(&scratch);
-                    copied += scratch.len() as u64;
+                    if owner == i {
+                        // With few tiles (or a periodic K=1 plan) a tile owns its own
+                        // halo rows: source and destination share an array.
+                        let rows = arrays[i].slabs(tau, src..src + len).to_vec();
+                        arrays[i]
+                            .slabs_mut(tau, local..local + len)
+                            .copy_from_slice(&rows);
+                    } else {
+                        let [dst, from] = arrays.get_disjoint_mut([i, owner]).expect("owner != i");
+                        dst.slabs_mut(tau, local..local + len)
+                            .copy_from_slice(from.slabs(tau, src..src + len));
+                    }
                 }
+                copied += (len * slices) as u64 * arrays[i].slab_elems() as u64;
             }
         }
         copied
@@ -665,15 +707,130 @@ mod tests {
         assert!(!schedule::should_compile(sizes, &coarsening, 8));
         let plan = ShardPlan::auto(sizes, 1, &coarsening, 8, 4, false, Sharding::Auto)
             .expect("giant should be shardable");
-        let widest = plan.tiles().iter().map(Tile::extent).max().unwrap();
-        let mut tile_sizes = sizes;
-        tile_sizes[0] = widest;
-        assert!(schedule::should_compile(
-            tile_sizes,
-            &coarsening,
-            plan.window()
-        ));
+        // Tiles compile at their own base-case size, so the worker floor suffices.
+        assert_eq!(plan.tiles().len(), 4);
+        assert_eq!(plan.window(), 8);
+        assert!(tiles_compile(sizes, 1, &coarsening, 4, plan.window()));
         assert_eq!(plan.tiles().iter().map(|t| t.len).sum::<i64>(), 4096);
+    }
+
+    #[test]
+    fn tile_coarsening_only_ever_raises_the_parent() {
+        let h = Coarsening::<2>::heuristic();
+        assert_eq!(tile_coarsening(&Coarsening::none()), h);
+        let tall = Coarsening::new(64, [8, 512]);
+        assert_eq!(tile_coarsening(&tall), Coarsening::new(64, [h.dx[0], 512]));
+    }
+
+    /// The `shard-giant` geometry: tile arenas are hundreds of leaves, not one leaf
+    /// per point.
+    #[test]
+    fn giant_tiles_compile_coarse() {
+        let spec = StencilSpec::new(crate::shape::star_shape::<1>(1));
+        let plan = ExecutionPlan::trap().with_coarsening(Coarsening::none());
+        assert!(!schedule::should_compile([200_000], &plan.coarsening, 24));
+        let shard_plan =
+            ShardPlan::auto([200_000], 1, &plan.coarsening, 24, 2, true, Sharding::Auto)
+                .expect("giant should be shardable");
+        assert_eq!((shard_plan.tiles().len(), shard_plan.window()), (2, 16));
+        let programs = shard_plan
+            .tile_programs(&spec, &plan, &mut ShardReport::default())
+            .expect("tile programs compile");
+        for (extent, (program, _)) in &programs {
+            let leaves = program.pinned_leaf_count() as i64;
+            assert!(
+                (1..=extent * shard_plan.window() / 1000).contains(&leaves),
+                "{leaves} leaves for a {extent}-row tile"
+            );
+        }
+    }
+
+    /// Every storage slot of `array` filled with values unique per (slot, cell).
+    fn numbered<const D: usize>(sizes: [usize; D], depth: usize) -> PochoirArray<u32, D> {
+        let mut array = PochoirArray::with_depth(sizes, depth);
+        let sz = array.sizes_i64();
+        for t in 0..=depth as i64 {
+            array.fill_time_slice(t, |x| {
+                (0..D).fold(t as u32 + 1, |acc, d| acc * sz[d] as u32 + x[d] as u32)
+            });
+        }
+        array
+    }
+
+    /// Scatter replicates the right global rows into every tile slot, gather
+    /// reassembles the giant bitwise, and an exchange after the halos were clobbered
+    /// restores the scattered state while counting one cell per halo row element
+    /// per slot — on padded row strides, truncated and (multiply) wrapped halos.
+    fn check_copies<const D: usize>(sizes: [usize; D], depth: usize, window: i64, lens: &[i64]) {
+        let slices = depth as i64 + 1;
+        let t0 = 5;
+        let giant = numbered(sizes, depth);
+        assert!(D == 1 || giant.strides()[D - 2] > sizes[D - 1], "unpadded");
+        for periodic in [false, true] {
+            let plan = ShardPlan::new(giant.sizes_i64(), 1, window, lens, periodic);
+            let tiles = plan.scatter(&giant, t0);
+            let mut halo_rows = 0;
+            for (tile, tile_array) in plan.tiles().iter().zip(&tiles) {
+                halo_rows += tile.lo_halo + tile.hi_halo;
+                for (tau, local) in
+                    (0..slices).flat_map(|s| (0..tile.extent()).map(move |l| (s, l)))
+                {
+                    let g = plan.global_row(tile, local);
+                    assert_eq!(
+                        tile_array.slabs(tau, local..local + 1),
+                        giant.slabs(tau, g..g + 1),
+                        "slot {tau}, tile row {local}"
+                    );
+                }
+            }
+
+            let mut gathered = PochoirArray::<u32, D>::with_depth(sizes, depth);
+            plan.gather(&mut gathered, &tiles, t0);
+            for tau in 0..slices {
+                assert_eq!(gathered.snapshot(tau), giant.snapshot(tau));
+            }
+
+            let locked: Vec<_> = plan
+                .scatter(&giant, t0)
+                .into_iter()
+                .map(Mutex::new)
+                .collect();
+            for (tile, tile_array) in plan.tiles().iter().zip(&locked) {
+                let halos = [0..tile.lo_halo, tile.lo_halo + tile.len..tile.extent()];
+                for (tau, rows) in (0..slices).flat_map(|s| halos.clone().map(|h| (s, h))) {
+                    lock_tile(tile_array).slabs_mut(tau, rows).fill(u32::MAX);
+                }
+            }
+            let copied = plan.exchange(&locked, t0, slices);
+            let slab = giant.slab_elems() as i64;
+            assert_eq!(copied, (halo_rows * slab * slices) as u64);
+            for (tile_array, expected) in locked.iter().zip(&tiles) {
+                for tau in 0..slices {
+                    assert_eq!(lock_tile(tile_array).snapshot(tau), expected.snapshot(tau));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_copies_round_trip_every_slot() {
+        check_copies([37], 1, 3, &[20, 2, 15]);
+        check_copies([6], 2, 8, &[6]); // K = 1: the halo wraps its owner twice
+        check_copies([9, 13], 1, 2, &[4, 1, 4]);
+        check_copies([7, 5, 3], 2, 2, &[3, 4]);
+    }
+
+    /// The `shard-giant` exchange: 2 tiles × 2 halos × 16 rows × 2 slots.
+    #[test]
+    fn giant_exchange_copies_128_cells() {
+        let giant = PochoirArray::<f64, 1>::new([200_000]);
+        let plan = ShardPlan::new([200_000], 1, 16, &[100_000, 100_000], true);
+        let tiles: Vec<_> = plan
+            .scatter(&giant, 0)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        assert_eq!(plan.exchange(&tiles, 16, 2), 128);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::boundary::Boundary;
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 use std::ptr::NonNull;
 
 /// Alignment (bytes) of grid storage: every time-slice base — and, thanks to padded
@@ -330,21 +330,30 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
         }
     }
 
-    /// The backing storage of outermost-axis row `row` of time slice `t`.
-    pub(crate) fn slab(&self, t: i64, row: i64) -> &[T] {
-        debug_assert!(row >= 0 && (row as usize) < self.sizes[0]);
+    /// Storage range of outermost-axis rows `rows` of time slice `t`: consecutive
+    /// rows of one slice are consecutive slabs, so a row range is one span.
+    fn slab_range(&self, t: i64, rows: Range<i64>) -> Range<usize> {
+        assert!(
+            0 <= rows.start && rows.start <= rows.end && rows.end as usize <= self.sizes[0],
+            "rows {rows:?} outside the outermost extent {}",
+            self.sizes[0]
+        );
+        let base = self.slice_index(t) * self.slice_len;
         let len = self.slab_elems();
-        let start = self.slice_index(t) * self.slice_len + row as usize * len;
-        &self.data[start..start + len]
+        base + rows.start as usize * len..base + rows.end as usize * len
     }
 
-    /// Mutable view of the backing storage of outermost-axis row `row` of time
+    /// The backing storage of outermost-axis rows `rows` of time slice `t`, padding
+    /// included.
+    pub(crate) fn slabs(&self, t: i64, rows: Range<i64>) -> &[T] {
+        &self.data[self.slab_range(t, rows)]
+    }
+
+    /// Mutable view of the backing storage of outermost-axis rows `rows` of time
     /// slice `t`.
-    pub(crate) fn slab_mut(&mut self, t: i64, row: i64) -> &mut [T] {
-        debug_assert!(row >= 0 && (row as usize) < self.sizes[0]);
-        let len = self.slab_elems();
-        let start = self.slice_index(t) * self.slice_len + row as usize * len;
-        &mut self.data[start..start + len]
+    pub(crate) fn slabs_mut(&mut self, t: i64, rows: Range<i64>) -> &mut [T] {
+        let range = self.slab_range(t, rows);
+        &mut self.data[range]
     }
 
     /// Reads the value at `(t, x)`.  Out-of-domain coordinates are resolved through the

@@ -10,10 +10,11 @@ use pochoir_core::engine::shard::ShardPlan;
 use pochoir_core::engine::{Coarsening, CompiledStencil, ExecutionPlan, Sharding};
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::{StencilKernel, StencilSpec};
-use pochoir_core::shape::star_shape;
+use pochoir_core::shape::{box_shape, star_shape, Shape, ShapeCell};
 use pochoir_core::view::GridAccess;
 use pochoir_runtime::Serial;
 
+#[derive(Clone, Copy)]
 struct Heat1D;
 impl StencilKernel<f64, 1> for Heat1D {
     fn update<A: GridAccess<f64, 1>>(&self, g: &A, t: i64, x: [i64; 1]) {
@@ -233,20 +234,15 @@ fn executor_auto_shards_rejected_giants_bitwise() {
         a
     };
 
-    // Reference: the recursive walker (sharding forced off).
+    // Reference: sharding forced off stays the literal recursive walker.
     let recursive_plan = ExecutionPlan::trap()
         .with_coarsening(coarsening)
         .with_sharding(Sharding::Off);
+    let literal = CompiledStencil::new(spec.clone(), Heat1D, recursive_plan, [n], steps);
     let mut reference = make();
-    pochoir_core::engine::run(
-        &mut reference,
-        &spec,
-        &Heat1D,
-        0,
-        steps,
-        &recursive_plan,
-        &Serial,
-    );
+    literal.run_with(&mut reference, 0, steps, &Serial);
+    let stats = literal.stats();
+    assert_eq!((stats.recursive_runs, stats.sharded_runs), (1, 0));
 
     // The default plan auto-shards on rejection.
     let auto_plan = ExecutionPlan::trap().with_coarsening(coarsening);
@@ -300,4 +296,170 @@ fn forced_tile_count_is_honoured_and_bitwise() {
         .expect("forced tiling must shard");
     assert_eq!(report.tiles, 5);
     assert_eq!(sharded.snapshot(steps), reference.snapshot(steps));
+}
+
+/// Conway's life on `u8` cells (Moore neighbourhood).
+#[derive(Clone, Copy)]
+struct Life;
+impl StencilKernel<u8, 2> for Life {
+    fn update<A: GridAccess<u8, 2>>(&self, g: &A, t: i64, x: [i64; 2]) {
+        let mut live = 0;
+        for (di, dj) in (-1..=1).flat_map(|di| (-1..=1).map(move |dj| (di, dj))) {
+            if (di, dj) != (0, 0) {
+                live += g.get(t, [x[0] + di, x[1] + dj]);
+            }
+        }
+        let alive = g.get(t, x) == 1;
+        g.set(t + 1, x, u8::from(live == 3 || (alive && live == 2)));
+    }
+}
+
+/// The depth-2 3-D wave equation: reads `t` and `t - 1`, writes `t + 1`.
+#[derive(Clone, Copy)]
+struct Wave3D;
+impl StencilKernel<f64, 3> for Wave3D {
+    fn update<A: GridAccess<f64, 3>>(&self, g: &A, t: i64, x: [i64; 3]) {
+        let c = g.get(t, x);
+        let mut lap = -6.0 * c;
+        for d in 0..3 {
+            let (mut lo, mut hi) = (x, x);
+            lo[d] -= 1;
+            hi[d] += 1;
+            lap += g.get(t, lo) + g.get(t, hi);
+        }
+        g.set(t + 1, x, 2.0 * c - g.get(t - 1, x) + 0.1 * lap);
+    }
+}
+
+fn wave3d_spec() -> StencilSpec<3> {
+    let mut cells: Vec<ShapeCell<3>> = star_shape::<3>(1).cells().to_vec();
+    cells.push(ShapeCell::new(-1, [0; 3]));
+    StencilSpec::new(Shape::must(cells))
+}
+
+/// Tiles own their base-case size: under an *uncoarsened* parent plan the tiles run
+/// heuristic-coarsened schedules, and the result must still be bitwise identical —
+/// in every retained slot — to the unsharded uncoarsened run and to `loops_serial`.
+/// Shards three ways: the explicit `lens` partition at `window`, a K = 1 plan (on a
+/// periodic axis 0 the tile is its own halo owner), and `Sharding::Tiles(lens.len())`
+/// through the executor session.
+fn assert_uncoarsened_parent_shards_bitwise<T, K, const D: usize>(
+    spec: &StencilSpec<D>,
+    kernel: K,
+    make: impl Fn() -> PochoirArray<T, D>,
+    steps: i64,
+    window: i64,
+    lens: &[i64],
+    periodic0: bool,
+) where
+    T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    K: StencilKernel<T, D> + Copy,
+{
+    let plan = ExecutionPlan::trap().with_coarsening(Coarsening::none());
+    let sizes = make().sizes();
+    let sizes_i64 = make().sizes_i64();
+    let t0 = spec.shape().first_step();
+    let t1 = t0 + steps;
+    let slots = |a: &PochoirArray<T, D>| -> Vec<Vec<T>> {
+        (0..spec.shape().time_slices() as i64)
+            .map(|s| a.snapshot(t1 - s))
+            .collect()
+    };
+
+    let mut loops = make();
+    let serial = ExecutionPlan::loops_serial();
+    pochoir_core::engine::run(&mut loops, spec, &kernel, t0, t1, &serial, &Serial);
+    let expected = slots(&loops);
+
+    let mut whole = make();
+    let literal = plan.with_sharding(Sharding::Off);
+    pochoir_core::engine::run(&mut whole, spec, &kernel, t0, t1, &literal, &Serial);
+    assert_eq!(slots(&whole), expected, "unsharded uncoarsened run");
+
+    let reach0 = spec.reach()[0];
+    for tile_lens in [lens, &[sizes_i64[0]]] {
+        let shard_plan = ShardPlan::new(sizes_i64, reach0, window, tile_lens, periodic0);
+        let mut sharded = make();
+        let report = shard_plan
+            .execute(&mut sharded, spec, &plan, &kernel, t0, t1, &Serial)
+            .expect("sharded execution must succeed");
+        assert_eq!(report.windows, ((steps + window - 1) / window) as u64);
+        assert_eq!(slots(&sharded), expected, "tiles {tile_lens:?}");
+    }
+
+    let forced = plan.with_sharding(Sharding::Tiles(lens.len() as u32));
+    let session = CompiledStencil::new(spec.clone(), kernel, forced, sizes, steps);
+    let mut sharded = make();
+    let report = session
+        .run_sharded_with(&mut sharded, t0, t1, &Serial)
+        .expect("forced tiling must shard");
+    assert_eq!(report.tiles, lens.len() as u64);
+    assert_eq!(slots(&sharded), expected, "Sharding::Tiles");
+}
+
+/// 1-D heat: every tile narrower than the heuristic `dx` (1000), the window (16)
+/// shorter than the heuristic `dt` (100), and a ragged last window (24 = 16 + 8).
+#[test]
+fn uncoarsened_parent_shards_bitwise_1d_heat() {
+    for (boundary, periodic0) in [(Boundary::Periodic, true), (Boundary::Clamp, false)] {
+        assert_uncoarsened_parent_shards_bitwise(
+            &StencilSpec::new(star_shape::<1>(1)),
+            Heat1D,
+            || {
+                let mut a = PochoirArray::<f64, 1>::new([2400]);
+                a.register_boundary(boundary.clone());
+                a.fill_time_slice(0, |x| ((x[0] * 31 + 5) % 257) as f64 * 0.125);
+                a
+            },
+            24,
+            16,
+            &[300, 1500, 600],
+            periodic0,
+        );
+    }
+}
+
+/// Periodic 2-D life on `u8`: window 3 under the heuristic `dt` 5, ragged 8 = 3+3+2.
+#[test]
+fn uncoarsened_parent_shards_bitwise_2d_life() {
+    assert_uncoarsened_parent_shards_bitwise(
+        &StencilSpec::new(box_shape::<2>(1)),
+        Life,
+        || {
+            let mut a = PochoirArray::<u8, 2>::new([48, 40]);
+            a.register_boundary(Boundary::Periodic);
+            a.fill_time_slice(0, |x| {
+                u8::from((x[0] * 7 + x[1] * 13 + x[0] * x[1]) % 5 < 2)
+            });
+            a
+        },
+        8,
+        3,
+        &[17, 6, 25],
+        true,
+    );
+}
+
+/// Depth-2 3-D wave (three storage slots): a 2-row tile under the heuristic `dx₀`
+/// 3, window 2 under the heuristic `dt` 3, ragged 5 = 2+2+1.
+#[test]
+fn uncoarsened_parent_shards_bitwise_3d_wave() {
+    for (boundary, periodic0) in [(Boundary::Periodic, true), (Boundary::Constant(0.0), false)] {
+        assert_uncoarsened_parent_shards_bitwise(
+            &wave3d_spec(),
+            Wave3D,
+            || {
+                let mut a = PochoirArray::<f64, 3>::with_depth([12, 10, 9], 2);
+                a.register_boundary(boundary.clone());
+                let bump = |x: [i64; 3]| ((x[0] * 5 + x[1] * 3 + x[2]) % 11) as f64 * 0.25;
+                a.fill_time_slice(0, bump);
+                a.fill_time_slice(1, |x| bump(x) * 0.5);
+                a
+            },
+            5,
+            2,
+            &[2, 10],
+            periodic0,
+        );
+    }
 }
