@@ -64,7 +64,7 @@ impl TuneEntry {
 }
 
 /// A persisted per-host tuning profile: tuned parameters per application, plus the
-/// ISA that was detected when the sweep ran (for provenance in BENCH reports).
+/// ISA that was detected when the sweep ran (for provenance).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TuneProfile {
     /// The widest SIMD ISA detected on the tuning host (`avx2`, `sse2`, `scalar`).

@@ -4,7 +4,7 @@
 
 use crate::RunStats;
 use pochoir_core::boundary::Boundary;
-use pochoir_core::engine::{CompiledStencil, ExecutionPlan, SessionStats};
+use pochoir_core::engine::{CompiledStencil, ExecutionPlan};
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::{StencilKernel, StencilSpec};
 use pochoir_runtime::{Runtime, Serial};
@@ -81,13 +81,10 @@ where
     execute_with_plan(array, spec, kernel, steps, cfg, plan_for::<D>(cfg))
 }
 
-/// [`execute`] under an explicit plan (used by the runners with tuned coarsening).
-///
-/// Execution goes through a [`CompiledStencil`] session built *before* the timer
-/// starts, so the measured window is the steady-state replay a serving deployment
-/// sees — schedule compilation (a one-time, cache-amortized cost) is excluded.
+/// [`execute`] under an explicit plan (used by the runners with tuned coarsening),
+/// timed by [`time_with_plan`]: steady-state replay, schedule compilation excluded.
 fn execute_with_plan<T, K, const D: usize>(
-    mut array: PochoirArray<T, D>,
+    array: PochoirArray<T, D>,
     spec: &StencilSpec<D>,
     kernel: &K,
     steps: i64,
@@ -98,23 +95,8 @@ where
     T: Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
 {
-    let t0 = spec.shape().first_step();
-    let points: u128 = array.sizes().iter().map(|&s| s as u128).product();
-    let session = CompiledStencil::new(spec.clone(), kernel, plan, array.sizes(), steps);
-    let start = Instant::now();
-    match cfg {
-        Fig3Config::PochoirSerial | Fig3Config::LoopsSerial => {
-            session.run_with(&mut array, t0, t0 + steps, &Serial);
-        }
-        Fig3Config::PochoirParallel | Fig3Config::LoopsParallel => {
-            session.run_with(&mut array, t0, t0 + steps, Runtime::global());
-        }
-    }
-    RunStats {
-        seconds: start.elapsed().as_secs_f64(),
-        points,
-        steps,
-    }
+    let parallel = matches!(cfg, Fig3Config::PochoirParallel | Fig3Config::LoopsParallel);
+    time_with_plan(array, spec, kernel, steps, &plan, parallel)
 }
 
 /// 2D heat equation (nonperiodic `Heat 2` or periodic `Heat 2p`).
@@ -286,30 +268,13 @@ pub fn run_twenty_seven_point(
 /// The [`CompiledStencil`] session is built outside the timed window: the measurement
 /// is the per-window replay cost, not the one-time schedule compilation.
 pub fn time_with_plan<T, K, const D: usize>(
-    array: PochoirArray<T, D>,
-    spec: &StencilSpec<D>,
-    kernel: &K,
-    steps: i64,
-    plan: &ExecutionPlan<D>,
-    parallel: bool,
-) -> RunStats
-where
-    T: Copy + Send + Sync + 'static,
-    K: StencilKernel<T, D>,
-{
-    time_with_plan_stats(array, spec, kernel, steps, plan, parallel).0
-}
-
-/// [`time_with_plan`], also returning the session's executor counters so the JSON
-/// emitters can record compiles/fetches/reuses next to the throughput of each config.
-pub fn time_with_plan_stats<T, K, const D: usize>(
     mut array: PochoirArray<T, D>,
     spec: &StencilSpec<D>,
     kernel: &K,
     steps: i64,
     plan: &ExecutionPlan<D>,
     parallel: bool,
-) -> (RunStats, SessionStats)
+) -> RunStats
 where
     T: Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
@@ -323,67 +288,11 @@ where
     } else {
         session.run_with(&mut array, t0, t0 + steps, &Serial);
     }
-    (
-        RunStats {
-            seconds: start.elapsed().as_secs_f64(),
-            points,
-            steps,
-        },
-        session.stats(),
-    )
-}
-
-/// Serving-scheduler counters observed by the process-global runtime while a closure
-/// ran: per-window work items, ready-queue high-water mark, logical-deadline misses,
-/// and the pool's per-worker executed-job distribution (all from
-/// [`Runtime::metrics`] / [`Runtime::worker_executed`] deltas).
-pub struct ServingTraffic {
-    /// Per-window work items dispatched by pipelined drains.
-    pub windows: u64,
-    /// Ready-queue high-water mark (process lifetime; a gauge, not a delta).
-    pub queue_depth_peak: u64,
-    /// Submissions whose final window missed its logical deadline.
-    pub deadline_misses: u64,
-    /// Submissions or windows shed by admission control / unmeetable-deadline drops.
-    pub shed: u64,
-    /// Compile attempts retried under a serving retry policy.
-    pub retries: u64,
-    /// Registry keys quarantined after a tenant panic.
-    pub quarantined: u64,
-    /// Poisoned engine locks recovered instead of cascading a panic.
-    pub poison_recoveries: u64,
-    /// Jobs executed per pool worker while the closure ran.
-    pub worker_executed: Vec<u64>,
-}
-
-/// Runs `f` and reports the serving-scheduler traffic the process-global runtime
-/// observed meanwhile.  The JSON emitters use it to record queue-depth and
-/// deadline-miss counters next to throughput numbers.
-pub fn observe_serving_traffic<R>(f: impl FnOnce() -> R) -> (R, ServingTraffic) {
-    let rt = Runtime::global();
-    let before = rt.metrics();
-    let workers_before = rt.worker_executed();
-    let result = f();
-    let delta = before.delta(&rt.metrics());
-    let worker_executed = rt
-        .worker_executed()
-        .iter()
-        .zip(workers_before)
-        .map(|(now, then)| now.saturating_sub(then))
-        .collect();
-    (
-        result,
-        ServingTraffic {
-            windows: delta.serving_windows,
-            queue_depth_peak: delta.serving_queue_depth_peak,
-            deadline_misses: delta.serving_deadline_misses,
-            shed: delta.serving_shed,
-            retries: delta.serving_retries,
-            quarantined: delta.serving_quarantined,
-            poison_recoveries: delta.registry_poison_recoveries,
-            worker_executed,
-        },
-    )
+    RunStats {
+        seconds: start.elapsed().as_secs_f64(),
+        points,
+        steps,
+    }
 }
 
 /// One row of Figure 3.

@@ -17,28 +17,24 @@
 //! | `ablation_coarsening` | Section 4: base-case coarsening (≈36× claim) + ISAT-style tuning |
 //!
 //! All binaries accept `--scale tiny|small|medium|paper` (default `small`) and print the
-//! paper-shaped rows to stdout; `EXPERIMENTS.md` at the workspace root records
-//! paper-vs-measured values.
+//! paper-shaped rows to stdout.  They are paper artefacts, not a regression gate: the
+//! repo's performance numbers come from the one benchmark under `benchmark/`
+//! (`bash benchmark/run.sh`, see `benchmark/README.md`).
+//!
+//! Two more binaries are tools rather than figures: `pochoir-autotune` sweeps the
+//! tunables and writes the tune profile, and `trace_corpus` regenerates (or, with
+//! `--check`, byte-pins) the committed `traces/` corpus that [`replay`] drives through
+//! the serving layer; the corpus' deterministic counters are asserted by
+//! `tests/corpus_counters.rs`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod apps;
-pub mod check;
 pub mod replay;
 
 pub use apps::{Fig3Config, Fig3Row, FIG3_ROWS};
-
-use std::time::Instant;
-
 pub use pochoir_stencils::ProblemScale;
-
-/// Wall-clock seconds of one invocation of `f`.
-pub fn time<F: FnOnce()>(f: F) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
-}
 
 /// A single timed run.
 #[derive(Clone, Copy, Debug)]
@@ -100,40 +96,7 @@ pub fn scale_from_args(usage: &str) -> ProblemScale {
     scale
 }
 
-/// Renders the provenance fields shared by every `BENCH_*.json` emitter: the SIMD ISA
-/// detected on the measuring host, plus the tune profile (path and the host ISA it was
-/// swept on) that shaped the presets — or `null`s when no profile was found.  Each
-/// field is emitted on its own line prefixed with `indent` and suffixed with a comma,
-/// so callers can splice the block straight into a JSON object body.
-pub fn provenance_json_fields(indent: &str) -> String {
-    let detected = pochoir_core::simd::detected()
-        .map(|i| i.name().to_string())
-        .unwrap_or_else(|| "scalar".to_string());
-    let (path, host) = match pochoir_autotune::profile::cached() {
-        Some(p) => {
-            // Record the profile path relative to the working directory when
-            // possible, so committed reports don't leak host-specific prefixes.
-            let full = pochoir_autotune::profile::default_path();
-            let shown = std::env::current_dir()
-                .ok()
-                .and_then(|cwd| full.strip_prefix(&cwd).ok().map(|r| r.to_path_buf()))
-                .unwrap_or(full);
-            (
-                format!("\"{}\"", shown.display()),
-                format!("\"{}\"", p.host_isa),
-            )
-        }
-        None => ("null".to_string(), "null".to_string()),
-    };
-    format!(
-        "{indent}\"detected_isa\": \"{detected}\",\n\
-         {indent}\"tune_profile\": {path},\n\
-         {indent}\"tune_profile_host_isa\": {host},\n"
-    )
-}
-
-/// Parses `--out PATH` from the command line, falling back to `default`; shared by the
-/// `*_json` report emitters.
+/// Parses `--out PATH` from the command line, falling back to `default`.
 pub fn out_path_from_args(default: &str) -> String {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -264,11 +227,5 @@ mod tests {
         assert_eq!(fmt_seconds(3.2), "3.20s");
         assert_eq!(fmt_ratio(10.0, 4.0), "2.50");
         assert_eq!(fmt_ratio(1.0, 0.0), "-");
-    }
-
-    #[test]
-    fn time_measures_something() {
-        let t = time(|| std::thread::sleep(std::time::Duration::from_millis(5)));
-        assert!(t >= 0.004);
     }
 }

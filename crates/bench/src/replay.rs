@@ -17,8 +17,9 @@
 //! pure functions of `(app, geometry, tenant)`, submission order is the trace
 //! order, and the drain's dispatch order is deterministic when dispatch is serial.
 //! With more workers the *digests* still match (the engines are bitwise
-//! order-independent across tenants) but completion ticks and peak-ready gauges
-//! may vary; the CI gate therefore pins one thread.
+//! order-independent across tenants) but completion ticks, deadline misses and
+//! peak-ready gauges may vary; `tests/corpus_counters.rs` therefore pins those only
+//! at one worker, and everything else at any worker count.
 
 use std::collections::BTreeMap;
 
@@ -49,17 +50,6 @@ pub enum Discipline {
     /// No queue at all: each record runs immediately at submit time as a
     /// single-array `run_batch` on the shared compiled program.
     Sequential,
-}
-
-impl Discipline {
-    /// The stable lowercase name used in JSON reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Discipline::Pipelined => "pipelined",
-            Discipline::Barrier => "barrier",
-            Discipline::Sequential => "sequential",
-        }
-    }
 }
 
 /// Replay knobs beyond the trace itself.

@@ -1,8 +1,8 @@
 //! Pins the committed trace corpus (`traces/*.json`) to the built-in definition
 //! in [`pochoir_trace::corpus`] — the same check CI runs via `trace_corpus
 //! --check`. If a generator changes, the committed files (and therefore the
-//! committed `baselines/BENCH_traffic.json`) must be regenerated in the same
-//! change, or replays silently diverge from the corpus the baselines describe.
+//! literal table in `corpus_counters.rs`) must be regenerated in the same change,
+//! or replays silently diverge from the corpus that table describes.
 
 use pochoir_trace::{corpus, Trace};
 use std::path::PathBuf;

@@ -69,7 +69,8 @@
 //! folded row segment*: the sub-span whose read halo is fully in-domain runs the
 //! vectorized interior clone, and only the `reach`-wide edge/seam strips pay the
 //! boundary clone ([`base::execute_zoid_hybrid`]).  This is where most of the compiled
-//! path's measured speedup comes from; `BENCH_schedule.json` records it.
+//! path's measured speedup comes from (`benchmark/`'s
+//! `schedule.compiled_over_recursive` measures it).
 //!
 //! ## Schedule cache and time-origin shifting
 //!

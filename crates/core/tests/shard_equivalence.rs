@@ -384,6 +384,12 @@ fn assert_uncoarsened_parent_shards_bitwise<T, K, const D: usize>(
             .execute(&mut sharded, spec, &plan, &kernel, t0, t1, &Serial)
             .expect("sharded execution must succeed");
         assert_eq!(report.windows, ((steps + window - 1) / window) as u64);
+        assert!((1..=report.tiles).contains(&report.distinct_geometries));
+        assert_eq!(
+            report.registry_hits + report.registry_misses,
+            report.distinct_geometries,
+            "one registry lookup per distinct tile geometry"
+        );
         assert_eq!(slots(&sharded), expected, "tiles {tile_lens:?}");
     }
 

@@ -1,5 +1,4 @@
-//! A small blocking client for the `pochoir-serve` wire protocol, plus the
-//! trace-driven load generator used by the e2e tests and the bench smoke step.
+//! A small blocking client for the `pochoir-serve` wire protocol.
 //!
 //! The client is deliberately dumb: one [`TcpStream`], strictly
 //! request/response (every frame it sends is answered by exactly one frame),
@@ -15,7 +14,7 @@ use pochoir_core::grid::PochoirArray;
 use pochoir_stencils::traffic::{
     digest_values, heat_grid, life_grid, usizes, wave_grid, DigestBits,
 };
-use pochoir_trace::{Trace, TraceApp};
+use pochoir_trace::TraceApp;
 
 use crate::protocol::{
     grid_to_bytes, read_frame, write_frame, Deadline, ElemType, ErrorCode, Frame, FrameError,
@@ -322,55 +321,4 @@ impl Client {
 
 fn unexpected(wanted: &str, got: &Frame) -> ClientError {
     ClientError::Protocol(format!("expected {wanted}, server sent {got:?}"))
-}
-
-/// Replays a trace against a live server over one connection: negotiates each
-/// distinct `(app, geometry)`, submits every record's deterministic tenant
-/// grid in arrival order, then polls and fetches all results.
-///
-/// Returns one entry per record, in trace order: `Some(digest)` for completed
-/// requests, `None` for records the server shed or failed (admission control
-/// at work, not a transport error).  Transport and protocol violations are
-/// `Err`.
-pub fn replay_trace(addr: &str, trace: &Trace) -> Result<Vec<Option<u64>>, ClientError> {
-    let mut client = Client::connect_retry(addr, Duration::from_secs(10))?;
-    let mut sessions: Vec<(TraceApp, Vec<u64>, Session)> = Vec::new();
-    let mut submitted: Vec<Option<u64>> = Vec::with_capacity(trace.records.len());
-    for rec in &trace.records {
-        let session = match sessions
-            .iter()
-            .find(|(app, geom, _)| *app == rec.app && *geom == rec.geometry)
-        {
-            Some((_, _, s)) => s.clone(),
-            None => {
-                let s = client.negotiate(rec.app, &rec.geometry, trace.chunk)?;
-                sessions.push((rec.app, rec.geometry.clone(), s.clone()));
-                s
-            }
-        };
-        let deadline = match rec.deadline {
-            Some(ticks) => Deadline::Logical(ticks),
-            None => Deadline::None,
-        };
-        match client.submit_tenant(&session, rec.tenant, rec.window, rec.weight, deadline) {
-            Ok(request) => submitted.push(Some(request)),
-            // Typed rejections (shed, unmeetable deadline) are data, not
-            // failures: the trace replays the admitted subset.
-            Err(ClientError::Server { .. }) => submitted.push(None),
-            Err(e) => return Err(e),
-        }
-    }
-    let mut digests = Vec::with_capacity(submitted.len());
-    for request in submitted {
-        match request {
-            None => digests.push(None),
-            Some(request) => match client.wait_fetch(request, Duration::from_secs(60)) {
-                Ok(result) => digests.push(Some(result.digest())),
-                Err(ClientError::Server { .. }) => digests.push(None),
-                Err(e) => return Err(e),
-            },
-        }
-    }
-    let _ = client.close();
-    Ok(digests)
 }

@@ -16,8 +16,7 @@
 //!    same batch in-process — the end-to-end tests pin exactly that.
 //!
 //! [`protocol`] is the wire codec (pure, fuzzed by property tests),
-//! [`server`] the blocking reactor, and [`client`] a minimal blocking client
-//! plus the trace-driven load generator used by the bench smoke step.
+//! [`server`] the blocking reactor, and [`client`] a minimal blocking client.
 
 #![warn(missing_docs)]
 
@@ -25,6 +24,6 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use client::{replay_trace, Client, ClientError, FetchedResult, Session};
+pub use client::{Client, ClientError, FetchedResult, Session};
 pub use protocol::{Deadline, ElemType, ErrorCode, Frame, FrameError, RequestStatus};
 pub use server::{RecordConfig, ServeConfig, Server};

@@ -18,7 +18,7 @@
 //!   chain, exactly as in-process.
 //!
 //! **Locking model.**  There are two lock tiers and they are never nested:
-//! a global [`State`] mutex guards the request table, the session index, and
+//! a global `State` mutex guards the request table, the session index, and
 //! record-mode bookkeeping — all cheap map operations — while each session's
 //! compiled server and drain queue live behind that session's own mutex.  The
 //! drain thread computes entirely under the session lock, so submits, polls,

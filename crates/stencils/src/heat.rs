@@ -107,11 +107,10 @@ pub fn shape<const D: usize>() -> Shape<D> {
 }
 
 /// TRAP/STRAP base-case coarsening tuned for the 2D heat kernel under the compiled
-/// schedule path (measured with `schedule_path_json`): keep the unit-stride dimension
-/// uncut so the row path gets full-width rows — the compiled executor's segment-level
-/// clone resolution keeps those rows on the interior clone — and slab the outer
-/// dimension at 50 rows.  A persisted host tune profile (see
-/// [`pochoir_autotune::profile`]) overrides this default when present.
+/// schedule path: keep the unit-stride dimension uncut so the row path gets full-width
+/// rows — the compiled executor's segment-level clone resolution keeps those rows on
+/// the interior clone — and slab the outer dimension at 50 rows.  A persisted host
+/// tune profile (see [`pochoir_autotune::profile`]) overrides this default when present.
 pub fn tuned_coarsening_2d() -> Coarsening<2> {
     crate::common::profile_coarsening("heat2d", Coarsening::new(5, [50, 4096]))
 }

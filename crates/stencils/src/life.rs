@@ -83,9 +83,8 @@ pub fn shape() -> Shape<2> {
     box_shape::<2>(1)
 }
 
-/// TRAP/STRAP base-case coarsening tuned for Life under the compiled schedule path
-/// (measured with `schedule_path_json`): long rows for the byte-wide vectorized row
-/// kernel, 64-row outer slabs.
+/// TRAP/STRAP base-case coarsening tuned for Life under the compiled schedule path:
+/// long rows for the byte-wide vectorized row kernel, 64-row outer slabs.
 pub fn tuned_coarsening() -> Coarsening<2> {
     crate::common::profile_coarsening("life", Coarsening::new(5, [64, 512]))
 }

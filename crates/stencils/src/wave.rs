@@ -103,10 +103,10 @@ pub fn shape() -> Shape<3> {
 }
 
 /// TRAP/STRAP base-case coarsening tuned for the 3D wave kernel under the compiled
-/// schedule path (measured with `schedule_path_json`).  The paper's 3D heuristic
-/// (`3×3×1000`) fragments the decomposition into tens of thousands of sliver leaves
-/// whose full-width rows all ran the boundary clone; 8×8 tiles with the unit-stride
-/// dimension uncut keep the leaf count ~64× smaller at slightly better throughput.
+/// schedule path.  The paper's 3D heuristic (`3×3×1000`) fragments the decomposition
+/// into tens of thousands of sliver leaves whose full-width rows all ran the boundary
+/// clone; 8×8 tiles with the unit-stride dimension uncut keep the leaf count ~64×
+/// smaller at slightly better throughput.
 pub fn tuned_coarsening() -> Coarsening<3> {
     crate::common::profile_coarsening("wave3d", Coarsening::new(8, [8, 8, 1000]))
 }

@@ -1,13 +1,11 @@
 //! A minimal JSON value: parser, printer, and path accessors.
 //!
-//! The workspace builds offline with no serde, yet two harness layers need real JSON:
-//! the [trace format](crate::format) must round-trip through a human-readable
-//! representation, and the `bench_check` CI gate must *read back* the `BENCH_*.json`
-//! reports the bench bins emit.  This module is that shared layer — a deliberately
-//! small recursive-descent parser over the JSON the harness itself writes (objects,
-//! arrays, strings with standard escapes, integer and floating literals, booleans,
-//! null), with object key order preserved so `parse ∘ emit` is the identity on
-//! emitted documents.
+//! The workspace builds offline with no serde, yet the [trace format](crate::format)
+//! must round-trip through a human-readable representation.  This module is that
+//! layer — a deliberately small recursive-descent parser over the JSON the harness
+//! itself writes (objects, arrays, strings with standard escapes, integer and floating
+//! literals, booleans, null), with object key order preserved so `parse ∘ emit` is the
+//! identity on emitted documents.
 
 use std::fmt;
 

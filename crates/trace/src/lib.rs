@@ -2,8 +2,8 @@
 //!
 //! The traffic-trace layer of the serving benchmark harness: a versioned,
 //! human-readable trace format for multi-tenant stencil traffic, seeded synthetic
-//! generators for adversarial workload shapes, and the minimal JSON layer shared
-//! with the `bench_check` CI gate.
+//! generators for adversarial workload shapes, and the minimal JSON layer the trace
+//! format is written in.
 //!
 //! The Pochoir paper's amortization claim — compile a trapezoidal schedule once,
 //! replay it across many invocations — is exercised in this workspace by a
@@ -12,8 +12,8 @@
 //! traffic* to be testable.  A [`Trace`] is that reproducible
 //! artifact: a named, seeded stream of
 //! `(tenant, app, geometry, window, weight, deadline, arrival_tick)` records that
-//! `traffic_replay_json` (in `pochoir-bench`) drives through `StencilServer` under
-//! pipelined / barrier / sequential disciplines.
+//! `pochoir_bench::replay` drives through `StencilServer` under pipelined / barrier /
+//! sequential disciplines.
 //!
 //! * [`format`](mod@format) — the versioned record/stream types, `emit`/`parse` with a
 //!   property-pinned round trip, and validation against the closed app vocabulary.
