@@ -55,11 +55,6 @@ impl IdealCache {
         self.stats
     }
 
-    /// Resets the statistics without touching the cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Empties the cache and resets statistics.
     pub fn clear(&mut self) {
         self.stamps.clear();

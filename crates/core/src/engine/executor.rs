@@ -56,7 +56,7 @@ use crate::grid::{PochoirArray, RawGrid};
 use crate::kernel::{StencilKernel, StencilSpec};
 use crate::view::{AccessTracer, TracingView};
 use crate::zoid::Zoid;
-use pochoir_runtime::{Parallelism, Runtime, Serial};
+use pochoir_runtime::{Counter, Parallelism, Runtime, Serial};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -415,10 +415,7 @@ impl<const D: usize> CompiledProgram<D> {
         }
         self.metrics.runs.fetch_add(1, Ordering::Relaxed);
         // Publish the row-kernel ISA this run dispatches to (plan policy ∩ host
-        // detection ∩ POCHOIR_SIMD), and snapshot the advisory SIMD row counters
-        // so the delta can be forwarded to the runtime metrics afterwards.  The
-        // sharded route skips the snapshot: its tile runs re-enter this method and
-        // report their own row deltas.
+        // detection ∩ POCHOIR_SIMD).
         crate::simd::set_active(crate::simd::resolve(self.plan.simd));
         if let Some(strategy) = self.strategy {
             if !self.takes_compiled_route(t1 - t0) {
@@ -429,7 +426,7 @@ impl<const D: usize> CompiledProgram<D> {
                     self.metrics
                         .schedule_rejections
                         .fetch_add(1, Ordering::Relaxed);
-                    par.note_schedule_compile_rejections(1);
+                    par.count(Counter::ScheduleCompileRejections, 1);
                     if self.plan.sharding != Sharding::Off
                         && shard::execute(array, &self.spec, &self.plan, kernel, t0, t1, par)
                             .is_ok()
@@ -439,7 +436,6 @@ impl<const D: usize> CompiledProgram<D> {
                     }
                 }
                 self.metrics.recursive_runs.fetch_add(1, Ordering::Relaxed);
-                let (sse2_before, avx2_before) = crate::simd::rows_snapshot();
                 run_recursive(
                     array.raw(),
                     &self.spec,
@@ -450,20 +446,21 @@ impl<const D: usize> CompiledProgram<D> {
                     par,
                     strategy,
                 );
-                note_simd_delta(sse2_before, avx2_before, par);
                 return;
             }
         }
-        let (sse2_before, avx2_before) = crate::simd::rows_snapshot();
         let grid = array.raw();
         match self.strategy {
             Some(_) => {
                 let (schedule, resolution) = self.resolve_schedule(t1 - t0);
                 let report = |lookup: CacheLookup| {
-                    par.note_schedule_cache(lookup.hit);
-                    if lookup.evicted > 0 {
-                        par.note_schedule_evictions(lookup.evicted);
-                    }
+                    let outcome = if lookup.hit {
+                        Counter::ScheduleCacheHits
+                    } else {
+                        Counter::ScheduleCacheMisses
+                    };
+                    par.count(outcome, 1);
+                    par.count(Counter::ScheduleCacheEvictions, lookup.evicted);
                 };
                 // Report the eager build/precompile-time lookups on the first run
                 // that has a metrics sink (even when this run fetched a different
@@ -498,7 +495,6 @@ impl<const D: usize> CompiledProgram<D> {
                 EngineKind::Trap | EngineKind::Strap => unreachable!("strategy resolved above"),
             },
         }
-        note_simd_delta(sse2_before, avx2_before, par);
     }
 
     /// Runs `[t0, t1)` through the sharded tile pipeline regardless of whether the
@@ -780,19 +776,6 @@ where
         tracer: &C,
     ) {
         self.program.run_traced(array, &self.kernel, t0, t1, tracer);
-    }
-}
-
-/// Forwards the SIMD row counters accumulated since the `before` snapshot to the
-/// provider's metrics.
-fn note_simd_delta<P: Parallelism>(sse2_before: u64, avx2_before: u64, par: &P) {
-    let (sse2_after, avx2_after) = crate::simd::rows_snapshot();
-    let (sse2, avx2) = (
-        sse2_after.saturating_sub(sse2_before),
-        avx2_after.saturating_sub(avx2_before),
-    );
-    if sse2 > 0 || avx2 > 0 {
-        par.note_simd_rows(sse2, avx2);
     }
 }
 

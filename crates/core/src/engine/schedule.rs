@@ -81,10 +81,9 @@
 //! `run()` calls — time stepping loops, autotuner pilots, benchmark reps — reuse the
 //! compiled decomposition instead of recompiling per call.  The cache evicts
 //! least-recently-used entries under two limits: an entry-count capacity and a *leaf
-//! budget* (total leaves across all entries, the dominant memory term; configurable via
-//! [`set_cache_leaf_budget`]).  Cache outcomes are reported through the executor to
-//! [`Parallelism::note_schedule_cache`] so the runtime's metrics expose hits and
-//! evictions next to steal counters.
+//! budget* (total leaves across all entries, the dominant memory term).  Cache outcomes
+//! are reported through the executor to [`Parallelism::count`] so the runtime's metrics
+//! expose hits and evictions next to steal counters.
 //!
 //! Sessions ([`crate::engine::executor::CompiledStencil`]) pin the `Arc<Schedule>` they
 //! resolve, so even an evicted schedule stays alive for the sessions using it — eviction
@@ -101,7 +100,7 @@ use crate::zoid::Zoid;
 use pochoir_runtime::Parallelism;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One leaf of a compiled schedule: a base-case zoid with its kernel clone pre-resolved.
@@ -444,11 +443,10 @@ struct CacheState {
 /// Maximum number of cached schedules; beyond it least-recently-used entries are evicted.
 const CACHE_CAPACITY: usize = 128;
 
-/// Default total leaves the cache may retain across all entries (size-aware eviction):
+/// Total leaves the cache may retain across all entries (size-aware eviction):
 /// leaves dominate a schedule's footprint (~120 B each in 3D), so this caps resident
 /// memory at a few hundred MB even for processes sweeping many large geometries.
-/// Override with [`set_cache_leaf_budget`].
-const DEFAULT_CACHE_LEAF_BUDGET: usize = 1 << 21;
+const CACHE_LEAF_BUDGET: usize = 1 << 21;
 
 /// Outcome of a schedule-cache lookup (see [`schedule_for`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -477,7 +475,7 @@ pub struct CacheStats {
 pub(crate) struct ScheduleCache {
     state: Mutex<CacheState>,
     capacity: usize,
-    leaf_budget: AtomicUsize,
+    leaf_budget: usize,
     hits: AtomicU64,
     compiles: AtomicU64,
     evictions: AtomicU64,
@@ -492,7 +490,7 @@ impl ScheduleCache {
                 total_leaves: 0,
             }),
             capacity,
-            leaf_budget: AtomicUsize::new(leaf_budget),
+            leaf_budget,
             hits: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -527,7 +525,6 @@ impl ScheduleCache {
         schedule: Arc<Schedule<D>>,
     ) -> (Arc<Schedule<D>>, bool, u64) {
         let leaves = schedule.num_leaves();
-        let budget = self.leaf_budget.load(Ordering::Relaxed);
         let mut state = lock_recover(&self.state);
         if let Some(entry) = state.map.get(&key) {
             // Lost the race: keep the first-inserted schedule so callers observing
@@ -538,7 +535,7 @@ impl ScheduleCache {
         }
         let mut evicted = 0u64;
         while !state.order.is_empty()
-            && (state.map.len() >= self.capacity || state.total_leaves + leaves > budget)
+            && (state.map.len() >= self.capacity || state.total_leaves + leaves > self.leaf_budget)
         {
             if let Some(old) = state.order.pop_front() {
                 if let Some(entry) = state.map.remove(&old) {
@@ -579,24 +576,12 @@ impl ScheduleCache {
 static CACHE: OnceLock<ScheduleCache> = OnceLock::new();
 
 fn cache() -> &'static ScheduleCache {
-    CACHE.get_or_init(|| ScheduleCache::with_limits(CACHE_CAPACITY, DEFAULT_CACHE_LEAF_BUDGET))
+    CACHE.get_or_init(|| ScheduleCache::with_limits(CACHE_CAPACITY, CACHE_LEAF_BUDGET))
 }
 
 /// Process-global schedule-cache statistics since process start.
 pub fn cache_stats() -> CacheStats {
     cache().stats()
-}
-
-/// Sets the process-global cache's leaf budget (total leaves retained across all
-/// entries).  Serving deployments sweeping many large geometries can raise it; memory
-/// constrained ones can shrink it.  Takes effect on subsequent insertions.
-pub fn set_cache_leaf_budget(leaves: usize) {
-    cache().leaf_budget.store(leaves.max(1), Ordering::Relaxed);
-}
-
-/// The process-global cache's current leaf budget.
-pub fn cache_leaf_budget() -> usize {
-    cache().leaf_budget.load(Ordering::Relaxed)
 }
 
 /// Empties the process-global schedule cache (the statistics are kept).  Benchmarks use
@@ -904,15 +889,6 @@ mod tests {
         let from_iter: Vec<_> = s.leaves().copied().collect();
         assert_eq!(from_iter.len(), s.num_leaves());
         assert_eq!(&from_iter[..], &s.leaves[..]);
-    }
-
-    #[test]
-    fn global_leaf_budget_is_configurable() {
-        let original = cache_leaf_budget();
-        set_cache_leaf_budget(original + 1);
-        assert_eq!(cache_leaf_budget(), original + 1);
-        set_cache_leaf_budget(original);
-        assert_eq!(cache_leaf_budget(), original);
     }
 
     #[test]

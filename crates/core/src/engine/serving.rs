@@ -73,7 +73,7 @@
 //! racing duplicate compiles to keep its lock narrow.  The registry is LRU-bounded two
 //! ways, mirroring the schedule cache's limits: an entry capacity
 //! ([`set_registry_capacity`]) and a **pinned-leaf budget**
-//! ([`set_registry_leaf_budget`]) charging each retained session the total base-case
+//! ([`SessionRegistry::set_leaf_budget`]) charging each retained session the total base-case
 //! leaves of its pinned schedules — the dominant memory term, so a few giant
 //! geometries cannot silently pin hundreds of megabytes while the entry count looks
 //! small.  Eviction only drops the registry's `Arc`, never a session a caller still
@@ -154,7 +154,7 @@ use crate::engine::plan::ExecutionPlan;
 use crate::engine::shard::{self, ShardError, ShardPlan, ShardReport};
 use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
-use pochoir_runtime::{Parallelism, Runtime};
+use pochoir_runtime::{Counter, Parallelism, Runtime};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
@@ -187,15 +187,19 @@ pub struct RegistryLookup {
 }
 
 impl RegistryLookup {
-    /// Forwards this lookup to the provider's scheduler metrics
-    /// ([`Parallelism::note_session_registry`] and, when entries were evicted,
-    /// [`Parallelism::note_session_registry_evictions`]).  The single reporting
+    /// Forwards this lookup to the provider's counters through
+    /// [`Parallelism::count`] (a [`Counter::SessionRegistryHits`] or
+    /// [`Counter::SessionRegistryMisses`], plus
+    /// [`Counter::SessionRegistryEvictions`]).  The single reporting
     /// protocol shared by [`StencilServer`] and the DSL's `Pochoir` object.
     pub fn report_to<P: Parallelism>(&self, par: &P) {
-        par.note_session_registry(self.hit);
-        if self.evicted > 0 {
-            par.note_session_registry_evictions(self.evicted);
-        }
+        let outcome = if self.hit {
+            Counter::SessionRegistryHits
+        } else {
+            Counter::SessionRegistryMisses
+        };
+        par.count(outcome, 1);
+        par.count(Counter::SessionRegistryEvictions, self.evicted);
     }
 }
 
@@ -575,17 +579,17 @@ impl RegistryState {
 const DEFAULT_REGISTRY_CAPACITY: usize = 64;
 
 /// Default total pinned leaves the registry may retain across all sessions, mirroring
-/// the schedule cache's leaf budget (`set_cache_leaf_budget`): leaves dominate a
+/// the schedule cache's leaf budget: leaves dominate a
 /// retained session's footprint, so this bounds resident memory by what sessions
 /// actually pin rather than by how many keys exist.  Override with
-/// [`set_registry_leaf_budget`].
+/// [`SessionRegistry::set_leaf_budget`].
 const DEFAULT_REGISTRY_LEAF_BUDGET: usize = 1 << 20;
 
 /// An LRU-bounded registry of compiled executor sessions, keyed by
 /// `(spec fingerprint, sizes, plan, window)`.
 ///
 /// Retention is bounded by an entry capacity *and* a pinned-leaf budget (the memory
-/// bound; see [`set_registry_leaf_budget`]).  One process-global instance backs
+/// bound; see [`SessionRegistry::set_leaf_budget`]).  One process-global instance backs
 /// [`shared_program`] (and, through it, the DSL's `Pochoir` object and
 /// [`StencilServer::new`]); multi-tenant deployments or tests can construct private
 /// instances with [`SessionRegistry::with_capacity`] / [`SessionRegistry::with_limits`].
@@ -646,8 +650,8 @@ impl SessionRegistry {
     ///
     /// The [`RegistryLookup`] reports whether an existing program was served and how
     /// many LRU entries were evicted to make room.  Callers with a
-    /// [`Parallelism`] provider at hand should forward the lookup to
-    /// [`Parallelism::note_session_registry`] so the runtime's metrics observe
+    /// [`Parallelism`] provider at hand should forward the lookup with
+    /// [`RegistryLookup::report_to`] so the runtime's metrics observe
     /// registry traffic ([`StencilServer`] and the DSL do this on their next run).
     pub fn get_or_compile<const D: usize>(
         &self,
@@ -969,15 +973,6 @@ pub fn registry_stats() -> RegistryStats {
 /// Sets the process-global registry's capacity (sessions retained; clamped to ≥ 1).
 pub fn set_registry_capacity(capacity: usize) {
     registry().set_capacity(capacity);
-}
-
-/// Sets the process-global registry's pinned-leaf budget — the memory-weighted bound
-/// mirroring the schedule cache's
-/// [`set_cache_leaf_budget`](crate::engine::schedule::set_cache_leaf_budget): each
-/// retained session is charged the total base-case leaves of its pinned schedules,
-/// and least-recently-used sessions are dropped once the sum exceeds the budget.
-pub fn set_registry_leaf_budget(leaves: usize) {
-    registry().set_leaf_budget(leaves);
 }
 
 /// The process-global registry's current pinned-leaf budget.
@@ -1477,7 +1472,6 @@ pub struct StencilServer<T, K, const D: usize> {
     program: Arc<CompiledProgram<D>>,
     kernel: K,
     runtime: Option<Arc<Runtime>>,
-    batch_grain: usize,
     queue: Vec<Submission<T, D>>,
     /// What the last pipelined drain did.
     last_drain: Option<DrainReport>,
@@ -1577,7 +1571,6 @@ where
             program,
             kernel,
             runtime: None,
-            batch_grain: 1,
             queue: Vec::new(),
             last_drain: None,
             pending_lookup: None,
@@ -1621,15 +1614,6 @@ where
     /// of the process-global one.
     pub fn with_runtime(mut self, runtime: Arc<Runtime>) -> Self {
         self.runtime = Some(runtime);
-        self
-    }
-
-    /// Sets how many requests one [`drain_barrier`](Self::drain_barrier) batch task
-    /// executes (default 1: every array is an independently stealable task).  Raise
-    /// it for large batches of tiny grids.  The pipelined [`drain`](Self::drain)
-    /// schedules per-window items instead and ignores this grain.
-    pub fn with_batch_grain(mut self, grain: usize) -> Self {
-        self.batch_grain = grain.max(1);
         self
     }
 
@@ -2078,30 +2062,18 @@ where
             }
         }
         let state = into_inner_transient(sched);
-        par.note_serving_windows(state.ticks);
-        par.note_serving_queue_depth(state.peak_ready as u64);
-        if state.deadline_misses > 0 {
-            par.note_serving_deadline_misses(state.deadline_misses);
-        }
+        par.count(Counter::ServingWindows, state.ticks);
+        par.count(Counter::ServingQueueDepthPeak, state.peak_ready as u64);
+        par.count(Counter::ServingDeadlineMisses, state.deadline_misses);
         let sheds = std::mem::take(&mut self.pending_sheds) + state.dispatch_sheds;
-        if sheds > 0 {
-            par.note_serving_shed(sheds);
-        }
+        par.count(Counter::ServingShed, sheds);
         let retries = std::mem::take(&mut self.pending_retries);
-        if retries > 0 {
-            par.note_serving_retries(retries);
-        }
+        par.count(Counter::ServingRetries, retries);
         let recovered = faults::take_unreported_poison_recoveries();
-        if recovered > 0 {
-            par.note_registry_poison_recoveries(recovered);
-        }
-        if !shards.is_empty() {
-            par.note_shard_tiles(shards.iter().map(|s| s.plan.tiles().len() as u64).sum());
-        }
-        let exchanged = halo_cells.into_inner();
-        if exchanged > 0 {
-            par.note_shard_halo_cells(exchanged);
-        }
+        par.count(Counter::RegistryPoisonRecoveries, recovered);
+        let tiles: usize = shards.iter().map(|s| s.plan.tiles().len()).sum();
+        par.count(Counter::ShardTiles, tiles as u64);
+        par.count(Counter::ShardHaloCells, halo_cells.into_inner());
         let panicked = state
             .outcomes
             .iter()
@@ -2114,7 +2086,7 @@ where
                 self.program.window(),
                 self.quarantine,
             );
-            par.note_serving_quarantined(1);
+            par.count(Counter::ServingQuarantined, 1);
         }
         self.last_drain = Some(DrainReport {
             windows: state.ticks,
@@ -2178,13 +2150,8 @@ where
                 t1: s.t1,
             })
             .collect();
-        run_batch(
-            &self.program,
-            &self.kernel,
-            &mut jobs,
-            self.batch_grain,
-            par,
-        );
+        // Grain 1: every array is an independently stealable task.
+        run_batch(&self.program, &self.kernel, &mut jobs, 1, par);
         drop(jobs);
         queue.into_iter().map(|s| s.array).collect()
     }

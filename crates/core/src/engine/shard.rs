@@ -48,7 +48,7 @@ use crate::engine::schedule;
 use crate::engine::serving::{try_shared_program, RegistryLookup, ServeError};
 use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
-use pochoir_runtime::Parallelism;
+use pochoir_runtime::{Counter, Parallelism};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -467,15 +467,13 @@ impl<const D: usize> ShardPlan<D> {
                     .run(tile_array, kernel, w0, w1, par);
             });
             report.windows += 1;
-            par.note_shard_tiles(self.tiles.len() as u64);
+            par.count(Counter::ShardTiles, self.tiles.len() as u64);
             if w1 < t1 {
                 report.halo_cells += self.exchange(&tile_arrays, w1, slices);
             }
             w0 = w1;
         }
-        if report.halo_cells > 0 {
-            par.note_shard_halo_cells(report.halo_cells);
-        }
+        par.count(Counter::ShardHaloCells, report.halo_cells);
 
         let tiles: Vec<PochoirArray<T, D>> = tile_arrays
             .into_iter()

@@ -409,11 +409,6 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
         }
     }
 
-    /// Iterates over every spatial coordinate of the grid in row-major order.
-    pub fn iter_space(&self) -> SpaceIter<D> {
-        SpaceIter::new(self.sizes_i64())
-    }
-
     /// Copies time slice `t` into a flat, densely packed `Vec` in row-major order
     /// (useful for comparing results between engines).  Alignment padding between
     /// rows is skipped, so the result always has `sizes.iter().product()` elements.

@@ -131,20 +131,6 @@ fn dim_pieces<const D: usize>(
     Some(DimPieces { dim: i, pieces })
 }
 
-/// Computes which dimensions of `zoid` can receive a parallel space cut, honouring the
-/// coarsening thresholds (a dimension whose width is already at or below its threshold is
-/// left alone so base cases stay reasonably sized).
-pub fn cuttable_dims<const D: usize>(
-    zoid: &Zoid<D>,
-    slopes: [i64; D],
-    min_width: [i64; D],
-) -> Vec<usize> {
-    let params = CutParams::open(slopes, min_width);
-    (0..D)
-        .filter(|&i| dim_pieces(zoid, i, &params).is_some())
-        .collect()
-}
-
 fn compose<const D: usize>(zoid: &Zoid<D>, cuts: &[DimPieces<D>]) -> HyperspaceCut<D> {
     let k = cuts.len();
     let mut levels: Vec<Vec<Zoid<D>>> = vec![Vec::new(); k + 1];

@@ -20,10 +20,12 @@
 //! every SIMD body is bitwise-equal to the scalar row loop; the choice is
 //! purely a performance one.
 //!
-//! The module also keeps advisory per-ISA row counters (see [`note_row`]) that
-//! the executor snapshots around each run and forwards to the runtime metrics.
+//! The module also keeps per-thread, per-ISA row counts (see [`note_row`] and
+//! [`rows_snapshot`]): a test probe for "the vector body did / did not run on
+//! this thread", not a metric — nothing shared is written from a row body.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// An instruction set a row kernel can be specialized for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -135,10 +137,12 @@ pub fn resolve(policy: SimdPolicy) -> Option<SimdIsa> {
 /// The process-wide active ISA: 0 = scalar, 1 = SSE2, 2 = AVX2.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
-/// Advisory count of rows executed by the SSE2 bodies since process start.
-static ROWS_SSE2: AtomicU64 = AtomicU64::new(0);
-/// Advisory count of rows executed by the AVX2 bodies since process start.
-static ROWS_AVX2: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Rows the calling thread executed through the SSE2 bodies.
+    static ROWS_SSE2: Cell<u64> = const { Cell::new(0) };
+    /// Rows the calling thread executed through the AVX2 bodies.
+    static ROWS_AVX2: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Publishes the ISA row kernels should dispatch to (the executor calls this at
 /// the top of every run, from the plan's resolved policy).
@@ -162,22 +166,22 @@ pub fn active() -> Option<SimdIsa> {
     }
 }
 
-/// Records one row executed by a SIMD body (called by the stencil kernels).
+/// Records one row executed by a SIMD body on the calling thread (called by the
+/// stencil kernels).
 #[inline]
 pub fn note_row(isa: SimdIsa) {
-    match isa {
-        SimdIsa::Sse2 => ROWS_SSE2.fetch_add(1, Ordering::Relaxed),
-        SimdIsa::Avx2 => ROWS_AVX2.fetch_add(1, Ordering::Relaxed),
+    let rows = match isa {
+        SimdIsa::Sse2 => &ROWS_SSE2,
+        SimdIsa::Avx2 => &ROWS_AVX2,
     };
+    rows.with(|r| r.set(r.get() + 1));
 }
 
-/// Cumulative `(sse2, avx2)` SIMD row counts since process start.  The executor
-/// snapshots this around a run and reports the delta to the runtime metrics.
+/// Cumulative `(sse2, avx2)` rows the **calling thread** has executed through
+/// SIMD bodies.  Rows run by other threads (e.g. pool workers) are not included,
+/// so tests that bracket a run with this probe drive it with `Serial`.
 pub fn rows_snapshot() -> (u64, u64) {
-    (
-        ROWS_SSE2.load(Ordering::Relaxed),
-        ROWS_AVX2.load(Ordering::Relaxed),
-    )
+    (ROWS_SSE2.with(Cell::get), ROWS_AVX2.with(Cell::get))
 }
 
 #[cfg(test)]
@@ -250,5 +254,25 @@ mod tests {
         let (s1, a1) = rows_snapshot();
         assert!(s1 > s0);
         assert!(a1 >= a0 + 2);
+    }
+
+    #[test]
+    fn rows_noted_on_another_thread_stay_on_that_thread() {
+        let before = rows_snapshot();
+        let theirs = std::thread::spawn(|| {
+            let (s0, a0) = rows_snapshot();
+            note_row(SimdIsa::Sse2);
+            note_row(SimdIsa::Avx2);
+            let (s1, a1) = rows_snapshot();
+            (s1 - s0, a1 - a0)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(theirs, (1, 1));
+        assert_eq!(
+            rows_snapshot(),
+            before,
+            "a row body must not write anything another thread can see"
+        );
     }
 }

@@ -233,14 +233,6 @@ impl<const D: usize> Zoid<D> {
         }
     }
 
-    /// The per-dimension `[lower, upper)` bounds of the zoid's row at absolute time `t`
-    /// (useful for debugging and for the base-case executors).
-    pub fn row_bounds(&self, t: i64) -> Vec<(i64, i64)> {
-        (0..D)
-            .map(|i| (self.lower_at(i, t), self.upper_at(i, t)))
-            .collect()
-    }
-
     /// Whether this zoid covers the full circumference of a torus of size `n` along
     /// dimension `i` with vertical walls — the only situation in which wraparound
     /// dependencies exist *inside* the zoid and a [`Zoid::torus_cut`] is required before

@@ -39,6 +39,6 @@ mod pool;
 mod registry;
 
 pub use latch::{CountLatch, Latch, LockLatch, SpinLatch};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Metrics, MetricsSnapshot};
 pub use parallel::{Parallelism, Serial};
 pub use pool::{default_num_threads, join, parallel_for, Runtime, NUM_THREADS_ENV};

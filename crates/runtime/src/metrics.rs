@@ -3,114 +3,28 @@
 //! The counters are advisory (relaxed atomics) and exist so that benchmarks and tests can
 //! observe that parallel execution actually happened (e.g. that steals occurred), playing
 //! the role that Cilkview's burdened-dag statistics play in the paper's Figure 9 setup.
+//!
+//! Every counter is one entry of the table at the bottom of this file: its [`Counter`]
+//! variant, its [`MetricsSnapshot`] field, and whether it sums or keeps a maximum.
+//! Adding a counter is adding an entry there and a `count(Counter::…, n)` call
+//! ([`Parallelism::count`](crate::Parallelism::count)) where the event happens.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters accumulated over the lifetime of a worker registry (one per
 /// [`Runtime`](crate::Runtime)).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
-    spawned: AtomicU64,
-    stolen: AtomicU64,
-    executed: AtomicU64,
+    counters: [AtomicU64; Counter::COUNT],
     /// Jobs executed per worker (the pool's work distribution); empty when the
     /// metrics were built without a worker count.
     per_worker_executed: Box<[AtomicU64]>,
-    schedule_cache_hits: AtomicU64,
-    schedule_cache_misses: AtomicU64,
-    schedule_cache_evictions: AtomicU64,
-    session_registry_hits: AtomicU64,
-    session_registry_misses: AtomicU64,
-    session_registry_evictions: AtomicU64,
-    serving_windows: AtomicU64,
-    serving_deadline_misses: AtomicU64,
-    serving_queue_depth_peak: AtomicU64,
-    serving_shed: AtomicU64,
-    serving_retries: AtomicU64,
-    serving_quarantined: AtomicU64,
-    registry_poison_recoveries: AtomicU64,
-    simd_rows_sse2: AtomicU64,
-    simd_rows_avx2: AtomicU64,
-    schedule_compile_rejections: AtomicU64,
-    shard_tiles: AtomicU64,
-    shard_halo_cells: AtomicU64,
-    net_connections: AtomicU64,
-    net_frames_in: AtomicU64,
-    net_frames_out: AtomicU64,
-    net_bytes_in: AtomicU64,
-    net_bytes_out: AtomicU64,
-    net_protocol_errors: AtomicU64,
 }
 
-/// A point-in-time copy of the scheduler counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Jobs pushed onto any deque or the injector.
-    pub spawned: u64,
-    /// Jobs obtained by stealing (from a peer deque or the injector).
-    pub stolen: u64,
-    /// Jobs executed to completion.
-    pub executed: u64,
-    /// Compiled-schedule lookups served from the schedule cache.
-    pub schedule_cache_hits: u64,
-    /// Compiled-schedule lookups that had to compile a fresh schedule.
-    pub schedule_cache_misses: u64,
-    /// Schedule-cache entries evicted (LRU, under the entry or leaf-budget limits) by
-    /// lookups reported to this runtime.
-    pub schedule_cache_evictions: u64,
-    /// Session-registry lookups served by an already-compiled `CompiledProgram`.
-    pub session_registry_hits: u64,
-    /// Session-registry lookups that had to compile a fresh `CompiledProgram`.
-    pub session_registry_misses: u64,
-    /// Session-registry entries evicted (LRU) by lookups reported to this runtime.
-    pub session_registry_evictions: u64,
-    /// Per-window work items executed by pipelined serving drains.
-    pub serving_windows: u64,
-    /// Submissions whose final window was dispatched after its logical deadline.
-    pub serving_deadline_misses: u64,
-    /// High-water mark of the serving ready queue (a gauge, not a counter:
-    /// [`MetricsSnapshot::delta`] reports the later snapshot's value).
-    pub serving_queue_depth_peak: u64,
-    /// Requests rejected by serving admission control — at submit time (quota or
-    /// watermark exceeded) or at dispatch time (logical deadline already unmeetable).
-    pub serving_shed: u64,
-    /// Session-compilation retry attempts performed by the serving layer's bounded
-    /// retry-with-backoff policy after a `CompileFailed` lookup.
-    pub serving_retries: u64,
-    /// Session keys quarantined in the serving registry after a tenant panic
-    /// (evicted, or additionally banned for a number of lookups).
-    pub serving_quarantined: u64,
-    /// Poisoned shared-state locks (registry, session pin sets, schedule cache)
-    /// recovered instead of propagating the poison panic.
-    pub registry_poison_recoveries: u64,
-    /// Grid rows executed by an SSE2-specialized row-kernel body during runs
-    /// reported to this runtime (advisory, like all counters here).
-    pub simd_rows_sse2: u64,
-    /// Grid rows executed by an AVX2-specialized row-kernel body during runs
-    /// reported to this runtime.
-    pub simd_rows_avx2: u64,
-    /// Window runs whose geometry failed `should_compile` and were demoted off the
-    /// compiled-arena path (onto sharded tiles or the recursive reference walker).
-    pub schedule_compile_rejections: u64,
-    /// Tile executions launched by sharded giant-grid runs (one count per tile per
-    /// window phase).
-    pub shard_tiles: u64,
-    /// Grid cells copied by shard halo-exchange syncs between tile neighbours
-    /// (seam strips only; the one-time scatter/gather is not counted).
-    pub shard_halo_cells: u64,
-    /// TCP connections accepted by a network stencil service in this process.
-    pub net_connections: u64,
-    /// Protocol frames decoded off client connections.
-    pub net_frames_in: u64,
-    /// Protocol frames written back to clients.
-    pub net_frames_out: u64,
-    /// Wire bytes read off client connections (length prefixes included).
-    pub net_bytes_in: u64,
-    /// Wire bytes written back to clients (length prefixes included).
-    pub net_bytes_out: u64,
-    /// Frames rejected as malformed (truncated, oversized, unknown opcode,
-    /// version mismatch, or a server-to-client opcode sent by a client).
-    pub net_protocol_errors: u64,
+impl Default for Metrics {
+    fn default() -> Self {
+        Self::with_workers(0)
+    }
 }
 
 impl Metrics {
@@ -123,25 +37,30 @@ impl Metrics {
     /// `workers` pool threads (the pool's work-distribution histogram).
     pub fn with_workers(workers: usize) -> Self {
         Metrics {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             per_worker_executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            ..Self::default()
         }
     }
 
+    /// Adds `n` to `counter`; a high-water mark keeps the larger of its value and `n`.
+    /// Zero changes neither, so it skips the write to the shared line.
     #[inline]
-    pub(crate) fn note_spawn(&self) {
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_steal(&self) {
-        self.stolen.fetch_add(1, Ordering::Relaxed);
+    pub fn add(&self, counter: Counter, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let slot = &self.counters[counter as usize];
+        if counter.is_high_water_mark() {
+            slot.fetch_max(n, Ordering::Relaxed);
+        } else {
+            slot.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Records a job executed by worker `index` (and in the aggregate counter).
     #[inline]
-    pub(crate) fn note_execute_on(&self, index: usize) {
-        self.executed.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn executed_on(&self, index: usize) {
+        self.add(Counter::Executed, 1);
         if let Some(slot) = self.per_worker_executed.get(index) {
             slot.fetch_add(1, Ordering::Relaxed);
         }
@@ -156,370 +75,189 @@ impl Metrics {
             .collect()
     }
 
-    #[inline]
-    pub(crate) fn note_serving_windows(&self, windows: u64) {
-        self.serving_windows.fetch_add(windows, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_deadline_misses(&self, misses: u64) {
-        self.serving_deadline_misses
-            .fetch_add(misses, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_queue_depth(&self, depth: u64) {
-        self.serving_queue_depth_peak
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_shed(&self, shed: u64) {
-        self.serving_shed.fetch_add(shed, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_retries(&self, retries: u64) {
-        self.serving_retries.fetch_add(retries, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_serving_quarantined(&self, quarantined: u64) {
-        self.serving_quarantined
-            .fetch_add(quarantined, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_registry_poison_recoveries(&self, recovered: u64) {
-        self.registry_poison_recoveries
-            .fetch_add(recovered, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_simd_rows(&self, sse2: u64, avx2: u64) {
-        if sse2 > 0 {
-            self.simd_rows_sse2.fetch_add(sse2, Ordering::Relaxed);
-        }
-        if avx2 > 0 {
-            self.simd_rows_avx2.fetch_add(avx2, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_schedule_compile_rejections(&self, rejections: u64) {
-        self.schedule_compile_rejections
-            .fetch_add(rejections, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_shard_tiles(&self, tiles: u64) {
-        self.shard_tiles.fetch_add(tiles, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_shard_halo_cells(&self, cells: u64) {
-        self.shard_halo_cells.fetch_add(cells, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_connections(&self, connections: u64) {
-        self.net_connections
-            .fetch_add(connections, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_frames_in(&self, frames: u64, bytes: u64) {
-        self.net_frames_in.fetch_add(frames, Ordering::Relaxed);
-        self.net_bytes_in.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_frames_out(&self, frames: u64, bytes: u64) {
-        self.net_frames_out.fetch_add(frames, Ordering::Relaxed);
-        self.net_bytes_out.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_net_protocol_errors(&self, errors: u64) {
-        self.net_protocol_errors
-            .fetch_add(errors, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_schedule_cache(&self, hit: bool) {
-        if hit {
-            self.schedule_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.schedule_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_schedule_evictions(&self, evicted: u64) {
-        self.schedule_cache_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn note_session_registry(&self, hit: bool) {
-        if hit {
-            self.session_registry_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.session_registry_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_session_registry_evictions(&self, evicted: u64) {
-        self.session_registry_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of the current counter values.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            spawned: self.spawned.load(Ordering::Relaxed),
-            stolen: self.stolen.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            schedule_cache_hits: self.schedule_cache_hits.load(Ordering::Relaxed),
-            schedule_cache_misses: self.schedule_cache_misses.load(Ordering::Relaxed),
-            schedule_cache_evictions: self.schedule_cache_evictions.load(Ordering::Relaxed),
-            session_registry_hits: self.session_registry_hits.load(Ordering::Relaxed),
-            session_registry_misses: self.session_registry_misses.load(Ordering::Relaxed),
-            session_registry_evictions: self.session_registry_evictions.load(Ordering::Relaxed),
-            serving_windows: self.serving_windows.load(Ordering::Relaxed),
-            serving_deadline_misses: self.serving_deadline_misses.load(Ordering::Relaxed),
-            serving_queue_depth_peak: self.serving_queue_depth_peak.load(Ordering::Relaxed),
-            serving_shed: self.serving_shed.load(Ordering::Relaxed),
-            serving_retries: self.serving_retries.load(Ordering::Relaxed),
-            serving_quarantined: self.serving_quarantined.load(Ordering::Relaxed),
-            registry_poison_recoveries: self.registry_poison_recoveries.load(Ordering::Relaxed),
-            simd_rows_sse2: self.simd_rows_sse2.load(Ordering::Relaxed),
-            simd_rows_avx2: self.simd_rows_avx2.load(Ordering::Relaxed),
-            schedule_compile_rejections: self.schedule_compile_rejections.load(Ordering::Relaxed),
-            shard_tiles: self.shard_tiles.load(Ordering::Relaxed),
-            shard_halo_cells: self.shard_halo_cells.load(Ordering::Relaxed),
-            net_connections: self.net_connections.load(Ordering::Relaxed),
-            net_frames_in: self.net_frames_in.load(Ordering::Relaxed),
-            net_frames_out: self.net_frames_out.load(Ordering::Relaxed),
-            net_bytes_in: self.net_bytes_in.load(Ordering::Relaxed),
-            net_bytes_out: self.net_bytes_out.load(Ordering::Relaxed),
-            net_protocol_errors: self.net_protocol_errors.load(Ordering::Relaxed),
-        }
+    fn load(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 }
 
-impl MetricsSnapshot {
-    /// Counter deltas between two snapshots (`later - self`).
-    pub fn delta(&self, later: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            spawned: later.spawned.saturating_sub(self.spawned),
-            stolen: later.stolen.saturating_sub(self.stolen),
-            executed: later.executed.saturating_sub(self.executed),
-            schedule_cache_hits: later
-                .schedule_cache_hits
-                .saturating_sub(self.schedule_cache_hits),
-            schedule_cache_misses: later
-                .schedule_cache_misses
-                .saturating_sub(self.schedule_cache_misses),
-            schedule_cache_evictions: later
-                .schedule_cache_evictions
-                .saturating_sub(self.schedule_cache_evictions),
-            session_registry_hits: later
-                .session_registry_hits
-                .saturating_sub(self.session_registry_hits),
-            session_registry_misses: later
-                .session_registry_misses
-                .saturating_sub(self.session_registry_misses),
-            session_registry_evictions: later
-                .session_registry_evictions
-                .saturating_sub(self.session_registry_evictions),
-            serving_windows: later.serving_windows.saturating_sub(self.serving_windows),
-            serving_deadline_misses: later
-                .serving_deadline_misses
-                .saturating_sub(self.serving_deadline_misses),
-            // A high-water mark, not a counter: the delta carries the later value.
-            serving_queue_depth_peak: later.serving_queue_depth_peak,
-            serving_shed: later.serving_shed.saturating_sub(self.serving_shed),
-            serving_retries: later.serving_retries.saturating_sub(self.serving_retries),
-            serving_quarantined: later
-                .serving_quarantined
-                .saturating_sub(self.serving_quarantined),
-            registry_poison_recoveries: later
-                .registry_poison_recoveries
-                .saturating_sub(self.registry_poison_recoveries),
-            simd_rows_sse2: later.simd_rows_sse2.saturating_sub(self.simd_rows_sse2),
-            simd_rows_avx2: later.simd_rows_avx2.saturating_sub(self.simd_rows_avx2),
-            schedule_compile_rejections: later
-                .schedule_compile_rejections
-                .saturating_sub(self.schedule_compile_rejections),
-            shard_tiles: later.shard_tiles.saturating_sub(self.shard_tiles),
-            shard_halo_cells: later.shard_halo_cells.saturating_sub(self.shard_halo_cells),
-            net_connections: later.net_connections.saturating_sub(self.net_connections),
-            net_frames_in: later.net_frames_in.saturating_sub(self.net_frames_in),
-            net_frames_out: later.net_frames_out.saturating_sub(self.net_frames_out),
-            net_bytes_in: later.net_bytes_in.saturating_sub(self.net_bytes_in),
-            net_bytes_out: later.net_bytes_out.saturating_sub(self.net_bytes_out),
-            net_protocol_errors: later
-                .net_protocol_errors
-                .saturating_sub(self.net_protocol_errors),
+/// Expands the counter table into [`Counter`], [`MetricsSnapshot`],
+/// [`Metrics::snapshot`] and [`MetricsSnapshot::delta`].
+macro_rules! counters {
+    ($($(#[$doc:meta])+ $variant:ident => $field:ident: $kind:ident,)+) => {
+        /// One counter of a [`Metrics`]; each variant reads back as the
+        /// [`MetricsSnapshot`] field of the same name.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[$doc])+ $variant,)+
         }
-    }
+
+        impl Counter {
+            /// Every counter, in table (and storage) order.
+            const ALL: &'static [Counter] = &[$(Counter::$variant),+];
+            const COUNT: usize = Self::ALL.len();
+
+            /// Whether [`Metrics::add`] keeps the maximum instead of the sum, and
+            /// [`MetricsSnapshot::delta`] carries the later value.
+            #[inline]
+            fn is_high_water_mark(self) -> bool {
+                match self {
+                    $(Counter::$variant => counters!(@is_max $kind),)+
+                }
+            }
+        }
+
+        /// A point-in-time copy of the scheduler counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])+ pub $field: u64,)+
+        }
+
+        impl Metrics {
+            /// Takes a snapshot of the current counter values.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.load(Counter::$variant),)+
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Counter deltas between two snapshots (`later - self`); a high-water
+            /// mark carries the later snapshot's value.
+            pub fn delta(&self, later: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: if counters!(@is_max $kind) {
+                        later.$field
+                    } else {
+                        later.$field.saturating_sub(self.$field)
+                    },)+
+                }
+            }
+
+            #[cfg(test)]
+            fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$variant => self.$field,)+
+                }
+            }
+        }
+    };
+    (@is_max sum) => { false };
+    (@is_max max) => { true };
+}
+
+counters! {
+    /// Jobs pushed onto any deque or the injector.
+    Spawned => spawned: sum,
+    /// Jobs obtained by stealing (from a peer deque or the injector).
+    Stolen => stolen: sum,
+    /// Jobs executed to completion.
+    Executed => executed: sum,
+    /// Compiled-schedule lookups served from the schedule cache.
+    ScheduleCacheHits => schedule_cache_hits: sum,
+    /// Compiled-schedule lookups that had to compile a fresh schedule.
+    ScheduleCacheMisses => schedule_cache_misses: sum,
+    /// Schedule-cache entries evicted (LRU, under the entry or leaf-budget limits) by
+    /// lookups reported to this runtime.
+    ScheduleCacheEvictions => schedule_cache_evictions: sum,
+    /// Session-registry lookups served by an already-compiled `CompiledProgram`.
+    SessionRegistryHits => session_registry_hits: sum,
+    /// Session-registry lookups that had to compile a fresh `CompiledProgram`.
+    SessionRegistryMisses => session_registry_misses: sum,
+    /// Session-registry entries evicted (LRU) by lookups reported to this runtime.
+    SessionRegistryEvictions => session_registry_evictions: sum,
+    /// Per-window work items executed by pipelined serving drains.
+    ServingWindows => serving_windows: sum,
+    /// Submissions whose final window was dispatched after its logical deadline.
+    ServingDeadlineMisses => serving_deadline_misses: sum,
+    /// High-water mark of the serving ready queue (a gauge, not a counter:
+    /// [`MetricsSnapshot::delta`] reports the later snapshot's value).
+    ServingQueueDepthPeak => serving_queue_depth_peak: max,
+    /// Requests rejected by serving admission control — at submit time (quota or
+    /// watermark exceeded) or at dispatch time (logical deadline already unmeetable).
+    ServingShed => serving_shed: sum,
+    /// Session-compilation retry attempts performed by the serving layer's bounded
+    /// retry-with-backoff policy after a `CompileFailed` lookup.
+    ServingRetries => serving_retries: sum,
+    /// Session keys quarantined in the serving registry after a tenant panic
+    /// (evicted, or additionally banned for a number of lookups).
+    ServingQuarantined => serving_quarantined: sum,
+    /// Poisoned shared-state locks (registry, session pin sets, schedule cache)
+    /// recovered instead of propagating the poison panic.
+    RegistryPoisonRecoveries => registry_poison_recoveries: sum,
+    /// Window runs whose geometry failed `should_compile` and were demoted off the
+    /// compiled-arena path (onto sharded tiles or the recursive reference walker).
+    ScheduleCompileRejections => schedule_compile_rejections: sum,
+    /// Tile executions launched by sharded giant-grid runs (one count per tile per
+    /// window phase).
+    ShardTiles => shard_tiles: sum,
+    /// Grid cells copied by shard halo-exchange syncs between tile neighbours
+    /// (seam strips only; the one-time scatter/gather is not counted).
+    ShardHaloCells => shard_halo_cells: sum,
+    /// TCP connections accepted by a network stencil service in this process.
+    NetConnections => net_connections: sum,
+    /// Protocol frames decoded off client connections.
+    NetFramesIn => net_frames_in: sum,
+    /// Protocol frames written back to clients.
+    NetFramesOut => net_frames_out: sum,
+    /// Wire bytes read off client connections (length prefixes included).
+    NetBytesIn => net_bytes_in: sum,
+    /// Wire bytes written back to clients (length prefixes included).
+    NetBytesOut => net_bytes_out: sum,
+    /// Frames rejected as malformed (truncated, oversized, unknown opcode,
+    /// version mismatch, or a server-to-client opcode sent by a client).
+    NetProtocolErrors => net_protocol_errors: sum,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Walks the table: every counter lands in its own snapshot field and nowhere
+    /// else, sums add (the high-water mark keeps the maximum), and `delta`
+    /// subtracts sums but carries the later high-water mark.
     #[test]
-    fn metrics_accumulate() {
-        let m = Metrics::new();
-        m.note_spawn();
-        m.note_spawn();
-        m.note_steal();
-        m.note_execute_on(0);
-        let s = m.snapshot();
-        assert_eq!(s.spawned, 2);
-        assert_eq!(s.stolen, 1);
-        assert_eq!(s.executed, 1);
-    }
-
-    #[test]
-    fn session_registry_counters() {
-        let m = Metrics::new();
-        m.note_session_registry(false);
-        m.note_session_registry(true);
-        m.note_session_registry(true);
-        m.note_session_registry_evictions(2);
-        let s = m.snapshot();
-        assert_eq!(s.session_registry_hits, 2);
-        assert_eq!(s.session_registry_misses, 1);
-        assert_eq!(s.session_registry_evictions, 2);
-    }
-
-    #[test]
-    fn schedule_cache_counters() {
-        let m = Metrics::new();
-        m.note_schedule_cache(false);
-        m.note_schedule_cache(true);
-        m.note_schedule_cache(true);
-        m.note_schedule_evictions(3);
-        let s = m.snapshot();
-        assert_eq!(s.schedule_cache_hits, 2);
-        assert_eq!(s.schedule_cache_misses, 1);
-        assert_eq!(s.schedule_cache_evictions, 3);
-    }
-
-    #[test]
-    fn serving_counters_and_queue_peak() {
-        let m = Metrics::new();
-        m.note_serving_windows(5);
-        m.note_serving_windows(2);
-        m.note_serving_deadline_misses(1);
-        m.note_serving_queue_depth(4);
-        m.note_serving_queue_depth(9);
-        m.note_serving_queue_depth(3); // peak keeps the maximum
-        let s = m.snapshot();
-        assert_eq!(s.serving_windows, 7);
-        assert_eq!(s.serving_deadline_misses, 1);
-        assert_eq!(s.serving_queue_depth_peak, 9);
-        let later = m.snapshot();
-        assert_eq!(s.delta(&later).serving_queue_depth_peak, 9);
-    }
-
-    #[test]
-    fn fault_isolation_counters() {
-        let m = Metrics::new();
-        m.note_serving_shed(3);
-        m.note_serving_retries(2);
-        m.note_serving_quarantined(1);
-        m.note_registry_poison_recoveries(4);
-        let s = m.snapshot();
-        assert_eq!(s.serving_shed, 3);
-        assert_eq!(s.serving_retries, 2);
-        assert_eq!(s.serving_quarantined, 1);
-        assert_eq!(s.registry_poison_recoveries, 4);
-        m.note_serving_shed(1);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.serving_shed, 1);
-        assert_eq!(d.serving_retries, 0);
-    }
-
-    #[test]
-    fn simd_row_counters() {
-        let m = Metrics::new();
-        m.note_simd_rows(10, 0);
-        m.note_simd_rows(0, 7);
-        m.note_simd_rows(2, 3);
-        let s = m.snapshot();
-        assert_eq!(s.simd_rows_sse2, 12);
-        assert_eq!(s.simd_rows_avx2, 10);
-        m.note_simd_rows(1, 1);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.simd_rows_sse2, 1);
-        assert_eq!(d.simd_rows_avx2, 1);
-    }
-
-    #[test]
-    fn shard_counters() {
-        let m = Metrics::new();
-        m.note_schedule_compile_rejections(1);
-        m.note_shard_tiles(8);
-        m.note_shard_halo_cells(1024);
-        let s = m.snapshot();
-        assert_eq!(s.schedule_compile_rejections, 1);
-        assert_eq!(s.shard_tiles, 8);
-        assert_eq!(s.shard_halo_cells, 1024);
-        m.note_shard_tiles(2);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.shard_tiles, 2);
-        assert_eq!(d.shard_halo_cells, 0);
-    }
-
-    #[test]
-    fn net_counters() {
-        let m = Metrics::new();
-        m.note_net_connections(2);
-        m.note_net_frames_in(1, 64);
-        m.note_net_frames_in(1, 16);
-        m.note_net_frames_out(3, 300);
-        m.note_net_protocol_errors(1);
-        let s = m.snapshot();
-        assert_eq!(s.net_connections, 2);
-        assert_eq!(s.net_frames_in, 2);
-        assert_eq!(s.net_bytes_in, 80);
-        assert_eq!(s.net_frames_out, 3);
-        assert_eq!(s.net_bytes_out, 300);
-        assert_eq!(s.net_protocol_errors, 1);
-        m.note_net_frames_in(1, 8);
-        let d = s.delta(&m.snapshot());
-        assert_eq!(d.net_frames_in, 1);
-        assert_eq!(d.net_bytes_in, 8);
-        assert_eq!(d.net_connections, 0);
+    fn every_counter_reads_back_through_its_own_field() {
+        assert_eq!(Counter::ALL.len(), Counter::COUNT);
+        for (slot, &counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(counter as usize, slot, "{counter:?} is stored out of order");
+            let m = Metrics::new();
+            m.add(counter, 5);
+            let first = m.snapshot();
+            m.add(counter, 3);
+            let second = m.snapshot();
+            let delta = first.delta(&second);
+            let (total, moved) = if counter.is_high_water_mark() {
+                (5, 5)
+            } else {
+                (8, 3)
+            };
+            assert_eq!(first.get(counter), 5, "{counter:?} after one add");
+            assert_eq!(second.get(counter), total, "{counter:?} after two adds");
+            assert_eq!(delta.get(counter), moved, "{counter:?} delta");
+            for &other in Counter::ALL.iter().filter(|&&c| c != counter) {
+                assert_eq!(second.get(other), 0, "{counter:?} moved {other:?}");
+                assert_eq!(delta.get(other), 0, "{counter:?} delta moved {other:?}");
+            }
+        }
+        assert!(Counter::ServingQueueDepthPeak.is_high_water_mark());
+        assert_eq!(
+            Counter::ALL
+                .iter()
+                .filter(|c| c.is_high_water_mark())
+                .count(),
+            1
+        );
     }
 
     #[test]
     fn per_worker_distribution() {
         let m = Metrics::with_workers(3);
-        m.note_execute_on(0);
-        m.note_execute_on(2);
-        m.note_execute_on(2);
-        m.note_execute_on(99); // out-of-range index only hits the aggregate
+        m.executed_on(0);
+        m.executed_on(2);
+        m.executed_on(2);
+        m.executed_on(99); // out-of-range index only hits the aggregate
         assert_eq!(m.worker_executed(), vec![1, 0, 2]);
         assert_eq!(m.snapshot().executed, 4);
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let m = Metrics::new();
-        m.note_spawn();
-        let a = m.snapshot();
-        m.note_spawn();
-        m.note_execute_on(0);
-        let b = m.snapshot();
-        let d = a.delta(&b);
-        assert_eq!(d.spawned, 1);
-        assert_eq!(d.executed, 1);
-        assert_eq!(d.stolen, 0);
     }
 }

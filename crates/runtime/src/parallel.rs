@@ -3,6 +3,7 @@
 //! (parallel), or on [`Serial`] (deterministic single-threaded execution, used by the
 //! cache simulator, the Phase-1 interpreter and many tests).
 
+use crate::metrics::{Counter, Metrics};
 use crate::pool::Runtime;
 
 /// A provider of fork-join parallelism.
@@ -43,72 +44,21 @@ pub trait Parallelism: Sync {
         self.parallel_for(items.len(), grain, |i| body(&items[i]));
     }
 
-    /// Records the outcome of a compiled-schedule cache lookup, if this provider keeps
-    /// scheduler metrics.  The default is a no-op ([`Serial`] keeps no counters).
-    fn note_schedule_cache(&self, _hit: bool) {}
+    /// The counters this provider reports into, if it keeps any.  The default is
+    /// `None` ([`Serial`] keeps no counters).
+    fn counters(&self) -> Option<&Metrics> {
+        None
+    }
 
-    /// Records schedule-cache entries evicted by a lookup this provider drove, if this
-    /// provider keeps scheduler metrics.  The default is a no-op.
-    fn note_schedule_evictions(&self, _evicted: u64) {}
-
-    /// Records the outcome of a session-registry lookup (a shared `CompiledProgram`
-    /// served vs. freshly compiled), if this provider keeps scheduler metrics.  The
-    /// default is a no-op ([`Serial`] keeps no counters).
-    fn note_session_registry(&self, _hit: bool) {}
-
-    /// Records session-registry entries evicted by a lookup this provider drove, if
-    /// this provider keeps scheduler metrics.  The default is a no-op.
-    fn note_session_registry_evictions(&self, _evicted: u64) {}
-
-    /// Records per-window work items executed by a pipelined serving drain, if this
-    /// provider keeps scheduler metrics.  The default is a no-op.
-    fn note_serving_windows(&self, _windows: u64) {}
-
-    /// Records serving submissions whose final window missed its logical deadline,
-    /// if this provider keeps scheduler metrics.  The default is a no-op.
-    fn note_serving_deadline_misses(&self, _misses: u64) {}
-
-    /// Records a serving ready-queue depth observation (providers with metrics keep
-    /// the peak).  The default is a no-op.
-    fn note_serving_queue_depth(&self, _depth: u64) {}
-
-    /// Records serving requests rejected by admission control (submit-time quota /
-    /// watermark sheds and dispatch-time unmeetable-deadline drops), if this provider
-    /// keeps scheduler metrics.  The default is a no-op.
-    fn note_serving_shed(&self, _shed: u64) {}
-
-    /// Records session-compilation retry attempts performed by the serving layer's
-    /// bounded retry policy, if this provider keeps scheduler metrics.  The default
-    /// is a no-op.
-    fn note_serving_retries(&self, _retries: u64) {}
-
-    /// Records session keys quarantined after a tenant panic, if this provider keeps
-    /// scheduler metrics.  The default is a no-op.
-    fn note_serving_quarantined(&self, _quarantined: u64) {}
-
-    /// Records poisoned shared-state locks recovered by the engine (registry, pin
-    /// sets, schedule cache), if this provider keeps scheduler metrics.  The default
-    /// is a no-op.
-    fn note_registry_poison_recoveries(&self, _recovered: u64) {}
-
-    /// Records grid rows executed by SIMD-specialized row-kernel bodies (per ISA:
-    /// SSE2 and AVX2 counts) during a run this provider drove, if this provider
-    /// keeps scheduler metrics.  The default is a no-op.
-    fn note_simd_rows(&self, _sse2: u64, _avx2: u64) {}
-
-    /// Records window runs whose geometry failed the compiled-path size gate and
-    /// were demoted (onto sharded tiles or the recursive reference walker), if this
-    /// provider keeps scheduler metrics.  The default is a no-op.
-    fn note_schedule_compile_rejections(&self, _rejections: u64) {}
-
-    /// Records tile executions launched by a sharded giant-grid run this provider
-    /// drove, if this provider keeps scheduler metrics.  The default is a no-op.
-    fn note_shard_tiles(&self, _tiles: u64) {}
-
-    /// Records grid cells copied by shard halo-exchange syncs between tile
-    /// neighbours, if this provider keeps scheduler metrics.  The default is a
-    /// no-op.
-    fn note_shard_halo_cells(&self, _cells: u64) {}
+    /// Adds `n` to `counter` ([`Metrics::add`]) if this provider keeps counters;
+    /// otherwise a no-op.  This is how the engine layers report schedule-cache,
+    /// registry, serving, shard and network events next to the steal counters.
+    #[inline]
+    fn count(&self, counter: Counter, n: u64) {
+        if let Some(metrics) = self.counters() {
+            metrics.add(counter, n);
+        }
+    }
 
     /// Executes one pending unit of this provider's work on the calling thread, if
     /// the calling thread belongs to the provider and work is available; returns
@@ -176,64 +126,8 @@ impl Parallelism for Runtime {
         Runtime::parallel_for(self, len, grain, body)
     }
 
-    fn note_schedule_cache(&self, hit: bool) {
-        Runtime::note_schedule_cache(self, hit);
-    }
-
-    fn note_schedule_evictions(&self, evicted: u64) {
-        Runtime::note_schedule_evictions(self, evicted);
-    }
-
-    fn note_session_registry(&self, hit: bool) {
-        Runtime::note_session_registry(self, hit);
-    }
-
-    fn note_session_registry_evictions(&self, evicted: u64) {
-        Runtime::note_session_registry_evictions(self, evicted);
-    }
-
-    fn note_serving_windows(&self, windows: u64) {
-        Runtime::note_serving_windows(self, windows);
-    }
-
-    fn note_serving_deadline_misses(&self, misses: u64) {
-        Runtime::note_serving_deadline_misses(self, misses);
-    }
-
-    fn note_serving_queue_depth(&self, depth: u64) {
-        Runtime::note_serving_queue_depth(self, depth);
-    }
-
-    fn note_serving_shed(&self, shed: u64) {
-        Runtime::note_serving_shed(self, shed);
-    }
-
-    fn note_serving_retries(&self, retries: u64) {
-        Runtime::note_serving_retries(self, retries);
-    }
-
-    fn note_serving_quarantined(&self, quarantined: u64) {
-        Runtime::note_serving_quarantined(self, quarantined);
-    }
-
-    fn note_registry_poison_recoveries(&self, recovered: u64) {
-        Runtime::note_registry_poison_recoveries(self, recovered);
-    }
-
-    fn note_simd_rows(&self, sse2: u64, avx2: u64) {
-        Runtime::note_simd_rows(self, sse2, avx2);
-    }
-
-    fn note_schedule_compile_rejections(&self, rejections: u64) {
-        Runtime::note_schedule_compile_rejections(self, rejections);
-    }
-
-    fn note_shard_tiles(&self, tiles: u64) {
-        Runtime::note_shard_tiles(self, tiles);
-    }
-
-    fn note_shard_halo_cells(&self, cells: u64) {
-        Runtime::note_shard_halo_cells(self, cells);
+    fn counters(&self) -> Option<&Metrics> {
+        Some(self.registry.metrics())
     }
 
     fn help_one(&self) -> bool {
@@ -263,64 +157,8 @@ impl<P: Parallelism> Parallelism for &P {
         (**self).parallel_for(len, grain, body)
     }
 
-    fn note_schedule_cache(&self, hit: bool) {
-        (**self).note_schedule_cache(hit);
-    }
-
-    fn note_schedule_evictions(&self, evicted: u64) {
-        (**self).note_schedule_evictions(evicted);
-    }
-
-    fn note_session_registry(&self, hit: bool) {
-        (**self).note_session_registry(hit);
-    }
-
-    fn note_session_registry_evictions(&self, evicted: u64) {
-        (**self).note_session_registry_evictions(evicted);
-    }
-
-    fn note_serving_windows(&self, windows: u64) {
-        (**self).note_serving_windows(windows);
-    }
-
-    fn note_serving_deadline_misses(&self, misses: u64) {
-        (**self).note_serving_deadline_misses(misses);
-    }
-
-    fn note_serving_queue_depth(&self, depth: u64) {
-        (**self).note_serving_queue_depth(depth);
-    }
-
-    fn note_serving_shed(&self, shed: u64) {
-        (**self).note_serving_shed(shed);
-    }
-
-    fn note_serving_retries(&self, retries: u64) {
-        (**self).note_serving_retries(retries);
-    }
-
-    fn note_serving_quarantined(&self, quarantined: u64) {
-        (**self).note_serving_quarantined(quarantined);
-    }
-
-    fn note_registry_poison_recoveries(&self, recovered: u64) {
-        (**self).note_registry_poison_recoveries(recovered);
-    }
-
-    fn note_simd_rows(&self, sse2: u64, avx2: u64) {
-        (**self).note_simd_rows(sse2, avx2);
-    }
-
-    fn note_schedule_compile_rejections(&self, rejections: u64) {
-        (**self).note_schedule_compile_rejections(rejections);
-    }
-
-    fn note_shard_tiles(&self, tiles: u64) {
-        (**self).note_shard_tiles(tiles);
-    }
-
-    fn note_shard_halo_cells(&self, cells: u64) {
-        (**self).note_shard_halo_cells(cells);
+    fn counters(&self) -> Option<&Metrics> {
+        (**self).counters()
     }
 
     fn help_one(&self) -> bool {
@@ -365,6 +203,27 @@ mod tests {
     fn serial_reports_single_worker() {
         assert_eq!(Serial.num_workers(), 1);
         assert!(!Serial.is_parallel());
+    }
+
+    #[test]
+    fn serial_keeps_no_counters() {
+        assert!(Serial.counters().is_none());
+        Serial.count(Counter::ShardTiles, 3); // a no-op, not a panic
+    }
+
+    #[test]
+    fn runtime_and_its_reference_count_into_the_same_metrics() {
+        fn report<P: Parallelism>(par: &P) {
+            par.count(Counter::ShardTiles, 2);
+        }
+        let rt = Runtime::new(1);
+        report(&rt); // P = Runtime
+        report(&&rt); // P = &Runtime
+        assert_eq!(rt.metrics().shard_tiles, 4);
+        assert!(std::ptr::eq(
+            rt.counters().unwrap(),
+            Parallelism::counters(&&rt).unwrap()
+        ));
     }
 
     #[test]

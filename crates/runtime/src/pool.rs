@@ -17,7 +17,7 @@ pub const NUM_THREADS_ENV: &str = "POCHOIR_NUM_THREADS";
 /// Dropping the runtime shuts the worker threads down.  A process-wide instance is
 /// available through [`Runtime::global`].
 pub struct Runtime {
-    registry: Arc<Registry>,
+    pub(crate) registry: Arc<Registry>,
     handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -99,125 +99,10 @@ impl Runtime {
         }
     }
 
-    /// Scheduler counters (spawn/steal/execute totals, schedule-cache hits/misses).
+    /// A snapshot of this pool's counters: spawn/steal/execute totals plus whatever
+    /// the engine layers reported through [`Parallelism::count`](crate::Parallelism::count).
     pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
         self.registry.metrics().snapshot()
-    }
-
-    /// Records a compiled-schedule cache lookup in this pool's metrics, so benchmarks can
-    /// observe schedule reuse next to the steal counters.
-    pub fn note_schedule_cache(&self, hit: bool) {
-        self.registry.metrics().note_schedule_cache(hit);
-    }
-
-    /// Records schedule-cache entries evicted by a lookup this pool drove.
-    pub fn note_schedule_evictions(&self, evicted: u64) {
-        self.registry.metrics().note_schedule_evictions(evicted);
-    }
-
-    /// Records a session-registry lookup (shared `CompiledProgram` served vs. freshly
-    /// compiled) in this pool's metrics, so serving deployments can observe session
-    /// reuse next to the steal counters.
-    pub fn note_session_registry(&self, hit: bool) {
-        self.registry.metrics().note_session_registry(hit);
-    }
-
-    /// Records session-registry entries evicted by a lookup this pool drove.
-    pub fn note_session_registry_evictions(&self, evicted: u64) {
-        self.registry
-            .metrics()
-            .note_session_registry_evictions(evicted);
-    }
-
-    /// Records per-window work items executed by a pipelined serving drain this pool
-    /// drove.
-    pub fn note_serving_windows(&self, windows: u64) {
-        self.registry.metrics().note_serving_windows(windows);
-    }
-
-    /// Records serving submissions whose final window was dispatched past their
-    /// logical deadline.
-    pub fn note_serving_deadline_misses(&self, misses: u64) {
-        self.registry.metrics().note_serving_deadline_misses(misses);
-    }
-
-    /// Records a serving ready-queue depth observation (the metrics keep the peak).
-    pub fn note_serving_queue_depth(&self, depth: u64) {
-        self.registry.metrics().note_serving_queue_depth(depth);
-    }
-
-    /// Records serving requests rejected by admission control (submit-time sheds and
-    /// dispatch-time unmeetable-deadline drops).
-    pub fn note_serving_shed(&self, shed: u64) {
-        self.registry.metrics().note_serving_shed(shed);
-    }
-
-    /// Records session-compilation retry attempts performed by the serving layer's
-    /// bounded retry policy.
-    pub fn note_serving_retries(&self, retries: u64) {
-        self.registry.metrics().note_serving_retries(retries);
-    }
-
-    /// Records session keys quarantined in the serving registry after a tenant panic.
-    pub fn note_serving_quarantined(&self, quarantined: u64) {
-        self.registry
-            .metrics()
-            .note_serving_quarantined(quarantined);
-    }
-
-    /// Records poisoned shared-state locks the engine recovered instead of
-    /// propagating the poison panic.
-    pub fn note_registry_poison_recoveries(&self, recovered: u64) {
-        self.registry
-            .metrics()
-            .note_registry_poison_recoveries(recovered);
-    }
-
-    /// Records grid rows executed by SIMD-specialized row-kernel bodies (SSE2 and
-    /// AVX2 counts) during a run this pool drove.
-    pub fn note_simd_rows(&self, sse2: u64, avx2: u64) {
-        self.registry.metrics().note_simd_rows(sse2, avx2);
-    }
-
-    /// Records window runs demoted off the compiled-arena path because their
-    /// geometry failed `should_compile`.
-    pub fn note_schedule_compile_rejections(&self, rejections: u64) {
-        self.registry
-            .metrics()
-            .note_schedule_compile_rejections(rejections);
-    }
-
-    /// Records tile executions launched by sharded giant-grid runs this pool drove.
-    pub fn note_shard_tiles(&self, tiles: u64) {
-        self.registry.metrics().note_shard_tiles(tiles);
-    }
-
-    /// Records grid cells copied by shard halo-exchange syncs this pool drove.
-    pub fn note_shard_halo_cells(&self, cells: u64) {
-        self.registry.metrics().note_shard_halo_cells(cells);
-    }
-
-    /// Records TCP connections accepted by a network stencil service feeding
-    /// this pool.
-    pub fn note_net_connections(&self, connections: u64) {
-        self.registry.metrics().note_net_connections(connections);
-    }
-
-    /// Records protocol frames (and their wire bytes, length prefix included)
-    /// decoded off client connections.
-    pub fn note_net_frames_in(&self, frames: u64, bytes: u64) {
-        self.registry.metrics().note_net_frames_in(frames, bytes);
-    }
-
-    /// Records protocol frames (and their wire bytes, length prefix included)
-    /// written back to clients.
-    pub fn note_net_frames_out(&self, frames: u64, bytes: u64) {
-        self.registry.metrics().note_net_frames_out(frames, bytes);
-    }
-
-    /// Records frames rejected as malformed by a network stencil service.
-    pub fn note_net_protocol_errors(&self, errors: u64) {
-        self.registry.metrics().note_net_protocol_errors(errors);
     }
 
     /// Jobs executed per worker since the pool started — the pool's work

@@ -140,22 +140,6 @@ impl Client {
         }
     }
 
-    /// Keeps connecting until the server answers the handshake or the timeout
-    /// elapses — for scripts that race the client against server startup.
-    pub fn connect_retry<A: ToSocketAddrs + Clone>(
-        addr: A,
-        timeout: Duration,
-    ) -> Result<Client, ClientError> {
-        let started = Instant::now();
-        loop {
-            match Client::connect(addr.clone()) {
-                Ok(client) => return Ok(client),
-                Err(e) if started.elapsed() >= timeout => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-
     /// Negotiates (or re-joins) the session for `(app, geometry, window)`.
     pub fn negotiate(
         &mut self,

@@ -61,7 +61,7 @@ use pochoir_core::engine::{
 };
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::{StencilKernel, StencilSpec};
-use pochoir_runtime::Runtime;
+use pochoir_runtime::{Counter, Parallelism, Runtime};
 use pochoir_stencils::heat::HeatKernel;
 use pochoir_stencils::life::LifeKernel;
 use pochoir_stencils::wave::WaveKernel;
@@ -352,7 +352,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        Runtime::global().note_net_connections(1);
+        Runtime::global().count(Counter::NetConnections, 1);
         let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         let worker_shared = Arc::clone(&shared);
         let hook = stream.try_clone().ok();
@@ -414,14 +414,15 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
         }
         let frame = match read_frame(&mut stream) {
             Ok((frame, bytes)) => {
-                rt.note_net_frames_in(1, bytes);
+                rt.count(Counter::NetFramesIn, 1);
+                rt.count(Counter::NetBytesIn, bytes);
                 frame
             }
             Err(ReadError::Eof) | Err(ReadError::Io(_)) => return,
             Err(ReadError::Frame(e)) => {
                 // The stream may be unframed past this point (e.g. an
                 // oversized prefix) — answer the typed error, then close.
-                rt.note_net_protocol_errors(1);
+                rt.count(Counter::NetProtocolErrors, 1);
                 let _ = send(
                     &mut stream,
                     &Frame::Error {
@@ -439,7 +440,7 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                         version: PROTOCOL_VERSION,
                     }
                 } else {
-                    rt.note_net_protocol_errors(1);
+                    rt.count(Counter::NetProtocolErrors, 1);
                     let _ = send(
                         &mut stream,
                         &Frame::Error {
@@ -480,7 +481,7 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
             // Server-to-client opcodes arriving at the server are a protocol
             // violation from a confused peer.
             other => {
-                rt.note_net_protocol_errors(1);
+                rt.count(Counter::NetProtocolErrors, 1);
                 Frame::Error {
                     code: ErrorCode::BadFrame,
                     detail: format!("unexpected client frame: {other:?}"),
@@ -498,7 +499,9 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
 fn send(stream: &mut TcpStream, frame: &Frame) -> bool {
     match write_frame(stream, frame) {
         Ok(bytes) => {
-            Runtime::global().note_net_frames_out(1, bytes);
+            let rt = Runtime::global();
+            rt.count(Counter::NetFramesOut, 1);
+            rt.count(Counter::NetBytesOut, bytes);
             true
         }
         Err(_) => false,

@@ -47,9 +47,10 @@ fn main() {
     // The default plan dispatches interior rows to the widest SIMD ISA the host
     // supports (set POCHOIR_SIMD=off to force the scalar loops — the results are
     // bitwise-identical either way; see docs/performance.md).
-    let isa = pochoir::core::simd::detected().map_or("scalar", |i| i.name());
-    let (sse2_rows, avx2_rows) = pochoir::core::simd::rows_snapshot();
+    let name = |isa: Option<pochoir::core::simd::SimdIsa>| isa.map_or("scalar", |i| i.name());
     println!(
-        "detected SIMD ISA: {isa}; vectorized rows this run: sse2={sse2_rows}, avx2={avx2_rows}"
+        "detected SIMD ISA: {}; row kernels dispatched to: {}",
+        name(pochoir::core::simd::detected()),
+        name(pochoir::core::simd::active())
     );
 }
