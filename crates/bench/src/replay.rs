@@ -7,10 +7,9 @@
 //! pair gets its own server (a `StencilServer` is typed per compiled geometry),
 //! built with the trace's `chunk` as its drain window; records are replayed in
 //! arrival order, bucketed into epochs of `trace.epoch` ticks, and every server
-//! with pending work drains at each epoch boundary.  `HeatGiant1d` records take the
-//! [`submit_sharded`](StencilServer::submit_sharded) route with the tile count
-//! pinned to [`pochoir_trace::corpus::GIANT_TILES`] — auto sharding would size the
-//! group off the host's worker count and break cross-machine determinism.
+//! with pending work drains at each epoch boundary.  Servers are built by
+//! [`AnyServer::build`], the presets `pochoir-serve` itself uses; `HeatGiant1d`
+//! records take the [`submit_sharded`](StencilServer::submit_sharded) route.
 //!
 //! Everything the replay reports except wall-clock time is deterministic for a
 //! given trace on one worker thread (`POCHOIR_NUM_THREADS=1`): grid contents are
@@ -24,18 +23,14 @@
 use std::collections::BTreeMap;
 
 use pochoir_core::engine::{
-    run_batch, AdmissionPolicy, BatchRun, Coarsening, DrainReport, ExecutionPlan, ServeError,
-    Sharding, StencilServer, SubmitOptions,
+    run_batch, AdmissionPolicy, BatchRun, DrainReport, ServeError, StencilServer, SubmitOptions,
 };
 use pochoir_core::grid::PochoirArray;
-use pochoir_core::kernel::{StencilKernel, StencilSpec};
+use pochoir_core::kernel::StencilKernel;
 use pochoir_runtime::Runtime;
-use pochoir_stencils::heat::HeatKernel;
-use pochoir_stencils::life::LifeKernel;
+use pochoir_serve::server::AnyServer;
+use pochoir_serve::with_server;
 use pochoir_stencils::traffic::{digest_grid, heat_grid, life_grid, usizes, wave_grid, DigestBits};
-use pochoir_stencils::wave::WaveKernel;
-use pochoir_stencils::{heat, life, wave};
-use pochoir_trace::corpus::GIANT_TILES;
 use pochoir_trace::{Trace, TraceApp, TraceRecord};
 
 /// How the replay drains the queued traffic.
@@ -86,39 +81,17 @@ pub struct DisciplineRun {
     /// summed over every epoch drain (pipelined only).
     pub deadline_misses: u64,
     /// Completion tick of each completed record, drain-local (each epoch drain
-    /// restarts its logical clock), in record order (pipelined only).  A sharded
-    /// giant completes when its last member tile does.
+    /// restarts its logical clock), in record order (pipelined only).
     pub completion_ticks: Vec<u64>,
     /// Epoch drains executed (pipelined and barrier).
     pub drains: u64,
 }
 
-/// A served `(app, geometry)` pair — one compiled session, one drain queue.
-enum AnyServer {
-    Heat2d(StencilServer<f64, HeatKernel<2>, 2>),
-    Life(StencilServer<u8, LifeKernel, 2>),
-    Wave3d(StencilServer<f64, WaveKernel, 3>),
-    HeatGiant1d(StencilServer<f64, HeatKernel<1>, 1>),
-}
-
-macro_rules! with_server {
-    ($any:expr, $srv:ident => $body:expr) => {
-        match $any {
-            AnyServer::Heat2d($srv) => $body,
-            AnyServer::Life($srv) => $body,
-            AnyServer::Wave3d($srv) => $body,
-            AnyServer::HeatGiant1d($srv) => $body,
-        }
-    };
-}
-
-/// Bookkeeping for one queue ticket: which trace record it belongs to, the time
-/// horizon to digest at, and whether this ticket holds the record's result (the
-/// member tiles of a sharded group are scaffolding, not results).
+/// Bookkeeping for one queue ticket: which trace record it belongs to and the time
+/// horizon to digest at.
 struct QueuedTicket {
     record: usize,
     t1: i64,
-    lead: bool,
 }
 
 /// One server plus the ticket ledger for its current epoch.
@@ -129,41 +102,13 @@ struct ReplayServer {
 
 impl ReplayServer {
     fn build(app: TraceApp, geometry: &[u64], chunk: i64, opts: &ReplayOptions) -> ReplayServer {
-        let inner = match app {
-            TraceApp::Heat2d => AnyServer::Heat2d(heat::serve_2d(usizes::<2>(geometry), chunk)),
-            TraceApp::Life => AnyServer::Life(life::serve(usizes::<2>(geometry), chunk)),
-            TraceApp::Wave3d => AnyServer::Wave3d(wave::serve(usizes::<3>(geometry), chunk)),
-            // The giant preset pins its tile count: `Sharding::Auto` would size the
-            // shard group off this host's worker count, and the whole point of a
-            // trace is that two machines replay identical schedules.
-            TraceApp::HeatGiant1d => AnyServer::HeatGiant1d(StencilServer::new(
-                StencilSpec::new(heat::shape::<1>()),
-                HeatKernel::<1>::default(),
-                ExecutionPlan::trap()
-                    .with_coarsening(Coarsening::none())
-                    .with_sharding(Sharding::Tiles(GIANT_TILES)),
-                usizes::<1>(geometry),
-                chunk,
-            )),
-        };
-        let inner = match (inner, opts.admission) {
-            (server, None) => server,
-            (AnyServer::Heat2d(s), Some(p)) => AnyServer::Heat2d(s.with_admission_policy(p)),
-            (AnyServer::Life(s), Some(p)) => AnyServer::Life(s.with_admission_policy(p)),
-            (AnyServer::Wave3d(s), Some(p)) => AnyServer::Wave3d(s.with_admission_policy(p)),
-            (AnyServer::HeatGiant1d(s), Some(p)) => {
-                AnyServer::HeatGiant1d(s.with_admission_policy(p))
-            }
-        };
         ReplayServer {
-            inner,
+            inner: AnyServer::build(app, geometry, chunk, opts.admission),
             queued: Vec::new(),
         }
     }
 
     /// Queues one record (its grid built deterministically from the tenant id).
-    /// Giants scatter into member tickets behind the lead — as many as the
-    /// shard plan actually produced, measured from the queue depth.
     fn submit(&mut self, index: usize, rec: &TraceRecord) -> Result<(), ServeError> {
         let opts = SubmitOptions {
             weight: rec.weight,
@@ -171,62 +116,32 @@ impl ReplayServer {
         };
         let t1 = rec.window;
         match &mut self.inner {
-            AnyServer::Heat2d(s) => {
-                s.try_submit_with(
-                    heat_grid(usizes::<2>(&rec.geometry), rec.tenant),
-                    0,
-                    t1,
-                    opts,
-                )?;
-            }
-            AnyServer::Life(s) => {
-                s.try_submit_with(
-                    life_grid(usizes::<2>(&rec.geometry), rec.tenant),
-                    0,
-                    t1,
-                    opts,
-                )?;
-            }
-            AnyServer::Wave3d(s) => {
-                s.try_submit_with(
-                    wave_grid(usizes::<3>(&rec.geometry), rec.tenant),
-                    0,
-                    t1,
-                    opts,
-                )?;
-            }
-            AnyServer::HeatGiant1d(s) => {
-                let before = s.pending();
-                s.try_submit_sharded(
-                    heat_grid(usizes::<1>(&rec.geometry), rec.tenant),
-                    0,
-                    t1,
-                    opts,
-                )?;
-                // One bookkeeping entry per scheduler ticket actually queued:
-                // the shard plan clamps the tile count to the grid extent, so
-                // small giants create fewer than `GIANT_TILES` members.
-                let members = s.pending().saturating_sub(before);
-                self.queued.push(QueuedTicket {
-                    record: index,
-                    t1,
-                    lead: true,
-                });
-                for _ in 1..members {
-                    self.queued.push(QueuedTicket {
-                        record: index,
-                        t1,
-                        lead: false,
-                    });
-                }
-                return Ok(());
-            }
-        }
-        self.queued.push(QueuedTicket {
-            record: index,
-            t1,
-            lead: true,
-        });
+            AnyServer::Heat2d(s) => s.try_submit_with(
+                heat_grid(usizes::<2>(&rec.geometry), rec.tenant),
+                0,
+                t1,
+                opts,
+            )?,
+            AnyServer::Life(s) => s.try_submit_with(
+                life_grid(usizes::<2>(&rec.geometry), rec.tenant),
+                0,
+                t1,
+                opts,
+            )?,
+            AnyServer::Wave3d(s) => s.try_submit_with(
+                wave_grid(usizes::<3>(&rec.geometry), rec.tenant),
+                0,
+                t1,
+                opts,
+            )?,
+            AnyServer::HeatGiant1d(s) => s.try_submit_sharded(
+                heat_grid(usizes::<1>(&rec.geometry), rec.tenant),
+                0,
+                t1,
+                opts,
+            )?,
+        };
+        self.queued.push(QueuedTicket { record: index, t1 });
         Ok(())
     }
 
@@ -234,8 +149,8 @@ impl ReplayServer {
         !self.queued.is_empty()
     }
 
-    /// Drains the epoch's queue and credits each lead ticket's digest (and, for
-    /// pipelined drains, its completion tick) back to its record.
+    /// Drains the epoch's queue and credits each ticket's digest (and, for pipelined
+    /// drains, its completion tick) back to its record.
     fn drain_epoch(&mut self, discipline: Discipline, run: &mut DisciplineRun) {
         let queued = std::mem::take(&mut self.queued);
         let (digests, report): (Vec<u64>, Option<DrainReport>) = match discipline {
@@ -249,9 +164,6 @@ impl ReplayServer {
                 (digests, s.last_drain().cloned())
             }),
             Discipline::Barrier => with_server!(&mut self.inner, s => {
-                // With sharded submissions queued, drain_barrier routes through the
-                // pipelined drain (the exchange barrier needs it); results are
-                // documented bitwise-identical either way.
                 let results = s.drain_barrier();
                 let digests = queued
                     .iter()
@@ -262,23 +174,11 @@ impl ReplayServer {
             }),
             Discipline::Sequential => unreachable!("sequential replay never queues"),
         };
-        for (q, digest) in queued.iter().zip(digests) {
-            if !q.lead {
-                continue;
-            }
+        for (i, (q, digest)) in queued.iter().zip(digests).enumerate() {
             run.digests[q.record] = Some(digest);
             if let Some(report) = &report {
-                // A sharded group is complete when its slowest member tile is; the
-                // member tiles occupy the tickets right behind the lead, sharing
-                // its record index.
-                let completed = queued
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.record == q.record)
-                    .map(|(i, _)| report.completion_tick.get(i).copied().unwrap_or(0))
-                    .max()
-                    .unwrap_or(0);
-                run.completion_ticks.push(completed);
+                run.completion_ticks
+                    .push(report.completion_tick.get(i).copied().unwrap_or(0));
             }
         }
         if let Some(report) = report {

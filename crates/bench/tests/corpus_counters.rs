@@ -83,9 +83,9 @@ fn expected() -> Vec<(&'static str, Counters, Ticks)> {
                     deadline_total: 0, session: session(33, 400, 399, 34, 34), registry: registry(1, 32, 18) },
          Ticks { peak_ready: 3, deadline_misses: 0, completion_p50: 1, completion_p99: 2 }),
         ("giant",
-         Counters { records: 18, shed: 0, sharded_submissions: 3, points: 14_676_480, windows: 54, drains: 4,
+         Counters { records: 18, shed: 0, sharded_submissions: 3, points: 14_676_480, windows: 36, drains: 4,
                     deadline_total: 0, session: session(2, 30, 30, 1, 0), registry: registry(2, 3, 3) },
-         Ticks { peak_ready: 9, deadline_misses: 0, completion_p50: 12, completion_p99: 17 }),
+         Ticks { peak_ready: 9, deadline_misses: 0, completion_p50: 11, completion_p99: 17 }),
         ("waves",
          Counters { records: 24, shed: 0, sharded_submissions: 0, points: 393_216, windows: 24, drains: 3,
                     deadline_total: 6, session: session(1, 24, 24, 1, 1), registry: registry(0, 1, 1) },

@@ -19,7 +19,7 @@
 //!   SessionRegistry  —  process-global, keyed by (spec fingerprint, sizes, plan, window)
 //!        │               LRU under an entry cap *and* a pinned-leaf budget ·
 //!        │               exactly-once compile per key · hit/miss/eviction counters
-//!        │               surfaced through `pochoir_runtime` metrics
+//!        │               read through `registry_stats()`
 //!        ▼
 //!   Arc<CompiledProgram>  —  one per geometry, shared by every caller
 //!        │
@@ -54,6 +54,13 @@
 //! values.  [`StencilServer::last_drain`] reports windows executed, the ready-queue
 //! high-water mark, logical-deadline misses and per-ticket completion ticks; the same
 //! numbers reach the runtime's metrics (`serving_*` counters).
+//!
+//! One submission is one ticket, one chain and one returned array — also when it
+//! was submitted through [`StencilServer::submit_sharded`].  A sharded ticket's
+//! window is one round of its tile pipeline (every tile advances a window in
+//! parallel, then the halo seams are exchanged; `engine::shard` owns that driver),
+//! so the scheduler never sees tiles: it costs `windows` dispatch ticks like any
+//! other tenant, and the drain's end gathers the tiles back into its array.
 //!
 //! ## Registry keying
 //!
@@ -126,8 +133,8 @@
 //!   [`StencilServer::try_drain`] returns the surviving arrays with per-ticket
 //!   outcomes instead.
 //! * **Admission control** — an [`AdmissionPolicy`] sheds work at submit time
-//!   (queue/window quotas, pinned-leaf quotas, deadline-miss and registry-pressure
-//!   watermarks → [`ServeError::Shed`]) and optionally at dispatch time (chains whose
+//!   (queue/window quotas, pinned-leaf quotas → [`ServeError::Shed`]) and
+//!   optionally at dispatch time (chains whose
 //!   logical deadline can no longer be met are dropped before their first window
 //!   runs).  [`RetryPolicy`] adds bounded retry-with-backoff for transient
 //!   [`ServeError::CompileFailed`] failures.
@@ -151,13 +158,13 @@ use crate::boundary::Boundary;
 use crate::engine::executor::{CompiledProgram, GeometryError, SessionStats};
 use crate::engine::faults::{self, lock_recover, FaultPlan};
 use crate::engine::plan::ExecutionPlan;
-use crate::engine::shard::{self, ShardError, ShardPlan, ShardReport};
+use crate::engine::shard::{self, ShardError, ShardPlan, ShardRun};
 use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
 use pochoir_runtime::{Counter, Parallelism, Runtime};
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -186,23 +193,6 @@ pub struct RegistryLookup {
     pub evicted: u64,
 }
 
-impl RegistryLookup {
-    /// Forwards this lookup to the provider's counters through
-    /// [`Parallelism::count`] (a [`Counter::SessionRegistryHits`] or
-    /// [`Counter::SessionRegistryMisses`], plus
-    /// [`Counter::SessionRegistryEvictions`]).  The single reporting
-    /// protocol shared by [`StencilServer`] and the DSL's `Pochoir` object.
-    pub fn report_to<P: Parallelism>(&self, par: &P) {
-        let outcome = if self.hit {
-            Counter::SessionRegistryHits
-        } else {
-            Counter::SessionRegistryMisses
-        };
-        par.count(outcome, 1);
-        par.count(Counter::SessionRegistryEvictions, self.evicted);
-    }
-}
-
 /// Cumulative session-registry counters (see [`registry_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
@@ -228,12 +218,6 @@ pub enum ShedReason {
     /// The shared session pins more leaves than
     /// [`AdmissionPolicy::max_session_leaves`] allows.
     SessionLeafQuota,
-    /// The last drain's deadline-miss rate exceeded
-    /// [`AdmissionPolicy::deadline_miss_watermark`].
-    DeadlineMissPressure,
-    /// The global registry's pinned-leaf usage exceeded
-    /// [`AdmissionPolicy::registry_watermark`] of its budget.
-    RegistryPressure,
     /// The session key is currently banned after a tenant panic
     /// ([`QuarantinePolicy::Ban`]).
     Quarantined,
@@ -248,8 +232,6 @@ impl std::fmt::Display for ShedReason {
             ShedReason::QueueFull => "pending queue full",
             ShedReason::WindowQuotaExceeded => "queued-window quota exceeded",
             ShedReason::SessionLeafQuota => "session pinned-leaf quota exceeded",
-            ShedReason::DeadlineMissPressure => "deadline-miss watermark exceeded",
-            ShedReason::RegistryPressure => "registry leaf-budget watermark exceeded",
             ShedReason::Quarantined => "session key quarantined after a tenant panic",
             ShedReason::DeadlineUnmeetable => "logical deadline unmeetable at dispatch",
         };
@@ -290,7 +272,7 @@ pub enum ServeError {
     },
     /// Admission control refused the request (load shedding).
     Shed {
-        /// Which quota or watermark fired.
+        /// Which quota fired.
         reason: ShedReason,
     },
     /// The submission's logical deadline cannot be met even if it dispatched first:
@@ -347,7 +329,8 @@ pub enum TicketOutcome {
     #[default]
     Completed,
     /// A window panicked: the chain's remaining windows were cancelled and the
-    /// returned array holds the state as of the last *completed* window.
+    /// returned array holds the state as of the last *completed* window (a sharded
+    /// submission's array is structurally valid with unspecified contents).
     Panicked {
         /// The panic payload's message.
         message: String,
@@ -361,10 +344,9 @@ pub enum TicketOutcome {
     },
 }
 
-/// Per-tenant quotas and server-level watermarks applied at submit time, plus the
-/// dispatch-time deadline policy.  The default admits everything (no quotas, no
-/// watermarks, deadline misses merely counted) — exactly the pre-admission-control
-/// behaviour.
+/// Per-tenant quotas applied at submit time, plus the dispatch-time deadline
+/// policy.  The default admits everything (no quotas, deadline misses merely
+/// counted) — exactly the pre-admission-control behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AdmissionPolicy {
     /// Maximum submissions waiting in the queue; the next submit sheds
@@ -377,13 +359,6 @@ pub struct AdmissionPolicy {
     /// Maximum leaves the shared session may have pinned at submit time; exceeding
     /// sheds ([`ShedReason::SessionLeafQuota`]).
     pub max_session_leaves: Option<usize>,
-    /// Shed while the last drain's deadline-miss rate (misses / submissions)
-    /// exceeds this fraction ([`ShedReason::DeadlineMissPressure`]).
-    pub deadline_miss_watermark: Option<f64>,
-    /// Shed while the process-global registry's pinned leaves exceed this fraction
-    /// of its leaf budget ([`ShedReason::RegistryPressure`]; applies only to servers
-    /// built via [`StencilServer::new`], which use the global registry).
-    pub registry_watermark: Option<f64>,
     /// Reject submissions whose logical deadline cannot be met even dispatching
     /// first ([`ServeError::DeadlineUnmeetable`]).  Off by default: an unmeetable
     /// deadline is admitted and counted as a miss, the pre-admission behaviour.
@@ -649,10 +624,8 @@ impl SessionRegistry {
     /// even under concurrent lookups of the same key) on a cold key.
     ///
     /// The [`RegistryLookup`] reports whether an existing program was served and how
-    /// many LRU entries were evicted to make room.  Callers with a
-    /// [`Parallelism`] provider at hand should forward the lookup with
-    /// [`RegistryLookup::report_to`] so the runtime's metrics observe
-    /// registry traffic ([`StencilServer`] and the DSL do this on their next run).
+    /// many LRU entries were evicted to make room; [`stats`](Self::stats) keeps the
+    /// cumulative counts.
     pub fn get_or_compile<const D: usize>(
         &self,
         spec: &StencilSpec<D>,
@@ -901,17 +874,6 @@ impl SessionRegistry {
         self.leaf_budget.store(leaves.max(1), Ordering::Relaxed);
     }
 
-    /// The current pinned-leaf budget.
-    pub fn leaf_budget(&self) -> usize {
-        self.leaf_budget.load(Ordering::Relaxed)
-    }
-
-    /// Total pinned leaves currently charged against the budget (completed entries
-    /// only; in-flight compiles weigh zero until they finish).
-    pub fn pinned_leaves(&self) -> usize {
-        lock_recover(&self.state).total_leaves()
-    }
-
     /// A snapshot of the cumulative hit/miss/eviction/quarantine counters.
     pub fn stats(&self) -> RegistryStats {
         RegistryStats {
@@ -973,11 +935,6 @@ pub fn registry_stats() -> RegistryStats {
 /// Sets the process-global registry's capacity (sessions retained; clamped to ≥ 1).
 pub fn set_registry_capacity(capacity: usize) {
     registry().set_capacity(capacity);
-}
-
-/// The process-global registry's current pinned-leaf budget.
-pub fn registry_leaf_budget() -> usize {
-    registry().leaf_budget()
 }
 
 /// Empties the process-global session registry (the statistics are kept).  Sessions
@@ -1125,22 +1082,25 @@ struct Submission<T, const D: usize> {
     t0: i64,
     t1: i64,
     opts: SubmitOptions,
+    /// The tile pipeline of a sharded submission
+    /// ([`submit_sharded`](StencilServer::submit_sharded)): its windows are shard
+    /// rounds, and `array` is stale until the drain ends and gathers the tiles.
+    shard: Option<ShardRun<'static, T, D>>,
 }
 
-/// One sharded giant queued on a [`StencilServer`]
-/// ([`submit_sharded`](StencilServer::submit_sharded)): its tile geometry, the
-/// member chains' compiled programs, and the original array awaiting the
-/// post-drain reassembly.
-struct QueuedShard<T, const D: usize> {
-    plan: ShardPlan<D>,
-    /// First member ticket; the tiles occupy `first .. first + plan.tiles().len()`.
-    first: usize,
-    /// Per-member tile programs — `run_one` runs these instead of the server's
-    /// giant-geometry program.
-    programs: Vec<Arc<CompiledProgram<D>>>,
-    /// The submitted giant, stale between scatter and the post-drain gather.
-    giant: PochoirArray<T, D>,
-    t1: i64,
+impl<T, const D: usize> Submission<T, D>
+where
+    T: Copy + Send + Sync + 'static,
+{
+    /// Hands the array back, gathering a sharded submission's tiles into it first
+    /// (as of their last completed round).
+    fn into_array<P: Parallelism>(self, par: &P) -> PochoirArray<T, D> {
+        let mut array = self.array;
+        if let Some(run) = self.shard {
+            run.finish(&mut array, par);
+        }
+        array
+    }
 }
 
 /// Virtual-time increment of one dispatched window at weight 1 (stride scheduling:
@@ -1161,25 +1121,6 @@ struct Chain {
     /// Windows dispatched so far — the 0-based index handed to the fault plan, and
     /// the "has this chain started?" test behind dispatch-time deadline drops.
     dispatched: u64,
-    /// The shard group this chain belongs to, if it is one tile of a sharded
-    /// submission: its windows then park at the group's exchange barrier.
-    group: Option<usize>,
-}
-
-/// Barrier state of one sharded submission's tile chains inside a pipelined drain.
-/// The chains advance in lockstep rounds: each completed (non-final) window parks
-/// its chain here, and when every *live* member has arrived the round's halo
-/// exchange runs, after which all parked chains become ready again.
-struct GroupState {
-    /// Chains neither panicked nor shed — the barrier quorum.  A failed member
-    /// leaves the quorum so its siblings keep draining (panic quarantine retires
-    /// only the faulted tile chain).
-    live: usize,
-    /// Members parked at the current window barrier.
-    arrived: Vec<usize>,
-    /// The window-end time the parked members completed — the halo exchange's
-    /// sync point.
-    round_end: i64,
 }
 
 /// The ready queue and clocks of one pipelined drain, shared behind a mutex by the
@@ -1200,20 +1141,11 @@ struct SchedulerState {
     /// Chains dropped at dispatch time (unmeetable deadlines under
     /// [`AdmissionPolicy::drop_unmeetable`]), counted toward `serving_shed`.
     dispatch_sheds: u64,
-    /// Shard groups, indexed by the `group` field of their member chains.
-    groups: Vec<GroupState>,
-    /// Members parked at a barrier (neither ready nor in flight); `finished()`
-    /// must count them or idle workers would exit mid-exchange.
-    held: usize,
-    /// Groups whose barrier completed and whose halo exchange has not run yet.
-    exchange_ready: Vec<usize>,
 }
 
 impl SchedulerState {
-    /// `shard_members` lists, per shard group, the contiguous ticket range of its
-    /// tile chains; those chains park at the group's barrier between windows.
-    fn new(windows: &[(i64, i64, SubmitOptions)], shard_members: &[Range<usize>]) -> Self {
-        let mut chains: Vec<Chain> = windows
+    fn new(windows: &[(i64, i64, SubmitOptions)]) -> Self {
+        let chains: Vec<Chain> = windows
             .iter()
             .map(|&(t0, t1, opts)| Chain {
                 next_t: t0,
@@ -1225,25 +1157,6 @@ impl SchedulerState {
                 stride: (STRIDE_ONE / u64::from(opts.weight.max(1))).max(1),
                 deadline: opts.deadline,
                 dispatched: 0,
-                group: None,
-            })
-            .collect();
-        let groups: Vec<GroupState> = shard_members
-            .iter()
-            .enumerate()
-            .map(|(gid, members)| {
-                let mut live = 0;
-                for ticket in members.clone() {
-                    chains[ticket].group = Some(gid);
-                    if chains[ticket].next_t < chains[ticket].t1 {
-                        live += 1;
-                    }
-                }
-                GroupState {
-                    live,
-                    arrived: Vec::new(),
-                    round_end: 0,
-                }
             })
             .collect();
         let ready: Vec<usize> = chains
@@ -1262,9 +1175,6 @@ impl SchedulerState {
             deadline_misses: 0,
             chains,
             dispatch_sheds: 0,
-            groups,
-            held: 0,
-            exchange_ready: Vec::new(),
         }
     }
 
@@ -1288,9 +1198,6 @@ impl SchedulerState {
                     reason: ShedReason::DeadlineUnmeetable,
                 };
                 self.chains[ticket].next_t = self.chains[ticket].t1;
-                if let Some(gid) = self.chains[ticket].group {
-                    self.retire_member(gid);
-                }
             } else {
                 i += 1;
             }
@@ -1329,30 +1236,14 @@ impl SchedulerState {
     }
 
     /// Marks the window ending at `end` of `ticket` complete, readying the chain's
-    /// next window (if any).  A grouped chain with windows left parks at its shard
-    /// group's barrier instead: its next window reads halo rows the sibling tiles
-    /// are still computing, so it may only dispatch after the round's exchange.
+    /// next window (if any).
     fn complete(&mut self, ticket: usize, end: i64) {
         self.in_flight -= 1;
         let chain = &mut self.chains[ticket];
         chain.next_t = end;
-        if chain.next_t >= chain.t1 {
-            return;
-        }
-        match chain.group {
-            Some(gid) => {
-                self.held += 1;
-                let group = &mut self.groups[gid];
-                group.arrived.push(ticket);
-                group.round_end = end;
-                if group.arrived.len() >= group.live {
-                    self.exchange_ready.push(gid);
-                }
-            }
-            None => {
-                self.ready.push(ticket);
-                self.peak_ready = self.peak_ready.max(self.ready.len());
-            }
+        if chain.next_t < chain.t1 {
+            self.ready.push(ticket);
+            self.peak_ready = self.peak_ready.max(self.ready.len());
         }
     }
 
@@ -1360,58 +1251,18 @@ impl SchedulerState {
     /// windows are cancelled (the chain is exhausted, so no successor is ever
     /// readied) and the outcome records the payload's message.  **Only this chain**
     /// — sibling tenants keep dispatching and draining normally; that is the panic
-    /// quarantine the module docs describe.  A faulted tile chain likewise retires
-    /// alone: it leaves its shard group's quorum and the sibling tiles keep
-    /// pipelining (their halo rows adjacent to the dead tile simply stop updating).
+    /// quarantine the module docs describe.
     fn fail(&mut self, ticket: usize, message: String) {
         self.in_flight -= 1;
         let chain = &mut self.chains[ticket];
         chain.next_t = chain.t1;
         self.outcomes[ticket] = TicketOutcome::Panicked { message };
-        if let Some(gid) = chain.group {
-            self.retire_member(gid);
-        }
-    }
-
-    /// Removes one member from a shard group's quorum (its chain panicked or was
-    /// shed).  If the remaining members are all parked at the barrier, the round's
-    /// exchange unblocks now instead of waiting for the dead chain forever.
-    fn retire_member(&mut self, gid: usize) {
-        let group = &mut self.groups[gid];
-        group.live -= 1;
-        if group.live > 0 && !group.arrived.is_empty() && group.arrived.len() >= group.live {
-            self.exchange_ready.push(gid);
-        }
-    }
-
-    /// Claims a group whose window barrier completed, returning its id and the
-    /// round's window-end time.  The caller must perform the halo exchange and then
-    /// call [`release_group`](Self::release_group); the claim counts as in flight
-    /// so `finished()` holds the drain open during the copy.
-    fn take_exchange(&mut self) -> Option<(usize, i64)> {
-        let gid = self.exchange_ready.pop()?;
-        self.in_flight += 1;
-        Some((gid, self.groups[gid].round_end))
-    }
-
-    /// Reopens a group after its halo exchange: every parked member's next window
-    /// becomes ready.
-    fn release_group(&mut self, gid: usize) {
-        self.in_flight -= 1;
-        let arrived = std::mem::take(&mut self.groups[gid].arrived);
-        self.held -= arrived.len();
-        self.ready.extend(arrived);
-        self.peak_ready = self.peak_ready.max(self.ready.len());
     }
 
     /// Whether every window of every chain has completed (or been cancelled by its
-    /// chain's panic or dispatch-time drop).  Parked members and pending exchanges
-    /// hold the drain open: a barrier release is always coming for them.
+    /// chain's panic or dispatch-time drop).
     fn finished(&self) -> bool {
-        self.ready.is_empty()
-            && self.in_flight == 0
-            && self.held == 0
-            && self.exchange_ready.is_empty()
+        self.ready.is_empty() && self.in_flight == 0
     }
 }
 
@@ -1475,30 +1326,20 @@ pub struct StencilServer<T, K, const D: usize> {
     queue: Vec<Submission<T, D>>,
     /// What the last pipelined drain did.
     last_drain: Option<DrainReport>,
-    /// The construction-time registry lookup, reported to the runtime's metrics by the
-    /// first drain (the registry itself has no metrics sink).
-    pending_lookup: Option<RegistryLookup>,
-    /// Submit-time quotas and watermarks (default: admit everything).
+    /// Submit-time quotas (default: admit everything).
     policy: AdmissionPolicy,
     /// What happens to the session key after a tenant panic (default: evict).
     quarantine: QuarantinePolicy,
     /// Deterministic fault injection for the chaos suite (default: none).
     fault_plan: Option<FaultPlan>,
     /// Whether this server's program came from the process-global registry
-    /// ([`new`](Self::new)): only then can a panic quarantine the key there, and
-    /// only then does [`AdmissionPolicy::registry_watermark`] apply.
+    /// ([`new`](Self::new)): only then can a panic quarantine the key there.
     uses_global_registry: bool,
     /// Submit-time sheds since the last drain, flushed to `serving_shed` then.
     pending_sheds: u64,
     /// Compile retries performed at construction, flushed to `serving_retries` by
     /// the first drain.
     pending_retries: u64,
-    /// Sharded submissions queued for the next pipelined drain (their tile chains
-    /// already sit in `queue`; this holds the geometry and reassembly state).
-    shard_queue: Vec<QueuedShard<T, D>>,
-    /// Tile-program registry lookups performed by
-    /// [`submit_sharded`](Self::submit_sharded), flushed by the next drain.
-    pending_shard_lookups: Vec<RegistryLookup>,
 }
 
 impl<T, K, const D: usize> StencilServer<T, K, D>
@@ -1555,17 +1396,16 @@ where
             extents[i] = sizes[i] as i64;
         }
         let (outcome, retries) = retry.retry(|| try_shared_program(&spec, &plan, extents, window));
-        let (program, lookup) = outcome?;
+        let (program, _) = outcome?;
         let mut server = Self::from_program(program, kernel);
-        server.pending_lookup = Some(lookup);
         server.uses_global_registry = true;
         server.pending_retries = u64::from(retries);
         Ok(server)
     }
 
     /// Creates a server around an explicit shared program (e.g. one fetched from a
-    /// private [`SessionRegistry`]).  Such a server never quarantines keys in (or
-    /// applies registry watermarks against) the process-global registry.
+    /// private [`SessionRegistry`]).  Such a server never quarantines keys in the
+    /// process-global registry.
     pub fn from_program(program: Arc<CompiledProgram<D>>, kernel: K) -> Self {
         StencilServer {
             program,
@@ -1573,19 +1413,16 @@ where
             runtime: None,
             queue: Vec::new(),
             last_drain: None,
-            pending_lookup: None,
             policy: AdmissionPolicy::default(),
             quarantine: QuarantinePolicy::default(),
             fault_plan: None,
             uses_global_registry: false,
             pending_sheds: 0,
             pending_retries: 0,
-            shard_queue: Vec::new(),
-            pending_shard_lookups: Vec::new(),
         }
     }
 
-    /// Sets the submit-time admission policy (quotas, watermarks, deadline
+    /// Sets the submit-time admission policy (quotas, deadline
     /// rejection/dropping); the default admits everything.
     pub fn with_admission_policy(mut self, policy: AdmissionPolicy) -> Self {
         self.policy = policy;
@@ -1684,51 +1521,31 @@ where
         t1: i64,
         opts: SubmitOptions,
     ) -> Result<usize, ServeError> {
-        if array.sizes_i64() != self.program.sizes() {
-            return Err(ServeError::InvalidGeometry {
-                detail: format!(
-                    "submitted array extents {:?} do not match the server's compiled extents {:?}",
-                    array.sizes_i64(),
-                    self.program.sizes()
-                ),
-            });
-        }
-        let windows = self.windows_of(t0, t1);
-        if self.policy.reject_unmeetable {
-            if let Some(deadline) = opts.deadline {
-                if deadline < windows {
-                    self.pending_sheds += 1;
-                    return Err(ServeError::DeadlineUnmeetable { deadline, windows });
-                }
-            }
-        }
-        if let Some(reason) = self.admission_shed(windows) {
-            self.pending_sheds += 1;
-            return Err(ServeError::Shed { reason });
-        }
+        self.check_extents(&array)?;
+        self.admit(t0, t1, opts)?;
         self.queue.push(Submission {
             array,
             t0,
             t1,
             opts,
+            shard: None,
         });
         Ok(self.queue.len() - 1)
     }
 
-    /// Submits a giant grid as a **sharded tenant group**: the array is split along
-    /// its outermost axis into halo-padded tiles (geometry per the server plan's
+    /// Submits a giant grid as a **sharded tenant**: the array is split along its
+    /// outermost axis into halo-padded tiles (geometry per the server plan's
     /// [`Sharding`](crate::engine::Sharding) mode, window pinned to the server's
-    /// chunk height), and each tile becomes its own chain in the next
-    /// [`drain`](Self::drain)'s ready queue — a weighted tenant scheduled alongside
-    /// every ordinary submission.  Between rounds the tile chains synchronize at a
-    /// halo-exchange barrier; a tile chain that panics retires alone while its
-    /// siblings keep pipelining.
+    /// chunk height), and the next [`drain`](Self::drain) schedules the submission
+    /// like any other — one ticket, one chain — except that each of its windows is
+    /// one shard round: every tile advances a window in parallel, then the halo
+    /// seams are exchanged.
     ///
-    /// Returns the group's **lead ticket**: in the drained results that index holds
-    /// the reassembled giant (bitwise identical to running it unsharded when no
-    /// member faulted), and the remaining `K - 1` member indices hold the tiles.
-    /// Panics on rejection; [`try_submit_sharded`](Self::try_submit_sharded) is the
-    /// non-panicking variant.
+    /// Returns the submission's ticket: in the drained results that index holds the
+    /// reassembled giant, bitwise identical to running it unsharded.  A panicking
+    /// round retires the ticket like any other tenant's; the returned array is then
+    /// structurally valid with unspecified contents.  Panics on rejection;
+    /// [`try_submit_sharded`](Self::try_submit_sharded) is the non-panicking variant.
     pub fn submit_sharded(
         &mut self,
         array: PochoirArray<T, D>,
@@ -1744,7 +1561,7 @@ where
     /// panicking: mismatched geometry, a [`Boundary::Custom`] array, a plan with
     /// sharding off, or an unshardable geometry are [`ServeError::InvalidGeometry`];
     /// tile compilation failures surface as their underlying error.  Admission
-    /// control charges the whole group (`K × windows` dispatch ticks).
+    /// control charges what any submission of `[t0, t1)` costs.
     pub fn try_submit_sharded(
         &mut self,
         array: PochoirArray<T, D>,
@@ -1752,32 +1569,24 @@ where
         t1: i64,
         opts: SubmitOptions,
     ) -> Result<usize, ServeError> {
-        if array.sizes_i64() != self.program.sizes() {
-            return Err(ServeError::InvalidGeometry {
-                detail: format!(
-                    "submitted array extents {:?} do not match the server's compiled extents {:?}",
-                    array.sizes_i64(),
-                    self.program.sizes()
-                ),
-            });
-        }
+        self.check_extents(&array)?;
+        let unshardable = |e: ShardError| ServeError::InvalidGeometry {
+            detail: e.to_string(),
+        };
         if matches!(array.boundary(), Boundary::Custom(_)) {
-            return Err(ServeError::InvalidGeometry {
-                detail: ShardError::UnsupportedBoundary.to_string(),
-            });
+            return Err(unshardable(ShardError::UnsupportedBoundary));
         }
-        let spec = self.program.spec().clone();
-        let plan = *self.program.plan();
-        let chunk = self.program.window().max(1);
+        let program = Arc::clone(&self.program);
+        let (spec, plan) = (program.spec(), program.plan());
         let workers = match &self.runtime {
             Some(rt) => rt.num_workers(),
             None => Runtime::global().num_workers(),
         };
         let shard_plan = ShardPlan::for_window(
-            self.program.sizes(),
+            program.sizes(),
             spec.reach()[0],
             &plan.coarsening,
-            chunk,
+            program.window().max(1),
             workers,
             shard::wraps_axis0(array.boundary()),
             plan.sharding,
@@ -1788,60 +1597,56 @@ where
                 plan.sharding
             ),
         })?;
-        let members = shard_plan.tiles().len() as u64;
-        let windows = self.windows_of(t0, t1);
-        // The group's chains advance in lockstep rounds, so its last window cannot
-        // dispatch before every member ran every round: charge K × windows ticks.
-        let group_windows = members * windows;
-        if self.policy.reject_unmeetable {
-            if let Some(deadline) = opts.deadline {
-                if deadline < group_windows {
-                    self.pending_sheds += 1;
-                    return Err(ServeError::DeadlineUnmeetable {
-                        deadline,
-                        windows: group_windows,
-                    });
-                }
-            }
-        }
-        if let Some(reason) = self.admission_shed(group_windows) {
-            self.pending_sheds += 1;
-            return Err(ServeError::Shed { reason });
-        }
-        let mut report = ShardReport::default();
-        let by_extent = shard_plan
-            .tile_programs(&spec, &plan, &mut report)
-            .map_err(|e| match e {
+        self.admit(t0, t1, opts)?;
+        let run = ShardRun::start(Cow::Owned(shard_plan), &array, spec, plan, t0, t1).map_err(
+            |e| match e {
                 ShardError::Compile(inner) => inner,
-                other => ServeError::InvalidGeometry {
-                    detail: other.to_string(),
-                },
-            })?;
-        for (_, lookup) in by_extent.values() {
-            self.pending_shard_lookups.push(*lookup);
-        }
-        let programs: Vec<Arc<CompiledProgram<D>>> = shard_plan
-            .tiles()
-            .iter()
-            .map(|tile| Arc::clone(&by_extent[&tile.extent()].0))
-            .collect();
-        let first = self.queue.len();
-        for tile_array in shard_plan.scatter(&array, t0) {
-            self.queue.push(Submission {
-                array: tile_array,
-                t0,
-                t1,
-                opts,
-            });
-        }
-        self.shard_queue.push(QueuedShard {
-            plan: shard_plan,
-            first,
-            programs,
-            giant: array,
+                other => unshardable(other),
+            },
+        )?;
+        self.queue.push(Submission {
+            array,
+            t0,
             t1,
+            opts,
+            shard: Some(run),
         });
-        Ok(first)
+        Ok(self.queue.len() - 1)
+    }
+
+    /// Rejects an array whose extents differ from the server's compiled geometry.
+    fn check_extents(&self, array: &PochoirArray<T, D>) -> Result<(), ServeError> {
+        if array.sizes_i64() == self.program.sizes() {
+            return Ok(());
+        }
+        Err(ServeError::InvalidGeometry {
+            detail: format!(
+                "submitted array extents {:?} do not match the server's compiled extents {:?}",
+                array.sizes_i64(),
+                self.program.sizes()
+            ),
+        })
+    }
+
+    /// Admission control for one `[t0, t1)` submission: the opt-in unmeetable-deadline
+    /// rejection, then the quotas.  A refusal is counted toward `serving_shed`.
+    fn admit(&mut self, t0: i64, t1: i64, opts: SubmitOptions) -> Result<(), ServeError> {
+        let windows = self.windows_of(t0, t1);
+        let refusal = match opts.deadline {
+            Some(deadline) if self.policy.reject_unmeetable && deadline < windows => {
+                Some(ServeError::DeadlineUnmeetable { deadline, windows })
+            }
+            _ => self
+                .admission_shed(windows)
+                .map(|reason| ServeError::Shed { reason }),
+        };
+        match refusal {
+            Some(e) => {
+                self.pending_sheds += 1;
+                Err(e)
+            }
+            None => Ok(()),
+        }
     }
 
     /// Dispatch ticks (per-window work items) a `[t0, t1)` submission costs.
@@ -1854,8 +1659,8 @@ where
         }
     }
 
-    /// The first admission-policy quota or watermark a new `new_windows`-window
-    /// submission would violate, checked in quota → watermark order.
+    /// The first admission-policy quota a new `new_windows`-window submission would
+    /// violate.
     fn admission_shed(&self, new_windows: u64) -> Option<ShedReason> {
         let policy = &self.policy;
         if policy.max_pending.is_some_and(|m| self.queue.len() >= m) {
@@ -1872,22 +1677,6 @@ where
             .is_some_and(|m| self.program.pinned_leaf_count() > m)
         {
             return Some(ShedReason::SessionLeafQuota);
-        }
-        if let Some(watermark) = policy.deadline_miss_watermark {
-            if let Some(report) = &self.last_drain {
-                let tenants = report.completion_tick.len().max(1) as f64;
-                if report.deadline_misses as f64 / tenants > watermark {
-                    return Some(ShedReason::DeadlineMissPressure);
-                }
-            }
-        }
-        if let Some(watermark) = policy.registry_watermark {
-            if self.uses_global_registry {
-                let budget = registry_leaf_budget() as f64;
-                if registry().pinned_leaves() as f64 > watermark * budget {
-                    return Some(ShedReason::RegistryPressure);
-                }
-            }
         }
         None
     }
@@ -1966,47 +1755,31 @@ where
         &mut self,
         par: &P,
     ) -> (Vec<PochoirArray<T, D>>, Vec<Box<dyn Any + Send>>) {
-        self.report_pending(par);
         let queue = std::mem::take(&mut self.queue);
-        let shards = std::mem::take(&mut self.shard_queue);
         let windows: Vec<(i64, i64, SubmitOptions)> =
             queue.iter().map(|s| (s.t0, s.t1, s.opts)).collect();
-        let arrays: Vec<Mutex<PochoirArray<T, D>>> =
-            queue.into_iter().map(|s| Mutex::new(s.array)).collect();
+        let slots: Vec<Mutex<Submission<T, D>>> = queue.into_iter().map(Mutex::new).collect();
         let chunk = self.program.window().max(1);
         let drop_unmeetable = self.policy.drop_unmeetable;
-        let groups: Vec<Range<usize>> = shards
-            .iter()
-            .map(|s| s.first..s.first + s.plan.tiles().len())
-            .collect();
-        // Tile chains run their own tile-geometry programs; every other ticket runs
-        // the server's shared program.
-        let overrides: HashMap<usize, &Arc<CompiledProgram<D>>> = shards
-            .iter()
-            .flat_map(|s| {
-                s.programs
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, p)| (s.first + i, p))
-            })
-            .collect();
-        let halo_cells = AtomicU64::new(0);
-        let sched = Mutex::new(SchedulerState::new(&windows, &groups));
+        let sched = Mutex::new(SchedulerState::new(&windows));
         let payloads: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
         {
             let fault_plan = self.fault_plan.clone();
-            // Runs one work item: at most one window per chain is ever in flight, so
-            // the per-ticket mutex is uncontended — it only carries the `&mut` to
-            // whichever worker dispatched the item.  The fault plan (if any) fires
-            // before the window touches its array, exactly where a kernel panic
-            // would unwind from.
+            // Runs one work item — a window of the shared program, or one round of a
+            // sharded submission's tile pipeline.  At most one window per chain is
+            // ever in flight, so the per-ticket mutex is uncontended — it only
+            // carries the `&mut` to whichever worker dispatched the item.  The fault
+            // plan (if any) fires before the window touches its array, exactly where
+            // a kernel panic would unwind from.
             let run_one = |ticket: usize, index: u64, t0: i64, t1: i64| {
                 if let Some(plan) = &fault_plan {
                     plan.apply(ticket, index);
                 }
-                let program = overrides.get(&ticket).copied().unwrap_or(&self.program);
-                let array = &mut *lock_transient(&arrays[ticket]);
-                program.run(array, &self.kernel, t0, t1, par);
+                let slot = &mut *lock_transient(&slots[ticket]);
+                match &mut slot.shard {
+                    Some(run) => run.step(&self.kernel, t0, t1, par),
+                    None => self.program.run(&mut slot.array, &self.kernel, t0, t1, par),
+                }
             };
             // One worker body serves both the serial and the crew drain.  A panicking
             // window must be caught *here*, per item: it retires only its own chain
@@ -2018,19 +1791,6 @@ where
             // execute pool work — typically the in-flight windows' own phase jobs —
             // via `help_one` rather than spinning.
             let worker = || loop {
-                // A completed shard barrier outranks new windows: its halo exchange
-                // unblocks a whole group of parked chains at once.  The members are
-                // all parked, so their array mutexes are uncontended.
-                let claim = lock_transient(&sched).take_exchange();
-                if let Some((gid, round_end)) = claim {
-                    let group = &shards[gid];
-                    let members = &arrays[group.first..group.first + group.plan.tiles().len()];
-                    let slices = group.giant.time_slices() as i64;
-                    let copied = group.plan.exchange(members, round_end, slices);
-                    halo_cells.fetch_add(copied, Ordering::Relaxed);
-                    lock_transient(&sched).release_group(gid);
-                    continue;
-                }
                 let next = lock_transient(&sched).pop(chunk, drop_unmeetable);
                 match next {
                     Some((ticket, index, t0, t1)) => {
@@ -2053,7 +1813,7 @@ where
                     }
                 }
             };
-            let width = par.num_workers().min(arrays.len());
+            let width = par.num_workers().min(slots.len());
             if width <= 1 {
                 worker();
             } else {
@@ -2071,9 +1831,6 @@ where
         par.count(Counter::ServingRetries, retries);
         let recovered = faults::take_unreported_poison_recoveries();
         par.count(Counter::RegistryPoisonRecoveries, recovered);
-        let tiles: usize = shards.iter().map(|s| s.plan.tiles().len()).sum();
-        par.count(Counter::ShardTiles, tiles as u64);
-        par.count(Counter::ShardHaloCells, halo_cells.into_inner());
         let panicked = state
             .outcomes
             .iter()
@@ -2097,23 +1854,10 @@ where
         });
         let mut payloads = into_inner_transient(payloads);
         payloads.sort_by_key(|&(ticket, _)| ticket);
-        let mut results: Vec<PochoirArray<T, D>> =
-            arrays.into_iter().map(into_inner_transient).collect();
-        // Reassemble each sharded giant at its lead ticket: the gather overwrites
-        // every interior row in every storage slot, so the stale giant is rebuilt
-        // completely from its tiles (as of each tile's last completed window).
-        for group in shards {
-            let members = group.first..group.first + group.plan.tiles().len();
-            let QueuedShard {
-                plan,
-                first,
-                mut giant,
-                t1,
-                ..
-            } = group;
-            plan.gather(&mut giant, &results[members], t1);
-            results[first] = giant;
-        }
+        let results = slots
+            .into_iter()
+            .map(|slot| into_inner_transient(slot).into_array(par))
+            .collect();
         (
             results,
             payloads.into_iter().map(|(_, payload)| payload).collect(),
@@ -2135,15 +1879,10 @@ where
 
     /// [`drain_barrier`](Self::drain_barrier) with an explicit parallelism provider.
     pub fn drain_barrier_with<P: Parallelism>(&mut self, par: &P) -> Vec<PochoirArray<T, D>> {
-        // Sharded submissions need the per-window barrier/exchange machinery that
-        // only the pipelined drain has; route through it (results are identical).
-        if !self.shard_queue.is_empty() {
-            return self.drain_with(par);
-        }
-        self.report_pending(par);
         let mut queue = std::mem::take(&mut self.queue);
         let mut jobs: Vec<BatchRun<'_, T, D>> = queue
             .iter_mut()
+            .filter(|s| s.shard.is_none())
             .map(|s| BatchRun {
                 array: &mut s.array,
                 t0: s.t0,
@@ -2153,18 +1892,13 @@ where
         // Grain 1: every array is an independently stealable task.
         run_batch(&self.program, &self.kernel, &mut jobs, 1, par);
         drop(jobs);
-        queue.into_iter().map(|s| s.array).collect()
-    }
-
-    /// Forwards the construction-time registry lookup to the first drain's metrics
-    /// sink (the registry itself has none).
-    fn report_pending<P: Parallelism>(&mut self, par: &P) {
-        if let Some(lookup) = self.pending_lookup.take() {
-            lookup.report_to(par);
+        // A sharded submission is tile-parallel inside; its rounds run back to back.
+        for s in &mut queue {
+            if let Some(run) = &mut s.shard {
+                run.steps(&self.kernel, s.t0, par);
+            }
         }
-        for lookup in std::mem::take(&mut self.pending_shard_lookups) {
-            lookup.report_to(par);
-        }
+        queue.into_iter().map(|s| s.into_array(par)).collect()
     }
 }
 

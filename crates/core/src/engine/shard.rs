@@ -14,6 +14,11 @@
 //! 2. **Exchange** — seam strips are copied between neighbours so each tile's halo
 //!    rows again hold the owning tile's freshly computed interior values.
 //!
+//! One round is both phases, and `ShardRun` (scatter at `start`, a round per
+//! `step`, gather at `finish`) is its only driver: [`ShardPlan::execute`] loops it
+//! behind `run_sharded` and the executor's giant fallback, and the serving drain
+//! dispatches one `step` per window of a `submit_sharded` ticket.
+//!
 //! The parent plan's coarsening decides only *whether* the grid is a giant (the
 //! executor's gate reads it literally, and [`Sharding::Off`] keeps the literal
 //! recursion); a tile resolves its own base-case size (`tile_coarsening`).
@@ -49,6 +54,7 @@ use crate::engine::serving::{try_shared_program, RegistryLookup, ServeError};
 use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
 use pochoir_runtime::{Counter, Parallelism};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -313,7 +319,7 @@ impl<const D: usize> ShardPlan<D> {
     /// per-window chunk height.  Unlike `auto` there is no halo-overhead veto:
     /// submitting sharded is an explicit request, so auto mode only searches for the
     /// fewest compilable tiles (still at least two, so the pipeline has seams to
-    /// exchange and tenants to schedule).
+    /// exchange).
     pub(crate) fn for_window(
         sizes: [i64; D],
         reach0: i64,
@@ -434,53 +440,22 @@ impl<const D: usize> ShardPlan<D> {
         if matches!(array.boundary(), Boundary::Custom(_)) {
             return Err(ShardError::UnsupportedBoundary);
         }
-        let mut report = ShardReport {
+        if t1 <= t0 {
+            return Ok(self.blank_report());
+        }
+        let mut run = ShardRun::start(Cow::Borrowed(self), array, spec, plan, t0, t1)?;
+        run.steps(kernel, t0, par);
+        Ok(run.finish(array, par))
+    }
+
+    /// A report of this plan's geometry with nothing executed yet.
+    fn blank_report(&self) -> ShardReport {
+        ShardReport {
             tiles: self.tiles.len() as u64,
             window: self.window,
             halo: self.halo,
             ..ShardReport::default()
-        };
-        if t1 <= t0 {
-            return Ok(report);
         }
-        let programs = self.tile_programs(spec, plan, &mut report)?;
-        for (_, lookup) in programs.values() {
-            lookup.report_to(par);
-        }
-        let slices = array.time_slices() as i64;
-        let tile_arrays: Vec<Mutex<PochoirArray<T, D>>> = self
-            .scatter(array, t0)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-
-        // The two-phase pipeline: compute a window on every tile in parallel, then
-        // (between windows) re-sync the halo seams serially.
-        let indices: Vec<usize> = (0..self.tiles.len()).collect();
-        let mut w0 = t0;
-        while w0 < t1 {
-            let w1 = (w0 + self.window).min(t1);
-            par.for_each_with_grain(&indices, 1, |&i| {
-                let tile_array = &mut *lock_tile(&tile_arrays[i]);
-                programs[&self.tiles[i].extent()]
-                    .0
-                    .run(tile_array, kernel, w0, w1, par);
-            });
-            report.windows += 1;
-            par.count(Counter::ShardTiles, self.tiles.len() as u64);
-            if w1 < t1 {
-                report.halo_cells += self.exchange(&tile_arrays, w1, slices);
-            }
-            w0 = w1;
-        }
-        par.count(Counter::ShardHaloCells, report.halo_cells);
-
-        let tiles: Vec<PochoirArray<T, D>> = tile_arrays
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        self.gather(array, &tiles, t1);
-        Ok(report)
     }
 
     /// Compiles one program per *distinct tile extent* through the serving registry
@@ -603,6 +578,112 @@ impl<const D: usize> ShardPlan<D> {
             }
         }
         copied
+    }
+}
+
+/// One sharded execution in flight — the tile plan, one compiled program per
+/// distinct tile extent, and the tile arrays between scatter and gather.  The one
+/// driver of "K halo-padded tiles in lockstep rounds with an exchange between
+/// rounds": [`ShardPlan::execute`] and a sharded
+/// [`StencilServer`](crate::engine::serving::StencilServer) ticket both go
+/// `start` → `step` per window → `finish`.
+pub(crate) struct ShardRun<'p, T, const D: usize> {
+    plan: Cow<'p, ShardPlan<D>>,
+    programs: HashMap<i64, (Arc<CompiledProgram<D>>, RegistryLookup)>,
+    tiles: Vec<Mutex<PochoirArray<T, D>>>,
+    /// `0..K`, the items of every round's parallel loop.
+    indices: Vec<usize>,
+    slices: i64,
+    /// The last window ends here and is followed by no exchange.
+    t1: i64,
+    report: ShardReport,
+}
+
+impl<'p, T, const D: usize> ShardRun<'p, T, D>
+where
+    T: Copy + Send + Sync + 'static,
+{
+    /// Compiles (or fetches) the tile programs and scatters `array` at `t0` into
+    /// tiles.  `array` is stale from here until [`finish`](Self::finish).  The caller
+    /// must have rejected [`Boundary::Custom`] already.
+    pub(crate) fn start(
+        plan: Cow<'p, ShardPlan<D>>,
+        array: &PochoirArray<T, D>,
+        spec: &StencilSpec<D>,
+        exec_plan: &ExecutionPlan<D>,
+        t0: i64,
+        t1: i64,
+    ) -> Result<Self, ShardError> {
+        let mut report = plan.blank_report();
+        let programs = plan.tile_programs(spec, exec_plan, &mut report)?;
+        let tiles: Vec<Mutex<PochoirArray<T, D>>> = plan
+            .scatter(array, t0)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        Ok(ShardRun {
+            indices: (0..tiles.len()).collect(),
+            slices: array.time_slices() as i64,
+            plan,
+            programs,
+            tiles,
+            t1,
+            report,
+        })
+    }
+
+    /// One round of the two-phase pipeline: compute window `[w0, w1)` on every tile
+    /// in parallel, then (unless it was the last window) re-sync the halo seams
+    /// serially.  A panicking tile kernel unwinds out of here and leaves the tiles
+    /// structurally valid with unspecified contents.
+    pub(crate) fn step<K, P>(&mut self, kernel: &K, w0: i64, w1: i64, par: &P)
+    where
+        K: StencilKernel<T, D>,
+        P: Parallelism,
+    {
+        let (plan, programs, tiles) = (&*self.plan, &self.programs, &self.tiles);
+        par.for_each_with_grain(&self.indices, 1, |&i| {
+            let tile_array = &mut *lock_tile(&tiles[i]);
+            programs[&plan.tiles[i].extent()]
+                .0
+                .run(tile_array, kernel, w0, w1, par);
+        });
+        self.report.windows += 1;
+        par.count(Counter::ShardTiles, tiles.len() as u64);
+        if w1 < self.t1 {
+            self.report.halo_cells += plan.exchange(tiles, w1, self.slices);
+        }
+    }
+
+    /// Every round from `t0` to the run's end back to back, in windows of the plan's
+    /// height.
+    pub(crate) fn steps<K, P>(&mut self, kernel: &K, t0: i64, par: &P)
+    where
+        K: StencilKernel<T, D>,
+        P: Parallelism,
+    {
+        let mut w0 = t0;
+        while w0 < self.t1 {
+            let w1 = (w0 + self.plan.window).min(self.t1);
+            self.step(kernel, w0, w1, par);
+            w0 = w1;
+        }
+    }
+
+    /// Gathers the tiles back into `array` and reports what the run did.
+    pub(crate) fn finish<P: Parallelism>(
+        self,
+        array: &mut PochoirArray<T, D>,
+        par: &P,
+    ) -> ShardReport {
+        par.count(Counter::ShardHaloCells, self.report.halo_cells);
+        let tiles: Vec<PochoirArray<T, D>> = self
+            .tiles
+            .into_iter()
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        self.plan.gather(array, &tiles, self.t1);
+        self.report
     }
 }
 

@@ -134,7 +134,6 @@ fn leaf_budget_evicts_by_pinned_weight_not_entry_count() {
     let (first, _) = probe.get_or_compile(&spec, &plan(), [19, 19], 3);
     let weight = first.pinned_leaf_count();
     assert!(weight > 0, "a compiled session must pin leaves");
-    assert_eq!(probe.pinned_leaves(), weight);
 
     let registry = SessionRegistry::with_limits(8, weight * 3 / 2);
     let (_, l1) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
@@ -263,37 +262,4 @@ fn run_batch_on_borrowed_arrays_matches_sequential() {
             "tenant {seed}: parallel batch must equal serial runs bitwise"
         );
     }
-}
-
-/// Registry lookups reach the runtime's metrics: a server's construction lookup is
-/// reported by its first drain, next to the scheduler counters.
-#[test]
-fn registry_lookups_surface_in_runtime_metrics() {
-    let rt = Arc::new(Runtime::new(2));
-    let before = rt.metrics();
-    // A geometry unique to this test.
-    let mut server = StencilServer::new(
-        StencilSpec::new(star_shape::<2>(1)),
-        heat(),
-        ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6])),
-        [47, 47],
-        4,
-    )
-    .with_runtime(Arc::clone(&rt));
-    server.submit(make_array(47, 1), 0, 4);
-    let _ = server.drain();
-    let delta = before.delta(&rt.metrics());
-    assert_eq!(
-        delta.session_registry_hits + delta.session_registry_misses,
-        1,
-        "the construction lookup must be reported exactly once"
-    );
-    // A second drain reports nothing further.
-    server.submit(make_array(47, 2), 4, 8);
-    let _ = server.drain();
-    let delta2 = before.delta(&rt.metrics());
-    assert_eq!(
-        delta2.session_registry_hits + delta2.session_registry_misses,
-        1
-    );
 }

@@ -5,7 +5,7 @@
 
 use crate::speccheck::{run_checked, SpecViolation};
 use pochoir_core::boundary::Boundary;
-use pochoir_core::engine::serving::{shared_program, RegistryLookup};
+use pochoir_core::engine::serving::shared_program;
 use pochoir_core::engine::{CompiledProgram, ExecutionPlan, SessionStats};
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::{StencilKernel, StencilSpec};
@@ -52,14 +52,6 @@ impl fmt::Display for PochoirError {
 }
 
 impl std::error::Error for PochoirError {}
-
-/// What a run needs from the object: the shared executor session, the registered
-/// array, and any registry lookup not yet reported to a metrics sink.
-type SessionAndArray<'a, T, const D: usize> = (
-    Arc<CompiledProgram<D>>,
-    &'a mut PochoirArray<T, D>,
-    Option<RegistryLookup>,
-);
 
 /// A stencil computation object (the paper's `Pochoir_dimD`).
 ///
@@ -119,9 +111,6 @@ pub struct Pochoir<T, const D: usize> {
     /// session registry with every other caller of the same geometry.  Re-fetched
     /// lazily after `set_plan`/`register_array`.
     session: Option<Arc<CompiledProgram<D>>>,
-    /// The registry lookup that produced `session`, reported to the runtime's metrics
-    /// by the next run (the registry itself has no metrics sink).
-    pending_registry: Option<RegistryLookup>,
 }
 
 impl<T, const D: usize> Pochoir<T, D>
@@ -138,7 +127,6 @@ where
             runtime: None,
             steps_run: 0,
             session: None,
-            pending_registry: None,
         }
     }
 
@@ -152,7 +140,6 @@ where
     pub fn set_plan(&mut self, plan: ExecutionPlan<D>) {
         self.plan = plan;
         self.session = None;
-        self.pending_registry = None;
     }
 
     /// Builder-style plan override.
@@ -180,7 +167,6 @@ where
         self.array = Some(array);
         self.steps_run = 0;
         self.session = None;
-        self.pending_registry = None;
         Ok(())
     }
 
@@ -210,7 +196,6 @@ where
     /// Removes and returns the registered array.  Invalidates the executor session.
     pub fn take_array(&mut self) -> Result<PochoirArray<T, D>, PochoirError> {
         self.session = None;
-        self.pending_registry = None;
         self.array.take().ok_or(PochoirError::NoArrayRegistered)
     }
 
@@ -233,31 +218,20 @@ where
     /// Ensures the held executor session exists — fetching the shared program for this
     /// geometry from the process-global session registry, which compiles it (for
     /// windows of height `window`) only if no caller has seen the geometry before —
-    /// and returns it alongside the registered array and any registry lookup not yet
-    /// reported to a metrics sink.
+    /// and returns it alongside the registered array.
     fn session_and_array(
         &mut self,
         window: i64,
-    ) -> Result<SessionAndArray<'_, T, D>, PochoirError> {
+    ) -> Result<(Arc<CompiledProgram<D>>, &mut PochoirArray<T, D>), PochoirError> {
         let array = self.array.as_mut().ok_or(PochoirError::NoArrayRegistered)?;
         if self.session.is_none() {
-            let (program, lookup) =
-                shared_program(&self.spec, &self.plan, array.sizes_i64(), window);
+            let (program, _) = shared_program(&self.spec, &self.plan, array.sizes_i64(), window);
             self.session = Some(program);
-            self.pending_registry = Some(lookup);
         }
         Ok((
             Arc::clone(self.session.as_ref().expect("just built")),
             array,
-            self.pending_registry.take(),
         ))
-    }
-
-    /// Forwards a pending registry lookup to the parallelism provider's metrics.
-    fn report_registry<P: Parallelism>(pending: Option<RegistryLookup>, par: &P) {
-        if let Some(lookup) = pending {
-            lookup.report_to(par);
-        }
     }
 
     /// Eagerly compiles (and pins into the held session's MRU pin set) the schedules
@@ -273,11 +247,7 @@ where
     /// [`set_plan`](Self::set_plan): both invalidate the session and its pins.
     pub fn precompile_windows(&mut self, heights: &[i64]) -> Result<usize, PochoirError> {
         let first = heights.first().copied().unwrap_or(0).max(0);
-        let (session, _, pending) = self.session_and_array(first)?;
-        // Keep any registry lookup pending so the next run still reports it.
-        if pending.is_some() {
-            self.pending_registry = pending;
-        }
+        let (session, _) = self.session_and_array(first)?;
         Ok(session.precompile_windows(heights))
     }
 
@@ -306,16 +276,10 @@ where
     {
         let (t0, t1) = self.invocation_range(steps);
         let runtime = self.runtime.clone();
-        let (session, array, pending) = self.session_and_array(t1 - t0)?;
+        let (session, array) = self.session_and_array(t1 - t0)?;
         match runtime {
-            Some(rt) => {
-                Self::report_registry(pending, rt.as_ref());
-                session.run(array, kernel, t0, t1, rt.as_ref());
-            }
-            None => {
-                Self::report_registry(pending, Runtime::global());
-                session.run(array, kernel, t0, t1, Runtime::global());
-            }
+            Some(rt) => session.run(array, kernel, t0, t1, rt.as_ref()),
+            None => session.run(array, kernel, t0, t1, Runtime::global()),
         }
         self.steps_run += steps;
         Ok(())
@@ -329,8 +293,7 @@ where
         P: Parallelism,
     {
         let (t0, t1) = self.invocation_range(steps);
-        let (session, array, pending) = self.session_and_array(t1 - t0)?;
-        Self::report_registry(pending, par);
+        let (session, array) = self.session_and_array(t1 - t0)?;
         session.run(array, kernel, t0, t1, par);
         self.steps_run += steps;
         Ok(())

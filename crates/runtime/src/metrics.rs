@@ -153,19 +153,6 @@ counters! {
     Stolen => stolen: sum,
     /// Jobs executed to completion.
     Executed => executed: sum,
-    /// Compiled-schedule lookups served from the schedule cache.
-    ScheduleCacheHits => schedule_cache_hits: sum,
-    /// Compiled-schedule lookups that had to compile a fresh schedule.
-    ScheduleCacheMisses => schedule_cache_misses: sum,
-    /// Schedule-cache entries evicted (LRU, under the entry or leaf-budget limits) by
-    /// lookups reported to this runtime.
-    ScheduleCacheEvictions => schedule_cache_evictions: sum,
-    /// Session-registry lookups served by an already-compiled `CompiledProgram`.
-    SessionRegistryHits => session_registry_hits: sum,
-    /// Session-registry lookups that had to compile a fresh `CompiledProgram`.
-    SessionRegistryMisses => session_registry_misses: sum,
-    /// Session-registry entries evicted (LRU) by lookups reported to this runtime.
-    SessionRegistryEvictions => session_registry_evictions: sum,
     /// Per-window work items executed by pipelined serving drains.
     ServingWindows => serving_windows: sum,
     /// Submissions whose final window was dispatched after its logical deadline.

@@ -143,36 +143,80 @@ impl Default for ServeConfig {
     }
 }
 
-/// A served `(app, geometry)` pair — one compiled session, one drain queue.
-/// Mirrors the replay harness's dispatch so live serving and trace replay
+/// A served `(app, geometry)` pair — one compiled session, one drain queue.  The
+/// one dispatch type of live serving and trace replay (`pochoir-bench`), so both
 /// route through identical presets (and therefore identical registry keys).
-enum AnyServer {
+pub enum AnyServer {
+    /// 2-D heat, `f64`.
     Heat2d(StencilServer<f64, HeatKernel<2>, 2>),
+    /// Conway's life, `u8`.
     Life(StencilServer<u8, LifeKernel, 2>),
+    /// 3-D wave, `f64`, depth 2.
     Wave3d(StencilServer<f64, WaveKernel, 3>),
+    /// Giant 1-D heat, submitted sharded with the tile count pinned to
+    /// [`GIANT_TILES`].
     HeatGiant1d(StencilServer<f64, HeatKernel<1>, 1>),
 }
 
+/// Runs `$body` with `$srv` bound to whichever typed server `$any` holds.
+#[macro_export]
 macro_rules! with_server {
     ($any:expr, $srv:ident => $body:expr) => {
         match $any {
-            AnyServer::Heat2d($srv) => $body,
-            AnyServer::Life($srv) => $body,
-            AnyServer::Wave3d($srv) => $body,
-            AnyServer::HeatGiant1d($srv) => $body,
+            $crate::server::AnyServer::Heat2d($srv) => $body,
+            $crate::server::AnyServer::Life($srv) => $body,
+            $crate::server::AnyServer::Wave3d($srv) => $body,
+            $crate::server::AnyServer::HeatGiant1d($srv) => $body,
         }
     };
 }
 
-/// One queued ticket's bookkeeping.  A sharded group occupies one entry per
-/// scheduler ticket it actually created (the lead plus however many member
-/// tiles the shard plan produced — which core clamps to the grid extent, so
-/// the count is measured from the queue, never assumed), all sharing the
-/// lead's request id.
+impl AnyServer {
+    /// Builds the server for `(app, geometry)` with drain window `chunk` through the
+    /// per-app presets, installing `admission` if given.  The giant preset pins its
+    /// tile count: `Sharding::Auto` would size the tiling off this host's worker
+    /// count, and a trace must replay identically on any machine.
+    pub fn build(
+        app: TraceApp,
+        geometry: &[u64],
+        chunk: i64,
+        admission: Option<AdmissionPolicy>,
+    ) -> AnyServer {
+        let server = match app {
+            TraceApp::Heat2d => {
+                AnyServer::Heat2d(heat::serve_2d(traffic::usizes::<2>(geometry), chunk))
+            }
+            TraceApp::Life => AnyServer::Life(life::serve(traffic::usizes::<2>(geometry), chunk)),
+            TraceApp::Wave3d => {
+                AnyServer::Wave3d(wave::serve(traffic::usizes::<3>(geometry), chunk))
+            }
+            TraceApp::HeatGiant1d => AnyServer::HeatGiant1d(StencilServer::new(
+                StencilSpec::new(heat::shape::<1>()),
+                HeatKernel::<1>::default(),
+                ExecutionPlan::trap()
+                    .with_coarsening(Coarsening::none())
+                    .with_sharding(Sharding::Tiles(GIANT_TILES)),
+                traffic::usizes::<1>(geometry),
+                chunk,
+            )),
+        };
+        match (server, admission) {
+            (server, None) => server,
+            (AnyServer::Heat2d(s), Some(p)) => AnyServer::Heat2d(s.with_admission_policy(p)),
+            (AnyServer::Life(s), Some(p)) => AnyServer::Life(s.with_admission_policy(p)),
+            (AnyServer::Wave3d(s), Some(p)) => AnyServer::Wave3d(s.with_admission_policy(p)),
+            (AnyServer::HeatGiant1d(s), Some(p)) => {
+                AnyServer::HeatGiant1d(s.with_admission_policy(p))
+            }
+        }
+    }
+}
+
+/// One queued ticket's bookkeeping: ticket `i` of the session's next drain belongs
+/// to `queued[i]`.
 struct QueuedTicket {
     request: u64,
     t1: i64,
-    lead: bool,
 }
 
 /// The immutable identity of a negotiated session, readable without any lock,
@@ -562,7 +606,7 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
             ),
         };
     }
-    let server = build_server(app, &geometry, chunk, shared.config.admission);
+    let server = AnyServer::build(app, &geometry, chunk, shared.config.admission);
     let id = state.sessions.len() as u32;
     state.sessions.push(Arc::new(SessionSlot {
         app,
@@ -579,40 +623,6 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
     Frame::SessionAck {
         session: id,
         window: chunk,
-    }
-}
-
-/// Builds the session's server through the same presets the replay harness
-/// uses, so live serving and trace replay share registry keys (compile-once
-/// across both worlds) and the giant route pins its tile count.
-fn build_server(
-    app: TraceApp,
-    geometry: &[u64],
-    chunk: i64,
-    admission: Option<AdmissionPolicy>,
-) -> AnyServer {
-    let server = match app {
-        TraceApp::Heat2d => {
-            AnyServer::Heat2d(heat::serve_2d(traffic::usizes::<2>(geometry), chunk))
-        }
-        TraceApp::Life => AnyServer::Life(life::serve(traffic::usizes::<2>(geometry), chunk)),
-        TraceApp::Wave3d => AnyServer::Wave3d(wave::serve(traffic::usizes::<3>(geometry), chunk)),
-        TraceApp::HeatGiant1d => AnyServer::HeatGiant1d(StencilServer::new(
-            StencilSpec::new(heat::shape::<1>()),
-            HeatKernel::<1>::default(),
-            ExecutionPlan::trap()
-                .with_coarsening(Coarsening::none())
-                .with_sharding(Sharding::Tiles(GIANT_TILES)),
-            traffic::usizes::<1>(geometry),
-            chunk,
-        )),
-    };
-    match (server, admission) {
-        (server, None) => server,
-        (AnyServer::Heat2d(s), Some(p)) => AnyServer::Heat2d(s.with_admission_policy(p)),
-        (AnyServer::Life(s), Some(p)) => AnyServer::Life(s.with_admission_policy(p)),
-        (AnyServer::Wave3d(s), Some(p)) => AnyServer::Wave3d(s.with_admission_policy(p)),
-        (AnyServer::HeatGiant1d(s), Some(p)) => AnyServer::HeatGiant1d(s.with_admission_policy(p)),
     }
 }
 
@@ -753,18 +763,11 @@ fn handle_submit(
             weight,
             deadline: logical_deadline,
         };
-        let before = with_server!(&inner.server, s => s.pending());
         let outcome = match (&mut inner.server, built) {
-            (AnyServer::Heat2d(s), Built::F64x2(a)) => {
-                s.try_submit_with(a, t0, t1, opts).map(|_| ())
-            }
-            (AnyServer::Life(s), Built::U8x2(a)) => s.try_submit_with(a, t0, t1, opts).map(|_| ()),
-            (AnyServer::Wave3d(s), Built::F64x3(a)) => {
-                s.try_submit_with(a, t0, t1, opts).map(|_| ())
-            }
-            (AnyServer::HeatGiant1d(s), Built::F64x1(a)) => {
-                s.try_submit_sharded(a, t0, t1, opts).map(|_| ())
-            }
+            (AnyServer::Heat2d(s), Built::F64x2(a)) => s.try_submit_with(a, t0, t1, opts),
+            (AnyServer::Life(s), Built::U8x2(a)) => s.try_submit_with(a, t0, t1, opts),
+            (AnyServer::Wave3d(s), Built::F64x3(a)) => s.try_submit_with(a, t0, t1, opts),
+            (AnyServer::HeatGiant1d(s), Built::F64x1(a)) => s.try_submit_sharded(a, t0, t1, opts),
             // Unreachable in practice: `built` was derived from the session's
             // own app a few lines up.
             _ => {
@@ -776,24 +779,8 @@ fn handle_submit(
                 };
             }
         };
-        outcome.map(|()| {
-            // One bookkeeping entry per scheduler ticket the submission
-            // actually created — measured, because the shard plan may clamp
-            // the giant tile count below its configured K for small extents.
-            let members = with_server!(&inner.server, s => s.pending()).saturating_sub(before);
-            debug_assert!(members >= 1, "an admitted submission queues a ticket");
-            inner.queued.push(QueuedTicket {
-                request,
-                t1,
-                lead: true,
-            });
-            for _ in 1..members {
-                inner.queued.push(QueuedTicket {
-                    request,
-                    t1,
-                    lead: false,
-                });
-            }
+        outcome.map(|_ticket| {
+            inner.queued.push(QueuedTicket { request, t1 });
             logical_deadline
         })
     };
@@ -997,8 +984,8 @@ where
     (payloads, outcomes)
 }
 
-/// Drains one session's queue under its own lock and returns each lead
-/// ticket's completion (result or typed failure) for the caller to store
+/// Drains one session's queue under its own lock and returns each ticket's
+/// completion (result or typed failure) for the caller to store
 /// under the global lock.  Also recalibrates the session's per-window cost
 /// from the measured drain time over the
 /// [`SessionStats`](pochoir_core::engine::SessionStats) `runs` delta.
@@ -1015,38 +1002,28 @@ fn drain_session(inner: &mut SessionInner) -> Vec<(u64, ReqState)> {
         inner.cost_ewma_micros = 0.7 * inner.cost_ewma_micros + 0.3 * measured;
     }
 
-    let mut completions = Vec::new();
-    for (i, q) in queued.iter().enumerate() {
-        if !q.lead {
-            continue;
-        }
-        // A giant group fails if any member ticket failed; member tickets sit
-        // directly behind their lead and share its request id.
-        let group_failure = queued
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.request == q.request)
-            .find_map(|(j, _)| match outcomes.get(j) {
-                Some(TicketOutcome::Panicked { message }) => Some((
-                    ErrorCode::TenantPanicked,
-                    format!("tenant ticket {j} panicked: {message}"),
-                )),
-                Some(TicketOutcome::Shed { reason }) => {
-                    Some((ErrorCode::Shed, format!("dropped at dispatch: {reason}")))
-                }
-                _ => None,
-            });
-        let state = match (group_failure, payloads.get_mut(i).and_then(Option::take)) {
-            (Some((code, detail)), _) => ReqState::Failed { code, detail },
-            (None, Some(payload)) => ReqState::Done(payload),
-            (None, None) => ReqState::Failed {
-                code: ErrorCode::RegistryPoisoned,
-                detail: "drain failed before producing a result".to_string(),
-            },
-        };
-        completions.push((q.request, state));
-    }
-    completions
+    queued
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let state = match (outcomes.get(i), payloads.get_mut(i).and_then(Option::take)) {
+                (Some(TicketOutcome::Panicked { message }), _) => ReqState::Failed {
+                    code: ErrorCode::TenantPanicked,
+                    detail: format!("tenant ticket {i} panicked: {message}"),
+                },
+                (Some(TicketOutcome::Shed { reason }), _) => ReqState::Failed {
+                    code: ErrorCode::Shed,
+                    detail: format!("dropped at dispatch: {reason}"),
+                },
+                (_, Some(payload)) => ReqState::Done(payload),
+                (_, None) => ReqState::Failed {
+                    code: ErrorCode::RegistryPoisoned,
+                    detail: "drain failed before producing a result".to_string(),
+                },
+            };
+            (q.request, state)
+        })
+        .collect()
 }
 
 /// Stores drained completions on their requests; orphaned requests (client

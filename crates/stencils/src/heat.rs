@@ -192,7 +192,8 @@ pub fn try_serve_2d(
 /// uncoarsened and therefore take the sharded route (see `docs/sharding.md`): an
 /// intentionally uncoarsened TRAP plan with `Sharding::Auto`, so
 /// [`submit_sharded`](StencilServer::submit_sharded) scatters each submission into
-/// halo-exchanged compiled tile chains that the drain schedules as one tenant group.
+/// halo-exchanged compiled tiles that the drain schedules as one ticket, a round of
+/// the tile pipeline per window.
 ///
 /// ```
 /// use pochoir_core::boundary::Boundary;
@@ -202,11 +203,12 @@ pub fn try_serve_2d(
 /// let mut server = heat::serve_giant_1d(600_000, 4);
 /// let mut grid = heat::build([600_000], Boundary::Periodic);
 /// grid.set(0, [300_000], 100.0);
-/// let lead = server.submit_sharded(grid, 0, 8, Default::default());
-/// let results = server.drain(); // tile chains + exchange barriers, pipelined
+/// let ticket = server.submit_sharded(grid, 0, 8, Default::default());
+/// let results = server.drain(); // two rounds: tiles in parallel, then the exchange
+/// assert_eq!(results.len(), 1); // one submission, one array
 /// let report = server.last_drain().unwrap();
-/// assert!(report.outcomes.iter().all(|o| matches!(o, TicketOutcome::Completed)));
-/// assert_eq!(results[lead].snapshot(8).len(), 600_000); // the reassembled giant
+/// assert_eq!(report.outcomes, [TicketOutcome::Completed]);
+/// assert_eq!(results[ticket].snapshot(8).len(), 600_000); // the reassembled giant
 /// ```
 pub fn serve_giant_1d(n: usize, window: i64) -> StencilServer<f64, HeatKernel<1>, 1> {
     StencilServer::new(

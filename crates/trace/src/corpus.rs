@@ -15,7 +15,7 @@ use crate::gen::{self, DayCycle, GiantCell, WorkShape};
 pub const GIANT_CELLS: u64 = 600_000;
 
 /// Tile count the replay harness pins for sharded giants (auto mode would size the
-/// group off the host's worker count, breaking cross-machine determinism).
+/// tiling off the host's worker count, breaking cross-machine determinism).
 pub const GIANT_TILES: u32 = 4;
 
 /// The standard corpus, in replay order.  File stems under `traces/` equal the

@@ -35,7 +35,7 @@ pub enum TraceApp {
     /// 3D wave (f64, two time slices) via `wave::serve`.
     Wave3d,
     /// A giant 1D heat grid submitted through `submit_sharded`
-    /// (`heat::serve_giant_1d`): tile tenant groups with halo-exchange barriers.
+    /// (`heat::serve_giant_1d`): one ticket whose windows are halo-exchanged tile rounds.
     HeatGiant1d,
 }
 

@@ -21,7 +21,7 @@
 //!   almost no submission reuses a warm session: the `SessionRegistry`
 //!   compile/evict stressor.
 //! * [`giant_grid`] — background 2D traffic plus periodic giant 1D grids routed
-//!   through `submit_sharded`: the shard-group barrier interleaving scenario.
+//!   through `submit_sharded`: shard rounds interleaving with plain windows.
 
 use crate::format::{Trace, TraceApp, TraceRecord};
 
@@ -317,8 +317,7 @@ pub struct GiantCell {
 
 /// Sharded giants amid background traffic: every `giant.every`-th arrival is a
 /// giant 1D heat grid of `giant.cells` cells (replayed through `submit_sharded`, so
-/// its tile chains and exchange barriers interleave with the background 2D tenants
-/// on the same drain clock).
+/// its shard rounds interleave with the background 2D tenants' windows).
 pub fn giant_grid(
     seed: u64,
     background: &WorkShape,

@@ -8,7 +8,7 @@
 //! The Pochoir paper's amortization claim — compile a trapezoidal schedule once,
 //! replay it across many invocations — is exercised in this workspace by a
 //! multi-tenant serving layer whose scheduler claims (EDF ordering, weighted-stride
-//! fairness, shed/quarantine behaviour, shard-group pipelining) need *reproducible
+//! fairness, shed/quarantine behaviour, shard-round pipelining) need *reproducible
 //! traffic* to be testable.  A [`Trace`] is that reproducible
 //! artifact: a named, seeded stream of
 //! `(tenant, app, geometry, window, weight, deadline, arrival_tick)` records that
