@@ -383,28 +383,49 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
         self.data[off] = value;
     }
 
+    /// Storage range of time slice `t` and the stride between its unit-stride rows
+    /// (the padded last extent).  Only the last dimension is padded, so a slice is
+    /// exactly its rows laid end to end at that stride.
+    fn row_layout(&self, t: i64) -> (Range<usize>, usize) {
+        let base = self.slice_index(t) * self.slice_len;
+        let outer: usize = self.sizes[..D - 1].iter().product();
+        (base..base + self.slice_len, self.slice_len / outer)
+    }
+
+    /// The dense unit-stride rows of time slice `t` in row-major order, alignment
+    /// padding skipped: `sizes[..D - 1].product()` slices of `sizes[D - 1]` elements.
+    pub fn rows(&self, t: i64) -> impl Iterator<Item = &[T]> {
+        let (slice, stride) = self.row_layout(t);
+        let row_len = self.sizes[D - 1];
+        self.data[slice]
+            .chunks_exact(stride)
+            .map(move |row| &row[..row_len])
+    }
+
+    /// Mutable counterpart of [`PochoirArray::rows`].
+    pub fn rows_mut(&mut self, t: i64) -> impl Iterator<Item = &mut [T]> {
+        let (slice, stride) = self.row_layout(t);
+        let row_len = self.sizes[D - 1];
+        self.data[slice]
+            .chunks_exact_mut(stride)
+            .map(move |row| &mut row[..row_len])
+    }
+
     /// Fills time slice `t` from a function of the spatial coordinates.
     pub fn fill_time_slice(&mut self, t: i64, mut f: impl FnMut([i64; D]) -> T) {
-        let sizes = self.sizes_i64();
-        let mut x = [0i64; D];
-        loop {
-            let off = self.offset(t, x);
-            self.data[off] = f(x);
-            // Odometer increment over the spatial coordinates, last dimension fastest.
-            let mut d = D;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
+        let sizes = self.sizes;
+        let mut x = [0i64; D]; // odometer over the outer (non-row) dimensions
+        for row in self.rows_mut(t) {
+            for (i, cell) in row.iter_mut().enumerate() {
+                x[D - 1] = i as i64;
+                *cell = f(x);
+            }
+            for d in (0..D - 1).rev() {
                 x[d] += 1;
-                if x[d] < sizes[d] {
+                if (x[d] as usize) < sizes[d] {
                     break;
                 }
                 x[d] = 0;
-                if d == 0 {
-                    return;
-                }
             }
         }
     }
@@ -413,32 +434,11 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
     /// (useful for comparing results between engines).  Alignment padding between
     /// rows is skipped, so the result always has `sizes.iter().product()` elements.
     pub fn snapshot(&self, t: i64) -> Vec<T> {
-        let base = self.slice_index(t) * self.slice_len;
-        let row_len = self.sizes[D - 1];
         let mut out = Vec::with_capacity(self.sizes.iter().product());
-        let mut idx = [0usize; D]; // odometer over the outer (non-row) dimensions
-        loop {
-            let mut off = base;
-            for (d, &i) in idx.iter().enumerate().take(D - 1) {
-                off += i * self.strides[d];
-            }
-            out.extend_from_slice(&self.data[off..off + row_len]);
-            let mut d = D - 1;
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < self.sizes[d] {
-                    break;
-                }
-                idx[d] = 0;
-                if d == 0 {
-                    return out;
-                }
-            }
+        for row in self.rows(t) {
+            out.extend_from_slice(row);
         }
+        out
     }
 
     /// Raw engine-facing handle.  Only the engines use this; user code goes through
@@ -970,6 +970,48 @@ mod tests {
             }
         }
         assert_eq!(a.snapshot(1)[10..15], [0.0, 2.0, 4.0, 6.0, 8.0]);
+    }
+
+    /// `rows`/`rows_mut` against the per-cell accessors, on extents that are not
+    /// multiples of the 64-byte row pad, at every time slice.
+    fn check_rows<T, const D: usize>(sizes: [usize; D], cell: impl Fn(u64) -> T)
+    where
+        T: Copy + Default + PartialEq + std::fmt::Debug,
+    {
+        let mut a: PochoirArray<T, D> = PochoirArray::with_depth(sizes, 2);
+        let row_len = sizes[D - 1];
+        for t in 0..3i64 {
+            let mut n = t as u64 * 1000;
+            for row in a.rows_mut(t) {
+                assert_eq!(row.len(), row_len);
+                for v in row {
+                    *v = cell(n);
+                    n += 1;
+                }
+            }
+        }
+        for t in 0..3i64 {
+            let dense: Vec<T> = a.rows(t).flatten().copied().collect();
+            assert_eq!(dense.len(), sizes.iter().product::<usize>());
+            assert_eq!(dense, a.snapshot(t));
+            let by_cell: Vec<T> = SpaceIter::new(a.sizes_i64())
+                .map(|x| a.get_interior(t, x))
+                .collect();
+            assert_eq!(dense, by_cell);
+            assert_eq!(dense[0], cell(t as u64 * 1000));
+        }
+    }
+
+    #[test]
+    fn rows_concatenate_to_the_snapshot() {
+        check_rows::<f64, 1>([13], |n| n as f64 * 0.5);
+        check_rows::<f64, 2>([3, 5], |n| n as f64 * 0.5);
+        check_rows::<f64, 3>([2, 3, 9], |n| n as f64 * 0.5);
+        check_rows::<u8, 1>([70], |n| n as u8);
+        check_rows::<u8, 2>([4, 65], |n| n as u8);
+        check_rows::<u8, 3>([2, 3, 7], |n| n as u8);
+        // A row that is already a multiple of the pad has no padding to skip.
+        check_rows::<f64, 2>([3, 8], |n| n as f64);
     }
 
     #[test]

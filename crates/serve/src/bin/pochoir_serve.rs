@@ -5,7 +5,7 @@
 //!               [--record-seed N] [--epoch N]] [--max-pending N]
 //!               [--max-queued-windows N] [--max-session-leaves N]
 //!               [--max-sessions N] [--max-steps N]
-//!               [--drain-interval-ms N] [--assumed-window-micros X]
+//!               [--assumed-window-micros X]
 //! ```
 //!
 //! Prints `listening on <addr>` once the socket is bound (with the ephemeral
@@ -13,7 +13,6 @@
 //! and the tests wait for.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use pochoir_core::engine::AdmissionPolicy;
 use pochoir_serve::server::{announce, RecordConfig, ServeConfig, Server};
@@ -24,7 +23,7 @@ fn usage() -> ! {
          \x20                    [--record-seed N] [--epoch N] [--max-pending N]\n\
          \x20                    [--max-queued-windows N] [--max-session-leaves N]\n\
          \x20                    [--max-sessions N] [--max-steps N]\n\
-         \x20                    [--drain-interval-ms N] [--assumed-window-micros X]"
+         \x20                    [--assumed-window-micros X]"
     );
     std::process::exit(2);
 }
@@ -89,12 +88,6 @@ fn main() {
             }
             "--max-steps" => {
                 config.max_steps_per_submit = parse(&value("--max-steps"), "--max-steps");
-            }
-            "--drain-interval-ms" => {
-                config.drain_interval = Duration::from_millis(parse(
-                    &value("--drain-interval-ms"),
-                    "--drain-interval-ms",
-                ));
             }
             "--assumed-window-micros" => {
                 config.assumed_window_micros = match value("--assumed-window-micros").parse() {

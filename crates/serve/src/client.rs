@@ -1,10 +1,11 @@
 //! A small blocking client for the `pochoir-serve` wire protocol.
 //!
-//! The client is deliberately dumb: one [`TcpStream`], strictly
-//! request/response (every frame it sends is answered by exactly one frame),
-//! no internal threads.  Anything fancier — concurrency, retries, timeouts —
-//! is the caller's business, which keeps the tests honest about what crossed
-//! the wire.
+//! The client is deliberately dumb: one [`TcpStream`] with `TCP_NODELAY` set,
+//! strictly request/response (every frame it sends but `Close` is answered by
+//! exactly one frame), no internal threads.  The one call that blocks on the
+//! server's progress is [`Client::wait`], which parks server-side in a `Wait`
+//! frame instead of polling.  Anything fancier — concurrency, retries — is the
+//! caller's business, which keeps the tests honest about what crossed the wire.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -114,11 +115,14 @@ impl FetchedResult {
 }
 
 fn decode_slices<T: WireElem + DigestBits>(r: &FetchedResult) -> Vec<Vec<T>> {
-    let elem = T::ELEM.size();
-    let per_slice = r.slice_len as usize * elem;
+    let per_slice = r.slice_len as usize * T::ELEM.size();
     r.bytes
         .chunks(per_slice.max(1))
-        .map(|chunk| chunk.chunks(elem).map(T::take).collect())
+        .map(|chunk| {
+            let mut slice = vec![T::default(); chunk.len() / T::ELEM.size()];
+            T::take_row(chunk, &mut slice);
+            slice
+        })
         .collect()
 }
 
@@ -131,6 +135,9 @@ impl Client {
     /// Connects and completes the `Hello`/`HelloAck` version handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // Request/response over small frames: Nagle would hold every frame for
+        // the peer's delayed ACK.
+        stream.set_nodelay(true)?;
         let mut client = Client { stream };
         match client.roundtrip(&Frame::Hello {
             version: PROTOCOL_VERSION,
@@ -223,7 +230,7 @@ impl Client {
         }
     }
 
-    /// One status probe.
+    /// One status probe; never blocks on the request's progress.
     pub fn poll(&mut self, request: u64) -> Result<RequestStatus, ClientError> {
         match self.roundtrip(&Frame::Poll { request })? {
             Frame::Status { status } => Ok(status),
@@ -231,15 +238,23 @@ impl Client {
         }
     }
 
-    /// Polls until the request leaves `Pending` or `timeout` elapses.
+    /// Parks on the server until the request leaves `Pending` or `timeout`
+    /// elapses.  The server caps each park, so a long wait is a few `Wait`
+    /// frames — one if the request finishes within the cap.
     pub fn wait(&mut self, request: u64, timeout: Duration) -> Result<RequestStatus, ClientError> {
         let started = Instant::now();
         loop {
-            match self.poll(request)? {
-                RequestStatus::Pending if started.elapsed() < timeout => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                status => return Ok(status),
+            let left = timeout.saturating_sub(started.elapsed());
+            let frame = Frame::Wait {
+                request,
+                timeout_micros: left.as_micros().try_into().unwrap_or(u64::MAX),
+            };
+            match self.roundtrip(&frame)? {
+                Frame::Status {
+                    status: RequestStatus::Pending,
+                } if started.elapsed() < timeout => {}
+                Frame::Status { status } => return Ok(status),
+                other => return Err(unexpected("Status", &other)),
             }
         }
     }

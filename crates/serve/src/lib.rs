@@ -12,7 +12,7 @@
 //! 2. it submits `(grid, t0, t1, weight, deadline)` requests, which drain
 //!    through the pipelined scheduler under the configured
 //!    [`AdmissionPolicy`](pochoir_core::engine::AdmissionPolicy);
-//! 3. it polls and fetches results that are bitwise-identical to running the
+//! 3. it waits for and fetches results that are bitwise-identical to running the
 //!    same batch in-process — the end-to-end tests pin exactly that.
 //!
 //! [`protocol`] is the wire codec (pure, fuzzed by property tests),

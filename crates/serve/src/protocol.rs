@@ -8,6 +8,13 @@
 //! order), one per time slice of the session's app, so a grid rebuilt from the
 //! wire is bitwise-identical to the one serialized.
 //!
+//! A frame costs at most two socket writes ([`write_frame`]): the length prefix
+//! and every fixed field leave in one buffer, and only the bulk payload of a
+//! `Submit`/`Result` follows as a second write, borrowed from where it already
+//! lives.  On the way in, [`read_frame`] turns the body it read into that
+//! payload in place ([`Frame::decode_owned`]), so a grid crosses each hop
+//! without a payload-sized copy.
+//!
 //! The codec is hardened the way a network parser must be: [`Frame::decode`]
 //! never panics, every length field is validated against the bytes actually
 //! present **before** any allocation happens (a frame claiming a 4 GiB string
@@ -24,7 +31,7 @@ use std::io::{self, Read, Write};
 use pochoir_trace::TraceApp;
 
 /// Protocol version spoken by this crate; negotiated by `Hello`/`HelloAck`.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Largest legal frame body in bytes (64 MiB) — enough for every grid the
 /// serve presets compile (the giant 1D corpus grid is ~9.6 MiB of slices),
@@ -79,29 +86,35 @@ impl ElemType {
 pub trait WireElem: Copy + Default {
     /// This element's wire tag.
     const ELEM: ElemType;
-    /// Appends the element's wire bytes.
-    fn put(self, out: &mut Vec<u8>);
-    /// Reads one element from `bytes` (exactly `ElemType::size` of them).
-    fn take(bytes: &[u8]) -> Self;
+    /// Writes `row`'s wire bytes into `out` (exactly `row.len() * ElemType::size`
+    /// of them).
+    fn put_row(row: &[Self], out: &mut [u8]);
+    /// Reads `row.len()` elements from `bytes` (exactly `row.len() *
+    /// ElemType::size` of them).
+    fn take_row(bytes: &[u8], row: &mut [Self]);
 }
 
 impl WireElem for f64 {
     const ELEM: ElemType = ElemType::F64;
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    fn put_row(row: &[f64], out: &mut [u8]) {
+        for (bytes, v) in out.chunks_exact_mut(8).zip(row) {
+            bytes.copy_from_slice(&v.to_le_bytes());
+        }
     }
-    fn take(bytes: &[u8]) -> f64 {
-        f64::from_le_bytes(bytes.try_into().expect("8-byte f64"))
+    fn take_row(bytes: &[u8], row: &mut [f64]) {
+        for (v, bytes) in row.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64::from_le_bytes(bytes.try_into().expect("8-byte chunks"));
+        }
     }
 }
 
 impl WireElem for u8 {
     const ELEM: ElemType = ElemType::U8;
-    fn put(self, out: &mut Vec<u8>) {
-        out.push(self);
+    fn put_row(row: &[u8], out: &mut [u8]) {
+        out.copy_from_slice(row);
     }
-    fn take(bytes: &[u8]) -> u8 {
-        bytes[0]
+    fn take_row(bytes: &[u8], row: &mut [u8]) {
+        row.copy_from_slice(bytes);
     }
 }
 
@@ -148,7 +161,7 @@ impl Deadline {
 /// Where a polled request currently stands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RequestStatus {
-    /// Queued or draining; poll again.
+    /// Queued or draining; wait (or poll) again.
     Pending,
     /// Finished; `Fetch` will return the result (and consume it).
     Done,
@@ -287,10 +300,20 @@ pub enum Frame {
         /// 0 first.
         grid: Vec<u8>,
     },
-    /// Ask where a request stands; answered by [`Frame::Status`].
+    /// Ask where a request stands; answered at once by [`Frame::Status`] — the
+    /// non-blocking form of [`Frame::Wait`].
     Poll {
         /// The request id from [`Frame::Submitted`].
         request: u64,
+    },
+    /// Park until the request leaves `Pending`, `timeout_micros` pass (the
+    /// server caps the park; re-issue to wait longer), or the server shuts
+    /// down; answered by [`Frame::Status`].
+    Wait {
+        /// The request id from [`Frame::Submitted`].
+        request: u64,
+        /// Longest park the client asks for, in microseconds.
+        timeout_micros: u64,
     },
     /// Fetch (and consume) a finished request's result; answered by
     /// [`Frame::Result`], `NotReady`, or the request's typed failure.
@@ -321,7 +344,7 @@ pub enum Frame {
         /// The request id to poll/fetch.
         request: u64,
     },
-    /// Answer to [`Frame::Poll`].
+    /// Answer to [`Frame::Poll`] and [`Frame::Wait`].
     Status {
         /// Where the request stands.
         status: RequestStatus,
@@ -360,6 +383,7 @@ const OP_POLL: u8 = 0x04;
 const OP_FETCH: u8 = 0x05;
 const OP_CLOSE: u8 = 0x06;
 const OP_FLUSH: u8 = 0x07;
+const OP_WAIT: u8 = 0x08;
 const OP_HELLO_ACK: u8 = 0x81;
 const OP_SESSION_ACK: u8 = 0x82;
 const OP_SUBMITTED: u8 = 0x83;
@@ -465,15 +489,23 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32`-prefixed byte string; the length is validated against the bytes
-    /// actually present before any allocation.
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
+    /// actually present before anything is allocated for it.
+    fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     fn string(&mut self) -> Result<String, FrameError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw).map_err(|_| FrameError::BadPayload("invalid UTF-8".into()))
+        String::from_utf8(self.bytes()?.to_vec())
+            .map_err(|_| FrameError::BadPayload("invalid UTF-8".into()))
+    }
+
+    /// The bulk payload that ends a `Submit`/`Result`: its declared length is
+    /// checked against the bytes present and the bytes are skipped, not
+    /// copied — the caller lifts them out of `body` at the returned offset.
+    fn payload(&mut self, body: &[u8]) -> Result<usize, FrameError> {
+        let len = self.bytes()?.len();
+        Ok(body.len() - self.rest.len() - len)
     }
 }
 
@@ -505,6 +537,15 @@ impl Frame {
     /// Encodes the frame body (opcode + payload, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        let payload = self.encode_header(&mut out);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Appends the body up to and including the bulk payload's length field,
+    /// and returns the payload bytes that complete it — empty except for
+    /// `Submit`/`Result`, whose payload is always the last field.
+    fn encode_header<'a>(&'a self, out: &mut Vec<u8>) -> &'a [u8] {
         match self {
             Frame::Hello { version } => {
                 out.push(OP_HELLO);
@@ -539,9 +580,10 @@ impl Frame {
                 out.extend_from_slice(&t0.to_le_bytes());
                 out.extend_from_slice(&t1.to_le_bytes());
                 out.extend_from_slice(&weight.to_le_bytes());
-                deadline.encode(&mut out);
+                deadline.encode(out);
                 out.push(elem.as_u8());
-                put_bytes(&mut out, grid);
+                out.extend_from_slice(&(grid.len() as u32).to_le_bytes());
+                return grid;
             }
             Frame::Poll { request } => {
                 out.push(OP_POLL);
@@ -550,6 +592,14 @@ impl Frame {
             Frame::Fetch { request } => {
                 out.push(OP_FETCH);
                 out.extend_from_slice(&request.to_le_bytes());
+            }
+            Frame::Wait {
+                request,
+                timeout_micros,
+            } => {
+                out.push(OP_WAIT);
+                out.extend_from_slice(&request.to_le_bytes());
+                out.extend_from_slice(&timeout_micros.to_le_bytes());
             }
             Frame::Close => out.push(OP_CLOSE),
             Frame::Flush => out.push(OP_FLUSH),
@@ -574,7 +624,7 @@ impl Frame {
                     RequestStatus::Failed { code, detail } => {
                         out.push(2);
                         out.push(code.as_u8());
-                        put_bytes(&mut out, detail.as_bytes());
+                        put_bytes(out, detail.as_bytes());
                     }
                 }
             }
@@ -588,7 +638,8 @@ impl Frame {
                 out.push(elem.as_u8());
                 out.extend_from_slice(&t1.to_le_bytes());
                 out.extend_from_slice(&slice_len.to_le_bytes());
-                put_bytes(&mut out, payload);
+                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                return payload;
             }
             Frame::Flushed { records } => {
                 out.push(OP_FLUSHED);
@@ -597,20 +648,53 @@ impl Frame {
             Frame::Error { code, detail } => {
                 out.push(OP_ERROR);
                 out.push(code.as_u8());
-                put_bytes(&mut out, detail.as_bytes());
+                put_bytes(out, detail.as_bytes());
             }
         }
-        out
+        &[]
     }
 
     /// Decodes a frame body (opcode + payload, no length prefix).  Never
     /// panics; every failure is a structured [`FrameError`], and the body must
     /// be consumed exactly (no trailing bytes).
     pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
+        let (mut frame, at) = Frame::parse(body)?;
+        if let Some(payload) = frame.payload_mut() {
+            *payload = body[at..].to_vec();
+        }
+        Ok(frame)
+    }
+
+    /// [`Frame::decode`] for a body the caller is done with: a `Submit`/`Result`
+    /// keeps `body`'s own allocation as its payload (the header bytes are
+    /// drained off the front) instead of copying the tail out.
+    pub fn decode_owned(mut body: Vec<u8>) -> Result<Frame, FrameError> {
+        let (mut frame, at) = Frame::parse(&body)?;
+        if let Some(payload) = frame.payload_mut() {
+            body.drain(..at);
+            *payload = body;
+        }
+        Ok(frame)
+    }
+
+    /// The bulk payload field of a `Submit`/`Result`.
+    fn payload_mut(&mut self) -> Option<&mut Vec<u8>> {
+        match self {
+            Frame::Submit { grid, .. } => Some(grid),
+            Frame::Result { payload, .. } => Some(payload),
+            _ => None,
+        }
+    }
+
+    /// Decodes every field but the bulk payload, which is validated (declared
+    /// length against bytes present, exact consumption) and left empty; returns
+    /// the frame and the payload's offset in `body`.
+    fn parse(body: &[u8]) -> Result<(Frame, usize), FrameError> {
         if body.len() > MAX_FRAME {
             return Err(FrameError::Oversized { len: body.len() });
         }
         let mut r = Reader { rest: body };
+        let mut payload_at = body.len();
         let op = r.u8()?;
         let frame = match op {
             OP_HELLO => Frame::Hello { version: r.u32()? },
@@ -642,10 +726,17 @@ impl Frame {
                 weight: r.u32()?,
                 deadline: Deadline::decode(&mut r)?,
                 elem: ElemType::from_u8(r.u8()?)?,
-                grid: r.bytes()?,
+                grid: {
+                    payload_at = r.payload(body)?;
+                    Vec::new()
+                },
             },
             OP_POLL => Frame::Poll { request: r.u64()? },
             OP_FETCH => Frame::Fetch { request: r.u64()? },
+            OP_WAIT => Frame::Wait {
+                request: r.u64()?,
+                timeout_micros: r.u64()?,
+            },
             OP_CLOSE => Frame::Close,
             OP_FLUSH => Frame::Flush,
             OP_HELLO_ACK => Frame::HelloAck { version: r.u32()? },
@@ -674,7 +765,10 @@ impl Frame {
                 elem: ElemType::from_u8(r.u8()?)?,
                 t1: r.i64()?,
                 slice_len: r.u64()?,
-                payload: r.bytes()?,
+                payload: {
+                    payload_at = r.payload(body)?;
+                    Vec::new()
+                },
             },
             OP_FLUSHED => Frame::Flushed { records: r.u64()? },
             OP_ERROR => Frame::Error {
@@ -688,7 +782,7 @@ impl Frame {
                 extra: r.rest.len(),
             });
         }
-        Ok(frame)
+        Ok((frame, payload_at))
     }
 }
 
@@ -745,18 +839,44 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64), ReadError> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body).map_err(ReadError::Io)?;
-    let frame = Frame::decode(&body).map_err(ReadError::Frame)?;
+    let frame = Frame::decode_owned(body).map_err(ReadError::Frame)?;
     Ok((frame, 4 + len as u64))
 }
 
-/// Writes one length-prefixed frame; returns the bytes written.
+/// Writes one length-prefixed frame; returns the bytes written.  The prefix
+/// and the header leave in one `write_all` — split, the second write would sit
+/// behind the peer's delayed ACK — and a `Submit`/`Result` payload follows as
+/// one more, straight from the frame.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
-    let body = frame.encode();
-    debug_assert!(body.len() <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
+    // Every fixed-size header fits; only an error/status detail string grows it.
+    let mut head = Vec::with_capacity(64);
+    head.extend_from_slice(&[0; 4]);
+    let payload = frame.encode_header(&mut head);
+    let body_len = head.len() - 4 + payload.len();
+    debug_assert!(body_len <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
+    head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    w.write_all(&head)?;
+    if !payload.is_empty() {
+        w.write_all(payload)?;
+    }
     w.flush()?;
-    Ok(4 + body.len() as u64)
+    Ok(4 + body_len as u64)
+}
+
+/// The dense row-major wire bytes of time slices `slices` of `grid`, in that
+/// order, converted row by row (alignment padding never leaves the array).
+fn slices_to_bytes<T: WireElem, const D: usize>(
+    grid: &pochoir_core::grid::PochoirArray<T, D>,
+    slices: &[i64],
+) -> Vec<u8> {
+    let volume: usize = grid.sizes().iter().product();
+    let row_bytes = grid.size(D - 1) * T::ELEM.size();
+    let mut out = vec![0u8; slices.len() * volume * T::ELEM.size()];
+    let rows = slices.iter().flat_map(|&t| grid.rows(t));
+    for (row, bytes) in rows.zip(out.chunks_exact_mut(row_bytes)) {
+        T::put_row(row, bytes);
+    }
+    out
 }
 
 /// Serializes every time slice of a grid as densely packed row-major bytes —
@@ -764,13 +884,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
 pub fn grid_to_bytes<T: WireElem, const D: usize>(
     grid: &pochoir_core::grid::PochoirArray<T, D>,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(grid.time_slices() * grid.slice_len() * T::ELEM.size());
-    for t in 0..grid.time_slices() as i64 {
-        for v in grid.snapshot(t) {
-            v.put(&mut out);
-        }
-    }
-    out
+    let slices: Vec<i64> = (0..grid.time_slices() as i64).collect();
+    slices_to_bytes(grid, &slices)
 }
 
 /// Rebuilds a grid from a `Submit` payload: `slices` dense row-major time
@@ -783,8 +898,7 @@ pub fn grid_from_bytes<T: WireElem, const D: usize>(
     bytes: &[u8],
 ) -> Result<pochoir_core::grid::PochoirArray<T, D>, String> {
     let volume: usize = sizes.iter().product();
-    let elem = T::ELEM.size();
-    let expected = slices * volume * elem;
+    let expected = slices * volume * T::ELEM.size();
     if bytes.len() != expected {
         return Err(format!(
             "grid payload is {} bytes; {:?} × {slices} slices needs {expected}",
@@ -795,13 +909,11 @@ pub fn grid_from_bytes<T: WireElem, const D: usize>(
     let mut a =
         pochoir_core::grid::PochoirArray::with_depth(sizes, slices.saturating_sub(1).max(1));
     a.register_boundary(boundary);
-    let mut cursor = 0usize;
+    let mut wire_rows = bytes.chunks_exact(sizes[D - 1] * T::ELEM.size());
     for t in 0..slices as i64 {
-        a.fill_time_slice(t, |_| {
-            let v = T::take(&bytes[cursor..cursor + elem]);
-            cursor += elem;
-            v
-        });
+        for (row, bytes) in a.rows_mut(t).zip(wire_rows.by_ref()) {
+            T::take_row(bytes, row);
+        }
     }
     Ok(a)
 }
@@ -813,11 +925,113 @@ pub fn result_payload<T: WireElem, const D: usize>(
     grid: &pochoir_core::grid::PochoirArray<T, D>,
     t1: i64,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 * grid.slice_len() * T::ELEM.size());
-    for t in [(t1 - 1).max(0), t1] {
-        for v in grid.snapshot(t) {
-            v.put(&mut out);
+    slices_to_bytes(grid, &[(t1 - 1).max(0), t1])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pochoir_core::boundary::Boundary;
+    use pochoir_core::grid::PochoirArray;
+    use pochoir_trace::Rng;
+
+    /// Bit patterns a value-level comparison would blur: NaNs, -0.0, denormals.
+    const ODD_F64: [u64; 4] = [0x7FF8_0000_0000_0001, 0x8000_0000_0000_0000, 1, u64::MAX];
+
+    /// Fills every slice of a fresh array from `cell`, ships it through
+    /// `grid_to_bytes` / `grid_from_bytes`, and compares both the bytes and the
+    /// rebuilt cells against a per-cell encoding of `snapshot`.
+    fn round_trip<T: WireElem + PartialEq + std::fmt::Debug, const D: usize>(
+        sizes: [usize; D],
+        depth: usize,
+        boundary: Boundary<T, D>,
+        mut cell: impl FnMut() -> T,
+        bits: impl Fn(T) -> Vec<u8>,
+    ) {
+        let mut grid: PochoirArray<T, D> = PochoirArray::with_depth(sizes, depth);
+        for t in 0..=depth as i64 {
+            grid.fill_time_slice(t, |_| cell());
+        }
+        let by_cell = |g: &PochoirArray<T, D>, ts: &[i64]| -> Vec<u8> {
+            ts.iter()
+                .flat_map(|&t| g.snapshot(t))
+                .flat_map(&bits)
+                .collect()
+        };
+        let all: Vec<i64> = (0..=depth as i64).collect();
+
+        let wire = grid_to_bytes(&grid);
+        assert_eq!(
+            wire,
+            by_cell(&grid, &all),
+            "{sizes:?}: dense snapshot order"
+        );
+        let rebuilt = grid_from_bytes::<T, D>(sizes, depth + 1, boundary.clone(), &wire)
+            .expect("the byte count matches");
+        assert_eq!(
+            by_cell(&rebuilt, &all),
+            wire,
+            "{sizes:?}: bitwise round trip"
+        );
+
+        let t1 = depth as i64;
+        assert_eq!(result_payload(&grid, t1), by_cell(&grid, &[t1 - 1, t1]));
+        assert_eq!(result_payload(&grid, 0), by_cell(&grid, &[0, 0]));
+
+        // One byte short or long is a message, not a panic or a partial grid.
+        assert!(
+            grid_from_bytes::<T, D>(sizes, depth + 1, boundary, &wire[1..]).is_err(),
+            "{sizes:?}: short payload accepted"
+        );
+    }
+
+    fn f64_case<const D: usize>(sizes: [usize; D], depth: usize, boundary: Boundary<f64, D>) {
+        let mut rng = Rng::new(sizes.iter().sum::<usize>() as u64);
+        let cell = move || match rng.below(8) {
+            0 => f64::from_bits(ODD_F64[rng.below(4) as usize]),
+            _ => f64::from_bits(rng.below(u64::MAX)),
+        };
+        round_trip(sizes, depth, boundary, cell, |v| {
+            v.to_bits().to_le_bytes().to_vec()
+        });
+    }
+
+    fn u8_case<const D: usize>(sizes: [usize; D], boundary: Boundary<u8, D>) {
+        let mut rng = Rng::new(sizes.iter().product::<usize>() as u64);
+        round_trip(
+            sizes,
+            1,
+            boundary,
+            move || rng.below(256) as u8,
+            |v| vec![v],
+        );
+    }
+
+    /// Row lengths on both sides of the 64-byte pad (8 `f64`s, 64 `u8`s), every
+    /// served dimensionality, both served boundary kinds.
+    #[test]
+    fn grids_cross_the_wire_bitwise() {
+        for n in [1, 5, 8, 13] {
+            f64_case([n], 1, Boundary::Periodic);
+            f64_case([3, n], 1, Boundary::Periodic);
+            f64_case([2, 3, n], 2, Boundary::Constant(0.0));
+            f64_case([3, n], 1, Boundary::Constant(-1.5));
+        }
+        for n in [1, 7, 64, 70] {
+            u8_case([n], Boundary::Periodic);
+            u8_case([4, n], Boundary::Periodic);
+            u8_case([2, 3, n], Boundary::Constant(9));
         }
     }
-    out
+
+    #[test]
+    fn rebuilt_grid_keeps_its_boundary() {
+        let grid: PochoirArray<f64, 2> = PochoirArray::new([3, 5]);
+        let wire = grid_to_bytes(&grid);
+        let a = grid_from_bytes::<f64, 2>([3, 5], 2, Boundary::Constant(7.0), &wire).unwrap();
+        assert_eq!(a.get(0, [-1, 0]), 7.0);
+        let mut b = grid_from_bytes::<f64, 2>([3, 5], 2, Boundary::Periodic, &wire).unwrap();
+        b.set(0, [2, 4], 3.0);
+        assert_eq!(b.get(0, [-1, -1]), 3.0);
+    }
 }

@@ -11,11 +11,19 @@
 //!   join it);
 //! * each **connection worker** speaks the frame protocol: it decodes requests,
 //!   builds arrays from wire bytes, and submits into the shared session table;
-//! * the **drain thread** wakes whenever work is queued (condvar, with a
-//!   timeout so a lost notification cannot stall the queue) and drains every
-//!   session with pending work through
+//!   a `Wait` parks it on the completion condvar until its request finishes
+//!   (`Poll` is the same handler with a zero timeout);
+//! * the **drain thread** sleeps until a submit raises the `work` flag and
+//!   drains every session with pending work through
 //!   [`StencilServer::try_drain`] — per-tenant panics retire only their own
-//!   chain, exactly as in-process.
+//!   chain, exactly as in-process.  The flag is raised, checked and cleared
+//!   under the `State` mutex the condvar is paired with, so no wake-up can be
+//!   lost and the thread needs no timer.
+//!
+//! Sockets run with `TCP_NODELAY` (the protocol is request/response over small
+//! frames) and a write timeout ([`WRITE_TIMEOUT`]), and a parked `Wait` is
+//! capped ([`WAIT_CAP`]): a peer that stops reading or stops asking costs its
+//! own worker a bounded stall, never a pinned thread.
 //!
 //! **Locking model.**  There are two lock tiers and they are never nested:
 //! a global `State` mutex guards the request table, the session index, and
@@ -108,9 +116,6 @@ pub struct ServeConfig {
     /// Per-tenant quotas and watermarks installed on every session's server;
     /// `None` admits everything.
     pub admission: Option<AdmissionPolicy>,
-    /// How long the drain thread sleeps when no work is queued (also the upper
-    /// bound on submit→drain latency if a wakeup is lost).
-    pub drain_interval: Duration,
     /// Record admitted traffic as a replayable trace.
     pub record: Option<RecordConfig>,
     /// Per-window cost assumed for wall-clock deadline conversion until the
@@ -134,7 +139,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             admission: None,
-            drain_interval: Duration::from_millis(2),
             record: None,
             assumed_window_micros: 50.0,
             max_sessions: 64,
@@ -142,6 +146,19 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Longest a connection worker parks in one `Wait` before answering `Pending`;
+/// the client re-issues to wait longer.  Bounds how long a worker can sit on a
+/// request whose client has silently gone.
+pub const WAIT_CAP: Duration = Duration::from_millis(250);
+
+/// Longest a socket write may make no progress before the connection is
+/// dropped: a peer that stops reading a 16 MiB `Result` retires its worker
+/// instead of pinning it.  The clock restarts whenever a write call buffered
+/// anything before it timed out (it then reports that part and is retried), so
+/// a stalled peer is dropped after two or three timeouts, once the kernel's
+/// send buffer has stopped growing.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A served `(app, geometry)` pair — one compiled session, one drain queue.  The
 /// one dispatch type of live serving and trace replay (`pochoir-bench`), so both
@@ -268,6 +285,9 @@ struct State {
     session_ids: HashMap<(TraceApp, Vec<u64>, i64), u32>,
     requests: HashMap<u64, Request>,
     next_request: u64,
+    /// Raised by every admitted submit, cleared by the drain thread before it
+    /// scans the sessions.
+    work: bool,
     /// Logical arrival clock for record mode: one tick per admitted submission.
     arrival_clock: u64,
     record: Vec<TraceRecord>,
@@ -285,7 +305,12 @@ struct Shared {
     config: ServeConfig,
     state: Mutex<State>,
     conns: Mutex<ConnTable>,
+    /// The drain thread sleeps here until `State::work` or shutdown.
     work: Condvar,
+    /// Workers parked in a `Wait` sleep here until completions are stored (or
+    /// shutdown).
+    done: Condvar,
+    /// Raised under the `state` lock, which both condvars are paired with.
     shutdown: AtomicBool,
     next_conn: AtomicU64,
 }
@@ -309,6 +334,7 @@ impl Server {
             state: Mutex::new(State::default()),
             conns: Mutex::new(ConnTable::default()),
             work: Condvar::new(),
+            done: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
         });
@@ -338,14 +364,22 @@ impl Server {
     }
 
     /// Stops the service and joins every thread it owns: the shutdown flag is
-    /// raised, every live connection socket is shut down so workers blocked in
-    /// a read or write fail out and retire their own chains, the workers and
-    /// the accept thread are joined, the drain thread finishes whatever is
-    /// still queued and is joined, and only then — with no writer left — is
-    /// the record trace written (if recording).
+    /// raised (waking the drain thread and every worker parked in a `Wait`),
+    /// every live connection socket is shut down so workers blocked in a read
+    /// or write fail out and retire their own chains, the workers and the
+    /// accept thread are joined, the drain thread finishes the drain it is in
+    /// and is joined, and only then — with no writer left — is the record
+    /// trace written (if recording).
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Under the lock the sleepers check it under: a thread is either
+            // before its check (and sees the flag) or already waiting (and
+            // gets the notification).
+            let _state = lock(&self.shared.state);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.work.notify_all();
+        self.shared.done.notify_all();
         let (streams, workers) = {
             let mut conns = lock(&self.shared.conns);
             (
@@ -364,7 +398,6 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        self.shared.work.notify_all();
         if let Some(h) = self.drain.take() {
             let _ = h.join();
         }
@@ -395,6 +428,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
+        }
+        if stream.set_nodelay(true).is_err()
+            || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+        {
+            continue; // the socket is already dead
         }
         Runtime::global().count(Counter::NetConnections, 1);
         let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
@@ -514,7 +552,11 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
             } => handle_submit(
                 shared, conn, session, tenant, t0, t1, weight, deadline, elem, &grid,
             ),
-            Frame::Poll { request } => handle_poll(shared, conn, request),
+            Frame::Poll { request } => handle_wait(shared, conn, request, Duration::ZERO),
+            Frame::Wait {
+                request,
+                timeout_micros,
+            } => handle_wait(shared, conn, request, Duration::from_micros(timeout_micros)),
             Frame::Fetch { request } => handle_fetch(shared, conn, request),
             Frame::Flush => {
                 let mut state = lock(&shared.state);
@@ -817,7 +859,9 @@ fn handle_submit(
             });
         }
     }
-    shared.work.notify_all();
+    state.work = true;
+    drop(state);
+    shared.work.notify_one();
     Frame::Submitted { request }
 }
 
@@ -835,19 +879,30 @@ fn wall_to_ticks(wall_micros: u64, cost_micros: f64, windows_needed: u64) -> u64
     ticks.max(windows_needed)
 }
 
-fn handle_poll(shared: &Shared, conn: u64, request: u64) -> Frame {
-    let state = lock(&shared.state);
-    match state.requests.get(&request) {
-        None => Frame::Error {
-            code: ErrorCode::UnknownRequest,
-            detail: format!("request {request} is unknown (never submitted, fetched, or retired)"),
-        },
-        Some(r) if r.conn != conn => Frame::Error {
-            code: ErrorCode::UnknownRequest,
-            detail: format!("request {request} belongs to another connection"),
-        },
-        Some(r) => Frame::Status {
-            status: match &r.state {
+/// Answers `Wait` (and `Poll`, its `timeout == 0` form): parks on the
+/// completion condvar until the request leaves `Queued`, `timeout` (capped at
+/// [`WAIT_CAP`]) passes, or the server shuts down, then reports where the
+/// request stands.
+fn handle_wait(shared: &Shared, conn: u64, request: u64, timeout: Duration) -> Frame {
+    let deadline = Instant::now() + timeout.min(WAIT_CAP);
+    let mut state = lock(&shared.state);
+    loop {
+        let status = match state.requests.get(&request) {
+            None => {
+                return Frame::Error {
+                    code: ErrorCode::UnknownRequest,
+                    detail: format!(
+                        "request {request} is unknown (never submitted, fetched, or retired)"
+                    ),
+                }
+            }
+            Some(r) if r.conn != conn => {
+                return Frame::Error {
+                    code: ErrorCode::UnknownRequest,
+                    detail: format!("request {request} belongs to another connection"),
+                }
+            }
+            Some(r) => match &r.state {
                 ReqState::Queued => RequestStatus::Pending,
                 ReqState::Done(_) => RequestStatus::Done,
                 ReqState::Failed { code, detail } => RequestStatus::Failed {
@@ -855,7 +910,19 @@ fn handle_poll(shared: &Shared, conn: u64, request: u64) -> Frame {
                     detail: detail.clone(),
                 },
             },
-        },
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if status != RequestStatus::Pending
+            || left.is_zero()
+            || shared.shutdown.load(Ordering::SeqCst)
+        {
+            return Frame::Status { status };
+        }
+        state = shared
+            .done
+            .wait_timeout(state, left)
+            .unwrap_or_else(|p| p.into_inner())
+            .0;
     }
 }
 
@@ -919,11 +986,22 @@ fn write_record(shared: &Shared, state: &mut State) -> u64 {
 
 fn drain_loop(shared: Arc<Shared>) {
     loop {
-        // Snapshot the session list (cheap Arc clones), then drain each busy
-        // session under its own lock only: submits, polls, and fetches on the
+        // Sleep until a submit raised `work`; the flag is cleared before the
+        // scan, so a ticket queued behind the scan raises it again.  Then
+        // snapshot the session list (cheap Arc clones) and drain each busy
+        // session under its own lock only: submits, waits, and fetches on the
         // global state lock keep flowing while a session computes.
-        let sessions: Vec<Arc<SessionSlot>> = lock(&shared.state).sessions.clone();
-        let mut drained_any = false;
+        let sessions: Vec<Arc<SessionSlot>> = {
+            let mut state = lock(&shared.state);
+            while !state.work {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                state = shared.work.wait(state).unwrap_or_else(|p| p.into_inner());
+            }
+            state.work = false;
+            state.sessions.clone()
+        };
         for slot in &sessions {
             let completions = {
                 let mut inner = lock(&slot.inner);
@@ -932,22 +1010,9 @@ fn drain_loop(shared: Arc<Shared>) {
                 }
                 drain_session(&mut inner)
             };
-            drained_any = true;
             store_completions(&mut lock(&shared.state), completions);
+            shared.done.notify_all();
         }
-        if drained_any {
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let state = lock(&shared.state);
-        drop(
-            shared
-                .work
-                .wait_timeout(state, shared.config.drain_interval)
-                .unwrap_or_else(|p| p.into_inner()),
-        );
     }
 }
 

@@ -1,16 +1,20 @@
-//! Network chaos pin: a client that dies mid-submit or vanishes mid-poll must
-//! retire only its own work.  Well-behaved survivors sharing the server drain
-//! to results bitwise-equal to a fault-free run, and the server keeps
-//! accepting fresh connections afterwards.
+//! Network chaos pin: a client that dies mid-submit, vanishes mid-poll or dies
+//! while parked in a `Wait` must retire only its own work.  Well-behaved
+//! survivors sharing the server drain to results bitwise-equal to a fault-free
+//! run, and the server keeps accepting fresh connections afterwards.  Every
+//! blocking call the server makes on a peer's behalf is bounded: a peer that
+//! stops reading loses its connection to the write timeout, and shutdown never
+//! waits out a parked worker.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pochoir_serve::protocol::{
-    grid_to_bytes, read_frame, write_frame, Deadline, ElemType, Frame, PROTOCOL_VERSION,
+    grid_to_bytes, read_frame, write_frame, Deadline, ElemType, Frame, RequestStatus,
+    PROTOCOL_VERSION,
 };
-use pochoir_serve::server::{ServeConfig, Server};
+use pochoir_serve::server::{ServeConfig, Server, WRITE_TIMEOUT};
 use pochoir_serve::Client;
 use pochoir_stencils::traffic::heat_grid;
 use pochoir_trace::TraceApp;
@@ -18,6 +22,9 @@ use pochoir_trace::TraceApp;
 const GEOMETRY: [u64; 2] = [16, 16];
 const WINDOW: i64 = 4;
 const T1: i64 = 8;
+/// A horizon long enough (1 Mi point updates on the 16×16 grid) that its owner
+/// can send a `Wait` and vanish before the drain gets there.
+const LONG_T1: i64 = 4096;
 
 /// Run the three well-behaved heat tenants against a server and return their
 /// digests in tenant order.
@@ -50,7 +57,12 @@ fn run_survivors(addr: &str) -> Vec<u64> {
 /// Raw handshake + negotiate on a bare socket, so the test can then misbehave
 /// below the `Client` abstraction.
 fn raw_session(addr: &str) -> (TcpStream, u32) {
+    raw_session_for(addr, &GEOMETRY, WINDOW)
+}
+
+fn raw_session_for(addr: &str, geometry: &[u64], window: i64) -> (TcpStream, u32) {
     let mut stream = TcpStream::connect(addr).expect("connect raw");
+    stream.set_nodelay(true).expect("nodelay");
     write_frame(
         &mut stream,
         &Frame::Hello {
@@ -66,8 +78,8 @@ fn raw_session(addr: &str) -> (TcpStream, u32) {
         &mut stream,
         &Frame::Negotiate {
             app: TraceApp::Heat2d,
-            geometry: GEOMETRY.to_vec(),
-            chunk: WINDOW,
+            geometry: geometry.to_vec(),
+            chunk: window,
         },
     )
     .expect("negotiate");
@@ -104,33 +116,62 @@ fn chaos_truncated_submit(addr: &str) {
     drop(stream); // mid-frame disconnect
 }
 
+/// Submits tenant `tenant`'s heat grid over `[0, t1)` on a raw socket.
+fn raw_submit<const D: usize>(
+    stream: &mut TcpStream,
+    session: u32,
+    sizes: [usize; D],
+    tenant: u32,
+    t1: i64,
+) -> u64 {
+    write_frame(
+        stream,
+        &Frame::Submit {
+            session,
+            tenant,
+            t0: 0,
+            t1,
+            weight: 1,
+            deadline: Deadline::None,
+            elem: ElemType::F64,
+            grid: grid_to_bytes(&heat_grid::<D>(sizes, tenant)),
+        },
+    )
+    .expect("submit");
+    match read_frame(stream).expect("submitted").0 {
+        Frame::Submitted { request } => request,
+        other => panic!("expected Submitted, got {other:?}"),
+    }
+}
+
+/// Asks the server to park on `request` for up to a minute.
+fn send_long_wait(stream: &mut TcpStream, request: u64) {
+    let wait = Frame::Wait {
+        request,
+        timeout_micros: 60_000_000,
+    };
+    write_frame(stream, &wait).expect("wait");
+}
+
 /// Dies mid-poll: submits a valid grid, polls once, then vanishes without
 /// fetching.  Its queued/finished work must be orphaned, not delivered to or
 /// blocked on anyone else.
 fn chaos_abandoned_poll(addr: &str) {
     let (mut stream, session) = raw_session(addr);
-    let grid = heat_grid::<2>([16, 16], 77);
-    write_frame(
-        &mut stream,
-        &Frame::Submit {
-            session,
-            tenant: 77,
-            t0: 0,
-            t1: T1,
-            weight: 1,
-            deadline: Deadline::None,
-            elem: ElemType::F64,
-            grid: grid_to_bytes(&grid),
-        },
-    )
-    .expect("submit");
-    let request = match read_frame(&mut stream).expect("submitted").0 {
-        Frame::Submitted { request } => request,
-        other => panic!("expected Submitted, got {other:?}"),
-    };
+    let request = raw_submit(&mut stream, session, [16, 16], 77, T1);
     write_frame(&mut stream, &Frame::Poll { request }).expect("poll");
     let _ = read_frame(&mut stream).expect("status");
     drop(stream); // abandons the request forever
+}
+
+/// Dies parked: submits a long request, asks the server to park on it for a
+/// minute, and vanishes without reading the answer.  The worker wakes to a dead
+/// socket and must orphan that one request — nothing of anyone else's.
+fn chaos_abandoned_wait(addr: &str) {
+    let (mut stream, session) = raw_session(addr);
+    let request = raw_submit(&mut stream, session, [16, 16], 55, LONG_T1);
+    send_long_wait(&mut stream, request);
+    drop(stream); // gone while the worker is parked
 }
 
 #[test]
@@ -140,7 +181,7 @@ fn client_failures_retire_only_their_own_chains() {
     let baseline = run_survivors(&baseline_server.addr().to_string());
     baseline_server.shutdown();
 
-    // Chaos run: the same survivors share the server with two misbehaving
+    // Chaos run: the same survivors share the server with three misbehaving
     // clients injected while they work.
     let server = Server::start(ServeConfig::default()).expect("chaos server");
     let addr = server.addr().to_string();
@@ -150,6 +191,7 @@ fn client_failures_retire_only_their_own_chains() {
         std::thread::spawn(move || {
             chaos_truncated_submit(&addr);
             chaos_abandoned_poll(&addr);
+            chaos_abandoned_wait(&addr);
         })
     };
     let survivors = run_survivors(&addr);
@@ -161,22 +203,109 @@ fn client_failures_retire_only_their_own_chains() {
     );
 
     // The server is still healthy: a fresh client can do a full round trip.
-    let mut client = Client::connect(&addr).expect("post-chaos connect");
-    let session = client
-        .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
-        .expect("post-chaos negotiate");
-    let request = client
-        .submit_tenant(&session, 0, T1, 1, Deadline::None)
-        .expect("post-chaos submit");
-    let result = client
-        .wait_fetch(request, Duration::from_secs(120))
-        .expect("post-chaos fetch");
     assert_eq!(
-        result.digest(),
+        fresh_round_trip(&addr),
         baseline[0],
         "post-chaos result for tenant 0 must still match the baseline"
     );
-    client.close().expect("close");
 
     server.shutdown();
+}
+
+/// One full request for tenant 0 on a fresh connection — the server is
+/// serviceable — and its result digest.
+fn fresh_round_trip(addr: &str) -> u64 {
+    let mut client = Client::connect(addr).expect("connect");
+    let session = client
+        .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
+        .expect("negotiate");
+    let request = client
+        .submit_tenant(&session, 0, T1, 1, Deadline::None)
+        .expect("submit");
+    let result = client
+        .wait_fetch(request, Duration::from_secs(120))
+        .expect("wait+fetch");
+    client.close().expect("close");
+    result.digest()
+}
+
+/// A client that asks for a 16 MiB `Result` (more than loopback socket buffers
+/// hold) and then stops reading pins its worker in a blocked write.  The write
+/// timeout retires that worker — the client finds the stream cut short — and
+/// other connections are served throughout.
+#[test]
+fn a_peer_that_stops_reading_is_dropped_by_the_write_timeout() {
+    const BIG: [u64; 2] = [1024, 1024];
+    let server = Server::start(ServeConfig::default()).expect("server");
+    let addr = server.addr().to_string();
+
+    let (mut stream, session) = raw_session_for(&addr, &BIG, 1);
+    let request = raw_submit(&mut stream, session, [1024, 1024], 1, 1);
+    loop {
+        send_long_wait(&mut stream, request);
+        match read_frame(&mut stream).expect("status").0 {
+            Frame::Status {
+                status: RequestStatus::Pending,
+            } => continue,
+            Frame::Status {
+                status: RequestStatus::Done,
+            } => break,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+    write_frame(&mut stream, &Frame::Fetch { request }).expect("fetch");
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix).expect("result prefix");
+    let declared = u32::from_le_bytes(prefix) as usize;
+    assert!(declared > 16 << 20, "a 16 MiB result, got {declared} bytes");
+
+    // Stop reading.  The worker is stuck mid-`Result`; everyone else is not.
+    let served = fresh_round_trip(&addr);
+    // Without reading a byte, watch for the worker giving up: it closes the
+    // socket with these probes unread, which resets the connection, and a write
+    // on a reset connection fails.  A timeout that expires with part of the
+    // frame newly buffered restarts the clock, hence a few of them.
+    let stalled = Instant::now();
+    while write_frame(&mut stream, &Frame::Poll { request }).is_ok() {
+        assert!(
+            stalled.elapsed() < 4 * WRITE_TIMEOUT,
+            "the stalled write never timed out"
+        );
+        std::thread::sleep(Duration::from_millis(250));
+    }
+
+    // The worker gave up: what the socket buffers held is all there is.
+    let mut rest = Vec::new();
+    let _ = stream.read_to_end(&mut rest); // EOF or reset, either way closed
+    assert!(
+        rest.len() < declared,
+        "the whole {declared}-byte result arrived: the stalled write never timed out"
+    );
+
+    assert_eq!(fresh_round_trip(&addr), served);
+    let started = Instant::now();
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(2));
+}
+
+/// `shutdown` wakes a worker parked in a `Wait` instead of waiting out its
+/// timeout.
+#[test]
+fn shutdown_does_not_wait_out_a_parked_worker() {
+    let server = Server::start(ServeConfig::default()).expect("server");
+    let addr = server.addr().to_string();
+    let (mut stream, session) = raw_session(&addr);
+    let request = raw_submit(&mut stream, session, [16, 16], 5, LONG_T1);
+    send_long_wait(&mut stream, request);
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    // The parked worker answered (`Pending`, or `Done` if the drain won the
+    // race) or its socket was closed under it; it did not hang.
+    match read_frame(&mut stream) {
+        Ok((Frame::Status { .. }, _)) | Err(_) => {}
+        Ok((other, _)) => panic!("expected Status or a closed socket, got {other:?}"),
+    }
 }

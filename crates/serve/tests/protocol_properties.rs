@@ -1,11 +1,15 @@
 //! Property-pins the wire codec: `decode ∘ encode` is the identity over
 //! arbitrary frames, and malformed inputs — truncations, oversized length
 //! prefixes, garbage bytes — are rejected with structured errors (no panic,
-//! no allocation beyond the bytes present).
+//! no allocation beyond the bytes present).  The owning decode `read_frame`
+//! uses and the two-write form `write_frame` emits are pinned against the plain
+//! `decode`/`encode` pair on the same frames.
+
+use std::io::{self, Write};
 
 use pochoir_serve::protocol::{
-    read_frame, Deadline, ElemType, ErrorCode, Frame, FrameError, ReadError, RequestStatus,
-    MAX_FRAME,
+    read_frame, write_frame, Deadline, ElemType, ErrorCode, Frame, FrameError, ReadError,
+    RequestStatus, MAX_FRAME,
 };
 use pochoir_trace::{Rng, TraceApp, TRACE_APPS};
 use proptest::prelude::*;
@@ -60,7 +64,7 @@ fn arb_status(rng: &mut Rng) -> RequestStatus {
 /// the same space reproducibly).
 fn arb_frame(seed: u64) -> Frame {
     let mut rng = Rng::new(seed ^ 0x0DDC_0FFE_E5E5_AA55);
-    match rng.below(14) {
+    match rng.below(15) {
         0 => Frame::Hello {
             version: rng.below(1 << 32) as u32,
         },
@@ -119,6 +123,10 @@ fn arb_frame(seed: u64) -> Frame {
         12 => Frame::Flushed {
             records: rng.below(1 << 32),
         },
+        13 => Frame::Wait {
+            request: rng.below(1 << 48),
+            timeout_micros: rng.below(1 << 40),
+        },
         _ => Frame::Error {
             code: ERROR_CODES[rng.below(ERROR_CODES.len() as u64) as usize],
             detail: arb_string(&mut rng, 48),
@@ -136,6 +144,27 @@ proptest! {
         let frame = arb_frame(seed);
         let decoded = Frame::decode(&frame.encode());
         prop_assert_eq!(decoded.as_ref(), Ok(&frame));
+    }
+
+    /// The decode `read_frame` uses — the body `Vec` becomes the payload in
+    /// place — agrees with the borrowing decode on every frame, and on every
+    /// rejection (truncations included).
+    #[test]
+    fn owning_decode_matches_borrowing_decode(seed in 0u64..u64::MAX, cut in 0usize..4096) {
+        let frame = arb_frame(seed);
+        let body = frame.encode();
+        prop_assert_eq!(Frame::decode_owned(body.clone()), Ok(frame));
+        let cut = cut % (body.len() + 1);
+        prop_assert_eq!(Frame::decode_owned(body[..cut].to_vec()), Frame::decode(&body[..cut]));
+    }
+
+    /// What `write_frame` puts on a socket — prefix and header in one write,
+    /// a bulk payload in a second — is byte-for-byte the single-buffer form,
+    /// and reads back as the same frame.
+    #[test]
+    fn written_frames_are_at_most_two_writes(seed in 0u64..u64::MAX) {
+        let frame = arb_frame(seed);
+        check_written(&frame)?;
     }
 
     /// Every truncation of a valid body is a structured rejection: an `Err`
@@ -169,6 +198,92 @@ proptest! {
         let pos = pos % body.len();
         body[pos] ^= flip;
         let _ = Frame::decode(&body);
+    }
+}
+
+/// A writer that keeps each `write` call apart, as a socket with `TCP_NODELAY`
+/// would put each on the wire.
+#[derive(Default)]
+struct Writes(Vec<Vec<u8>>);
+
+impl Write for Writes {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+fn check_written(frame: &Frame) -> Result<(), TestCaseError> {
+    let body = frame.encode();
+    let mut single = (body.len() as u32).to_le_bytes().to_vec();
+    single.extend_from_slice(&body);
+
+    let mut writes = Writes::default();
+    let written = write_frame(&mut writes, frame).expect("memory write");
+    let bulk = matches!(frame, Frame::Submit { grid, .. } if !grid.is_empty())
+        || matches!(frame, Frame::Result { payload, .. } if !payload.is_empty());
+    prop_assert_eq!(writes.0.len(), if bulk { 2 } else { 1 });
+    let wire = writes.0.concat();
+    prop_assert_eq!(written, wire.len() as u64);
+    prop_assert_eq!(&wire, &single);
+
+    let mut stream: &[u8] = &wire;
+    let (read, consumed) = read_frame(&mut stream).expect("the frame reads back");
+    prop_assert_eq!(&read, frame);
+    prop_assert_eq!(consumed, wire.len() as u64);
+    prop_assert!(stream.is_empty());
+    Ok(())
+}
+
+/// The bulk frames at the sizes the generator does not reach: an empty payload
+/// (header-only, one write) and a multi-MiB one, through both decodes and the
+/// two-write path.
+#[test]
+fn empty_and_multi_mib_payloads_round_trip() {
+    for len in [0usize, 1, 3 << 20] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+        let frames = [
+            Frame::Submit {
+                session: 3,
+                tenant: 9,
+                t0: 0,
+                t1: 4,
+                weight: 2,
+                deadline: Deadline::WallMicros(1500),
+                elem: ElemType::U8,
+                grid: bytes.clone(),
+            },
+            Frame::Result {
+                elem: ElemType::F64,
+                t1: 4,
+                slice_len: len as u64 / 16,
+                payload: bytes,
+            },
+        ];
+        for frame in &frames {
+            let body = frame.encode();
+            assert_eq!(Frame::decode(&body).as_ref(), Ok(frame));
+            assert_eq!(Frame::decode_owned(body.clone()).as_ref(), Ok(frame));
+            // A declared payload length that overruns the body is refused by
+            // both decodes alike (the length field is the last 4 header bytes).
+            let at = body.len() - len - 4;
+            let mut long = body.clone();
+            long[at..at + 4].copy_from_slice(&(len as u32 + 1).to_le_bytes());
+            assert!(matches!(
+                Frame::decode_owned(long),
+                Err(FrameError::Truncated { .. })
+            ));
+            let mut extra = body;
+            extra.push(0);
+            assert!(matches!(
+                Frame::decode_owned(extra),
+                Err(FrameError::TrailingBytes { extra: 1 })
+            ));
+            check_written(frame).expect("two-write form");
+        }
     }
 }
 
