@@ -74,6 +74,10 @@ pub enum Boundary<T, const D: usize> {
     Constant(T),
     /// Dirichlet condition whose value may depend on time and position
     /// (paper Figure 11a: `return 100 + 0.2*t`).
+    ///
+    /// The function must be **pure** (like the paper's `Pochoir_Boundary`): the row
+    /// base case calls it once per ghost cell per row request, the per-point base case
+    /// once per off-domain access, and both must see the same values.
     ConstantFn(Arc<dyn Fn(i64, [i64; D]) -> T + Send + Sync>),
     /// Neumann condition with zero derivative: out-of-range coordinates are clamped to
     /// the nearest domain cell (paper Figure 11b).
@@ -81,7 +85,8 @@ pub enum Boundary<T, const D: usize> {
     /// Different rule per axis, e.g. a cylinder (periodic in one axis, clamped in the
     /// other) as discussed in Section 4 of the paper.
     Mixed([AxisRule<T>; D]),
-    /// Fully general user-defined boundary function.
+    /// Fully general user-defined boundary function.  Must be **pure**, for the reason
+    /// given on [`Boundary::ConstantFn`]: how often it is called depends on the base case.
     Custom(Arc<BoundaryFn<T, D>>),
 }
 
@@ -183,6 +188,19 @@ impl<T: Copy, const D: usize> Boundary<T, D> {
                 let probe = BoundaryProbe::new(read, sizes);
                 f(&probe, t, x)
             }
+        }
+    }
+
+    /// How axis `d` alone treats an out-of-range coordinate, when that is a fixed rule:
+    /// `None` for the function-valued variants, which see the whole coordinate.
+    /// [`Boundary::resolve`] is equivalent to applying these rules in axis order.
+    pub fn axis_rule(&self, d: usize) -> Option<AxisRule<T>> {
+        match self {
+            Boundary::Periodic => Some(AxisRule::Periodic),
+            Boundary::Constant(v) => Some(AxisRule::Constant(*v)),
+            Boundary::Clamp => Some(AxisRule::Clamp),
+            Boundary::Mixed(rules) => Some(rules[d].clone()),
+            Boundary::ConstantFn(_) | Boundary::Custom(_) => None,
         }
     }
 

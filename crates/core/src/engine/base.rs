@@ -21,7 +21,18 @@
 //! the true domain **once per row**: the outer coordinates are folded up front, and the
 //! row's span along the last dimension is split at wrap points into unfolded segments,
 //! instead of paying a `fold()` on every point of the inner loop.
+//!
+//! ## The hybrid walk is two-way
+//!
+//! A boundary leaf is walked by folded segments ([`execute_zoid_hybrid`]).  A segment
+//! whose whole read halo lies in the domain runs the interior view; every other segment
+//! goes **whole** to the boundary view, which hands the kernel ghost rows
+//! ([`BoundaryView`]), so edge rows and row ends run the same row body as the interior.
+//! Only [`BaseCase::Point`], the `CloneMode::AlwaysBoundary` ablation (a boundary view
+//! built [`per_access`](BoundaryView::per_access)) and one-point rows (a row of one
+//! point is dispatched as the point it is) still resolve the boundary once per access.
 
+use crate::boundary::wrap;
 use crate::engine::plan::{BaseCase, IndexMode};
 use crate::grid::RawGrid;
 use crate::kernel::StencilKernel;
@@ -30,8 +41,10 @@ use crate::zoid::Zoid;
 
 /// Runs the base case for `zoid` under a pre-selected kernel clone (Section 4, "code
 /// cloning"): the fast interior clone — monomorphized over the unchecked or checked
-/// interior view per `index_mode` — when `interior` is true, and the boundary clone
-/// (boundary lookups plus virtual-coordinate folding) otherwise.
+/// interior view per `index_mode` — when `interior` is true, and the per-access boundary
+/// clone (a boundary lookup on every read, virtual-coordinate folding on every write)
+/// otherwise.  The latter is the `CloneMode::AlwaysBoundary` ablation: production
+/// boundary leaves go through [`execute_zoid_hybrid`].
 ///
 /// The recursive walker decides `interior` per leaf as it reaches it; the compiled
 /// schedule stores the flag in each arena leaf so repeated executions skip the
@@ -60,7 +73,7 @@ pub fn execute_clone<T, K, const D: usize>(
             }
         }
     } else {
-        let view = BoundaryView::new(grid);
+        let view = BoundaryView::per_access(grid);
         execute_zoid(zoid, kernel, &view, Some(sizes), base_case);
     }
 }
@@ -83,21 +96,18 @@ pub fn execute_zoid<T, K, A, const D: usize>(
     A: GridAccess<T, D>,
 {
     for t in zoid.t0..zoid.t1 {
-        let mut lo = [0i64; D];
-        let mut hi = [0i64; D];
-        let mut empty = false;
-        for i in 0..D {
-            lo[i] = zoid.lower_at(i, t);
-            hi[i] = zoid.upper_at(i, t);
-            if hi[i] <= lo[i] {
-                empty = true;
-            }
+        if let Some((lo, hi)) = box_at(zoid, t) {
+            execute_rows(kernel, view, t, lo, hi, fold_sizes, base_case);
         }
-        if empty {
-            continue;
-        }
-        execute_rows(kernel, view, t, lo, hi, fold_sizes, base_case);
     }
+}
+
+/// The box `zoid` covers at time `t`, or `None` where it is empty.
+#[inline]
+fn box_at<const D: usize>(zoid: &Zoid<D>, t: i64) -> Option<([i64; D], [i64; D])> {
+    let lo: [i64; D] = std::array::from_fn(|i| zoid.lower_at(i, t));
+    let hi: [i64; D] = std::array::from_fn(|i| zoid.upper_at(i, t));
+    (0..D).all(|i| lo[i] < hi[i]).then_some((lo, hi))
 }
 
 /// Applies `kernel` to every point of the box `[lo, hi)` at time `t`.
@@ -193,28 +203,17 @@ fn folded_rows<const D: usize>(
     for_each_row(lo, hi, |x| {
         let mut p = [0i64; D];
         for i in 0..last {
-            p[i] = fold(x[i], sizes[i]);
+            p[i] = wrap(x[i], sizes[i]);
         }
         let mut v = lo[last];
         while v < hi[last] {
-            let start = fold(v, n);
+            let start = wrap(v, n);
             let seg = (hi[last] - v).min(n - start);
             p[last] = start;
             emit(p, seg);
             v += seg;
         }
     });
-}
-
-/// Wraps a (possibly virtual) coordinate into the true domain `[0, n)`.
-#[inline]
-fn fold(x: i64, n: i64) -> i64 {
-    let r = x % n;
-    if r < 0 {
-        r + n
-    } else {
-        r
-    }
 }
 
 /// Runs one row through the selected base-case style.
@@ -232,8 +231,13 @@ fn dispatch_row<T, K, A, const D: usize>(
     A: GridAccess<T, D>,
 {
     match base_case {
-        BaseCase::Row => kernel.update_row(view, t, p, len),
-        BaseCase::Point => crate::kernel::update_row_pointwise(kernel, view, t, p, len),
+        // A one-point row is a point: there is nothing to walk, so it skips the row
+        // set-up (and, on the boundary view, a ghost row built for a single cell).
+        BaseCase::Row if len > 1 => {
+            view.begin_row();
+            kernel.update_row(view, t, p, len)
+        }
+        _ => crate::kernel::update_row_pointwise(kernel, view, t, p, len),
     }
 }
 
@@ -298,19 +302,21 @@ pub fn execute_leaf<T, K, const D: usize>(
     }
 }
 
-/// Boundary-clone execution with *segment-level clone resolution*: every folded row
-/// segment whose full read halo (`reach` in every dimension) lies inside the domain is
-/// upgraded to the fast interior view `interior`; only segments genuinely touching a
-/// domain edge or a periodic seam pay the boundary clone.
+/// Boundary-leaf execution with *segment-level clone resolution*: every folded row
+/// segment whose full read halo (`reach` in every dimension) lies inside the domain
+/// runs the fast interior view `interior`; every other segment — one touching a domain
+/// edge or a periodic seam — goes whole to the boundary view, whose ghost rows let the
+/// kernel's row body run there too.
 ///
 /// The compiled-schedule executor uses this for its boundary leaves: the per-leaf
 /// interior test is necessarily conservative (one sloped sliver or one wrapped
 /// coordinate demotes the whole leaf), but most of a demoted leaf's rows still have
 /// fully in-domain halos.  The checks reuse exactly the margin arithmetic of
-/// [`Zoid::is_interior`], one comparison per dimension per row instead of per point,
-/// and the upgraded rows produce bit-identical results because in-domain accesses read
-/// and write the same cells through either view (the row/point equivalence suite pins
-/// the row override to the per-point semantics).
+/// [`Zoid::is_interior`], one comparison per dimension per segment instead of per point,
+/// and both views produce bit-identical results because in-domain accesses read and
+/// write the same cells through either (the row/point equivalence suite pins the row
+/// override to the per-point semantics, `view`'s tests pin ghost rows to per-access
+/// reads).
 pub fn execute_zoid_hybrid<T, K, A, const D: usize>(
     zoid: &Zoid<D>,
     kernel: &K,
@@ -324,43 +330,17 @@ pub fn execute_zoid_hybrid<T, K, A, const D: usize>(
     K: StencilKernel<T, D>,
     A: GridAccess<T, D>,
 {
+    let last = D - 1;
     for t in zoid.t0..zoid.t1 {
-        let mut lo = [0i64; D];
-        let mut hi = [0i64; D];
-        let mut empty = false;
-        for i in 0..D {
-            lo[i] = zoid.lower_at(i, t);
-            hi[i] = zoid.upper_at(i, t);
-            if hi[i] <= lo[i] {
-                empty = true;
-            }
-        }
-        if empty {
+        let Some((lo, hi)) = box_at(zoid, t) else {
             continue;
-        }
-        // The boundary clone's folded row walk, with a per-segment carve: the sub-span
-        // whose halo stays in-domain — everything at least `reach` away from both
-        // domain ends — runs the interior clone, leaving only the `reach`-wide edge
-        // strips to the boundary clone.
-        let last = D - 1;
-        let (n, r) = (sizes[last], reach[last]);
+        };
         folded_rows(lo, hi, sizes, |p, seg| {
-            let outer_interior = (0..last).all(|i| p[i] >= reach[i] && p[i] + reach[i] < sizes[i]);
-            let start = p[last];
-            let end = start + seg;
-            let mid_lo = start.max(r);
-            let mid_hi = end.min(n - r);
-            if outer_interior && mid_hi > mid_lo {
-                let mut q = p;
-                if mid_lo > start {
-                    dispatch_row(kernel, boundary, t, q, mid_lo - start, base_case);
-                }
-                q[last] = mid_lo;
-                dispatch_row(kernel, interior, t, q, mid_hi - mid_lo, base_case);
-                if end > mid_hi {
-                    q[last] = mid_hi;
-                    dispatch_row(kernel, boundary, t, q, end - mid_hi, base_case);
-                }
+            let halo_inside = (0..last).all(|i| p[i] >= reach[i] && p[i] + reach[i] < sizes[i])
+                && p[last] >= reach[last]
+                && p[last] + seg + reach[last] <= sizes[last];
+            if halo_inside {
+                dispatch_row(kernel, interior, t, p, seg, base_case);
             } else {
                 dispatch_row(kernel, boundary, t, p, seg, base_case);
             }

@@ -4,7 +4,9 @@
 //! The loop engines use the same ghost-cell-style optimization the paper grants its
 //! baselines: the bulk of the domain (every point whose whole stencil footprint stays
 //! in-domain) runs the fast interior clone, and only the thin boundary shell pays for
-//! boundary handling.
+//! boundary handling — by ghost rows ([`BoundaryView`]), so the shell runs the kernel's
+//! row body too.  Under `CloneMode::AlwaysBoundary` every box, interior and shell, runs
+//! the per-access boundary clone instead.
 
 use crate::engine::base::execute_box;
 use crate::engine::plan::{BaseCase, CloneMode, ExecutionPlan, IndexMode};
@@ -125,7 +127,7 @@ pub fn run_loops<T, K, P, const D: usize>(
             }
         } else if !interior.is_empty() {
             // Modular-indexing ablation: run the interior through the boundary clone.
-            let view = BoundaryView::new(grid);
+            let view = BoundaryView::per_access(grid);
             execute_box(
                 kernel,
                 &view,
@@ -138,7 +140,12 @@ pub fn run_loops<T, K, P, const D: usize>(
         }
         // Boundary shell (small): processed in parallel over shell boxes.
         par.for_each(&shell, |b| {
-            let view = BoundaryView::new(grid);
+            // Built per box, on the thread that walks it: the row view is not `Sync`.
+            let view = if force_boundary {
+                BoundaryView::per_access(grid)
+            } else {
+                BoundaryView::new(grid)
+            };
             execute_box(kernel, &view, t, b.lo, b.hi, Some(sizes), plan.base_case);
         });
     }
@@ -157,6 +164,19 @@ fn run_interior_slabs<T, K, P, const D: usize>(
     P: Parallelism,
 {
     let rows = (interior.hi[0] - interior.lo[0]) as usize;
+    if D == 1 {
+        // The outermost axis is the unit-stride axis: slabs of it would be one-point
+        // rows.  Cut the single row into one contiguous chunk per worker instead.
+        let tasks = par.num_workers().clamp(1, rows);
+        par.parallel_for(tasks, 1, |k| {
+            let mut lo = interior.lo;
+            let mut hi = interior.hi;
+            lo[0] = interior.lo[0] + (rows * k / tasks) as i64;
+            hi[0] = interior.lo[0] + (rows * (k + 1) / tasks) as i64;
+            dispatch_interior(grid, kernel, t, lo, hi, plan.index_mode, plan.base_case);
+        });
+        return;
+    }
     par.parallel_for(rows, plan.grain, |r| {
         let mut lo = interior.lo;
         let mut hi = interior.hi;
@@ -331,6 +351,39 @@ mod tests {
             let got = a.get(steps as i64, [i as i64]);
             assert!((got - expected).abs() < 1e-12, "i={i}: {got} vs {expected}");
         }
+    }
+
+    #[test]
+    fn one_dimensional_loops_issue_a_row_call_per_task_not_per_point() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// `Heat1D` that counts its row dispatches.
+        struct CountingRows(AtomicUsize);
+        impl StencilKernel<f64, 1> for CountingRows {
+            fn update<A: GridAccess<f64, 1>>(&self, g: &A, t: i64, x: [i64; 1]) {
+                Heat1D.update(g, t, x)
+            }
+            fn update_row<A: GridAccess<f64, 1>>(&self, g: &A, t: i64, x0: [i64; 1], len: i64) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                crate::kernel::update_row_pointwise(self, g, t, x0, len);
+            }
+        }
+        const STEPS: i64 = 3;
+        fn counted<P: Parallelism>(plan: ExecutionPlan<1>, par: &P) -> (Vec<f64>, usize) {
+            let spec = StencilSpec::new(star_shape::<1>(1));
+            let mut a: PochoirArray<f64, 1> = PochoirArray::new([1000]);
+            a.fill_time_slice(0, |x| (x[0] % 13) as f64);
+            let kernel = CountingRows(AtomicUsize::new(0));
+            run_loops(a.raw(), &spec, &kernel, 0, STEPS, &plan, par, false);
+            (a.snapshot(STEPS), kernel.0.into_inner())
+        }
+        // Per step: the whole interior row (the two one-cell shell boxes are points).
+        let (serial, calls) = counted(ExecutionPlan::loops_serial(), &Serial);
+        assert_eq!(calls, STEPS as usize);
+        // One interior chunk per worker.
+        let rt = pochoir_runtime::Runtime::new(2);
+        let (parallel, calls) = counted(ExecutionPlan::loops_parallel(), &rt);
+        assert_eq!(calls, 2 * STEPS as usize);
+        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -66,11 +66,11 @@
 //! window height, so on periodic problems (or 3D heuristics that never cut the
 //! unit-stride dimension) most of the domain can end up on the slow clone.  Because a
 //! compiled leaf carries the stencil reach, the executor re-resolves the clone *per
-//! folded row segment*: the sub-span whose read halo is fully in-domain runs the
-//! vectorized interior clone, and only the `reach`-wide edge/seam strips pay the
-//! boundary clone ([`base::execute_zoid_hybrid`]).  This is where most of the compiled
-//! path's measured speedup comes from (`benchmark/`'s
-//! `schedule.compiled_over_recursive` measures it).
+//! folded row segment*: a segment whose read halo is fully in-domain runs the interior
+//! clone, and a segment touching an edge or seam goes whole to the boundary clone, which
+//! serves it ghost rows so the same vectorized row body runs there
+//! ([`base::execute_zoid_hybrid`]).  The recursive walker feeds its leaves through the
+//! same dispatch (`benchmark/`'s `schedule.compiled_over_recursive` compares the two).
 //!
 //! ## Schedule cache and time-origin shifting
 //!

@@ -31,11 +31,14 @@ pub trait StencilKernel<T: Copy, const D: usize>: Sync {
     /// the same order) — engine equivalence tests enforce this.
     ///
     /// Overrides must fall back to the per-point loop ([`update_row_pointwise`]) when
-    /// the view does not expose rows (`row()` returning `None`), which is how boundary,
-    /// tracing and checked-index views keep observing every access.  The row accessors
-    /// are `unsafe`: overrides must uphold their contract (rows in-domain, written
-    /// elements disjoint from live row slices — reading `t`/`t − 1` and writing `t + 1`
-    /// satisfies it).
+    /// the view does not expose rows (`row()` or `row_out()` returning `None`), which is
+    /// how the tracing, checked-index and per-access boundary views keep observing every
+    /// access.  The boundary clone does expose rows: it may be asked for rows that leave
+    /// the domain and answers with ghost rows, so an override's slice-walking body also
+    /// runs on edge rows and row ends.  The row accessors are `unsafe`: overrides must
+    /// uphold their contract (written elements disjoint from live row slices — reading
+    /// `t`/`t − 1` and writing `t + 1` satisfies it — and no row kept beyond the call:
+    /// a row is valid only until the view's next row dispatch).
     #[inline]
     fn update_row<A: GridAccess<T, D>>(&self, grid: &A, t: i64, x0: [i64; D], len: i64) {
         update_row_pointwise(self, grid, t, x0, len);

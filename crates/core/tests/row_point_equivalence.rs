@@ -17,11 +17,28 @@ fn engine_from_id(id: u8) -> EngineKind {
     }
 }
 
+/// Number of boundary variants [`boundary_f64`] builds: every `Boundary` variant.
+const BOUNDARIES: u8 = 6;
+
 fn boundary_f64<const D: usize>(id: u8) -> Boundary<f64, D> {
-    match id % 3 {
+    match id % BOUNDARIES {
         0 => Boundary::Constant(0.5),
         1 => Boundary::Periodic,
-        _ => Boundary::Clamp,
+        2 => Boundary::Clamp,
+        3 => Boundary::constant_fn(|t, x: [i64; D]| {
+            0.25 * t as f64 + x.iter().sum::<i64>() as f64 / 8.0
+        }),
+        // 1-D: clamped; 2-D: clamped × Dirichlet; 3-D adds a periodic axis.
+        4 => Boundary::Mixed(std::array::from_fn(|d| match d % 3 {
+            0 => AxisRule::Clamp,
+            1 => AxisRule::Constant(0.25),
+            _ => AxisRule::Periodic,
+        })),
+        // Derives the ghost value from the nearest in-domain cell.
+        _ => Boundary::custom(|probe, t, x: [i64; D]| {
+            let inside = std::array::from_fn(|d| x[d].clamp(0, probe.size(d) - 1));
+            0.5 * probe.get(t, inside) + 0.125
+        }),
     }
 }
 
@@ -90,8 +107,8 @@ impl StencilKernel<f64, 2> for RowHeat2D {
         }
         let n = len as usize;
         'fast: {
-            // Safety (row contract): interior rows only; reads of slice `t`, write row
-            // in distinct slice `t + 1`.
+            // Safety (row contract): reads of slice `t` (off-domain only on a boundary
+            // view), write row in-domain in the distinct slice `t + 1`.
             let (Some(mut out), Some(up), Some(mid), Some(down)) = (unsafe {
                 (
                     g.row_out(t + 1, x0, n),
@@ -140,7 +157,7 @@ proptest! {
     fn row_equals_point_1d(
         n in 1usize..40,
         steps in 1i64..10,
-        boundary_id in 0u8..3,
+        boundary_id in 0u8..BOUNDARIES,
         engine_id in 0u8..5,
     ) {
         assert_row_point_equal(
@@ -158,7 +175,7 @@ proptest! {
         nx in 1usize..24,
         ny in 1usize..24,
         steps in 1i64..8,
-        boundary_id in 0u8..3,
+        boundary_id in 0u8..BOUNDARIES,
         engine_id in 0u8..5,
     ) {
         assert_row_point_equal(
@@ -177,7 +194,7 @@ proptest! {
         ny in 1usize..10,
         nz in 1usize..12,
         steps in 1i64..5,
-        boundary_id in 0u8..3,
+        boundary_id in 0u8..BOUNDARIES,
         engine_id in 0u8..5,
     ) {
         assert_row_point_equal(
@@ -190,8 +207,8 @@ proptest! {
     }
 }
 
-/// Deterministic spot checks: every engine on a fixed non-power-of-two 2D problem, all
-/// three boundary kinds, row vs. point bitwise.
+/// Deterministic spot checks: every engine on a fixed non-power-of-two 2D problem, every
+/// boundary variant, row vs. point bitwise.
 #[test]
 fn row_equals_point_all_engines_fixed() {
     for engine in [
@@ -201,7 +218,7 @@ fn row_equals_point_all_engines_fixed() {
         EngineKind::LoopsParallel,
         EngineKind::LoopsBlocked,
     ] {
-        for boundary_id in 0..3u8 {
+        for boundary_id in 0..BOUNDARIES {
             assert_row_point_equal(
                 [23, 17],
                 7,
@@ -219,7 +236,7 @@ fn row_equals_point_all_engines_fixed() {
 #[test]
 fn row_equals_point_thin_domains() {
     for sizes in [[1usize, 9], [2, 2], [9, 1], [1, 1]] {
-        for boundary_id in 0..3u8 {
+        for boundary_id in 0..BOUNDARIES {
             assert_row_point_equal(
                 sizes,
                 5,
@@ -229,5 +246,86 @@ fn row_equals_point_thin_domains() {
             )
             .unwrap();
         }
+    }
+}
+
+/// The boundary path is costed by a count: a `Custom` boundary that counts its calls,
+/// heat 2-D 32² for one step.  The row base case calls it once per ghost cell it
+/// materializes — one off-domain leg row at each of the two outer edges, two row-end
+/// cells on each of the `n` rows: `4·n` — and the per-access paths once per off-domain
+/// read, which for this radius-1 star is `4·n` as well (one leg per edge point, two at
+/// the corners).  The ablations must keep theirs whatever the row path does.
+#[test]
+fn boundary_calls_are_counted_per_ghost_cell() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let n = 32usize;
+    let plans = [
+        ("trap/row", ExecutionPlan::trap()),
+        (
+            "trap/point",
+            ExecutionPlan::trap().with_base_case(BaseCase::Point),
+        ),
+        (
+            "trap/always-boundary",
+            ExecutionPlan::trap().with_clone_mode(CloneMode::AlwaysBoundary),
+        ),
+        ("loops/row", ExecutionPlan::loops_serial()),
+        (
+            "loops/always-boundary",
+            ExecutionPlan::loops_serial().with_clone_mode(CloneMode::AlwaysBoundary),
+        ),
+    ];
+    for (label, plan) in plans {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = calls.clone();
+        let mut a: PochoirArray<f64, 2> = PochoirArray::new([n, n]);
+        a.register_boundary(Boundary::custom(move |_, _, _| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            0.0
+        }));
+        a.fill_time_slice(0, |x| (x[0] * 3 + x[1]) as f64);
+        let spec = StencilSpec::new(star_shape::<2>(1));
+        let kernel = RowHeat2D { cx: 0.1, cy: 0.1 };
+        run(&mut a, &spec, &kernel, 0, 1, &plan, &Serial);
+        assert_eq!(calls.load(Ordering::Relaxed), 4 * n, "{label}");
+    }
+}
+
+/// `TracingView` serves no rows, so a traced run of a row-overriding kernel reports
+/// every access one by one: 5 reads per point minus the off-domain legs a `Constant`
+/// boundary answers without touching memory, and one write per point.
+#[test]
+fn traced_runs_still_see_every_access() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    #[derive(Default)]
+    struct Counter {
+        reads: AtomicU64,
+        writes: AtomicU64,
+    }
+    impl AccessTracer for Counter {
+        fn on_read(&self, _addr: usize, _bytes: usize) {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+        }
+        fn on_write(&self, _addr: usize, _bytes: usize) {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let (n, steps) = (8u64, 2u64);
+    for engine in [EngineKind::Trap, EngineKind::LoopsSerial] {
+        let mut a: PochoirArray<f64, 2> = PochoirArray::new([n as usize; 2]);
+        a.register_boundary(Boundary::Constant(1.0));
+        a.fill_time_slice(0, |x| (x[0] + 2 * x[1]) as f64);
+        let spec = StencilSpec::new(star_shape::<2>(1));
+        let kernel = RowHeat2D { cx: 0.1, cy: 0.1 };
+        let counter = Counter::default();
+        let plan = ExecutionPlan::new(engine).with_coarsening(Coarsening::new(2, [4, 4]));
+        run_traced(&mut a, &spec, &kernel, 0, steps as i64, &plan, &counter);
+        assert_eq!(counter.writes.load(Ordering::Relaxed), n * n * steps);
+        assert_eq!(
+            counter.reads.load(Ordering::Relaxed),
+            (5 * n * n - 4 * n) * steps,
+            "{engine:?}"
+        );
     }
 }

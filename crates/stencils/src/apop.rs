@@ -134,8 +134,9 @@ impl StencilKernel<f64, 1> for ApopKernel {
         }
         let n = len as usize;
         'fast: {
-            // Safety (row contract): interior rows keep the radius-1 footprint
-            // in-domain; the read row is of slice `t`, the write row of slice `t+1`.
+            // Safety (row contract): the write row is in-domain (the view answers
+            // `None` otherwise) and the read row may leave the domain only on a boundary
+            // view; the read row is of slice `t`, the write row of slice `t+1`.
             let (Some(mut out), Some(center)) =
                 (unsafe { (g.row_out(t + 1, x0, n), g.row(t, [x0[0] - 1], n + 2)) })
             else {

@@ -46,9 +46,10 @@ impl<const D: usize> StencilKernel<f64, D> for HeatKernel<D> {
         let n = len as usize;
         let last = D - 1;
         'fast: {
-            // Safety (row contract): the engines only dispatch interior rows, whose
-            // whole radius-1 footprint is in-domain, and all reads target slice `t`
-            // while the single write row lives in the distinct slice `t + 1`.
+            // Safety (row contract): the write row is in-domain (the view answers
+            // `None` otherwise) and read rows leave the domain only on a boundary view,
+            // which serves ghost rows; all reads target slice `t` while the single
+            // write row lives in the distinct slice `t + 1`.
             let Some(mut out) = (unsafe { g.row_out(t + 1, x0, n) }) else {
                 break 'fast;
             };
@@ -96,7 +97,7 @@ impl<const D: usize> StencilKernel<f64, D> for HeatKernel<D> {
             }
             return;
         }
-        // Per-point path for views without direct rows (boundary clone, tracing, …).
+        // Per-point path for views without rows (tracing, checked indexing, …).
         update_row_pointwise(self, g, t, x0, len);
     }
 }
@@ -108,8 +109,9 @@ pub fn shape<const D: usize>() -> Shape<D> {
 
 /// TRAP/STRAP base-case coarsening tuned for the 2D heat kernel under the compiled
 /// schedule path: keep the unit-stride dimension uncut so the row path gets full-width
-/// rows — the compiled executor's segment-level clone resolution keeps those rows on
-/// the interior clone — and slab the outer dimension at 50 rows.  A persisted host
+/// rows — on a torus the compiled executor's segment-level clone resolution keeps them
+/// on the interior clone, elsewhere they run the boundary clone's ghost rows through
+/// the same row body — and slab the outer dimension at 50 rows.  A persisted host
 /// tune profile (see [`pochoir_autotune::profile`]) overrides this default when present.
 pub fn tuned_coarsening_2d() -> Coarsening<2> {
     crate::common::profile_coarsening("heat2d", Coarsening::new(5, [50, 4096]))

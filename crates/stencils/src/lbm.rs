@@ -88,8 +88,9 @@ impl StencilKernel<Cell, 3> for LbmKernel {
         }
         let n = len as usize;
         'fast: {
-            // Safety (row contract): interior rows keep the radius-1 footprint
-            // in-domain; reads are of slice `t`, the write row of distinct slice `t+1`.
+            // Safety (row contract): the write row is in-domain (the view answers
+            // `None` otherwise) and read rows leave the domain only on a boundary view;
+            // reads are of slice `t`, the write row of distinct slice `t+1`.
             let (Some(mut out), Some(center)) = (unsafe {
                 (
                     g.row_out(t + 1, x0, n),

@@ -80,8 +80,9 @@ impl StencilKernel<i32, 1> for PsaKernel {
         }
         let n = len as usize;
         'fast: {
-            // Safety (row contract): interior rows keep the skewed footprint
-            // (offsets 0/−1 at `t`, −1 at `t−1`) in-domain; reads are of slices `t`
+            // Safety (row contract): the write row is in-domain (the view answers
+            // `None` otherwise) and the skewed footprint (offsets 0/−1 at `t`, −1 at
+            // `t−1`) leaves the domain only on a boundary view; reads are of slices `t`
             // and `t − 1`, the write row of the distinct slice `t + 1`.
             let (Some(mut out), Some(diag), Some(up_row), Some(left)) = (unsafe {
                 (

@@ -46,9 +46,10 @@ impl StencilKernel<f64, 3> for WaveKernel {
         }
         let n = len as usize;
         'fast: {
-            // Safety (row contract): interior rows keep the radius-1 footprint
-            // in-domain; reads are of slices `t` and `t − 1`, the write row of the
-            // distinct slice `t + 1` (three slices for this depth-2 stencil).
+            // Safety (row contract): the write row is in-domain (the view answers
+            // `None` otherwise) and read rows leave the domain only on a boundary view;
+            // reads are of slices `t` and `t − 1`, the write row of the distinct slice
+            // `t + 1` (three slices for this depth-2 stencil).
             let (Some(mut out), Some(center), Some(prev)) = (unsafe {
                 (
                     g.row_out(t + 1, x0, n),
@@ -104,9 +105,10 @@ pub fn shape() -> Shape<3> {
 
 /// TRAP/STRAP base-case coarsening tuned for the 3D wave kernel under the compiled
 /// schedule path.  The paper's 3D heuristic (`3×3×1000`) fragments the decomposition
-/// into tens of thousands of sliver leaves whose full-width rows all ran the boundary
-/// clone; 8×8 tiles with the unit-stride dimension uncut keep the leaf count ~64×
-/// smaller at slightly better throughput.
+/// into tens of thousands of sliver leaves; 8×8 tiles with the unit-stride dimension
+/// uncut keep the leaf count ~64× smaller at slightly better throughput.  (Full-width
+/// rows touch both domain ends, so they run the boundary clone — on ghost rows, with the
+/// same row body as the interior.)
 pub fn tuned_coarsening() -> Coarsening<3> {
     crate::common::profile_coarsening("wave3d", Coarsening::new(8, [8, 8, 1000]))
 }

@@ -7,7 +7,7 @@
 //! run), so concurrently running engine tests in a shared binary would race it.
 //! Within this process the runs are strictly sequential.
 
-use pochoir_core::boundary::Boundary;
+use pochoir_core::boundary::{AxisRule, Boundary};
 use pochoir_core::engine::{run, Coarsening, ExecutionPlan};
 use pochoir_core::prelude::StencilSpec;
 use pochoir_core::simd::{isa_detected, rows_snapshot, SimdIsa, SimdPolicy};
@@ -23,6 +23,24 @@ fn policies() -> Vec<SimdPolicy> {
         SimdPolicy::Force(SimdIsa::Sse2),
         SimdPolicy::Force(SimdIsa::Avx2),
         SimdPolicy::Auto,
+    ]
+}
+
+/// Every `Boundary` variant, so the SIMD bodies also run on every kind of ghost row.
+fn boundaries<const D: usize>() -> Vec<Boundary<f64, D>> {
+    vec![
+        Boundary::Constant(0.0),
+        Boundary::Periodic,
+        Boundary::Clamp,
+        Boundary::constant_fn(|t, x: [i64; D]| t as f64 + x.iter().sum::<i64>() as f64 / 4.0),
+        Boundary::Mixed(std::array::from_fn(|d| match d % 2 {
+            0 => AxisRule::Periodic,
+            _ => AxisRule::Constant(1.5),
+        })),
+        Boundary::custom(|probe, t, x: [i64; D]| {
+            let inside = std::array::from_fn(|d| x[d].clamp(0, probe.size(d) - 1));
+            0.5 * probe.get(t, inside)
+        }),
     ]
 }
 
@@ -72,7 +90,7 @@ fn simd_rows_are_bitwise_equal_to_scalar() {
     let heat_coarsenings_2d = [Coarsening::new(2, [5, 7]), Coarsening::new(3, [50, 4096])];
 
     // Heat 1D.
-    for boundary in [Boundary::Constant(0.0), Boundary::Periodic, Boundary::Clamp] {
+    for boundary in boundaries::<1>() {
         let kernel = heat::HeatKernel::<1>::default();
         let spec = StencilSpec::new(heat::shape::<1>());
         let sizes = [37usize];
@@ -98,7 +116,7 @@ fn simd_rows_are_bitwise_equal_to_scalar() {
     }
 
     // Heat 2D, two coarsenings (short fragmented rows and full-width rows).
-    for boundary in [Boundary::Constant(0.0), Boundary::Periodic, Boundary::Clamp] {
+    for boundary in boundaries::<2>() {
         for coarsening in heat_coarsenings_2d {
             let kernel = heat::HeatKernel::<2>::default();
             let spec = StencilSpec::new(heat::shape::<2>());
