@@ -1628,9 +1628,26 @@ where
         })
     }
 
-    /// Admission control for one `[t0, t1)` submission: the opt-in unmeetable-deadline
-    /// rejection, then the quotas.  A refusal is counted toward `serving_shed`.
+    /// Admission control for one `[t0, t1)` submission: a span whose window
+    /// arithmetic overflows `i64` is invalid, then the opt-in unmeetable-deadline
+    /// rejection, then the quotas.  A quota or deadline refusal is counted toward
+    /// `serving_shed`.
     fn admit(&mut self, t0: i64, t1: i64, opts: SubmitOptions) -> Result<(), ServeError> {
+        // The drain steps a chain to `next_t + chunk` and counts its windows as
+        // `(t1 - t0 + chunk - 1) / chunk`; both must fit, or a wrapped window end
+        // never reaches `t1` and the drain spins.
+        let chunk = self.program.window().max(1);
+        let overflows = t1 > t0
+            && (t1.checked_add(chunk).is_none()
+                || t1
+                    .checked_sub(t0)
+                    .and_then(|span| span.checked_add(chunk - 1))
+                    .is_none());
+        if overflows {
+            return Err(ServeError::InvalidGeometry {
+                detail: format!("time span [{t0}, {t1}) overflows i64 in windows of {chunk} steps"),
+            });
+        }
         let windows = self.windows_of(t0, t1);
         let refusal = match opts.deadline {
             Some(deadline) if self.policy.reject_unmeetable && deadline < windows => {
@@ -2169,6 +2186,56 @@ mod tests {
         let drained = server.try_drain_with(&Serial).unwrap();
         assert_eq!(drained.len(), 2);
         assert!(server.last_drain().unwrap().failures().is_empty());
+    }
+
+    /// A span at the top of `i64` is refused before it is queued (its window
+    /// ends would wrap and the drain would never finish the chain), for plain and
+    /// sharded submissions alike; the last span that fits still drains.
+    #[test]
+    fn spans_whose_window_arithmetic_overflows_are_refused() {
+        let chunk = 4;
+        let mut server = StencilServer::new(
+            StencilSpec::new(star_shape::<2>(1)),
+            Heat2D,
+            plan().with_sharding(crate::engine::Sharding::Tiles(2)),
+            [12, 12],
+            chunk,
+        );
+        for (t0, t1) in [
+            (i64::MAX - 1, i64::MAX),
+            (i64::MAX - 8, i64::MAX - 2),
+            (i64::MIN, 1),
+        ] {
+            for sharded in [false, true] {
+                let submitted = if sharded {
+                    server.try_submit_sharded(make_array(12, 0), t0, t1, SubmitOptions::default())
+                } else {
+                    server.try_submit(make_array(12, 0), t0, t1)
+                };
+                assert!(
+                    matches!(submitted, Err(ServeError::InvalidGeometry { ref detail }) if detail.contains("overflows")),
+                    "[{t0}, {t1}) sharded={sharded}: {submitted:?}"
+                );
+            }
+        }
+        assert_eq!(server.pending(), 0, "refused spans are not queued");
+        assert_eq!(server.pending_sheds, 0, "an invalid span is not a shed");
+
+        // The highest t1 admitted (t1 + chunk == i64::MAX) drains like [0, 7);
+        // t0 is even, so the data sits in slice 0 as it does for the reference.
+        let (t0, t1) = (i64::MAX - chunk - 7, i64::MAX - chunk);
+        let mut reference = make_array(12, 0);
+        CompiledStencil::new(
+            StencilSpec::new(star_shape::<2>(1)),
+            Heat2D,
+            plan(),
+            [12, 12],
+            chunk,
+        )
+        .run_with(&mut reference, 0, t1 - t0, &Serial);
+        server.try_submit(make_array(12, 0), t0, t1).unwrap();
+        let drained = server.try_drain_with(&Serial).unwrap();
+        assert_eq!(drained[0].snapshot(t1), reference.snapshot(t1 - t0));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! port resolved when `--addr` ends in `:0`), which is what the CI smoke step
 //! and the tests wait for.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 use pochoir_core::engine::AdmissionPolicy;

@@ -1,25 +1,27 @@
 //! A small blocking client for the `pochoir-serve` wire protocol.
 //!
-//! The client is deliberately dumb: one [`TcpStream`] with `TCP_NODELAY` set,
-//! strictly request/response (every frame it sends but `Close` is answered by
-//! exactly one frame), no internal threads.  The one call that blocks on the
-//! server's progress is [`Client::wait`], which parks server-side in a `Wait`
-//! frame instead of polling.  Anything fancier — concurrency, retries — is the
-//! caller's business, which keeps the tests honest about what crossed the wire.
+//! The client is deliberately dumb: one [`TcpStream`] with `TCP_NODELAY` set
+//! (its read half behind a small `BufReader`), strictly request/response (every
+//! frame it sends but `Close` is answered by exactly one frame), no internal
+//! threads.  The one call that blocks on the server's progress is
+//! [`Client::wait`], which parks server-side in a `Wait` frame instead of
+//! polling.  A grid is never staged: [`Client::submit_grid`] writes the
+//! caller's rows straight to the socket, and a fetched result's payload is read
+//! into the one `Vec` [`FetchedResult::bytes`] hands back.  Anything fancier —
+//! concurrency, retries — is the caller's business, which keeps the tests
+//! honest about what crossed the wire.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use pochoir_core::grid::PochoirArray;
-use pochoir_stencils::traffic::{
-    digest_values, heat_grid, life_grid, usizes, wave_grid, DigestBits,
-};
+use pochoir_stencils::traffic::{digest_patterns, heat_grid, life_grid, usizes, wave_grid};
 use pochoir_trace::TraceApp;
 
 use crate::protocol::{
-    grid_to_bytes, read_frame, write_frame, Deadline, ElemType, ErrorCode, Frame, FrameError,
-    ReadError, RequestStatus, WireElem, PROTOCOL_VERSION,
+    read_frame, write_frame, write_grid_frame, Deadline, ElemType, ErrorCode, Frame, FrameError,
+    ReadError, RequestStatus, WireElem, PROTOCOL_VERSION, READ_BUFFER,
 };
 
 /// Client-side failures, separating transport problems from typed server
@@ -105,30 +107,25 @@ pub struct FetchedResult {
 impl FetchedResult {
     /// The FNV-1a digest of the payload, bit-identical to
     /// [`digest_grid`](pochoir_stencils::traffic::digest_grid) of the array
-    /// the server drained.
+    /// the server drained — folded over the payload bytes where they lie.
     pub fn digest(&self) -> u64 {
         match self.elem {
-            ElemType::F64 => digest_values(&decode_slices::<f64>(self)),
-            ElemType::U8 => digest_values(&decode_slices::<u8>(self)),
+            ElemType::F64 => digest_patterns(
+                self.bytes
+                    .chunks_exact(8)
+                    .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunks"))),
+            ),
+            ElemType::U8 => digest_patterns(self.bytes.iter().map(|&b| u64::from(b))),
         }
     }
 }
 
-fn decode_slices<T: WireElem + DigestBits>(r: &FetchedResult) -> Vec<Vec<T>> {
-    let per_slice = r.slice_len as usize * T::ELEM.size();
-    r.bytes
-        .chunks(per_slice.max(1))
-        .map(|chunk| {
-            let mut slice = vec![T::default(); chunk.len() / T::ELEM.size()];
-            T::take_row(chunk, &mut slice);
-            slice
-        })
-        .collect()
-}
-
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
+    /// The write half.
     stream: TcpStream,
+    /// The read half of the same socket.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -138,7 +135,8 @@ impl Client {
         // Request/response over small frames: Nagle would hold every frame for
         // the peer's delayed ACK.
         stream.set_nodelay(true)?;
-        let mut client = Client { stream };
+        let reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
+        let mut client = Client { stream, reader };
         match client.roundtrip(&Frame::Hello {
             version: PROTOCOL_VERSION,
         })? {
@@ -169,7 +167,8 @@ impl Client {
         }
     }
 
-    /// Serializes `grid` and submits `[t0, t1)` on it; returns the request id.
+    /// Submits `[t0, t1)` on `grid`, whose every time slice goes out straight
+    /// from its rows; returns the request id.
     ///
     /// The arity mirrors the wire frame field-for-field on purpose.
     #[allow(clippy::too_many_arguments)]
@@ -191,9 +190,11 @@ impl Client {
             weight,
             deadline,
             elem: T::ELEM,
-            grid: grid_to_bytes(grid),
+            grid: Vec::new(),
         };
-        match self.roundtrip(&frame)? {
+        let slices: Vec<i64> = (0..grid.time_slices() as i64).collect();
+        write_grid_frame(&mut self.stream, &frame, grid, &slices)?;
+        match self.reply()? {
             Frame::Submitted { request } => Ok(request),
             other => Err(unexpected("Submitted", &other)),
         }
@@ -310,7 +311,13 @@ impl Client {
 
     fn roundtrip(&mut self, frame: &Frame) -> Result<Frame, ClientError> {
         write_frame(&mut self.stream, frame)?;
-        let (reply, _) = read_frame(&mut self.stream)?;
+        self.reply()
+    }
+
+    /// Reads the server's answer; a typed error frame becomes
+    /// [`ClientError::Server`].
+    fn reply(&mut self) -> Result<Frame, ClientError> {
+        let (reply, _) = read_frame(&mut self.reader)?;
         if let Frame::Error { code, detail } = reply {
             return Err(ClientError::Server { code, detail });
         }

@@ -15,10 +15,13 @@
 //! 3. it waits for and fetches results that are bitwise-identical to running the
 //!    same batch in-process — the end-to-end tests pin exactly that.
 //!
-//! [`protocol`] is the wire codec (pure, fuzzed by property tests),
-//! [`server`] the blocking reactor, and [`client`] a minimal blocking client.
+//! [`protocol`] is the wire codec (pure, fuzzed by property tests), which
+//! streams a grid between its rows and the socket with no payload-sized buffer
+//! on any hop; [`server`] is the blocking reactor, and [`client`] a minimal
+//! blocking client.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod protocol;

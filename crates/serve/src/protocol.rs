@@ -8,26 +8,33 @@
 //! order), one per time slice of the session's app, so a grid rebuilt from the
 //! wire is bitwise-identical to the one serialized.
 //!
-//! A frame costs at most two socket writes ([`write_frame`]): the length prefix
-//! and every fixed field leave in one buffer, and only the bulk payload of a
-//! `Submit`/`Result` follows as a second write, borrowed from where it already
-//! lives.  On the way in, [`read_frame`] turns the body it read into that
-//! payload in place ([`Frame::decode_owned`]), so a grid crosses each hop
-//! without a payload-sized copy.
+//! A grid is streamed, never staged: no hop holds a payload-sized buffer it
+//! does not need.  On the way out the length prefix and every fixed field leave
+//! in one write, and the bulk payload of a `Submit`/`Result` follows in writes
+//! of at most [`STREAM_CHUNK`] bytes — [`write_grid_frame`] converts it
+//! straight from the grid's rows through one bounded buffer, [`write_frame`]
+//! slices a payload that already is bytes.  On the way in, [`read_frame_head`]
+//! reads and validates everything up to the payload and leaves the payload on
+//! the stream: the server decodes it straight into the rows of the array it
+//! submits ([`read_grid`]), or drains it ([`skip_payload`]) when it refuses the
+//! header, and [`read_frame`] — the client's `Result` — reads it into one
+//! exactly sized `Vec`.
 //!
 //! The codec is hardened the way a network parser must be: [`Frame::decode`]
-//! never panics, every length field is validated against the bytes actually
-//! present **before** any allocation happens (a frame claiming a 4 GiB string
-//! inside a 20-byte body is rejected without allocating 4 GiB), and frames
-//! larger than [`MAX_FRAME`] are refused at the length prefix, before the body
-//! is read.  `decode ∘ encode = id` is pinned by a property test over arbitrary
-//! frames (`tests/protocol_properties.rs`).
+//! never panics, every length field is validated against the body length
+//! **before** any allocation happens (a frame claiming a 4 GiB string inside a
+//! 20-byte body is rejected without allocating 4 GiB), and frames larger than
+//! [`MAX_FRAME`] are refused at the length prefix, before the body is read.
+//! `decode ∘ encode = id`, streamed ≡ buffered decode and row-written ≡
+//! byte-written frames are pinned by property tests
+//! (`tests/protocol_properties.rs`).
 //!
 //! See `docs/protocol.md` for the full frame catalogue and the session/request
 //! state machine.
 
 use std::io::{self, Read, Write};
 
+use pochoir_core::grid::PochoirArray;
 use pochoir_trace::TraceApp;
 
 /// Protocol version spoken by this crate; negotiated by `Hello`/`HelloAck`.
@@ -37,6 +44,26 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// serve presets compile (the giant 1D corpus grid is ~9.6 MiB of slices),
 /// small enough that a hostile length prefix cannot balloon the process.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Largest `Submit` grid payload a frame can carry: [`MAX_FRAME`] less the
+/// fixed fields in front of it.
+pub(crate) const MAX_SUBMIT_PAYLOAD: usize = MAX_FRAME - SUBMIT_HEAD;
+
+/// Largest single write — and the read-side scratch buffer — of a bulk payload
+/// (256 KiB): a grid crosses each hop through one buffer of at most this size.
+pub const STREAM_CHUNK: usize = 256 << 10;
+
+/// Capacity of the `BufReader` in front of every connection's read half, so the
+/// split reads of [`read_frame_head`] cost a small frame no extra syscall.
+pub(crate) const READ_BUFFER: usize = 8 << 10;
+
+/// Body bytes of a `Submit` up to its payload: opcode, session, tenant, `t0`,
+/// `t1`, weight, deadline kind and value, elem, payload length.
+const SUBMIT_HEAD: usize = 1 + 4 + 4 + 8 + 8 + 4 + 1 + 8 + 1 + 4;
+
+/// Body bytes of a `Result` up to its payload: opcode, elem, `t1`, `slice_len`,
+/// payload length.
+const RESULT_HEAD: usize = 1 + 1 + 8 + 8 + 4;
 
 /// Element type of a grid payload, tagged on the wire so frames are
 /// self-describing (and so `decode ∘ encode = id` holds frame-locally).
@@ -454,17 +481,25 @@ impl FrameError {
     }
 }
 
-/// Bounds-checked little-endian reader over a frame body.
+/// Bounds-checked little-endian reader over a frame body, or over its head when
+/// the bulk payload is still on the stream.
 struct Reader<'a> {
     rest: &'a [u8],
+    /// Body bytes past the end of `rest` — the payload left on the stream.
+    missing: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// Body bytes not yet consumed, present or not.
+    fn left(&self) -> usize {
+        self.rest.len() + self.missing
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         if self.rest.len() < n {
             return Err(FrameError::Truncated {
                 needed: n,
-                have: self.rest.len(),
+                have: self.left(),
             });
         }
         let (head, tail) = self.rest.split_at(n);
@@ -501,11 +536,20 @@ impl<'a> Reader<'a> {
     }
 
     /// The bulk payload that ends a `Submit`/`Result`: its declared length is
-    /// checked against the bytes present and the bytes are skipped, not
-    /// copied — the caller lifts them out of `body` at the returned offset.
-    fn payload(&mut self, body: &[u8]) -> Result<usize, FrameError> {
-        let len = self.bytes()?.len();
-        Ok(body.len() - self.rest.len() - len)
+    /// checked against the body length and the bytes are skipped, whether
+    /// present or still on the stream; returns the length.
+    fn payload(&mut self) -> Result<usize, FrameError> {
+        let len = self.u32()? as usize;
+        if len > self.left() {
+            return Err(FrameError::Truncated {
+                needed: len,
+                have: self.left(),
+            });
+        }
+        let present = len.min(self.rest.len());
+        self.rest = &self.rest[present..];
+        self.missing -= len - present;
+        Ok(len)
     }
 }
 
@@ -536,16 +580,28 @@ fn app_from_tag(tag: u8) -> Result<TraceApp, FrameError> {
 impl Frame {
     /// Encodes the frame body (opcode + payload, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
+        let payload = self.payload();
         let mut out = Vec::new();
-        let payload = self.encode_header(&mut out);
+        self.encode_head(&mut out, payload.len());
         out.extend_from_slice(payload);
         out
     }
 
+    /// The bulk payload of a `Submit`/`Result` — always the body's last field —
+    /// and empty for every other frame.
+    fn payload(&self) -> &[u8] {
+        match self {
+            Frame::Submit { grid, .. } => grid,
+            Frame::Result { payload, .. } => payload,
+            _ => &[],
+        }
+    }
+
     /// Appends the body up to and including the bulk payload's length field,
-    /// and returns the payload bytes that complete it — empty except for
-    /// `Submit`/`Result`, whose payload is always the last field.
-    fn encode_header<'a>(&'a self, out: &mut Vec<u8>) -> &'a [u8] {
+    /// which declares `payload_len` bytes (frames without a payload ignore it):
+    /// the one header encoder behind [`encode`](Self::encode), [`write_frame`]
+    /// and [`write_grid_frame`].
+    fn encode_head(&self, out: &mut Vec<u8>, payload_len: usize) {
         match self {
             Frame::Hello { version } => {
                 out.push(OP_HELLO);
@@ -572,7 +628,7 @@ impl Frame {
                 weight,
                 deadline,
                 elem,
-                grid,
+                grid: _,
             } => {
                 out.push(OP_SUBMIT);
                 out.extend_from_slice(&session.to_le_bytes());
@@ -582,8 +638,7 @@ impl Frame {
                 out.extend_from_slice(&weight.to_le_bytes());
                 deadline.encode(out);
                 out.push(elem.as_u8());
-                out.extend_from_slice(&(grid.len() as u32).to_le_bytes());
-                return grid;
+                out.extend_from_slice(&(payload_len as u32).to_le_bytes());
             }
             Frame::Poll { request } => {
                 out.push(OP_POLL);
@@ -632,14 +687,13 @@ impl Frame {
                 elem,
                 t1,
                 slice_len,
-                payload,
+                payload: _,
             } => {
                 out.push(OP_RESULT);
                 out.push(elem.as_u8());
                 out.extend_from_slice(&t1.to_le_bytes());
                 out.extend_from_slice(&slice_len.to_le_bytes());
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                return payload;
+                out.extend_from_slice(&(payload_len as u32).to_le_bytes());
             }
             Frame::Flushed { records } => {
                 out.push(OP_FLUSHED);
@@ -651,28 +705,15 @@ impl Frame {
                 put_bytes(out, detail.as_bytes());
             }
         }
-        &[]
     }
 
     /// Decodes a frame body (opcode + payload, no length prefix).  Never
     /// panics; every failure is a structured [`FrameError`], and the body must
     /// be consumed exactly (no trailing bytes).
     pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
-        let (mut frame, at) = Frame::parse(body)?;
+        let (mut frame, len) = Frame::parse(body, body.len())?;
         if let Some(payload) = frame.payload_mut() {
-            *payload = body[at..].to_vec();
-        }
-        Ok(frame)
-    }
-
-    /// [`Frame::decode`] for a body the caller is done with: a `Submit`/`Result`
-    /// keeps `body`'s own allocation as its payload (the header bytes are
-    /// drained off the front) instead of copying the tail out.
-    pub fn decode_owned(mut body: Vec<u8>) -> Result<Frame, FrameError> {
-        let (mut frame, at) = Frame::parse(&body)?;
-        if let Some(payload) = frame.payload_mut() {
-            body.drain(..at);
-            *payload = body;
+            *payload = body[body.len() - len..].to_vec();
         }
         Ok(frame)
     }
@@ -686,15 +727,20 @@ impl Frame {
         }
     }
 
-    /// Decodes every field but the bulk payload, which is validated (declared
-    /// length against bytes present, exact consumption) and left empty; returns
-    /// the frame and the payload's offset in `body`.
-    fn parse(body: &[u8]) -> Result<(Frame, usize), FrameError> {
-        if body.len() > MAX_FRAME {
-            return Err(FrameError::Oversized { len: body.len() });
+    /// Decodes every field of a `body_len`-byte body from `head`, a prefix of
+    /// the body, except the bulk payload: that is validated (declared length
+    /// against the body length, exact consumption) and left empty, whether its
+    /// bytes are in `head` or still on the stream.  Returns the frame and the
+    /// payload length; the payload is the last `len` bytes of the body.
+    fn parse(head: &[u8], body_len: usize) -> Result<(Frame, usize), FrameError> {
+        if body_len > MAX_FRAME {
+            return Err(FrameError::Oversized { len: body_len });
         }
-        let mut r = Reader { rest: body };
-        let mut payload_at = body.len();
+        let mut r = Reader {
+            rest: head,
+            missing: body_len - head.len(),
+        };
+        let mut payload = 0;
         let op = r.u8()?;
         let frame = match op {
             OP_HELLO => Frame::Hello { version: r.u32()? },
@@ -727,7 +773,7 @@ impl Frame {
                 deadline: Deadline::decode(&mut r)?,
                 elem: ElemType::from_u8(r.u8()?)?,
                 grid: {
-                    payload_at = r.payload(body)?;
+                    payload = r.payload()?;
                     Vec::new()
                 },
             },
@@ -766,7 +812,7 @@ impl Frame {
                 t1: r.i64()?,
                 slice_len: r.u64()?,
                 payload: {
-                    payload_at = r.payload(body)?;
+                    payload = r.payload()?;
                     Vec::new()
                 },
             },
@@ -777,12 +823,10 @@ impl Frame {
             },
             other => return Err(FrameError::UnknownOpcode(other)),
         };
-        if !r.rest.is_empty() {
-            return Err(FrameError::TrailingBytes {
-                extra: r.rest.len(),
-            });
+        if r.left() > 0 {
+            return Err(FrameError::TrailingBytes { extra: r.left() });
         }
-        Ok((frame, payload_at))
+        Ok((frame, payload))
     }
 }
 
@@ -794,7 +838,7 @@ pub enum ReadError {
     /// The socket failed mid-frame (including EOF inside a frame — a peer that
     /// vanished mid-submit).
     Io(io::Error),
-    /// The body arrived but did not decode; the declared length was already
+    /// The body arrived but did not decode; the whole declared body was
     /// consumed, so the stream stays framed and the connection can answer with
     /// a typed error.
     Frame(FrameError),
@@ -812,11 +856,28 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// Reads one length-prefixed frame.  Returns the decoded frame and the total
-/// bytes consumed (prefix + body).  A length prefix over [`MAX_FRAME`] is
-/// rejected **before** the body is read or any buffer is allocated — the
-/// stream is then unframed and the connection must close.
-pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64), ReadError> {
+/// A frame read up to its bulk payload by [`read_frame_head`].
+#[derive(Debug)]
+pub struct FrameHead {
+    /// The decoded frame; a `Submit`/`Result` carries an empty payload field.
+    pub frame: Frame,
+    /// Payload bytes still on the stream — the declared length, already
+    /// checked against the body length (0 for a frame without a payload).  The
+    /// caller reads them ([`read_grid`]) or drains them ([`skip_payload`])
+    /// before the next frame.
+    pub payload: usize,
+    /// The whole frame's size on the wire, prefix and body.
+    pub bytes: u64,
+}
+
+/// Reads one length-prefixed frame up to its bulk payload and decodes it with
+/// the parser behind [`Frame::decode`]: the opcode first, then for a
+/// `Submit`/`Result` only the fixed header — the payload stays on the stream —
+/// and for any other frame the rest of the body.  A length prefix over
+/// [`MAX_FRAME`] is rejected **before** anything more is read or allocated; the
+/// stream is then unframed and the connection must close.  Any other decode
+/// failure first consumes the rest of the body, so the stream stays framed.
+pub fn read_frame_head(r: &mut impl Read) -> Result<FrameHead, ReadError> {
     let mut prefix = [0u8; 4];
     let mut got = 0usize;
     while got < 4 {
@@ -837,201 +898,202 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64), ReadError> {
     if len > MAX_FRAME {
         return Err(ReadError::Frame(FrameError::Oversized { len }));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(ReadError::Io)?;
-    let frame = Frame::decode_owned(body).map_err(ReadError::Frame)?;
-    Ok((frame, 4 + len as u64))
+    let mut head = Vec::with_capacity(len.min(SUBMIT_HEAD));
+    read_body(r, len.min(1), &mut head)?;
+    let head_len = match head.first() {
+        Some(&OP_SUBMIT) => SUBMIT_HEAD.min(len),
+        Some(&OP_RESULT) => RESULT_HEAD.min(len),
+        _ => len,
+    };
+    read_body(r, head_len - head.len(), &mut head)?;
+    match Frame::parse(&head, len) {
+        Ok((frame, payload)) => Ok(FrameHead {
+            frame,
+            payload,
+            bytes: 4 + len as u64,
+        }),
+        Err(e) => {
+            skip_payload(r, len - head.len()).map_err(ReadError::Io)?;
+            Err(ReadError::Frame(e))
+        }
+    }
 }
 
-/// Writes one length-prefixed frame; returns the bytes written.  The prefix
-/// and the header leave in one `write_all` — split, the second write would sit
-/// behind the peer's delayed ACK — and a `Submit`/`Result` payload follows as
-/// one more, straight from the frame.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
+/// Reads one length-prefixed frame whole: [`read_frame_head`], then the bulk
+/// payload (if any) into one `Vec` reserved to its exact length — no zero-fill,
+/// no copy.  Returns the frame and its size on the wire.
+pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64), ReadError> {
+    let FrameHead {
+        mut frame,
+        payload,
+        bytes,
+    } = read_frame_head(r)?;
+    if let Some(buf) = frame.payload_mut() {
+        read_body(r, payload, buf)?;
+    }
+    Ok((frame, bytes))
+}
+
+/// Appends exactly `n` more bytes of `r` to `buf`, reserved up front and never
+/// zero-filled; EOF first is a transport error.
+fn read_body(r: &mut impl Read, n: usize, buf: &mut Vec<u8>) -> Result<(), ReadError> {
+    buf.reserve_exact(n);
+    let got = r
+        .by_ref()
+        .take(n as u64)
+        .read_to_end(buf)
+        .map_err(ReadError::Io)?;
+    if got < n {
+        return Err(ReadError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside a frame body",
+        )));
+    }
+    Ok(())
+}
+
+/// Reads and discards the `n` payload bytes of a refused frame, so the next
+/// read starts at the next frame.
+pub fn skip_payload(r: &mut impl Read, n: usize) -> io::Result<()> {
+    let skipped = io::copy(&mut r.by_ref().take(n as u64), &mut io::sink())?;
+    if skipped < n as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside a frame payload",
+        ));
+    }
+    Ok(())
+}
+
+/// Fills every time slice of `grid`, slice 0 first, from the dense row-major
+/// payload on `r`: `time_slices × cells × size` bytes, which the caller has
+/// matched against the frame's declared payload length.  The bytes pass
+/// through one scratch buffer of at most [`STREAM_CHUNK`] bytes straight into
+/// the rows (alignment padding is never touched); a row longer than the buffer
+/// fills in pieces.
+pub fn read_grid<T: WireElem, const D: usize>(
+    r: &mut impl Read,
+    grid: &mut PochoirArray<T, D>,
+) -> io::Result<()> {
+    let size = T::ELEM.size();
+    let slice_bytes = grid.sizes().iter().product::<usize>() * size;
+    let mut buf = vec![0u8; slice_bytes.min(STREAM_CHUNK)];
+    for t in 0..grid.time_slices() as i64 {
+        let mut left = slice_bytes; // this slice's bytes still on the stream
+        let (mut at, mut end) = (0, 0); // decoded and filled extent of `buf`
+        for mut row in grid.rows_mut(t) {
+            while !row.is_empty() {
+                if at == end {
+                    end = left.min(buf.len());
+                    r.read_exact(&mut buf[..end])?;
+                    left -= end;
+                    at = 0;
+                }
+                let n = row.len().min((end - at) / size);
+                let (part, rest) = std::mem::take(&mut row).split_at_mut(n);
+                T::take_row(&buf[at..at + n * size], part);
+                at += n * size;
+                row = rest;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Writes the length prefix and header of `frame` for a `payload_len`-byte
+/// payload in one `write_all` — split, the second write would sit behind the
+/// peer's delayed ACK.  Returns the whole frame's size on the wire.
+fn write_head(w: &mut impl Write, frame: &Frame, payload_len: usize) -> io::Result<u64> {
     // Every fixed-size header fits; only an error/status detail string grows it.
     let mut head = Vec::with_capacity(64);
     head.extend_from_slice(&[0; 4]);
-    let payload = frame.encode_header(&mut head);
-    let body_len = head.len() - 4 + payload.len();
+    frame.encode_head(&mut head, payload_len);
+    let body_len = head.len() - 4 + payload_len;
     debug_assert!(body_len <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
     head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     w.write_all(&head)?;
-    if !payload.is_empty() {
-        w.write_all(payload)?;
-    }
-    w.flush()?;
     Ok(4 + body_len as u64)
 }
 
-/// The dense row-major wire bytes of time slices `slices` of `grid`, in that
-/// order, converted row by row (alignment padding never leaves the array).
-fn slices_to_bytes<T: WireElem, const D: usize>(
-    grid: &pochoir_core::grid::PochoirArray<T, D>,
+/// Writes one length-prefixed frame: prefix and header in one write, then a
+/// `Submit`/`Result` payload in writes of at most [`STREAM_CHUNK`] bytes.
+/// Returns the bytes written.
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
+    let payload = frame.payload();
+    let bytes = write_head(w, frame, payload.len())?;
+    for chunk in payload.chunks(STREAM_CHUNK) {
+        w.write_all(chunk)?;
+    }
+    w.flush()?;
+    Ok(bytes)
+}
+
+/// Writes a `Submit` or `Result` whose payload is time slices `slices` of
+/// `grid`, dense row-major in that order, converted straight from the rows
+/// through one buffer of at most [`STREAM_CHUNK`] bytes: write for write what
+/// [`write_frame`] sends for the same frame carrying those bytes.  `frame`'s
+/// own payload field is ignored.  Returns the bytes written.
+///
+/// # Panics
+///
+/// If `frame` is neither a `Submit` nor a `Result`.
+pub fn write_grid_frame<T: WireElem, const D: usize>(
+    w: &mut impl Write,
+    frame: &Frame,
+    grid: &PochoirArray<T, D>,
     slices: &[i64],
-) -> Vec<u8> {
-    let volume: usize = grid.sizes().iter().product();
-    let row_bytes = grid.size(D - 1) * T::ELEM.size();
-    let mut out = vec![0u8; slices.len() * volume * T::ELEM.size()];
-    let rows = slices.iter().flat_map(|&t| grid.rows(t));
-    for (row, bytes) in rows.zip(out.chunks_exact_mut(row_bytes)) {
-        T::put_row(row, bytes);
-    }
-    out
-}
-
-/// Serializes every time slice of a grid as densely packed row-major bytes —
-/// the `Submit` grid payload.
-pub fn grid_to_bytes<T: WireElem, const D: usize>(
-    grid: &pochoir_core::grid::PochoirArray<T, D>,
-) -> Vec<u8> {
-    let slices: Vec<i64> = (0..grid.time_slices() as i64).collect();
-    slices_to_bytes(grid, &slices)
-}
-
-/// Rebuilds a grid from a `Submit` payload: `slices` dense row-major time
-/// slices over `sizes`, boundary attached.  Returns a message (not a panic) if
-/// the byte count is wrong.
-pub fn grid_from_bytes<T: WireElem, const D: usize>(
-    sizes: [usize; D],
-    slices: usize,
-    boundary: pochoir_core::boundary::Boundary<T, D>,
-    bytes: &[u8],
-) -> Result<pochoir_core::grid::PochoirArray<T, D>, String> {
-    let volume: usize = sizes.iter().product();
-    let expected = slices * volume * T::ELEM.size();
-    if bytes.len() != expected {
-        return Err(format!(
-            "grid payload is {} bytes; {:?} × {slices} slices needs {expected}",
-            bytes.len(),
-            sizes
-        ));
-    }
-    let mut a =
-        pochoir_core::grid::PochoirArray::with_depth(sizes, slices.saturating_sub(1).max(1));
-    a.register_boundary(boundary);
-    let mut wire_rows = bytes.chunks_exact(sizes[D - 1] * T::ELEM.size());
-    for t in 0..slices as i64 {
-        for (row, bytes) in a.rows_mut(t).zip(wire_rows.by_ref()) {
-            T::take_row(bytes, row);
+) -> io::Result<u64> {
+    assert!(
+        matches!(frame, Frame::Submit { .. } | Frame::Result { .. }),
+        "only a Submit or a Result carries a grid"
+    );
+    let size = T::ELEM.size();
+    let len = slices.len() * grid.sizes().iter().product::<usize>() * size;
+    let bytes = write_head(w, frame, len)?;
+    let mut buf = vec![0u8; len.min(STREAM_CHUNK)];
+    let mut fill = 0;
+    for mut row in slices.iter().flat_map(|&t| grid.rows(t)) {
+        while !row.is_empty() {
+            let n = row.len().min((buf.len() - fill) / size);
+            T::put_row(&row[..n], &mut buf[fill..fill + n * size]);
+            fill += n * size;
+            row = &row[n..];
+            if fill == buf.len() {
+                w.write_all(&buf)?;
+                fill = 0;
+            }
         }
     }
-    Ok(a)
-}
-
-/// Extracts the `Result` payload for a drained grid: the final two time slices
-/// (`max(t1-1, 0)` then `t1`), densely packed — exactly what the canonical
-/// traffic digest folds.
-pub fn result_payload<T: WireElem, const D: usize>(
-    grid: &pochoir_core::grid::PochoirArray<T, D>,
-    t1: i64,
-) -> Vec<u8> {
-    slices_to_bytes(grid, &[(t1 - 1).max(0), t1])
+    w.write_all(&buf[..fill])?;
+    w.flush()?;
+    Ok(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pochoir_core::boundary::Boundary;
-    use pochoir_core::grid::PochoirArray;
-    use pochoir_trace::Rng;
 
-    /// Bit patterns a value-level comparison would blur: NaNs, -0.0, denormals.
-    const ODD_F64: [u64; 4] = [0x7FF8_0000_0000_0001, 0x8000_0000_0000_0000, 1, u64::MAX];
-
-    /// Fills every slice of a fresh array from `cell`, ships it through
-    /// `grid_to_bytes` / `grid_from_bytes`, and compares both the bytes and the
-    /// rebuilt cells against a per-cell encoding of `snapshot`.
-    fn round_trip<T: WireElem + PartialEq + std::fmt::Debug, const D: usize>(
-        sizes: [usize; D],
-        depth: usize,
-        boundary: Boundary<T, D>,
-        mut cell: impl FnMut() -> T,
-        bits: impl Fn(T) -> Vec<u8>,
-    ) {
-        let mut grid: PochoirArray<T, D> = PochoirArray::with_depth(sizes, depth);
-        for t in 0..=depth as i64 {
-            grid.fill_time_slice(t, |_| cell());
-        }
-        let by_cell = |g: &PochoirArray<T, D>, ts: &[i64]| -> Vec<u8> {
-            ts.iter()
-                .flat_map(|&t| g.snapshot(t))
-                .flat_map(&bits)
-                .collect()
-        };
-        let all: Vec<i64> = (0..=depth as i64).collect();
-
-        let wire = grid_to_bytes(&grid);
-        assert_eq!(
-            wire,
-            by_cell(&grid, &all),
-            "{sizes:?}: dense snapshot order"
-        );
-        let rebuilt = grid_from_bytes::<T, D>(sizes, depth + 1, boundary.clone(), &wire)
-            .expect("the byte count matches");
-        assert_eq!(
-            by_cell(&rebuilt, &all),
-            wire,
-            "{sizes:?}: bitwise round trip"
-        );
-
-        let t1 = depth as i64;
-        assert_eq!(result_payload(&grid, t1), by_cell(&grid, &[t1 - 1, t1]));
-        assert_eq!(result_payload(&grid, 0), by_cell(&grid, &[0, 0]));
-
-        // One byte short or long is a message, not a panic or a partial grid.
-        assert!(
-            grid_from_bytes::<T, D>(sizes, depth + 1, boundary, &wire[1..]).is_err(),
-            "{sizes:?}: short payload accepted"
-        );
-    }
-
-    fn f64_case<const D: usize>(sizes: [usize; D], depth: usize, boundary: Boundary<f64, D>) {
-        let mut rng = Rng::new(sizes.iter().sum::<usize>() as u64);
-        let cell = move || match rng.below(8) {
-            0 => f64::from_bits(ODD_F64[rng.below(4) as usize]),
-            _ => f64::from_bits(rng.below(u64::MAX)),
-        };
-        round_trip(sizes, depth, boundary, cell, |v| {
-            v.to_bits().to_le_bytes().to_vec()
-        });
-    }
-
-    fn u8_case<const D: usize>(sizes: [usize; D], boundary: Boundary<u8, D>) {
-        let mut rng = Rng::new(sizes.iter().product::<usize>() as u64);
-        round_trip(
-            sizes,
-            1,
-            boundary,
-            move || rng.below(256) as u8,
-            |v| vec![v],
-        );
-    }
-
-    /// Row lengths on both sides of the 64-byte pad (8 `f64`s, 64 `u8`s), every
-    /// served dimensionality, both served boundary kinds.
+    /// The head `read_frame_head` reads for a bulk frame is exactly what the
+    /// encoder writes before the payload.
     #[test]
-    fn grids_cross_the_wire_bitwise() {
-        for n in [1, 5, 8, 13] {
-            f64_case([n], 1, Boundary::Periodic);
-            f64_case([3, n], 1, Boundary::Periodic);
-            f64_case([2, 3, n], 2, Boundary::Constant(0.0));
-            f64_case([3, n], 1, Boundary::Constant(-1.5));
-        }
-        for n in [1, 7, 64, 70] {
-            u8_case([n], Boundary::Periodic);
-            u8_case([4, n], Boundary::Periodic);
-            u8_case([2, 3, n], Boundary::Constant(9));
-        }
-    }
-
-    #[test]
-    fn rebuilt_grid_keeps_its_boundary() {
-        let grid: PochoirArray<f64, 2> = PochoirArray::new([3, 5]);
-        let wire = grid_to_bytes(&grid);
-        let a = grid_from_bytes::<f64, 2>([3, 5], 2, Boundary::Constant(7.0), &wire).unwrap();
-        assert_eq!(a.get(0, [-1, 0]), 7.0);
-        let mut b = grid_from_bytes::<f64, 2>([3, 5], 2, Boundary::Periodic, &wire).unwrap();
-        b.set(0, [2, 4], 3.0);
-        assert_eq!(b.get(0, [-1, -1]), 3.0);
+    fn bulk_head_lengths_match_the_encoder() {
+        let submit = Frame::Submit {
+            session: 1,
+            tenant: 2,
+            t0: 3,
+            t1: 4,
+            weight: 5,
+            deadline: Deadline::WallMicros(6),
+            elem: ElemType::U8,
+            grid: Vec::new(),
+        };
+        let result = Frame::Result {
+            elem: ElemType::F64,
+            t1: 7,
+            slice_len: 8,
+            payload: Vec::new(),
+        };
+        assert_eq!(submit.encode().len(), SUBMIT_HEAD);
+        assert_eq!(result.encode().len(), RESULT_HEAD);
     }
 }

@@ -9,21 +9,27 @@
 //! * the **accept thread** turns each connection into a worker thread
 //!   (registered in a connection table so shutdown can close its socket and
 //!   join it);
-//! * each **connection worker** speaks the frame protocol: it decodes requests,
-//!   builds arrays from wire bytes, and submits into the shared session table;
-//!   a `Wait` parks it on the completion condvar until its request finishes
-//!   (`Poll` is the same handler with a zero timeout);
+//! * each **connection worker** speaks the frame protocol behind a small
+//!   `BufReader`: it reads a frame up to its payload, checks a `Submit`'s
+//!   header against the session, and only then builds the array and streams
+//!   the payload straight into its rows (a refused header has its payload
+//!   drained, so the stream stays framed); it submits into the shared session
+//!   table, and a `Fetch` writes the result straight from the drained array's
+//!   rows.  A `Wait` parks it on the completion condvar until its request
+//!   finishes (`Poll` is the same handler with a zero timeout);
 //! * the **drain thread** sleeps until a submit raises the `work` flag and
 //!   drains every session with pending work through
 //!   [`StencilServer::try_drain`] — per-tenant panics retire only their own
-//!   chain, exactly as in-process.  The flag is raised, checked and cleared
-//!   under the `State` mutex the condvar is paired with, so no wake-up can be
-//!   lost and the thread needs no timer.
+//!   chain, exactly as in-process — and stores each drained array, as is, as
+//!   its request's result.  The flag is raised, checked and cleared under the
+//!   `State` mutex the condvar is paired with, so no wake-up can be lost and
+//!   the thread needs no timer.
 //!
 //! Sockets run with `TCP_NODELAY` (the protocol is request/response over small
-//! frames) and a write timeout ([`WRITE_TIMEOUT`]), and a parked `Wait` is
-//! capped ([`WAIT_CAP`]): a peer that stops reading or stops asking costs its
-//! own worker a bounded stall, never a pinned thread.
+//! frames) and a write timeout ([`WRITE_TIMEOUT`]), a frame that has started to
+//! arrive must finish within [`FRAME_DEADLINE`], and a parked `Wait` is capped
+//! ([`WAIT_CAP`]): a peer that stops reading, trickles a frame or stops asking
+//! costs its own worker a bounded stall, never a pinned thread.
 //!
 //! **Locking model.**  There are two lock tiers and they are never nested:
 //! a global `State` mutex guards the request table, the session index, and
@@ -39,7 +45,7 @@
 //! asserted by the end-to-end test.  Because negotiation compiles and the
 //! service is unauthenticated, the session table is bounded
 //! ([`ServeConfig::max_sessions`], answered with a typed `Shed` error when
-//! full), geometries whose submit payload could never fit in [`MAX_FRAME`] are
+//! full), geometries whose submit frame could never fit in [`MAX_FRAME`] are
 //! refused at negotiation, and each submission's step span is capped
 //! ([`ServeConfig::max_steps_per_submit`]) so one cheap frame cannot buy an
 //! unbounded drain.  Wall-clock deadlines are converted to the scheduler's
@@ -54,7 +60,7 @@
 //! live clients fetched.  See `docs/protocol.md` for the full wire contract.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,8 +84,9 @@ use pochoir_trace::corpus::GIANT_TILES;
 use pochoir_trace::{Trace, TraceApp, TraceRecord};
 
 use crate::protocol::{
-    grid_from_bytes, read_frame, result_payload, wire_error, write_frame, Deadline, ElemType,
-    ErrorCode, Frame, ReadError, RequestStatus, WireElem, MAX_FRAME, PROTOCOL_VERSION,
+    read_frame_head, read_grid, skip_payload, wire_error, write_frame, write_grid_frame, Deadline,
+    ElemType, ErrorCode, Frame, FrameHead, ReadError, RequestStatus, WireElem, MAX_FRAME,
+    MAX_SUBMIT_PAYLOAD, PROTOCOL_VERSION, READ_BUFFER,
 };
 
 /// Record-mode settings: where and how to write the trace of admitted traffic.
@@ -159,6 +166,60 @@ pub const WAIT_CAP: Duration = Duration::from_millis(250);
 /// a stalled peer is dropped after two or three timeouts, once the kernel's
 /// send buffer has stopped growing.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest a frame may take to arrive once its first byte has, in total
+/// elapsed time: a peer that starts a frame and then trickles it (a slow-loris
+/// `Submit`) is dropped instead of pinning its worker mid-read.  The largest
+/// legal `Submit` (a 64 MiB payload) crosses loopback into its array in about
+/// 55 ms in a release build and 0.4 s in a debug one, so this is ≥ 10× either.
+/// How long a connection may sit idle *between* frames is not bounded.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(5);
+
+/// A connection's read half under [`FRAME_DEADLINE`]: before each read the
+/// socket's read timeout is set to what is left of the current frame's budget.
+/// Between frames the clock is off and a read waits for the next frame as long
+/// as it takes; the read that returns a frame's first bytes starts the clock.
+struct FrameClock {
+    stream: TcpStream,
+    /// When the frame being read must be complete; `None` between frames.
+    deadline: Option<Instant>,
+    /// The read timeout last set on the socket, so an unchanged one costs no
+    /// syscall.
+    timeout: Option<Duration>,
+}
+
+impl Read for FrameClock {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timeout = match self.deadline {
+            None => None,
+            Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => Some(left),
+                _ => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "the frame missed its deadline",
+                    ))
+                }
+            },
+        };
+        if timeout != self.timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        let n = self.stream.read(buf)?;
+        if n > 0 && self.deadline.is_none() {
+            self.deadline = Some(Instant::now() + FRAME_DEADLINE);
+        }
+        Ok(n)
+    }
+}
+
+/// Resets the frame clock before the next frame: it starts at once if that
+/// frame's first bytes are already buffered, else when they arrive.
+fn next_frame(reader: &mut BufReader<FrameClock>) {
+    let buffered = !reader.buffer().is_empty();
+    reader.get_mut().deadline = buffered.then(|| Instant::now() + FRAME_DEADLINE);
+}
 
 /// A served `(app, geometry)` pair — one compiled session, one drain queue.  The
 /// one dispatch type of live serving and trace replay (`pochoir-bench`), so both
@@ -261,17 +322,17 @@ struct SessionInner {
 /// discarded instead of stored.
 const ORPHANED: u64 = u64::MAX;
 
-struct ResultPayload {
-    elem: ElemType,
-    t1: i64,
-    slice_len: u64,
-    bytes: Vec<u8>,
-}
-
 enum ReqState {
     Queued,
-    Done(ResultPayload),
-    Failed { code: ErrorCode, detail: String },
+    /// Drained: the array itself, whose last two slices a `Fetch` writes out.
+    Done {
+        grid: Grid,
+        t1: i64,
+    },
+    Failed {
+        code: ErrorCode,
+        detail: String,
+    },
 }
 
 struct Request {
@@ -478,7 +539,7 @@ fn orphan_connection(shared: &Shared, conn: u64) {
     for id in mine {
         let finished = matches!(
             state.requests[&id].state,
-            ReqState::Done(_) | ReqState::Failed { .. }
+            ReqState::Done { .. } | ReqState::Failed { .. }
         );
         if finished {
             state.requests.remove(&id);
@@ -488,17 +549,48 @@ fn orphan_connection(shared: &Shared, conn: u64) {
     }
 }
 
+/// What a connection worker answers one request frame with.
+enum Reply {
+    Frame(Frame),
+    /// A fetched request's result, written straight from the drained array.
+    Result {
+        grid: Grid,
+        t1: i64,
+    },
+}
+
+impl From<Frame> for Reply {
+    fn from(frame: Frame) -> Reply {
+        Reply::Frame(frame)
+    }
+}
+
 fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
     let rt = Runtime::global();
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::with_capacity(
+        READ_BUFFER,
+        FrameClock {
+            stream: read_half,
+            deadline: None,
+            timeout: None,
+        },
+    );
+    // The last result this connection fetched, refilled by its next `Submit`
+    // of the same shape instead of a fresh array.
+    let mut spare = None;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let frame = match read_frame(&mut stream) {
-            Ok((frame, bytes)) => {
+        next_frame(&mut reader);
+        let FrameHead { frame, payload, .. } = match read_frame_head(&mut reader) {
+            Ok(head) => {
                 rt.count(Counter::NetFramesIn, 1);
-                rt.count(Counter::NetBytesIn, bytes);
-                frame
+                rt.count(Counter::NetBytesIn, head.bytes);
+                head
             }
             Err(ReadError::Eof) | Err(ReadError::Io(_)) => return,
             Err(ReadError::Frame(e)) => {
@@ -510,17 +602,19 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                     &Frame::Error {
                         code: e.code(),
                         detail: e.to_string(),
-                    },
+                    }
+                    .into(),
                 );
                 return;
             }
         };
-        let response = match frame {
+        let reply = match frame {
             Frame::Hello { version } => {
                 if version == PROTOCOL_VERSION {
                     Frame::HelloAck {
                         version: PROTOCOL_VERSION,
                     }
+                    .into()
                 } else {
                     rt.count(Counter::NetProtocolErrors, 1);
                     let _ = send(
@@ -530,7 +624,8 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                             detail: format!(
                                 "server speaks version {PROTOCOL_VERSION}, client sent {version}"
                             ),
-                        },
+                        }
+                        .into(),
                     );
                     return;
                 }
@@ -539,7 +634,7 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 app,
                 geometry,
                 chunk,
-            } => handle_negotiate(shared, app, geometry, chunk),
+            } => handle_negotiate(shared, app, geometry, chunk).into(),
             Frame::Submit {
                 session,
                 tenant,
@@ -548,42 +643,68 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 weight,
                 deadline,
                 elem,
-                grid,
-            } => handle_submit(
-                shared, conn, session, tenant, t0, t1, weight, deadline, elem, &grid,
-            ),
-            Frame::Poll { request } => handle_wait(shared, conn, request, Duration::ZERO),
+                grid: _,
+            } => match handle_submit(
+                shared,
+                conn,
+                &mut reader,
+                payload,
+                &mut spare,
+                session,
+                tenant,
+                t0,
+                t1,
+                weight,
+                deadline,
+                elem,
+            ) {
+                Ok(reply) => reply.into(),
+                Err(_) => return, // the stream failed inside the payload
+            },
+            Frame::Poll { request } => handle_wait(shared, conn, request, Duration::ZERO).into(),
             Frame::Wait {
                 request,
                 timeout_micros,
-            } => handle_wait(shared, conn, request, Duration::from_micros(timeout_micros)),
+            } => handle_wait(shared, conn, request, Duration::from_micros(timeout_micros)).into(),
             Frame::Fetch { request } => handle_fetch(shared, conn, request),
             Frame::Flush => {
                 let mut state = lock(&shared.state);
                 let records = write_record(shared, &mut state);
-                Frame::Flushed { records }
+                Frame::Flushed { records }.into()
             }
             Frame::Close => return,
             // Server-to-client opcodes arriving at the server are a protocol
-            // violation from a confused peer.
+            // violation from a confused peer; a stray `Result`'s payload is
+            // drained first so the error stays in frame.
             other => {
+                if skip_payload(&mut reader, payload).is_err() {
+                    return;
+                }
                 rt.count(Counter::NetProtocolErrors, 1);
                 Frame::Error {
                     code: ErrorCode::BadFrame,
                     detail: format!("unexpected client frame: {other:?}"),
                 }
+                .into()
             }
         };
-        if !send(&mut stream, &response) {
+        if !send(&mut stream, &reply) {
             return;
+        }
+        if let Reply::Result { grid, .. } = reply {
+            spare = Some(grid);
         }
     }
 }
 
-/// Writes one frame, folding the byte count into the runtime metrics; `false`
+/// Writes one reply, folding the byte count into the runtime metrics; `false`
 /// means the peer is gone.
-fn send(stream: &mut TcpStream, frame: &Frame) -> bool {
-    match write_frame(stream, frame) {
+fn send(stream: &mut TcpStream, reply: &Reply) -> bool {
+    let written = match reply {
+        Reply::Frame(frame) => write_frame(stream, frame),
+        Reply::Result { grid, t1 } => grid.write_result(stream, *t1),
+    };
+    match written {
         Ok(bytes) => {
             let rt = Runtime::global();
             rt.count(Counter::NetFramesOut, 1);
@@ -616,17 +737,17 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
             detail: format!("geometry extents must be in 1..=2^32, got {geometry:?}"),
         };
     }
-    // A geometry whose submit payload cannot fit in one frame can never be
+    // A geometry whose submit frame cannot fit in MAX_FRAME can never be
     // legally used, so refuse it before compiling anything for it.
     let payload_bytes = geometry.iter().map(|&g| g as u128).product::<u128>()
         * submit_slices(app) as u128
         * ElemType::for_app(app).size() as u128;
-    if payload_bytes > MAX_FRAME as u128 {
+    if payload_bytes > MAX_SUBMIT_PAYLOAD as u128 {
         return Frame::Error {
             code: ErrorCode::BadPayload,
             detail: format!(
                 "geometry {geometry:?} needs {payload_bytes}-byte submit payloads, \
-                 over the {MAX_FRAME}-byte frame ceiling"
+                 over the {MAX_SUBMIT_PAYLOAD}-byte ceiling of a {MAX_FRAME}-byte frame"
             ),
         };
     }
@@ -668,18 +789,95 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
     }
 }
 
-/// Deserialized grid, one arm per served array shape.
-enum Built {
+/// A served array, one arm per served shape: built for a `Submit` and filled
+/// from its payload, then — drained — kept as the request's result.
+enum Grid {
     F64x2(PochoirArray<f64, 2>),
     U8x2(PochoirArray<u8, 2>),
     F64x3(PochoirArray<f64, 3>),
     F64x1(PochoirArray<f64, 1>),
 }
 
+impl Grid {
+    /// The array a `Submit` of `app` over `geometry` fills — [`submit_slices`]
+    /// time slices, the app's boundary: `spare` when it has that shape (every
+    /// cell is about to be overwritten), else a fresh one.
+    fn for_submit(app: TraceApp, geometry: &[u64], spare: Option<Grid>) -> Grid {
+        fn fresh<T: WireElem, const D: usize>(
+            geometry: &[u64],
+            app: TraceApp,
+            boundary: Boundary<T, D>,
+        ) -> PochoirArray<T, D> {
+            let depth = submit_slices(app) as usize - 1;
+            let mut a = PochoirArray::with_depth(traffic::usizes::<D>(geometry), depth);
+            a.register_boundary(boundary);
+            a
+        }
+        fn fits<T: WireElem, const D: usize>(a: &PochoirArray<T, D>, geometry: &[u64]) -> bool {
+            a.sizes() == traffic::usizes::<D>(geometry)
+        }
+        match (app, spare) {
+            (TraceApp::Heat2d, Some(Grid::F64x2(a))) if fits(&a, geometry) => Grid::F64x2(a),
+            (TraceApp::Life, Some(Grid::U8x2(a))) if fits(&a, geometry) => Grid::U8x2(a),
+            (TraceApp::Wave3d, Some(Grid::F64x3(a))) if fits(&a, geometry) => Grid::F64x3(a),
+            (TraceApp::HeatGiant1d, Some(Grid::F64x1(a))) if fits(&a, geometry) => Grid::F64x1(a),
+            (TraceApp::Heat2d, _) => Grid::F64x2(fresh(geometry, app, Boundary::Periodic)),
+            (TraceApp::Life, _) => Grid::U8x2(fresh(geometry, app, Boundary::Periodic)),
+            (TraceApp::Wave3d, _) => Grid::F64x3(fresh(geometry, app, Boundary::Constant(0.0))),
+            (TraceApp::HeatGiant1d, _) => Grid::F64x1(fresh(geometry, app, Boundary::Periodic)),
+        }
+    }
+
+    /// Fills every time slice from the `Submit` payload on `r`, a length the
+    /// caller has matched against the frame.
+    fn read_payload(&mut self, r: &mut impl Read) -> io::Result<()> {
+        match self {
+            Grid::F64x2(a) => read_grid(r, a),
+            Grid::U8x2(a) => read_grid(r, a),
+            Grid::F64x3(a) => read_grid(r, a),
+            Grid::F64x1(a) => read_grid(r, a),
+        }
+    }
+
+    /// Writes the `Result` frame for horizon `t1` — slices `max(t1 - 1, 0)`
+    /// and `t1` — straight from the rows.
+    fn write_result(&self, w: &mut impl Write, t1: i64) -> io::Result<u64> {
+        fn result<T: WireElem, const D: usize>(
+            w: &mut impl Write,
+            grid: &PochoirArray<T, D>,
+            t1: i64,
+        ) -> io::Result<u64> {
+            let frame = Frame::Result {
+                elem: T::ELEM,
+                t1,
+                // Dense cells per slice, not the padded layout length.
+                slice_len: grid.sizes().iter().product::<usize>() as u64,
+                payload: Vec::new(),
+            };
+            write_grid_frame(w, &frame, grid, &[(t1 - 1).max(0), t1])
+        }
+        match self {
+            Grid::F64x2(a) => result(w, a, t1),
+            Grid::U8x2(a) => result(w, a, t1),
+            Grid::F64x3(a) => result(w, a, t1),
+            Grid::F64x1(a) => result(w, a, t1),
+        }
+    }
+}
+
+/// Answers a `Submit` whose header has been read and whose `payload` bytes are
+/// still on `r`: the header is checked against the session first, and only
+/// then is the array built and the payload streamed into it, without any lock
+/// held (a large grid must stall neither the drain thread nor other
+/// connections).  A refused header has its payload drained before the typed
+/// error goes out, so the stream stays framed.  `Err` means the stream failed.
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     shared: &Shared,
     conn: u64,
+    r: &mut impl Read,
+    payload: usize,
+    spare: &mut Option<Grid>,
     session: u32,
     tenant: u32,
     t0: i64,
@@ -687,92 +885,16 @@ fn handle_submit(
     weight: u32,
     deadline: Deadline,
     elem: ElemType,
-    grid: &[u8],
-) -> Frame {
-    let slot = {
-        let state = lock(&shared.state);
-        match state.sessions.get(session as usize) {
-            Some(slot) => Arc::clone(slot),
-            None => {
-                return Frame::Error {
-                    code: ErrorCode::UnknownSession,
-                    detail: format!("session {session} was never negotiated"),
-                }
-            }
+) -> io::Result<Frame> {
+    let slot = match check_submit(shared, session, elem, t0, t1, payload) {
+        Ok(slot) => slot,
+        Err(refusal) => {
+            skip_payload(r, payload)?;
+            return Ok(refusal);
         }
     };
-    if elem != ElemType::for_app(slot.app) {
-        return Frame::Error {
-            code: ErrorCode::BadPayload,
-            detail: format!(
-                "app {} takes {:?} grids, frame carries {:?}",
-                slot.app.as_str(),
-                ElemType::for_app(slot.app),
-                elem
-            ),
-        };
-    }
-    let span = match t1.checked_sub(t0) {
-        Some(span) if span >= 0 => span,
-        _ => {
-            return Frame::Error {
-                code: ErrorCode::BadPayload,
-                detail: format!("t1 {t1} precedes t0 {t0}"),
-            }
-        }
-    };
-    if span > shared.config.max_steps_per_submit {
-        return Frame::Error {
-            code: ErrorCode::BadPayload,
-            detail: format!(
-                "span {span} steps exceeds the per-submission ceiling of {} \
-                 (split the request or raise --max-steps)",
-                shared.config.max_steps_per_submit
-            ),
-        };
-    }
-
-    // Rebuild the array without any lock held (a cell-by-cell fill of a large
-    // grid must stall neither the drain thread nor other connections).
-    let built = match slot.app {
-        TraceApp::Heat2d => grid_from_bytes::<f64, 2>(
-            traffic::usizes::<2>(&slot.geometry),
-            2,
-            Boundary::Periodic,
-            grid,
-        )
-        .map(Built::F64x2),
-        TraceApp::Life => grid_from_bytes::<u8, 2>(
-            traffic::usizes::<2>(&slot.geometry),
-            2,
-            Boundary::Periodic,
-            grid,
-        )
-        .map(Built::U8x2),
-        TraceApp::Wave3d => grid_from_bytes::<f64, 3>(
-            traffic::usizes::<3>(&slot.geometry),
-            3,
-            Boundary::Constant(0.0),
-            grid,
-        )
-        .map(Built::F64x3),
-        TraceApp::HeatGiant1d => grid_from_bytes::<f64, 1>(
-            traffic::usizes::<1>(&slot.geometry),
-            2,
-            Boundary::Periodic,
-            grid,
-        )
-        .map(Built::F64x1),
-    };
-    let built = match built {
-        Ok(b) => b,
-        Err(detail) => {
-            return Frame::Error {
-                code: ErrorCode::BadPayload,
-                detail,
-            }
-        }
-    };
+    let mut grid = Grid::for_submit(slot.app, &slot.geometry, spare.take());
+    grid.read_payload(r)?;
 
     // Register the request before the tickets exist: the drain thread only
     // pairs results with requests it can find in the table, so the entry must
@@ -805,20 +927,20 @@ fn handle_submit(
             weight,
             deadline: logical_deadline,
         };
-        let outcome = match (&mut inner.server, built) {
-            (AnyServer::Heat2d(s), Built::F64x2(a)) => s.try_submit_with(a, t0, t1, opts),
-            (AnyServer::Life(s), Built::U8x2(a)) => s.try_submit_with(a, t0, t1, opts),
-            (AnyServer::Wave3d(s), Built::F64x3(a)) => s.try_submit_with(a, t0, t1, opts),
-            (AnyServer::HeatGiant1d(s), Built::F64x1(a)) => s.try_submit_sharded(a, t0, t1, opts),
-            // Unreachable in practice: `built` was derived from the session's
-            // own app a few lines up.
+        let outcome = match (&mut inner.server, grid) {
+            (AnyServer::Heat2d(s), Grid::F64x2(a)) => s.try_submit_with(a, t0, t1, opts),
+            (AnyServer::Life(s), Grid::U8x2(a)) => s.try_submit_with(a, t0, t1, opts),
+            (AnyServer::Wave3d(s), Grid::F64x3(a)) => s.try_submit_with(a, t0, t1, opts),
+            (AnyServer::HeatGiant1d(s), Grid::F64x1(a)) => s.try_submit_sharded(a, t0, t1, opts),
+            // Unreachable in practice: `grid` was built for the session's own
+            // app a few lines up.
             _ => {
                 drop(inner);
                 lock(&shared.state).requests.remove(&request);
-                return Frame::Error {
+                return Ok(Frame::Error {
                     code: ErrorCode::BadPayload,
                     detail: "grid/session element type mismatch".to_string(),
-                };
+                });
             }
         };
         outcome.map(|_ticket| {
@@ -831,7 +953,7 @@ fn handle_submit(
         Err(e) => {
             lock(&shared.state).requests.remove(&request);
             let (code, detail) = wire_error(&e);
-            return Frame::Error { code, detail };
+            return Ok(Frame::Error { code, detail });
         }
     };
 
@@ -862,7 +984,67 @@ fn handle_submit(
     state.work = true;
     drop(state);
     shared.work.notify_one();
-    Frame::Submitted { request }
+    Ok(Frame::Submitted { request })
+}
+
+/// The checks a `Submit` header must pass before its payload is read: the
+/// session exists, the element type is the app's, the step span is sane and
+/// capped, and the declared payload is exactly the session's grid.  `Err` is
+/// the typed refusal.
+fn check_submit(
+    shared: &Shared,
+    session: u32,
+    elem: ElemType,
+    t0: i64,
+    t1: i64,
+    payload: usize,
+) -> Result<Arc<SessionSlot>, Frame> {
+    let refuse = |code, detail| Err(Frame::Error { code, detail });
+    let Some(slot) = lock(&shared.state).sessions.get(session as usize).cloned() else {
+        return refuse(
+            ErrorCode::UnknownSession,
+            format!("session {session} was never negotiated"),
+        );
+    };
+    if elem != ElemType::for_app(slot.app) {
+        return refuse(
+            ErrorCode::BadPayload,
+            format!(
+                "app {} takes {:?} grids, frame carries {:?}",
+                slot.app.as_str(),
+                ElemType::for_app(slot.app),
+                elem
+            ),
+        );
+    }
+    let span = match t1.checked_sub(t0) {
+        Some(span) if span >= 0 => span,
+        _ => return refuse(ErrorCode::BadPayload, format!("t1 {t1} precedes t0 {t0}")),
+    };
+    if span > shared.config.max_steps_per_submit {
+        return refuse(
+            ErrorCode::BadPayload,
+            format!(
+                "span {span} steps exceeds the per-submission ceiling of {} \
+                 (split the request or raise --max-steps)",
+                shared.config.max_steps_per_submit
+            ),
+        );
+    }
+    // Negotiation bounded the geometry's payload by MAX_FRAME, so this fits
+    // in usize.
+    let slices = submit_slices(slot.app);
+    let expected = (slot.geometry.iter().product::<u64>() * slices) as usize * elem.size();
+    if payload != expected {
+        return refuse(
+            ErrorCode::BadPayload,
+            format!(
+                "grid payload is {payload} bytes; {:?} × {slices} slices needs {expected}",
+                slot.geometry
+            ),
+        );
+    }
+    Ok(slot)
 }
 
 fn windows_of(t0: i64, t1: i64, chunk: i64) -> u64 {
@@ -904,7 +1086,7 @@ fn handle_wait(shared: &Shared, conn: u64, request: u64, timeout: Duration) -> F
             }
             Some(r) => match &r.state {
                 ReqState::Queued => RequestStatus::Pending,
-                ReqState::Done(_) => RequestStatus::Done,
+                ReqState::Done { .. } => RequestStatus::Done,
                 ReqState::Failed { code, detail } => RequestStatus::Failed {
                     code: *code,
                     detail: detail.clone(),
@@ -926,7 +1108,9 @@ fn handle_wait(shared: &Shared, conn: u64, request: u64, timeout: Duration) -> F
     }
 }
 
-fn handle_fetch(shared: &Shared, conn: u64, request: u64) -> Frame {
+/// Answers `Fetch`: a finished request is consumed, and its array leaves the
+/// state lock to be written out as the `Result`.
+fn handle_fetch(shared: &Shared, conn: u64, request: u64) -> Reply {
     let mut state = lock(&shared.state);
     match state.requests.get(&request) {
         None => {
@@ -934,31 +1118,29 @@ fn handle_fetch(shared: &Shared, conn: u64, request: u64) -> Frame {
                 code: ErrorCode::UnknownRequest,
                 detail: format!("request {request} is unknown"),
             }
+            .into()
         }
         Some(r) if r.conn != conn => {
             return Frame::Error {
                 code: ErrorCode::UnknownRequest,
                 detail: format!("request {request} belongs to another connection"),
             }
+            .into()
         }
         Some(r) if matches!(r.state, ReqState::Queued) => {
             return Frame::Error {
                 code: ErrorCode::NotReady,
                 detail: format!("request {request} has not finished draining"),
             }
+            .into()
         }
         Some(_) => {}
     }
     // A finished fetch consumes the request either way.
     let r = state.requests.remove(&request).expect("checked above");
     match r.state {
-        ReqState::Done(p) => Frame::Result {
-            elem: p.elem,
-            t1: p.t1,
-            slice_len: p.slice_len,
-            payload: p.bytes,
-        },
-        ReqState::Failed { code, detail } => Frame::Error { code, detail },
+        ReqState::Done { grid, t1 } => Reply::Result { grid, t1 },
+        ReqState::Failed { code, detail } => Frame::Error { code, detail }.into(),
         ReqState::Queued => unreachable!("queued requests returned NotReady above"),
     }
 }
@@ -1016,15 +1198,15 @@ fn drain_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Drains one session through the pipelined scheduler: one payload (or `None`
-/// if the drain itself failed) per queued ticket, plus the per-ticket
-/// outcomes from the drain report.
+/// Drains one session through the pipelined scheduler: the drained arrays in
+/// ticket order (none if the drain itself failed), each wrapped by `wrap`, plus
+/// the per-ticket outcomes from the drain report.
 fn drain_tickets<T, K, const D: usize>(
     s: &mut StencilServer<T, K, D>,
-    queued: &[QueuedTicket],
-) -> (Vec<Option<ResultPayload>>, Vec<TicketOutcome>)
+    wrap: fn(PochoirArray<T, D>) -> Grid,
+) -> (Vec<Grid>, Vec<TicketOutcome>)
 where
-    T: WireElem + Copy + Send + Sync + 'static,
+    T: Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
 {
     let results = s.try_drain().unwrap_or_default();
@@ -1032,21 +1214,7 @@ where
         .last_drain()
         .map(|r| r.outcomes.clone())
         .unwrap_or_default();
-    let payloads = queued
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            results.get(i).map(|grid| ResultPayload {
-                elem: T::ELEM,
-                t1: q.t1,
-                // Dense cells per slice (snapshot order), not the padded
-                // layout length.
-                slice_len: grid.sizes().iter().product::<usize>() as u64,
-                bytes: result_payload(grid, q.t1),
-            })
-        })
-        .collect();
-    (payloads, outcomes)
+    (results.into_iter().map(wrap).collect(), outcomes)
 }
 
 /// Drains one session's queue under its own lock and returns each ticket's
@@ -1057,7 +1225,12 @@ where
 fn drain_session(inner: &mut SessionInner) -> Vec<(u64, ReqState)> {
     let queued = std::mem::take(&mut inner.queued);
     let started = Instant::now();
-    let (mut payloads, outcomes) = with_server!(&mut inner.server, s => drain_tickets(s, &queued));
+    let (grids, outcomes) = match &mut inner.server {
+        AnyServer::Heat2d(s) => drain_tickets(s, Grid::F64x2),
+        AnyServer::Life(s) => drain_tickets(s, Grid::U8x2),
+        AnyServer::Wave3d(s) => drain_tickets(s, Grid::F64x3),
+        AnyServer::HeatGiant1d(s) => drain_tickets(s, Grid::F64x1),
+    };
     let elapsed_micros = started.elapsed().as_secs_f64() * 1e6;
     let runs = with_server!(&inner.server, s => s.stats().runs);
     let windows = runs.saturating_sub(inner.calibrated_runs);
@@ -1067,11 +1240,12 @@ fn drain_session(inner: &mut SessionInner) -> Vec<(u64, ReqState)> {
         inner.cost_ewma_micros = 0.7 * inner.cost_ewma_micros + 0.3 * measured;
     }
 
+    let mut grids = grids.into_iter();
     queued
         .iter()
         .enumerate()
         .map(|(i, q)| {
-            let state = match (outcomes.get(i), payloads.get_mut(i).and_then(Option::take)) {
+            let state = match (outcomes.get(i), grids.next()) {
                 (Some(TicketOutcome::Panicked { message }), _) => ReqState::Failed {
                     code: ErrorCode::TenantPanicked,
                     detail: format!("tenant ticket {i} panicked: {message}"),
@@ -1080,7 +1254,7 @@ fn drain_session(inner: &mut SessionInner) -> Vec<(u64, ReqState)> {
                     code: ErrorCode::Shed,
                     detail: format!("dropped at dispatch: {reason}"),
                 },
-                (_, Some(payload)) => ReqState::Done(payload),
+                (_, Some(grid)) => ReqState::Done { grid, t1: q.t1 },
                 (_, None) => ReqState::Failed {
                     code: ErrorCode::RegistryPoisoned,
                     detail: "drain failed before producing a result".to_string(),

@@ -3,18 +3,19 @@
 //! survivors sharing the server drain to results bitwise-equal to a fault-free
 //! run, and the server keeps accepting fresh connections afterwards.  Every
 //! blocking call the server makes on a peer's behalf is bounded: a peer that
-//! stops reading loses its connection to the write timeout, and shutdown never
-//! waits out a parked worker.
+//! stops reading loses its connection to the write timeout, a peer that
+//! trickles a frame loses it to the frame deadline, and shutdown never waits
+//! out a parked worker.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use pochoir_serve::protocol::{
-    grid_to_bytes, read_frame, write_frame, Deadline, ElemType, Frame, RequestStatus,
+    read_frame, write_frame, write_grid_frame, Deadline, ElemType, Frame, RequestStatus,
     PROTOCOL_VERSION,
 };
-use pochoir_serve::server::{ServeConfig, Server, WRITE_TIMEOUT};
+use pochoir_serve::server::{ServeConfig, Server, FRAME_DEADLINE, WRITE_TIMEOUT};
 use pochoir_serve::Client;
 use pochoir_stencils::traffic::heat_grid;
 use pochoir_trace::TraceApp;
@@ -89,29 +90,43 @@ fn raw_session_for(addr: &str, geometry: &[u64], window: i64) -> (TcpStream, u32
     }
 }
 
+/// A heat `Submit` for tenant `tenant` over `[0, t1)`, payload to be written
+/// from the grid's rows.
+fn submit_head(session: u32, tenant: u32, t1: i64) -> Frame {
+    Frame::Submit {
+        session,
+        tenant,
+        t0: 0,
+        t1,
+        weight: 1,
+        deadline: Deadline::None,
+        elem: ElemType::F64,
+        grid: Vec::new(),
+    }
+}
+
+/// Tenant `tenant`'s whole heat `Submit` frame as it goes on the wire.
+fn submit_bytes(session: u32, sizes: [usize; 2], tenant: u32, t1: i64) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_grid_frame(
+        &mut wire,
+        &submit_head(session, tenant, t1),
+        &heat_grid::<2>(sizes, tenant),
+        &[0, 1],
+    )
+    .expect("memory write");
+    wire
+}
+
 /// Dies mid-submit: declares a full Submit frame, sends half of it, vanishes.
 /// The server sees an unexpected EOF inside a body and must just drop the
 /// connection.
 fn chaos_truncated_submit(addr: &str) {
     let (mut stream, session) = raw_session(addr);
-    let grid = heat_grid::<2>([16, 16], 99);
-    let body = Frame::Submit {
-        session,
-        tenant: 99,
-        t0: 0,
-        t1: T1,
-        weight: 1,
-        deadline: Deadline::None,
-        elem: ElemType::F64,
-        grid: grid_to_bytes(&grid),
-    }
-    .encode();
+    let wire = submit_bytes(session, [16, 16], 99, T1);
     stream
-        .write_all(&(body.len() as u32).to_le_bytes())
-        .expect("prefix");
-    stream
-        .write_all(&body[..body.len() / 2])
-        .expect("half body");
+        .write_all(&wire[..wire.len() / 2])
+        .expect("half a frame");
     stream.flush().expect("flush");
     drop(stream); // mid-frame disconnect
 }
@@ -124,18 +139,11 @@ fn raw_submit<const D: usize>(
     tenant: u32,
     t1: i64,
 ) -> u64 {
-    write_frame(
+    write_grid_frame(
         stream,
-        &Frame::Submit {
-            session,
-            tenant,
-            t0: 0,
-            t1,
-            weight: 1,
-            deadline: Deadline::None,
-            elem: ElemType::F64,
-            grid: grid_to_bytes(&heat_grid::<D>(sizes, tenant)),
-        },
+        &submit_head(session, tenant, t1),
+        &heat_grid::<D>(sizes, tenant),
+        &[0, 1],
     )
     .expect("submit");
     match read_frame(stream).expect("submitted").0 {
@@ -308,4 +316,62 @@ fn shutdown_does_not_wait_out_a_parked_worker() {
         Ok((Frame::Status { .. }, _)) | Err(_) => {}
         Ok((other, _)) => panic!("expected Status or a closed socket, got {other:?}"),
     }
+}
+
+/// A slow-loris `Submit` — a full header, then one payload byte every 100 ms —
+/// is dropped once the frame has been arriving for `FRAME_DEADLINE`, not kept
+/// alive by its trickle, while a second connection is served throughout.
+#[test]
+fn a_trickled_frame_is_dropped_at_the_frame_deadline() {
+    let server = Server::start(ServeConfig::default()).expect("server");
+    let addr = server.addr().to_string();
+    let baseline = fresh_round_trip(&addr);
+
+    let mut bystander = Client::connect(&addr).expect("connect");
+    let session = bystander
+        .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
+        .expect("negotiate");
+
+    let (mut loris, loris_session) = raw_session(&addr);
+    let wire = submit_bytes(loris_session, [16, 16], 7, T1);
+    let header = wire.len() - 2 * 16 * 16 * 8;
+    loris.write_all(&wire[..header]).expect("header");
+    let started = Instant::now();
+    loris
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout");
+    let mut served = 0;
+    for &byte in &wire[header..] {
+        // The server drops the connection without a reply: EOF or a reset.
+        if loris.write_all(&[byte]).is_err() {
+            break;
+        }
+        match loris.read(&mut [0u8; 1]) {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {}
+            Ok(0) | Err(_) => break,
+            Ok(_) => panic!("the server answered a frame it never received"),
+        }
+        // The bystander's request is served while the trickle goes on.
+        let request = bystander
+            .submit_tenant(&session, 0, T1, 1, Deadline::None)
+            .expect("submit beside the trickle");
+        let result = bystander
+            .wait_fetch(request, Duration::from_secs(120))
+            .expect("wait+fetch beside the trickle");
+        assert_eq!(result.digest(), baseline);
+        served += 1;
+        assert!(
+            started.elapsed() < FRAME_DEADLINE + Duration::from_secs(3),
+            "the trickled frame outlived its deadline"
+        );
+    }
+    let dropped = started.elapsed();
+    assert!(
+        dropped >= FRAME_DEADLINE - Duration::from_millis(200),
+        "dropped after {dropped:?}, before the {FRAME_DEADLINE:?} deadline"
+    );
+    assert!(served > 0, "the bystander was never served");
+    bystander.close().expect("close");
+    server.shutdown();
 }

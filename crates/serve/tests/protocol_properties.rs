@@ -1,16 +1,22 @@
 //! Property-pins the wire codec: `decode ∘ encode` is the identity over
 //! arbitrary frames, and malformed inputs — truncations, oversized length
 //! prefixes, garbage bytes — are rejected with structured errors (no panic,
-//! no allocation beyond the bytes present).  The owning decode `read_frame`
-//! uses and the two-write form `write_frame` emits are pinned against the plain
-//! `decode`/`encode` pair on the same frames.
+//! no allocation beyond the bytes present).  The stream reader (`read_frame`,
+//! `read_frame_head` + `read_grid`) and the writers (`write_frame`,
+//! `write_grid_frame`) are pinned against the plain `decode`/`encode` pair and
+//! against a per-cell encoding of `snapshot` on the same frames and grids.
 
+use std::fmt::Debug;
 use std::io::{self, Write};
 
+use pochoir_core::grid::PochoirArray;
 use pochoir_serve::protocol::{
-    read_frame, write_frame, Deadline, ElemType, ErrorCode, Frame, FrameError, ReadError,
-    RequestStatus, MAX_FRAME,
+    read_frame, read_frame_head, read_grid, skip_payload, write_frame, write_grid_frame, Deadline,
+    ElemType, ErrorCode, Frame, FrameError, FrameHead, ReadError, RequestStatus, WireElem,
+    MAX_FRAME, STREAM_CHUNK,
 };
+use pochoir_serve::FetchedResult;
+use pochoir_stencils::traffic::{digest_grid, DigestBits};
 use pochoir_trace::{Rng, TraceApp, TRACE_APPS};
 use proptest::prelude::*;
 
@@ -146,23 +152,31 @@ proptest! {
         prop_assert_eq!(decoded.as_ref(), Ok(&frame));
     }
 
-    /// The decode `read_frame` uses — the body `Vec` becomes the payload in
-    /// place — agrees with the borrowing decode on every frame, and on every
-    /// rejection (truncations included).
+    /// `read_frame` over a stream — header parsed first, the payload read
+    /// after it — agrees with `Frame::decode` of the body on every frame and
+    /// on every rejection (truncated bodies included), and consumes the frame
+    /// exactly either way.
     #[test]
-    fn owning_decode_matches_borrowing_decode(seed in 0u64..u64::MAX, cut in 0usize..4096) {
-        let frame = arb_frame(seed);
-        let body = frame.encode();
-        prop_assert_eq!(Frame::decode_owned(body.clone()), Ok(frame));
+    fn read_frame_matches_decode_of_the_body(seed in 0u64..u64::MAX, cut in 0usize..4096) {
+        let body = arb_frame(seed).encode();
         let cut = cut % (body.len() + 1);
-        prop_assert_eq!(Frame::decode_owned(body[..cut].to_vec()), Frame::decode(&body[..cut]));
+        let mut stream = (cut as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&body[..cut]);
+        stream.extend_from_slice(&framed(&Frame::Close));
+        let mut r: &[u8] = &stream;
+        let streamed = read_frame(&mut r).map(|(frame, _)| frame).map_err(|e| match e {
+            ReadError::Frame(e) => e,
+            other => panic!("a whole body on the stream failed as {other:?}"),
+        });
+        prop_assert_eq!(streamed, Frame::decode(&body[..cut]));
+        prop_assert_eq!(read_frame(&mut r).expect("the next frame").0, Frame::Close);
     }
 
     /// What `write_frame` puts on a socket — prefix and header in one write,
-    /// a bulk payload in a second — is byte-for-byte the single-buffer form,
-    /// and reads back as the same frame.
+    /// a bulk payload in writes of at most `STREAM_CHUNK` — is byte-for-byte
+    /// the single-buffer form, and reads back as the same frame.
     #[test]
-    fn written_frames_are_at_most_two_writes(seed in 0u64..u64::MAX) {
+    fn written_frames_are_one_header_write_then_chunks(seed in 0u64..u64::MAX) {
         let frame = arb_frame(seed);
         check_written(&frame)?;
     }
@@ -201,6 +215,14 @@ proptest! {
     }
 }
 
+/// A frame as it goes on the wire, built from `encode` alone.
+fn framed(frame: &Frame) -> Vec<u8> {
+    let body = frame.encode();
+    let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&body);
+    wire
+}
+
 /// A writer that keeps each `write` call apart, as a socket with `TCP_NODELAY`
 /// would put each on the wire.
 #[derive(Default)]
@@ -217,15 +239,16 @@ impl Write for Writes {
 }
 
 fn check_written(frame: &Frame) -> Result<(), TestCaseError> {
-    let body = frame.encode();
-    let mut single = (body.len() as u32).to_le_bytes().to_vec();
-    single.extend_from_slice(&body);
-
+    let single = framed(frame);
     let mut writes = Writes::default();
     let written = write_frame(&mut writes, frame).expect("memory write");
-    let bulk = matches!(frame, Frame::Submit { grid, .. } if !grid.is_empty())
-        || matches!(frame, Frame::Result { payload, .. } if !payload.is_empty());
-    prop_assert_eq!(writes.0.len(), if bulk { 2 } else { 1 });
+    let payload = match frame {
+        Frame::Submit { grid, .. } => grid.len(),
+        Frame::Result { payload, .. } => payload.len(),
+        _ => 0,
+    };
+    prop_assert_eq!(writes.0.len(), 1 + payload.div_ceil(STREAM_CHUNK));
+    prop_assert!(writes.0[1..].iter().all(|w| w.len() <= STREAM_CHUNK));
     let wire = writes.0.concat();
     prop_assert_eq!(written, wire.len() as u64);
     prop_assert_eq!(&wire, &single);
@@ -240,7 +263,7 @@ fn check_written(frame: &Frame) -> Result<(), TestCaseError> {
 
 /// The bulk frames at the sizes the generator does not reach: an empty payload
 /// (header-only, one write) and a multi-MiB one, through both decodes and the
-/// two-write path.
+/// chunked write path.
 #[test]
 fn empty_and_multi_mib_payloads_round_trip() {
     for len in [0usize, 1, 3 << 20] {
@@ -266,25 +289,260 @@ fn empty_and_multi_mib_payloads_round_trip() {
         for frame in &frames {
             let body = frame.encode();
             assert_eq!(Frame::decode(&body).as_ref(), Ok(frame));
-            assert_eq!(Frame::decode_owned(body.clone()).as_ref(), Ok(frame));
-            // A declared payload length that overruns the body is refused by
-            // both decodes alike (the length field is the last 4 header bytes).
+            // A declared payload length that overruns the body, or a body with
+            // a byte past the payload, is refused by the buffered decode and
+            // the stream reader alike (the length field is the last 4 header
+            // bytes).
             let at = body.len() - len - 4;
             let mut long = body.clone();
             long[at..at + 4].copy_from_slice(&(len as u32 + 1).to_le_bytes());
-            assert!(matches!(
-                Frame::decode_owned(long),
-                Err(FrameError::Truncated { .. })
-            ));
             let mut extra = body;
             extra.push(0);
-            assert!(matches!(
-                Frame::decode_owned(extra),
-                Err(FrameError::TrailingBytes { extra: 1 })
-            ));
-            check_written(frame).expect("two-write form");
+            for (bad, want) in [
+                (
+                    long,
+                    FrameError::Truncated {
+                        needed: len + 1,
+                        have: len,
+                    },
+                ),
+                (extra, FrameError::TrailingBytes { extra: 1 }),
+            ] {
+                assert_eq!(Frame::decode(&bad), Err(want.clone()));
+                let mut stream = (bad.len() as u32).to_le_bytes().to_vec();
+                stream.extend_from_slice(&bad);
+                match read_frame(&mut stream.as_slice()) {
+                    Err(ReadError::Frame(e)) => assert_eq!(e, want),
+                    other => panic!("expected {want:?}, got {other:?}"),
+                }
+            }
+            check_written(frame).expect("chunked form");
         }
     }
+}
+
+/// A grid element whose wire bytes the test writes itself, independently of
+/// the codec under test.
+trait Cell: WireElem + DigestBits + PartialEq + Debug {
+    fn wire(self, out: &mut Vec<u8>);
+    fn arbitrary(rng: &mut Rng) -> Self;
+}
+
+impl Cell for f64 {
+    fn wire(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    /// Bit patterns a value-level comparison would blur (NaN payloads, -0.0,
+    /// denormals) one time in four.
+    fn arbitrary(rng: &mut Rng) -> f64 {
+        const ODD: [u64; 4] = [0x7FF8_0000_0000_0001, 0x8000_0000_0000_0000, 1, u64::MAX];
+        match rng.below(4) {
+            0 => f64::from_bits(ODD[rng.below(4) as usize]),
+            _ => f64::from_bits(rng.below(u64::MAX)),
+        }
+    }
+}
+
+impl Cell for u8 {
+    fn wire(self, out: &mut Vec<u8>) {
+        out.push(self);
+    }
+    fn arbitrary(rng: &mut Rng) -> u8 {
+        rng.below(256) as u8
+    }
+}
+
+/// Time slices `slices` of `grid`, cell by cell from `snapshot`: the payload
+/// every writer must produce and every reader must accept.
+fn cell_bytes<T: Cell, const D: usize>(grid: &PochoirArray<T, D>, slices: &[i64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &t in slices {
+        for v in grid.snapshot(t) {
+            v.wire(&mut out);
+        }
+    }
+    out
+}
+
+/// A `depth + 1`-slice grid over `sizes` filled with arbitrary cells.
+fn arb_grid<T: Cell, const D: usize>(sizes: [usize; D], depth: usize) -> PochoirArray<T, D> {
+    let mut rng = Rng::new(sizes.iter().product::<usize>() as u64 ^ depth as u64);
+    let mut grid = PochoirArray::with_depth(sizes, depth);
+    for t in 0..=depth as i64 {
+        grid.fill_time_slice(t, |_| T::arbitrary(&mut rng));
+    }
+    grid
+}
+
+fn submit(elem: ElemType, grid: Vec<u8>) -> Frame {
+    Frame::Submit {
+        session: 2,
+        tenant: 5,
+        t0: 0,
+        t1: 3,
+        weight: 1,
+        deadline: Deadline::Logical(9),
+        elem,
+        grid,
+    }
+}
+
+/// Every pin on one grid: row-written frames are `write_frame` of the per-cell
+/// payload write for write; the streamed decode (head, then the payload into a
+/// fresh array's rows) is the buffered decode bitwise; every truncation of the
+/// stream is a structured error; and a fetched result's digest, folded over
+/// its payload bytes, is the grid's digest.
+fn grid_case<T: Cell, const D: usize>(sizes: [usize; D], depth: usize) {
+    let grid: PochoirArray<T, D> = arb_grid(sizes, depth);
+    let all: Vec<i64> = (0..=depth as i64).collect();
+
+    let writes = |head: &Frame, slices: &[i64]| {
+        let mut rows = Writes::default();
+        write_grid_frame(&mut rows, head, &grid, slices).expect("memory write");
+        rows.0
+    };
+    let submit_frame = submit(T::ELEM, cell_bytes(&grid, &all));
+    let mut by_bytes = Writes::default();
+    write_frame(&mut by_bytes, &submit_frame).expect("memory write");
+    assert_eq!(
+        writes(&submit(T::ELEM, Vec::new()), &all),
+        by_bytes.0,
+        "{sizes:?}: Submit"
+    );
+    let slice_len = sizes.iter().product::<usize>() as u64;
+    for t1 in [depth as i64, 0] {
+        let slices = [(t1 - 1).max(0), t1];
+        let result = |payload| Frame::Result {
+            elem: T::ELEM,
+            t1,
+            slice_len,
+            payload,
+        };
+        let payload = cell_bytes(&grid, &slices);
+        let mut by_bytes = Writes::default();
+        write_frame(&mut by_bytes, &result(payload.clone())).expect("memory write");
+        assert_eq!(
+            writes(&result(Vec::new()), &slices),
+            by_bytes.0,
+            "{sizes:?}: Result at {t1}"
+        );
+
+        let fetched = FetchedResult {
+            elem: T::ELEM,
+            t1,
+            slice_len,
+            bytes: payload,
+        };
+        assert_eq!(
+            fetched.digest(),
+            digest_grid(&grid, t1),
+            "{sizes:?}: digest at {t1}"
+        );
+    }
+
+    let wire = framed(&submit_frame);
+    let buffered = match read_frame(&mut wire.as_slice()).expect("buffered decode").0 {
+        Frame::Submit { grid, .. } => grid,
+        other => panic!("expected Submit, got {other:?}"),
+    };
+    let mut stream = wire.as_slice();
+    let streamed = stream_grid::<T, D>(&mut stream, sizes, depth).expect("streamed decode");
+    assert!(
+        stream.is_empty(),
+        "{sizes:?}: the payload was consumed exactly"
+    );
+    assert_eq!(
+        cell_bytes(&streamed, &all),
+        buffered,
+        "{sizes:?}: streamed ≡ buffered"
+    );
+    assert_eq!(
+        buffered,
+        cell_bytes(&grid, &all),
+        "{sizes:?}: bitwise round trip"
+    );
+
+    // Every cut inside the header, then cuts through the payload (all of them
+    // for a small frame, a spread for a large one).
+    let step = (wire.len() / 64).max(1);
+    for cut in (0..64.min(wire.len())).chain((64..wire.len()).step_by(step)) {
+        let mut stream = &wire[..cut];
+        assert!(
+            stream_grid::<T, D>(&mut stream, sizes, depth).is_err(),
+            "{sizes:?}: a stream cut at {cut} of {} decoded",
+            wire.len()
+        );
+        assert!(read_frame(&mut &wire[..cut]).is_err());
+    }
+}
+
+/// Reads a `Submit` head off `stream` and its payload into a fresh grid.
+fn stream_grid<T: Cell, const D: usize>(
+    stream: &mut &[u8],
+    sizes: [usize; D],
+    depth: usize,
+) -> Result<PochoirArray<T, D>, ReadError> {
+    let FrameHead { frame, payload, .. } = read_frame_head(stream)?;
+    assert!(matches!(frame, Frame::Submit { ref grid, .. } if grid.is_empty()));
+    let mut grid = PochoirArray::with_depth(sizes, depth);
+    assert_eq!(
+        payload,
+        (depth + 1) * sizes.iter().product::<usize>() * T::ELEM.size()
+    );
+    read_grid(stream, &mut grid).map_err(ReadError::Io)?;
+    Ok(grid)
+}
+
+/// Row lengths on both sides of the 64-byte pad (8 `f64`s, 64 `u8`s), every
+/// served dimensionality, payloads shorter than one chunk, rows that cross a
+/// chunk boundary (`[300, 200]`), and one row longer than the whole scratch
+/// buffer (1-D, 200 000 `f64`).
+#[test]
+fn grids_stream_like_their_per_cell_bytes() {
+    for n in [1, 5, 8, 13] {
+        grid_case::<f64, 1>([n], 1);
+        grid_case::<f64, 2>([3, n], 1);
+        grid_case::<f64, 3>([2, 3, n], 2);
+    }
+    for n in [1, 7, 64, 70] {
+        grid_case::<u8, 1>([n], 1);
+        grid_case::<u8, 2>([4, n], 1);
+        grid_case::<u8, 3>([2, 3, n], 1);
+    }
+    grid_case::<f64, 2>([300, 200], 1);
+    const { assert!(200_000 * 8 > STREAM_CHUNK) };
+    grid_case::<f64, 1>([200_000], 1);
+}
+
+/// A frame refused after its head — by the server for its header, or by the
+/// decoder for a bad field — leaves the reader at the next frame once its
+/// payload is drained.
+#[test]
+fn refused_heads_leave_the_reader_at_the_next_frame() {
+    let submit = submit(ElemType::U8, vec![7; 3 * STREAM_CHUNK / 2]);
+    let poll = Frame::Poll { request: 42 };
+    let mut stream = framed(&submit);
+    stream.extend_from_slice(&framed(&poll));
+    let mut r = stream.as_slice();
+    let head = read_frame_head(&mut r).expect("head");
+    assert_eq!(head.payload, 3 * STREAM_CHUNK / 2);
+    skip_payload(&mut r, head.payload).expect("drain");
+    assert_eq!(read_frame(&mut r).expect("next frame").0, poll);
+    assert!(r.is_empty());
+
+    // A bad element tag fails the decode; the rest of the body is consumed.
+    let mut bad = framed(&submit);
+    bad[4 + 1 + 4 + 4 + 8 + 8 + 4 + 1 + 8] = 0xEE;
+    bad.extend_from_slice(&framed(&poll));
+    let mut r = bad.as_slice();
+    assert!(matches!(
+        read_frame_head(&mut r),
+        Err(ReadError::Frame(FrameError::BadPayload(_)))
+    ));
+    assert_eq!(read_frame(&mut r).expect("next frame").0, poll);
+
+    // Draining more than the stream holds is a transport error, not a hang.
+    assert!(skip_payload(&mut &[1u8, 2][..], 3).is_err());
 }
 
 /// A length prefix over `MAX_FRAME` is refused at the prefix — before the body

@@ -53,26 +53,25 @@ fn fnv_fold(mut hash: u64, value: u64) -> u64 {
     hash
 }
 
-/// FNV-1a over flat value slices, in order — the digest a network client folds
-/// over the two result slices a fetch returns.  [`digest_grid`] is this same
-/// fold over a grid's final two snapshots, so a client-side digest of fetched
-/// bytes equals a server-side digest of the drained grid.
-pub fn digest_values<T: DigestBits>(slices: &[Vec<T>]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for slice in slices {
-        for v in slice {
-            hash = fnv_fold(hash, v.digest_bits());
-        }
-    }
-    hash
+/// FNV-1a over element bit patterns ([`DigestBits::digest_bits`]), in order —
+/// the fold behind [`digest_grid`], and the one a network client runs over the
+/// payload bytes of a fetched result, so both digests agree bit for bit.
+pub fn digest_patterns(bits: impl IntoIterator<Item = u64>) -> u64 {
+    bits.into_iter().fold(FNV_OFFSET, fnv_fold)
 }
 
 /// FNV-1a over the final two time slices of a drained grid (`t1 - 1` then `t1`) —
 /// both slices of the cyclic buffer are live results for depth-2 stencils like
 /// wave, and hashing both makes the bitwise claim cover the full final state.
+/// Folds the rows where they lie, in snapshot order.
 pub fn digest_grid<T: DigestBits, const D: usize>(grid: &PochoirArray<T, D>, t1: i64) -> u64 {
-    let slices = [grid.snapshot((t1 - 1).max(0)), grid.snapshot(t1)];
-    digest_values(&slices)
+    digest_patterns(
+        [(t1 - 1).max(0), t1]
+            .into_iter()
+            .flat_map(|t| grid.rows(t))
+            .flatten()
+            .map(|v| v.digest_bits()),
+    )
 }
 
 /// Deterministic tenant grid for a heat geometry: the shared smooth-bump initial
@@ -122,23 +121,68 @@ pub fn usizes<const D: usize>(geometry: &[u64]) -> [usize; D] {
 mod tests {
     use super::*;
 
-    #[test]
-    fn digest_is_order_sensitive_and_bitwise() {
-        let a = digest_values(&[vec![1.0f64, 2.0]]);
-        let b = digest_values(&[vec![2.0f64, 1.0]]);
-        assert_ne!(a, b);
-        // -0.0 == 0.0 numerically but differs bitwise; the digest must see that.
-        assert_ne!(
-            digest_values(&[vec![0.0f64]]),
-            digest_values(&[vec![-0.0f64]])
-        );
+    /// The reference form: FNV-1a written out over two `snapshot` copies.
+    fn snapshot_digest<T: DigestBits, const D: usize>(grid: &PochoirArray<T, D>, t1: i64) -> u64 {
+        let mut hash = FNV_OFFSET;
+        for slice in [grid.snapshot((t1 - 1).max(0)), grid.snapshot(t1)] {
+            for v in slice {
+                for byte in v.digest_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(FNV_PRIME);
+                }
+            }
+        }
+        hash
     }
 
     #[test]
-    fn grid_digest_equals_value_digest_of_snapshots() {
-        let g = heat_grid([6, 5], 3);
-        let slices = [g.snapshot(0), g.snapshot(0)];
-        assert_eq!(digest_grid(&g, 0), digest_values(&slices));
+    fn digest_is_order_sensitive_and_bitwise() {
+        assert_ne!(digest_patterns([1, 2]), digest_patterns([2, 1]));
+        // -0.0 == 0.0 numerically but differs bitwise; the digest must see that.
+        assert_ne!(
+            digest_patterns([0.0f64.digest_bits()]),
+            digest_patterns([(-0.0f64).digest_bits()])
+        );
+    }
+
+    /// Folding rows in place is the snapshot digest bit for bit: `f64` with NaN
+    /// payloads and -0.0, `u8`, D = 1/2/3, row lengths on both sides of the
+    /// 64-byte pad, and `t1 = 0` (slice 0 twice).
+    #[test]
+    fn grid_digest_equals_the_snapshot_digest() {
+        const ODD: [u64; 4] = [0x7FF8_0000_0000_0001, 0x8000_0000_0000_0000, 1, u64::MAX];
+        let f = |x: &[i64]| {
+            let i = x.iter().fold(7i64, |h, &c| h * 31 + c) as u64;
+            match i % 5 {
+                0 => f64::from_bits(ODD[(i / 5 % 4) as usize]),
+                _ => i as f64 * 0.37 - 11.0,
+            }
+        };
+        let b = |x: &[i64]| x.iter().fold(3i64, |h, &c| h * 17 + c) as u8;
+        for n in [1, 5, 8, 13, 64, 70] {
+            let mut g1 = PochoirArray::<f64, 1>::new([n]);
+            let mut g2 = PochoirArray::<f64, 2>::new([3, n]);
+            let mut g3 = PochoirArray::<f64, 3>::with_depth([2, 3, n], 2);
+            let mut u1 = PochoirArray::<u8, 1>::new([n]);
+            let mut u2 = PochoirArray::<u8, 2>::new([4, n]);
+            let mut u3 = PochoirArray::<u8, 3>::new([2, 3, n]);
+            for t in 0..3 {
+                g1.fill_time_slice(t, |x| f(&[t, x[0]]));
+                g2.fill_time_slice(t, |x| f(&[t, x[0], x[1]]));
+                g3.fill_time_slice(t, |x| f(&[t, x[0], x[1], x[2]]));
+                u1.fill_time_slice(t, |x| b(&[t, x[0]]));
+                u2.fill_time_slice(t, |x| b(&[t, x[0], x[1]]));
+                u3.fill_time_slice(t, |x| b(&[t, x[0], x[1], x[2]]));
+            }
+            for t1 in [0, 1, 2] {
+                assert_eq!(digest_grid(&g1, t1), snapshot_digest(&g1, t1));
+                assert_eq!(digest_grid(&g2, t1), snapshot_digest(&g2, t1));
+                assert_eq!(digest_grid(&g3, t1), snapshot_digest(&g3, t1));
+                assert_eq!(digest_grid(&u1, t1), snapshot_digest(&u1, t1));
+                assert_eq!(digest_grid(&u2, t1), snapshot_digest(&u2, t1));
+                assert_eq!(digest_grid(&u3, t1), snapshot_digest(&u3, t1));
+            }
+        }
     }
 
     #[test]

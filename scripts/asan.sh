@@ -3,7 +3,9 @@
 # view row accessors (ghost rows included) and the explicit-SIMD row kernels.
 #
 # Runs the core unit tests, the row/point and schedule equivalence suites and the SIMD
-# equivalence suite, once on the scalar row loops and once with AVX2 forced.  Needs a
+# equivalence suite, once on the scalar row loops and once with AVX2 forced; then the
+# wire codec's property suite and the live end-to-end test once, since the codec
+# streams straight into and out of `AlignedVec`-backed rows (`rows_mut`).  Needs a
 # nightly toolchain (for `-Zsanitizer`); the sanitizer runtime ships with it, so no
 # `-Zbuild-std` and no network.  Exits non-zero on a failing test or an ASan report.
 set -euo pipefail
@@ -21,3 +23,8 @@ for simd in off avx2; do
     cargo +nightly test --offline --target "$target" -p pochoir-stencils \
         --test simd_equivalence
 done
+
+echo "== AddressSanitizer, the wire codec over grid rows"
+unset POCHOIR_SIMD
+cargo +nightly test --offline --target "$target" -p pochoir-serve \
+    --test protocol_properties --test e2e
