@@ -1129,7 +1129,6 @@ struct SchedulerState {
     chains: Vec<Chain>,
     /// Tickets whose next window may dispatch now.
     ready: Vec<usize>,
-    in_flight: usize,
     /// Logical clock: total windows dispatched so far.
     ticks: u64,
     peak_ready: usize,
@@ -1170,7 +1169,6 @@ impl SchedulerState {
             completion_tick: vec![0; chains.len()],
             outcomes: vec![TicketOutcome::Completed; chains.len()],
             ready,
-            in_flight: 0,
             ticks: 0,
             deadline_misses: 0,
             chains,
@@ -1219,7 +1217,6 @@ impl SchedulerState {
         })?;
         let ticket = self.ready.swap_remove(pos);
         self.ticks += 1;
-        self.in_flight += 1;
         let chain = &mut self.chains[ticket];
         chain.pass += chain.stride;
         let index = chain.dispatched;
@@ -1238,7 +1235,6 @@ impl SchedulerState {
     /// Marks the window ending at `end` of `ticket` complete, readying the chain's
     /// next window (if any).
     fn complete(&mut self, ticket: usize, end: i64) {
-        self.in_flight -= 1;
         let chain = &mut self.chains[ticket];
         chain.next_t = end;
         if chain.next_t < chain.t1 {
@@ -1253,16 +1249,9 @@ impl SchedulerState {
     /// — sibling tenants keep dispatching and draining normally; that is the panic
     /// quarantine the module docs describe.
     fn fail(&mut self, ticket: usize, message: String) {
-        self.in_flight -= 1;
         let chain = &mut self.chains[ticket];
         chain.next_t = chain.t1;
         self.outcomes[ticket] = TicketOutcome::Panicked { message };
-    }
-
-    /// Whether every window of every chain has completed (or been cancelled by its
-    /// chain's panic or dispatch-time drop).
-    fn finished(&self) -> bool {
-        self.ready.is_empty() && self.in_flight == 0
     }
 }
 
@@ -1798,45 +1787,30 @@ where
                     None => self.program.run(&mut slot.array, &self.kernel, t0, t1, par),
                 }
             };
-            // One worker body serves both the serial and the crew drain.  A panicking
-            // window must be caught *here*, per item: it retires only its own chain
-            // (`fail`) while the worker keeps dispatching sibling windows — letting
-            // it unwind a crew task would instead leave its window permanently in
-            // flight and the other workers waiting on `finished()` forever.  A worker
-            // finding the queue momentarily empty must not exit while items are in
-            // flight (completing a window readies its successor); meanwhile it helps
-            // execute pool work — typically the in-flight windows' own phase jobs —
-            // via `help_one` rather than spinning.
+            // A crew of up to one worker per pool thread loops `pop → run → complete`
+            // and returns as soon as nothing is ready.  No job may wait on a
+            // condition only another queued job can establish (docs/serving.md): a
+            // worker blocked in a window's phase `join` may run a not-yet-started
+            // crew task, which must therefore end on its own.  Returning early loses
+            // nothing: `complete` readies at most its own chain's successor, and the
+            // worker that completed it pops again at once.  A panicking window is
+            // caught here, per item, and retires only its own chain (`fail`).
             let worker = || loop {
+                // A statement of its own, so the queue lock drops before the window runs.
                 let next = lock_transient(&sched).pop(chunk, drop_unmeetable);
-                match next {
-                    Some((ticket, index, t0, t1)) => {
-                        match catch_unwind(AssertUnwindSafe(|| run_one(ticket, index, t0, t1))) {
-                            Ok(()) => lock_transient(&sched).complete(ticket, t1),
-                            Err(payload) => {
-                                lock_transient(&sched)
-                                    .fail(ticket, faults::panic_message(payload.as_ref()));
-                                lock_transient(&payloads).push((ticket, payload));
-                            }
-                        }
-                    }
-                    None => {
-                        if lock_transient(&sched).finished() {
-                            break;
-                        }
-                        if !par.help_one() {
-                            std::thread::yield_now();
-                        }
+                let Some((ticket, index, t0, t1)) = next else {
+                    break;
+                };
+                match catch_unwind(AssertUnwindSafe(|| run_one(ticket, index, t0, t1))) {
+                    Ok(()) => lock_transient(&sched).complete(ticket, t1),
+                    Err(payload) => {
+                        lock_transient(&sched)
+                            .fail(ticket, faults::panic_message(payload.as_ref()));
+                        lock_transient(&payloads).push((ticket, payload));
                     }
                 }
             };
-            let width = par.num_workers().min(slots.len());
-            if width <= 1 {
-                worker();
-            } else {
-                let crew: Vec<usize> = (0..width).collect();
-                par.for_each_with_grain(&crew, 1, |_| worker());
-            }
+            par.parallel_for(par.num_workers().min(slots.len()), 1, |_| worker());
         }
         let state = into_inner_transient(sched);
         par.count(Counter::ServingWindows, state.ticks);

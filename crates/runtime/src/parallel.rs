@@ -2,6 +2,11 @@
 //! written once against this trait and can then run on the work-stealing [`Runtime`]
 //! (parallel), or on [`Serial`] (deterministic single-threaded execution, used by the
 //! cache simulator, the Phase-1 interpreter and many tests).
+//!
+//! The trait offers fork-join only, no way to wait for other work: every closure
+//! handed to it must end on its own.  A worker blocked in a `join` runs whatever
+//! job it can steal, so a job that waited on a condition only another queued job
+//! can establish could end up stacked above the very frame it waits for.
 
 use crate::metrics::{Counter, Metrics};
 use crate::pool::Runtime;
@@ -58,16 +63,6 @@ pub trait Parallelism: Sync {
         if let Some(metrics) = self.counters() {
             metrics.add(counter, n);
         }
-    }
-
-    /// Executes one pending unit of this provider's work on the calling thread, if
-    /// the calling thread belongs to the provider and work is available; returns
-    /// whether anything ran.  Wait loops call this so a waiting core keeps doing
-    /// useful work (e.g. stealing the phase jobs of an in-flight stencil window)
-    /// instead of spinning.  The default is a no-op returning `false` ([`Serial`]
-    /// has no queue to drain).
-    fn help_one(&self) -> bool {
-        false
     }
 
     /// Number of hardware workers available to this provider.
@@ -130,10 +125,6 @@ impl Parallelism for Runtime {
         Some(self.registry.metrics())
     }
 
-    fn help_one(&self) -> bool {
-        Runtime::help_one(self)
-    }
-
     fn num_workers(&self) -> usize {
         self.num_threads()
     }
@@ -159,10 +150,6 @@ impl<P: Parallelism> Parallelism for &P {
 
     fn counters(&self) -> Option<&Metrics> {
         (**self).counters()
-    }
-
-    fn help_one(&self) -> bool {
-        (**self).help_one()
     }
 
     fn num_workers(&self) -> usize {

@@ -71,34 +71,6 @@ impl Runtime {
         self.registry.num_threads()
     }
 
-    /// If the calling thread is a worker of this pool, takes one pending job (own
-    /// deque first, then stealing) and executes it; returns whether a job ran.
-    ///
-    /// This is the cooperative-waiting primitive: a worker that must wait for a
-    /// condition another task will establish (e.g. a pipelined serving drain waiting
-    /// for an in-flight window to ready its successor) calls this in its wait loop so
-    /// the core keeps executing pool work — exactly what [`Runtime::join`]'s internal
-    /// wait does — instead of busy-yielding.
-    pub fn help_one(&self) -> bool {
-        let worker = crate::registry::WorkerThread::current();
-        if worker.is_null() {
-            return false;
-        }
-        let worker = unsafe { &*worker };
-        if !std::ptr::eq(Arc::as_ptr(worker.registry()), Arc::as_ptr(&self.registry)) {
-            return false;
-        }
-        match worker.take_local_job().or_else(|| worker.steal()) {
-            Some(job) => {
-                // Safety: the job came off a deque of this registry, so it is alive
-                // and unexecuted (the deque protocol's invariant).
-                unsafe { worker.execute(job) };
-                true
-            }
-            None => false,
-        }
-    }
-
     /// A snapshot of this pool's counters: spawn/steal/execute totals plus whatever
     /// the engine layers reported through [`Parallelism::count`](crate::Parallelism::count).
     pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
