@@ -2,8 +2,8 @@
 //!
 //! The paper's ISAT integration tunes base-case coarsening **once per machine** and
 //! bakes the result into the generated code; this module is the runtime analogue: the
-//! `pochoir-autotune` binary sweeps coarsening, grain and SIMD policy per application
-//! and persists the winners as a small JSON file (`target/pochoir-tune.json` by
+//! `pochoir-autotune` binary sweeps coarsening and grain per application and persists
+//! the winners as a small JSON file (`target/pochoir-tune.json` by
 //! default, overridable via the `POCHOIR_TUNE_PROFILE` environment variable).  The
 //! serve/session presets in `pochoir-stencils` consult [`cached`] and fall back to the
 //! committed defaults when no profile is present, so a freshly cloned tree works
@@ -16,13 +16,15 @@
 //!   "version": 1,
 //!   "host_isa": "avx2",
 //!   "apps": {
-//!     "heat2d": { "dt": 5, "dx": [50, 4096], "grain": 1, "simd": "auto" }
+//!     "heat2d": { "dt": 5, "dx": [50, 4096], "grain": 1 }
 //!   }
 //! }
 //! ```
+//!
+//! Keys an entry does not use are ignored, so a profile written with the former
+//! per-app `"simd"` column still loads; every preset now runs `SimdPolicy::Auto`.
 
 use pochoir_core::engine::Coarsening;
-use pochoir_core::simd::SimdPolicy;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -42,8 +44,6 @@ pub struct TuneEntry {
     pub dx: Vec<i64>,
     /// Parallel-loop grain (zoids per task on wide dependency levels).
     pub grain: usize,
-    /// SIMD policy label (`auto`, `scalar`, `force-sse2`, `force-avx2`).
-    pub simd: String,
 }
 
 impl TuneEntry {
@@ -56,18 +56,13 @@ impl TuneEntry {
         dx.copy_from_slice(&self.dx);
         Some(Coarsening::new(self.dt, dx))
     }
-
-    /// The entry's SIMD policy, if its label parses.
-    pub fn simd_policy(&self) -> Option<SimdPolicy> {
-        SimdPolicy::parse(&self.simd)
-    }
 }
 
 /// A persisted per-host tuning profile: tuned parameters per application, plus the
 /// ISA that was detected when the sweep ran (for provenance).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TuneProfile {
-    /// The widest SIMD ISA detected on the tuning host (`avx2`, `sse2`, `scalar`).
+    /// The widest SIMD ISA detected on the tuning host (`avx2` or `scalar`).
     pub host_isa: String,
     /// Tuned entries keyed by application name (`heat2d`, `life`, `wave3d`, …).
     pub apps: BTreeMap<String, TuneEntry>,
@@ -94,11 +89,6 @@ impl TuneProfile {
         self.get(app).and_then(|e| e.coarsening::<D>())
     }
 
-    /// The tuned SIMD policy for `app`, when present and parseable.
-    pub fn simd_policy(&self, app: &str) -> Option<SimdPolicy> {
-        self.get(app).and_then(|e| e.simd_policy())
-    }
-
     /// Serializes to the on-disk JSON format (stable key order, two-space indent).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -118,8 +108,8 @@ impl TuneProfile {
                     .collect::<Vec<_>>()
                     .join(", ");
             s.push_str(&format!(
-                "\n    \"{name}\": {{ \"dt\": {}, \"dx\": [{dx}], \"grain\": {}, \"simd\": \"{}\" }}",
-                e.dt, e.grain, e.simd
+                "\n    \"{name}\": {{ \"dt\": {}, \"dx\": [{dx}], \"grain\": {} }}",
+                e.dt, e.grain
             ));
         }
         s.push_str(if first { "},\n" } else { "\n  },\n" });
@@ -156,7 +146,6 @@ impl TuneProfile {
                     dt: e.get("dt")?.as_i64()?,
                     dx,
                     grain: e.get("grain")?.as_i64()?.try_into().ok()?,
-                    simd: e.get("simd")?.as_str()?.to_string(),
                 },
             );
         }
@@ -408,7 +397,6 @@ mod tests {
                 dt: 5,
                 dx: vec![50, 4096],
                 grain: 1,
-                simd: "auto".into(),
             },
         );
         p.apps.insert(
@@ -417,7 +405,6 @@ mod tests {
                 dt: 8,
                 dx: vec![8, 8, 1000],
                 grain: 2,
-                simd: "force-avx2".into(),
             },
         );
         p
@@ -448,12 +435,21 @@ mod tests {
         );
         // Wrong dimensionality: falls back rather than mis-slicing.
         assert_eq!(p.coarsening::<3>("heat2d"), None);
-        assert_eq!(p.simd_policy("heat2d"), Some(SimdPolicy::Auto));
-        assert_eq!(
-            p.simd_policy("wave3d"),
-            Some(SimdPolicy::Force(pochoir_core::simd::SimdIsa::Avx2))
-        );
         assert_eq!(p.coarsening::<2>("absent"), None);
+    }
+
+    #[test]
+    fn profiles_with_the_former_simd_column_still_load() {
+        let old = r#"{
+  "version": 1,
+  "host_isa": "avx2",
+  "apps": {
+    "heat2d": { "dt": 5, "dx": [50, 4096], "grain": 1, "simd": "auto" },
+    "wave3d": { "dt": 8, "dx": [8, 8, 1000], "grain": 2, "simd": "force-avx2" }
+  },
+  "generated_by": "pochoir-autotune v1"
+}"#;
+        assert_eq!(TuneProfile::parse(old), Some(sample()));
     }
 
     #[test]
@@ -484,6 +480,6 @@ mod tests {
     #[test]
     fn for_this_host_records_a_known_isa_label() {
         let p = TuneProfile::for_this_host();
-        assert!(["avx2", "sse2", "scalar"].contains(&p.host_isa.as_str()));
+        assert!(["avx2", "scalar"].contains(&p.host_isa.as_str()));
     }
 }

@@ -3,9 +3,8 @@
 //! For each application the sweep measures, on this machine:
 //!
 //! 1. the TRAP base-case coarsening (hill-climbing refinement around the committed
-//!    in-tree default),
-//! 2. the parallel-loop grain, and
-//! 3. the SIMD row-kernel policy (scalar vs. each ISA the host supports),
+//!    in-tree default), and
+//! 2. the parallel-loop grain,
 //!
 //! then writes the winners to the tune profile (default `target/pochoir-tune.json`,
 //! overridable with `POCHOIR_TUNE_PROFILE` or `--out`).  The stencil presets
@@ -25,7 +24,6 @@ use pochoir_core::boundary::Boundary;
 use pochoir_core::engine::{Coarsening, ExecutionPlan};
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::{StencilKernel, StencilSpec};
-use pochoir_core::simd::{isa_detected, SimdIsa, SimdPolicy};
 use pochoir_stencils::{apop, heat, lbm, life, psa, wave, ProblemScale};
 
 /// Problem sizes per sweep scale: 2D extent/steps, 3D extent/steps, LBM extent/steps,
@@ -106,7 +104,7 @@ fn sweep_app<T, K, const D: usize>(
     kernel: &K,
     run: (i64, usize),
     prof: &mut TuneProfile,
-) -> [String; 5]
+) -> [String; 4]
 where
     T: Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
@@ -125,32 +123,12 @@ where
     // 2. Grain: zoids per task on wide dependency levels, measured parallel.
     let grain = tune_grain(&[1, 2, 4, 8], |g| cost(&base.with_grain(g), true));
 
-    // 3. SIMD policy: scalar vs. each forced ISA this host supports.  When the widest
-    //    detected ISA wins, record `auto` so the profile stays portable across hosts.
-    let mut simd_cost = cost(&base.with_simd(SimdPolicy::Scalar), false);
-    let mut simd_winner: Option<SimdIsa> = None;
-    for isa in [SimdIsa::Sse2, SimdIsa::Avx2] {
-        if isa_detected(isa) {
-            let c = cost(&base.with_simd(SimdPolicy::Force(isa)), false);
-            if c < simd_cost {
-                simd_cost = c;
-                simd_winner = Some(isa);
-            }
-        }
-    }
-    let simd_label = match simd_winner {
-        None => "scalar".to_string(),
-        Some(isa) if Some(isa) == pochoir_core::simd::detected() => "auto".to_string(),
-        Some(isa) => SimdPolicy::Force(isa).label().to_string(),
-    };
-
     prof.apps.insert(
         app.to_string(),
         TuneEntry {
             dt: coarse.best.dt,
             dx: coarse.best.dx.to_vec(),
             grain: grain.best,
-            simd: simd_label.clone(),
         },
     );
     let dx = coarse
@@ -164,20 +142,19 @@ where
         app.to_string(),
         format!("dt={} dx={dx}", coarse.best.dt),
         grain.best.to_string(),
-        simd_label,
-        format!("{}", coarse.evaluations + grain.evaluations + 3),
+        format!("{}", coarse.evaluations + grain.evaluations),
     ]
 }
 
 fn main() {
     let scale = scale_from_args(
-        "pochoir-autotune: sweep coarsening, grain and SIMD policy per app and persist \
-         a per-host tune profile",
+        "pochoir-autotune: sweep coarsening and grain per app and persist a per-host tune \
+         profile",
     );
     let out = out_path_from_args(&profile::default_path().display().to_string());
     let s = sweep_scale(scale);
     let mut prof = TuneProfile::for_this_host();
-    let mut table = Table::new(["app", "coarsening", "grain", "simd", "evals"]);
+    let mut table = Table::new(["app", "coarsening", "grain", "evals"]);
 
     let heat_spec = StencilSpec::new(heat::shape::<2>());
     table.row(sweep_app(

@@ -404,7 +404,7 @@ impl<const D: usize> CompiledProgram<D> {
         }
         self.metrics.runs.fetch_add(1, Ordering::Relaxed);
         // Publish the row-kernel ISA this run dispatches to (plan policy ∩ host
-        // detection ∩ POCHOIR_SIMD).
+        // detection).
         crate::simd::set_active(crate::simd::resolve(self.plan.simd));
         if let Some(strategy) = self.strategy {
             if !self.takes_compiled_route(t1 - t0) {

@@ -195,9 +195,9 @@ pub struct ExecutionPlan<const D: usize> {
     /// Parallel-loop grain: outer-dimension rows per task for the loop engines, and
     /// zoids per task on wide dependency levels for TRAP/STRAP.
     pub grain: usize,
-    /// Row-kernel SIMD dispatch policy (resolved against host detection and the
-    /// `POCHOIR_SIMD` environment variable at run time; see [`crate::simd::resolve`]).
-    /// Never changes results — the SIMD bodies are bitwise-equal to the scalar loop.
+    /// Row-kernel SIMD dispatch policy (resolved against host detection at run time;
+    /// see [`crate::simd::resolve`]).  Never changes results — the AVX2 rows are
+    /// bitwise-equal to the baseline loop.
     pub simd: SimdPolicy,
     /// Giant-grid sharding policy: what happens when a [`ScheduleMode::Compiled`]
     /// geometry fails the compiled-path size gate.  Never changes results.

@@ -205,7 +205,7 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
         );
         // The unit-stride (last) dimension's extent is rounded up so every row starts
         // on a GRID_ALIGN boundary of the 64-byte-aligned allocation — the storage
-        // half of the explicit-SIMD row path.  Element sizes that don't divide 64
+        // half of the vector row path.  Element sizes that don't divide 64
         // (e.g. LBM's [f64; 7]) keep a dense layout (pad factor 1).
         let pad = row_pad_elems::<T>();
         let mut strides = [0usize; D];
@@ -757,8 +757,9 @@ impl<'a, T: Copy> RowWriter<'a, T> {
         }
     }
 
-    /// Raw base pointer of the row, for explicit-SIMD kernel bodies that store
-    /// whole vectors at once.
+    /// Raw base pointer of the row, for the one hand-written vector body (Life's
+    /// AVX2 row in `pochoir-stencils`), which stores 32 cells at once; every other
+    /// row writes through [`RowWriter::set`].
     ///
     /// Stores through the pointer must stay within the row's `len` elements and
     /// observe the same aliasing contract as [`RowWriter::set`].

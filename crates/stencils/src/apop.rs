@@ -167,7 +167,7 @@ pub fn tuned_coarsening() -> Coarsening<1> {
 }
 
 fn tuned_plan() -> ExecutionPlan<1> {
-    crate::common::tuned_plan("apop", tuned_coarsening())
+    crate::common::tuned_plan(tuned_coarsening())
 }
 
 /// A reusable executor session for the APOP kernel on an `n`-point grid: TRAP on the

@@ -4,7 +4,6 @@
 
 use pochoir_autotune::profile;
 use pochoir_core::engine::{Coarsening, ExecutionPlan};
-use pochoir_core::simd::SimdPolicy;
 
 /// The coarsening for `app`: the host's persisted tune profile when one exists and has
 /// a matching-dimensionality entry (see [`pochoir_autotune::profile`]), else the
@@ -18,19 +17,10 @@ pub(crate) fn profile_coarsening<const D: usize>(
         .unwrap_or(default)
 }
 
-/// The SIMD policy for `app` from the host's tune profile, defaulting to `Auto`.
-pub(crate) fn profile_simd(app: &str) -> SimdPolicy {
-    profile::cached()
-        .and_then(|p| p.simd_policy(app))
-        .unwrap_or_default()
-}
-
 /// The TRAP plan every session/serve preset uses: the given (already profile-aware)
-/// coarsening plus the profile's SIMD policy for `app`.
-pub(crate) fn tuned_plan<const D: usize>(app: &str, coarsening: Coarsening<D>) -> ExecutionPlan<D> {
-    ExecutionPlan::trap()
-        .with_coarsening(coarsening)
-        .with_simd(profile_simd(app))
+/// coarsening under the default `SimdPolicy::Auto`.
+pub(crate) fn tuned_plan<const D: usize>(coarsening: Coarsening<D>) -> ExecutionPlan<D> {
+    ExecutionPlan::trap().with_coarsening(coarsening)
 }
 
 /// How large a benchmark instance to run.

@@ -35,10 +35,11 @@ impl<const D: usize> StencilKernel<f64, D> for HeatKernel<D> {
         g.set(t + 1, x, acc);
     }
 
-    /// Row-oriented interior clone: one address resolution per stencil leg per row, then
-    /// a vectorizable slice-walking inner loop.  Computes the exact same floating-point
-    /// expression in the same order as [`HeatKernel::update`], so results are bitwise
-    /// identical; falls back to the per-point loop on views without row access.
+    /// Row-oriented clone: one address resolution per stencil leg per row, then one
+    /// slice-walking loop (`heat_row`), run as its AVX2 copy when this run dispatches
+    /// to AVX2.  Computes the exact same floating-point expression in the same order as
+    /// [`HeatKernel::update`], so results are bitwise identical; falls back to the
+    /// per-point loop on views without row access.
     fn update_row<A: GridAccess<f64, D>>(&self, g: &A, t: i64, x0: [i64; D], len: i64) {
         if len <= 0 {
             return;
@@ -75,31 +76,60 @@ impl<const D: usize> StencilKernel<f64, D> for HeatKernel<D> {
                     _ => break 'fast,
                 }
             }
-            let alpha = self.alpha;
-            // SIMD clone of the loop below (bitwise-equal); scalar loop when inactive.
-            if !crate::simd::heat_row(
-                alpha,
-                center,
-                &lo_rows[..last],
-                &hi_rows[..last],
-                &mut out,
-                n,
-            ) {
-                for i in 0..n {
-                    let c = center[i + 1];
-                    let mut acc = c;
-                    for d in 0..last {
-                        acc += alpha * (lo_rows[d][i] + hi_rows[d][i] - 2.0 * c);
-                    }
-                    acc += alpha * (center[i] + center[i + 2] - 2.0 * c);
-                    out.set(i, acc);
-                }
+            #[cfg(target_arch = "x86_64")]
+            if crate::simd::avx2_row() {
+                // Safety: `avx2_row` is true only when host detection found AVX2.
+                unsafe { heat_row_avx2(self.alpha, center, &lo_rows, &hi_rows, &mut out, n) };
+                return;
             }
+            heat_row(self.alpha, center, &lo_rows, &hi_rows, &mut out, n);
             return;
         }
         // Per-point path for views without rows (tracing, checked indexing, …).
         update_row_pointwise(self, g, t, x0, len);
     }
+}
+
+/// The heat row loop: `center` is the unit-stride leg extended one cell on each side
+/// (`n + 2`), `lo`/`hi` hold the off-axis legs (`n` each; index `D − 1` is unused).
+/// The same expression in the same order as [`HeatKernel::update`].  Reslicing every
+/// leg to its exact length first lets LLVM drop the bounds checks (≈ 5 % of the
+/// vectorized loop's speed, docs/performance.md).
+#[inline(always)]
+fn heat_row<const D: usize>(
+    alpha: f64,
+    center: &[f64],
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    out: &mut RowWriter<'_, f64>,
+    n: usize,
+) {
+    let center = &center[..n + 2];
+    let lo = lo.map(|r| &r[..n]);
+    let hi = hi.map(|r| &r[..n]);
+    for i in 0..n {
+        let c = center[i + 1];
+        let mut acc = c;
+        for d in 0..D - 1 {
+            acc += alpha * (lo[d][i] + hi[d][i] - 2.0 * c);
+        }
+        acc += alpha * (center[i] + center[i + 2] - 2.0 * c);
+        out.set(i, acc);
+    }
+}
+
+/// [`heat_row`] compiled with AVX2 enabled: the same loop, vectorized four lanes wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn heat_row_avx2<const D: usize>(
+    alpha: f64,
+    center: &[f64],
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    out: &mut RowWriter<'_, f64>,
+    n: usize,
+) {
+    heat_row(alpha, center, lo, hi, out, n);
 }
 
 /// The stencil shape of [`HeatKernel`]: the (2D+1)-point star of radius 1.
@@ -118,7 +148,7 @@ pub fn tuned_coarsening_2d() -> Coarsening<2> {
 }
 
 fn tuned_plan_2d() -> ExecutionPlan<2> {
-    crate::common::tuned_plan("heat2d", tuned_coarsening_2d())
+    crate::common::tuned_plan(tuned_coarsening_2d())
 }
 
 /// A reusable executor session for the 2D heat kernel: TRAP on the compiled-schedule

@@ -164,7 +164,7 @@ pub fn tuned_coarsening() -> Coarsening<3> {
 }
 
 fn tuned_plan() -> ExecutionPlan<3> {
-    crate::common::tuned_plan("lbm3d", tuned_coarsening())
+    crate::common::tuned_plan(tuned_coarsening())
 }
 
 /// A reusable executor session for the D3Q7 LBM kernel: TRAP on the compiled-schedule

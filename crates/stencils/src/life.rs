@@ -31,9 +31,10 @@ impl StencilKernel<u8, 2> for LifeKernel {
         g.set(t + 1, x, next);
     }
 
-    /// Row-oriented interior clone over the three Moore-neighbourhood rows; identical
-    /// results to the per-point rule, with one address resolution per row instead of
-    /// nine per cell.
+    /// Row-oriented clone over the three Moore-neighbourhood rows; identical results to
+    /// the per-point rule, with one address resolution per row instead of nine per cell.
+    /// Under AVX2 dispatch a hand-written body writes the row's whole 32-cell vectors
+    /// first (see [`crate::simd`]).
     fn update_row<A: GridAccess<u8, 2>>(&self, g: &A, t: i64, x0: [i64; 2], len: i64) {
         if len <= 0 {
             return;
@@ -53,25 +54,26 @@ impl StencilKernel<u8, 2> for LifeKernel {
             }) else {
                 break 'fast;
             };
-            // SIMD clone of the loop below (bitwise-equal); scalar loop when inactive.
-            if !crate::simd::life_row(up, mid, down, &mut out, n) {
-                for i in 0..n {
-                    let neighbours = up[i]
-                        + up[i + 1]
-                        + up[i + 2]
-                        + mid[i]
-                        + mid[i + 2]
-                        + down[i]
-                        + down[i + 1]
-                        + down[i + 2];
-                    let alive = mid[i + 1] == 1;
-                    let next = match (alive, neighbours) {
-                        (true, 2) | (true, 3) => 1,
-                        (false, 3) => 1,
-                        _ => 0,
-                    };
-                    out.set(i, next);
-                }
+            // The AVX2 body writes the whole vectors (bitwise-equal; none when this run
+            // does not dispatch to AVX2), the scalar loop the rest.
+            let (up, mid, down) = (&up[..n + 2], &mid[..n + 2], &down[..n + 2]);
+            let vectored = crate::simd::life_row(up, mid, down, &mut out, n);
+            for i in vectored..n {
+                let neighbours = up[i]
+                    + up[i + 1]
+                    + up[i + 2]
+                    + mid[i]
+                    + mid[i + 2]
+                    + down[i]
+                    + down[i + 1]
+                    + down[i + 2];
+                let alive = mid[i + 1] == 1;
+                let next = match (alive, neighbours) {
+                    (true, 2) | (true, 3) => 1,
+                    (false, 3) => 1,
+                    _ => 0,
+                };
+                out.set(i, next);
             }
             return;
         }
@@ -91,7 +93,7 @@ pub fn tuned_coarsening() -> Coarsening<2> {
 }
 
 fn tuned_plan() -> ExecutionPlan<2> {
-    crate::common::tuned_plan("life", tuned_coarsening())
+    crate::common::tuned_plan(tuned_coarsening())
 }
 
 /// A reusable executor session for Life: TRAP on the compiled-schedule path with the

@@ -135,7 +135,7 @@ pub fn tuned_coarsening() -> Coarsening<1> {
 }
 
 fn tuned_plan() -> ExecutionPlan<1> {
-    crate::common::tuned_plan("psa", tuned_coarsening())
+    crate::common::tuned_plan(tuned_coarsening())
 }
 
 /// A reusable executor session for the PSA kernel aligning `a` against `b`: TRAP on

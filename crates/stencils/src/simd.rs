@@ -1,433 +1,96 @@
-//! Explicit SSE2/AVX2 row-kernel bodies for the hot stencils, behind the
-//! process-wide dispatch of [`pochoir_core::simd`].
+//! The AVX2 side of the row kernels, behind the process-wide dispatch of
+//! [`pochoir_core::simd`].
 //!
-//! Each function here is the vector twin of one scalar row loop in [`heat`],
-//! [`life`] or [`wave`]: it replays the **exact same per-element operation
-//! order**, lane by lane (no FMA, no reassociation, scalar remainder for the
-//! tail), so the results are bitwise-equal to the scalar path on every input —
-//! the Pochoir Guarantee extends to the vectorized clones.  All vector loads
-//! are unaligned (`loadu`): the neighbour legs of a stencil are offset by ±1
-//! element from each other, so at most one leg per row can be aligned anyway;
-//! the aligned, padded storage of [`PochoirArray`](pochoir_core::prelude::PochoirArray)
-//! keeps the *store* stream and the cache-line footprint tidy.
+//! Heat and wave have no vector body of their own: each keeps one
+//! `#[inline(always)]` row loop, and a named `#[target_feature(enable = "avx2")]`
+//! copy next to it lets LLVM vectorize that same loop four lanes wide.  Because
+//! LLVM neither reassociates nor contracts floating-point operations, the AVX2
+//! copy is bitwise-equal to the baseline build — the Pochoir Guarantee holds for
+//! both.  The kernels ask `avx2_row` which copy a row takes.
 //!
-//! The public entry points ([`heat_row`], [`life_row`], [`wave_row`]) consult
-//! [`pochoir_core::simd::active`] — published by the executor from the plan's
-//! [`SimdPolicy`](pochoir_core::simd::SimdPolicy) — and return `false` when the
-//! row should take the kernel's scalar loop instead (scalar policy, unsupported
-//! host, or a non-x86-64 build).
-//!
-//! [`heat`]: crate::heat
-//! [`life`]: crate::life
-//! [`wave`]: crate::wave
+//! Life is the exception: LLVM does not turn its byte loop's `match` into the
+//! branch-free rule, so compiled for AVX2 it gains ≈ 1.1× over the baseline build,
+//! while the hand-written body below (the rule over 32 cells per vector) runs
+//! ≈ 1.5× faster than that copy (docs/performance.md).  `life_row` runs it over a
+//! row's whole vectors and leaves the tail to the kernel's scalar loop.
 
 use pochoir_core::prelude::RowWriter;
-use pochoir_core::simd::{active, note_row, SimdIsa};
 
+/// True when this run dispatches rows to AVX2 (the plan's policy, resolved
+/// against host detection by the executor); counts the row for the
+/// [`rows_snapshot`](pochoir_core::simd::rows_snapshot) probe when it is.
+/// [`active`](pochoir_core::simd::active) never reports AVX2 on a host without
+/// it, so a `true` here is what makes calling an AVX2 copy sound.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! The `#[target_feature]` bodies.  Callers must have verified feature
-    //! support (the dispatchers only route here when detection succeeded).
+#[inline]
+pub(crate) fn avx2_row() -> bool {
+    let on = pochoir_core::simd::active().is_some();
+    if on {
+        pochoir_core::simd::note_row();
+    }
+    on
+}
+
+/// Writes the leading whole 32-cell vectors of a Life row with the AVX2 body when
+/// this run dispatches to AVX2, and returns how many cells it wrote (0 otherwise);
+/// the kernel's scalar loop finishes the row from there.  `up`/`mid`/`down` are
+/// the three extended Moore rows (`n + 2` each).
+#[inline]
+pub(crate) fn life_row(
+    up: &[u8],
+    mid: &[u8],
+    down: &[u8],
+    out: &mut RowWriter<'_, u8>,
+    n: usize,
+) -> usize {
     #[cfg(target_arch = "x86_64")]
+    if avx2_row() {
+        // Safety: `avx2_row` is true only when host detection found AVX2.
+        return unsafe { life_row_avx2(up, mid, down, out, n) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (up, mid, down, out, n);
+    0
+}
+
+/// The 8-neighbour byte sum and the branch-free rule
+/// `next = (n == 3) | (alive & n == 2)`, which is exactly the truth table of
+/// `LifeKernel`'s scalar match, 32 cells per iteration.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn life_row_avx2(
+    up: &[u8],
+    mid: &[u8],
+    down: &[u8],
+    out: &mut RowWriter<'_, u8>,
+    n: usize,
+) -> usize {
     use std::arch::x86_64::*;
-
-    /// Generates one ISA variant of the heat row body: the star-stencil Jacobi
-    /// update `acc = c + Σ_d α·(lo_d + hi_d − 2c)` with the unit-stride leg last,
-    /// exactly like `HeatKernel::update_row`'s scalar loop.
-    macro_rules! heat_row_body {
-        ($name:ident, $feat:literal, $lanes:expr, $loadu:ident, $storeu:ident,
-         $add:ident, $sub:ident, $mul:ident, $set1:ident) => {
-            /// # Safety
-            ///
-            /// The host must support the target feature; `center` must hold at
-            /// least `n + 2` elements, every row in `lo`/`hi` at least `n`, and
-            /// `out` must be valid for `n` writes.
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $name(
-                alpha: f64,
-                center: &[f64],
-                lo: &[&[f64]],
-                hi: &[&[f64]],
-                out: *mut f64,
-                n: usize,
-            ) {
-                const L: usize = $lanes;
-                let va = $set1(alpha);
-                let v2 = $set1(2.0);
-                let mut i = 0usize;
-                // The leg count is specialized so the hot loops carry no
-                // dynamic-bound inner loop (which would block unrolling and
-                // scheduling): 0 off-axis legs is heat1d, 1 is heat2d.  The
-                // accumulation order is identical in every branch.
-                match lo.len() {
-                    0 => {
-                        while i + L <= n {
-                            let c = $loadu(center.as_ptr().add(i + 1));
-                            let l = $loadu(center.as_ptr().add(i));
-                            let h = $loadu(center.as_ptr().add(i + 2));
-                            let acc = $add(c, $mul(va, $sub($add(l, h), $mul(v2, c))));
-                            $storeu(out.add(i), acc);
-                            i += L;
-                        }
-                    }
-                    1 => {
-                        let lp = lo.get_unchecked(0).as_ptr();
-                        let hp = hi.get_unchecked(0).as_ptr();
-                        while i + L <= n {
-                            let c = $loadu(center.as_ptr().add(i + 1));
-                            let mut acc = c;
-                            let l = $loadu(lp.add(i));
-                            let h = $loadu(hp.add(i));
-                            acc = $add(acc, $mul(va, $sub($add(l, h), $mul(v2, c))));
-                            let l = $loadu(center.as_ptr().add(i));
-                            let h = $loadu(center.as_ptr().add(i + 2));
-                            acc = $add(acc, $mul(va, $sub($add(l, h), $mul(v2, c))));
-                            $storeu(out.add(i), acc);
-                            i += L;
-                        }
-                    }
-                    _ => {
-                        while i + L <= n {
-                            let c = $loadu(center.as_ptr().add(i + 1));
-                            let mut acc = c;
-                            for d in 0..lo.len() {
-                                let l = $loadu(lo.get_unchecked(d).as_ptr().add(i));
-                                let h = $loadu(hi.get_unchecked(d).as_ptr().add(i));
-                                acc = $add(acc, $mul(va, $sub($add(l, h), $mul(v2, c))));
-                            }
-                            let l = $loadu(center.as_ptr().add(i));
-                            let h = $loadu(center.as_ptr().add(i + 2));
-                            acc = $add(acc, $mul(va, $sub($add(l, h), $mul(v2, c))));
-                            $storeu(out.add(i), acc);
-                            i += L;
-                        }
-                    }
-                }
-                while i < n {
-                    let c = *center.get_unchecked(i + 1);
-                    let mut acc = c;
-                    for d in 0..lo.len() {
-                        acc += alpha
-                            * (lo.get_unchecked(d).get_unchecked(i)
-                                + hi.get_unchecked(d).get_unchecked(i)
-                                - 2.0 * c);
-                    }
-                    acc +=
-                        alpha * (center.get_unchecked(i) + center.get_unchecked(i + 2) - 2.0 * c);
-                    *out.add(i) = acc;
-                    i += 1;
-                }
-            }
-        };
+    const L: usize = 32;
+    assert!(up.len() >= n + 2 && mid.len() >= n + 2 && down.len() >= n + 2 && out.len() >= n);
+    let ones = _mm256_set1_epi8(1);
+    let twos = _mm256_set1_epi8(2);
+    let threes = _mm256_set1_epi8(3);
+    // Safety: every load reads `row[j..j + L]` with `j ≤ i + 2` and `i + L ≤ n`,
+    // inside the asserted `n + 2` elements.
+    let at = |row: &[u8], j: usize| unsafe { _mm256_loadu_si256(row.as_ptr().add(j).cast()) };
+    let mut i = 0usize;
+    while i + L <= n {
+        let mut nb = at(up, i);
+        nb = _mm256_add_epi8(nb, at(up, i + 1));
+        nb = _mm256_add_epi8(nb, at(up, i + 2));
+        nb = _mm256_add_epi8(nb, at(mid, i));
+        nb = _mm256_add_epi8(nb, at(mid, i + 2));
+        nb = _mm256_add_epi8(nb, at(down, i));
+        nb = _mm256_add_epi8(nb, at(down, i + 1));
+        nb = _mm256_add_epi8(nb, at(down, i + 2));
+        let alive = _mm256_cmpeq_epi8(at(mid, i + 1), ones);
+        let eq2 = _mm256_cmpeq_epi8(nb, twos);
+        let eq3 = _mm256_cmpeq_epi8(nb, threes);
+        let next = _mm256_and_si256(_mm256_or_si256(eq3, _mm256_and_si256(alive, eq2)), ones);
+        // Safety: `i + L ≤ n ≤ out.len()`, so the store stays inside the row.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), next) };
+        i += L;
     }
-
-    heat_row_body!(
-        heat_row_sse2,
-        "sse2",
-        2,
-        _mm_loadu_pd,
-        _mm_storeu_pd,
-        _mm_add_pd,
-        _mm_sub_pd,
-        _mm_mul_pd,
-        _mm_set1_pd
-    );
-    heat_row_body!(
-        heat_row_avx2,
-        "avx2",
-        4,
-        _mm256_loadu_pd,
-        _mm256_storeu_pd,
-        _mm256_add_pd,
-        _mm256_sub_pd,
-        _mm256_mul_pd,
-        _mm256_set1_pd
-    );
-
-    /// Generates one ISA variant of the wave row body: depth-2 leapfrog
-    /// `2c − prev + c²·lap` with the laplacian legs accumulated in the same
-    /// order as `WaveKernel::update_row`'s scalar loop.
-    macro_rules! wave_row_body {
-        ($name:ident, $feat:literal, $lanes:expr, $loadu:ident, $storeu:ident,
-         $add:ident, $sub:ident, $mul:ident, $set1:ident) => {
-            /// # Safety
-            ///
-            /// The host must support the target feature; `center` must hold at
-            /// least `n + 2` elements, `prev` and every leg at least `n`, and
-            /// `out` must be valid for `n` writes.
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $name(
-                c2: f64,
-                center: &[f64],
-                prev: &[f64],
-                legs: [&[f64]; 4],
-                out: *mut f64,
-                n: usize,
-            ) {
-                const L: usize = $lanes;
-                let [xm, xp, ym, yp] = legs;
-                let vc2 = $set1(c2);
-                let v2 = $set1(2.0);
-                let vzero = $set1(0.0);
-                let mut i = 0usize;
-                while i + L <= n {
-                    let c = $loadu(center.as_ptr().add(i + 1));
-                    let c2x = $mul(v2, c);
-                    // lap starts from 0.0 and accumulates the three leg pairs in
-                    // scalar order: (leg_lo − 2c) + leg_hi per axis.
-                    let mut lap = vzero;
-                    lap = $add(
-                        lap,
-                        $add(
-                            $sub($loadu(xm.as_ptr().add(i)), c2x),
-                            $loadu(xp.as_ptr().add(i)),
-                        ),
-                    );
-                    lap = $add(
-                        lap,
-                        $add(
-                            $sub($loadu(ym.as_ptr().add(i)), c2x),
-                            $loadu(yp.as_ptr().add(i)),
-                        ),
-                    );
-                    lap = $add(
-                        lap,
-                        $add(
-                            $sub($loadu(center.as_ptr().add(i)), c2x),
-                            $loadu(center.as_ptr().add(i + 2)),
-                        ),
-                    );
-                    let v = $add($sub(c2x, $loadu(prev.as_ptr().add(i))), $mul(vc2, lap));
-                    $storeu(out.add(i), v);
-                    i += L;
-                }
-                while i < n {
-                    let c = *center.get_unchecked(i + 1);
-                    let mut lap = 0.0;
-                    lap += xm.get_unchecked(i) - 2.0 * c + xp.get_unchecked(i);
-                    lap += ym.get_unchecked(i) - 2.0 * c + yp.get_unchecked(i);
-                    lap += center.get_unchecked(i) - 2.0 * c + center.get_unchecked(i + 2);
-                    *out.add(i) = 2.0 * c - prev.get_unchecked(i) + c2 * lap;
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    wave_row_body!(
-        wave_row_sse2,
-        "sse2",
-        2,
-        _mm_loadu_pd,
-        _mm_storeu_pd,
-        _mm_add_pd,
-        _mm_sub_pd,
-        _mm_mul_pd,
-        _mm_set1_pd
-    );
-    wave_row_body!(
-        wave_row_avx2,
-        "avx2",
-        4,
-        _mm256_loadu_pd,
-        _mm256_storeu_pd,
-        _mm256_add_pd,
-        _mm256_sub_pd,
-        _mm256_mul_pd,
-        _mm256_set1_pd
-    );
-
-    /// Generates one ISA variant of the Life row body: the 8-neighbour byte sum
-    /// and the branch-free rule `next = (n == 3) | (alive & n == 2)`, which is
-    /// exactly the truth table of `LifeKernel`'s scalar match.
-    macro_rules! life_row_body {
-        ($name:ident, $feat:literal, $lanes:expr, $vec:ty, $loadu:ident, $storeu:ident,
-         $add:ident, $cmpeq:ident, $and:ident, $or:ident, $set1:ident) => {
-            /// # Safety
-            ///
-            /// The host must support the target feature; `up`, `mid` and `down`
-            /// must hold at least `n + 2` elements each, and `out` must be valid
-            /// for `n` writes.
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $name(up: &[u8], mid: &[u8], down: &[u8], out: *mut u8, n: usize) {
-                const L: usize = $lanes;
-                let ones = $set1(1);
-                let twos = $set1(2);
-                let threes = $set1(3);
-                let at = |row: &[u8], j: usize| row.as_ptr().add(j) as *const $vec;
-                let mut i = 0usize;
-                while i + L <= n {
-                    let mut nb = $loadu(at(up, i));
-                    nb = $add(nb, $loadu(at(up, i + 1)));
-                    nb = $add(nb, $loadu(at(up, i + 2)));
-                    nb = $add(nb, $loadu(at(mid, i)));
-                    nb = $add(nb, $loadu(at(mid, i + 2)));
-                    nb = $add(nb, $loadu(at(down, i)));
-                    nb = $add(nb, $loadu(at(down, i + 1)));
-                    nb = $add(nb, $loadu(at(down, i + 2)));
-                    let alive = $cmpeq($loadu(at(mid, i + 1)), ones);
-                    let eq2 = $cmpeq(nb, twos);
-                    let eq3 = $cmpeq(nb, threes);
-                    let next = $and($or(eq3, $and(alive, eq2)), ones);
-                    $storeu(out.add(i) as *mut $vec, next);
-                    i += L;
-                }
-                while i < n {
-                    let neighbours = up.get_unchecked(i)
-                        + up.get_unchecked(i + 1)
-                        + up.get_unchecked(i + 2)
-                        + mid.get_unchecked(i)
-                        + mid.get_unchecked(i + 2)
-                        + down.get_unchecked(i)
-                        + down.get_unchecked(i + 1)
-                        + down.get_unchecked(i + 2);
-                    let alive = *mid.get_unchecked(i + 1) == 1;
-                    *out.add(i) = match (alive, neighbours) {
-                        (true, 2) | (true, 3) => 1,
-                        (false, 3) => 1,
-                        _ => 0,
-                    };
-                    i += 1;
-                }
-            }
-        };
-    }
-
-    life_row_body!(
-        life_row_sse2,
-        "sse2",
-        16,
-        __m128i,
-        _mm_loadu_si128,
-        _mm_storeu_si128,
-        _mm_add_epi8,
-        _mm_cmpeq_epi8,
-        _mm_and_si128,
-        _mm_or_si128,
-        _mm_set1_epi8
-    );
-    life_row_body!(
-        life_row_avx2,
-        "avx2",
-        32,
-        __m256i,
-        _mm256_loadu_si256,
-        _mm256_storeu_si256,
-        _mm256_add_epi8,
-        _mm256_cmpeq_epi8,
-        _mm256_and_si256,
-        _mm256_or_si256,
-        _mm256_set1_epi8
-    );
-}
-
-/// Runs the heat row on the active SIMD ISA, if any.  `center` is the extended
-/// unit-stride leg (`n + 2` elements), `lo`/`hi` the off-axis legs (`n` each).
-/// Returns `false` — touching nothing — when the caller should run its scalar
-/// loop instead.
-#[inline]
-pub fn heat_row(
-    alpha: f64,
-    center: &[f64],
-    lo: &[&[f64]],
-    hi: &[&[f64]],
-    out: &mut RowWriter<'_, f64>,
-    n: usize,
-) -> bool {
-    debug_assert!(center.len() >= n + 2 && out.len() >= n);
-    debug_assert!(lo.len() == hi.len());
-    debug_assert!(lo.iter().chain(hi.iter()).all(|r| r.len() >= n));
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // Safety: `active()` only reports an ISA that host detection confirmed,
-            // and the row lengths are the dispatchers' documented contract.
-            Some(SimdIsa::Avx2) => unsafe {
-                x86::heat_row_avx2(alpha, center, lo, hi, out.as_mut_ptr(), n);
-                note_row(SimdIsa::Avx2);
-                true
-            },
-            Some(SimdIsa::Sse2) => unsafe {
-                x86::heat_row_sse2(alpha, center, lo, hi, out.as_mut_ptr(), n);
-                note_row(SimdIsa::Sse2);
-                true
-            },
-            None => false,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, center, lo, hi, out, n);
-        false
-    }
-}
-
-/// Runs the wave row on the active SIMD ISA, if any.  `center` is the extended
-/// unit-stride leg (`n + 2`), `prev` the `t − 1` centre row and `legs` the four
-/// off-axis legs `[xm, xp, ym, yp]` (`n` each).  Returns `false` when the
-/// caller should run its scalar loop instead.
-#[inline]
-pub fn wave_row(
-    c2: f64,
-    center: &[f64],
-    prev: &[f64],
-    legs: [&[f64]; 4],
-    out: &mut RowWriter<'_, f64>,
-    n: usize,
-) -> bool {
-    debug_assert!(center.len() >= n + 2 && prev.len() >= n && out.len() >= n);
-    debug_assert!(legs.iter().all(|r| r.len() >= n));
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // Safety: as in `heat_row`.
-            Some(SimdIsa::Avx2) => unsafe {
-                x86::wave_row_avx2(c2, center, prev, legs, out.as_mut_ptr(), n);
-                note_row(SimdIsa::Avx2);
-                true
-            },
-            Some(SimdIsa::Sse2) => unsafe {
-                x86::wave_row_sse2(c2, center, prev, legs, out.as_mut_ptr(), n);
-                note_row(SimdIsa::Sse2);
-                true
-            },
-            None => false,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (c2, center, prev, legs, out, n);
-        false
-    }
-}
-
-/// Runs the Life row on the active SIMD ISA, if any.  `up`/`mid`/`down` are the
-/// three extended Moore rows (`n + 2` each).  Returns `false` when the caller
-/// should run its scalar loop instead.
-#[inline]
-pub fn life_row(up: &[u8], mid: &[u8], down: &[u8], out: &mut RowWriter<'_, u8>, n: usize) -> bool {
-    debug_assert!(up.len() >= n + 2 && mid.len() >= n + 2 && down.len() >= n + 2);
-    debug_assert!(out.len() >= n);
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // Safety: as in `heat_row`.
-            Some(SimdIsa::Avx2) => unsafe {
-                x86::life_row_avx2(up, mid, down, out.as_mut_ptr(), n);
-                note_row(SimdIsa::Avx2);
-                true
-            },
-            Some(SimdIsa::Sse2) => unsafe {
-                x86::life_row_sse2(up, mid, down, out.as_mut_ptr(), n);
-                note_row(SimdIsa::Sse2);
-                true
-            },
-            None => false,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (up, mid, down, out, n);
-        false
-    }
+    i
 }

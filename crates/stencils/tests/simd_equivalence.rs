@@ -1,32 +1,24 @@
-//! Property suite for the explicit SIMD row kernels: every SIMD body must be
-//! **bitwise-equal** to the scalar row loop — across apps, boundary conditions,
-//! odd/unaligned row lengths and misaligned window offsets.
+//! Property suite for the AVX2 rows: the compiled AVX2 copies of the heat and wave
+//! row loops and Life's hand-written body must be **bitwise-equal** to the scalar
+//! row loops — across apps, boundary conditions, odd/unaligned row lengths and
+//! misaligned window offsets.
 //!
 //! The whole matrix runs inside ONE `#[test]` function in its own integration
 //! test binary: the active-ISA knob is process-global (set by every executor
 //! run), so concurrently running engine tests in a shared binary would race it.
 //! Within this process the runs are strictly sequential.
 
+use std::fmt::Debug;
+
 use pochoir_core::boundary::{AxisRule, Boundary};
 use pochoir_core::engine::{run, Coarsening, ExecutionPlan};
 use pochoir_core::prelude::StencilSpec;
-use pochoir_core::simd::{isa_detected, rows_snapshot, SimdIsa, SimdPolicy};
+use pochoir_core::simd::{detected, rows_snapshot, SimdPolicy};
 use pochoir_runtime::Serial;
 use pochoir_stencils::{heat, life, wave};
 
-/// The policies under test: scalar is the baseline; forced ISAs degrade to
-/// scalar gracefully when the host lacks them (still bitwise-equal); Auto picks
-/// the widest detected ISA.
-fn policies() -> Vec<SimdPolicy> {
-    vec![
-        SimdPolicy::Scalar,
-        SimdPolicy::Force(SimdIsa::Sse2),
-        SimdPolicy::Force(SimdIsa::Avx2),
-        SimdPolicy::Auto,
-    ]
-}
-
-/// Every `Boundary` variant, so the SIMD bodies also run on every kind of ghost row.
+/// Every `Boundary` variant over `f64`, so the AVX2 rows also run on every kind of
+/// ghost row.
 fn boundaries<const D: usize>() -> Vec<Boundary<f64, D>> {
     vec![
         Boundary::Constant(0.0),
@@ -44,148 +36,131 @@ fn boundaries<const D: usize>() -> Vec<Boundary<f64, D>> {
     ]
 }
 
+/// The same six variants over Life's `u8` cells (values stay 0 or 1).
+fn life_boundaries() -> Vec<Boundary<u8, 2>> {
+    vec![
+        Boundary::Constant(0),
+        Boundary::Periodic,
+        Boundary::Clamp,
+        Boundary::constant_fn(|t, x: [i64; 2]| ((t + x[0] + x[1]) & 1) as u8),
+        Boundary::Mixed([AxisRule::Periodic, AxisRule::Constant(1)]),
+        Boundary::custom(|probe, t, x: [i64; 2]| {
+            let inside = std::array::from_fn(|d| x[d].clamp(0, probe.size(d) - 1));
+            1 - probe.get(t, inside)
+        }),
+    ]
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Expected SIMD-row activity for a policy: which per-ISA row counter (if any)
-/// must strictly increase during the run on this host.
-fn expected_isa(policy: SimdPolicy) -> Option<SimdIsa> {
-    // Mirror resolve(): POCHOIR_SIMD overrides everything (CI sets it for the
-    // forced-scalar re-run), then detection gates the forced/auto choice.
-    if let Ok(v) = std::env::var("POCHOIR_SIMD") {
-        if let Some(p) = SimdPolicy::parse(&v) {
-            return match p {
-                SimdPolicy::Scalar => None,
-                SimdPolicy::Auto => [SimdIsa::Avx2, SimdIsa::Sse2]
-                    .into_iter()
-                    .find(|&i| isa_detected(i)),
-                SimdPolicy::Force(i) => isa_detected(i).then_some(i),
-            };
+/// Runs `case` once under `Scalar` and once under `Auto`, and asserts that the
+/// AVX2 row counter moved exactly when it should (`Auto` on an AVX2 host, never
+/// under `Scalar`) and that both runs produced the same result.
+fn assert_policies_agree<R: PartialEq + Debug>(label: &str, case: impl Fn(SimdPolicy) -> R) {
+    let [scalar, auto] = [SimdPolicy::Scalar, SimdPolicy::Auto].map(|policy| {
+        let before = rows_snapshot();
+        let result = case(policy);
+        let after = rows_snapshot();
+        if policy == SimdPolicy::Auto && detected().is_some() {
+            assert!(after > before, "{label} {policy:?}: expected AVX2 rows");
+        } else {
+            assert_eq!(after, before, "{label} {policy:?}: expected no AVX2 rows");
         }
-    }
-    match policy {
-        SimdPolicy::Scalar => None,
-        SimdPolicy::Auto => [SimdIsa::Avx2, SimdIsa::Sse2]
-            .into_iter()
-            .find(|&i| isa_detected(i)),
-        SimdPolicy::Force(i) => isa_detected(i).then_some(i),
-    }
-}
-
-/// Asserts the per-ISA row counters moved (or not) as `expected_isa` demands.
-fn check_counters(label: &str, before: (u64, u64), expect: Option<SimdIsa>) {
-    let after = rows_snapshot();
-    match expect {
-        Some(SimdIsa::Sse2) => assert!(after.0 > before.0, "{label}: expected SSE2 rows"),
-        Some(SimdIsa::Avx2) => assert!(after.1 > before.1, "{label}: expected AVX2 rows"),
-        None => assert_eq!(after, before, "{label}: expected no SIMD rows"),
-    }
+        result
+    });
+    assert_eq!(scalar, auto, "{label}");
 }
 
 #[test]
 fn simd_rows_are_bitwise_equal_to_scalar() {
-    // Odd extents and varied coarsenings so the decomposition produces rows with
-    // unaligned lengths and window offsets that start mid-cache-line.
-    let heat_coarsenings_2d = [Coarsening::new(2, [5, 7]), Coarsening::new(3, [50, 4096])];
+    // Odd extents and two coarsenings per app: short fragmented rows, and
+    // full-width rows long enough to run whole vectors before the tail.
 
     // Heat 1D.
     for boundary in boundaries::<1>() {
-        let kernel = heat::HeatKernel::<1>::default();
         let spec = StencilSpec::new(heat::shape::<1>());
-        let sizes = [37usize];
-        let mut baseline = None;
-        for policy in policies() {
-            let mut a = heat::build(sizes, boundary.clone());
+        let kernel = heat::HeatKernel::<1>::default();
+        assert_policies_agree(&format!("heat1d {boundary:?}"), |policy| {
+            let mut a = heat::build([37], boundary.clone());
             let plan = ExecutionPlan::trap()
                 .with_coarsening(Coarsening::new(2, [7]))
                 .with_simd(policy);
-            let before = rows_snapshot();
             run(&mut a, &spec, &kernel, 0, 9, &plan, &Serial);
-            check_counters(
-                &format!("heat1d {boundary:?} {policy:?}"),
-                before,
-                expected_isa(policy),
-            );
-            let snap = bits(&a.snapshot(9));
-            match &baseline {
-                None => baseline = Some(snap),
-                Some(b) => assert_eq!(b, &snap, "heat1d {boundary:?} {policy:?}"),
-            }
-        }
+            bits(&a.snapshot(9))
+        });
     }
 
-    // Heat 2D, two coarsenings (short fragmented rows and full-width rows).
+    // Heat 2D.
     for boundary in boundaries::<2>() {
-        for coarsening in heat_coarsenings_2d {
-            let kernel = heat::HeatKernel::<2>::default();
+        for coarsening in [Coarsening::new(2, [5, 7]), Coarsening::new(3, [50, 4096])] {
             let spec = StencilSpec::new(heat::shape::<2>());
-            let sizes = [19usize, 33];
-            let mut baseline = None;
-            for policy in policies() {
-                let mut a = heat::build(sizes, boundary.clone());
+            let kernel = heat::HeatKernel::<2>::default();
+            assert_policies_agree(&format!("heat2d {boundary:?} {coarsening:?}"), |policy| {
+                let mut a = heat::build([19, 33], boundary.clone());
                 let plan = ExecutionPlan::trap()
                     .with_coarsening(coarsening)
                     .with_simd(policy);
-                let before = rows_snapshot();
                 run(&mut a, &spec, &kernel, 0, 7, &plan, &Serial);
-                check_counters(
-                    &format!("heat2d {boundary:?} {coarsening:?} {policy:?}"),
-                    before,
-                    expected_isa(policy),
-                );
-                let snap = bits(&a.snapshot(7));
-                match &baseline {
-                    None => baseline = Some(snap),
-                    Some(b) => {
-                        assert_eq!(b, &snap, "heat2d {boundary:?} {coarsening:?} {policy:?}")
-                    }
-                }
-            }
+                bits(&a.snapshot(7))
+            });
         }
     }
 
-    // Life (torus; u8 lanes — row length 45 exercises the 16/32-lane tails).
-    {
-        let spec = StencilSpec::new(life::shape());
-        let sizes = [21usize, 45];
-        let mut baseline = None;
-        for policy in policies() {
-            let mut a = life::build(sizes, 400);
-            let plan = ExecutionPlan::trap()
-                .with_coarsening(Coarsening::new(2, [6, 11]))
-                .with_simd(policy);
-            let before = rows_snapshot();
-            run(&mut a, &spec, &life::LifeKernel, 0, 8, &plan, &Serial);
-            check_counters(&format!("life {policy:?}"), before, expected_isa(policy));
-            let snap = a.snapshot(8);
-            match &baseline {
-                None => baseline = Some(snap),
-                Some(b) => assert_eq!(b, &snap, "life {policy:?}"),
-            }
+    // Heat 3D: two off-axis legs per row; odd unit-stride extent 23.
+    for boundary in boundaries::<3>() {
+        for coarsening in [
+            Coarsening::new(2, [3, 3, 5]),
+            Coarsening::new(3, [4, 4, 1000]),
+        ] {
+            let spec = StencilSpec::new(heat::shape::<3>());
+            let kernel = heat::HeatKernel::<3>::default();
+            assert_policies_agree(&format!("heat3d {boundary:?} {coarsening:?}"), |policy| {
+                let mut a = heat::build([7, 6, 23], boundary.clone());
+                let plan = ExecutionPlan::trap()
+                    .with_coarsening(coarsening)
+                    .with_simd(policy);
+                run(&mut a, &spec, &kernel, 0, 6, &plan, &Serial);
+                bits(&a.snapshot(6))
+            });
+        }
+    }
+
+    // Life (u8 lanes — row length 45 is one 32-cell vector plus a 13-cell tail).
+    for boundary in life_boundaries() {
+        for coarsening in [Coarsening::new(2, [6, 11]), Coarsening::new(3, [6, 1000])] {
+            let spec = StencilSpec::new(life::shape());
+            assert_policies_agree(&format!("life {boundary:?} {coarsening:?}"), |policy| {
+                let mut a = life::build([21, 45], 400);
+                a.register_boundary(boundary.clone());
+                let plan = ExecutionPlan::trap()
+                    .with_coarsening(coarsening)
+                    .with_simd(policy);
+                run(&mut a, &spec, &life::LifeKernel, 0, 8, &plan, &Serial);
+                a.snapshot(8)
+            });
         }
     }
 
     // Wave (depth-2, 7-row kernel; odd unit-stride extent 21).
-    {
-        let kernel = wave::WaveKernel::default();
-        let spec = StencilSpec::new(wave::shape());
-        let sizes = [9usize, 8, 21];
-        let t0 = spec.shape().first_step();
-        let mut baseline = None;
-        for policy in policies() {
-            let mut a = wave::build(sizes);
-            let plan = ExecutionPlan::trap()
-                .with_coarsening(Coarsening::new(2, [3, 3, 5]))
-                .with_simd(policy);
-            let before = rows_snapshot();
-            run(&mut a, &spec, &kernel, t0, t0 + 6, &plan, &Serial);
-            check_counters(&format!("wave {policy:?}"), before, expected_isa(policy));
-            let snap = bits(&a.snapshot(t0 + 6));
-            match &baseline {
-                None => baseline = Some(snap),
-                Some(b) => assert_eq!(b, &snap, "wave {policy:?}"),
-            }
+    for boundary in boundaries::<3>() {
+        for coarsening in [
+            Coarsening::new(2, [3, 3, 5]),
+            Coarsening::new(3, [3, 3, 1000]),
+        ] {
+            let spec = StencilSpec::new(wave::shape());
+            let kernel = wave::WaveKernel::default();
+            let t0 = spec.shape().first_step();
+            assert_policies_agree(&format!("wave {boundary:?} {coarsening:?}"), |policy| {
+                let mut a = wave::build([9, 8, 21]);
+                a.register_boundary(boundary.clone());
+                let plan = ExecutionPlan::trap()
+                    .with_coarsening(coarsening)
+                    .with_simd(policy);
+                run(&mut a, &spec, &kernel, t0, t0 + 6, &plan, &Serial);
+                bits(&a.snapshot(t0 + 6))
+            });
         }
     }
 
@@ -199,20 +174,15 @@ fn simd_rows_are_bitwise_equal_to_scalar() {
         ([16, 64], Coarsening::new(3, [5, 13])),
         ([5, 7], Coarsening::new(2, [2, 2])),
     ] {
-        let kernel = heat::HeatKernel::<2>::default();
         let spec = StencilSpec::new(heat::shape::<2>());
-        let mut baseline = None;
-        for policy in policies() {
+        let kernel = heat::HeatKernel::<2>::default();
+        assert_policies_agree(&format!("heat2d {sizes:?} {coarsening:?}"), |policy| {
             let mut a = heat::build(sizes, Boundary::Periodic);
             let plan = ExecutionPlan::trap()
                 .with_coarsening(coarsening)
                 .with_simd(policy);
             run(&mut a, &spec, &kernel, 0, 6, &plan, &Serial);
-            let snap = bits(&a.snapshot(6));
-            match &baseline {
-                None => baseline = Some(snap),
-                Some(b) => assert_eq!(b, &snap, "heat2d {sizes:?} {coarsening:?} {policy:?}"),
-            }
-        }
+            bits(&a.snapshot(6))
+        });
     }
 }

@@ -44,9 +44,10 @@ fn main() {
     println!("a glider has 5 live cells at every generation; counted {alive}");
     assert_eq!(alive, 5);
 
-    // The default plan dispatches interior rows to the widest SIMD ISA the host
-    // supports (set POCHOIR_SIMD=off to force the scalar loops — the results are
-    // bitwise-identical either way; see docs/performance.md).
+    // The default plan (`SimdPolicy::Auto`) runs Life's rows on its AVX2 body when
+    // the host has AVX2; `ExecutionPlan::with_simd(SimdPolicy::Scalar)` keeps them on
+    // the scalar loop — the results are bitwise-identical either way (see
+    // docs/performance.md).
     let name = |isa: Option<pochoir::core::simd::SimdIsa>| isa.map_or("scalar", |i| i.name());
     println!(
         "detected SIMD ISA: {}; row kernels dispatched to: {}",
