@@ -57,7 +57,6 @@ use crate::kernel::{StencilKernel, StencilSpec};
 use crate::view::{AccessTracer, TracingView};
 use crate::zoid::Zoid;
 use pochoir_runtime::{Counter, Parallelism, Runtime, Serial};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -164,14 +163,6 @@ pub struct CompiledProgram<const D: usize> {
     /// across whole schedule compilations.
     pinned_leaves: AtomicUsize,
     metrics: SessionMetrics,
-    /// The 32 bytes the deleted `pending: Mutex<Vec<CacheLookup>>` relay occupied,
-    /// kept so the registry's `Arc<CompiledProgram>` allocations stay in their glibc
-    /// size class: like `pochoir_runtime`'s `Registry::_keep_size_class`, this
-    /// long-lived chunk decides which heap-layout mode the benchmark's `shard-giant`
-    /// `peak_rss_mib` reads (without it every run read 37–39 MiB against the
-    /// parent's 29–37).  A stopgap until the shard path stops reallocating its tile
-    /// arrays per op (ROADMAP open items).
-    _keep_size_class: [u64; 4],
 }
 
 impl<const D: usize> CompiledProgram<D> {
@@ -215,7 +206,6 @@ impl<const D: usize> CompiledProgram<D> {
             pin_capacity: AtomicUsize::new(DEFAULT_PINNED_SCHEDULES),
             pinned_leaves: AtomicUsize::new(0),
             metrics: SessionMetrics::default(),
-            _keep_size_class: [0; 4],
         };
         if window > 0 && program.takes_compiled_route(window) {
             program.resolve_schedule(window);
@@ -398,6 +388,24 @@ impl<const D: usize> CompiledProgram<D> {
         K: StencilKernel<T, D>,
         P: Parallelism,
     {
+        self.run_with_spare(array, kernel, t0, t1, par, None);
+    }
+
+    /// [`run`](Self::run), with the giant fallback's tile arrays taken from and left
+    /// in `spare` (see [`shard::TileSpare`]).
+    fn run_with_spare<T, K, P>(
+        &self,
+        array: &mut PochoirArray<T, D>,
+        kernel: &K,
+        t0: i64,
+        t1: i64,
+        par: &P,
+        spare: Option<&shard::TileSpare<T, D>>,
+    ) where
+        T: Copy + Send + Sync + 'static,
+        K: StencilKernel<T, D>,
+        P: Parallelism,
+    {
         self.validate(array);
         if t1 <= t0 {
             return;
@@ -417,7 +425,7 @@ impl<const D: usize> CompiledProgram<D> {
                         .fetch_add(1, Ordering::Relaxed);
                     par.count(Counter::ScheduleCompileRejections, 1);
                     if self.plan.sharding != Sharding::Off
-                        && shard::execute(array, &self.spec, &self.plan, kernel, t0, t1, par)
+                        && shard::execute(array, &self.spec, &self.plan, kernel, t0, t1, par, spare)
                             .is_ok()
                     {
                         self.metrics.sharded_runs.fetch_add(1, Ordering::Relaxed);
@@ -477,13 +485,32 @@ impl<const D: usize> CompiledProgram<D> {
         K: StencilKernel<T, D>,
         P: Parallelism,
     {
+        self.try_run_sharded_with_spare(array, kernel, t0, t1, par, None)
+    }
+
+    /// [`try_run_sharded`](Self::try_run_sharded), with the tile arrays taken from
+    /// and left in `spare`.
+    fn try_run_sharded_with_spare<T, K, P>(
+        &self,
+        array: &mut PochoirArray<T, D>,
+        kernel: &K,
+        t0: i64,
+        t1: i64,
+        par: &P,
+        spare: Option<&shard::TileSpare<T, D>>,
+    ) -> Result<shard::ShardReport, shard::ShardError>
+    where
+        T: Copy + Send + Sync + 'static,
+        K: StencilKernel<T, D>,
+        P: Parallelism,
+    {
         self.validate(array);
         if t1 <= t0 {
             return Ok(shard::ShardReport::default());
         }
         self.metrics.runs.fetch_add(1, Ordering::Relaxed);
         crate::simd::set_active(crate::simd::resolve(self.plan.simd));
-        let report = shard::execute(array, &self.spec, &self.plan, kernel, t0, t1, par)?;
+        let report = shard::execute(array, &self.spec, &self.plan, kernel, t0, t1, par, spare)?;
         self.metrics.sharded_runs.fetch_add(1, Ordering::Relaxed);
         Ok(report)
     }
@@ -596,7 +623,9 @@ pub struct CompiledStencil<T, K, const D: usize> {
     program: CompiledProgram<D>,
     kernel: K,
     runtime: Option<Arc<Runtime>>,
-    _elem: PhantomData<fn() -> T>,
+    /// The last sharded run's tile arrays, reused by the next run of the same tile
+    /// plan: a session that ran sharded holds about one grid more until dropped.
+    tiles: shard::TileSpare<T, D>,
 }
 
 impl<T, K, const D: usize> CompiledStencil<T, K, D>
@@ -625,7 +654,7 @@ where
             program: CompiledProgram::new(spec, plan, extents, window),
             kernel,
             runtime: None,
-            _elem: PhantomData,
+            tiles: shard::TileSpare::default(),
         }
     }
 
@@ -665,8 +694,7 @@ where
     /// Executes kernel-invocation times `[t0, t1)` on `array`, using the pinned
     /// runtime if one was set and the process-global runtime otherwise.
     pub fn run(&self, array: &mut PochoirArray<T, D>, t0: i64, t1: i64) {
-        self.program
-            .run(array, &self.kernel, t0, t1, self.runtime_par());
+        self.run_with(array, t0, t1, self.runtime_par());
     }
 
     /// The parallelism provider [`run`](Self::run) and [`run_batch`](Self::run_batch)
@@ -701,7 +729,8 @@ where
         t1: i64,
         par: &P,
     ) {
-        self.program.run(array, &self.kernel, t0, t1, par);
+        self.program
+            .run_with_spare(array, &self.kernel, t0, t1, par, Some(&self.tiles));
     }
 
     /// Runs `[t0, t1)` through the sharded tile pipeline (see
@@ -713,8 +742,7 @@ where
         t0: i64,
         t1: i64,
     ) -> Result<shard::ShardReport, shard::ShardError> {
-        self.program
-            .try_run_sharded(array, &self.kernel, t0, t1, self.runtime_par())
+        self.run_sharded_with(array, t0, t1, self.runtime_par())
     }
 
     /// [`run_sharded`](Self::run_sharded) with an explicit parallelism provider.
@@ -726,7 +754,7 @@ where
         par: &P,
     ) -> Result<shard::ShardReport, shard::ShardError> {
         self.program
-            .try_run_sharded(array, &self.kernel, t0, t1, par)
+            .try_run_sharded_with_spare(array, &self.kernel, t0, t1, par, Some(&self.tiles))
     }
 
     /// Executes `[t0, t1)` single-threaded, reporting every access to `tracer`.

@@ -1097,7 +1097,7 @@ where
     fn into_array<P: Parallelism>(self, par: &P) -> PochoirArray<T, D> {
         let mut array = self.array;
         if let Some(run) = self.shard {
-            run.finish(&mut array, par);
+            run.finish(&mut array, None, par);
         }
         array
     }
@@ -1567,16 +1567,18 @@ where
         }
         let program = Arc::clone(&self.program);
         let (spec, plan) = (program.spec(), program.plan());
-        let workers = match &self.runtime {
-            Some(rt) => rt.num_workers(),
-            None => Runtime::global().num_workers(),
+        // The pool the scatter's per-tile copies run on.
+        let runtime = self.runtime.clone();
+        let par = match &runtime {
+            Some(rt) => rt.as_ref(),
+            None => Runtime::global(),
         };
         let shard_plan = ShardPlan::for_window(
             program.sizes(),
             spec.reach()[0],
             &plan.coarsening,
             program.window().max(1),
-            workers,
+            par.num_workers(),
             shard::wraps_axis0(array.boundary()),
             plan.sharding,
         )
@@ -1587,12 +1589,11 @@ where
             ),
         })?;
         self.admit(t0, t1, opts)?;
-        let run = ShardRun::start(Cow::Owned(shard_plan), &array, spec, plan, t0, t1).map_err(
-            |e| match e {
+        let run = ShardRun::start(Cow::Owned(shard_plan), &array, spec, plan, t1, None, par)
+            .map_err(|e| match e {
                 ShardError::Compile(inner) => inner,
                 other => unshardable(other),
-            },
-        )?;
+            })?;
         self.queue.push(Submission {
             array,
             t0,

@@ -10,14 +10,17 @@
 //! two-phase pipeline:
 //!
 //! 1. **Compute** — every tile advances one W-step window through its compiled
-//!    schedule, in parallel (`for_each_with_grain`).
+//!    schedule, one task per tile (`parallel_for(K, 1, …)`).
 //! 2. **Exchange** — seam strips are copied between neighbours so each tile's halo
 //!    rows again hold the owning tile's freshly computed interior values.
 //!
 //! One round is both phases, and `ShardRun` (scatter at `start`, a round per
 //! `step`, gather at `finish`) is its only driver: [`ShardPlan::execute`] loops it
 //! behind `run_sharded` and the executor's giant fallback, and the serving drain
-//! dispatches one `step` per window of a `submit_sharded` ticket.
+//! dispatches one `step` per window of a `submit_sharded` ticket.  Scatter and
+//! gather are per-tile tasks too, so a tile is filled and drained on the pool, and
+//! a [`CompiledStencil`](crate::engine::CompiledStencil) keeps its last run's tile
+//! arrays (`TileSpare`) for the next run of the same plan.
 //!
 //! The parent plan's coarsening decides only *whether* the grid is a giant (the
 //! executor's gate reads it literally, and [`Sharding::Off`] keeps the literal
@@ -30,7 +33,8 @@
 //! extent (interior *and* halo) equals the corresponding rows of the unsharded
 //! array, in **every** storage slot.  Scatter establishes it (each tile starts as an
 //! exact replica of its global rows: all `depth + 1` slots are copied, slot-for-slot,
-//! because both arrays share the time-slice layout).  During a window, garbage can
+//! because both arrays share the time-slice layout — which is also why a reused tile
+//! array carries nothing of its previous run).  During a window, garbage can
 //! creep at most `reach₀` rows inward per time step from a tile's extent edge — so
 //! after W steps it reaches exactly the interior/halo seam and never an interior
 //! cell.  The exchange then restores the invariant by re-copying every halo row from
@@ -65,8 +69,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// around a percent while still amortizing the exchange over many time steps.
 pub const MAX_SHARD_WINDOW: i64 = 16;
 
-/// Tile-local mutexes are transient per-execute state; a poisoned lock means a tile
-/// kernel panicked, and the panic is already propagating — recover the data.
+/// A poisoned tile lock means a tile kernel panicked, and the panic is already
+/// propagating — recover the data (the next scatter overwrites all of it).
 fn lock_tile<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -440,12 +444,17 @@ impl<const D: usize> ShardPlan<D> {
         if matches!(array.boundary(), Boundary::Custom(_)) {
             return Err(ShardError::UnsupportedBoundary);
         }
-        if t1 <= t0 {
-            return Ok(self.blank_report());
-        }
-        let mut run = ShardRun::start(Cow::Borrowed(self), array, spec, plan, t0, t1)?;
-        run.steps(kernel, t0, par);
-        Ok(run.finish(array, par))
+        run_plan(
+            Cow::Borrowed(self),
+            array,
+            spec,
+            plan,
+            kernel,
+            t0,
+            t1,
+            par,
+            None,
+        )
     }
 
     /// A report of this plan's geometry with nothing executed yet.
@@ -494,90 +503,145 @@ impl<const D: usize> ShardPlan<D> {
         Ok(programs)
     }
 
-    /// Scatter: builds one array per tile as an exact replica of its global rows.
-    /// Copying `slices` consecutive times touches every storage slot exactly once,
-    /// and tile and giant share the slot layout (same depth, same wrap), so this is
-    /// slot-for-slot regardless of which logical times the caller has filled.  The
-    /// caller must have rejected [`Boundary::Custom`] already.
-    pub(crate) fn scatter<T>(&self, array: &PochoirArray<T, D>, t0: i64) -> Vec<PochoirArray<T, D>>
-    where
-        T: Copy + Send + Sync + 'static,
-    {
-        let slices = array.time_slices() as i64;
-        let depth = array.time_slices() - 1;
-        let fill = array.get_interior(t0, [0; D]);
-        let boundary = array.boundary().clone();
+    /// One array per tile, laid out like `array` (same inner extents, same slot
+    /// count) and filled with an arbitrary element of it: scatter overwrites every
+    /// cell before any is read.
+    fn new_tiles<T: Copy>(&self, array: &PochoirArray<T, D>) -> Tiles<T, D> {
+        let fill = array.get_interior(0, [0; D]);
         self.tiles
             .iter()
             .map(|tile| {
                 let mut tile_sizes = array.sizes();
                 tile_sizes[0] = tile.extent() as usize;
-                let mut tile_array = PochoirArray::with_layout(tile_sizes, depth, fill);
-                tile_array.register_boundary(rebase_boundary(&boundary, tile.origin()));
-                for tau in (t0 - slices + 1)..=t0 {
-                    for (local, g, len) in self.owner_runs(tile, 0..tile.extent()) {
-                        tile_array
-                            .slabs_mut(tau, local..local + len)
-                            .copy_from_slice(array.slabs(tau, g..g + len));
-                    }
-                }
-                tile_array
+                Mutex::new(PochoirArray::with_layout(
+                    tile_sizes,
+                    array.time_slices() - 1,
+                    fill,
+                ))
             })
             .collect()
     }
 
-    /// Gather: every global row is exactly one tile's interior row; copying all
-    /// slots of all interior rows reassembles the giant bitwise.
-    pub(crate) fn gather<T: Copy>(
-        &self,
-        array: &mut PochoirArray<T, D>,
-        tiles: &[PochoirArray<T, D>],
-        t1: i64,
-    ) {
-        let slices = array.time_slices() as i64;
-        for (tile, tile_array) in self.tiles.iter().zip(tiles) {
-            let interior = tile.lo_halo..tile.lo_halo + tile.len;
-            for tau in (t1 - slices + 1)..=t1 {
-                array
-                    .slabs_mut(tau, tile.start..tile.start + tile.len)
-                    .copy_from_slice(tile_array.slabs(tau, interior.clone()));
+    /// Scatter: makes every tile an exact replica of its global rows, one task per
+    /// tile on `par`.  Each task re-registers the tile's rebased boundary and copies
+    /// every storage slot: tile and giant share the slot layout (same depth, same
+    /// wrap), so this is slot-for-slot regardless of which logical times the caller
+    /// has filled, and a reused tile keeps nothing of its last run.  The caller must
+    /// have rejected [`Boundary::Custom`] already.
+    pub(crate) fn scatter<T, P>(&self, array: &PochoirArray<T, D>, tiles: &Tiles<T, D>, par: &P)
+    where
+        T: Copy + Send + Sync + 'static,
+        P: Parallelism,
+    {
+        let slots = array.time_slices() as i64;
+        par.parallel_for(self.tiles.len(), 1, |i| {
+            let tile = &self.tiles[i];
+            let tile_array = &mut *lock_tile(&tiles[i]);
+            tile_array.register_boundary(rebase_boundary(array.boundary(), tile.origin()));
+            for slot in 0..slots {
+                for (local, g, len) in self.owner_runs(tile, 0..tile.extent()) {
+                    tile_array
+                        .slabs_mut(slot, local..local + len)
+                        .copy_from_slice(array.slabs(slot, g..g + len));
+                }
             }
-        }
+        });
+    }
+
+    /// Gather: every global row is exactly one tile's interior row, so each task
+    /// copies its tile's interior, in every slot, into that tile's own band of
+    /// `array` — reassembling the giant bitwise.
+    pub(crate) fn gather<T, P>(&self, array: &mut PochoirArray<T, D>, tiles: &Tiles<T, D>, par: &P)
+    where
+        T: Copy + Send + Sync + 'static,
+        P: Parallelism,
+    {
+        let starts: Vec<i64> = self.tiles.iter().map(|t| t.start).collect();
+        let bands: Vec<Mutex<Vec<&mut [T]>>> = array
+            .row_bands_mut(&starts)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        par.parallel_for(self.tiles.len(), 1, |i| {
+            let tile = &self.tiles[i];
+            let tile_array = lock_tile(&tiles[i]);
+            for (slot, band) in lock_tile(&bands[i]).iter_mut().enumerate() {
+                band.copy_from_slice(
+                    tile_array.slabs(slot as i64, tile.lo_halo..tile.lo_halo + tile.len),
+                );
+            }
+        });
     }
 
     /// Copies every halo row of every tile from its owner's interior, in every
-    /// storage slot — restoring the replica invariant at the window boundary ending
-    /// at kernel time `w1`.  Returns the number of storage elements copied.
-    pub(crate) fn exchange<T: Copy>(
-        &self,
-        tile_arrays: &[Mutex<PochoirArray<T, D>>],
-        w1: i64,
-        slices: i64,
-    ) -> u64 {
+    /// storage slot — restoring the replica invariant at a window boundary.  Returns
+    /// the number of storage elements copied.
+    pub(crate) fn exchange<T: Copy>(&self, tile_arrays: &Tiles<T, D>) -> u64 {
         let mut copied = 0u64;
         let mut arrays: Vec<_> = tile_arrays.iter().map(lock_tile).collect();
         for (i, tile) in self.tiles.iter().enumerate() {
             let halos = [0..tile.lo_halo, tile.lo_halo + tile.len..tile.extent()];
+            let (slots, slab) = (arrays[i].time_slices() as i64, arrays[i].slab_elems());
             for (local, g, len) in halos.into_iter().flat_map(|h| self.owner_runs(tile, h)) {
                 let (owner, src) = self.owner_of(g);
-                for tau in (w1 - slices + 1)..=w1 {
+                for slot in 0..slots {
                     if owner == i {
                         // With few tiles (or a periodic K=1 plan) a tile owns its own
                         // halo rows: source and destination share an array.
-                        let rows = arrays[i].slabs(tau, src..src + len).to_vec();
+                        let span = |row: i64| row as usize * slab;
                         arrays[i]
-                            .slabs_mut(tau, local..local + len)
-                            .copy_from_slice(&rows);
+                            .slabs_mut(slot, 0..tile.extent())
+                            .copy_within(span(src)..span(src + len), span(local));
                     } else {
                         let [dst, from] = arrays.get_disjoint_mut([i, owner]).expect("owner != i");
-                        dst.slabs_mut(tau, local..local + len)
-                            .copy_from_slice(from.slabs(tau, src..src + len));
+                        dst.slabs_mut(slot, local..local + len)
+                            .copy_from_slice(from.slabs(slot, src..src + len));
                     }
                 }
-                copied += (len * slices) as u64 * arrays[i].slab_elems() as u64;
+                copied += (len * slots) as u64 * slab as u64;
             }
         }
         copied
+    }
+}
+
+/// A sharded run's tile arrays, one lock per tile so each round's tasks take
+/// their own.
+type Tiles<T, const D: usize> = Vec<Mutex<PochoirArray<T, D>>>;
+
+/// The tile arrays a finished run left, with what they were made for.
+struct SpareTiles<T, const D: usize> {
+    plan: ShardPlan<D>,
+    slots: usize,
+    tiles: Tiles<T, D>,
+}
+
+/// A session's spare tile arrays: a sharded run *takes* them when they were made
+/// for its plan (and its array's slot count) and puts its own back after gather,
+/// so steady-state runs of one plan allocate and fill nothing.  A run that finds
+/// the spare empty, of another plan, or held by a concurrent run for the instant
+/// of a take or put allocates fresh tiles instead: nothing ever waits on it.
+pub(crate) struct TileSpare<T, const D: usize>(Mutex<Option<SpareTiles<T, D>>>);
+
+impl<T, const D: usize> Default for TileSpare<T, D> {
+    fn default() -> Self {
+        TileSpare(Mutex::new(None))
+    }
+}
+
+impl<T, const D: usize> TileSpare<T, D> {
+    /// The spare tiles, if they were made for `plan` and `slots` storage slots.
+    fn take(&self, plan: &ShardPlan<D>, slots: usize) -> Option<Tiles<T, D>> {
+        let mut spare = self.0.try_lock().ok()?;
+        let fits = |s: &mut SpareTiles<T, D>| s.plan == *plan && s.slots == slots;
+        spare.take_if(fits).map(|s| s.tiles)
+    }
+
+    /// Keeps `tiles` as the spare, replacing (and dropping) any other.
+    fn put(&self, plan: ShardPlan<D>, slots: usize, tiles: Tiles<T, D>) {
+        if let Ok(mut spare) = self.0.try_lock() {
+            *spare = Some(SpareTiles { plan, slots, tiles });
+        }
     }
 }
 
@@ -590,10 +654,7 @@ impl<const D: usize> ShardPlan<D> {
 pub(crate) struct ShardRun<'p, T, const D: usize> {
     plan: Cow<'p, ShardPlan<D>>,
     programs: HashMap<i64, (Arc<CompiledProgram<D>>, RegistryLookup)>,
-    tiles: Vec<Mutex<PochoirArray<T, D>>>,
-    /// `0..K`, the items of every round's parallel loop.
-    indices: Vec<usize>,
-    slices: i64,
+    tiles: Tiles<T, D>,
     /// The last window ends here and is followed by no exchange.
     t1: i64,
     report: ShardReport,
@@ -603,27 +664,26 @@ impl<'p, T, const D: usize> ShardRun<'p, T, D>
 where
     T: Copy + Send + Sync + 'static,
 {
-    /// Compiles (or fetches) the tile programs and scatters `array` at `t0` into
-    /// tiles.  `array` is stale from here until [`finish`](Self::finish).  The caller
-    /// must have rejected [`Boundary::Custom`] already.
-    pub(crate) fn start(
+    /// Compiles (or fetches) the tile programs and scatters `array` into tiles —
+    /// `spare`'s when they fit the plan, fresh ones otherwise.  `array` is stale from
+    /// here until [`finish`](Self::finish).  The caller must have rejected
+    /// [`Boundary::Custom`] already.
+    pub(crate) fn start<P: Parallelism>(
         plan: Cow<'p, ShardPlan<D>>,
         array: &PochoirArray<T, D>,
         spec: &StencilSpec<D>,
         exec_plan: &ExecutionPlan<D>,
-        t0: i64,
         t1: i64,
+        spare: Option<&TileSpare<T, D>>,
+        par: &P,
     ) -> Result<Self, ShardError> {
         let mut report = plan.blank_report();
         let programs = plan.tile_programs(spec, exec_plan, &mut report)?;
-        let tiles: Vec<Mutex<PochoirArray<T, D>>> = plan
-            .scatter(array, t0)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
+        let tiles = spare
+            .and_then(|s| s.take(&plan, array.time_slices()))
+            .unwrap_or_else(|| plan.new_tiles(array));
+        plan.scatter(array, &tiles, par);
         Ok(ShardRun {
-            indices: (0..tiles.len()).collect(),
-            slices: array.time_slices() as i64,
             plan,
             programs,
             tiles,
@@ -642,7 +702,7 @@ where
         P: Parallelism,
     {
         let (plan, programs, tiles) = (&*self.plan, &self.programs, &self.tiles);
-        par.for_each_with_grain(&self.indices, 1, |&i| {
+        par.parallel_for(tiles.len(), 1, |i| {
             let tile_array = &mut *lock_tile(&tiles[i]);
             programs[&plan.tiles[i].extent()]
                 .0
@@ -651,7 +711,7 @@ where
         self.report.windows += 1;
         par.count(Counter::ShardTiles, tiles.len() as u64);
         if w1 < self.t1 {
-            self.report.halo_cells += plan.exchange(tiles, w1, self.slices);
+            self.report.halo_cells += plan.exchange(tiles);
         }
     }
 
@@ -670,19 +730,19 @@ where
         }
     }
 
-    /// Gathers the tiles back into `array` and reports what the run did.
+    /// Gathers the tiles back into `array`, leaves them in `spare` for the next run,
+    /// and reports what the run did.
     pub(crate) fn finish<P: Parallelism>(
         self,
         array: &mut PochoirArray<T, D>,
+        spare: Option<&TileSpare<T, D>>,
         par: &P,
     ) -> ShardReport {
         par.count(Counter::ShardHaloCells, self.report.halo_cells);
-        let tiles: Vec<PochoirArray<T, D>> = self
-            .tiles
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        self.plan.gather(array, &tiles, self.t1);
+        self.plan.gather(array, &self.tiles, par);
+        if let Some(spare) = spare {
+            spare.put(self.plan.into_owned(), array.time_slices(), self.tiles);
+        }
         self.report
     }
 }
@@ -719,8 +779,10 @@ pub(crate) fn wraps_axis0<T: Copy, const D: usize>(boundary: &Boundary<T, D>) ->
 }
 
 /// The executor's sharded fallback: picks a geometry for `array` (honouring
-/// `plan.sharding`) and executes `[t0, t1)` through it.  Errors mean "not sharded";
-/// the caller falls back to the recursive walker.
+/// `plan.sharding`) and executes `[t0, t1)` through it, with `spare`'s tiles when
+/// they fit.  Errors mean "not sharded"; the caller falls back to the recursive
+/// walker.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute<T, K, P, const D: usize>(
     array: &mut PochoirArray<T, D>,
     spec: &StencilSpec<D>,
@@ -729,6 +791,7 @@ pub(crate) fn execute<T, K, P, const D: usize>(
     t0: i64,
     t1: i64,
     par: &P,
+    spare: Option<&TileSpare<T, D>>,
 ) -> Result<ShardReport, ShardError>
 where
     T: Copy + Send + Sync + 'static,
@@ -748,13 +811,51 @@ where
         plan.sharding,
     )
     .ok_or(ShardError::NoGeometry)?;
-    shard_plan.execute(array, spec, plan, kernel, t0, t1, par)
+    run_plan(
+        Cow::Owned(shard_plan),
+        array,
+        spec,
+        plan,
+        kernel,
+        t0,
+        t1,
+        par,
+        spare,
+    )
+}
+
+/// Runs `[t0, t1)` on `array` through `shard_plan`: scatter, one round per window,
+/// gather.  The caller must have rejected [`Boundary::Custom`] already.
+#[allow(clippy::too_many_arguments)]
+fn run_plan<T, K, P, const D: usize>(
+    shard_plan: Cow<'_, ShardPlan<D>>,
+    array: &mut PochoirArray<T, D>,
+    spec: &StencilSpec<D>,
+    plan: &ExecutionPlan<D>,
+    kernel: &K,
+    t0: i64,
+    t1: i64,
+    par: &P,
+    spare: Option<&TileSpare<T, D>>,
+) -> Result<ShardReport, ShardError>
+where
+    T: Copy + Send + Sync + 'static,
+    K: StencilKernel<T, D>,
+    P: Parallelism,
+{
+    if t1 <= t0 {
+        return Ok(shard_plan.blank_report());
+    }
+    let mut run = ShardRun::start(shard_plan, array, spec, plan, t1, spare, par)?;
+    run.steps(kernel, t0, par);
+    Ok(run.finish(array, spare, par))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::plan::Coarsening;
+    use pochoir_runtime::Serial;
 
     #[test]
     fn explicit_plan_truncates_edge_halos() {
@@ -842,15 +943,16 @@ mod tests {
     /// per slot — on padded row strides, truncated and (multiply) wrapped halos.
     fn check_copies<const D: usize>(sizes: [usize; D], depth: usize, window: i64, lens: &[i64]) {
         let slices = depth as i64 + 1;
-        let t0 = 5;
         let giant = numbered(sizes, depth);
         assert!(D == 1 || giant.strides()[D - 2] > sizes[D - 1], "unpadded");
         for periodic in [false, true] {
             let plan = ShardPlan::new(giant.sizes_i64(), 1, window, lens, periodic);
-            let tiles = plan.scatter(&giant, t0);
+            let tiles = plan.new_tiles(&giant);
+            plan.scatter(&giant, &tiles, &Serial);
             let mut halo_rows = 0;
             for (tile, tile_array) in plan.tiles().iter().zip(&tiles) {
                 halo_rows += tile.lo_halo + tile.hi_halo;
+                let tile_array = lock_tile(tile_array);
                 for (tau, local) in
                     (0..slices).flat_map(|s| (0..tile.extent()).map(move |l| (s, l)))
                 {
@@ -864,28 +966,28 @@ mod tests {
             }
 
             let mut gathered = PochoirArray::<u32, D>::with_depth(sizes, depth);
-            plan.gather(&mut gathered, &tiles, t0);
+            plan.gather(&mut gathered, &tiles, &Serial);
             for tau in 0..slices {
                 assert_eq!(gathered.snapshot(tau), giant.snapshot(tau));
             }
 
-            let locked: Vec<_> = plan
-                .scatter(&giant, t0)
-                .into_iter()
-                .map(Mutex::new)
-                .collect();
-            for (tile, tile_array) in plan.tiles().iter().zip(&locked) {
+            let clobbered = plan.new_tiles(&giant);
+            plan.scatter(&giant, &clobbered, &Serial);
+            for (tile, tile_array) in plan.tiles().iter().zip(&clobbered) {
                 let halos = [0..tile.lo_halo, tile.lo_halo + tile.len..tile.extent()];
                 for (tau, rows) in (0..slices).flat_map(|s| halos.clone().map(|h| (s, h))) {
                     lock_tile(tile_array).slabs_mut(tau, rows).fill(u32::MAX);
                 }
             }
-            let copied = plan.exchange(&locked, t0, slices);
+            let copied = plan.exchange(&clobbered);
             let slab = giant.slab_elems() as i64;
             assert_eq!(copied, (halo_rows * slab * slices) as u64);
-            for (tile_array, expected) in locked.iter().zip(&tiles) {
+            for (tile_array, expected) in clobbered.iter().zip(&tiles) {
                 for tau in 0..slices {
-                    assert_eq!(lock_tile(tile_array).snapshot(tau), expected.snapshot(tau));
+                    assert_eq!(
+                        lock_tile(tile_array).snapshot(tau),
+                        lock_tile(expected).snapshot(tau)
+                    );
                 }
             }
         }
@@ -904,12 +1006,9 @@ mod tests {
     fn giant_exchange_copies_128_cells() {
         let giant = PochoirArray::<f64, 1>::new([200_000]);
         let plan = ShardPlan::new([200_000], 1, 16, &[100_000, 100_000], true);
-        let tiles: Vec<_> = plan
-            .scatter(&giant, 0)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        assert_eq!(plan.exchange(&tiles, 16, 2), 128);
+        let tiles = plan.new_tiles(&giant);
+        plan.scatter(&giant, &tiles, &Serial);
+        assert_eq!(plan.exchange(&tiles), 128);
     }
 
     #[test]

@@ -356,6 +356,28 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
         &mut self.data[range]
     }
 
+    /// Splits the storage into disjoint bands of outermost-axis rows: band `i` holds
+    /// rows `starts[i]..starts[i + 1]` (the last runs to the extent), one slice per
+    /// storage slot in slot order, padding included.  `starts` must be ascending and
+    /// begin at 0.  The shard layer's gather hands each band to the tile owning it.
+    pub(crate) fn row_bands_mut(&mut self, starts: &[i64]) -> Vec<Vec<&mut [T]>> {
+        assert_eq!(starts.first(), Some(&0), "bands must start at row 0");
+        let (slab, rows) = (self.slab_elems(), self.sizes[0]);
+        let mut bands: Vec<Vec<&mut [T]>> = starts
+            .iter()
+            .map(|_| Vec::with_capacity(self.time_slices))
+            .collect();
+        for slot in self.data.chunks_exact_mut(self.slice_len) {
+            let mut rest = &mut slot[..rows * slab];
+            for (band, &start) in bands.iter_mut().zip(starts).rev() {
+                let (head, tail) = rest.split_at_mut(start as usize * slab);
+                band.push(tail);
+                rest = head;
+            }
+        }
+        bands
+    }
+
     /// Reads the value at `(t, x)`.  Out-of-domain coordinates are resolved through the
     /// registered boundary function, as in the paper's Phase-1 template library.
     pub fn get(&self, t: i64, x: [i64; D]) -> T {

@@ -469,3 +469,185 @@ fn uncoarsened_parent_shards_bitwise_3d_wave() {
         );
     }
 }
+
+// A session keeps its tile arrays from one sharded run to the next.  Each scenario
+// below steps a sharded session and an unsharded reference through the same
+// windows and compares every storage slot after each one, so a reused tile that
+// carried anything of its last run (cells, halo rows, boundary) shows up at once.
+
+/// Every storage slot of `a`, in slot order.
+fn all_slots<T: Copy, const D: usize>(a: &PochoirArray<T, D>) -> Vec<Vec<T>> {
+    (0..a.time_slices() as i64).map(|s| a.snapshot(s)).collect()
+}
+
+/// Runs `[t0, t1)` on `sharded` through `session`'s tile pipeline and on
+/// `reference` unsharded, then asserts every storage slot agrees.
+fn step_both<T, K, const D: usize>(
+    session: &CompiledStencil<T, K, D>,
+    sharded: &mut PochoirArray<T, D>,
+    reference: &mut PochoirArray<T, D>,
+    t0: i64,
+    t1: i64,
+) where
+    T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    K: StencilKernel<T, D>,
+{
+    session
+        .run_sharded(sharded, t0, t1)
+        .expect("the session shards");
+    let program = session.program();
+    let unsharded = program.plan().with_sharding(Sharding::Off);
+    pochoir_core::engine::run(
+        reference,
+        program.spec(),
+        session.kernel(),
+        t0,
+        t1,
+        &unsharded,
+        &Serial,
+    );
+    assert_eq!(
+        all_slots(sharded),
+        all_slots(reference),
+        "window [{t0}, {t1})"
+    );
+}
+
+const REUSE_N: usize = 600;
+
+fn reuse_session(window: i64) -> CompiledStencil<f64, Heat1D, 1> {
+    CompiledStencil::new(
+        StencilSpec::new(star_shape::<1>(1)),
+        Heat1D,
+        ExecutionPlan::trap()
+            .with_coarsening(Coarsening::new(2, [8]))
+            .with_sharding(Sharding::Tiles(3)),
+        [REUSE_N],
+        window,
+    )
+}
+
+fn heat_grid(boundary: Boundary<f64, 1>, seed: usize) -> PochoirArray<f64, 1> {
+    let mut a = PochoirArray::<f64, 1>::new([REUSE_N]);
+    a.register_boundary(boundary);
+    a.fill_time_slice(0, |x| ((x[0] as usize * 31 + seed * 17) % 251) as f64 * 0.5);
+    a
+}
+
+#[test]
+fn reused_tiles_see_the_callers_edits_between_runs() {
+    let session = reuse_session(8);
+    let mut sharded = heat_grid(Boundary::Periodic, 1);
+    let mut reference = sharded.clone();
+    for op in 0..4 {
+        let (t0, t1) = (op * 8, op * 8 + 8);
+        step_both(&session, &mut sharded, &mut reference, t0, t1);
+        // Edit both retained slots, including seam and halo rows of every tile.
+        for a in [&mut sharded, &mut reference] {
+            for x in (0..REUSE_N as i64).step_by(37) {
+                a.set(t1, [x], -(x as f64) - op as f64);
+                a.set(t1 - 1, [x], 1e3 + x as f64);
+            }
+        }
+    }
+}
+
+#[test]
+fn reused_tiles_serve_alternating_grids() {
+    let session = reuse_session(8);
+    let mut grids: Vec<_> = (0..2)
+        .map(|seed| {
+            let a = heat_grid(Boundary::Periodic, seed);
+            (a.clone(), a)
+        })
+        .collect();
+    for op in 0..3 {
+        for (sharded, reference) in &mut grids {
+            step_both(&session, sharded, reference, op * 8, op * 8 + 8);
+        }
+    }
+}
+
+#[test]
+fn reused_tiles_take_the_new_grids_boundary() {
+    // Periodic (cyclic halos) and non-periodic boundaries tile differently; two
+    // non-periodic boundaries share a plan, so the second reuses the first's tiles
+    // and must re-register its own boundary (a coordinate-dependent one rebased).
+    let session = reuse_session(8);
+    let boundaries = [
+        Boundary::Periodic,
+        Boundary::constant_fn(|t, x: [i64; 1]| (t * 5 - x[0] * 3) as f64 * 0.125),
+        Boundary::Constant(-4.0),
+        Boundary::constant_fn(|t, x: [i64; 1]| (x[0] * 7 + t) as f64),
+        Boundary::Clamp,
+    ];
+    for (seed, boundary) in boundaries.into_iter().enumerate() {
+        let mut sharded = heat_grid(boundary, seed);
+        let mut reference = sharded.clone();
+        step_both(&session, &mut sharded, &mut reference, 0, 8);
+        step_both(&session, &mut sharded, &mut reference, 8, 16);
+    }
+}
+
+#[test]
+fn reused_tiles_carry_all_three_wave_slots() {
+    let session = CompiledStencil::new(
+        wave3d_spec(),
+        Wave3D,
+        ExecutionPlan::trap()
+            .with_coarsening(Coarsening::new(2, [2, 4, 4]))
+            .with_sharding(Sharding::Tiles(3)),
+        [14, 9, 8],
+        4,
+    );
+    for boundary in [Boundary::Periodic, Boundary::Constant(0.5)] {
+        let mut sharded = PochoirArray::<f64, 3>::with_depth([14, 9, 8], 2);
+        sharded.register_boundary(boundary);
+        let bump = |x: [i64; 3]| ((x[0] * 5 + x[1] * 3 + x[2]) % 11) as f64 * 0.25;
+        sharded.fill_time_slice(0, bump);
+        sharded.fill_time_slice(1, |x| bump(x) * 0.5);
+        let mut reference = sharded.clone();
+        for op in 0..3 {
+            step_both(
+                &session,
+                &mut sharded,
+                &mut reference,
+                1 + op * 4,
+                5 + op * 4,
+            );
+        }
+    }
+}
+
+#[test]
+fn a_height_change_replaces_the_spare() {
+    // The window follows the run's height, so each height is its own plan: the
+    // spare is replaced on every change and taken again on a repeat.
+    let session = reuse_session(8);
+    let mut sharded = heat_grid(Boundary::Constant(2.0), 3);
+    let mut reference = sharded.clone();
+    let mut t = 0;
+    for height in [8, 5, 5, 8, 3, 8] {
+        step_both(&session, &mut sharded, &mut reference, t, t + height);
+        t += height;
+    }
+}
+
+#[test]
+fn concurrent_sharded_runs_on_one_session() {
+    // At most one run holds the spare; the other allocates its own tiles, and the
+    // last to finish leaves its tiles behind.
+    let session = reuse_session(8);
+    std::thread::scope(|scope| {
+        for seed in 0..2 {
+            let session = &session;
+            scope.spawn(move || {
+                let mut sharded = heat_grid(Boundary::Periodic, seed);
+                let mut reference = sharded.clone();
+                for op in 0..6 {
+                    step_both(session, &mut sharded, &mut reference, op * 8, op * 8 + 8);
+                }
+            });
+        }
+    });
+}

@@ -30,20 +30,7 @@ pub struct Registry {
     num_threads: usize,
     active_external: AtomicUsize,
     metrics: Metrics,
-    /// Keeps this struct's one `Arc` allocation at the size it had while `Metrics`
-    /// still carried eight counters since removed (the two SIMD row counters and the
-    /// six cache/registry relay counters): 344 bytes, not 280.  The benchmark's
-    /// `shard-giant` `peak_rss_mib` is bimodal (about 22 vs 37 MiB) in which glibc
-    /// bin this long-lived chunk is carved from relative to the tile arrays the
-    /// shard path reallocates every op: the same code measured +60 % without the
-    /// padding.  A stopgap until that churn goes (ROADMAP open items).
-    _keep_size_class: [u64; 8],
 }
-
-// 344 bytes less `Arc`'s two reference counts; a counter added to or removed from
-// `Metrics` must be balanced in `_keep_size_class` until the stopgap above goes.
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-const _: () = assert!(std::mem::size_of::<Registry>() == 328);
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -231,7 +218,6 @@ impl Registry {
             num_threads,
             active_external: AtomicUsize::new(0),
             metrics: Metrics::with_workers(num_threads),
-            _keep_size_class: [0; 8],
         });
         let mut handles = Vec::with_capacity(num_threads);
         for (index, worker) in workers.into_iter().enumerate() {
