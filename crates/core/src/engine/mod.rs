@@ -10,6 +10,7 @@ pub mod base;
 pub mod executor;
 pub mod faults;
 pub mod loops;
+mod lru;
 pub mod plan;
 pub mod schedule;
 pub mod serving;
@@ -24,8 +25,8 @@ pub use plan::{
 pub use schedule::{Schedule, ScheduledLeaf};
 pub use serving::{
     run_batch, shared_program, try_shared_program, AdmissionPolicy, BatchRun, DrainReport,
-    QuarantinePolicy, RegistryLookup, RegistryStats, RetryPolicy, ServeError, SessionRegistry,
-    ShedReason, StencilServer, SubmitOptions, TicketOutcome,
+    RegistryStats, RetryPolicy, ServeError, SessionRegistry, ShedReason, StencilServer,
+    SubmitOptions, TicketOutcome,
 };
 pub use shard::{ShardError, ShardPlan, ShardReport, Tile};
 pub use walker::CutStrategy;

@@ -79,18 +79,20 @@
 //! the same geometry: a process-global cache keyed by
 //! `(sizes, slopes, reach, coarsening, strategy, clone mode, height)` makes repeated
 //! `run()` calls — time stepping loops, autotuner pilots, benchmark reps — reuse the
-//! compiled decomposition instead of recompiling per call.  The cache evicts
-//! least-recently-used entries under two limits: an entry-count capacity and a *leaf
-//! budget* (total leaves across all entries, the dominant memory term).  Cache outcomes
-//! are reported through the executor to [`Parallelism::count`] so the runtime's metrics
-//! expose hits and evictions next to steal counters.
+//! compiled decomposition instead of recompiling per call.  The cache is an instance of
+//! the engine's one bounded LRU (`engine::lru`, whose other instance is the session
+//! registry): a cold key compiles exactly once however many threads look it up, and
+//! least-recently-used entries are evicted under an entry-count capacity and a constant
+//! *leaf budget* (total leaves across all entries, the dominant memory term — the same
+//! bound [`should_compile`] puts on one schedule's estimate).  [`cache_stats`] reports
+//! compiles, hits and evictions.
 //!
 //! Sessions ([`crate::engine::executor::CompiledStencil`]) pin the `Arc<Schedule>` they
 //! resolve, so even an evicted schedule stays alive for the sessions using it — eviction
 //! only drops the cache's reference.
 
 use crate::engine::base;
-use crate::engine::faults::lock_recover;
+use crate::engine::lru::{Lru, Weigh};
 use crate::engine::plan::{Coarsening, ExecutionPlan};
 use crate::engine::walker::{cut_with_strategy, CutStrategy};
 use crate::grid::RawGrid;
@@ -98,10 +100,9 @@ use crate::hyperspace::CutParams;
 use crate::kernel::StencilKernel;
 use crate::zoid::Zoid;
 use pochoir_runtime::Parallelism;
-use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
+
+pub use crate::engine::lru::CacheLookup;
 
 /// One leaf of a compiled schedule: a base-case zoid with its kernel clone pre-resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -426,36 +427,21 @@ struct CacheKey {
     force_boundary: bool,
 }
 
-struct CacheEntry {
-    schedule: Arc<dyn Any + Send + Sync>,
-    /// Leaf count of the entry, the dominant term of its memory footprint.
-    leaves: usize,
-}
-
-struct CacheState {
-    map: HashMap<CacheKey, CacheEntry>,
-    /// Recency order: front = least recently used, back = most recently used.
-    order: VecDeque<CacheKey>,
-    /// Sum of `leaves` over all entries.
-    total_leaves: usize,
+impl<const D: usize> Weigh for Schedule<D> {
+    fn weight(&self) -> usize {
+        self.num_leaves()
+    }
 }
 
 /// Maximum number of cached schedules; beyond it least-recently-used entries are evicted.
 const CACHE_CAPACITY: usize = 128;
 
-/// Total leaves the cache may retain across all entries (size-aware eviction):
-/// leaves dominate a schedule's footprint (~120 B each in 3D), so this caps resident
-/// memory at a few hundred MB even for processes sweeping many large geometries.
-const CACHE_LEAF_BUDGET: usize = 1 << 21;
-
-/// Outcome of a schedule-cache lookup (see [`schedule_for`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheLookup {
-    /// Whether the schedule was served from the cache without compiling.
-    pub hit: bool,
-    /// Entries evicted (LRU-first) to make room for this insertion.
-    pub evicted: u64,
-}
+/// Total leaves the cache may retain across all entries, and the most a schedule may be
+/// estimated to have before [`should_compile`] leaves its geometry to the recursive
+/// walker: leaves dominate a schedule's footprint (~120 B each in 3D), so this caps
+/// resident memory at a few hundred MB even for processes sweeping many large
+/// geometries.
+const LEAF_BUDGET: usize = 1 << 21;
 
 /// Cumulative schedule-cache counters (see [`cache_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -468,120 +454,20 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// An LRU schedule cache bounded by entry count and by total leaf count.
-///
-/// One process-global instance backs [`schedule_for`]; tests construct private
-/// instances to exercise the eviction policy without cross-test interference.
-pub(crate) struct ScheduleCache {
-    state: Mutex<CacheState>,
-    capacity: usize,
-    leaf_budget: usize,
-    hits: AtomicU64,
-    compiles: AtomicU64,
-    evictions: AtomicU64,
-}
+static CACHE: OnceLock<Lru<CacheKey>> = OnceLock::new();
 
-impl ScheduleCache {
-    fn with_limits(capacity: usize, leaf_budget: usize) -> Self {
-        ScheduleCache {
-            state: Mutex::new(CacheState {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                total_leaves: 0,
-            }),
-            capacity,
-            leaf_budget,
-            hits: AtomicU64::new(0),
-            compiles: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Cache lookup with an LRU *touch*: a hit moves the entry to the back of the
-    /// recency order.
-    fn get<const D: usize>(&self, key: &CacheKey) -> Option<Arc<Schedule<D>>> {
-        let mut state = lock_recover(&self.state);
-        let schedule = match state.map.get(key) {
-            Some(entry) => Arc::clone(&entry.schedule).downcast::<Schedule<D>>().ok()?,
-            None => return None,
-        };
-        if let Some(pos) = state.order.iter().position(|k| k == key) {
-            if let Some(k) = state.order.remove(pos) {
-                state.order.push_back(k);
-            }
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(schedule)
-    }
-
-    /// Inserts a freshly compiled schedule, evicting LRU entries until both the entry
-    /// count and the leaf budget have room (a single over-budget schedule is still
-    /// cached — it is in use).  Returns the canonical schedule (the first-inserted one
-    /// if a concurrent compile raced us), whether the insert lost such a race, and the
-    /// number of entries evicted.
-    fn insert<const D: usize>(
-        &self,
-        key: CacheKey,
-        schedule: Arc<Schedule<D>>,
-    ) -> (Arc<Schedule<D>>, bool, u64) {
-        let leaves = schedule.num_leaves();
-        let mut state = lock_recover(&self.state);
-        if let Some(entry) = state.map.get(&key) {
-            // Lost the race: keep the first-inserted schedule so callers observing
-            // `Arc::ptr_eq` reuse see one canonical object.
-            if let Ok(existing) = Arc::clone(&entry.schedule).downcast::<Schedule<D>>() {
-                return (existing, true, 0);
-            }
-        }
-        let mut evicted = 0u64;
-        while !state.order.is_empty()
-            && (state.map.len() >= self.capacity || state.total_leaves + leaves > self.leaf_budget)
-        {
-            if let Some(old) = state.order.pop_front() {
-                if let Some(entry) = state.map.remove(&old) {
-                    state.total_leaves -= entry.leaves;
-                    evicted += 1;
-                }
-            }
-        }
-        state.map.insert(
-            key.clone(),
-            CacheEntry {
-                schedule: Arc::clone(&schedule) as _,
-                leaves,
-            },
-        );
-        state.total_leaves += leaves;
-        state.order.push_back(key);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        (schedule, false, evicted)
-    }
-
-    fn clear(&self) {
-        let mut state = lock_recover(&self.state);
-        state.map.clear();
-        state.order.clear();
-        state.total_leaves = 0;
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            compiles: self.compiles.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-static CACHE: OnceLock<ScheduleCache> = OnceLock::new();
-
-fn cache() -> &'static ScheduleCache {
-    CACHE.get_or_init(|| ScheduleCache::with_limits(CACHE_CAPACITY, CACHE_LEAF_BUDGET))
+fn cache() -> &'static Lru<CacheKey> {
+    CACHE.get_or_init(|| Lru::new(CACHE_CAPACITY, LEAF_BUDGET))
 }
 
 /// Process-global schedule-cache statistics since process start.
 pub fn cache_stats() -> CacheStats {
-    cache().stats()
+    let counts = cache().counts();
+    CacheStats {
+        compiles: counts.misses,
+        hits: counts.hits,
+        evictions: counts.evictions,
+    }
 }
 
 /// Empties the process-global schedule cache (the statistics are kept).  Benchmarks use
@@ -593,7 +479,7 @@ pub fn clear_cache() {
 /// [`schedule_for`] against an explicit cache instance.
 #[allow(clippy::too_many_arguments)]
 fn schedule_for_in<const D: usize>(
-    cache: &ScheduleCache,
+    cache: &Lru<CacheKey>,
     sizes: [i64; D],
     slopes: [i64; D],
     reach: [i64; D],
@@ -612,40 +498,22 @@ fn schedule_for_in<const D: usize>(
         strategy,
         force_boundary,
     };
-    if let Some(schedule) = cache.get::<D>(&key) {
-        return (
-            schedule,
-            CacheLookup {
-                hit: true,
-                evicted: 0,
-            },
-        );
-    }
-    // Compile outside the lock; a concurrent compile of the same key wastes a little
-    // work but never blocks unrelated lookups behind a long compilation.
-    let schedule = Arc::new(Schedule::<D>::compile(
-        sizes,
-        slopes,
-        reach,
-        coarsening,
-        strategy,
-        force_boundary,
-        height,
-    ));
-    cache.compiles.fetch_add(1, Ordering::Relaxed);
-    let (schedule, raced, evicted) = cache.insert(key, schedule);
-    (
-        schedule,
-        CacheLookup {
-            hit: raced,
-            evicted,
-        },
-    )
+    cache.get_or_init(key, || {
+        Schedule::<D>::compile(
+            sizes,
+            slopes,
+            reach,
+            coarsening,
+            strategy,
+            force_boundary,
+            height,
+        )
+    })
 }
 
-/// Returns the cached schedule for the given geometry, compiling and inserting it on a
-/// miss.  The [`CacheLookup`] reports whether the lookup was a hit and how many LRU
-/// entries were evicted to make room.
+/// Returns the cached schedule for the given geometry, compiling it on a miss — once,
+/// however many threads look the cold key up at the same time.  The [`CacheLookup`]
+/// reports whether the lookup was a hit and how many LRU entries were evicted.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_for<const D: usize>(
     sizes: [i64; D],
@@ -676,16 +544,13 @@ pub fn should_compile<const D: usize>(
     coarsening: &Coarsening<D>,
     height: i64,
 ) -> bool {
-    /// Upper bound on the estimated leaf count of a compiled schedule (~2M leaves,
-    /// matching the cache's total leaf budget).
-    const MAX_ESTIMATED_LEAVES: u128 = 1 << 21;
     let dt = coarsening.dt.max(1) as u128;
     let mut estimate: u128 = (height.max(1) as u128).div_ceil(dt);
     for (&size, &dx) in sizes.iter().zip(coarsening.dx.iter()) {
         let w = size.max(1) as u128;
         let dx = dx.max(1) as u128;
         estimate = estimate.saturating_mul(w.div_ceil(dx));
-        if estimate > MAX_ESTIMATED_LEAVES {
+        if estimate > LEAF_BUDGET as u128 {
             return false;
         }
     }
@@ -830,7 +695,7 @@ mod tests {
     }
 
     /// Looks up height `h` of a fixed 2D geometry in a private cache instance.
-    fn lookup_height(cache: &ScheduleCache, h: i64) -> (Arc<Schedule<2>>, CacheLookup) {
+    fn lookup_height(cache: &Lru<CacheKey>, h: i64) -> (Arc<Schedule<2>>, CacheLookup) {
         schedule_for_in(
             cache,
             [40i64, 40],
@@ -847,7 +712,7 @@ mod tests {
     fn lru_eviction_keeps_recently_used_entries() {
         // Capacity 2: insert h=1 and h=2, touch h=1, insert h=3.  The LRU policy must
         // evict h=2 (least recently used), not h=1 (FIFO would evict h=1).
-        let cache = ScheduleCache::with_limits(2, usize::MAX);
+        let cache = Lru::new(2, usize::MAX);
         let (s1, _) = lookup_height(&cache, 1);
         lookup_height(&cache, 2);
         let (_, touch) = lookup_height(&cache, 1); // touch: h=1 is now most recent
@@ -859,19 +724,19 @@ mod tests {
         assert!(Arc::ptr_eq(&s1, &s1_again));
         let (_, h2) = lookup_height(&cache, 2);
         assert!(!h2.hit, "least-recently-used entry must have been evicted");
-        assert_eq!(cache.stats().evictions, 2); // one for h=3's insert, one for h=2's re-insert
+        assert_eq!(cache.counts().evictions, 2); // one for h=3's insert, one for h=2's re-insert
     }
 
     #[test]
     fn leaf_budget_bounds_total_cached_leaves() {
         // A budget below two schedules' combined leaves forces evictions on insert even
         // though the entry capacity has room.
-        let probe = ScheduleCache::with_limits(64, usize::MAX);
+        let probe = Lru::new(64, usize::MAX);
         let (s, _) = lookup_height(&probe, 4);
         let per_schedule = s.num_leaves();
         assert!(per_schedule > 0);
 
-        let cache = ScheduleCache::with_limits(64, per_schedule + per_schedule / 2);
+        let cache = Lru::new(64, per_schedule + per_schedule / 2);
         let (_, first) = lookup_height(&cache, 4);
         assert!(!first.hit);
         assert_eq!(first.evicted, 0);
@@ -880,7 +745,45 @@ mod tests {
         let (_, second) = lookup_height(&cache, 8);
         assert!(!second.hit);
         assert!(second.evicted >= 1, "leaf budget must trigger eviction");
-        assert_eq!(cache.state.lock().unwrap().map.len(), 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// Threads racing one cold key behind a barrier share one compile: every caller
+    /// gets the same `Arc`, and exactly one lookup is a miss.
+    #[test]
+    fn racing_lookups_of_a_cold_key_compile_once() {
+        const THREADS: usize = 8;
+        let cache = Lru::new(8, usize::MAX);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let schedules: Vec<Arc<Schedule<2>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        // 256² at 4×4 leaves: long enough to compile that the
+                        // racers overlap.
+                        schedule_for_in(
+                            &cache,
+                            [256i64, 256],
+                            [1, 1],
+                            [1, 1],
+                            Coarsening::new(2, [4, 4]),
+                            CutStrategy::Hyperspace,
+                            false,
+                            16,
+                        )
+                        .0
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for s in &schedules[1..] {
+            assert!(Arc::ptr_eq(&schedules[0], s), "one schedule object");
+        }
+        let counts = cache.counts();
+        assert_eq!(counts.misses, 1, "exactly one compile");
+        assert_eq!(counts.hits, THREADS as u64 - 1);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!        ▼
 //!   SessionRegistry  —  process-global, keyed by (spec fingerprint, sizes, plan, window)
 //!        │               LRU under an entry cap *and* a pinned-leaf budget ·
-//!        │               exactly-once compile per key · hit/miss/eviction counters
+//!        │               exactly-once compile per key (`engine::lru`, shared with
+//!        │               the schedule cache) · hit/miss/eviction counters
 //!        │               read through `registry_stats()`
 //!        ▼
 //!   Arc<CompiledProgram>  —  one per geometry, shared by every caller
@@ -74,18 +75,17 @@
 //! geometry share one decomposition.  Differing plans or windows therefore never
 //! collide, and the sizes vector doubles as the dimensionality tag (its length is `D`).
 //!
-//! Lookups are **exactly-once** under concurrency: the registry stores a once-cell per
-//! key, so N threads racing on a cold key perform one compilation while the other N−1
-//! block briefly and then share the result — unlike the schedule cache, which tolerates
-//! racing duplicate compiles to keep its lock narrow.  The registry is LRU-bounded two
-//! ways, mirroring the schedule cache's limits: an entry capacity
-//! ([`set_registry_capacity`]) and a **pinned-leaf budget**
-//! ([`SessionRegistry::set_leaf_budget`]) charging each retained session the total base-case
-//! leaves of its pinned schedules — the dominant memory term, so a few giant
-//! geometries cannot silently pin hundreds of megabytes while the entry count looks
-//! small.  Eviction only drops the registry's `Arc`, never a session a caller still
-//! holds, and in-flight entries (compile still running) are pinned against eviction so
-//! the exactly-once guarantee survives capacity pressure.
+//! The registry is one instance of the engine's bounded LRU, the type behind the
+//! schedule cache too (`engine::lru`).  Lookups are **exactly-once** under
+//! concurrency: each key holds a once-cell, so N threads racing on a cold key perform
+//! one compilation while the other N−1 block briefly and then share the result.
+//! Retention is bounded two ways: an entry capacity ([`set_registry_capacity`]) and a
+//! constant **pinned-leaf budget** charging each retained session the total base-case
+//! leaves of its pinned schedules, read live at every lookup — the dominant memory
+//! term, so a few giant geometries cannot silently pin hundreds of megabytes while the
+//! entry count looks small.  Eviction only drops the registry's `Arc`, never a session
+//! a caller still holds, and in-flight entries (compile still running) are pinned
+//! against eviction so the exactly-once guarantee survives capacity pressure.
 //!
 //! ## Batching
 //!
@@ -125,8 +125,8 @@
 //!   chain: its remaining windows are cancelled, the payload is captured as
 //!   [`TicketOutcome::Panicked`] in the [`DrainReport`], and sibling tenants keep
 //!   draining to completion with results bitwise identical to a fault-free drain.
-//!   The panicking server's session key is then quarantined in the registry
-//!   ([`QuarantinePolicy`]: evict, or ban lookups for a while), and every engine lock
+//!   The panicking server's session key is then quarantined — evicted from the
+//!   registry, so the next lookup recompiles — and every engine lock
 //!   recovers from poisoning (`faults::lock_recover`) so one panic
 //!   never wedges the process.  [`StencilServer::drain`] still re-throws the first
 //!   payload after siblings finish (the pre-quarantine contract);
@@ -156,7 +156,8 @@
 
 use crate::boundary::Boundary;
 use crate::engine::executor::{CompiledProgram, GeometryError, SessionStats};
-use crate::engine::faults::{self, lock_recover, FaultPlan};
+use crate::engine::faults::{self, FaultPlan};
+use crate::engine::lru::{CacheLookup, Lru, Weigh};
 use crate::engine::plan::ExecutionPlan;
 use crate::engine::shard::{self, ShardError, ShardPlan, ShardRun};
 use crate::grid::PochoirArray;
@@ -164,9 +165,8 @@ use crate::kernel::{StencilKernel, StencilSpec};
 use pochoir_runtime::{Counter, Parallelism, Runtime};
 use std::any::Any;
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -184,15 +184,6 @@ fn into_inner_transient<T>(mutex: Mutex<T>) -> T {
     mutex.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Outcome of a session-registry lookup.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryLookup {
-    /// Whether an already-compiled program was served (`false` = this lookup compiled).
-    pub hit: bool,
-    /// Entries evicted (LRU-first) to make room for this insertion.
-    pub evicted: u64,
-}
-
 /// Cumulative session-registry counters (see [`registry_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
@@ -200,7 +191,7 @@ pub struct RegistryStats {
     pub hits: u64,
     /// Lookups that compiled a fresh program (under concurrency, one per cold key).
     pub misses: u64,
-    /// Entries evicted under the capacity limit.
+    /// Entries evicted under the capacity limit or the pinned-leaf budget.
     pub evictions: u64,
     /// Session keys quarantined after a tenant panic (see
     /// [`SessionRegistry::quarantine`]).
@@ -218,9 +209,6 @@ pub enum ShedReason {
     /// The shared session pins more leaves than
     /// [`AdmissionPolicy::max_session_leaves`] allows.
     SessionLeafQuota,
-    /// The session key is currently banned after a tenant panic
-    /// ([`QuarantinePolicy::Ban`]).
-    Quarantined,
     /// Dispatch-time drop: the chain's logical deadline could no longer be met when
     /// its first window came up ([`AdmissionPolicy::drop_unmeetable`]).
     DeadlineUnmeetable,
@@ -232,7 +220,6 @@ impl std::fmt::Display for ShedReason {
             ShedReason::QueueFull => "pending queue full",
             ShedReason::WindowQuotaExceeded => "queued-window quota exceeded",
             ShedReason::SessionLeafQuota => "session pinned-leaf quota exceeded",
-            ShedReason::Quarantined => "session key quarantined after a tenant panic",
             ShedReason::DeadlineUnmeetable => "logical deadline unmeetable at dispatch",
         };
         f.write_str(reason)
@@ -421,21 +408,6 @@ impl RetryPolicy {
     }
 }
 
-/// What happens to a session key in the registry after one of its tenants panics
-/// (see [`StencilServer::with_quarantine_policy`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QuarantinePolicy {
-    /// Drop the registry's entry: the next lookup recompiles a fresh session.
-    /// Callers still holding the old `Arc` keep it (it is not broken — panics leave
-    /// its shared state structurally valid).
-    #[default]
-    Evict,
-    /// Drop the entry *and* reject the key's next N lookups with
-    /// [`ShedReason::Quarantined`] (a cool-down approximating "banned for N
-    /// drains"); `Ban(0)` behaves like [`Evict`](Self::Evict).
-    Ban(u32),
-}
-
 /// Geometry key of a registry entry: every input of schedule compilation, flattened to
 /// vectors so one map serves every dimensionality (the `sizes` length encodes `D`).
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -488,62 +460,12 @@ impl RegistryKey {
     }
 }
 
-/// A slot holds the program behind a once-cell so a cold key compiles exactly once
-/// (the first caller runs the compilation, concurrent callers block on the cell),
-/// plus a type-erased weigher reporting the entry's **live** pinned-leaf count for
-/// the registry's leaf budget.
-struct SlotState {
-    cell: OnceLock<Arc<dyn Any + Send + Sync>>,
-    /// Reports the program's current `pinned_leaf_count()`.  A closure rather than a
-    /// recorded number because the weight changes *between* lookups: callers grow a
-    /// shared session's pin set directly (`precompile_windows`, runs of new window
-    /// heights), and a stale recorded weight would let pinned memory exceed the
-    /// budget invisibly.  Installed when the compile resolves (the slot is the only
-    /// dimension-aware point); in-flight slots weigh zero.
-    weigher: OnceLock<Box<dyn Fn() -> usize + Send + Sync>>,
-}
-
-impl SlotState {
-    /// The entry's current pinned-leaf weight (zero while the compile is in flight).
-    fn leaves(&self) -> usize {
-        self.weigher.get().map_or(0, |w| w())
-    }
-}
-
-type Slot = Arc<SlotState>;
-
-struct RegistryState {
-    map: HashMap<RegistryKey, Slot>,
-    /// Recency order: front = least recently used, back = most recently used.
-    order: VecDeque<RegistryKey>,
-    /// Quarantined keys → lookups still to reject ([`QuarantinePolicy::Ban`]); each
-    /// rejected lookup decrements, and the ban lifts at zero.
-    banned: HashMap<RegistryKey, u32>,
-}
-
-impl RegistryState {
-    /// Sum of the completed entries' live pinned-leaf weights.
-    fn total_leaves(&self) -> usize {
-        self.map.values().map(|slot| slot.leaves()).sum()
-    }
-
-    /// Evicts the least recently used *completed* entry, never touching `skip` and
-    /// never an in-flight slot (its once-cell not yet initialized): a concurrent
-    /// lookup of an in-flight key must keep finding it and block on the cell, or
-    /// the exactly-once compile guarantee would break.  Returns whether an entry
-    /// was removed (`false` = every candidate is pinned).  The single eviction
-    /// primitive behind both the entry-capacity and the leaf-budget limits.
-    fn evict_lru(&mut self, skip: Option<&RegistryKey>) -> bool {
-        let victim = self.order.iter().position(|k| {
-            skip != Some(k) && self.map.get(k).is_none_or(|slot| slot.cell.get().is_some())
-        });
-        match victim {
-            Some(pos) => match self.order.remove(pos) {
-                Some(old) => self.map.remove(&old).is_some(),
-                None => false,
-            },
-            None => false,
-        }
+impl<const D: usize> Weigh for CompiledProgram<D> {
+    /// The session's *current* pins: callers grow a shared session's pin set between
+    /// lookups (`precompile_windows`, runs of new window heights), and a weight
+    /// recorded at insert would let pinned memory exceed the budget invisibly.
+    fn weight(&self) -> usize {
+        self.pinned_leaf_count()
     }
 }
 
@@ -553,21 +475,19 @@ impl RegistryState {
 /// caps schedule retention by idle geometries.
 const DEFAULT_REGISTRY_CAPACITY: usize = 64;
 
-/// Default total pinned leaves the registry may retain across all sessions, mirroring
-/// the schedule cache's leaf budget: leaves dominate a
+/// Total pinned leaves the registry may retain across all sessions: leaves dominate a
 /// retained session's footprint, so this bounds resident memory by what sessions
-/// actually pin rather than by how many keys exist.  Override with
-/// [`SessionRegistry::set_leaf_budget`].
-const DEFAULT_REGISTRY_LEAF_BUDGET: usize = 1 << 20;
+/// actually pin rather than by how many keys exist.
+const REGISTRY_LEAF_BUDGET: usize = 1 << 20;
 
 /// An LRU-bounded registry of compiled executor sessions, keyed by
 /// `(spec fingerprint, sizes, plan, window)`.
 ///
-/// Retention is bounded by an entry capacity *and* a pinned-leaf budget (the memory
-/// bound; see [`SessionRegistry::set_leaf_budget`]).  One process-global instance backs
-/// [`shared_program`] (and, through it, the DSL's `Pochoir` object and
-/// [`StencilServer::new`]); multi-tenant deployments or tests can construct private
-/// instances with [`SessionRegistry::with_capacity`] / [`SessionRegistry::with_limits`].
+/// Retention is bounded by an entry capacity *and* a constant pinned-leaf budget (the
+/// memory bound).  One process-global instance backs [`shared_program`] (and, through
+/// it, the DSL's `Pochoir` object and [`StencilServer::new`]); multi-tenant
+/// deployments or tests can construct private instances with
+/// [`SessionRegistry::with_capacity`].
 ///
 /// ```
 /// use pochoir_core::engine::serving::SessionRegistry;
@@ -586,36 +506,15 @@ const DEFAULT_REGISTRY_LEAF_BUDGET: usize = 1 << 20;
 /// assert!(Arc::ptr_eq(&first, &second));
 /// ```
 pub struct SessionRegistry {
-    state: Mutex<RegistryState>,
-    capacity: AtomicUsize,
-    leaf_budget: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    sessions: Lru<RegistryKey>,
     quarantined: AtomicU64,
 }
 
 impl SessionRegistry {
-    /// Creates a registry retaining at most `capacity` sessions (clamped to ≥ 1),
-    /// with the default pinned-leaf budget.
+    /// Creates a registry retaining at most `capacity` sessions (clamped to ≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_limits(capacity, DEFAULT_REGISTRY_LEAF_BUDGET)
-    }
-
-    /// Creates a registry bounded by `capacity` entries and `leaf_budget` total
-    /// pinned leaves (both clamped to ≥ 1).
-    pub fn with_limits(capacity: usize, leaf_budget: usize) -> Self {
         SessionRegistry {
-            state: Mutex::new(RegistryState {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                banned: HashMap::new(),
-            }),
-            capacity: AtomicUsize::new(capacity.max(1)),
-            leaf_budget: AtomicUsize::new(leaf_budget.max(1)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            sessions: Lru::new(capacity, REGISTRY_LEAF_BUDGET),
             quarantined: AtomicU64::new(0),
         }
     }
@@ -623,7 +522,7 @@ impl SessionRegistry {
     /// Returns the shared program for the given geometry, compiling it (exactly once,
     /// even under concurrent lookups of the same key) on a cold key.
     ///
-    /// The [`RegistryLookup`] reports whether an existing program was served and how
+    /// The [`CacheLookup`] reports whether an existing program was served and how
     /// many LRU entries were evicted to make room; [`stats`](Self::stats) keeps the
     /// cumulative counts.
     pub fn get_or_compile<const D: usize>(
@@ -632,7 +531,7 @@ impl SessionRegistry {
         plan: &ExecutionPlan<D>,
         sizes: [i64; D],
         window: i64,
-    ) -> (Arc<CompiledProgram<D>>, RegistryLookup) {
+    ) -> (Arc<CompiledProgram<D>>, CacheLookup) {
         self.try_get_or_compile(spec, plan, sizes, window)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -641,12 +540,9 @@ impl SessionRegistry {
     /// panicking:
     ///
     /// * invalid geometry → [`ServeError::InvalidGeometry`];
-    /// * a panicking compile → [`ServeError::CompileFailed`], with the once-cell left
-    ///   uninitialized and the in-flight slot dropped, so a retry (e.g. under a
-    ///   [`RetryPolicy`]) performs a fresh compile instead of observing a wedged key;
-    /// * a key banned by [`quarantine`](Self::quarantine) →
-    ///   [`ServeError::Shed`]`{ reason: `[`ShedReason::Quarantined`]` }` (each
-    ///   rejected lookup consumes one unit of the ban).
+    /// * a panicking compile → [`ServeError::CompileFailed`], with the in-flight slot
+    ///   dropped, so a retry (e.g. under a [`RetryPolicy`]) performs a fresh compile
+    ///   instead of observing a wedged key.
     ///
     /// The exactly-once guarantee is unchanged on the success path: concurrent cold
     /// lookups still share one compilation.
@@ -656,206 +552,52 @@ impl SessionRegistry {
         plan: &ExecutionPlan<D>,
         sizes: [i64; D],
         window: i64,
-    ) -> Result<(Arc<CompiledProgram<D>>, RegistryLookup), ServeError> {
+    ) -> Result<(Arc<CompiledProgram<D>>, CacheLookup), ServeError> {
         let key = RegistryKey::new(spec, plan, sizes, window);
-        if self.consume_ban(&key) {
-            return Err(ServeError::Shed {
-                reason: ShedReason::Quarantined,
-            });
-        }
-        // Registry bookkeeping is ordinary safe code; if it nonetheless panics the
-        // key's state is unknown and the caller gets a typed, retryable error
-        // rather than a propagated panic mid-drain.
-        let (slot, mut evicted) =
-            match catch_unwind(AssertUnwindSafe(|| self.slot_for(key.clone()))) {
-                Ok(found) => found,
-                Err(_) => return Err(ServeError::RegistryPoisoned),
-            };
-        let mut compiled_here = false;
-        let init = catch_unwind(AssertUnwindSafe(|| {
-            slot.cell.get_or_init(|| {
-                compiled_here = true;
+        let mut compiling = false;
+        let found = catch_unwind(AssertUnwindSafe(|| {
+            self.sessions.get_or_init(key, || {
+                compiling = true;
                 // Geometry errors unwind with a typed payload so they classify as
                 // `InvalidGeometry` rather than `CompileFailed` below; any other
                 // panic is a genuine compile failure.
                 match CompiledProgram::try_new(spec.clone(), *plan, sizes, window) {
-                    Ok(program) => Arc::new(program) as Arc<dyn Any + Send + Sync>,
+                    Ok(program) => program,
                     Err(geom) => std::panic::panic_any(geom),
                 }
             })
         }));
-        let any = match init {
-            Ok(any) => any,
-            Err(payload) => {
-                // The once-cell stays uninitialized after a panicking init (std
-                // documents this), which would leave a permanently "in-flight" slot
-                // pinned against eviction — drop it so retries start clean.
-                self.forget_in_flight(&key);
-                return Err(match payload.downcast::<GeometryError>() {
-                    Ok(geom) => ServeError::from(*geom),
-                    Err(payload) => ServeError::CompileFailed {
-                        detail: faults::panic_message(payload.as_ref()),
-                    },
-                });
-            }
-        };
-        let program = match Arc::clone(any).downcast::<CompiledProgram<D>>() {
-            Ok(program) => program,
-            Err(_) => {
-                return Err(ServeError::InvalidGeometry {
-                    detail: format!(
-                        "registry key for sizes {sizes:?} resolved to a program of a \
-                         different dimensionality"
-                    ),
-                })
-            }
-        };
-        // Install the live weigher (first resolution of this slot) and re-enforce
-        // the leaf budget: the entry is charged whatever its session pins *now*,
-        // including pins grown since the previous lookup.  `pinned_leaf_count` is a
-        // lock-free atomic read, so weighing entries under the registry lock never
-        // blocks behind a session's in-progress schedule compilation.
-        slot.weigher.get_or_init(|| {
-            let weighed = Arc::clone(&program);
-            Box::new(move || weighed.pinned_leaf_count())
-        });
-        evicted += self.enforce_leaf_budget(&key);
-        if compiled_here {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        Ok((
-            program,
-            RegistryLookup {
-                hit: !compiled_here,
-                evicted,
+        found.map_err(|payload| match payload.downcast::<GeometryError>() {
+            Ok(geom) => ServeError::from(*geom),
+            // Registry bookkeeping is ordinary safe code; if it nonetheless panics
+            // the key's state is unknown, and the caller gets a typed, retryable
+            // error rather than a propagated panic mid-drain.
+            Err(_) if !compiling => ServeError::RegistryPoisoned,
+            Err(payload) => ServeError::CompileFailed {
+                detail: faults::panic_message(payload.as_ref()),
             },
-        ))
+        })
     }
 
     /// Quarantines the session key for the given geometry after one of its tenants
-    /// panicked: the registry's entry is dropped (the next lookup recompiles) and,
-    /// under [`QuarantinePolicy::Ban`], the key's next N lookups are rejected with
-    /// [`ShedReason::Quarantined`].  Sessions callers still hold stay alive and
-    /// usable.  Returns whether anything changed (an entry existed or a ban was
-    /// installed); the event is counted in [`RegistryStats::quarantined`] either way.
+    /// panicked: the registry's entry is dropped, so the next lookup recompiles.
+    /// Sessions callers still hold stay alive and usable.  Returns whether an entry
+    /// existed; the event is counted in [`RegistryStats::quarantined`] either way.
     pub fn quarantine<const D: usize>(
         &self,
         spec: &StencilSpec<D>,
         plan: &ExecutionPlan<D>,
         sizes: [i64; D],
         window: i64,
-        policy: QuarantinePolicy,
     ) -> bool {
-        let key = RegistryKey::new(spec, plan, sizes, window);
-        let mut state = lock_recover(&self.state);
-        let existed = state.map.remove(&key).is_some();
-        if let Some(pos) = state.order.iter().position(|k| k == &key) {
-            state.order.remove(pos);
-        }
-        let banned = match policy {
-            QuarantinePolicy::Ban(n) if n > 0 => {
-                state.banned.insert(key, n);
-                true
-            }
-            _ => false,
-        };
         self.quarantined.fetch_add(1, Ordering::Relaxed);
-        existed || banned
-    }
-
-    /// Consumes one unit of `key`'s ban if one is active; `true` = reject this
-    /// lookup.
-    fn consume_ban(&self, key: &RegistryKey) -> bool {
-        let mut state = lock_recover(&self.state);
-        match state.banned.get_mut(key) {
-            Some(remaining) => {
-                *remaining -= 1;
-                if *remaining == 0 {
-                    state.banned.remove(key);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops `key`'s slot if its compile never resolved (see
-    /// [`try_get_or_compile`](Self::try_get_or_compile)'s failure path).
-    fn forget_in_flight(&self, key: &RegistryKey) {
-        let mut state = lock_recover(&self.state);
-        if state
-            .map
-            .get(key)
-            .is_some_and(|slot| slot.cell.get().is_none())
-        {
-            state.map.remove(key);
-            if let Some(pos) = state.order.iter().position(|k| k == key) {
-                state.order.remove(pos);
-            }
-        }
-    }
-
-    /// Returns the slot for `key` (inserting an empty one on a cold key, evicting LRU
-    /// entries beyond capacity) and the number of entries evicted.  A hit is an LRU
-    /// *touch*: the key moves to the back of the recency order.
-    fn slot_for(&self, key: RegistryKey) -> (Slot, u64) {
-        let capacity = self.capacity.load(Ordering::Relaxed);
-        let mut state = lock_recover(&self.state);
-        if let Some(slot) = state.map.get(&key) {
-            let slot = Arc::clone(slot);
-            if let Some(pos) = state.order.iter().position(|k| k == &key) {
-                if let Some(k) = state.order.remove(pos) {
-                    state.order.push_back(k);
-                }
-            }
-            return (slot, 0);
-        }
-        let mut evicted = 0u64;
-        while state.map.len() >= capacity {
-            if !state.evict_lru(None) {
-                // Every entry is mid-compile: transiently exceed the capacity rather
-                // than break exactly-once compilation.
-                break;
-            }
-            evicted += 1;
-        }
-        let slot: Slot = Arc::new(SlotState {
-            cell: OnceLock::new(),
-            weigher: OnceLock::new(),
-        });
-        state.map.insert(key.clone(), Arc::clone(&slot));
-        state.order.push_back(key);
-        (slot, evicted)
-    }
-
-    /// Evicts LRU completed entries (never `current`, never in-flight slots) until the
-    /// total pinned-leaf weight fits the leaf budget; returns the number evicted.
-    ///
-    /// Runs after a lookup resolves, when the entry's weight is actually known — a
-    /// compile's footprint cannot be charged before it finishes.  A single
-    /// over-budget session stays retained (it is in use), matching the schedule
-    /// cache's policy for oversized entries.
-    fn enforce_leaf_budget(&self, current: &RegistryKey) -> u64 {
-        let budget = self.leaf_budget.load(Ordering::Relaxed);
-        let mut state = lock_recover(&self.state);
-        let mut evicted = 0u64;
-        while state.total_leaves() > budget {
-            if !state.evict_lru(Some(current)) {
-                break;
-            }
-            evicted += 1;
-        }
-        evicted
+        self.sessions
+            .remove(&RegistryKey::new(spec, plan, sizes, window))
     }
 
     /// Number of sessions currently retained.
     pub fn len(&self) -> usize {
-        lock_recover(&self.state).map.len()
+        self.sessions.len()
     }
 
     /// Whether the registry retains no sessions.
@@ -865,33 +607,24 @@ impl SessionRegistry {
 
     /// Sets the capacity (clamped to ≥ 1); takes effect on subsequent insertions.
     pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity.max(1), Ordering::Relaxed);
-    }
-
-    /// Sets the pinned-leaf budget (clamped to ≥ 1); takes effect on subsequent
-    /// lookups.
-    pub fn set_leaf_budget(&self, leaves: usize) {
-        self.leaf_budget.store(leaves.max(1), Ordering::Relaxed);
+        self.sessions.set_capacity(capacity);
     }
 
     /// A snapshot of the cumulative hit/miss/eviction/quarantine counters.
     pub fn stats(&self) -> RegistryStats {
+        let counts = self.sessions.counts();
         RegistryStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: counts.hits,
+            misses: counts.misses,
+            evictions: counts.evictions,
             quarantined: self.quarantined.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops every retained session and lifts every quarantine ban (the counters are
-    /// kept).  Sessions callers still hold stay alive; only the registry's references
-    /// are released.
+    /// Drops every retained session (the counters are kept).  Sessions callers still
+    /// hold stay alive; only the registry's references are released.
     pub fn clear(&self) {
-        let mut state = lock_recover(&self.state);
-        state.map.clear();
-        state.order.clear();
-        state.banned.clear();
+        self.sessions.clear();
     }
 }
 
@@ -912,7 +645,7 @@ pub fn shared_program<const D: usize>(
     plan: &ExecutionPlan<D>,
     sizes: [i64; D],
     window: i64,
-) -> (Arc<CompiledProgram<D>>, RegistryLookup) {
+) -> (Arc<CompiledProgram<D>>, CacheLookup) {
     registry().get_or_compile(spec, plan, sizes, window)
 }
 
@@ -923,7 +656,7 @@ pub fn try_shared_program<const D: usize>(
     plan: &ExecutionPlan<D>,
     sizes: [i64; D],
     window: i64,
-) -> Result<(Arc<CompiledProgram<D>>, RegistryLookup), ServeError> {
+) -> Result<(Arc<CompiledProgram<D>>, CacheLookup), ServeError> {
     registry().try_get_or_compile(spec, plan, sizes, window)
 }
 
@@ -1317,8 +1050,6 @@ pub struct StencilServer<T, K, const D: usize> {
     last_drain: Option<DrainReport>,
     /// Submit-time quotas (default: admit everything).
     policy: AdmissionPolicy,
-    /// What happens to the session key after a tenant panic (default: evict).
-    quarantine: QuarantinePolicy,
     /// Deterministic fault injection for the chaos suite (default: none).
     fault_plan: Option<FaultPlan>,
     /// Whether this server's program came from the process-global registry
@@ -1350,8 +1081,7 @@ where
     }
 
     /// [`new`](Self::new) returning [`ServeError`] instead of panicking — invalid
-    /// geometry, a panicking compile, or a quarantine ban on this key surface as
-    /// typed errors.
+    /// geometry or a panicking compile surface as typed errors.
     pub fn try_new(
         spec: StencilSpec<D>,
         kernel: K,
@@ -1403,7 +1133,6 @@ where
             queue: Vec::new(),
             last_drain: None,
             policy: AdmissionPolicy::default(),
-            quarantine: QuarantinePolicy::default(),
             fault_plan: None,
             uses_global_registry: false,
             pending_sheds: 0,
@@ -1415,15 +1144,6 @@ where
     /// rejection/dropping); the default admits everything.
     pub fn with_admission_policy(mut self, policy: AdmissionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets what happens to the session's registry key after a tenant panics in a
-    /// drain (default: [`QuarantinePolicy::Evict`]).  Only meaningful for servers
-    /// built via [`new`](Self::new) / [`try_new`](Self::try_new), whose program
-    /// lives in the process-global registry.
-    pub fn with_quarantine_policy(mut self, policy: QuarantinePolicy) -> Self {
-        self.quarantine = policy;
         self
     }
 
@@ -1833,7 +1553,6 @@ where
                 self.program.plan(),
                 self.program.sizes(),
                 self.program.window(),
-                self.quarantine,
             );
             par.count(Counter::ServingQuarantined, 1);
         }
@@ -2288,26 +2007,78 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_evicts_and_bans_with_cooldown() {
+    fn quarantine_evicts_and_the_key_recompiles() {
         let reg = SessionRegistry::with_capacity(8);
         let spec = StencilSpec::new(star_shape::<2>(1));
         let (first, _) = reg.try_get_or_compile(&spec, &plan(), [16, 16], 4).unwrap();
         assert_eq!(reg.len(), 1);
-        assert!(reg.quarantine(&spec, &plan(), [16, 16], 4, QuarantinePolicy::Ban(2)));
+        assert!(reg.quarantine(&spec, &plan(), [16, 16], 4));
         assert_eq!(reg.len(), 0, "the entry is evicted");
         assert_eq!(reg.stats().quarantined, 1);
-        // The next 2 lookups are rejected, then the key heals and recompiles.
-        for _ in 0..2 {
-            assert_eq!(
-                reg.try_get_or_compile(&spec, &plan(), [16, 16], 4).err(),
-                Some(ServeError::Shed {
-                    reason: ShedReason::Quarantined
-                })
-            );
-        }
         let (again, lookup) = reg.try_get_or_compile(&spec, &plan(), [16, 16], 4).unwrap();
-        assert!(!lookup.hit, "post-ban lookup recompiles");
+        assert!(!lookup.hit, "the next lookup recompiles");
         assert!(!Arc::ptr_eq(&first, &again));
+    }
+
+    /// A private registry whose pinned-leaf budget is `leaf_budget`.
+    fn registry_with_budget(capacity: usize, leaf_budget: usize) -> SessionRegistry {
+        SessionRegistry {
+            sessions: Lru::new(capacity, leaf_budget),
+            quarantined: AtomicU64::new(0),
+        }
+    }
+
+    /// The leaf-weighted budget: a registry whose pinned-leaf budget cannot hold two
+    /// sessions keeps only the most recent one, however generous its entry capacity —
+    /// while a single over-budget session stays retained (it is in use).
+    #[test]
+    fn leaf_budget_evicts_by_pinned_weight_not_entry_count() {
+        let spec = StencilSpec::new(star_shape::<2>(1));
+        // Learn the weight of one session, then set the budget to 1.5× of it.
+        let probe = SessionRegistry::with_capacity(8);
+        let (first, _) = probe.get_or_compile(&spec, &plan(), [19, 19], 3);
+        let weight = first.pinned_leaf_count();
+        assert!(weight > 0, "a compiled session must pin leaves");
+
+        let mut registry = registry_with_budget(8, weight * 3 / 2);
+        let (_, l1) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
+        assert_eq!(l1.evicted, 0, "a single over-budget session is retained");
+        // A second geometry pushes the total past the budget: the LRU entry goes, even
+        // though the entry capacity (8) has plenty of room.
+        let (_, l2) = registry.get_or_compile(&spec, &plan(), [21, 21], 3);
+        assert_eq!(l2.evicted, 1, "the leaf budget, not the capacity, evicts");
+        assert_eq!(registry.len(), 1);
+        // Raising the budget lets both live side by side again.
+        registry.sessions.leaf_budget = weight * 4;
+        let (_, l3) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
+        assert!(!l3.hit, "the evicted key recompiles");
+        assert_eq!(l3.evicted, 0);
+        assert_eq!(registry.len(), 2);
+    }
+
+    /// Weights are read live: a session whose pin set grew after its lookup is
+    /// charged its new weight at the next lookup of any key.
+    #[test]
+    fn a_grown_pin_set_is_charged_at_the_next_lookup() {
+        let spec = StencilSpec::new(star_shape::<2>(1));
+        let probe = SessionRegistry::with_capacity(8);
+        let weigh = |n: i64| {
+            let (program, _) = probe.get_or_compile(&spec, &plan(), [n, n], 3);
+            program.pinned_leaf_count()
+        };
+        // Exactly room for both sessions as built.
+        let registry = registry_with_budget(8, weigh(19) + weigh(21));
+        let (grown, _) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
+        registry.get_or_compile(&spec, &plan(), [21, 21], 3);
+        assert_eq!(registry.len(), 2);
+        assert_eq!(grown.precompile_windows(&[5]), 1);
+        // A hit on the other key sees the grown weight and evicts the LRU session.
+        let (_, lookup) = registry.get_or_compile(&spec, &plan(), [21, 21], 3);
+        assert!(lookup.hit);
+        assert_eq!(lookup.evicted, 1, "the grown session no longer fits");
+        assert_eq!(registry.len(), 1);
+        let (_, refetch) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
+        assert!(!refetch.hit, "the grown session was the one evicted");
     }
 
     #[test]

@@ -53,8 +53,8 @@
 use crate::boundary::{wrap, AxisRule, Boundary};
 use crate::engine::executor::CompiledProgram;
 use crate::engine::plan::{Coarsening, ExecutionPlan, Sharding};
-use crate::engine::schedule;
-use crate::engine::serving::{try_shared_program, RegistryLookup, ServeError};
+use crate::engine::schedule::{self, CacheLookup};
+use crate::engine::serving::{try_shared_program, ServeError};
 use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
 use pochoir_runtime::{Counter, Parallelism};
@@ -478,7 +478,7 @@ impl<const D: usize> ShardPlan<D> {
         spec: &StencilSpec<D>,
         plan: &ExecutionPlan<D>,
         report: &mut ShardReport,
-    ) -> Result<HashMap<i64, (Arc<CompiledProgram<D>>, RegistryLookup)>, ShardError> {
+    ) -> Result<HashMap<i64, (Arc<CompiledProgram<D>>, CacheLookup)>, ShardError> {
         let tile_plan = plan
             .with_coarsening(tile_coarsening(&plan.coarsening))
             .with_sharding(Sharding::Off);
@@ -653,7 +653,7 @@ impl<T, const D: usize> TileSpare<T, D> {
 /// `start` → `step` per window → `finish`.
 pub(crate) struct ShardRun<'p, T, const D: usize> {
     plan: Cow<'p, ShardPlan<D>>,
-    programs: HashMap<i64, (Arc<CompiledProgram<D>>, RegistryLookup)>,
+    programs: HashMap<i64, (Arc<CompiledProgram<D>>, CacheLookup)>,
     tiles: Tiles<T, D>,
     /// The last window ends here and is followed by no exchange.
     t1: i64,

@@ -66,9 +66,9 @@ pub mod prelude {
     pub use crate::engine::{
         run, run_traced, run_with_global_runtime, AdmissionPolicy, BaseCase, BatchRun, CloneMode,
         Coarsening, CompiledProgram, CompiledStencil, DrainReport, EngineKind, ExecutionPlan,
-        FaultPlan, GeometryError, IndexMode, QuarantinePolicy, RetryPolicy, Schedule, ScheduleMode,
-        ServeError, SessionStats, ShardError, ShardPlan, ShardReport, Sharding, ShedReason,
-        StencilServer, TicketOutcome,
+        FaultPlan, GeometryError, IndexMode, RetryPolicy, Schedule, ScheduleMode, ServeError,
+        SessionStats, ShardError, ShardPlan, ShardReport, Sharding, ShedReason, StencilServer,
+        TicketOutcome,
     };
     pub use crate::grid::{AlignedVec, PochoirArray, RowWriter, SpaceIter, GRID_ALIGN};
     pub use crate::hyperspace::{hyperspace_cut, single_space_cut, HyperspaceCut};

@@ -122,35 +122,6 @@ fn tiny_capacity_evicts_least_recently_used() {
     );
 }
 
-/// The leaf-weighted budget: a registry whose pinned-leaf budget cannot hold two
-/// sessions keeps only the most recent one, however generous its entry capacity —
-/// while a single over-budget session stays retained (it is in use), mirroring the
-/// schedule cache's policy for oversized entries.
-#[test]
-fn leaf_budget_evicts_by_pinned_weight_not_entry_count() {
-    let spec = StencilSpec::new(star_shape::<2>(1));
-    // Learn the weight of one session, then set the budget to 1.5× of it.
-    let probe = SessionRegistry::with_capacity(8);
-    let (first, _) = probe.get_or_compile(&spec, &plan(), [19, 19], 3);
-    let weight = first.pinned_leaf_count();
-    assert!(weight > 0, "a compiled session must pin leaves");
-
-    let registry = SessionRegistry::with_limits(8, weight * 3 / 2);
-    let (_, l1) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
-    assert_eq!(l1.evicted, 0, "a single over-budget session is retained");
-    // A second geometry pushes the total past the budget: the LRU entry goes, even
-    // though the entry capacity (8) has plenty of room.
-    let (_, l2) = registry.get_or_compile(&spec, &plan(), [21, 21], 3);
-    assert_eq!(l2.evicted, 1, "the leaf budget, not the capacity, evicts");
-    assert_eq!(registry.len(), 1);
-    // Raising the budget lets both live side by side again.
-    registry.set_leaf_budget(weight * 4);
-    let (_, l3) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
-    assert!(!l3.hit, "the evicted key recompiles");
-    assert_eq!(l3.evicted, 0);
-    assert_eq!(registry.len(), 2);
-}
-
 /// Concurrent `get_or_compile` of one cold key compiles exactly once: every thread
 /// receives the same `Arc`, and the registry counts one miss and N−1 hits.
 #[test]

@@ -208,7 +208,7 @@ pub fn serve(
     )
 }
 
-/// Fallible variant of [`serve`]: invalid geometry (or a quarantined / compile-failed
+/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
 /// registry key) surfaces as a typed [`ServeError`] instead of a panic.
 pub fn try_serve(
     params: &OptionParams,

@@ -197,7 +197,7 @@ pub fn serve_2d(sizes: [usize; 2], window: i64) -> StencilServer<f64, HeatKernel
     )
 }
 
-/// Fallible variant of [`serve_2d`]: invalid geometry (or a quarantined / compile-failed
+/// Fallible variant of [`serve_2d`]: invalid geometry (or a compile-failed
 /// registry key) comes back as a typed [`ServeError`] instead of a panic — the right
 /// entry point when geometry arrives from a request rather than from test code.
 ///

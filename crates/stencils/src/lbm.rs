@@ -194,7 +194,7 @@ pub fn serve(sizes: [usize; 3], window: i64) -> StencilServer<Cell, LbmKernel, 3
     )
 }
 
-/// Fallible variant of [`serve`]: invalid geometry (or a quarantined / compile-failed
+/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
 /// registry key) surfaces as a typed [`ServeError`] instead of a panic.
 pub fn try_serve(
     sizes: [usize; 3],

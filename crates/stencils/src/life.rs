@@ -124,7 +124,7 @@ pub fn serve(sizes: [usize; 2], window: i64) -> StencilServer<u8, LifeKernel, 2>
     )
 }
 
-/// Fallible variant of [`serve`]: invalid geometry (or a quarantined / compile-failed
+/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
 /// registry key) surfaces as a typed [`ServeError`] instead of a panic.
 pub fn try_serve(
     sizes: [usize; 2],
