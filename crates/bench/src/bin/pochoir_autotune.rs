@@ -8,7 +8,7 @@
 //!
 //! then writes the winners to the tune profile (default `target/pochoir-tune.json`,
 //! overridable with `POCHOIR_TUNE_PROFILE` or `--out`).  The stencil presets
-//! (`heat::session_2d`, `life::serve`, …) pick the profile up automatically on their
+//! (`heat::session_2d`, `life::try_serve`, …) pick the profile up automatically on their
 //! next run, so the sweep runs once per host, not per process.
 //!
 //! Usage: `pochoir-autotune [--scale tiny|small|medium|paper] [--out PATH]`

@@ -1,7 +1,7 @@
-//! Trace replay: drives [`pochoir_trace`] traffic through [`StencilServer`]s under
-//! the three drain disciplines and digests every drained grid, so the harness can
-//! assert — not merely time — that pipelined multi-tenant serving computes the same
-//! bits as per-array sequential runs.
+//! Trace replay: drives [`pochoir_trace`] traffic through [`StencilServer`]s, or
+//! straight through their compiled programs, and digests every resulting grid, so
+//! the harness can assert — not merely time — that pipelined multi-tenant serving
+//! computes the same bits as per-array sequential runs.
 //!
 //! One [`Trace`] maps onto servers as follows: every distinct `(app, geometry)`
 //! pair gets its own server (a `StencilServer` is typed per compiled geometry),
@@ -9,7 +9,7 @@
 //! arrival order, bucketed into epochs of `trace.epoch` ticks, and every server
 //! with pending work drains at each epoch boundary.  Servers are built by
 //! [`AnyServer::build`], the presets `pochoir-serve` itself uses; `HeatGiant1d`
-//! records take the [`submit_sharded`](StencilServer::submit_sharded) route.
+//! records take the [`try_submit_sharded`](StencilServer::try_submit_sharded) route.
 //!
 //! Everything the replay reports except wall-clock time is deterministic for a
 //! given trace on one worker thread (`POCHOIR_NUM_THREADS=1`): grid contents are
@@ -22,9 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use pochoir_core::engine::{
-    run_batch, AdmissionPolicy, BatchRun, DrainReport, ServeError, StencilServer, SubmitOptions,
-};
+use pochoir_core::engine::{AdmissionPolicy, ServeError, StencilServer, SubmitOptions};
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::StencilKernel;
 use pochoir_runtime::Runtime;
@@ -33,17 +31,14 @@ use pochoir_serve::with_server;
 use pochoir_stencils::traffic::{digest_grid, heat_grid, life_grid, usizes, wave_grid, DigestBits};
 use pochoir_trace::{Trace, TraceApp, TraceRecord};
 
-/// How the replay drains the queued traffic.
+/// How the replay runs the traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Discipline {
-    /// `StencilServer::drain` at each epoch boundary: per-window work items flow
+    /// `StencilServer::try_drain` at each epoch boundary: per-window work items flow
     /// through the weighted/deadline ready queue with no cross-tenant barrier.
     Pipelined,
-    /// `StencilServer::drain_barrier` at each epoch boundary: each submission runs
-    /// as one monolithic batch job; weights and deadlines are ignored.
-    Barrier,
-    /// No queue at all: each record runs immediately at submit time as a
-    /// single-array `run_batch` on the shared compiled program.
+    /// No queue at all: each record runs immediately at submit time as one
+    /// `CompiledProgram::run` of its array on the shared compiled program.
     Sequential,
 }
 
@@ -72,18 +67,18 @@ pub struct DisciplineRun {
     /// Stencil points actually computed (geometry volume × window, summed over
     /// records that ran).
     pub points: f64,
-    /// Per-window work items dispatched, summed over every epoch drain.
-    /// Pipelined only — the barrier drain does not produce a scheduler report.
+    /// Per-window work items dispatched, summed over every epoch drain
+    /// (pipelined only, as are the drain fields below).
     pub windows: u64,
-    /// Largest ready-queue high-water mark over all epoch drains (pipelined only).
+    /// Largest ready-queue high-water mark over all epoch drains.
     pub peak_ready: usize,
     /// Submissions whose final window dispatched past its logical deadline,
-    /// summed over every epoch drain (pipelined only).
+    /// summed over every epoch drain.
     pub deadline_misses: u64,
     /// Completion tick of each completed record, drain-local (each epoch drain
-    /// restarts its logical clock), in record order (pipelined only).
+    /// restarts its logical clock), in record order.
     pub completion_ticks: Vec<u64>,
-    /// Epoch drains executed (pipelined and barrier).
+    /// Epoch drains executed.
     pub drains: u64,
 }
 
@@ -103,7 +98,8 @@ struct ReplayServer {
 impl ReplayServer {
     fn build(app: TraceApp, geometry: &[u64], chunk: i64, opts: &ReplayOptions) -> ReplayServer {
         ReplayServer {
-            inner: AnyServer::build(app, geometry, chunk, opts.admission),
+            inner: AnyServer::build(app, geometry, chunk, opts.admission)
+                .expect("trace geometry builds a server"),
             queued: Vec::new(),
         }
     }
@@ -149,47 +145,31 @@ impl ReplayServer {
         !self.queued.is_empty()
     }
 
-    /// Drains the epoch's queue and credits each ticket's digest (and, for pipelined
-    /// drains, its completion tick) back to its record.
-    fn drain_epoch(&mut self, discipline: Discipline, run: &mut DisciplineRun) {
+    /// Drains the epoch's queue and credits each ticket's digest and completion tick
+    /// back to its record.
+    fn drain_epoch(&mut self, run: &mut DisciplineRun) {
         let queued = std::mem::take(&mut self.queued);
-        let (digests, report): (Vec<u64>, Option<DrainReport>) = match discipline {
-            Discipline::Pipelined => with_server!(&mut self.inner, s => {
-                let results = s.drain();
-                let digests = queued
-                    .iter()
-                    .zip(&results)
-                    .map(|(q, grid)| digest_grid(grid, q.t1))
-                    .collect();
-                (digests, s.last_drain().cloned())
-            }),
-            Discipline::Barrier => with_server!(&mut self.inner, s => {
-                let results = s.drain_barrier();
-                let digests = queued
-                    .iter()
-                    .zip(&results)
-                    .map(|(q, grid)| digest_grid(grid, q.t1))
-                    .collect();
-                (digests, None)
-            }),
-            Discipline::Sequential => unreachable!("sequential replay never queues"),
-        };
+        let (digests, report): (Vec<u64>, _) = with_server!(&mut self.inner, s => {
+            let results = s.try_drain().expect("a drain reports per-ticket failures");
+            let digests = queued
+                .iter()
+                .zip(&results)
+                .map(|(q, grid)| digest_grid(grid, q.t1))
+                .collect();
+            (digests, s.last_drain().cloned().expect("a drain leaves its report"))
+        });
         for (i, (q, digest)) in queued.iter().zip(digests).enumerate() {
             run.digests[q.record] = Some(digest);
-            if let Some(report) = &report {
-                run.completion_ticks
-                    .push(report.completion_tick.get(i).copied().unwrap_or(0));
-            }
+            run.completion_ticks
+                .push(report.completion_tick.get(i).copied().unwrap_or(0));
         }
-        if let Some(report) = report {
-            run.windows += report.windows;
-            run.peak_ready = run.peak_ready.max(report.peak_ready);
-            run.deadline_misses += report.deadline_misses;
-        }
+        run.windows += report.windows;
+        run.peak_ready = run.peak_ready.max(report.peak_ready);
+        run.deadline_misses += report.deadline_misses;
         run.drains += 1;
     }
 
-    /// Runs one record immediately as a single-array batch on the shared program —
+    /// Runs one record immediately as one monolithic run on the shared program —
     /// the no-serving baseline.  Giant programs fail `should_compile` inside the
     /// executor and fall back to the sharded tile pipeline, which is pinned
     /// bitwise-identical to the unsharded run.
@@ -199,18 +179,8 @@ impl ReplayServer {
             mut grid: PochoirArray<T, D>,
             t1: i64,
         ) -> u64 {
-            let mut jobs = [BatchRun {
-                array: &mut grid,
-                t0: 0,
-                t1,
-            }];
-            run_batch(
-                server.program(),
-                server.kernel(),
-                &mut jobs,
-                1,
-                Runtime::global(),
-            );
+            let par = Runtime::global();
+            server.program().run(&mut grid, server.kernel(), 0, t1, par);
             digest_grid(&grid, t1)
         }
         let t1 = rec.window;
@@ -278,7 +248,7 @@ pub fn replay_with_sessions(
         let epoch = rec.arrival_tick / trace.epoch;
         if discipline != Discipline::Sequential && current_epoch.is_some_and(|e| e != epoch) {
             for server in servers.values_mut().filter(|s| s.pending()) {
-                server.drain_epoch(discipline, &mut run);
+                server.drain_epoch(&mut run);
             }
         }
         current_epoch = Some(epoch);
@@ -294,16 +264,14 @@ pub fn replay_with_sessions(
         } else {
             match server.submit(index, rec) {
                 Ok(()) => run.points += record_points,
-                Err(ServeError::Shed { .. }) | Err(ServeError::DeadlineUnmeetable { .. }) => {
-                    run.shed += 1;
-                }
+                Err(ServeError::Shed { .. }) => run.shed += 1,
                 Err(e) => panic!("replay submit failed: {e}"),
             }
         }
     }
     if discipline != Discipline::Sequential {
         for server in servers.values_mut().filter(|s| s.pending()) {
-            server.drain_epoch(discipline, &mut run);
+            server.drain_epoch(&mut run);
         }
     }
     run.elapsed = start.elapsed().as_secs_f64();

@@ -697,27 +697,14 @@ where
         self.run_with(array, t0, t1, self.runtime_par());
     }
 
-    /// The parallelism provider [`run`](Self::run) and [`run_batch`](Self::run_batch)
-    /// use: the pinned runtime if one was set, the process-global one otherwise.
+    /// The parallelism provider [`run`](Self::run) and
+    /// [`run_sharded`](Self::run_sharded) use: the pinned runtime if one was set, the
+    /// process-global one otherwise.
     fn runtime_par(&self) -> &Runtime {
         match &self.runtime {
             Some(rt) => rt.as_ref(),
             None => Runtime::global(),
         }
-    }
-
-    /// Executes a batch of same-geometry requests through this session, whole-array
-    /// parallel across requests with at most `grain` requests per task (see
-    /// [`serving::run_batch`](crate::engine::serving::run_batch)), using the pinned
-    /// runtime if one was set and the process-global one otherwise.
-    pub fn run_batch(&self, jobs: &mut [crate::engine::serving::BatchRun<'_, T, D>], grain: usize) {
-        crate::engine::serving::run_batch(
-            &self.program,
-            &self.kernel,
-            jobs,
-            grain,
-            self.runtime_par(),
-        );
     }
 
     /// [`run`](Self::run) with an explicit parallelism provider (e.g. [`Serial`] for

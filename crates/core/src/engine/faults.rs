@@ -79,8 +79,7 @@ std::thread_local! {
 pub const INJECTED_COMPILE_FAILURE: &str = "injected compile failure";
 
 /// Arms the next `n` session compilations **on the calling thread** to panic, driving
-/// the registry's `CompileFailed` path and the serving layer's retry policy.  Passing
-/// `0` disarms.  Thread-local on purpose: a concurrently running test's compiles are
+/// the registry's `CompileFailed` path.  Passing `0` disarms.  Thread-local on purpose: a concurrently running test's compiles are
 /// unaffected, and the arming test's own registry lookups (which compile on the
 /// calling thread) observe the failure deterministically.
 pub fn inject_compile_failures(n: u32) {

@@ -43,7 +43,7 @@ pub(crate) trait Weigh: Any + Send + Sync {
 
 /// Outcome of a cache lookup: the schedule cache's
 /// [`schedule_for`](super::schedule::schedule_for) and the session registry's
-/// [`get_or_compile`](super::serving::SessionRegistry::get_or_compile).
+/// [`try_get_or_compile`](super::serving::SessionRegistry::try_get_or_compile).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheLookup {
     /// Whether the value was served without compiling on this lookup.

@@ -24,9 +24,8 @@ pub use plan::{
 };
 pub use schedule::{Schedule, ScheduledLeaf};
 pub use serving::{
-    run_batch, shared_program, try_shared_program, AdmissionPolicy, BatchRun, DrainReport,
-    RegistryStats, RetryPolicy, ServeError, SessionRegistry, ShedReason, StencilServer,
-    SubmitOptions, TicketOutcome,
+    try_shared_program, AdmissionPolicy, DrainReport, RegistryStats, ServeError, SessionRegistry,
+    ShedReason, StencilServer, SubmitOptions, TicketOutcome,
 };
 pub use shard::{ShardError, ShardPlan, ShardReport, Tile};
 pub use walker::CutStrategy;

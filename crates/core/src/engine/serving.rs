@@ -13,7 +13,7 @@
 //! happen once per *geometry*, not once per caller.  This module is that missing layer:
 //!
 //! ```text
-//!   StencilServer (submit / drain, owned arrays)            stencils::*::serve presets
+//!   StencilServer (try_submit / try_drain, owned arrays)    stencils::*::try_serve presets
 //!        │  fetches its program from                        dsl::Pochoir (same registry)
 //!        ▼
 //!   SessionRegistry  —  process-global, keyed by (spec fingerprint, sizes, plan, window)
@@ -25,15 +25,13 @@
 //!   Arc<CompiledProgram>  —  one per geometry, shared by every caller
 //!        │
 //!   drain (pipelined)  —  per-window work items, EDF + weighted-stride ready queue,
-//!        │                no cross-tenant barrier (see "Pipelined drains" below)
-//!   run_batch  —  whole-array parallelism across requests (for_each_with_grain),
-//!                 composing with the phase parallelism inside each request
+//!                         no cross-tenant barrier (see "Pipelined drains" below)
 //! ```
 //!
 //! ## Pipelined drains
 //!
-//! [`StencilServer::drain`] does **not** execute each submission as one monolithic run
-//! behind a batch barrier.  Each submission `[t0, t1)` is split into per-window work
+//! [`StencilServer::try_drain`] does **not** execute each submission as one monolithic
+//! run behind a batch barrier.  Each submission `[t0, t1)` is split into per-window work
 //! items of the program's compiled chunk height (the executor's time-origin shifting
 //! makes every chunk a pinned-schedule replay), and the items flow through a single
 //! ready queue: window N+1 of one tenant overlaps window N of another, and a tenant
@@ -49,15 +47,15 @@
 //! 3. **ticket order** — the deterministic tiebreak.
 //!
 //! Results are handed back in ticket order regardless of execution order, and are
-//! bitwise identical to the barrier drain ([`StencilServer::drain_barrier`], kept for
-//! comparison benchmarks): every grid point of every step is computed once, by the
+//! bitwise identical to running each array alone through
+//! [`CompiledProgram::run`]: every grid point of every step is computed once, by the
 //! same kernel expression, from the same inputs — the decomposition never affects the
 //! values.  [`StencilServer::last_drain`] reports windows executed, the ready-queue
 //! high-water mark, logical-deadline misses and per-ticket completion ticks; the same
 //! numbers reach the runtime's metrics (`serving_*` counters).
 //!
 //! One submission is one ticket, one chain and one returned array — also when it
-//! was submitted through [`StencilServer::submit_sharded`].  A sharded ticket's
+//! was submitted through [`StencilServer::try_submit_sharded`].  A sharded ticket's
 //! window is one round of its tile pipeline (every tile advances a window in
 //! parallel, then the halo seams are exchanged; `engine::shard` owns that driver),
 //! so the scheduler never sees tiles: it costs `windows` dispatch ticks like any
@@ -87,26 +85,15 @@
 //! a caller still holds, and in-flight entries (compile still running) are pinned
 //! against eviction so the exactly-once guarantee survives capacity pressure.
 //!
-//! ## Batching
-//!
-//! [`run_batch`] drives many `(array, t0, t1)` requests through *one* program.  Each
-//! request is a whole-array task handed to
-//! [`Parallelism::for_each_with_grain`], so on a work-stealing runtime the batch-level
-//! parallelism (independent arrays) composes with the phase-level parallelism inside
-//! each request (independent leaves of one dependency level) — small batches on big
-//! machines still fill the workers, and big batches of small grids amortize the
-//! fork-join overhead across requests.  Results are bitwise identical to running the
-//! requests sequentially: arrays are disjoint and each request's own execution is
-//! deterministic.
-//!
 //! ## When to use `StencilServer` vs. a raw `CompiledStencil`
 //!
 //! * **One long-lived array, one owner** — hold a
 //!   [`CompiledStencil`](crate::engine::CompiledStencil); it is the cheapest object
 //!   with a bound kernel and a pinned runtime.
 //! * **Many arrays of one geometry, or many short-lived owners** — use a
-//!   [`StencilServer`] (or fetch from the registry directly via [`shared_program`]):
-//!   sessions dedupe process-wide, and `submit`/`drain` batches steady-state traffic.
+//!   [`StencilServer`] (or fetch from the registry directly via
+//!   [`try_shared_program`]): sessions dedupe process-wide, and
+//!   `try_submit`/`try_drain` batch steady-state traffic.
 //! * **The DSL** — `Pochoir` already fetches its program from this registry, so two
 //!   `Pochoir` objects over identical geometry share one schedule automatically.
 //!
@@ -116,36 +103,27 @@
 //! The serving layer's failure surface (see `docs/serving.md`, "Failure semantics"):
 //!
 //! * **Typed errors** — [`ServeError`] classifies every way a request can fail;
-//!   [`StencilServer::try_submit_with`], [`StencilServer::try_drain`],
-//!   [`SessionRegistry::try_get_or_compile`] and [`try_shared_program`] return it
-//!   instead of panicking.  The historical panicking entry points are thin wrappers
-//!   that panic with the error's `Display` text, so existing callers (and their
-//!   `should_panic` tests) see the same messages.
+//!   every serving operation has one entry point, and it returns the error instead
+//!   of panicking ([`StencilServer::try_submit_with`], [`StencilServer::try_drain`],
+//!   [`SessionRegistry::try_get_or_compile`], [`try_shared_program`]).
 //! * **Panic quarantine** — a kernel panic inside a drain retires only that ticket's
-//!   chain: its remaining windows are cancelled, the payload is captured as
+//!   chain: its remaining windows are cancelled, the payload's message is recorded as
 //!   [`TicketOutcome::Panicked`] in the [`DrainReport`], and sibling tenants keep
 //!   draining to completion with results bitwise identical to a fault-free drain.
 //!   The panicking server's session key is then quarantined — evicted from the
 //!   registry, so the next lookup recompiles — and every engine lock
 //!   recovers from poisoning (`faults::lock_recover`) so one panic
-//!   never wedges the process.  [`StencilServer::drain`] still re-throws the first
-//!   payload after siblings finish (the pre-quarantine contract);
-//!   [`StencilServer::try_drain`] returns the surviving arrays with per-ticket
-//!   outcomes instead.
+//!   never wedges the process.
 //! * **Admission control** — an [`AdmissionPolicy`] sheds work at submit time
-//!   (queue/window quotas, pinned-leaf quotas → [`ServeError::Shed`]) and
-//!   optionally at dispatch time (chains whose
-//!   logical deadline can no longer be met are dropped before their first window
-//!   runs).  [`RetryPolicy`] adds bounded retry-with-backoff for transient
-//!   [`ServeError::CompileFailed`] failures.
+//!   (queue/window quotas, pinned-leaf quotas → [`ServeError::Shed`]).
 //! * **Deterministic fault injection** — a seeded
 //!   [`FaultPlan`] installed via
 //!   [`StencilServer::with_fault_plan`] panics/delays exact `(ticket, window)`
 //!   coordinates, driving the chaos suite (`tests/serving_chaos.rs`) that checks all
 //!   of the above under serial and work-stealing drains.
 //!
-//! All of it is observable: `serving_shed`, `serving_retries`, `serving_quarantined`
-//! and `registry_poison_recoveries` flow through the runtime's metrics next to the
+//! All of it is observable: `serving_shed`, `serving_quarantined` and
+//! `registry_poison_recoveries` flow through the runtime's metrics next to the
 //! existing `serving_*` counters.
 
 // One tenant's failure must never become a process failure: every lock acquisition
@@ -163,12 +141,10 @@ use crate::engine::shard::{self, ShardError, ShardPlan, ShardRun};
 use crate::grid::PochoirArray;
 use crate::kernel::{StencilKernel, StencilSpec};
 use pochoir_runtime::{Counter, Parallelism, Runtime};
-use std::any::Any;
 use std::borrow::Cow;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
 
 /// Locks transient per-drain state (array slots, the scheduler, panic payloads),
 /// tolerating poison from a panicked window: the drain's own `catch_unwind` has
@@ -198,8 +174,7 @@ pub struct RegistryStats {
     pub quarantined: u64,
 }
 
-/// Why admission control refused a request (see [`ServeError::Shed`] and
-/// [`TicketOutcome::Shed`]).
+/// Why admission control refused a request (see [`ServeError::Shed`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShedReason {
     /// The server's pending queue is at [`AdmissionPolicy::max_pending`].
@@ -209,9 +184,6 @@ pub enum ShedReason {
     /// The shared session pins more leaves than
     /// [`AdmissionPolicy::max_session_leaves`] allows.
     SessionLeafQuota,
-    /// Dispatch-time drop: the chain's logical deadline could no longer be met when
-    /// its first window came up ([`AdmissionPolicy::drop_unmeetable`]).
-    DeadlineUnmeetable,
 }
 
 impl std::fmt::Display for ShedReason {
@@ -220,7 +192,6 @@ impl std::fmt::Display for ShedReason {
             ShedReason::QueueFull => "pending queue full",
             ShedReason::WindowQuotaExceeded => "queued-window quota exceeded",
             ShedReason::SessionLeafQuota => "session pinned-leaf quota exceeded",
-            ShedReason::DeadlineUnmeetable => "logical deadline unmeetable at dispatch",
         };
         f.write_str(reason)
     }
@@ -228,22 +199,16 @@ impl std::fmt::Display for ShedReason {
 
 /// Everything that can go wrong when serving a stencil request, as a typed error
 /// instead of a panic.
-///
-/// The panicking entry points ([`StencilServer::submit_with`],
-/// [`SessionRegistry::get_or_compile`], [`shared_program`]) are thin wrappers over
-/// the `try_` variants that panic with this error's `Display` text, so the messages
-/// callers historically matched on are preserved verbatim.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// The request's geometry cannot be served: mismatched extents, too few time
-    /// slices, non-positive sizes.  `detail` is the exact message the panicking
-    /// entry points raise.
+    /// slices, non-positive sizes.  `detail` is the whole message.
     InvalidGeometry {
         /// Human-readable description of the mismatch.
         detail: String,
     },
-    /// Session compilation panicked (the once-cell stays uninitialized, so a retry
-    /// — e.g. via [`RetryPolicy`] — can succeed).
+    /// Session compilation panicked (the once-cell stays uninitialized, so the next
+    /// lookup compiles afresh).
     CompileFailed {
         /// The compile panic's message.
         detail: String,
@@ -262,15 +227,6 @@ pub enum ServeError {
         /// Which quota fired.
         reason: ShedReason,
     },
-    /// The submission's logical deadline cannot be met even if it dispatched first:
-    /// it needs `windows` dispatch ticks but asked to finish by tick `deadline`
-    /// (submit-time rejection; opt in via [`AdmissionPolicy::reject_unmeetable`]).
-    DeadlineUnmeetable {
-        /// The requested completion tick.
-        deadline: u64,
-        /// The dispatch ticks the submission needs.
-        windows: u64,
-    },
     /// Registry internals panicked outside the compile closure; the lookup cannot
     /// say anything about the key's state.  Recoverable by retrying — registry
     /// locks themselves heal via poison recovery.
@@ -280,8 +236,8 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            // Bare detail: the panicking wrappers re-raise this text, and callers
-            // (and `should_panic` tests) match on the historical message.
+            // Bare detail: callers (and `should_panic` tests that `unwrap`) match on
+            // the message itself.
             ServeError::InvalidGeometry { detail } => f.write_str(detail),
             ServeError::CompileFailed { detail } => {
                 write!(f, "session compilation failed: {detail}")
@@ -290,10 +246,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "tenant {ticket} panicked: {message}")
             }
             ServeError::Shed { reason } => write!(f, "request shed: {reason}"),
-            ServeError::DeadlineUnmeetable { deadline, windows } => write!(
-                f,
-                "deadline tick {deadline} is unmeetable: the submission needs {windows} dispatch ticks"
-            ),
             ServeError::RegistryPoisoned => {
                 f.write_str("session registry internals panicked; retry the lookup")
             }
@@ -322,18 +274,10 @@ pub enum TicketOutcome {
         /// The panic payload's message.
         message: String,
     },
-    /// The chain was dropped at dispatch time before any window ran (currently only
-    /// [`ShedReason::DeadlineUnmeetable`] under [`AdmissionPolicy::drop_unmeetable`]);
-    /// the returned array is untouched.
-    Shed {
-        /// Why the chain was dropped.
-        reason: ShedReason,
-    },
 }
 
-/// Per-tenant quotas applied at submit time, plus the dispatch-time deadline
-/// policy.  The default admits everything (no quotas, deadline misses merely
-/// counted) — exactly the pre-admission-control behaviour.
+/// Per-tenant quotas applied at submit time.  The default admits everything (no
+/// quotas; a missed deadline is merely counted).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AdmissionPolicy {
     /// Maximum submissions waiting in the queue; the next submit sheds
@@ -346,66 +290,6 @@ pub struct AdmissionPolicy {
     /// Maximum leaves the shared session may have pinned at submit time; exceeding
     /// sheds ([`ShedReason::SessionLeafQuota`]).
     pub max_session_leaves: Option<usize>,
-    /// Reject submissions whose logical deadline cannot be met even dispatching
-    /// first ([`ServeError::DeadlineUnmeetable`]).  Off by default: an unmeetable
-    /// deadline is admitted and counted as a miss, the pre-admission behaviour.
-    pub reject_unmeetable: bool,
-    /// At dispatch time, drop not-yet-started chains whose deadline has become
-    /// unmeetable ([`TicketOutcome::Shed`]) instead of running them to a guaranteed
-    /// miss.  Off by default.
-    pub drop_unmeetable: bool,
-}
-
-/// Bounded retry-with-exponential-backoff for transient
-/// [`ServeError::CompileFailed`] failures (only; every other error is permanent and
-/// returned immediately).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = no retry).
-    pub max_retries: u32,
-    /// Sleep before retry `n` is `backoff * 2^(n-1)`; `Duration::ZERO` disables
-    /// sleeping (tests).
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with the given bounds.
-    pub fn new(max_retries: u32, backoff: Duration) -> Self {
-        RetryPolicy {
-            max_retries,
-            backoff,
-        }
-    }
-
-    /// Runs `attempt` until it succeeds, fails permanently, or the retry budget is
-    /// spent; returns the final result and how many retries were performed.
-    pub fn retry<V>(
-        &self,
-        mut attempt: impl FnMut() -> Result<V, ServeError>,
-    ) -> (Result<V, ServeError>, u32) {
-        let mut retries = 0;
-        loop {
-            match attempt() {
-                Err(ServeError::CompileFailed { .. }) if retries < self.max_retries => {
-                    let backoff = self.backoff * 2u32.saturating_pow(retries);
-                    retries += 1;
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                outcome => return (outcome, retries),
-            }
-        }
-    }
 }
 
 /// Geometry key of a registry entry: every input of schedule compilation, flattened to
@@ -484,9 +368,9 @@ const REGISTRY_LEAF_BUDGET: usize = 1 << 20;
 /// `(spec fingerprint, sizes, plan, window)`.
 ///
 /// Retention is bounded by an entry capacity *and* a constant pinned-leaf budget (the
-/// memory bound).  One process-global instance backs [`shared_program`] (and, through
-/// it, the DSL's `Pochoir` object and [`StencilServer::new`]); multi-tenant
-/// deployments or tests can construct private instances with
+/// memory bound).  One process-global instance backs [`try_shared_program`] (and,
+/// through it, the DSL's `Pochoir` object and [`StencilServer::try_new`]);
+/// multi-tenant deployments or tests can construct private instances with
 /// [`SessionRegistry::with_capacity`].
 ///
 /// ```
@@ -500,8 +384,8 @@ const REGISTRY_LEAF_BUDGET: usize = 1 << 20;
 /// let spec = StencilSpec::new(star_shape::<2>(1));
 /// let plan = ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6]));
 /// // First lookup of a geometry compiles; the second is served the same session.
-/// let (first, miss) = registry.get_or_compile(&spec, &plan, [16, 16], 4);
-/// let (second, hit) = registry.get_or_compile(&spec, &plan, [16, 16], 4);
+/// let (first, miss) = registry.try_get_or_compile(&spec, &plan, [16, 16], 4).unwrap();
+/// let (second, hit) = registry.try_get_or_compile(&spec, &plan, [16, 16], 4).unwrap();
 /// assert!(!miss.hit && hit.hit);
 /// assert!(Arc::ptr_eq(&first, &second));
 /// ```
@@ -524,28 +408,12 @@ impl SessionRegistry {
     ///
     /// The [`CacheLookup`] reports whether an existing program was served and how
     /// many LRU entries were evicted to make room; [`stats`](Self::stats) keeps the
-    /// cumulative counts.
-    pub fn get_or_compile<const D: usize>(
-        &self,
-        spec: &StencilSpec<D>,
-        plan: &ExecutionPlan<D>,
-        sizes: [i64; D],
-        window: i64,
-    ) -> (Arc<CompiledProgram<D>>, CacheLookup) {
-        self.try_get_or_compile(spec, plan, sizes, window)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`get_or_compile`](Self::get_or_compile) returning [`ServeError`] instead of
-    /// panicking:
+    /// cumulative counts.  Failures are typed:
     ///
     /// * invalid geometry → [`ServeError::InvalidGeometry`];
     /// * a panicking compile → [`ServeError::CompileFailed`], with the in-flight slot
-    ///   dropped, so a retry (e.g. under a [`RetryPolicy`]) performs a fresh compile
-    ///   instead of observing a wedged key.
-    ///
-    /// The exactly-once guarantee is unchanged on the success path: concurrent cold
-    /// lookups still share one compilation.
+    ///   dropped, so the next lookup performs a fresh compile instead of observing a
+    ///   wedged key.
     pub fn try_get_or_compile<const D: usize>(
         &self,
         spec: &StencilSpec<D>,
@@ -635,22 +503,12 @@ fn registry() -> &'static SessionRegistry {
 }
 
 /// Fetches the process-global shared [`CompiledProgram`] for the given geometry,
-/// compiling it exactly once per `(spec fingerprint, sizes, plan, window)` key.
-///
-/// This is the entry point the DSL's `Pochoir` object and [`StencilServer::new`] use;
-/// callers managing their own registry (multi-tenant isolation, tests) should call
-/// [`SessionRegistry::get_or_compile`] on a private instance instead.
-pub fn shared_program<const D: usize>(
-    spec: &StencilSpec<D>,
-    plan: &ExecutionPlan<D>,
-    sizes: [i64; D],
-    window: i64,
-) -> (Arc<CompiledProgram<D>>, CacheLookup) {
-    registry().get_or_compile(spec, plan, sizes, window)
-}
-
-/// [`shared_program`] returning [`ServeError`] instead of panicking (see
+/// compiling it exactly once per `(spec fingerprint, sizes, plan, window)` key (see
 /// [`SessionRegistry::try_get_or_compile`] for the error semantics).
+///
+/// This is the entry point the DSL's `Pochoir` object and [`StencilServer::try_new`]
+/// use; callers managing their own registry (multi-tenant isolation, tests) should
+/// call [`SessionRegistry::try_get_or_compile`] on a private instance instead.
 pub fn try_shared_program<const D: usize>(
     spec: &StencilSpec<D>,
     plan: &ExecutionPlan<D>,
@@ -676,54 +534,7 @@ pub fn clear_registry() {
     registry().clear();
 }
 
-/// One request of a batch: a borrowed array and the time window to execute on it.
-pub struct BatchRun<'a, T, const D: usize> {
-    /// The array to step (its extents must match the program's compiled geometry).
-    pub array: &'a mut PochoirArray<T, D>,
-    /// First kernel-invocation time (inclusive).
-    pub t0: i64,
-    /// Last kernel-invocation time (exclusive).
-    pub t1: i64,
-}
-
-/// Executes every request of `jobs` against one shared `program`, whole-array-parallel
-/// across requests via [`Parallelism::for_each_with_grain`] (at most `grain` requests
-/// per task).
-///
-/// Each request runs through the ordinary session pipeline — per-request validation,
-/// pinned-schedule replay, phase parallelism — with the *same* provider `par`, so on a
-/// work-stealing runtime idle workers steal across requests and within them alike.
-/// Results are bitwise identical to running the requests sequentially in any order:
-/// the arrays are disjoint and each request's execution is deterministic.
-pub fn run_batch<T, K, P, const D: usize>(
-    program: &CompiledProgram<D>,
-    kernel: &K,
-    jobs: &mut [BatchRun<'_, T, D>],
-    grain: usize,
-    par: &P,
-) where
-    T: Copy + Send + Sync + 'static,
-    K: StencilKernel<T, D>,
-    P: Parallelism,
-{
-    match jobs {
-        [] => {}
-        [only] => program.run(only.array, kernel, only.t0, only.t1, par),
-        many => {
-            // `for_each_with_grain` hands out shared references; a per-request mutex
-            // restores exclusive access (each slot is locked exactly once, so the
-            // locks never contend — they only carry the `&mut` across the fork).
-            let slots: Vec<Mutex<&mut BatchRun<'_, T, D>>> =
-                many.iter_mut().map(Mutex::new).collect();
-            par.for_each_with_grain(&slots, grain.max(1), |slot| {
-                let job = &mut *lock_transient(slot);
-                program.run(job.array, kernel, job.t0, job.t1, par);
-            });
-        }
-    }
-}
-
-/// Per-submission scheduling options (see [`StencilServer::submit_with`]).
+/// Per-submission scheduling options (see [`StencilServer::try_submit_with`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SubmitOptions {
     /// Relative share of dispatch slots under weighted-stride scheduling (clamped to
@@ -765,8 +576,7 @@ impl SubmitOptions {
     }
 }
 
-/// What the last pipelined [`StencilServer::drain`] did (see
-/// [`StencilServer::last_drain`]).
+/// What the last [`StencilServer::try_drain`] did (see [`StencilServer::last_drain`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DrainReport {
     /// Per-window work items dispatched (the drain's logical clock ran to this tick).
@@ -780,7 +590,7 @@ pub struct DrainReport {
     /// serial drains; tests use this to assert deadline and fairness ordering.
     pub completion_tick: Vec<u64>,
     /// Per ticket: how the submission fared ([`TicketOutcome::Completed`] unless its
-    /// kernel panicked or its chain was dropped at dispatch time).
+    /// kernel panicked).
     pub outcomes: Vec<TicketOutcome>,
 }
 
@@ -790,9 +600,8 @@ impl DrainReport {
         self.outcomes.get(ticket)
     }
 
-    /// Typed errors for every ticket that did not complete: panicked tenants as
-    /// [`ServeError::TenantPanicked`], dispatch-dropped chains as
-    /// [`ServeError::Shed`].  Empty after a clean drain.
+    /// Typed errors for every ticket that did not complete, as
+    /// [`ServeError::TenantPanicked`].  Empty after a clean drain.
     pub fn failures(&self) -> Vec<ServeError> {
         self.outcomes
             .iter()
@@ -803,7 +612,6 @@ impl DrainReport {
                     ticket,
                     message: message.clone(),
                 }),
-                TicketOutcome::Shed { reason } => Some(ServeError::Shed { reason: *reason }),
             })
             .collect()
     }
@@ -816,7 +624,7 @@ struct Submission<T, const D: usize> {
     t1: i64,
     opts: SubmitOptions,
     /// The tile pipeline of a sharded submission
-    /// ([`submit_sharded`](StencilServer::submit_sharded)): its windows are shard
+    /// ([`try_submit_sharded`](StencilServer::try_submit_sharded)): its windows are shard
     /// rounds, and `array` is stale until the drain ends and gathers the tiles.
     shard: Option<ShardRun<'static, T, D>>,
 }
@@ -851,8 +659,7 @@ struct Chain {
     pass: u64,
     stride: u64,
     deadline: Option<u64>,
-    /// Windows dispatched so far — the 0-based index handed to the fault plan, and
-    /// the "has this chain started?" test behind dispatch-time deadline drops.
+    /// Windows dispatched so far — the 0-based index handed to the fault plan.
     dispatched: u64,
 }
 
@@ -867,12 +674,8 @@ struct SchedulerState {
     peak_ready: usize,
     deadline_misses: u64,
     completion_tick: Vec<u64>,
-    /// Per-ticket fate: `Completed` unless the chain panicked (quarantined mid-drain)
-    /// or was dropped at dispatch time.
+    /// Per-ticket fate: `Completed` unless the chain panicked (quarantined mid-drain).
     outcomes: Vec<TicketOutcome>,
-    /// Chains dropped at dispatch time (unmeetable deadlines under
-    /// [`AdmissionPolicy::drop_unmeetable`]), counted toward `serving_shed`.
-    dispatch_sheds: u64,
 }
 
 impl SchedulerState {
@@ -905,33 +708,6 @@ impl SchedulerState {
             ticks: 0,
             deadline_misses: 0,
             chains,
-            dispatch_sheds: 0,
-        }
-    }
-
-    /// Drops ready chains that have not yet started and whose logical deadline can
-    /// no longer be met even if they dispatched back-to-back from the next tick
-    /// (the dispatch-time half of [`AdmissionPolicy::drop_unmeetable`]).
-    fn drop_unmeetable(&mut self, chunk: i64) {
-        let mut i = 0;
-        while i < self.ready.len() {
-            let ticket = self.ready[i];
-            let c = &self.chains[ticket];
-            let remaining = ((c.t1 - c.next_t) + chunk - 1) / chunk;
-            let unmeetable = c.dispatched == 0
-                && remaining > 0
-                && c.deadline
-                    .is_some_and(|d| d < self.ticks + remaining as u64);
-            if unmeetable {
-                self.ready.swap_remove(i);
-                self.dispatch_sheds += 1;
-                self.outcomes[ticket] = TicketOutcome::Shed {
-                    reason: ShedReason::DeadlineUnmeetable,
-                };
-                self.chains[ticket].next_t = self.chains[ticket].t1;
-            } else {
-                i += 1;
-            }
         }
     }
 
@@ -939,10 +715,7 @@ impl SchedulerState {
     /// ascending — advancing the clock and the tenant's virtual time.  Returns the
     /// ticket, the chain's 0-based window index, and the window to run, or `None`
     /// if nothing is ready right now.
-    fn pop(&mut self, chunk: i64, drop_unmeetable: bool) -> Option<(usize, u64, i64, i64)> {
-        if drop_unmeetable {
-            self.drop_unmeetable(chunk);
-        }
+    fn pop(&mut self, chunk: i64) -> Option<(usize, u64, i64, i64)> {
         let pos = (0..self.ready.len()).min_by_key(|&i| {
             let ticket = self.ready[i];
             let c = &self.chains[ticket];
@@ -991,15 +764,16 @@ impl SchedulerState {
 /// The serving facade: one shared session, a bound kernel, and a submit/drain queue
 /// scheduled as a pipelined multi-tenant workload.
 ///
-/// A server is the per-geometry object a deployment holds: [`new`](StencilServer::new)
-/// fetches the [`CompiledProgram`] from the process-global [`SessionRegistry`] (so N
-/// servers — or N DSL `Pochoir` objects — over identical geometry compile once),
-/// [`submit`](StencilServer::submit) / [`submit_with`](StencilServer::submit_with)
-/// enqueue `(array, t0, t1)` requests with optional per-tenant weight and deadline,
-/// and [`drain`](StencilServer::drain) runs the queue as per-window work items through
-/// the weighted/deadline ready queue (see the module docs), handing the arrays back in
-/// submission order.  [`stats`](StencilServer::stats) exposes the shared session's
-/// counters: at steady state `runs` grows by the window count per drain while
+/// A server is the per-geometry object a deployment holds:
+/// [`try_new`](StencilServer::try_new) fetches the [`CompiledProgram`] from the
+/// process-global [`SessionRegistry`] (so N servers — or N DSL `Pochoir` objects — over
+/// identical geometry compile once), [`try_submit`](StencilServer::try_submit) /
+/// [`try_submit_with`](StencilServer::try_submit_with) enqueue `(array, t0, t1)`
+/// requests with optional per-tenant weight and deadline, and
+/// [`try_drain`](StencilServer::try_drain) runs the queue as per-window work items
+/// through the weighted/deadline ready queue (see the module docs), handing the arrays
+/// back in submission order.  [`stats`](StencilServer::stats) exposes the shared
+/// session's counters: at steady state `runs` grows by the window count per drain while
 /// `schedule_compiles` stays constant — one compile, any number of windows.
 ///
 /// ```
@@ -1018,13 +792,14 @@ impl SchedulerState {
 ///     }
 /// }
 ///
-/// let mut server = StencilServer::new(
+/// let mut server = StencilServer::try_new(
 ///     StencilSpec::new(star_shape::<2>(1)),
 ///     Decay,
 ///     ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [5, 5])),
 ///     [12, 12],
 ///     4, // windows of 4 steps: the pipelined drain's chunk height
-/// );
+/// )
+/// .unwrap();
 /// let make = || {
 ///     let mut a = PochoirArray::<f64, 2>::new([12, 12]);
 ///     a.register_boundary(Boundary::Periodic);
@@ -1032,9 +807,11 @@ impl SchedulerState {
 ///     a
 /// };
 /// // An 8-step background request and a 4-step deadline request.
-/// let slow = server.submit(make(), 0, 8);
-/// let urgent = server.submit_with(make(), 0, 4, SubmitOptions::weighted(2).with_deadline(1));
-/// let results = server.drain(); // pipelined: the urgent window dispatches first
+/// let slow = server.try_submit(make(), 0, 8).unwrap();
+/// let urgent = server
+///     .try_submit_with(make(), 0, 4, SubmitOptions::weighted(2).with_deadline(1))
+///     .unwrap();
+/// let results = server.try_drain().unwrap(); // pipelined: the urgent window dispatches first
 /// assert_eq!(results.len(), 2);
 /// let report = server.last_drain().unwrap();
 /// assert_eq!(report.windows, 3); // 2 windows for `slow`, 1 for `urgent`
@@ -1053,13 +830,10 @@ pub struct StencilServer<T, K, const D: usize> {
     /// Deterministic fault injection for the chaos suite (default: none).
     fault_plan: Option<FaultPlan>,
     /// Whether this server's program came from the process-global registry
-    /// ([`new`](Self::new)): only then can a panic quarantine the key there.
+    /// ([`try_new`](Self::try_new)): only then can a panic quarantine the key there.
     uses_global_registry: bool,
     /// Submit-time sheds since the last drain, flushed to `serving_shed` then.
     pending_sheds: u64,
-    /// Compile retries performed at construction, flushed to `serving_retries` by
-    /// the first drain.
-    pending_retries: u64,
 }
 
 impl<T, K, const D: usize> StencilServer<T, K, D>
@@ -1069,19 +843,8 @@ where
 {
     /// Creates a server for grids of extent `sizes`, fetching the shared program for
     /// `(spec, plan, sizes, window)` from the process-global registry (compiling it if
-    /// this geometry was never seen).
-    pub fn new(
-        spec: StencilSpec<D>,
-        kernel: K,
-        plan: ExecutionPlan<D>,
-        sizes: [usize; D],
-        window: i64,
-    ) -> Self {
-        Self::try_new(spec, kernel, plan, sizes, window).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`new`](Self::new) returning [`ServeError`] instead of panicking — invalid
-    /// geometry or a panicking compile surface as typed errors.
+    /// this geometry was never seen).  Invalid geometry or a panicking compile surface
+    /// as typed errors.
     pub fn try_new(
         spec: StencilSpec<D>,
         kernel: K,
@@ -1089,36 +852,13 @@ where
         sizes: [usize; D],
         window: i64,
     ) -> Result<Self, ServeError> {
-        Self::try_new_with_retry(
-            spec,
-            kernel,
-            plan,
-            sizes,
-            window,
-            RetryPolicy::new(0, Duration::ZERO),
-        )
-    }
-
-    /// [`try_new`](Self::try_new) retrying transient [`ServeError::CompileFailed`]
-    /// failures under `retry` (bounded, exponential backoff).  Retries performed are
-    /// flushed to the `serving_retries` metric by the server's first drain.
-    pub fn try_new_with_retry(
-        spec: StencilSpec<D>,
-        kernel: K,
-        plan: ExecutionPlan<D>,
-        sizes: [usize; D],
-        window: i64,
-        retry: RetryPolicy,
-    ) -> Result<Self, ServeError> {
         let mut extents = [0i64; D];
         for i in 0..D {
             extents[i] = sizes[i] as i64;
         }
-        let (outcome, retries) = retry.retry(|| try_shared_program(&spec, &plan, extents, window));
-        let (program, _) = outcome?;
+        let (program, _) = try_shared_program(&spec, &plan, extents, window)?;
         let mut server = Self::from_program(program, kernel);
         server.uses_global_registry = true;
-        server.pending_retries = u64::from(retries);
         Ok(server)
     }
 
@@ -1136,12 +876,10 @@ where
             fault_plan: None,
             uses_global_registry: false,
             pending_sheds: 0,
-            pending_retries: 0,
         }
     }
 
-    /// Sets the submit-time admission policy (quotas, deadline
-    /// rejection/dropping); the default admits everything.
+    /// Sets the submit-time admission quotas; the default admits everything.
     pub fn with_admission_policy(mut self, policy: AdmissionPolicy) -> Self {
         self.policy = policy;
         self
@@ -1156,8 +894,8 @@ where
         self
     }
 
-    /// Pins a dedicated work-stealing runtime; [`drain`](Self::drain) uses it instead
-    /// of the process-global one.
+    /// Pins a dedicated work-stealing runtime; [`try_drain`](Self::try_drain) uses it
+    /// instead of the process-global one.
     pub fn with_runtime(mut self, runtime: Arc<Runtime>) -> Self {
         self.runtime = Some(runtime);
         self
@@ -1184,29 +922,7 @@ where
 
     /// Enqueues a request to run kernel-invocation times `[t0, t1)` on `array` with
     /// default options (weight 1, no deadline); returns its ticket (the index of its
-    /// array in the next [`drain`](Self::drain)).
-    ///
-    /// The array's extents must match the server's compiled geometry.
-    pub fn submit(&mut self, array: PochoirArray<T, D>, t0: i64, t1: i64) -> usize {
-        self.submit_with(array, t0, t1, SubmitOptions::default())
-    }
-
-    /// [`submit`](Self::submit) with explicit scheduling options: a per-tenant weight
-    /// (share of dispatch slots) and an optional logical deadline (see
-    /// [`SubmitOptions`]).  Panics on rejection; [`try_submit_with`](Self::try_submit_with)
-    /// is the non-panicking variant.
-    pub fn submit_with(
-        &mut self,
-        array: PochoirArray<T, D>,
-        t0: i64,
-        t1: i64,
-        opts: SubmitOptions,
-    ) -> usize {
-        self.try_submit_with(array, t0, t1, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`submit`](Self::submit) returning [`ServeError`] instead of panicking.
+    /// array in the next [`try_drain`](Self::try_drain)).
     pub fn try_submit(
         &mut self,
         array: PochoirArray<T, D>,
@@ -1216,13 +932,12 @@ where
         self.try_submit_with(array, t0, t1, SubmitOptions::default())
     }
 
-    /// [`submit_with`](Self::submit_with) returning [`ServeError`] instead of
-    /// panicking: mismatched geometry is [`ServeError::InvalidGeometry`], admission
-    /// control rejections are [`ServeError::Shed`] (counted toward the
-    /// `serving_shed` metric at the next drain), and — under
-    /// [`AdmissionPolicy::reject_unmeetable`] — hopeless deadlines are
-    /// [`ServeError::DeadlineUnmeetable`].  On `Err` the array is dropped with the
-    /// error; nothing is queued.
+    /// [`try_submit`](Self::try_submit) with explicit scheduling options: a per-tenant
+    /// weight (share of dispatch slots) and an optional logical deadline (see
+    /// [`SubmitOptions`]).  An array whose extents differ from the server's compiled
+    /// geometry is [`ServeError::InvalidGeometry`]; admission control rejections are
+    /// [`ServeError::Shed`] (counted toward the `serving_shed` metric at the next
+    /// drain).  On `Err` the array is dropped with the error; nothing is queued.
     pub fn try_submit_with(
         &mut self,
         array: PochoirArray<T, D>,
@@ -1231,7 +946,7 @@ where
         opts: SubmitOptions,
     ) -> Result<usize, ServeError> {
         self.check_extents(&array)?;
-        self.admit(t0, t1, opts)?;
+        self.admit(t0, t1)?;
         self.queue.push(Submission {
             array,
             t0,
@@ -1245,32 +960,20 @@ where
     /// Submits a giant grid as a **sharded tenant**: the array is split along its
     /// outermost axis into halo-padded tiles (geometry per the server plan's
     /// [`Sharding`](crate::engine::Sharding) mode, window pinned to the server's
-    /// chunk height), and the next [`drain`](Self::drain) schedules the submission
-    /// like any other — one ticket, one chain — except that each of its windows is
-    /// one shard round: every tile advances a window in parallel, then the halo
-    /// seams are exchanged.
+    /// chunk height), and the next [`try_drain`](Self::try_drain) schedules the
+    /// submission like any other — one ticket, one chain — except that each of its
+    /// windows is one shard round: every tile advances a window in parallel, then the
+    /// halo seams are exchanged.
     ///
     /// Returns the submission's ticket: in the drained results that index holds the
     /// reassembled giant, bitwise identical to running it unsharded.  A panicking
     /// round retires the ticket like any other tenant's; the returned array is then
-    /// structurally valid with unspecified contents.  Panics on rejection;
-    /// [`try_submit_sharded`](Self::try_submit_sharded) is the non-panicking variant.
-    pub fn submit_sharded(
-        &mut self,
-        array: PochoirArray<T, D>,
-        t0: i64,
-        t1: i64,
-        opts: SubmitOptions,
-    ) -> usize {
-        self.try_submit_sharded(array, t0, t1, opts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`submit_sharded`](Self::submit_sharded) returning [`ServeError`] instead of
-    /// panicking: mismatched geometry, a [`Boundary::Custom`] array, a plan with
-    /// sharding off, or an unshardable geometry are [`ServeError::InvalidGeometry`];
-    /// tile compilation failures surface as their underlying error.  Admission
-    /// control charges what any submission of `[t0, t1)` costs.
+    /// structurally valid with unspecified contents.
+    ///
+    /// Mismatched geometry, a [`Boundary::Custom`] array, a plan with sharding off, or
+    /// an unshardable geometry are [`ServeError::InvalidGeometry`]; tile compilation
+    /// failures surface as their underlying error.  Admission control charges what
+    /// any submission of `[t0, t1)` costs.
     pub fn try_submit_sharded(
         &mut self,
         array: PochoirArray<T, D>,
@@ -1308,7 +1011,7 @@ where
                 plan.sharding
             ),
         })?;
-        self.admit(t0, t1, opts)?;
+        self.admit(t0, t1)?;
         let run = ShardRun::start(Cow::Owned(shard_plan), &array, spec, plan, t1, None, par)
             .map_err(|e| match e {
                 ShardError::Compile(inner) => inner,
@@ -1339,10 +1042,9 @@ where
     }
 
     /// Admission control for one `[t0, t1)` submission: a span whose window
-    /// arithmetic overflows `i64` is invalid, then the opt-in unmeetable-deadline
-    /// rejection, then the quotas.  A quota or deadline refusal is counted toward
-    /// `serving_shed`.
-    fn admit(&mut self, t0: i64, t1: i64, opts: SubmitOptions) -> Result<(), ServeError> {
+    /// arithmetic overflows `i64` is invalid, then the quotas.  A quota refusal is
+    /// counted toward `serving_shed`.
+    fn admit(&mut self, t0: i64, t1: i64) -> Result<(), ServeError> {
         // The drain steps a chain to `next_t + chunk` and counts its windows as
         // `(t1 - t0 + chunk - 1) / chunk`; both must fit, or a wrapped window end
         // never reaches `t1` and the drain spins.
@@ -1358,19 +1060,10 @@ where
                 detail: format!("time span [{t0}, {t1}) overflows i64 in windows of {chunk} steps"),
             });
         }
-        let windows = self.windows_of(t0, t1);
-        let refusal = match opts.deadline {
-            Some(deadline) if self.policy.reject_unmeetable && deadline < windows => {
-                Some(ServeError::DeadlineUnmeetable { deadline, windows })
-            }
-            _ => self
-                .admission_shed(windows)
-                .map(|reason| ServeError::Shed { reason }),
-        };
-        match refusal {
-            Some(e) => {
+        match self.admission_shed(self.windows_of(t0, t1)) {
+            Some(reason) => {
                 self.pending_sheds += 1;
-                Err(e)
+                Err(ServeError::Shed { reason })
             }
             None => Ok(()),
         }
@@ -1413,9 +1106,9 @@ where
         self.queue.len()
     }
 
-    /// What the last pipelined [`drain`](Self::drain) did: windows dispatched,
-    /// ready-queue high-water mark, deadline misses, and per-ticket completion ticks.
-    /// `None` before the first pipelined drain.
+    /// What the last [`try_drain`](Self::try_drain) did: windows dispatched,
+    /// ready-queue high-water mark, deadline misses, per-ticket completion ticks and
+    /// outcomes.  `None` before the first drain.
     pub fn last_drain(&self) -> Option<&DrainReport> {
         self.last_drain.as_ref()
     }
@@ -1427,37 +1120,12 @@ where
     /// Each submission is split into per-window work items of the program's compiled
     /// chunk height; the items dispatch in (deadline, weighted virtual time, ticket)
     /// order with no cross-tenant barrier — see the module docs for the semantics.
-    /// Results are bitwise identical to [`drain_barrier`](Self::drain_barrier).
-    pub fn drain(&mut self) -> Vec<PochoirArray<T, D>> {
-        match self.runtime.clone() {
-            Some(rt) => self.drain_with(rt.as_ref()),
-            None => self.drain_with(Runtime::global()),
-        }
-    }
-
-    /// [`drain`](Self::drain) with an explicit parallelism provider (e.g. `Serial` for
-    /// deterministic test runs: windows then execute exactly in priority order).
     ///
-    /// If any tenant panicked, the first payload is re-thrown **after** every sibling
-    /// finished draining (the pre-quarantine contract); use
-    /// [`try_drain_with`](Self::try_drain_with) to receive the surviving arrays and
-    /// per-ticket outcomes instead.
-    pub fn drain_with<P: Parallelism>(&mut self, par: &P) -> Vec<PochoirArray<T, D>> {
-        let (arrays, mut payloads) = self.drain_inner(par);
-        if !payloads.is_empty() {
-            resume_unwind(payloads.swap_remove(0));
-        }
-        arrays
-    }
-
-    /// [`drain`](Self::drain) that never panics on tenant failures: every array comes
-    /// back in submission order — panicked tenants as of their last completed window,
-    /// dispatch-dropped tenants untouched — and
-    /// [`last_drain`](Self::last_drain)`.outcomes` (or
-    /// [`DrainReport::failures`]) says which tickets failed and why.
-    ///
-    /// The `Result` is reserved for failures of the drain *itself*; per-tenant
-    /// failures never produce `Err` (a drain that ran is a drain that reports).
+    /// A tenant panic never escapes: every array comes back — a panicked tenant's as
+    /// of its last completed window — and [`last_drain`](Self::last_drain)`.outcomes`
+    /// (or [`DrainReport::failures`]) says which tickets failed and why.  The `Result`
+    /// is reserved for failures of the drain *itself*; per-tenant failures never
+    /// produce `Err` (a drain that ran is a drain that reports).
     pub fn try_drain(&mut self) -> Result<Vec<PochoirArray<T, D>>, ServeError> {
         match self.runtime.clone() {
             Some(rt) => self.try_drain_with(rt.as_ref()),
@@ -1465,31 +1133,23 @@ where
         }
     }
 
-    /// [`try_drain`](Self::try_drain) with an explicit parallelism provider.
+    /// [`try_drain`](Self::try_drain) with an explicit parallelism provider (e.g.
+    /// `Serial` for deterministic test runs: windows then execute exactly in priority
+    /// order).
+    ///
+    /// The drain runs the queue to completion with per-window panic quarantine,
+    /// records the report, flushes metrics, and quarantines the session key if a
+    /// tenant panicked.
     pub fn try_drain_with<P: Parallelism>(
         &mut self,
         par: &P,
     ) -> Result<Vec<PochoirArray<T, D>>, ServeError> {
-        let (arrays, _payloads) = self.drain_inner(par);
-        Ok(arrays)
-    }
-
-    /// The shared drain pipeline: runs the queue to completion with per-window panic
-    /// quarantine, records the report, flushes metrics, quarantines the session key
-    /// if a tenant panicked, and returns the arrays plus any captured panic payloads
-    /// (ticket order).
-    fn drain_inner<P: Parallelism>(
-        &mut self,
-        par: &P,
-    ) -> (Vec<PochoirArray<T, D>>, Vec<Box<dyn Any + Send>>) {
         let queue = std::mem::take(&mut self.queue);
         let windows: Vec<(i64, i64, SubmitOptions)> =
             queue.iter().map(|s| (s.t0, s.t1, s.opts)).collect();
         let slots: Vec<Mutex<Submission<T, D>>> = queue.into_iter().map(Mutex::new).collect();
         let chunk = self.program.window().max(1);
-        let drop_unmeetable = self.policy.drop_unmeetable;
         let sched = Mutex::new(SchedulerState::new(&windows));
-        let payloads: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
         {
             let fault_plan = self.fault_plan.clone();
             // Runs one work item — a window of the shared program, or one round of a
@@ -1518,16 +1178,14 @@ where
             // caught here, per item, and retires only its own chain (`fail`).
             let worker = || loop {
                 // A statement of its own, so the queue lock drops before the window runs.
-                let next = lock_transient(&sched).pop(chunk, drop_unmeetable);
+                let next = lock_transient(&sched).pop(chunk);
                 let Some((ticket, index, t0, t1)) = next else {
                     break;
                 };
                 match catch_unwind(AssertUnwindSafe(|| run_one(ticket, index, t0, t1))) {
                     Ok(()) => lock_transient(&sched).complete(ticket, t1),
                     Err(payload) => {
-                        lock_transient(&sched)
-                            .fail(ticket, faults::panic_message(payload.as_ref()));
-                        lock_transient(&payloads).push((ticket, payload));
+                        lock_transient(&sched).fail(ticket, faults::panic_message(payload.as_ref()))
                     }
                 }
             };
@@ -1537,10 +1195,8 @@ where
         par.count(Counter::ServingWindows, state.ticks);
         par.count(Counter::ServingQueueDepthPeak, state.peak_ready as u64);
         par.count(Counter::ServingDeadlineMisses, state.deadline_misses);
-        let sheds = std::mem::take(&mut self.pending_sheds) + state.dispatch_sheds;
+        let sheds = std::mem::take(&mut self.pending_sheds);
         par.count(Counter::ServingShed, sheds);
-        let retries = std::mem::take(&mut self.pending_retries);
-        par.count(Counter::ServingRetries, retries);
         let recovered = faults::take_unreported_poison_recoveries();
         par.count(Counter::RegistryPoisonRecoveries, recovered);
         let panicked = state
@@ -1563,53 +1219,10 @@ where
             completion_tick: state.completion_tick,
             outcomes: state.outcomes,
         });
-        let mut payloads = into_inner_transient(payloads);
-        payloads.sort_by_key(|&(ticket, _)| ticket);
-        let results = slots
+        Ok(slots
             .into_iter()
             .map(|slot| into_inner_transient(slot).into_array(par))
-            .collect();
-        (
-            results,
-            payloads.into_iter().map(|(_, payload)| payload).collect(),
-        )
-    }
-
-    /// Executes every queued request as one barrier batch — each submission is a
-    /// single monolithic run, executed through [`run_batch`] — and returns the arrays
-    /// in submission order.  This is the pre-pipelining drain, kept as the reference
-    /// and comparison path: results are bitwise identical to [`drain`](Self::drain),
-    /// but weights and deadlines are ignored and every tenant waits for the whole
-    /// batch.
-    pub fn drain_barrier(&mut self) -> Vec<PochoirArray<T, D>> {
-        match self.runtime.clone() {
-            Some(rt) => self.drain_barrier_with(rt.as_ref()),
-            None => self.drain_barrier_with(Runtime::global()),
-        }
-    }
-
-    /// [`drain_barrier`](Self::drain_barrier) with an explicit parallelism provider.
-    pub fn drain_barrier_with<P: Parallelism>(&mut self, par: &P) -> Vec<PochoirArray<T, D>> {
-        let mut queue = std::mem::take(&mut self.queue);
-        let mut jobs: Vec<BatchRun<'_, T, D>> = queue
-            .iter_mut()
-            .filter(|s| s.shard.is_none())
-            .map(|s| BatchRun {
-                array: &mut s.array,
-                t0: s.t0,
-                t1: s.t1,
-            })
-            .collect();
-        // Grain 1: every array is an independently stealable task.
-        run_batch(&self.program, &self.kernel, &mut jobs, 1, par);
-        drop(jobs);
-        // A sharded submission is tile-parallel inside; its rounds run back to back.
-        for s in &mut queue {
-            if let Some(run) = &mut s.shard {
-                run.steps(&self.kernel, s.t0, par);
-            }
-        }
-        queue.into_iter().map(|s| s.into_array(par)).collect()
+            .collect())
     }
 }
 
@@ -1650,8 +1263,8 @@ mod tests {
     fn private_registry_dedups_and_counts() {
         let reg = SessionRegistry::with_capacity(8);
         let spec = StencilSpec::new(star_shape::<2>(1));
-        let (a, la) = reg.get_or_compile(&spec, &plan(), [18, 18], 4);
-        let (b, lb) = reg.get_or_compile(&spec, &plan(), [18, 18], 4);
+        let (a, la) = reg.try_get_or_compile(&spec, &plan(), [18, 18], 4).unwrap();
+        let (b, lb) = reg.try_get_or_compile(&spec, &plan(), [18, 18], 4).unwrap();
         assert!(!la.hit);
         assert!(lb.hit);
         assert!(Arc::ptr_eq(&a, &b));
@@ -1672,8 +1285,10 @@ mod tests {
         let reg = SessionRegistry::with_capacity(8);
         let spec2 = StencilSpec::new(star_shape::<2>(1));
         let spec1 = StencilSpec::new(star_shape::<1>(1));
-        let (_, l2) = reg.get_or_compile(&spec2, &plan(), [9, 9], 3);
-        let (_, l1) = reg.get_or_compile(&spec1, &ExecutionPlan::<1>::trap(), [9], 3);
+        let (_, l2) = reg.try_get_or_compile(&spec2, &plan(), [9, 9], 3).unwrap();
+        let (_, l1) = reg
+            .try_get_or_compile(&spec1, &ExecutionPlan::<1>::trap(), [9], 3)
+            .unwrap();
         assert!(!l2.hit);
         assert!(!l1.hit, "a 1D key must not collide with a 2D key");
         assert_eq!(reg.len(), 2);
@@ -1683,7 +1298,7 @@ mod tests {
     fn clear_drops_entries_but_keeps_counters() {
         let reg = SessionRegistry::with_capacity(4);
         let spec = StencilSpec::new(star_shape::<2>(1));
-        reg.get_or_compile(&spec, &plan(), [11, 11], 3);
+        reg.try_get_or_compile(&spec, &plan(), [11, 11], 3).unwrap();
         assert!(!reg.is_empty());
         reg.clear();
         assert!(reg.is_empty());
@@ -1691,29 +1306,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_a_no_op() {
-        let spec = StencilSpec::new(star_shape::<2>(1));
-        let program = CompiledProgram::new(spec, plan(), [10, 10], 3);
-        let mut jobs: Vec<BatchRun<'_, f64, 2>> = Vec::new();
-        run_batch(&program, &Heat2D, &mut jobs, 1, &Serial);
-        assert_eq!(program.stats().runs, 0);
-    }
-
-    #[test]
     fn server_returns_arrays_in_submission_order() {
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [13, 13],
             3,
-        );
+        )
+        .unwrap();
         for seed in 0..4 {
-            let ticket = server.submit(make_array(13, seed), 0, 3);
+            let ticket = server.try_submit(make_array(13, seed), 0, 3).unwrap();
             assert_eq!(ticket, seed as usize);
         }
         assert_eq!(server.pending(), 4);
-        let drained = server.drain_with(&Serial);
+        let drained = server.try_drain_with(&Serial).unwrap();
         assert_eq!(drained.len(), 4);
         assert_eq!(server.pending(), 0);
         for (seed, array) in drained.iter().enumerate() {
@@ -1732,17 +1339,18 @@ mod tests {
 
     #[test]
     fn pipelined_drain_reports_windows_and_completion_ticks() {
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [11, 11],
             2, // chunk height 2
-        );
+        )
+        .unwrap();
         // Ticket 0: 6 steps = 3 windows; ticket 1: 2 steps = 1 window.
-        server.submit(make_array(11, 0), 0, 6);
-        server.submit(make_array(11, 1), 0, 2);
-        let _ = server.drain_with(&Serial);
+        server.try_submit(make_array(11, 0), 0, 6).unwrap();
+        server.try_submit(make_array(11, 1), 0, 2).unwrap();
+        let _ = server.try_drain_with(&Serial).unwrap();
         let report = server.last_drain().unwrap().clone();
         assert_eq!(report.windows, 4);
         assert_eq!(report.deadline_misses, 0);
@@ -1754,87 +1362,95 @@ mod tests {
 
     #[test]
     fn deadline_submissions_dispatch_first_and_misses_are_counted() {
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [11, 11],
             2,
-        );
-        server.submit(make_array(11, 0), 0, 6); // no deadline
-        server.submit_with(
-            make_array(11, 1),
-            0,
-            4,
-            SubmitOptions::default().with_deadline(2),
-        );
-        let _ = server.drain_with(&Serial);
+        )
+        .unwrap();
+        server.try_submit(make_array(11, 0), 0, 6).unwrap(); // no deadline
+        server
+            .try_submit_with(
+                make_array(11, 1),
+                0,
+                4,
+                SubmitOptions::default().with_deadline(2),
+            )
+            .unwrap();
+        let _ = server.try_drain_with(&Serial).unwrap();
         let report = server.last_drain().unwrap().clone();
         // The deadline tenant's 2 windows dispatch at ticks 1 and 2: made it exactly.
         assert_eq!(report.completion_tick[1], 2);
         assert_eq!(report.deadline_misses, 0);
         // An impossible deadline is counted as missed.
-        server.submit_with(
-            make_array(11, 2),
-            0,
-            6,
-            SubmitOptions::default().with_deadline(1),
-        );
-        let _ = server.drain_with(&Serial);
+        server
+            .try_submit_with(
+                make_array(11, 2),
+                0,
+                6,
+                SubmitOptions::default().with_deadline(1),
+            )
+            .unwrap();
+        let _ = server.try_drain_with(&Serial).unwrap();
         assert_eq!(server.last_drain().unwrap().deadline_misses, 1);
     }
 
     #[test]
-    fn pipelined_drain_is_bitwise_identical_to_barrier_drain() {
-        let make_server = || {
-            StencilServer::new(
-                StencilSpec::new(star_shape::<2>(1)),
-                Heat2D,
-                plan(),
-                [13, 13],
-                3,
-            )
-        };
+    fn pipelined_drain_is_bitwise_identical_to_sequential_runs() {
+        let mut pipelined = StencilServer::try_new(
+            StencilSpec::new(star_shape::<2>(1)),
+            Heat2D,
+            plan(),
+            [13, 13],
+            3,
+        )
+        .unwrap();
         // Mixed window lengths, including a non-multiple of the chunk height and an
         // empty submission.
         let requests = [(0i64, 7i64), (0, 3), (0, 9), (2, 2), (0, 6)];
-        let mut pipelined = make_server();
-        let mut barrier = make_server();
         for (i, &(t0, t1)) in requests.iter().enumerate() {
             let opts = SubmitOptions::weighted(1 + i as u32 % 3);
-            pipelined.submit_with(make_array(13, i as i64), t0, t1, opts);
-            barrier.submit(make_array(13, i as i64), t0, t1);
+            pipelined
+                .try_submit_with(make_array(13, i as i64), t0, t1, opts)
+                .unwrap();
         }
-        let a = pipelined.drain_with(&Serial);
-        let b = barrier.drain_barrier_with(&Serial);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            let t = requests[i].1;
-            assert_eq!(x.snapshot(t), y.snapshot(t), "ticket {i}");
+        let drained = pipelined.try_drain_with(&Serial).unwrap();
+        for (i, (x, &(t0, t1))) in drained.iter().zip(&requests).enumerate() {
+            // The reference: the array alone, one monolithic run of the program.
+            let mut alone = make_array(13, i as i64);
+            pipelined
+                .program()
+                .run(&mut alone, &Heat2D, t0, t1, &Serial);
+            assert_eq!(x.snapshot(t1), alone.snapshot(t1), "ticket {i}");
         }
     }
 
     #[test]
     #[should_panic(expected = "do not match the server's compiled extents")]
     fn server_rejects_mismatched_geometry_at_submit() {
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [14, 14],
             3,
-        );
-        server.submit(make_array(15, 0), 0, 3);
+        )
+        .unwrap();
+        server.try_submit(make_array(15, 0), 0, 3).unwrap();
     }
 
     #[test]
     fn try_submit_returns_typed_geometry_error() {
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [14, 14],
             3,
-        );
+        )
+        .unwrap();
         let err = server.try_submit(make_array(15, 0), 0, 3).unwrap_err();
         match err {
             ServeError::InvalidGeometry { detail } => {
@@ -1847,13 +1463,14 @@ mod tests {
 
     #[test]
     fn admission_policy_sheds_at_quota_and_typed_reasons_round_trip() {
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [12, 12],
             3,
         )
+        .unwrap()
         .with_admission_policy(AdmissionPolicy {
             max_pending: Some(2),
             max_queued_windows: Some(2),
@@ -1888,13 +1505,14 @@ mod tests {
     #[test]
     fn spans_whose_window_arithmetic_overflows_are_refused() {
         let chunk = 4;
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan().with_sharding(crate::engine::Sharding::Tiles(2)),
             [12, 12],
             chunk,
-        );
+        )
+        .unwrap();
         for (t0, t1) in [
             (i64::MAX - 1, i64::MAX),
             (i64::MAX - 8, i64::MAX - 2),
@@ -1933,80 +1551,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_unmeetable_is_opt_in() {
-        let mut server = StencilServer::new(
-            StencilSpec::new(star_shape::<2>(1)),
-            Heat2D,
-            plan(),
-            [12, 12],
-            2,
-        )
-        .with_admission_policy(AdmissionPolicy {
-            reject_unmeetable: true,
-            ..AdmissionPolicy::default()
-        });
-        // 6 steps at chunk 2 = 3 windows; a deadline of 1 tick can never be met.
-        let err = server
-            .try_submit_with(
-                make_array(12, 0),
-                0,
-                6,
-                SubmitOptions::default().with_deadline(1),
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ServeError::DeadlineUnmeetable {
-                deadline: 1,
-                windows: 3
-            }
-        );
-        // A meetable deadline is admitted.
-        assert!(server
-            .try_submit_with(
-                make_array(12, 0),
-                0,
-                6,
-                SubmitOptions::default().with_deadline(3),
-            )
-            .is_ok());
-    }
-
-    #[test]
-    fn drop_unmeetable_sheds_at_dispatch_and_leaves_the_array_untouched() {
-        let mut server = StencilServer::new(
-            StencilSpec::new(star_shape::<2>(1)),
-            Heat2D,
-            plan(),
-            [12, 12],
-            2,
-        )
-        .with_admission_policy(AdmissionPolicy {
-            drop_unmeetable: true,
-            ..AdmissionPolicy::default()
-        });
-        server.submit(make_array(12, 0), 0, 6); // 3 windows, no deadline
-        let doomed = server.submit_with(
-            make_array(12, 1),
-            0,
-            6,
-            SubmitOptions::default().with_deadline(1), // needs 3 ticks
-        );
-        let drained = server.try_drain_with(&Serial).unwrap();
-        let report = server.last_drain().unwrap().clone();
-        assert_eq!(
-            report.outcome(doomed),
-            Some(&TicketOutcome::Shed {
-                reason: ShedReason::DeadlineUnmeetable
-            })
-        );
-        assert_eq!(report.outcome(0), Some(&TicketOutcome::Completed));
-        assert_eq!(report.deadline_misses, 0, "dropped, not missed");
-        // The dropped tenant's array never ran a window.
-        assert_eq!(drained[doomed].snapshot(0), make_array(12, 1).snapshot(0));
-    }
-
-    #[test]
     fn quarantine_evicts_and_the_key_recompiles() {
         let reg = SessionRegistry::with_capacity(8);
         let spec = StencilSpec::new(star_shape::<2>(1));
@@ -2036,21 +1580,29 @@ mod tests {
         let spec = StencilSpec::new(star_shape::<2>(1));
         // Learn the weight of one session, then set the budget to 1.5× of it.
         let probe = SessionRegistry::with_capacity(8);
-        let (first, _) = probe.get_or_compile(&spec, &plan(), [19, 19], 3);
+        let (first, _) = probe
+            .try_get_or_compile(&spec, &plan(), [19, 19], 3)
+            .unwrap();
         let weight = first.pinned_leaf_count();
         assert!(weight > 0, "a compiled session must pin leaves");
 
         let mut registry = registry_with_budget(8, weight * 3 / 2);
-        let (_, l1) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
+        let (_, l1) = registry
+            .try_get_or_compile(&spec, &plan(), [19, 19], 3)
+            .unwrap();
         assert_eq!(l1.evicted, 0, "a single over-budget session is retained");
         // A second geometry pushes the total past the budget: the LRU entry goes, even
         // though the entry capacity (8) has plenty of room.
-        let (_, l2) = registry.get_or_compile(&spec, &plan(), [21, 21], 3);
+        let (_, l2) = registry
+            .try_get_or_compile(&spec, &plan(), [21, 21], 3)
+            .unwrap();
         assert_eq!(l2.evicted, 1, "the leaf budget, not the capacity, evicts");
         assert_eq!(registry.len(), 1);
         // Raising the budget lets both live side by side again.
         registry.sessions.leaf_budget = weight * 4;
-        let (_, l3) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
+        let (_, l3) = registry
+            .try_get_or_compile(&spec, &plan(), [19, 19], 3)
+            .unwrap();
         assert!(!l3.hit, "the evicted key recompiles");
         assert_eq!(l3.evicted, 0);
         assert_eq!(registry.len(), 2);
@@ -2063,26 +1615,34 @@ mod tests {
         let spec = StencilSpec::new(star_shape::<2>(1));
         let probe = SessionRegistry::with_capacity(8);
         let weigh = |n: i64| {
-            let (program, _) = probe.get_or_compile(&spec, &plan(), [n, n], 3);
+            let (program, _) = probe.try_get_or_compile(&spec, &plan(), [n, n], 3).unwrap();
             program.pinned_leaf_count()
         };
         // Exactly room for both sessions as built.
         let registry = registry_with_budget(8, weigh(19) + weigh(21));
-        let (grown, _) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
-        registry.get_or_compile(&spec, &plan(), [21, 21], 3);
+        let (grown, _) = registry
+            .try_get_or_compile(&spec, &plan(), [19, 19], 3)
+            .unwrap();
+        registry
+            .try_get_or_compile(&spec, &plan(), [21, 21], 3)
+            .unwrap();
         assert_eq!(registry.len(), 2);
         assert_eq!(grown.precompile_windows(&[5]), 1);
         // A hit on the other key sees the grown weight and evicts the LRU session.
-        let (_, lookup) = registry.get_or_compile(&spec, &plan(), [21, 21], 3);
+        let (_, lookup) = registry
+            .try_get_or_compile(&spec, &plan(), [21, 21], 3)
+            .unwrap();
         assert!(lookup.hit);
         assert_eq!(lookup.evicted, 1, "the grown session no longer fits");
         assert_eq!(registry.len(), 1);
-        let (_, refetch) = registry.get_or_compile(&spec, &plan(), [19, 19], 3);
+        let (_, refetch) = registry
+            .try_get_or_compile(&spec, &plan(), [19, 19], 3)
+            .unwrap();
         assert!(!refetch.hit, "the grown session was the one evicted");
     }
 
     #[test]
-    fn injected_compile_failure_is_typed_and_retryable() {
+    fn injected_compile_failure_is_typed_and_not_cached() {
         let reg = SessionRegistry::with_capacity(8);
         let spec = StencilSpec::new(star_shape::<2>(1));
         crate::engine::faults::inject_compile_failures(1);
@@ -2097,28 +1657,26 @@ mod tests {
             other => panic!("expected CompileFailed, got {other:?}"),
         }
         assert_eq!(reg.len(), 0, "the failed slot must not wedge the registry");
-        // A RetryPolicy turns the transient failure into a success and counts it.
-        crate::engine::faults::inject_compile_failures(2);
-        let retry = RetryPolicy::new(3, Duration::ZERO);
-        let (outcome, retries) =
-            retry.retry(|| reg.try_get_or_compile(&spec, &plan(), [17, 17], 4));
-        assert!(outcome.is_ok());
-        assert_eq!(retries, 2);
+        // The failure is not cached: the next lookup compiles afresh.
+        let (_, lookup) = reg.try_get_or_compile(&spec, &plan(), [17, 17], 4).unwrap();
+        assert!(!lookup.hit);
+        assert_eq!(reg.stats().misses, 1);
     }
 
     #[test]
     fn panicking_tenant_is_quarantined_and_siblings_complete_serial() {
-        let mut server = StencilServer::new(
+        let mut server = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [11, 11],
             2,
         )
+        .unwrap()
         .with_fault_plan(FaultPlan::new().panic_at(1, 1));
-        server.submit(make_array(11, 0), 0, 6);
-        server.submit(make_array(11, 1), 0, 6); // panics at its 2nd window
-        server.submit(make_array(11, 2), 0, 6);
+        server.try_submit(make_array(11, 0), 0, 6).unwrap();
+        server.try_submit(make_array(11, 1), 0, 6).unwrap(); // panics at its 2nd window
+        server.try_submit(make_array(11, 2), 0, 6).unwrap();
         let drained = server.try_drain_with(&Serial).unwrap();
         assert_eq!(drained.len(), 3);
         let report = server.last_drain().unwrap().clone();
@@ -2129,15 +1687,16 @@ mod tests {
         assert_eq!(report.outcome(0), Some(&TicketOutcome::Completed));
         assert_eq!(report.outcome(2), Some(&TicketOutcome::Completed));
         // Siblings are bitwise identical to a fault-free drain.
-        let mut clean = StencilServer::new(
+        let mut clean = StencilServer::try_new(
             StencilSpec::new(star_shape::<2>(1)),
             Heat2D,
             plan(),
             [11, 11],
             2,
-        );
-        clean.submit(make_array(11, 0), 0, 6);
-        clean.submit(make_array(11, 2), 0, 6);
+        )
+        .unwrap();
+        clean.try_submit(make_array(11, 0), 0, 6).unwrap();
+        clean.try_submit(make_array(11, 2), 0, 6).unwrap();
         let reference = clean.try_drain_with(&Serial).unwrap();
         assert_eq!(drained[0].snapshot(6), reference[0].snapshot(6));
         assert_eq!(drained[2].snapshot(6), reference[1].snapshot(6));
@@ -2149,7 +1708,7 @@ mod tests {
             ServeError::TenantPanicked { ticket: 1, .. }
         ));
         // A subsequent drain on the same server works (nothing is wedged).
-        server.submit(make_array(11, 3), 0, 4);
+        server.try_submit(make_array(11, 3), 0, 4).unwrap();
         let after = server.try_drain_with(&Serial).unwrap();
         assert_eq!(after.len(), 1);
         assert!(server.last_drain().unwrap().failures().is_empty());

@@ -17,7 +17,7 @@
 //! One round is both phases, and `ShardRun` (scatter at `start`, a round per
 //! `step`, gather at `finish`) is its only driver: [`ShardPlan::execute`] loops it
 //! behind `run_sharded` and the executor's giant fallback, and the serving drain
-//! dispatches one `step` per window of a `submit_sharded` ticket.  Scatter and
+//! dispatches one `step` per window of a `try_submit_sharded` ticket.  Scatter and
 //! gather are per-tile tasks too, so a tile is filled and drained on the pool, and
 //! a [`CompiledStencil`](crate::engine::CompiledStencil) keeps its last run's tile
 //! arrays (`TileSpare`) for the next run of the same plan.

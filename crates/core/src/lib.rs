@@ -64,11 +64,10 @@ pub mod zoid;
 pub mod prelude {
     pub use crate::boundary::{AxisRule, Boundary, BoundaryProbe};
     pub use crate::engine::{
-        run, run_traced, run_with_global_runtime, AdmissionPolicy, BaseCase, BatchRun, CloneMode,
-        Coarsening, CompiledProgram, CompiledStencil, DrainReport, EngineKind, ExecutionPlan,
-        FaultPlan, GeometryError, IndexMode, RetryPolicy, Schedule, ScheduleMode, ServeError,
-        SessionStats, ShardError, ShardPlan, ShardReport, Sharding, ShedReason, StencilServer,
-        TicketOutcome,
+        run, run_traced, run_with_global_runtime, AdmissionPolicy, BaseCase, CloneMode, Coarsening,
+        CompiledProgram, CompiledStencil, DrainReport, EngineKind, ExecutionPlan, FaultPlan,
+        GeometryError, IndexMode, Schedule, ScheduleMode, ServeError, SessionStats, ShardError,
+        ShardPlan, ShardReport, Sharding, ShedReason, StencilServer, TicketOutcome,
     };
     pub use crate::grid::{AlignedVec, PochoirArray, RowWriter, SpaceIter, GRID_ALIGN};
     pub use crate::hyperspace::{hyperspace_cut, single_space_cut, HyperspaceCut};

@@ -4,24 +4,23 @@
 //! slow-worker delays), drives a multi-tenant pipelined drain under it, and checks the
 //! fault-isolation contract:
 //!
-//! * non-faulted tenants finish **bitwise-equal** to a fault-free barrier-drain
-//!   reference — a sibling's panic must not perturb their arithmetic or scheduling
-//!   guarantees;
+//! * non-faulted tenants finish **bitwise-equal** to a fault-free reference — each
+//!   array run alone through the shared program — so a sibling's panic must not
+//!   perturb their arithmetic or scheduling guarantees;
 //! * the faulted tenant is reported per-ticket (`TicketOutcome::Panicked`), and the
 //!   server keeps serving: a follow-up drain on the same server succeeds cleanly;
 //! * no engine lock is left poisoned (the process-wide recovery counter does not
 //!   move);
-//! * exactly-once compilation survives injected compile failures via the retry
-//!   policy, without wedging the session registry.
+//! * exactly-once compilation survives injected compile failures: each failure is a
+//!   typed error, and the next lookup compiles without wedging the session registry.
 //!
 //! Seeds come from `POCHOIR_CHAOS_SEEDS` (comma-separated integers) when set — the CI
 //! chaos step pins several — and default to a small fixed set otherwise.
 
 use pochoir_core::engine::faults;
-use pochoir_core::engine::serving::{RetryPolicy, SessionRegistry, StencilServer, TicketOutcome};
+use pochoir_core::engine::serving::{SessionRegistry, StencilServer, TicketOutcome};
 use pochoir_core::prelude::*;
 use pochoir_runtime::{Parallelism, Runtime, Serial};
-use std::time::Duration;
 
 /// 2D heat kernel (same arithmetic as the scheduler suite).
 struct Heat2D;
@@ -46,13 +45,14 @@ fn make_array(n: usize, seed: i64) -> PochoirArray<f64, 2> {
 }
 
 fn server(n: usize, window: i64) -> StencilServer<f64, Heat2D, 2> {
-    StencilServer::new(
+    StencilServer::try_new(
         StencilSpec::new(star_shape::<2>(1)),
         Heat2D,
         ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6])),
         [n, n],
         window,
     )
+    .unwrap()
 }
 
 /// Seeds under test: `POCHOIR_CHAOS_SEEDS="7,19,23"` overrides the default set.
@@ -79,17 +79,22 @@ fn run_episode<P: Parallelism>(seed: u64, par: &P) -> usize {
     let victim = victims[0];
     let steps = WINDOWS as i64 * CHUNK; // every chain has exactly WINDOWS windows
 
-    // Fault-free reference: the barrier drain is the serving layer's ground truth.
-    let mut reference = server(GRID, CHUNK);
-    for i in 0..TENANTS {
-        reference.submit(make_array(GRID, i as i64), 0, steps);
-    }
-    let expected = reference.drain_barrier_with(&Serial);
+    // Fault-free reference: each array run alone, one monolithic run of the program.
+    let reference = server(GRID, CHUNK);
+    let expected: Vec<PochoirArray<f64, 2>> = (0..TENANTS)
+        .map(|i| {
+            let mut a = make_array(GRID, i as i64);
+            reference.program().run(&mut a, &Heat2D, 0, steps, &Serial);
+            a
+        })
+        .collect();
 
     let poison_before = faults::poison_recoveries();
     let mut chaotic = server(GRID, CHUNK).with_fault_plan(plan);
     for i in 0..TENANTS {
-        chaotic.submit(make_array(GRID, i as i64), 0, steps);
+        chaotic
+            .try_submit(make_array(GRID, i as i64), 0, steps)
+            .unwrap();
     }
     let drained = chaotic
         .try_drain_with(par)
@@ -134,7 +139,7 @@ fn run_episode<P: Parallelism>(seed: u64, par: &P) -> usize {
     );
 
     // The server is not wedged: a clean follow-up drain on the same instance works.
-    chaotic.submit(make_array(GRID, 99), 0, CHUNK);
+    chaotic.try_submit(make_array(GRID, 99), 0, CHUNK).unwrap();
     let after = chaotic
         .try_drain_with(par)
         .expect("post-chaos drain succeeds");
@@ -160,20 +165,31 @@ fn seeded_chaos_isolates_faults_in_parallel() {
     }
 }
 
-/// Injected compile failures surface as typed errors, the retry policy recovers, and
+/// Injected compile failures surface as typed errors, the next lookup compiles, and
 /// the registry still compiles each surviving key exactly once (no wedged in-flight
-/// slot, no duplicate compile after the failed attempt heals).
+/// slot, no duplicate compile after the failed attempts).
 #[test]
-fn compile_faults_retry_without_breaking_exactly_once() {
+fn compile_faults_heal_without_breaking_exactly_once() {
     let registry = SessionRegistry::with_capacity(8);
     let spec = StencilSpec::new(star_shape::<2>(1));
     let plan = ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6]));
 
     faults::inject_compile_failures(2);
-    let retry = RetryPolicy::new(3, Duration::ZERO);
-    let (outcome, retries) = retry.retry(|| registry.try_get_or_compile(&spec, &plan, [21, 21], 3));
-    let (program, lookup) = outcome.expect("retry policy recovers injected failures");
-    assert_eq!(retries, 2, "both armed failures consumed one retry each");
+    for attempt in 0..2 {
+        let err = registry
+            .try_get_or_compile(&spec, &plan, [21, 21], 3)
+            .err()
+            .expect("an armed failure surfaces");
+        assert!(
+            matches!(&err, ServeError::CompileFailed { detail }
+                if detail.contains(faults::INJECTED_COMPILE_FAILURE)),
+            "attempt {attempt}: {err:?}"
+        );
+        assert_eq!(registry.len(), 0, "a failed compile leaves no entry");
+    }
+    let (program, lookup) = registry
+        .try_get_or_compile(&spec, &plan, [21, 21], 3)
+        .expect("the failures are spent: this lookup compiles");
     assert!(!lookup.hit);
     assert_eq!(registry.len(), 1);
 
@@ -195,7 +211,8 @@ fn chaos_episodes_are_reproducible() {
         let plan = FaultPlan::seeded(seed, TENANTS, WINDOWS);
         let mut s = server(GRID, CHUNK).with_fault_plan(plan);
         for i in 0..TENANTS {
-            s.submit(make_array(GRID, i as i64), 0, WINDOWS as i64 * CHUNK);
+            s.try_submit(make_array(GRID, i as i64), 0, WINDOWS as i64 * CHUNK)
+                .unwrap();
         }
         let arrays = s.try_drain_with(&Serial).expect("drain");
         let outcomes: Vec<TicketOutcome> = (0..TENANTS)

@@ -1,15 +1,15 @@
 //! Serving-layer properties: registry keying and deduplication (one compiled session
 //! per geometry, process-wide), exactly-once compilation under concurrency, LRU
-//! eviction under a tiny capacity, metrics surfacing, and the batch executor's
-//! contract — a batch of N same-geometry arrays is bitwise identical to N sequential
-//! session runs, with the session counters proving one compile served all N.
+//! eviction under a tiny capacity, metrics surfacing, and the server's contract — a
+//! drain of N same-geometry arrays is bitwise identical to N sequential session runs,
+//! with the session counters proving one compile served all N.
 
 use pochoir_core::engine::serving::{
-    shared_program, BatchRun, RegistryStats, SessionRegistry, StencilServer,
+    try_shared_program, RegistryStats, SessionRegistry, StencilServer,
 };
 use pochoir_core::engine::CompiledStencil;
 use pochoir_core::prelude::*;
-use pochoir_runtime::{Runtime, Serial};
+use pochoir_runtime::Serial;
 use std::sync::Arc;
 
 /// 2D heat kernel.
@@ -51,8 +51,8 @@ fn plan() -> ExecutionPlan<2> {
 fn identical_geometry_shares_one_program_and_schedule() {
     // A geometry unique to this test (the registry is process-global).
     let spec = StencilSpec::new(star_shape::<2>(1));
-    let (a, la) = shared_program(&spec, &plan(), [41, 41], 5);
-    let (b, lb) = shared_program(&spec, &plan(), [41, 41], 5);
+    let (a, la) = try_shared_program(&spec, &plan(), [41, 41], 5).unwrap();
+    let (b, lb) = try_shared_program(&spec, &plan(), [41, 41], 5).unwrap();
     assert!(Arc::ptr_eq(&a, &b), "one program per geometry");
     assert!(lb.hit, "the second lookup must be served, not compiled");
     assert!(!la.hit || lb.hit); // the first may race another test only on its own key
@@ -68,24 +68,24 @@ fn identical_geometry_shares_one_program_and_schedule() {
 fn differing_plans_and_windows_do_not_collide() {
     let spec = StencilSpec::new(star_shape::<2>(1));
     let sizes = [43i64, 43];
-    let (base, _) = shared_program(&spec, &plan(), sizes, 5);
+    let (base, _) = try_shared_program(&spec, &plan(), sizes, 5).unwrap();
     // Different window.
-    let (other_window, _) = shared_program(&spec, &plan(), sizes, 6);
+    let (other_window, _) = try_shared_program(&spec, &plan(), sizes, 6).unwrap();
     assert!(!Arc::ptr_eq(&base, &other_window));
     // Different coarsening.
     let coarser = ExecutionPlan::trap().with_coarsening(Coarsening::new(3, [7, 7]));
-    let (other_plan, _) = shared_program(&spec, &coarser, sizes, 5);
+    let (other_plan, _) = try_shared_program(&spec, &coarser, sizes, 5).unwrap();
     assert!(!Arc::ptr_eq(&base, &other_plan));
     // Different engine.
     let strap = ExecutionPlan::strap().with_coarsening(Coarsening::new(2, [6, 6]));
-    let (other_engine, _) = shared_program(&spec, &strap, sizes, 5);
+    let (other_engine, _) = try_shared_program(&spec, &strap, sizes, 5).unwrap();
     assert!(!Arc::ptr_eq(&base, &other_engine));
     // Different spec (wider star): same sizes/plan/window, different fingerprint.
     let wide = StencilSpec::new(star_shape::<2>(2));
-    let (other_spec, _) = shared_program(&wide, &plan(), sizes, 5);
+    let (other_spec, _) = try_shared_program(&wide, &plan(), sizes, 5).unwrap();
     assert!(!Arc::ptr_eq(&base, &other_spec));
     // And the original key still resolves to the original program.
-    let (again, lookup) = shared_program(&spec, &plan(), sizes, 5);
+    let (again, lookup) = try_shared_program(&spec, &plan(), sizes, 5).unwrap();
     assert!(Arc::ptr_eq(&base, &again));
     assert!(lookup.hit);
 }
@@ -96,10 +96,14 @@ fn differing_plans_and_windows_do_not_collide() {
 fn tiny_capacity_evicts_least_recently_used() {
     let registry = SessionRegistry::with_capacity(1);
     let spec = StencilSpec::new(star_shape::<2>(1));
-    let (first, l1) = registry.get_or_compile(&spec, &plan(), [15, 15], 3);
+    let (first, l1) = registry
+        .try_get_or_compile(&spec, &plan(), [15, 15], 3)
+        .unwrap();
     assert!(!l1.hit);
     assert_eq!(l1.evicted, 0);
-    let (_, l2) = registry.get_or_compile(&spec, &plan(), [17, 17], 3);
+    let (_, l2) = registry
+        .try_get_or_compile(&spec, &plan(), [17, 17], 3)
+        .unwrap();
     assert!(!l2.hit);
     assert_eq!(l2.evicted, 1, "capacity 1: inserting evicts the LRU entry");
     assert_eq!(registry.len(), 1);
@@ -108,7 +112,9 @@ fn tiny_capacity_evicts_least_recently_used() {
     first.run(&mut a, &heat(), 0, 3, &Serial);
     assert_eq!(first.stats().runs, 1);
     // Re-fetching the evicted key compiles a fresh program.
-    let (refetched, l3) = registry.get_or_compile(&spec, &plan(), [15, 15], 3);
+    let (refetched, l3) = registry
+        .try_get_or_compile(&spec, &plan(), [15, 15], 3)
+        .unwrap();
     assert!(!l3.hit, "evicted keys must recompile");
     assert!(!Arc::ptr_eq(&first, &refetched));
     assert_eq!(
@@ -122,7 +128,7 @@ fn tiny_capacity_evicts_least_recently_used() {
     );
 }
 
-/// Concurrent `get_or_compile` of one cold key compiles exactly once: every thread
+/// Concurrent `try_get_or_compile` of one cold key compiles exactly once: every thread
 /// receives the same `Arc`, and the registry counts one miss and N−1 hits.
 #[test]
 fn concurrent_get_or_compile_compiles_exactly_once() {
@@ -133,7 +139,9 @@ fn concurrent_get_or_compile_compiles_exactly_once() {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let (program, _) = registry.get_or_compile(&spec, &plan(), [45, 45], 4);
+                    let (program, _) = registry
+                        .try_get_or_compile(&spec, &plan(), [45, 45], 4)
+                        .unwrap();
                     program
                 })
             })
@@ -163,12 +171,15 @@ fn batch_of_eight_matches_sequential_sessions_bitwise() {
     let batch_plan = ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [5, 5]));
     let spec = StencilSpec::new(star_shape::<2>(1));
 
-    let mut server = StencilServer::new(spec.clone(), heat(), batch_plan, [n, n], window);
+    let mut server =
+        StencilServer::try_new(spec.clone(), heat(), batch_plan, [n, n], window).unwrap();
     let before = server.stats();
     for seed in 0..tenants {
-        server.submit(make_array(n, seed as i64), 0, window);
+        server
+            .try_submit(make_array(n, seed as i64), 0, window)
+            .unwrap();
     }
-    let batched = server.drain();
+    let batched = server.try_drain().unwrap();
     let stats = server.stats();
     assert_eq!(stats.runs - before.runs, tenants as u64);
     assert_eq!(
@@ -194,43 +205,6 @@ fn batch_of_eight_matches_sequential_sessions_bitwise() {
             array.snapshot(window),
             expected.snapshot(window),
             "tenant {seed}: batched result must equal the sequential session run bitwise"
-        );
-    }
-}
-
-/// `CompiledStencil::run_batch` (borrowed arrays, no queue) agrees with per-array
-/// `run_with` calls bitwise — driven by the session's pinned parallel runtime, with a
-/// batch grain above one.
-#[test]
-fn run_batch_on_borrowed_arrays_matches_sequential() {
-    let n = 31usize;
-    let window = 4i64;
-    let tenants = 9usize;
-    let spec = StencilSpec::new(star_shape::<2>(1));
-    let batch_plan = ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6]));
-    let session = CompiledStencil::new(spec, heat(), batch_plan, [n, n], window)
-        .with_runtime(Arc::new(Runtime::new(3)));
-
-    let mut parallel: Vec<PochoirArray<f64, 2>> =
-        (0..tenants).map(|s| make_array(n, s as i64)).collect();
-    {
-        let mut jobs: Vec<BatchRun<'_, f64, 2>> = parallel
-            .iter_mut()
-            .map(|array| BatchRun {
-                array,
-                t0: 0,
-                t1: window,
-            })
-            .collect();
-        session.run_batch(&mut jobs, 2);
-    }
-    for (seed, array) in parallel.iter().enumerate() {
-        let mut expected = make_array(n, seed as i64);
-        session.run_with(&mut expected, 0, window, &Serial);
-        assert_eq!(
-            array.snapshot(window),
-            expected.snapshot(window),
-            "tenant {seed}: parallel batch must equal serial runs bitwise"
         );
     }
 }

@@ -1,5 +1,5 @@
-//! Scheduler properties of the pipelined serving drain: bitwise equivalence with the
-//! barrier drain, earliest-deadline-first dispatch, weighted fairness, the starvation
+//! Scheduler properties of the pipelined serving drain: bitwise equivalence with
+//! per-array sequential runs, earliest-deadline-first dispatch, weighted fairness, the starvation
 //! regression (a heavy tenant cannot lock out a light one), parallel/serial agreement,
 //! and the surfacing of the new `serving_*` runtime metrics.
 //!
@@ -34,21 +34,22 @@ fn make_array(n: usize, seed: i64) -> PochoirArray<f64, 2> {
 }
 
 fn server(n: usize, window: i64) -> StencilServer<f64, Heat2D, 2> {
-    StencilServer::new(
+    StencilServer::try_new(
         StencilSpec::new(star_shape::<2>(1)),
         Heat2D,
         ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6])),
         [n, n],
         window,
     )
+    .unwrap()
 }
 
-/// The acceptance property: the pipelined drain is bitwise identical to the barrier
-/// drain for the same submissions — mixed window lengths (including non-multiples of
-/// the chunk height and empty windows), weights and deadlines never change values,
-/// only order.
+/// The acceptance property: the pipelined drain is bitwise identical to running each
+/// array alone through the shared program — mixed window lengths (including
+/// non-multiples of the chunk height and empty windows), weights and deadlines never
+/// change values, only order.
 #[test]
-fn pipelined_drain_matches_barrier_drain_bitwise() {
+fn pipelined_drain_matches_sequential_runs_bitwise() {
     let n = 21;
     let requests: [(i64, i64, SubmitOptions); 6] = [
         (0, 10, SubmitOptions::default()),
@@ -59,20 +60,22 @@ fn pipelined_drain_matches_barrier_drain_bitwise() {
         (0, 7, SubmitOptions::weighted(7)),
     ];
     let mut pipelined = server(n, 4);
-    let mut barrier = server(n, 4);
     for (i, &(t0, t1, opts)) in requests.iter().enumerate() {
-        pipelined.submit_with(make_array(n, i as i64), t0, t1, opts);
-        barrier.submit(make_array(n, i as i64), t0, t1);
+        pipelined
+            .try_submit_with(make_array(n, i as i64), t0, t1, opts)
+            .unwrap();
     }
-    let a = pipelined.drain_with(&Serial);
-    let b = barrier.drain_barrier_with(&Serial);
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        let t = requests[i].1;
+    let drained = pipelined.try_drain_with(&Serial).unwrap();
+    assert_eq!(drained.len(), requests.len());
+    for (i, (x, &(t0, t1, _))) in drained.iter().zip(&requests).enumerate() {
+        let mut alone = make_array(n, i as i64);
+        pipelined
+            .program()
+            .run(&mut alone, &Heat2D, t0, t1, &Serial);
         assert_eq!(
-            x.snapshot(t),
-            y.snapshot(t),
-            "ticket {i}: pipelined and barrier drains must agree bitwise"
+            x.snapshot(t1),
+            alone.snapshot(t1),
+            "ticket {i}: the pipelined drain and the sequential run must agree bitwise"
         );
     }
 }
@@ -88,11 +91,15 @@ fn parallel_pipelined_drain_matches_serial() {
     let mut serial = server(n, 3);
     for i in 0..5i64 {
         let opts = SubmitOptions::weighted(1 + (i as u32) % 3);
-        parallel.submit_with(make_array(n, i), 0, 5 + i, opts);
-        serial.submit_with(make_array(n, i), 0, 5 + i, opts);
+        parallel
+            .try_submit_with(make_array(n, i), 0, 5 + i, opts)
+            .unwrap();
+        serial
+            .try_submit_with(make_array(n, i), 0, 5 + i, opts)
+            .unwrap();
     }
-    let a = parallel.drain_with(&rt);
-    let b = serial.drain_with(&Serial);
+    let a = parallel.try_drain_with(&rt).unwrap();
+    let b = serial.try_drain_with(&Serial).unwrap();
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         let t = 5 + i as i64;
         assert_eq!(x.snapshot(t), y.snapshot(t), "ticket {i}");
@@ -110,20 +117,22 @@ fn parallel_pipelined_drain_matches_serial() {
 fn deadlines_order_dispatch_earliest_first() {
     let n = 17;
     let mut s = server(n, 2);
-    s.submit(make_array(n, 0), 0, 6); // no deadline
-    s.submit_with(
+    s.try_submit(make_array(n, 0), 0, 6).unwrap(); // no deadline
+    s.try_submit_with(
         make_array(n, 1),
         0,
         4,
         SubmitOptions::default().with_deadline(50),
-    );
-    s.submit_with(
+    )
+    .unwrap();
+    s.try_submit_with(
         make_array(n, 2),
         0,
         4,
         SubmitOptions::default().with_deadline(2),
-    );
-    let _ = s.drain_with(&Serial);
+    )
+    .unwrap();
+    let _ = s.try_drain_with(&Serial).unwrap();
     let report: DrainReport = s.last_drain().unwrap().clone();
     // Tightest deadline (ticket 2) completes first: its 2 windows dispatch at ticks
     // 1 and 2.  Ticket 1 follows; the deadline-less ticket 0 runs last.
@@ -139,19 +148,21 @@ fn deadlines_order_dispatch_earliest_first() {
 fn impossible_deadlines_are_counted_as_misses() {
     let n = 17;
     let mut s = server(n, 2);
-    s.submit_with(
+    s.try_submit_with(
         make_array(n, 0),
         0,
         8, // 4 windows: the final one cannot dispatch by tick 2
         SubmitOptions::default().with_deadline(2),
-    );
-    s.submit_with(
+    )
+    .unwrap();
+    s.try_submit_with(
         make_array(n, 1),
         0,
         2,
         SubmitOptions::default().with_deadline(8),
-    );
-    let _ = s.drain_with(&Serial);
+    )
+    .unwrap();
+    let _ = s.try_drain_with(&Serial).unwrap();
     let report = s.last_drain().unwrap();
     assert_eq!(report.deadline_misses, 1);
     assert_eq!(report.completion_tick[0], 4, "EDF still ran it first");
@@ -166,19 +177,23 @@ fn weights_bias_dispatch_proportionally() {
     let n = 17;
     let windows_each = 9i64;
     let mut s = server(n, 1);
-    let heavy = s.submit_with(
-        make_array(n, 0),
-        0,
-        windows_each,
-        SubmitOptions::weighted(3),
-    );
-    let light = s.submit_with(
-        make_array(n, 1),
-        0,
-        windows_each,
-        SubmitOptions::weighted(1),
-    );
-    let _ = s.drain_with(&Serial);
+    let heavy = s
+        .try_submit_with(
+            make_array(n, 0),
+            0,
+            windows_each,
+            SubmitOptions::weighted(3),
+        )
+        .unwrap();
+    let light = s
+        .try_submit_with(
+            make_array(n, 1),
+            0,
+            windows_each,
+            SubmitOptions::weighted(1),
+        )
+        .unwrap();
+    let _ = s.try_drain_with(&Serial).unwrap();
     let report = s.last_drain().unwrap();
     let heavy_done = report.completion_tick[heavy];
     let light_done = report.completion_tick[light];
@@ -202,9 +217,13 @@ fn weights_bias_dispatch_proportionally() {
 fn mega_weights_still_share_dispatch() {
     let n = 17;
     let mut s = server(n, 1);
-    let a = s.submit_with(make_array(n, 0), 0, 4, SubmitOptions::weighted(u32::MAX));
-    let b = s.submit_with(make_array(n, 1), 0, 4, SubmitOptions::weighted(u32::MAX));
-    let _ = s.drain_with(&Serial);
+    let a = s
+        .try_submit_with(make_array(n, 0), 0, 4, SubmitOptions::weighted(u32::MAX))
+        .unwrap();
+    let b = s
+        .try_submit_with(make_array(n, 1), 0, 4, SubmitOptions::weighted(u32::MAX))
+        .unwrap();
+    let _ = s.try_drain_with(&Serial).unwrap();
     let report = s.last_drain().unwrap();
     // Equal (clamped) strides alternate: a, b, a, b, ... — a's final window at
     // tick 7, b's at 8.  A zero stride would give a ticks 1-4 and b ticks 5-8.
@@ -223,15 +242,18 @@ fn heavy_tenant_cannot_starve_a_light_one() {
     let mut s = server(n, 1);
     // Heavy tenant submits first and out-weighs the light tenant 4:1.
     for i in 0..heavy_chains {
-        s.submit_with(
+        s.try_submit_with(
             make_array(n, i as i64),
             0,
             heavy_windows,
             SubmitOptions::weighted(4),
-        );
+        )
+        .unwrap();
     }
-    let light = s.submit_with(make_array(n, 99), 0, 2, SubmitOptions::weighted(1));
-    let _ = s.drain_with(&Serial);
+    let light = s
+        .try_submit_with(make_array(n, 99), 0, 2, SubmitOptions::weighted(1))
+        .unwrap();
+    let _ = s.try_drain_with(&Serial).unwrap();
     let report = s.last_drain().unwrap();
     let total = report.windows;
     let light_done = report.completion_tick[light];
@@ -255,14 +277,15 @@ fn results_keep_ticket_order_under_reordered_execution() {
     // Submit in an order the scheduler will invert (later tickets have tighter
     // deadlines).
     for i in 0..4i64 {
-        s.submit_with(
+        s.try_submit_with(
             make_array(n, i),
             0,
             4,
             SubmitOptions::default().with_deadline(20 - i as u64 * 4),
-        );
+        )
+        .unwrap();
     }
-    let drained = s.drain_with(&Serial);
+    let drained = s.try_drain_with(&Serial).unwrap();
     for (i, array) in drained.iter().enumerate() {
         let mut expected = make_array(n, i as i64);
         let reference = server(n, 2);
@@ -273,11 +296,12 @@ fn results_keep_ticket_order_under_reordered_execution() {
     }
 }
 
-/// A kernel panicking mid-window propagates out of the multi-worker pipelined drain
-/// (rather than hanging the crew loop with the panicked window forever in flight).
+/// A kernel panicking mid-window under a multi-worker pipelined drain ends the drain
+/// (rather than hanging the crew loop with the panicked window forever in flight):
+/// the panicking ticket is reported `Panicked` with the payload's message, and its
+/// sibling still completes.
 #[test]
-#[should_panic(expected = "kernel exploded")]
-fn kernel_panic_propagates_from_parallel_drain() {
+fn kernel_panic_is_reported_from_parallel_drain() {
     struct Exploding;
     impl StencilKernel<f64, 2> for Exploding {
         fn update<A: GridAccess<f64, 2>>(&self, g: &A, t: i64, x: [i64; 2]) {
@@ -288,17 +312,31 @@ fn kernel_panic_propagates_from_parallel_drain() {
         }
     }
     let n = 15;
-    let mut s = StencilServer::new(
+    let mut s = StencilServer::try_new(
         StencilSpec::new(star_shape::<2>(1)),
         Exploding,
         ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6])),
         [n, n],
         2,
-    );
+    )
+    .unwrap();
     let rt = Runtime::new(2);
-    s.submit(make_array(n, 0), 0, 6);
-    s.submit(make_array(n, 1), 0, 6);
-    let _ = s.drain_with(&rt);
+    // Ticket 0 reaches t = 2 and explodes; ticket 1's two steps stay below it.
+    s.try_submit(make_array(n, 0), 0, 6).unwrap();
+    s.try_submit(make_array(n, 1), 0, 2).unwrap();
+    let drained = s.try_drain_with(&rt).unwrap();
+    assert_eq!(drained.len(), 2);
+    let report = s.last_drain().expect("drain leaves a report");
+    assert!(
+        matches!(
+            report.outcome(0),
+            Some(TicketOutcome::Panicked { message }) if message.contains("kernel exploded")
+        ),
+        "ticket 0 must be reported as panicked, got {:?}",
+        report.outcome(0)
+    );
+    assert_eq!(report.outcome(1), Some(&TicketOutcome::Completed));
+    assert_eq!(drained[1].snapshot(2), make_array(n, 1).snapshot(0));
 }
 
 /// A panic is quarantined to the panicking tenant: only that ticket's remaining
@@ -319,17 +357,18 @@ fn kernel_panic_quarantines_only_the_faulted_ticket() {
     }
     let n = 15;
     let survivor_windows = 40i64;
-    let mut s = StencilServer::new(
+    let mut s = StencilServer::try_new(
         StencilSpec::new(star_shape::<2>(1)),
         ExplodeTicketZero,
         ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6])),
         [n, n],
         1, // chunk height 1: one window per step
-    );
+    )
+    .unwrap();
     let mut poisoned = make_array(n, 0);
     poisoned.set(0, [0, 0], f64::NAN);
-    s.submit(poisoned, 0, 4);
-    s.submit(make_array(n, 1), 0, survivor_windows);
+    s.try_submit(poisoned, 0, 4).unwrap();
+    s.try_submit(make_array(n, 1), 0, survivor_windows).unwrap();
     let rt = Runtime::new(2);
     let drained = s
         .try_drain_with(&rt)
@@ -353,7 +392,7 @@ fn kernel_panic_quarantines_only_the_faulted_ticket() {
         "the copy-forward survivor ends bitwise-equal to its seed slice"
     );
     // And the server is not wedged: a clean follow-up drain succeeds.
-    s.submit(make_array(n, 2), 0, 3);
+    s.try_submit(make_array(n, 2), 0, 3).unwrap();
     let after = s.try_drain_with(&rt).expect("post-panic drain succeeds");
     assert_eq!(after.len(), 1);
     assert!(s.last_drain().expect("report").failures().is_empty());
@@ -366,20 +405,22 @@ fn serving_counters_surface_in_runtime_metrics() {
     let rt = Arc::new(Runtime::new(2));
     let before = rt.metrics();
     let mut s = server(25, 3).with_runtime(Arc::clone(&rt));
-    s.submit(make_array(25, 0), 0, 6);
-    s.submit_with(
+    s.try_submit(make_array(25, 0), 0, 6).unwrap();
+    s.try_submit_with(
         make_array(25, 1),
         0,
         3,
         SubmitOptions::default().with_deadline(1),
-    );
-    s.submit_with(
+    )
+    .unwrap();
+    s.try_submit_with(
         make_array(25, 2),
         0,
         9,
         SubmitOptions::default().with_deadline(1), // impossible: 3 windows
-    );
-    let _ = s.drain();
+    )
+    .unwrap();
+    let _ = s.try_drain().unwrap();
     let delta = before.delta(&rt.metrics());
     assert_eq!(delta.serving_windows, 6, "2 + 1 + 3 windows dispatched");
     assert!(delta.serving_queue_depth_peak >= 1);
@@ -405,9 +446,9 @@ fn pipelined_windows_replay_pinned_schedules() {
     assert_eq!(s.program().precompile_windows(&[4, 2]), 1);
     let before = s.stats();
     for i in 0..3i64 {
-        s.submit(make_array(n, i), 0, 10); // windows 4+4+2
+        s.try_submit(make_array(n, i), 0, 10).unwrap(); // windows 4+4+2
     }
-    let _ = s.drain_with(&Serial);
+    let _ = s.try_drain_with(&Serial).unwrap();
     let stats = s.stats();
     assert_eq!(stats.runs - before.runs, 9, "3 tenants × 3 windows");
     assert_eq!(

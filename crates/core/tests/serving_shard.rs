@@ -1,4 +1,4 @@
-//! Sharded giants as serving tenants: `submit_sharded` queues **one** ticket whose
+//! Sharded giants as serving tenants: `try_submit_sharded` queues **one** ticket whose
 //! windows are rounds of the shard pipeline (every tile advances a window, then the
 //! halo seams are exchanged).  One submission is one ticket and one returned array,
 //! bitwise identical to the unsharded run; a panicking round retires that ticket
@@ -44,7 +44,7 @@ fn giant_plan() -> ExecutionPlan<1> {
 
 fn server(n: usize) -> StencilServer<f64, Heat1D, 1> {
     let spec = StencilSpec::new(star_shape::<1>(1));
-    StencilServer::new(spec, Heat1D, giant_plan(), [n], CHUNK)
+    StencilServer::try_new(spec, Heat1D, giant_plan(), [n], CHUNK).unwrap()
 }
 
 /// `grid` stepped `[0, steps)` by the unsharded recursive engine.
@@ -77,8 +77,10 @@ fn sharded_submission_is_one_ticket_and_drains_bitwise() {
     let mut server = server(N);
     // The sharded ticket shares the drain with an ordinary tenant of the same
     // geometry; shard rounds and whole-array windows interleave in the ready queue.
-    let plain = server.submit(make_grid(N, 0), 0, STEPS);
-    let sharded = server.submit_sharded(make_grid(N, 0), 0, STEPS, SubmitOptions::weighted(2));
+    let plain = server.try_submit(make_grid(N, 0), 0, STEPS).unwrap();
+    let sharded = server
+        .try_submit_sharded(make_grid(N, 0), 0, STEPS, SubmitOptions::weighted(2))
+        .unwrap();
     assert_eq!((plain, sharded), (0, 1));
     assert_eq!(server.pending(), 2);
 
@@ -103,8 +105,10 @@ fn panicking_shard_round_retires_that_ticket_alone() {
     let expected = reference(make_grid(N, 1), STEPS);
     // The sharded ticket panics in its second round.
     let mut server = server(N).with_fault_plan(FaultPlan::new().panic_at(0, 1));
-    let sharded = server.submit_sharded(make_grid(N, 0), 0, STEPS, SubmitOptions::default());
-    let plain = server.submit(make_grid(N, 1), 0, STEPS);
+    let sharded = server
+        .try_submit_sharded(make_grid(N, 0), 0, STEPS, SubmitOptions::default())
+        .unwrap();
+    let plain = server.try_submit(make_grid(N, 1), 0, STEPS).unwrap();
 
     let results = server
         .try_drain_with(&Serial)
@@ -135,7 +139,9 @@ fn extent_below_the_tile_count_still_returns_one_array_per_submission() {
     for (ticket, &seed) in seeds.iter().enumerate() {
         let opts = SubmitOptions::default();
         assert_eq!(
-            server.submit_sharded(make_grid(SMALL, seed), 0, STEPS, opts),
+            server
+                .try_submit_sharded(make_grid(SMALL, seed), 0, STEPS, opts)
+                .unwrap(),
             ticket
         );
     }
@@ -151,22 +157,18 @@ fn extent_below_the_tile_count_still_returns_one_array_per_submission() {
 }
 
 #[test]
-fn barrier_drain_matches_pipelined_drain_with_a_sharded_submission_queued() {
+fn pipelined_drain_with_a_sharded_submission_queued_matches_unsharded_runs() {
     const M: usize = 4_000;
     // An uneven tail: 10 steps = two full rounds and a 2-step one.
-    let queue = |server: &mut StencilServer<f64, Heat1D, 1>| {
-        server.submit(make_grid(M, 2), 0, 10);
-        server.submit_sharded(make_grid(M, 3), 0, 10, SubmitOptions::default());
-        server.submit(make_grid(M, 4), 0, STEPS);
-    };
-    let (mut pipelined, mut barrier) = (server(M), server(M));
-    queue(&mut pipelined);
-    queue(&mut barrier);
-    let a = pipelined.drain_with(&Serial);
-    let b = barrier.drain_barrier_with(&Serial);
-    assert_eq!((a.len(), b.len()), (3, 3));
-    for ((x, y), (seed, t1)) in a.iter().zip(&b).zip([(2, 10), (3, 10), (4, STEPS)]) {
-        assert_bitwise(x, y, t1);
+    let mut pipelined = server(M);
+    pipelined.try_submit(make_grid(M, 2), 0, 10).unwrap();
+    pipelined
+        .try_submit_sharded(make_grid(M, 3), 0, 10, SubmitOptions::default())
+        .unwrap();
+    pipelined.try_submit(make_grid(M, 4), 0, STEPS).unwrap();
+    let drained = pipelined.try_drain_with(&Serial).unwrap();
+    assert_eq!(drained.len(), 3);
+    for (x, (seed, t1)) in drained.iter().zip([(2, 10), (3, 10), (4, STEPS)]) {
         assert_bitwise(x, &reference(make_grid(M, seed), t1), t1);
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::speccheck::{run_checked, SpecViolation};
 use pochoir_core::boundary::Boundary;
-use pochoir_core::engine::serving::shared_program;
+use pochoir_core::engine::serving::try_shared_program;
 use pochoir_core::engine::{CompiledProgram, ExecutionPlan, SessionStats};
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::{StencilKernel, StencilSpec};
@@ -225,7 +225,9 @@ where
     ) -> Result<(Arc<CompiledProgram<D>>, &mut PochoirArray<T, D>), PochoirError> {
         let array = self.array.as_mut().ok_or(PochoirError::NoArrayRegistered)?;
         if self.session.is_none() {
-            let (program, _) = shared_program(&self.spec, &self.plan, array.sizes_i64(), window);
+            let (program, _) =
+                try_shared_program(&self.spec, &self.plan, array.sizes_i64(), window)
+                    .expect("the registered array's geometry compiles");
             self.session = Some(program);
         }
         Ok((

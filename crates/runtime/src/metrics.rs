@@ -160,14 +160,11 @@ counters! {
     /// High-water mark of the serving ready queue (a gauge, not a counter:
     /// [`MetricsSnapshot::delta`] reports the later snapshot's value).
     ServingQueueDepthPeak => serving_queue_depth_peak: max,
-    /// Requests rejected by serving admission control — at submit time (quota or
-    /// watermark exceeded) or at dispatch time (logical deadline already unmeetable).
+    /// Submissions refused by serving admission control at submit time (a queue,
+    /// window or session-leaf quota exceeded).
     ServingShed => serving_shed: sum,
-    /// Session-compilation retry attempts performed by the serving layer's bounded
-    /// retry-with-backoff policy after a `CompileFailed` lookup.
-    ServingRetries => serving_retries: sum,
-    /// Session keys quarantined in the serving registry after a tenant panic
-    /// (evicted, or additionally banned for a number of lookups).
+    /// Session keys quarantined (evicted from the serving registry) after a tenant
+    /// panic.
     ServingQuarantined => serving_quarantined: sum,
     /// Poisoned shared-state locks (registry, session pin sets, schedule cache)
     /// recovered instead of propagating the poison panic.

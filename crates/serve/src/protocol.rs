@@ -203,9 +203,10 @@ pub enum RequestStatus {
 
 /// Typed error codes carried by [`Frame::Error`] and [`RequestStatus::Failed`].
 ///
-/// Codes 1–6 mirror [`ServeError`](pochoir_core::engine::ServeError) variant
-/// for variant; codes 16+ are protocol-level failures that have no in-process
-/// counterpart.
+/// Codes 1–4 and 6 mirror [`ServeError`](pochoir_core::engine::ServeError)
+/// variant for variant; code 5 is retired (its error no longer exists, and no
+/// server sends it); codes 16+ are protocol-level failures that have no
+/// in-process counterpart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -217,8 +218,6 @@ pub enum ErrorCode {
     TenantPanicked = 3,
     /// `ServeError::Shed` (admission control refused the request).
     Shed = 4,
-    /// `ServeError::DeadlineUnmeetable`.
-    DeadlineUnmeetable = 5,
     /// `ServeError::RegistryPoisoned`.
     RegistryPoisoned = 6,
     /// The frame could not be decoded (truncated or malformed payload).
@@ -253,7 +252,6 @@ impl ErrorCode {
             2 => ErrorCode::CompileFailed,
             3 => ErrorCode::TenantPanicked,
             4 => ErrorCode::Shed,
-            5 => ErrorCode::DeadlineUnmeetable,
             6 => ErrorCode::RegistryPoisoned,
             16 => ErrorCode::BadFrame,
             17 => ErrorCode::UnknownOpcode,
@@ -280,7 +278,6 @@ pub fn wire_error(e: &pochoir_core::engine::ServeError) -> (ErrorCode, String) {
         ServeError::CompileFailed { .. } => ErrorCode::CompileFailed,
         ServeError::TenantPanicked { .. } => ErrorCode::TenantPanicked,
         ServeError::Shed { .. } => ErrorCode::Shed,
-        ServeError::DeadlineUnmeetable { .. } => ErrorCode::DeadlineUnmeetable,
         ServeError::RegistryPoisoned => ErrorCode::RegistryPoisoned,
     };
     (code, e.to_string())

@@ -259,16 +259,18 @@ impl AnyServer {
         geometry: &[u64],
         chunk: i64,
         admission: Option<AdmissionPolicy>,
-    ) -> AnyServer {
+    ) -> Result<AnyServer, ServeError> {
         let server = match app {
             TraceApp::Heat2d => {
-                AnyServer::Heat2d(heat::serve_2d(traffic::usizes::<2>(geometry), chunk))
+                AnyServer::Heat2d(heat::try_serve_2d(traffic::usizes::<2>(geometry), chunk)?)
             }
-            TraceApp::Life => AnyServer::Life(life::serve(traffic::usizes::<2>(geometry), chunk)),
+            TraceApp::Life => {
+                AnyServer::Life(life::try_serve(traffic::usizes::<2>(geometry), chunk)?)
+            }
             TraceApp::Wave3d => {
-                AnyServer::Wave3d(wave::serve(traffic::usizes::<3>(geometry), chunk))
+                AnyServer::Wave3d(wave::try_serve(traffic::usizes::<3>(geometry), chunk)?)
             }
-            TraceApp::HeatGiant1d => AnyServer::HeatGiant1d(StencilServer::new(
+            TraceApp::HeatGiant1d => AnyServer::HeatGiant1d(StencilServer::try_new(
                 StencilSpec::new(heat::shape::<1>()),
                 HeatKernel::<1>::default(),
                 ExecutionPlan::trap()
@@ -276,9 +278,9 @@ impl AnyServer {
                     .with_sharding(Sharding::Tiles(GIANT_TILES)),
                 traffic::usizes::<1>(geometry),
                 chunk,
-            )),
+            )?),
         };
-        match (server, admission) {
+        Ok(match (server, admission) {
             (server, None) => server,
             (AnyServer::Heat2d(s), Some(p)) => AnyServer::Heat2d(s.with_admission_policy(p)),
             (AnyServer::Life(s), Some(p)) => AnyServer::Life(s.with_admission_policy(p)),
@@ -286,7 +288,7 @@ impl AnyServer {
             (AnyServer::HeatGiant1d(s), Some(p)) => {
                 AnyServer::HeatGiant1d(s.with_admission_policy(p))
             }
-        }
+        })
     }
 }
 
@@ -769,7 +771,13 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
             ),
         };
     }
-    let server = AnyServer::build(app, &geometry, chunk, shared.config.admission);
+    let server = match AnyServer::build(app, &geometry, chunk, shared.config.admission) {
+        Ok(server) => server,
+        Err(e) => {
+            let (code, detail) = wire_error(&e);
+            return Frame::Error { code, detail };
+        }
+    };
     let id = state.sessions.len() as u32;
     state.sessions.push(Arc::new(SessionSlot {
         app,
@@ -1054,8 +1062,8 @@ fn windows_of(t0: i64, t1: i64, chunk: i64) -> u64 {
 
 /// Converts a wall-clock budget to drain ticks via the calibrated per-window
 /// cost; never below the ticks the submission itself needs (a budget that
-/// cannot even cover its own work is clamped, and the scheduler's unmeetable-
-/// deadline policy decides whether to shed it).
+/// cannot even cover its own work is clamped: the request still runs, and a
+/// late finish counts as a deadline miss).
 fn wall_to_ticks(wall_micros: u64, cost_micros: f64, windows_needed: u64) -> u64 {
     let ticks = (wall_micros as f64 / cost_micros.max(1e-3)).floor() as u64;
     ticks.max(windows_needed)
@@ -1249,10 +1257,6 @@ fn drain_session(inner: &mut SessionInner) -> Vec<(u64, ReqState)> {
                 (Some(TicketOutcome::Panicked { message }), _) => ReqState::Failed {
                     code: ErrorCode::TenantPanicked,
                     detail: format!("tenant ticket {i} panicked: {message}"),
-                },
-                (Some(TicketOutcome::Shed { reason }), _) => ReqState::Failed {
-                    code: ErrorCode::Shed,
-                    detail: format!("dropped at dispatch: {reason}"),
                 },
                 (_, Some(grid)) => ReqState::Done { grid, t1: q.t1 },
                 (_, None) => ReqState::Failed {

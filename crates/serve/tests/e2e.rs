@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use pochoir_core::engine::serving::registry_stats;
-use pochoir_core::engine::{run_batch, BatchRun, StencilServer};
+use pochoir_core::engine::StencilServer;
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::StencilKernel;
 use pochoir_runtime::Runtime;
@@ -33,8 +33,9 @@ fn geometry_of(app: TraceApp) -> Vec<u64> {
     }
 }
 
-/// The in-process baseline: run the tenant's batch directly on the shared
-/// compiled program (the same construction the live server drains through).
+/// The in-process baseline: run the tenant's grid directly on the shared
+/// compiled program (`CompiledProgram::run`, the same program the live server
+/// drains through).
 fn local_digest<T, K, const D: usize>(
     server: &StencilServer<T, K, D>,
     mut grid: PochoirArray<T, D>,
@@ -43,18 +44,8 @@ where
     T: DigestBits + Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
 {
-    let mut jobs = [BatchRun {
-        array: &mut grid,
-        t0: 0,
-        t1: T1,
-    }];
-    run_batch(
-        server.program(),
-        server.kernel(),
-        &mut jobs,
-        1,
-        Runtime::global(),
-    );
+    let par = Runtime::global();
+    server.program().run(&mut grid, server.kernel(), 0, T1, par);
     digest_grid(&grid, T1)
 }
 
@@ -109,11 +100,12 @@ fn live_server_matches_in_process_bitwise_with_one_compile_per_geometry() {
     );
 
     // In-process comparison servers for the same keys: all hits, no new
-    // compiles — and their direct batch runs must match the wire results
+    // compiles — and their direct program runs must match the wire results
     // bitwise (the digest folds every result bit).
-    let heat_server = heat::serve_2d(usizes::<2>(&geometry_of(TraceApp::Heat2d)), WINDOW);
-    let life_server = life::serve(usizes::<2>(&geometry_of(TraceApp::Life)), WINDOW);
-    let wave_server = wave::serve(usizes::<3>(&geometry_of(TraceApp::Wave3d)), WINDOW);
+    let heat_server =
+        heat::try_serve_2d(usizes::<2>(&geometry_of(TraceApp::Heat2d)), WINDOW).unwrap();
+    let life_server = life::try_serve(usizes::<2>(&geometry_of(TraceApp::Life)), WINDOW).unwrap();
+    let wave_server = wave::try_serve(usizes::<3>(&geometry_of(TraceApp::Wave3d)), WINDOW).unwrap();
     let after_local = registry_stats();
     assert_eq!(
         after_local.misses - after_serving.misses,
@@ -140,7 +132,7 @@ fn live_server_matches_in_process_bitwise_with_one_compile_per_geometry() {
         };
         assert_eq!(
             live_digest, expected,
-            "tenant {tenant} ({app:?}): wire result differs from in-process run_batch"
+            "tenant {tenant} ({app:?}): wire result differs from in-process CompiledProgram::run"
         );
     }
 

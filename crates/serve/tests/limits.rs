@@ -10,6 +10,8 @@
 //! * geometries whose submit payload can never fit in a frame are refused at
 //!   negotiation, and oversized step spans are refused at submit — in both
 //!   cases with a typed error that leaves the connection usable;
+//! * a `Negotiate` extent of 0 or above 2^32 is refused with `BadPayload`
+//!   before any session is created;
 //! * a span whose window arithmetic overflows `i64` is refused with a typed
 //!   error instead of wedging the session's drain;
 //! * 16 MiB `Submit`s refused on their header have their payload drained, so
@@ -42,7 +44,7 @@ const SMALL_GIANT: [u64; 1] = [3];
 /// In-process baselines: the same sharded preset the server builds, one
 /// submission per tenant, digests taken at each group's lead ticket.
 fn local_giant_digests(tenants: &[u32]) -> Vec<u64> {
-    let mut server: StencilServer<f64, HeatKernel<1>, 1> = StencilServer::new(
+    let mut server: StencilServer<f64, HeatKernel<1>, 1> = StencilServer::try_new(
         StencilSpec::new(heat::shape::<1>()),
         HeatKernel::<1>::default(),
         ExecutionPlan::trap()
@@ -50,7 +52,8 @@ fn local_giant_digests(tenants: &[u32]) -> Vec<u64> {
             .with_sharding(Sharding::Tiles(GIANT_TILES)),
         traffic::usizes::<1>(&SMALL_GIANT),
         WINDOW,
-    );
+    )
+    .unwrap();
     let leads: Vec<usize> = tenants
         .iter()
         .map(|&tenant| {
@@ -64,7 +67,7 @@ fn local_giant_digests(tenants: &[u32]) -> Vec<u64> {
                 .expect("in-process sharded submit")
         })
         .collect();
-    let results = server.drain();
+    let results = server.try_drain().unwrap();
     leads
         .iter()
         .map(|&lead| digest_grid(&results[lead], T1))
@@ -186,11 +189,37 @@ fn oversized_spans_and_geometries_are_refused_typed() {
     server.shutdown();
 }
 
+/// Extents outside `1..=2^32` are refused at `Negotiate` with `BadPayload` and
+/// take no slot in the session table: on a one-session server, a valid geometry
+/// negotiated after the refusals still gets the first (and only) session.
+#[test]
+fn negotiate_refuses_extents_outside_the_cap_without_creating_a_session() {
+    let server = Server::start(ServeConfig {
+        max_sessions: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for extent in [0, (1u64 << 32) + 1, u64::MAX] {
+        expect_code(
+            client.negotiate(TraceApp::HeatGiant1d, &[extent], WINDOW),
+            ErrorCode::BadPayload,
+            &format!("extent {extent}"),
+        );
+    }
+    let session = client
+        .negotiate(TraceApp::HeatGiant1d, &SMALL_GIANT, WINDOW)
+        .expect("the refusals left the one-session table empty");
+    assert_eq!(session.id, 0, "no refused geometry took a session id");
+    client.close().expect("close");
+    server.shutdown();
+}
+
 /// The in-process digest of tenant `tenant`'s heat grid over `geometry` after
 /// `[0, t1)`, on the preset the server builds for `(geometry, window)`.
 fn local_heat_digest(geometry: &[u64], window: i64, tenant: u32, t1: i64) -> u64 {
     let mut grid = heat_grid(usizes::<2>(geometry), tenant);
-    let server = heat::serve_2d(usizes::<2>(geometry), window);
+    let server = heat::try_serve_2d(usizes::<2>(geometry), window).unwrap();
     server
         .program()
         .run(&mut grid, server.kernel(), 0, t1, &Serial);
@@ -315,7 +344,7 @@ fn refilled_result_arrays_never_leak_between_requests() {
         .expect("negotiate");
     let wave_digest = |tenant: u32| {
         let mut grid = wave_grid([6, 6, 6], tenant);
-        let server = wave::serve([6, 6, 6], WINDOW);
+        let server = wave::try_serve([6, 6, 6], WINDOW).unwrap();
         server
             .program()
             .run(&mut grid, server.kernel(), 0, T1, &Serial);

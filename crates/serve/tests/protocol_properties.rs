@@ -23,12 +23,11 @@ use proptest::prelude::*;
 /// Detail-string alphabet crossing ASCII, escapes, and multi-byte UTF-8.
 const DETAIL_CHARS: [char; 10] = ['a', 'Z', '0', ' ', '_', '"', '\\', '\n', 'é', '🜁'];
 
-const ERROR_CODES: [ErrorCode; 14] = [
+const ERROR_CODES: [ErrorCode; 13] = [
     ErrorCode::InvalidGeometry,
     ErrorCode::CompileFailed,
     ErrorCode::TenantPanicked,
     ErrorCode::Shed,
-    ErrorCode::DeadlineUnmeetable,
     ErrorCode::RegistryPoisoned,
     ErrorCode::BadFrame,
     ErrorCode::UnknownOpcode,

@@ -75,7 +75,7 @@ fn a_bulk_request_allocates_two_payload_sized_buffers_then_one() {
     let grid = heat_grid(usizes::<2>(&GEOMETRY), 0);
     let expected = {
         let mut local = heat_grid(usizes::<2>(&GEOMETRY), 0);
-        let reference = heat::serve_2d(usizes::<2>(&GEOMETRY), STEPS);
+        let reference = heat::try_serve_2d(usizes::<2>(&GEOMETRY), STEPS).unwrap();
         reference
             .program()
             .run(&mut local, reference.kernel(), 0, STEPS, &Serial);

@@ -191,25 +191,11 @@ pub fn session(
 
 /// A serving preset for the APOP kernel: a [`StencilServer`] over the tuned TRAP plan,
 /// its program shared process-wide through the session registry.  Submit many value
-/// grids of the same extent (e.g. one per contract scenario), then `drain()` to price
-/// them as a pipelined multi-tenant workload in `window`-step chunks.
-pub fn serve(
-    params: &OptionParams,
-    n: usize,
-    steps: i64,
-    window: i64,
-) -> StencilServer<f64, ApopKernel, 1> {
-    StencilServer::new(
-        StencilSpec::new(shape()),
-        kernel_for(params, n, steps),
-        tuned_plan(),
-        [n],
-        window,
-    )
-}
-
-/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
-/// registry key) surfaces as a typed [`ServeError`] instead of a panic.
+/// grids of the same extent (e.g. one per contract scenario), then `try_drain()` to
+/// price them as a pipelined multi-tenant workload in `window`-step chunks.
+///
+/// Invalid geometry (or a compile-failed registry key) surfaces as a typed
+/// [`ServeError`].
 pub fn try_serve(
     params: &OptionParams,
     n: usize,

@@ -170,42 +170,25 @@ pub fn session_2d(sizes: [usize; 2], window: i64) -> CompiledStencil<f64, HeatKe
 /// plan whose program is fetched from the process-global session registry — every
 /// server (and every `Pochoir` object) of this geometry shares one compiled schedule.
 /// Submit many same-extent grids (optionally with per-tenant weights and deadlines via
-/// `submit_with`), then `drain()` to run them as a pipelined multi-tenant workload in
-/// windows of `window` steps.
+/// `try_submit_with`), then `try_drain()` to run them as a pipelined multi-tenant
+/// workload in windows of `window` steps.  Invalid geometry (or a compile-failed
+/// registry key) comes back as a typed [`ServeError`], so geometry may arrive from a
+/// request.
 ///
 /// ```
 /// use pochoir_core::boundary::Boundary;
 /// use pochoir_stencils::heat;
 ///
-/// let mut server = heat::serve_2d([24, 24], 4);
+/// assert!(heat::try_serve_2d([0, 24], 4).is_err()); // zero extent: typed, not a panic
+/// let mut server = heat::try_serve_2d([24, 24], 4).unwrap();
 /// for tenant in 0..3 {
 ///     let mut grid = heat::build([24, 24], Boundary::Periodic);
 ///     grid.set(0, [tenant, tenant], 100.0);
-///     server.submit(grid, 0, 8); // two 4-step windows each
+///     server.try_submit(grid, 0, 8).unwrap(); // two 4-step windows each
 /// }
-/// let grids = server.drain(); // ticket order, windows pipelined across tenants
+/// let grids = server.try_drain().unwrap(); // ticket order, windows pipelined across tenants
 /// assert_eq!(grids.len(), 3);
 /// assert_eq!(server.last_drain().unwrap().windows, 6);
-/// ```
-pub fn serve_2d(sizes: [usize; 2], window: i64) -> StencilServer<f64, HeatKernel<2>, 2> {
-    StencilServer::new(
-        StencilSpec::new(shape::<2>()),
-        HeatKernel::<2>::default(),
-        tuned_plan_2d(),
-        sizes,
-        window,
-    )
-}
-
-/// Fallible variant of [`serve_2d`]: invalid geometry (or a compile-failed
-/// registry key) comes back as a typed [`ServeError`] instead of a panic — the right
-/// entry point when geometry arrives from a request rather than from test code.
-///
-/// ```
-/// use pochoir_stencils::heat;
-///
-/// assert!(heat::try_serve_2d([24, 24], 4).is_ok());
-/// assert!(heat::try_serve_2d([0, 24], 4).is_err()); // zero extent: typed, not a panic
 /// ```
 pub fn try_serve_2d(
     sizes: [usize; 2],
@@ -223,9 +206,10 @@ pub fn try_serve_2d(
 /// A serving preset for giant 1D heat grids — extents that fail `should_compile`
 /// uncoarsened and therefore take the sharded route (see `docs/sharding.md`): an
 /// intentionally uncoarsened TRAP plan with `Sharding::Auto`, so
-/// [`submit_sharded`](StencilServer::submit_sharded) scatters each submission into
-/// halo-exchanged compiled tiles that the drain schedules as one ticket, a round of
-/// the tile pipeline per window.
+/// [`try_submit_sharded`](StencilServer::try_submit_sharded) scatters each submission
+/// into halo-exchanged compiled tiles that the drain schedules as one ticket, a round
+/// of the tile pipeline per window.  Panics with the error's text if `n` or `window`
+/// cannot be served.
 ///
 /// ```
 /// use pochoir_core::boundary::Boundary;
@@ -235,21 +219,24 @@ pub fn try_serve_2d(
 /// let mut server = heat::serve_giant_1d(600_000, 4);
 /// let mut grid = heat::build([600_000], Boundary::Periodic);
 /// grid.set(0, [300_000], 100.0);
-/// let ticket = server.submit_sharded(grid, 0, 8, Default::default());
-/// let results = server.drain(); // two rounds: tiles in parallel, then the exchange
+/// let ticket = server
+///     .try_submit_sharded(grid, 0, 8, Default::default())
+///     .unwrap();
+/// let results = server.try_drain().unwrap(); // two rounds: tiles in parallel, then the exchange
 /// assert_eq!(results.len(), 1); // one submission, one array
 /// let report = server.last_drain().unwrap();
 /// assert_eq!(report.outcomes, [TicketOutcome::Completed]);
 /// assert_eq!(results[ticket].snapshot(8).len(), 600_000); // the reassembled giant
 /// ```
 pub fn serve_giant_1d(n: usize, window: i64) -> StencilServer<f64, HeatKernel<1>, 1> {
-    StencilServer::new(
+    StencilServer::try_new(
         StencilSpec::new(shape::<1>()),
         HeatKernel::<1>::default(),
         ExecutionPlan::trap().with_coarsening(Coarsening::none()),
         [n],
         window,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Builds an initialized heat array: a smooth bump plus deterministic pseudo-random

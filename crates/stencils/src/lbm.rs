@@ -182,20 +182,11 @@ pub fn session(sizes: [usize; 3], window: i64) -> CompiledStencil<Cell, LbmKerne
 
 /// A serving preset for the D3Q7 LBM kernel: a [`StencilServer`] over the tuned TRAP
 /// plan, its program shared process-wide through the session registry.  Submit many
-/// same-extent lattices, then `drain()` to run them as a pipelined multi-tenant
+/// same-extent lattices, then `try_drain()` to run them as a pipelined multi-tenant
 /// workload in `window`-step chunks.
-pub fn serve(sizes: [usize; 3], window: i64) -> StencilServer<Cell, LbmKernel, 3> {
-    StencilServer::new(
-        StencilSpec::new(shape()),
-        LbmKernel::default(),
-        tuned_plan(),
-        sizes,
-        window,
-    )
-}
-
-/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
-/// registry key) surfaces as a typed [`ServeError`] instead of a panic.
+///
+/// Invalid geometry (or a compile-failed registry key) surfaces as a typed
+/// [`ServeError`].
 pub fn try_serve(
     sizes: [usize; 3],
     window: i64,

@@ -111,21 +111,12 @@ pub fn session(sizes: [usize; 2], window: i64) -> CompiledStencil<u8, LifeKernel
 
 /// A serving preset for Life: a [`StencilServer`] over the tuned TRAP plan, its
 /// program shared process-wide through the session registry.  Submit many same-extent
-/// boards (optionally with per-tenant weights and deadlines via `submit_with`), then
-/// `drain()` to step them as a pipelined multi-tenant workload in `window`-step
-/// chunks.
-pub fn serve(sizes: [usize; 2], window: i64) -> StencilServer<u8, LifeKernel, 2> {
-    StencilServer::new(
-        StencilSpec::new(shape()),
-        LifeKernel,
-        tuned_plan(),
-        sizes,
-        window,
-    )
-}
-
-/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
-/// registry key) surfaces as a typed [`ServeError`] instead of a panic.
+/// boards (optionally with per-tenant weights and deadlines via `try_submit_with`),
+/// then `try_drain()` to step them as a pipelined multi-tenant workload in
+/// `window`-step chunks.
+///
+/// Invalid geometry (or a compile-failed registry key) surfaces as a typed
+/// [`ServeError`].
 pub fn try_serve(
     sizes: [usize; 2],
     window: i64,

@@ -159,24 +159,10 @@ pub fn session(
 /// A serving preset for the PSA kernel: a [`StencilServer`] over the tuned TRAP plan,
 /// its program shared process-wide through the session registry.  Submit many DP
 /// arrays of the same extent (one per query aligned against `b`-length subjects),
-/// then `drain()` to advance them as a pipelined multi-tenant workload.
-pub fn serve(
-    a: &[u8],
-    b: &[u8],
-    scoring: Scoring,
-    window: i64,
-) -> StencilServer<i32, PsaKernel, 1> {
-    StencilServer::new(
-        StencilSpec::new(shape()),
-        kernel_for(a, b, scoring),
-        tuned_plan(),
-        [b.len() + 1],
-        window,
-    )
-}
-
-/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
-/// registry key) surfaces as a typed [`ServeError`] instead of a panic.
+/// then `try_drain()` to advance them as a pipelined multi-tenant workload.
+///
+/// Invalid geometry (or a compile-failed registry key) surfaces as a typed
+/// [`ServeError`].
 pub fn try_serve(
     a: &[u8],
     b: &[u8],

@@ -171,20 +171,11 @@ pub fn session(sizes: [usize; 3], window: i64) -> CompiledStencil<f64, WaveKerne
 /// A serving preset for the 3D wave kernel: a [`StencilServer`] over the tuned TRAP
 /// plan, its program shared process-wide through the session registry.  Submit many
 /// same-extent grids (optionally with per-tenant weights and deadlines via
-/// `submit_with`), then `drain()` to run them as a pipelined multi-tenant workload in
-/// `window`-step chunks.
-pub fn serve(sizes: [usize; 3], window: i64) -> StencilServer<f64, WaveKernel, 3> {
-    StencilServer::new(
-        StencilSpec::new(shape()),
-        WaveKernel::default(),
-        tuned_plan(),
-        sizes,
-        window,
-    )
-}
-
-/// Fallible variant of [`serve`]: invalid geometry (or a compile-failed
-/// registry key) surfaces as a typed [`ServeError`] instead of a panic.
+/// `try_submit_with`), then `try_drain()` to run them as a pipelined multi-tenant
+/// workload in `window`-step chunks.
+///
+/// Invalid geometry (or a compile-failed registry key) surfaces as a typed
+/// [`ServeError`].
 pub fn try_serve(
     sizes: [usize; 3],
     window: i64,

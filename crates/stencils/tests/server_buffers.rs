@@ -78,12 +78,16 @@ fn steady_state_server_ops_allocate_only_sharded_tiles() {
     // Unsharded: 512² heat in windows of 4, 8 steps per op.
     let window = 4;
     let steps = 8;
-    let mut server = heat::serve_2d([512, 512], window).with_runtime(Arc::clone(&runtime));
+    let mut server = heat::try_serve_2d([512, 512], window)
+        .unwrap()
+        .with_runtime(Arc::clone(&runtime));
     let mut grid = heat::build([512, 512], Boundary::Periodic);
     for op in 0..=OPS {
         let (large, mut drained) = large_allocations(|| {
-            server.submit(grid, op * steps, (op + 1) * steps);
-            server.drain()
+            server
+                .try_submit(grid, op * steps, (op + 1) * steps)
+                .unwrap();
+            server.try_drain().unwrap()
         });
         grid = drained.pop().expect("one ticket, one array");
         if op > 0 {
@@ -100,8 +104,10 @@ fn steady_state_server_ops_allocate_only_sharded_tiles() {
     let mut grid = heat::build([200_000], Boundary::Periodic);
     for op in 0..=OPS {
         let (large, mut drained) = large_allocations(|| {
-            server.submit_sharded(grid, op * steps, (op + 1) * steps, SubmitOptions::default());
-            server.drain()
+            server
+                .try_submit_sharded(grid, op * steps, (op + 1) * steps, SubmitOptions::default())
+                .unwrap();
+            server.try_drain().unwrap()
         });
         assert_eq!(
             server.last_drain().expect("a drain ran").outcome(0),

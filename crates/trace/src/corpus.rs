@@ -11,7 +11,7 @@ use crate::gen::{self, DayCycle, GiantCell, WorkShape};
 
 /// Giant-grid cells used by the `giant` scenario: large enough that
 /// `should_compile` rejects the whole grid at the serving chunk height (forcing the
-/// `submit_sharded` route), small enough to replay in CI.
+/// `try_submit_sharded` route), small enough to replay in CI.
 pub const GIANT_CELLS: u64 = 600_000;
 
 /// Tile count the replay harness pins for sharded giants (auto mode would size the

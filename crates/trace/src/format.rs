@@ -28,13 +28,13 @@ pub const TRACE_VERSION: u32 = 1;
 /// dropped record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceApp {
-    /// 2D heat (f64, periodic) via `heat::serve_2d`.
+    /// 2D heat (f64, periodic) via `heat::try_serve_2d`.
     Heat2d,
-    /// Game of life (u8) via `life::serve`.
+    /// Game of life (u8) via `life::try_serve`.
     Life,
-    /// 3D wave (f64, two time slices) via `wave::serve`.
+    /// 3D wave (f64, two time slices) via `wave::try_serve`.
     Wave3d,
-    /// A giant 1D heat grid submitted through `submit_sharded`
+    /// A giant 1D heat grid submitted through `try_submit_sharded`
     /// (`heat::serve_giant_1d`): one ticket whose windows are halo-exchanged tile rounds.
     HeatGiant1d,
 }
@@ -86,7 +86,7 @@ impl fmt::Display for TraceApp {
 }
 
 /// One tenant request: the tuple the replay harness turns into a
-/// `submit_with`/`submit_sharded` call.
+/// `try_submit_with`/`try_submit_sharded` call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Tenant identity; seeds the deterministic initial grid and groups requests in

@@ -21,7 +21,7 @@
 //!   almost no submission reuses a warm session: the `SessionRegistry`
 //!   compile/evict stressor.
 //! * [`giant_grid`] — background 2D traffic plus periodic giant 1D grids routed
-//!   through `submit_sharded`: shard rounds interleaving with plain windows.
+//!   through `try_submit_sharded`: shard rounds interleaving with plain windows.
 
 use crate::format::{Trace, TraceApp, TraceRecord};
 
@@ -316,8 +316,9 @@ pub struct GiantCell {
 }
 
 /// Sharded giants amid background traffic: every `giant.every`-th arrival is a
-/// giant 1D heat grid of `giant.cells` cells (replayed through `submit_sharded`, so
-/// its shard rounds interleave with the background 2D tenants' windows).
+/// giant 1D heat grid of `giant.cells` cells (replayed through
+/// `try_submit_sharded`, so its shard rounds interleave with the background 2D
+/// tenants' windows).
 pub fn giant_grid(
     seed: u64,
     background: &WorkShape,

@@ -40,7 +40,7 @@ fn main() {
         .expect("valid geometry compiles")
         .with_fault_plan(plan);
     for i in 0..TENANTS {
-        server.submit(tenant_grid(i as i64), 0, steps);
+        server.try_submit(tenant_grid(i as i64), 0, steps).unwrap();
     }
     // The injected panic is caught and quarantined by the drain, but the default
     // panic hook would still print its backtrace; keep the demo's output readable.
@@ -61,7 +61,6 @@ fn main() {
         let line = match outcome {
             TicketOutcome::Completed => "completed".to_string(),
             TicketOutcome::Panicked { message } => format!("PANICKED: {message}"),
-            TicketOutcome::Shed { reason } => format!("shed ({reason})"),
         };
         println!("  ticket {ticket}: {line}");
     }
@@ -72,11 +71,13 @@ fn main() {
     assert_eq!(report.failures().len(), 1);
 
     // Every sibling is bitwise identical to a fault-free reference drain.
-    let mut reference = heat::serve_2d([N, N], WINDOW);
+    let mut reference = heat::try_serve_2d([N, N], WINDOW).unwrap();
     for i in 0..TENANTS {
-        reference.submit(tenant_grid(i as i64), 0, steps);
+        reference
+            .try_submit(tenant_grid(i as i64), 0, steps)
+            .unwrap();
     }
-    let clean = reference.drain();
+    let clean = reference.try_drain().unwrap();
     let mut survivors = 0;
     for (i, (faulted, fault_free)) in grids.iter().zip(&clean).enumerate() {
         if i == victim {
@@ -92,7 +93,7 @@ fn main() {
     println!("{survivors} sibling tenants bitwise-equal to the fault-free run ✓");
 
     // The server is not wedged: a clean follow-up drain on the same instance.
-    server.submit(tenant_grid(9), 0, WINDOW);
+    server.try_submit(tenant_grid(9), 0, WINDOW).unwrap();
     let after = server.try_drain().expect("post-panic drain succeeds");
     assert_eq!(after.len(), 1);
     assert!(server.last_drain().expect("report").failures().is_empty());

@@ -7,12 +7,12 @@
 //! * a **standard** tenant: medium request, weight 2;
 //! * a **batch** tenant: a long background request, weight 1, no deadline.
 //!
-//! A single pipelined `drain()` splits every submission into per-window work items
+//! A single pipelined `try_drain()` splits every submission into per-window work items
 //! and dispatches them in (deadline, weighted virtual time, ticket) order, so the
 //! interactive tenant's windows run first and the batch tenant's windows fill the
-//! gaps — no tenant waits for a barrier.  The example then re-runs the identical
-//! traffic through the pre-pipelining barrier drain and asserts the results are
-//! bitwise identical: scheduling changes order, never values.
+//! gaps — no tenant waits for a barrier.  The example then runs each tenant's grid
+//! alone through the shared program and asserts the results are bitwise identical:
+//! scheduling changes order, never values.
 
 use pochoir_core::boundary::Boundary;
 use pochoir_core::engine::serving::SubmitOptions;
@@ -46,14 +46,16 @@ fn main() {
         ),
     ];
 
-    let mut server = heat::serve_2d([N, N], WINDOW);
+    let mut server = heat::try_serve_2d([N, N], WINDOW).unwrap();
     // Pre-pin the chunk height so the drain replays pinned schedules only.
     server.program().precompile_windows(&[WINDOW]);
     for (i, &(t0, t1, opts, _)) in tenants.iter().enumerate() {
-        let ticket = server.submit_with(tenant_grid(i as i64), t0, t1, opts);
+        let ticket = server
+            .try_submit_with(tenant_grid(i as i64), t0, t1, opts)
+            .unwrap();
         assert_eq!(ticket, i);
     }
-    let pipelined = server.drain();
+    let pipelined = server.try_drain().unwrap();
     let report = server.last_drain().expect("drain just ran").clone();
 
     println!("pipelined drain over {} tenants:", tenants.len());
@@ -77,24 +79,23 @@ fn main() {
     assert_eq!(report.deadline_misses, 0);
     assert_eq!(report.windows, 6 + 2 + 1 + 1);
 
-    // Identical traffic through the pre-pipelining barrier drain: bitwise identical.
-    let mut reference = heat::serve_2d([N, N], WINDOW);
-    for (i, &(t0, t1, _, _)) in tenants.iter().enumerate() {
-        reference.submit(tenant_grid(i as i64), t0, t1);
-    }
-    let barrier = reference.drain_barrier();
-    for (i, (a, b)) in pipelined.iter().zip(&barrier).enumerate() {
-        let t = tenants[i].1;
-        assert_eq!(a.snapshot(t), b.snapshot(t), "tenant {i} diverged");
+    // Each grid alone, one monolithic run of the shared program: bitwise identical.
+    let par = pochoir_runtime::Runtime::global();
+    for (i, (a, &(t0, t1, _, _))) in pipelined.iter().zip(&tenants).enumerate() {
+        let mut alone = tenant_grid(i as i64);
+        server
+            .program()
+            .run(&mut alone, server.kernel(), t0, t1, par);
+        assert_eq!(a.snapshot(t1), alone.snapshot(t1), "tenant {i} diverged");
     }
     println!(
-        "pipelined == barrier bitwise for all {} tenants ✓",
+        "pipelined == sequential bitwise for all {} tenants ✓",
         tenants.len()
     );
 
-    // One shared program served both servers: all 10 pipelined windows replayed the
-    // single height-4 schedule; only the barrier reference added the monolithic
-    // heights (8 and 24) as extra compiles.
+    // All 10 pipelined windows replayed the single height-4 schedule; only the
+    // sequential reference runs added the monolithic heights (8 and 24) as extra
+    // compiles.
     let stats = server.stats();
     println!(
         "shared session: {} runs, {} schedule compiles, {} pinned-schedule reuses",

@@ -22,7 +22,7 @@ fn main() {
 
     // One server for the geometry; its program comes from the process-global session
     // registry, so any other caller of the same geometry would share it too.
-    let mut server = heat::serve_2d([n, n], window);
+    let mut server = heat::try_serve_2d([n, n], window).unwrap();
 
     // Each "tenant" owns an independent grid (different initial noise per tenant).
     let make_grid = |seed: usize| {
@@ -35,9 +35,11 @@ fn main() {
     // Steady state: every round submits all grids and drains them as one batch.
     for round in 0..rounds {
         for grid in grids.drain(..) {
-            server.submit(grid, round * window, (round + 1) * window);
+            server
+                .try_submit(grid, round * window, (round + 1) * window)
+                .unwrap();
         }
-        grids = server.drain();
+        grids = server.try_drain().unwrap();
     }
 
     let stats = server.stats();

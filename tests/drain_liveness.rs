@@ -1,6 +1,6 @@
 //! Liveness of the pipelined drain on a pool with more workers than cores.
 //!
-//! A crew worker of `StencilServer::drain` runs as a pool job, and a worker blocked
+//! A crew worker of `StencilServer::try_drain` runs as a pool job, and a worker blocked
 //! in a window's phase `join` may steal one that has not started yet.  If that job
 //! waited for the whole drain to finish, it would wait on a window sitting below it
 //! on the same stack: a livelock that spins forever instead of failing.  Each case
@@ -8,7 +8,8 @@
 //! hang fails the test with a message rather than stalling the suite.
 //!
 //! Both cases use `Runtime::new(4)` whatever the machine's core count, and check
-//! every result bitwise against a `Serial` drain.
+//! every result bitwise: the chaos siblings against each array run alone on
+//! `Serial`, the giants against a `Serial` drain.
 
 use pochoir::core::engine::serving::{StencilServer, SubmitOptions};
 use pochoir::core::engine::TicketOutcome;
@@ -54,20 +55,27 @@ const EPISODES: u64 = 40;
 /// A heat server whose windows are phase-parallel even on a small grid, so a
 /// window's execution joins on the pool.
 fn heat_server() -> StencilServer<f64, HeatKernel<2>, 2> {
-    StencilServer::new(
+    StencilServer::try_new(
         StencilSpec::new(heat::shape::<2>()),
         HeatKernel::<2>::default(),
         ExecutionPlan::trap().with_coarsening(Coarsening::new(2, [6, 6])),
         [GRID, GRID],
         CHUNK,
     )
+    .unwrap()
+}
+
+fn tenant_grid(tenant: usize) -> PochoirArray<f64, 2> {
+    let mut grid = heat::build([GRID, GRID], Boundary::Periodic);
+    grid.set(0, [tenant as i64, 2 * tenant as i64], 100.0);
+    grid
 }
 
 fn submit_tenants(server: &mut StencilServer<f64, HeatKernel<2>, 2>) {
     for tenant in 0..TENANTS {
-        let mut grid = heat::build([GRID, GRID], Boundary::Periodic);
-        grid.set(0, [tenant as i64, 2 * tenant as i64], 100.0);
-        server.submit(grid, 0, WINDOWS as i64 * CHUNK);
+        server
+            .try_submit(tenant_grid(tenant), 0, WINDOWS as i64 * CHUNK)
+            .unwrap();
     }
 }
 
@@ -77,12 +85,17 @@ fn submit_tenants(server: &mut StencilServer<f64, HeatKernel<2>, 2>) {
 fn chaos_drains_end_on_four_workers() {
     within_deadline("chaos", || {
         let steps = WINDOWS as i64 * CHUNK;
-        let mut reference = heat_server();
-        submit_tenants(&mut reference);
-        let expected: Vec<Vec<f64>> = reference
-            .drain_barrier_with(&Serial)
-            .iter()
-            .map(|a| a.snapshot(steps))
+        // Fault-free reference: each grid run alone through the shared program.
+        let reference = heat_server();
+        let expected: Vec<Vec<f64>> = (0..TENANTS)
+            .map(|tenant| {
+                let mut grid = tenant_grid(tenant);
+                let kernel = reference.kernel();
+                reference
+                    .program()
+                    .run(&mut grid, kernel, 0, steps, &Serial);
+                grid.snapshot(steps)
+            })
             .collect();
 
         let rt = Runtime::new(4);
@@ -123,7 +136,9 @@ fn submit_giants(server: &mut StencilServer<f64, HeatKernel<1>, 1>) {
     for ticket in 0..GIANT_TICKETS {
         let mut grid = heat::build([GIANT], Boundary::Periodic);
         grid.set(0, [(ticket * GIANT / GIANT_TICKETS) as i64], 100.0);
-        server.submit_sharded(grid, 0, GIANT_STEPS, SubmitOptions::default());
+        server
+            .try_submit_sharded(grid, 0, GIANT_STEPS, SubmitOptions::default())
+            .unwrap();
     }
 }
 
@@ -135,7 +150,8 @@ fn sharded_giant_drains_end_on_four_workers() {
         let mut reference = heat::serve_giant_1d(GIANT, 4);
         submit_giants(&mut reference);
         let expected: Vec<Vec<f64>> = reference
-            .drain_with(&Serial)
+            .try_drain_with(&Serial)
+            .unwrap()
             .iter()
             .map(|a| a.snapshot(GIANT_STEPS))
             .collect();
@@ -143,7 +159,7 @@ fn sharded_giant_drains_end_on_four_workers() {
         let mut server = heat::serve_giant_1d(GIANT, 4).with_runtime(Arc::new(Runtime::new(4)));
         for drain in 0..GIANT_DRAINS {
             submit_giants(&mut server);
-            let results = server.drain();
+            let results = server.try_drain().unwrap();
             assert_eq!(results.len(), GIANT_TICKETS);
             for (ticket, array) in results.iter().enumerate() {
                 assert!(
