@@ -8,8 +8,8 @@
 //! built with the trace's `chunk` as its drain window; records are replayed in
 //! arrival order, bucketed into epochs of `trace.epoch` ticks, and every server
 //! with pending work drains at each epoch boundary.  Servers are built by
-//! [`AnyServer::build`], the presets `pochoir-serve` itself uses; `HeatGiant1d`
-//! records take the [`try_submit_sharded`](StencilServer::try_submit_sharded) route.
+//! [`AnyServer::build`], the presets `pochoir-serve` itself uses; every record,
+//! `HeatGiant1d` included, is a plain submission.
 //!
 //! Everything the replay reports except wall-clock time is deterministic for a
 //! given trace on one worker thread (`POCHOIR_NUM_THREADS=1`): grid contents are
@@ -130,7 +130,7 @@ impl ReplayServer {
                 t1,
                 opts,
             )?,
-            AnyServer::HeatGiant1d(s) => s.try_submit_sharded(
+            AnyServer::HeatGiant1d(s) => s.try_submit_with(
                 heat_grid(usizes::<1>(&rec.geometry), rec.tenant),
                 0,
                 t1,
@@ -170,9 +170,8 @@ impl ReplayServer {
     }
 
     /// Runs one record immediately as one monolithic run on the shared program —
-    /// the no-serving baseline.  Giant programs fail `should_compile` inside the
-    /// executor and fall back to the sharded tile pipeline, which is pinned
-    /// bitwise-identical to the unsharded run.
+    /// the no-serving baseline.  A giant program's monolithic run compiles the whole
+    /// grid at the engine-made base case, as its drained windows do.
     fn run_direct(&mut self, rec: &TraceRecord) -> u64 {
         fn one<T: DigestBits + Send + Sync + 'static, K: StencilKernel<T, D>, const D: usize>(
             server: &StencilServer<T, K, D>,
@@ -217,10 +216,8 @@ pub struct SessionTotals {
     pub schedule_fetches: u64,
     /// Lookups that compiled a fresh schedule.
     pub schedule_compiles: u64,
-    /// Compiled-route rejections (the giant-grid fallback decisions).
+    /// Runs whose literal base case failed the compiled-route gate (the giants).
     pub schedule_rejections: u64,
-    /// Rejected runs served by the sharded tile pipeline.
-    pub sharded_runs: u64,
     /// Distinct `(app, geometry)` servers the trace forced into existence.
     pub servers: u64,
 }
@@ -287,7 +284,6 @@ pub fn replay_with_sessions(
         totals.schedule_fetches += s.schedule_fetches;
         totals.schedule_compiles += s.schedule_compiles;
         totals.schedule_rejections += s.schedule_rejections;
-        totals.sharded_runs += s.sharded_runs;
     }
     (run, totals)
 }

@@ -40,7 +40,7 @@ const PRESSURE_MAX_PENDING: usize = 4;
 struct Counters {
     records: usize,
     shed: u64,
-    sharded_submissions: usize,
+    giant_submissions: usize,
     points: u64,
     windows: u64,
     drains: u64,
@@ -60,35 +60,34 @@ struct Ticks {
 
 #[rustfmt::skip]
 fn expected() -> Vec<(&'static str, Counters, Ticks)> {
-    let session = |servers, runs, schedule_reuses, schedule_fetches, schedule_compiles| SessionTotals {
-        runs, schedule_reuses, schedule_fetches, schedule_compiles,
-        schedule_rejections: 0, sharded_runs: 0, servers,
+    let session = |servers, runs, schedule_reuses, schedule_fetches, schedule_compiles, schedule_rejections| SessionTotals {
+        runs, schedule_reuses, schedule_fetches, schedule_compiles, schedule_rejections, servers,
     };
     let registry = |hits, misses, evictions| RegistryStats { hits, misses, evictions, quarantined: 0 };
     vec![
         ("poisson",
-         Counters { records: 40, shed: 0, sharded_submissions: 0, points: 737_280, windows: 80, drains: 5,
-                    deadline_total: 10, session: session(1, 80, 80, 1, 1), registry: registry(0, 1, 0) },
+         Counters { records: 40, shed: 0, giant_submissions: 0, points: 737_280, windows: 80, drains: 5,
+                    deadline_total: 10, session: session(1, 80, 80, 1, 1, 0), registry: registry(0, 1, 0) },
          Ticks { peak_ready: 10, deadline_misses: 0, completion_p50: 14, completion_p99: 20 }),
         ("skew",
-         Counters { records: 48, shed: 0, sharded_submissions: 0, points: 884_736, windows: 96, drains: 6,
-                    deadline_total: 15, session: session(1, 216, 215, 2, 2), registry: registry(1, 0, 0) },
+         Counters { records: 48, shed: 0, giant_submissions: 0, points: 884_736, windows: 96, drains: 6,
+                    deadline_total: 15, session: session(1, 216, 215, 2, 2, 0), registry: registry(1, 0, 0) },
          Ticks { peak_ready: 14, deadline_misses: 9, completion_p50: 10, completion_p99: 27 }),
         ("diurnal",
-         Counters { records: 48, shed: 0, sharded_submissions: 0, points: 663_552, windows: 96, drains: 3,
-                    deadline_total: 24, session: session(1, 96, 96, 1, 1), registry: registry(0, 1, 0) },
+         Counters { records: 48, shed: 0, giant_submissions: 0, points: 663_552, windows: 96, drains: 3,
+                    deadline_total: 24, session: session(1, 96, 96, 1, 1, 0), registry: registry(0, 1, 0) },
          Ticks { peak_ready: 23, deadline_misses: 23, completion_p50: 20, completion_p99: 45 }),
         ("churn",
-         Counters { records: 48, shed: 0, sharded_submissions: 0, points: 1_009_344, windows: 48, drains: 45,
-                    deadline_total: 0, session: session(33, 312, 311, 34, 34), registry: registry(1, 32, 18) },
+         Counters { records: 48, shed: 0, giant_submissions: 0, points: 1_009_344, windows: 48, drains: 45,
+                    deadline_total: 0, session: session(33, 312, 311, 34, 34, 0), registry: registry(1, 32, 18) },
          Ticks { peak_ready: 3, deadline_misses: 0, completion_p50: 1, completion_p99: 2 }),
         ("giant",
-         Counters { records: 18, shed: 0, sharded_submissions: 3, points: 14_676_480, windows: 36, drains: 4,
-                    deadline_total: 0, session: session(2, 30, 30, 1, 0), registry: registry(2, 3, 3) },
+         Counters { records: 18, shed: 0, giant_submissions: 3, points: 14_676_480, windows: 36, drains: 4,
+                    deadline_total: 0, session: session(2, 36, 36, 2, 1, 6), registry: registry(0, 2, 2) },
          Ticks { peak_ready: 9, deadline_misses: 0, completion_p50: 11, completion_p99: 17 }),
         ("waves",
-         Counters { records: 24, shed: 0, sharded_submissions: 0, points: 393_216, windows: 24, drains: 3,
-                    deadline_total: 6, session: session(1, 24, 24, 1, 1), registry: registry(0, 1, 1) },
+         Counters { records: 24, shed: 0, giant_submissions: 0, points: 393_216, windows: 24, drains: 3,
+                    deadline_total: 6, session: session(1, 24, 24, 1, 1, 0), registry: registry(0, 1, 1) },
          Ticks { peak_ready: 10, deadline_misses: 0, completion_p50: 4, completion_p99: 9 }),
     ]
 }
@@ -118,7 +117,7 @@ fn corpus_replay_counters_match_the_pinned_table() {
         let observed = Counters {
             records: trace.records.len(),
             shed: pipelined.shed,
-            sharded_submissions: trace
+            giant_submissions: trace
                 .records
                 .iter()
                 .filter(|r| r.app == TraceApp::HeatGiant1d)

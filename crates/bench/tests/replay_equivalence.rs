@@ -1,7 +1,7 @@
 //! Replay-vs-direct-submit equivalence: the replay harness must be an
 //! *observer*, not a participant. For every app the trace format can carry, the
 //! grids produced by replaying through [`StencilServer`] — pipelined drains,
-//! arbitrary epoch interleavings, sharded giants — must be bitwise identical to
+//! arbitrary epoch interleavings, giants — must be bitwise identical to
 //! running each record directly through one `CompiledProgram::run` call.
 //!
 //! Sizes here are deliberately small (these run in debug); the committed corpus at
@@ -50,9 +50,9 @@ fn wave3d_replay_matches_direct_submit() {
 }
 
 #[test]
-fn sharded_giant_replay_matches_direct_submit() {
-    // Small giant: still routed through submit_sharded with pinned tiles, so the
-    // tile-chain reassembly path is exercised without the corpus' 600k cells.
+fn giant_replay_matches_direct_submit() {
+    // The giant preset at an extent small enough to compile literally; the
+    // corpus' 600k cells (`corpus_counters`) take the giant route.
     let background = WorkShape::heat2d(16, 4);
     let giant = GiantCell {
         every: 3,

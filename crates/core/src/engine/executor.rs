@@ -33,12 +33,19 @@
 //!   window heights do not evict each other's pin).  Leaves execute
 //!   through [`base::execute_leaf`], whose segment-level clone resolution keeps
 //!   boundary-leaf interiors on the fast clone.
+//! * **Giant**: a window whose arena at the plan's literal base case would not be
+//!   worth materializing ([`schedule::should_compile`]) is geometry the engine makes
+//!   itself, so it replays the whole grid's schedule at [`Coarsening::engine_made`]
+//!   instead — unless [`Sharding::Off`] asks for the literal walker.
 //! * **Recursive** ([`ScheduleMode::Recursive`]): the storeless reference walker, kept
-//!   for equivalence testing and for (almost) uncoarsened giants whose arenas would not
-//!   be worth materializing ([`schedule::should_compile`]).  It feeds its leaves through
-//!   the *same* [`base::execute_leaf`] dispatch, so the two routes are bit-identical —
-//!   including hybrid clone resolution, which the walker historically lacked.
+//!   for equivalence testing and for giants that fail the gate even at the engine-made
+//!   base case.  It feeds its leaves through the *same* [`base::execute_leaf`]
+//!   dispatch, so the two routes are bit-identical — including hybrid clone
+//!   resolution, which the walker historically lacked.
 //! * **Loops**: the Figure-1 baselines, unchanged.
+//!
+//! None of these tiles the grid: the halo-exchanged tiles of [`shard`] run only
+//! through the explicit [`CompiledProgram::try_run_sharded`].
 //!
 //! The traced mode ([`CompiledProgram::run_traced`]) honours the plan's
 //! [`ScheduleMode`]: compiled plans trace the arena sweep, recursive plans trace the
@@ -48,7 +55,9 @@
 use crate::engine::base;
 use crate::engine::faults::{self, lock_recover};
 use crate::engine::loops;
-use crate::engine::plan::{CloneMode, EngineKind, ExecutionPlan, ScheduleMode, Sharding};
+use crate::engine::plan::{
+    CloneMode, Coarsening, EngineKind, ExecutionPlan, ScheduleMode, Sharding,
+};
 use crate::engine::schedule::{self, Schedule};
 use crate::engine::shard;
 use crate::engine::walker::{cut_with_strategy, CutStrategy, Walker};
@@ -85,15 +94,16 @@ pub struct SessionStats {
     pub schedule_fetches: u64,
     /// Fetches that had to compile a fresh schedule (global-cache misses).
     pub schedule_compiles: u64,
-    /// Runs that asked for the compiled route but were rejected by
-    /// [`schedule::should_compile`] — the giant-grid fallback decisions, also
-    /// surfaced process-wide as the runtime metric `schedule_compile_rejections`.
+    /// Runs whose plan's literal base case [`schedule::should_compile`] rejected —
+    /// the giants, also surfaced process-wide as the runtime metric
+    /// `schedule_compile_rejections`.
     pub schedule_rejections: u64,
-    /// Rejected runs served by the sharded tile pipeline
-    /// ([`crate::engine::shard`]).
+    /// Runs of the explicit tile pipeline
+    /// ([`try_run_sharded`](CompiledProgram::try_run_sharded)).
     pub sharded_runs: u64,
-    /// Rejected (or deliberately recursive) runs served by the recursive
-    /// reference walker.
+    /// Runs served by the recursive reference walker: deliberately recursive plans,
+    /// giants under [`Sharding::Off`], and giants too large even at the engine-made
+    /// base case.
     pub recursive_runs: u64,
 }
 
@@ -207,9 +217,7 @@ impl<const D: usize> CompiledProgram<D> {
             pinned_leaves: AtomicUsize::new(0),
             metrics: SessionMetrics::default(),
         };
-        if window > 0 && program.takes_compiled_route(window) {
-            program.resolve_schedule(window);
-        }
+        program.precompile(window);
         Ok(program)
     }
 
@@ -274,13 +282,16 @@ impl<const D: usize> CompiledProgram<D> {
         };
         let wanted = (heights.len() + kept_existing).max(DEFAULT_PINNED_SCHEDULES);
         self.pin_capacity.fetch_max(wanted, Ordering::Relaxed);
-        let mut fetched = 0;
-        for &height in heights {
-            if height > 0 && self.takes_compiled_route(height) && self.resolve_schedule(height).1 {
-                fetched += 1;
-            }
-        }
-        fetched
+        heights.iter().filter(|&&h| self.precompile(h)).count()
+    }
+
+    /// Pins the schedule `run` replays for windows of `height`, if it replays one;
+    /// returns whether that took a fetch.
+    fn precompile(&self, height: i64) -> bool {
+        let coarsening = self.base_case(height);
+        height > 0
+            && self.compiles(&coarsening, height)
+            && self.resolve_schedule(height, coarsening).1
     }
 
     /// A snapshot of the session's executor counters.
@@ -296,19 +307,39 @@ impl<const D: usize> CompiledProgram<D> {
         }
     }
 
-    /// Whether a window of height `height` executes via the compiled schedule (as
-    /// opposed to the recursive reference walker).
-    fn takes_compiled_route(&self, height: i64) -> bool {
+    /// Whether a window of `height` at base case `coarsening` replays a compiled
+    /// schedule (as opposed to the recursive walker or a loop nest).
+    fn compiles(&self, coarsening: &Coarsening<D>, height: i64) -> bool {
         self.strategy.is_some()
             && self.plan.schedule == ScheduleMode::Compiled
-            && schedule::should_compile(self.sizes, &self.plan.coarsening, height)
+            && schedule::should_compile(self.sizes, coarsening, height)
+    }
+
+    /// The base case [`run`](Self::run) cuts a window of `height` down to: the plan's
+    /// own, unless that fails the compiled-path gate — a giant — and sharding is on,
+    /// in which case the engine picks it ([`Coarsening::engine_made`]).
+    fn base_case(&self, height: i64) -> Coarsening<D> {
+        let literal = self.plan.coarsening;
+        if self.plan.sharding == Sharding::Off || !self.rejects(height) {
+            return literal;
+        }
+        literal.engine_made(self.sizes)
+    }
+
+    /// Whether a window of `height` asks for the compiled route and the plan's
+    /// literal base case fails the gate: the giant-grid decision.
+    fn rejects(&self, height: i64) -> bool {
+        self.strategy.is_some()
+            && self.plan.schedule == ScheduleMode::Compiled
+            && !self.compiles(&self.plan.coarsening, height)
     }
 
     /// Returns the schedule for windows of `height` and whether it had to be fetched:
     /// a pinned one when a pin of that height exists (an MRU *touch*), otherwise a
-    /// (counted) global-cache fetch that pins the result, dropping the least recently
-    /// used pin beyond the session's pin capacity.
-    fn resolve_schedule(&self, height: i64) -> (Arc<Schedule<D>>, bool) {
+    /// (counted) global-cache fetch at base case `coarsening` that pins the result,
+    /// dropping the least recently used pin beyond the session's pin capacity.  A
+    /// height has one base case per session, so pins never collide.
+    fn resolve_schedule(&self, height: i64, coarsening: Coarsening<D>) -> (Arc<Schedule<D>>, bool) {
         let strategy = self
             .strategy
             .expect("compiled route requires a cut strategy");
@@ -323,7 +354,7 @@ impl<const D: usize> CompiledProgram<D> {
             self.sizes,
             self.spec.slopes(),
             self.spec.reach(),
-            self.plan.coarsening,
+            coarsening,
             strategy,
             self.plan.clone_mode == CloneMode::AlwaysBoundary,
             height,
@@ -388,24 +419,6 @@ impl<const D: usize> CompiledProgram<D> {
         K: StencilKernel<T, D>,
         P: Parallelism,
     {
-        self.run_with_spare(array, kernel, t0, t1, par, None);
-    }
-
-    /// [`run`](Self::run), with the giant fallback's tile arrays taken from and left
-    /// in `spare` (see [`shard::TileSpare`]).
-    fn run_with_spare<T, K, P>(
-        &self,
-        array: &mut PochoirArray<T, D>,
-        kernel: &K,
-        t0: i64,
-        t1: i64,
-        par: &P,
-        spare: Option<&shard::TileSpare<T, D>>,
-    ) where
-        T: Copy + Send + Sync + 'static,
-        K: StencilKernel<T, D>,
-        P: Parallelism,
-    {
         self.validate(array);
         if t1 <= t0 {
             return;
@@ -414,43 +427,24 @@ impl<const D: usize> CompiledProgram<D> {
         // Publish the row-kernel ISA this run dispatches to (plan policy ∩ host
         // detection).
         crate::simd::set_active(crate::simd::resolve(self.plan.simd));
-        if let Some(strategy) = self.strategy {
-            if !self.takes_compiled_route(t1 - t0) {
-                // The compiled route was requested but this geometry's arena would
-                // blow the leaf budget: count the rejection, then prefer the sharded
-                // tile pipeline over the storeless recursive walker.
-                if self.plan.schedule == ScheduleMode::Compiled {
-                    self.metrics
-                        .schedule_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    par.count(Counter::ScheduleCompileRejections, 1);
-                    if self.plan.sharding != Sharding::Off
-                        && shard::execute(array, &self.spec, &self.plan, kernel, t0, t1, par, spare)
-                            .is_ok()
-                    {
-                        self.metrics.sharded_runs.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                self.metrics.recursive_runs.fetch_add(1, Ordering::Relaxed);
-                run_recursive(
-                    array.raw(),
-                    &self.spec,
-                    kernel,
-                    t0,
-                    t1,
-                    &self.plan,
-                    par,
-                    strategy,
-                );
-                return;
-            }
-        }
         let grid = array.raw();
+        let height = t1 - t0;
+        if self.rejects(height) {
+            self.metrics
+                .schedule_rejections
+                .fetch_add(1, Ordering::Relaxed);
+            par.count(Counter::ScheduleCompileRejections, 1);
+        }
+        let coarsening = self.base_case(height);
         match self.strategy {
-            Some(_) => {
-                let (schedule, _) = self.resolve_schedule(t1 - t0);
+            Some(_) if self.compiles(&coarsening, height) => {
+                let (schedule, _) = self.resolve_schedule(height, coarsening);
                 schedule.execute(grid, kernel, t0, &self.plan, par);
+            }
+            Some(strategy) => {
+                self.metrics.recursive_runs.fetch_add(1, Ordering::Relaxed);
+                let plan = self.plan.with_coarsening(coarsening);
+                run_recursive(grid, &self.spec, kernel, t0, t1, &plan, par, strategy);
             }
             None => match self.plan.engine {
                 EngineKind::LoopsSerial => {
@@ -467,11 +461,11 @@ impl<const D: usize> CompiledProgram<D> {
         }
     }
 
-    /// Runs `[t0, t1)` through the sharded tile pipeline regardless of whether the
-    /// geometry would have been rejected, picking (or honouring, for
-    /// [`Sharding::Tiles`]) a tile geometry as
-    /// the executor's fallback does.  Bitwise identical to [`run`](Self::run); the
-    /// report describes the tiling taken.  Errors leave `array` untouched.
+    /// Runs `[t0, t1)` through the sharded tile pipeline — the one entry point of the
+    /// run path that tiles — picking (or honouring, for [`Sharding::Tiles`]) a tile
+    /// geometry with [`shard::ShardPlan::auto`].  Bitwise identical to
+    /// [`run`](Self::run); the report describes the tiling taken.  Errors leave
+    /// `array` untouched.
     pub fn try_run_sharded<T, K, P>(
         &self,
         array: &mut PochoirArray<T, D>,
@@ -522,6 +516,8 @@ impl<const D: usize> CompiledProgram<D> {
     /// trace the arena sweep, recursive plans trace the storeless recursion.  Both
     /// cover every space-time point exactly once, so their access *counts* agree; the
     /// visit order (and hence simulated miss counts) reflects the route actually taken.
+    /// A giant traces the literal recursion: Figure 10 measures the uncoarsened
+    /// algorithms, so there is no giant route here.
     pub fn run_traced<T, K, C>(
         &self,
         array: &mut PochoirArray<T, D>,
@@ -544,8 +540,9 @@ impl<const D: usize> CompiledProgram<D> {
         match self.strategy {
             Some(strategy) => {
                 let view = TracingView::new(grid, tracer);
-                if self.takes_compiled_route(t1 - t0) {
-                    let (schedule, _) = self.resolve_schedule(t1 - t0);
+                let literal = self.plan.coarsening;
+                if self.compiles(&literal, t1 - t0) {
+                    let (schedule, _) = self.resolve_schedule(t1 - t0, literal);
                     for leaf in schedule.leaves() {
                         let z = leaf.zoid.shifted(t0);
                         base::execute_zoid(&z, kernel, &view, Some(sizes), self.plan.base_case);
@@ -623,8 +620,9 @@ pub struct CompiledStencil<T, K, const D: usize> {
     program: CompiledProgram<D>,
     kernel: K,
     runtime: Option<Arc<Runtime>>,
-    /// The last sharded run's tile arrays, reused by the next run of the same tile
-    /// plan: a session that ran sharded holds about one grid more until dropped.
+    /// The last [`run_sharded`](Self::run_sharded)'s tile arrays, reused by the next
+    /// one of the same tile plan: a session that ran sharded holds about one grid
+    /// more until dropped.
     tiles: shard::TileSpare<T, D>,
 }
 
@@ -716,8 +714,7 @@ where
         t1: i64,
         par: &P,
     ) {
-        self.program
-            .run_with_spare(array, &self.kernel, t0, t1, par, Some(&self.tiles));
+        self.program.run(array, &self.kernel, t0, t1, par);
     }
 
     /// Runs `[t0, t1)` through the sharded tile pipeline (see
@@ -757,7 +754,7 @@ where
 }
 
 /// The recursive reference path (the paper's original control flow), demoted from
-/// production default to the fallback for (almost) uncoarsened giants and the
+/// production default to the literal path of giants (under [`Sharding::Off`]) and the
 /// equivalence-test reference.  Its leaves run through [`base::execute_leaf`] — the
 /// same segment-level clone resolution as the compiled path — so the two routes stay
 /// bit-identical.

@@ -79,31 +79,29 @@ pub enum CloneMode {
     AlwaysBoundary,
 }
 
-/// Giant-grid sharding policy for [`ScheduleMode::Compiled`] plans.
+/// Giant-grid policy for [`ScheduleMode::Compiled`] plans.
 ///
-/// Grids too large for one compiled arena (see `schedule::should_compile`) are split
-/// along the outermost axis into halo-padded tiles, each small enough to compile,
-/// executed window-by-window with a halo-exchange sync between windows (see
-/// [`crate::engine::shard`]).  Sharding never changes results — the tiles reproduce
-/// the unsharded run bitwise.
+/// The plan's [`Coarsening`] decides *whether* a grid is a giant: the compiled-path
+/// size gate (`schedule::should_compile`) reads it literally.  A giant is geometry
+/// whose base case the engine picks itself ([`Coarsening::engine_made`]), and unless
+/// sharding is off, `run` compiles the whole grid at that base case.
 ///
-/// The plan's [`Coarsening`] decides *whether* a grid is a giant (the size gate
-/// reads it literally); inside a tile the engine picks the base-case size itself —
-/// the plan's thresholds raised to at least [`Coarsening::heuristic`] — because a
-/// tile is geometry the caller never sees.  [`Sharding::Off`] is the literal path:
-/// the recursion runs down to exactly the plan's thresholds.
+/// The tile pipeline of [`crate::engine::shard`] — the grid split along its outermost
+/// axis into halo-padded tiles, a halo exchange between windows — is reached only
+/// through the explicit `run_sharded` / `try_submit_sharded` entry points, which read
+/// this policy for their tile count.  Neither route ever changes results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Sharding {
-    /// Never shard: a geometry that fails the compiled-path size gate runs the
-    /// recursive reference walker at exactly the plan's coarsening (what the
-    /// uncoarsened Figure 9/10 and Section-4 ablations measure).
+    /// The literal path: a geometry that fails the size gate runs the recursive
+    /// reference walker at exactly the plan's coarsening (what the uncoarsened
+    /// Figure 9/10 and Section-4 ablations measure).  No tiles either.
     Off,
-    /// Shard automatically when (and only when) the geometry fails the size gate,
-    /// deriving the tile count and sync window from the geometry.  Default.
+    /// Giants run whole at the engine-made base case; explicit tile runs derive
+    /// the tile count and sync window from the geometry.  Default.
     #[default]
     Auto,
-    /// Like [`Auto`](Self::Auto), but with an explicit tile count (clamped to the
-    /// outermost extent; `Tiles(0)` and `Tiles(1)` mean a single tile).
+    /// Like [`Auto`](Self::Auto), but explicit tile runs use this tile count
+    /// (clamped to the outermost extent; `Tiles(0)` and `Tiles(1)` mean one tile).
     Tiles(u32),
 }
 
@@ -123,7 +121,7 @@ impl<const D: usize> Coarsening<D> {
     /// No coarsening: recurse all the way down (used by the Figure 9/10 experiments,
     /// which measure the uncoarsened algorithms).  Geometries large enough to fail
     /// the compiled-path size gate keep that meaning only under [`Sharding::Off`];
-    /// the default [`Sharding::Auto`] runs them as tiles with their own base case.
+    /// the default [`Sharding::Auto`] runs them at [`engine_made`](Self::engine_made).
     pub fn none() -> Self {
         Coarsening { dt: 1, dx: [1; D] }
     }
@@ -159,11 +157,21 @@ impl<const D: usize> Coarsening<D> {
         Coarsening { dt, dx }
     }
 
-    /// These thresholds raised component-wise to at least `floor`'s.
-    pub fn at_least(mut self, floor: &Self) -> Self {
+    /// The base case of geometry the engine makes itself — a giant grid (one whose
+    /// literal thresholds fail the compiled-path size gate) or a shard tile — of
+    /// extent `sizes`: these thresholds raised component-wise to at least
+    /// [`heuristic`](Self::heuristic)'s, and for D ≥ 2 the unit-stride dimension never
+    /// cut.  The caller never sees such geometry, and replaying (almost) unit zoids
+    /// would stream an arena many times the size of the grid it updates (§4,
+    /// "coarsening of base cases").
+    pub fn engine_made(mut self, sizes: [i64; D]) -> Self {
+        let floor = Self::heuristic();
         self.dt = self.dt.max(floor.dt);
         for (w, &f) in self.dx.iter_mut().zip(&floor.dx) {
             *w = (*w).max(f);
+        }
+        if D >= 2 {
+            self.dx[D - 1] = self.dx[D - 1].max(sizes[D - 1]);
         }
         self
     }
@@ -199,8 +207,8 @@ pub struct ExecutionPlan<const D: usize> {
     /// see [`crate::simd::resolve`]).  Never changes results — the AVX2 rows are
     /// bitwise-equal to the baseline loop.
     pub simd: SimdPolicy,
-    /// Giant-grid sharding policy: what happens when a [`ScheduleMode::Compiled`]
-    /// geometry fails the compiled-path size gate.  Never changes results.
+    /// Giant-grid policy: what happens when a [`ScheduleMode::Compiled`] geometry
+    /// fails the compiled-path size gate.  Never changes results.
     pub sharding: Sharding,
 }
 
@@ -335,6 +343,28 @@ mod tests {
         assert_eq!(c3.dx, [3, 3, 1000]);
         let c4: Coarsening<4> = Coarsening::heuristic();
         assert_eq!(c4.dx, [3, 3, 3, 1000]);
+    }
+
+    #[test]
+    fn engine_made_only_ever_raises_and_keeps_rows_whole() {
+        let h1 = Coarsening::<1>::heuristic();
+        assert_eq!(Coarsening::<1>::none().engine_made([200_000]), h1);
+        let h2 = Coarsening::<2>::heuristic();
+        assert_eq!(
+            Coarsening::none().engine_made([4096, 2048]),
+            Coarsening::new(h2.dt, [h2.dx[0], 2048])
+        );
+        let tall = Coarsening::new(64, [8, 512]);
+        assert_eq!(
+            tall.engine_made([9, 16]),
+            Coarsening::new(64, [h2.dx[0], 512])
+        );
+        let h3 = Coarsening::<3>::heuristic();
+        assert_eq!(Coarsening::<3>::none().engine_made([256; 3]), h3);
+        assert_eq!(
+            Coarsening::<3>::none().engine_made([8, 8, 4096]).dx,
+            [h3.dx[0], h3.dx[1], 4096]
+        );
     }
 
     #[test]

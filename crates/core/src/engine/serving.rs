@@ -54,8 +54,10 @@
 //! high-water mark, logical-deadline misses and per-ticket completion ticks; the same
 //! numbers reach the runtime's metrics (`serving_*` counters).
 //!
-//! One submission is one ticket, one chain and one returned array — also when it
-//! was submitted through [`StencilServer::try_submit_sharded`].  A sharded ticket's
+//! One submission is one ticket, one chain and one returned array.  A plain ticket
+//! of a giant geometry is no different: each window is one `CompiledProgram::run`,
+//! which compiles the whole grid at the engine's own base case.  The same holds for
+//! the explicit [`StencilServer::try_submit_sharded`], whose ticket's
 //! window is one round of its tile pipeline (every tile advances a window in
 //! parallel, then the halo seams are exchanged; `engine::shard` owns that driver),
 //! so the scheduler never sees tiles: it costs `windows` dispatch ticks like any

@@ -1,9 +1,11 @@
-//! Halo-exchanged tile pipelines for grids too large to compile whole.
+//! Halo-exchanged tile pipelines: an explicit alternative route for giant grids.
 //!
-//! [`schedule::should_compile`] rejects geometries whose flat arena would blow the
-//! leaf budget (e.g. an uncoarsened 4096×4096 grid), and the executor historically
-//! fell back to the storeless recursive walker for them.  This module adds a third
-//! route: split the grid along its outermost axis into K tiles, pad each tile with a
+//! [`schedule::should_compile`] rejects geometries whose flat arena at the plan's
+//! literal base case would blow the leaf budget (e.g. an uncoarsened 4096×4096 grid).
+//! `CompiledProgram::run` compiles such a giant whole at the engine-made base case
+//! ([`Coarsening::engine_made`]) and never enters this module; the tiles here run
+//! only through the explicit `run_sharded` / `try_submit_sharded` entry points.  They
+//! split the grid along its outermost axis into K tiles, pad each tile with a
 //! halo of `reach₀ × W` rows (exactly the light cone of a W-step window), compile
 //! one [`CompiledProgram`] per *distinct tile geometry* through the serving registry
 //! (identical interior tiles share a single compile), and run the time range as a
@@ -16,15 +18,14 @@
 //!
 //! One round is both phases, and `ShardRun` (scatter at `start`, a round per
 //! `step`, gather at `finish`) is its only driver: [`ShardPlan::execute`] loops it
-//! behind `run_sharded` and the executor's giant fallback, and the serving drain
-//! dispatches one `step` per window of a `try_submit_sharded` ticket.  Scatter and
-//! gather are per-tile tasks too, so a tile is filled and drained on the pool, and
-//! a [`CompiledStencil`](crate::engine::CompiledStencil) keeps its last run's tile
+//! behind `run_sharded`, and the serving drain dispatches one `step` per window of
+//! a `try_submit_sharded` ticket.  Scatter and gather are per-tile tasks too, so a
+//! tile is filled and drained on the pool, and a
+//! [`CompiledStencil`](crate::engine::CompiledStencil) keeps its last run's tile
 //! arrays (`TileSpare`) for the next run of the same plan.
 //!
-//! The parent plan's coarsening decides only *whether* the grid is a giant (the
-//! executor's gate reads it literally, and [`Sharding::Off`] keeps the literal
-//! recursion); a tile resolves its own base-case size (`tile_coarsening`).
+//! A tile is engine-made geometry, so it runs at [`Coarsening::engine_made`] of the
+//! parent plan's base case — the same rule as a giant run whole.
 //!
 //! # The bitwise guarantee
 //!
@@ -98,17 +99,8 @@ fn minimal_compilable_k(k_floor: i64, n0: i64, compilable: impl Fn(i64) -> bool)
     Some(hi)
 }
 
-/// The base-case size a tile runs with — for the geometry search and the tile
-/// programs alike.  A tile is engine-made geometry the caller never sees, so it
-/// resolves its own coarsening: the parent plan's thresholds raised to at least
-/// [`Coarsening::heuristic`].  Replaying an uncoarsened parent's verbatim would
-/// stream an arena of unit zoids many times the size of the grid it updates.
-fn tile_coarsening<const D: usize>(parent: &Coarsening<D>) -> Coarsening<D> {
-    parent.at_least(&Coarsening::heuristic())
-}
-
 /// Whether the widest of `k` even tiles (halo included) compiles a `w`-step window
-/// at the tile's own base-case size.
+/// at the tile's engine-made base case (a tile shares the grid's inner extents).
 fn tiles_compile<const D: usize>(
     sizes: [i64; D],
     reach0: i64,
@@ -118,7 +110,7 @@ fn tiles_compile<const D: usize>(
 ) -> bool {
     let mut tile_sizes = sizes;
     tile_sizes[0] = (sizes[0] + k - 1) / k + 2 * reach0 * w;
-    schedule::should_compile(tile_sizes, &tile_coarsening(coarsening), w)
+    schedule::should_compile(tile_sizes, &coarsening.engine_made(sizes), w)
 }
 
 /// One outermost-axis tile of a [`ShardPlan`]: `len` owned rows starting at global
@@ -148,8 +140,8 @@ impl Tile {
     }
 }
 
-/// Why a grid could not take the sharded route; the executor falls back to the
-/// recursive walker on every variant, so sharding never costs correctness.
+/// Why a grid could not take the sharded route; the array is left untouched, and
+/// `run` (which never tiles) still serves it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardError {
     /// The array registered a [`Boundary::Custom`], which probes the array itself
@@ -272,14 +264,13 @@ impl<const D: usize> ShardPlan<D> {
 
     /// Chooses a tile geometry for a grid that failed [`schedule::should_compile`]:
     /// the tallest window `W ≤ min(height, MAX_SHARD_WINDOW)` for which some tile
-    /// count `K` makes every tile compilable at the tile's own base-case size
-    /// (`coarsening`, the parent plan's, raised to at least the heuristic) —
+    /// count `K` makes every tile compilable at the tile's base case
+    /// ([`Coarsening::engine_made`] of the parent plan's `coarsening`) —
     /// preferring the smallest such `K` (fewest seams) and requiring the redundant
     /// halo rows to stay under half the grid.  [`Sharding::Tiles`] pins `K` instead
     /// and only searches the window.
     ///
-    /// Returns `None` when no geometry qualifies (the caller falls back to the
-    /// recursive walker).
+    /// Returns `None` when no geometry qualifies.
     pub fn auto(
         sizes: [i64; D],
         reach0: i64,
@@ -469,10 +460,10 @@ impl<const D: usize> ShardPlan<D> {
 
     /// Compiles one program per *distinct tile extent* through the serving registry
     /// (interior tiles of equal extent share a compile), recording hit/miss counts
-    /// in `report`.  Tile programs carry the parent plan except for its base-case
-    /// size (see [`tile_coarsening`]) and sharding, which is switched off: a tile
+    /// in `report`.  Tile programs carry the parent plan except for its base case
+    /// ([`Coarsening::engine_made`]) and sharding, which is switched off: a tile
     /// that *still* fails `should_compile` runs its windows through the recursive
-    /// walker instead of recursing into another shard.
+    /// walker.
     pub(crate) fn tile_programs(
         &self,
         spec: &StencilSpec<D>,
@@ -480,7 +471,7 @@ impl<const D: usize> ShardPlan<D> {
         report: &mut ShardReport,
     ) -> Result<HashMap<i64, (Arc<CompiledProgram<D>>, CacheLookup)>, ShardError> {
         let tile_plan = plan
-            .with_coarsening(tile_coarsening(&plan.coarsening))
+            .with_coarsening(plan.coarsening.engine_made(self.sizes))
             .with_sharding(Sharding::Off);
         let mut programs = HashMap::new();
         for tile in &self.tiles {
@@ -778,10 +769,9 @@ pub(crate) fn wraps_axis0<T: Copy, const D: usize>(boundary: &Boundary<T, D>) ->
     }
 }
 
-/// The executor's sharded fallback: picks a geometry for `array` (honouring
+/// `try_run_sharded`'s driver: picks a geometry for `array` (honouring
 /// `plan.sharding`) and executes `[t0, t1)` through it, with `spare`'s tiles when
-/// they fit.  Errors mean "not sharded"; the caller falls back to the recursive
-/// walker.
+/// they fit.  Errors mean "not sharded", with `array` untouched.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute<T, K, P, const D: usize>(
     array: &mut PochoirArray<T, D>,
@@ -892,14 +882,6 @@ mod tests {
         assert_eq!(plan.window(), 8);
         assert!(tiles_compile(sizes, 1, &coarsening, 4, plan.window()));
         assert_eq!(plan.tiles().iter().map(|t| t.len).sum::<i64>(), 4096);
-    }
-
-    #[test]
-    fn tile_coarsening_only_ever_raises_the_parent() {
-        let h = Coarsening::<2>::heuristic();
-        assert_eq!(tile_coarsening(&Coarsening::none()), h);
-        let tall = Coarsening::new(64, [8, 512]);
-        assert_eq!(tile_coarsening(&tall), Coarsening::new(64, [h.dx[0], 512]));
     }
 
     /// The `shard-giant` geometry: tile arenas are hundreds of leaves, not one leaf

@@ -7,7 +7,9 @@
 //! Minor page faults per later op stay near zero too — the signal that shows a
 //! buffer re-faulted from a fresh heap even when the allocation count looks fine.
 //! Faults are process-wide (`/proc/self/stat`), since the pool's workers fill
-//! and drain the tiles.
+//! and drain the tiles.  The same session's plain `run` — the giant route, the
+//! whole grid compiled at the engine-made base case — allocates none after its
+//! first op.
 //!
 //! Alone in its test binary on purpose: the allocator and the fault counter are
 //! process-wide.  The allocator's `unsafe impl` forwards to `System` unchanged.
@@ -137,4 +139,19 @@ fn steady_state_sharded_ops_allocate_no_tiles() {
         faults <= FAULTS_PER_OP * OPS,
         "{faults} minor faults over {OPS} steady-state ops (bound {FAULTS_PER_OP} per op)"
     );
+
+    // The giant route on the same session: the whole grid's schedule replays in
+    // place, so after its first op a `run` allocates nothing large either.
+    let start = OPS as i64 + 1;
+    for op in start..=start + OPS as i64 {
+        let (large, ()) =
+            large_allocations(|| session.run(&mut grid, op * STEPS, (op + 1) * STEPS));
+        assert!(
+            op == start || large == 0,
+            "giant-route op {op} made {large} allocations of ≥ 1 MiB"
+        );
+    }
+    let stats = session.stats();
+    assert_eq!((stats.sharded_runs, stats.recursive_runs), (OPS + 1, 0));
+    assert_eq!(stats.schedule_rejections, OPS + 1);
 }

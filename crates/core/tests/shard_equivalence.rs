@@ -1,9 +1,10 @@
-//! The sharded route's bitwise guarantee: splitting a grid into halo-exchanged
-//! tiles and pipelining windows over them produces results *bitwise identical* to
-//! running the same plan unsharded — across engines (TRAP/STRAP), boundary kinds
-//! (periodic, constant, clamp, coordinate-dependent, mixed) and dimensions
-//! (1D/2D/3D) — and the executor automatically takes the sharded route for grids
-//! that fail `should_compile`.
+//! The giant route and the sharded route, bitwise.  `run` on a grid that fails
+//! `should_compile` at the plan's literal base case compiles the whole grid at the
+//! engine-made base case, never tiles, and matches `run_sharded` and `loops_serial`
+//! in every retained slot.  Splitting a grid into halo-exchanged tiles and
+//! pipelining windows over them produces results *bitwise identical* to running the
+//! same plan unsharded — across engines (TRAP/STRAP), boundary kinds (periodic,
+//! constant, clamp, coordinate-dependent, mixed) and dimensions (1D/2D/3D).
 
 use pochoir_core::boundary::{AxisRule, Boundary};
 use pochoir_core::engine::shard::ShardPlan;
@@ -213,11 +214,11 @@ fn sharded_matches_unsharded_mixed_boundary() {
     }
 }
 
-/// The acceptance scenario: a grid `should_compile` rejects runs through sharded
-/// compiled tiles — automatically, via the executor fallback — and stays bitwise
-/// equal to the recursive reference.
+/// A grid `should_compile` rejects runs whole at the engine-made base case under
+/// the default plan, and through the literal recursive walker under
+/// `Sharding::Off` — bitwise equal, and neither tiles.
 #[test]
-fn executor_auto_shards_rejected_giants_bitwise() {
+fn giants_run_whole_unless_sharding_is_off() {
     let n = 400_000usize;
     let steps = 8i64;
     let spec = StencilSpec::new(star_shape::<1>(1));
@@ -244,22 +245,136 @@ fn executor_auto_shards_rejected_giants_bitwise() {
     let stats = literal.stats();
     assert_eq!((stats.recursive_runs, stats.sharded_runs), (1, 0));
 
-    // The default plan auto-shards on rejection.
+    // The default plan compiles the whole grid at the engine-made base case.
     let auto_plan = ExecutionPlan::trap().with_coarsening(coarsening);
     assert_eq!(auto_plan.sharding, Sharding::Auto);
     let session = CompiledStencil::new(spec.clone(), Heat1D, auto_plan, [n], steps);
-    let mut sharded = make();
-    session.run_with(&mut sharded, 0, steps, &Serial);
+    let mut whole = make();
+    session.run_with(&mut whole, 0, steps, &Serial);
 
     let stats = session.stats();
     assert_eq!(
-        stats.sharded_runs, 1,
-        "the giant must take the sharded route"
+        (
+            stats.schedule_rejections,
+            stats.sharded_runs,
+            stats.recursive_runs
+        ),
+        (1, 0, 0),
+        "the giant must run whole"
     );
-    assert_eq!(stats.recursive_runs, 0);
-    assert!(stats.schedule_rejections >= 1);
-    assert_eq!(sharded.snapshot(steps), reference.snapshot(steps));
-    assert_eq!(sharded.snapshot(steps - 1), reference.snapshot(steps - 1));
+    assert_eq!(whole.snapshot(steps), reference.snapshot(steps));
+    assert_eq!(whole.snapshot(steps - 1), reference.snapshot(steps - 1));
+}
+
+/// The giant route: `run` on an uncoarsened session of `make()`'s geometry, over two
+/// shifted windows, must equal `run_sharded` on the same session and `loops_serial`
+/// in every storage slot — with every run a rejection served whole (no tile, no
+/// walker).
+fn assert_giant_route_bitwise<T, K, const D: usize>(
+    spec: &StencilSpec<D>,
+    kernel: K,
+    make: impl Fn() -> PochoirArray<T, D>,
+    window: i64,
+) where
+    T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    K: StencilKernel<T, D>,
+{
+    let plan = ExecutionPlan::trap().with_coarsening(Coarsening::none());
+    let sizes = make().sizes_i64();
+    assert!(
+        !pochoir_core::engine::schedule::should_compile(sizes, &plan.coarsening, window),
+        "test geometry must be a genuine giant"
+    );
+    let t0 = spec.shape().first_step();
+    let windows = [(t0, t0 + window), (t0 + window, t0 + 2 * window)];
+    let session = CompiledStencil::new(spec.clone(), kernel, plan, make().sizes(), window);
+
+    let mut whole = make();
+    for (a, b) in windows {
+        session.run(&mut whole, a, b);
+    }
+    let stats = session.stats();
+    assert_eq!(
+        (stats.runs, stats.sharded_runs, stats.recursive_runs),
+        (2, 0, 0)
+    );
+    assert_eq!(stats.schedule_rejections, stats.runs);
+
+    let mut tiled = make();
+    for (a, b) in windows {
+        session
+            .run_sharded(&mut tiled, a, b)
+            .expect("the giant shards");
+    }
+    let mut loops = make();
+    let serial = ExecutionPlan::loops_serial();
+    pochoir_core::engine::run(
+        &mut loops,
+        spec,
+        session.kernel(),
+        t0,
+        t0 + 2 * window,
+        &serial,
+        &Serial,
+    );
+    assert_eq!(all_slots(&whole), all_slots(&loops), "run vs loops_serial");
+    assert_eq!(
+        all_slots(&tiled),
+        all_slots(&loops),
+        "run_sharded vs loops_serial"
+    );
+}
+
+/// The benchmark's `shard-giant` op: 1-D periodic heat, 200 000 cells × 24 steps.
+#[test]
+fn giant_route_1d_shard_giant_geometry() {
+    assert_giant_route_bitwise(
+        &StencilSpec::new(star_shape::<1>(1)),
+        Heat1D,
+        || {
+            let mut a = PochoirArray::<f64, 1>::new([200_000]);
+            a.register_boundary(Boundary::Periodic);
+            a.fill_time_slice(0, |x| ((x[0] * 37 + 11) % 101) as f64);
+            a
+        },
+        24,
+    );
+}
+
+/// 2-D heat just past the 2²¹-leaf gate (520 × 512 × 8 = 2 129 920 unit leaves),
+/// whose unit-stride rows the engine-made base case keeps whole.
+#[test]
+fn giant_route_2d_just_past_the_gate() {
+    assert_giant_route_bitwise(
+        &StencilSpec::new(star_shape::<2>(1)),
+        Heat2D,
+        || {
+            let mut a = PochoirArray::<f64, 2>::new([520, 512]);
+            a.register_boundary(Boundary::Clamp);
+            a.fill_time_slice(0, |x| ((x[0] * 7 + x[1] * 3) % 17) as f64);
+            a
+        },
+        8,
+    );
+}
+
+/// Depth-2 3-D wave (three storage slots) on a non-periodic boundary, so the tiles'
+/// axis-0 halos truncate at the global edges.
+#[test]
+fn giant_route_3d_depth_two_wave() {
+    assert_giant_route_bitwise(
+        &wave3d_spec(),
+        Wave3D,
+        || {
+            let mut a = PochoirArray::<f64, 3>::with_depth([66, 64, 64], 2);
+            a.register_boundary(Boundary::Constant(0.5));
+            let bump = |x: [i64; 3]| ((x[0] * 5 + x[1] * 3 + x[2]) % 11) as f64 * 0.25;
+            a.fill_time_slice(0, bump);
+            a.fill_time_slice(1, |x| bump(x) * 0.5);
+            a
+        },
+        8,
+    );
 }
 
 /// `Sharding::Tiles(k)` forces the tile count on the fallback route.

@@ -169,10 +169,10 @@ counters! {
     /// Poisoned shared-state locks (registry, session pin sets, schedule cache)
     /// recovered instead of propagating the poison panic.
     RegistryPoisonRecoveries => registry_poison_recoveries: sum,
-    /// Window runs whose geometry failed `should_compile` and were demoted off the
-    /// compiled-arena path (onto sharded tiles or the recursive reference walker).
+    /// Window runs whose plan's literal base case failed `should_compile`: giants,
+    /// run at the engine's own base case or (sharding off) by the recursive walker.
     ScheduleCompileRejections => schedule_compile_rejections: sum,
-    /// Tile executions launched by sharded giant-grid runs (one count per tile per
+    /// Tile executions launched by explicit sharded runs (one count per tile per
     /// window phase).
     ShardTiles => shard_tiles: sum,
     /// Grid cells copied by shard halo-exchange syncs between tile neighbours

@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use pochoir_core::boundary::Boundary;
 use pochoir_core::engine::{
-    AdmissionPolicy, Coarsening, ExecutionPlan, ServeError, Sharding, StencilServer, SubmitOptions,
+    AdmissionPolicy, Coarsening, ExecutionPlan, ServeError, StencilServer, SubmitOptions,
     TicketOutcome,
 };
 use pochoir_core::grid::PochoirArray;
@@ -80,7 +80,6 @@ use pochoir_stencils::heat::HeatKernel;
 use pochoir_stencils::life::LifeKernel;
 use pochoir_stencils::wave::WaveKernel;
 use pochoir_stencils::{heat, life, traffic, wave};
-use pochoir_trace::corpus::GIANT_TILES;
 use pochoir_trace::{Trace, TraceApp, TraceRecord};
 
 use crate::protocol::{
@@ -231,8 +230,8 @@ pub enum AnyServer {
     Life(StencilServer<u8, LifeKernel, 2>),
     /// 3-D wave, `f64`, depth 2.
     Wave3d(StencilServer<f64, WaveKernel, 3>),
-    /// Giant 1-D heat, submitted sharded with the tile count pinned to
-    /// [`GIANT_TILES`].
+    /// Giant 1-D heat, `f64`: an uncoarsened plan whose grids the engine compiles
+    /// whole at its own base case.
     HeatGiant1d(StencilServer<f64, HeatKernel<1>, 1>),
 }
 
@@ -251,9 +250,7 @@ macro_rules! with_server {
 
 impl AnyServer {
     /// Builds the server for `(app, geometry)` with drain window `chunk` through the
-    /// per-app presets, installing `admission` if given.  The giant preset pins its
-    /// tile count: `Sharding::Auto` would size the tiling off this host's worker
-    /// count, and a trace must replay identically on any machine.
+    /// per-app presets, installing `admission` if given.
     pub fn build(
         app: TraceApp,
         geometry: &[u64],
@@ -273,9 +270,7 @@ impl AnyServer {
             TraceApp::HeatGiant1d => AnyServer::HeatGiant1d(StencilServer::try_new(
                 StencilSpec::new(heat::shape::<1>()),
                 HeatKernel::<1>::default(),
-                ExecutionPlan::trap()
-                    .with_coarsening(Coarsening::none())
-                    .with_sharding(Sharding::Tiles(GIANT_TILES)),
+                ExecutionPlan::trap().with_coarsening(Coarsening::none()),
                 traffic::usizes::<1>(geometry),
                 chunk,
             )?),
@@ -939,7 +934,7 @@ fn handle_submit(
             (AnyServer::Heat2d(s), Grid::F64x2(a)) => s.try_submit_with(a, t0, t1, opts),
             (AnyServer::Life(s), Grid::U8x2(a)) => s.try_submit_with(a, t0, t1, opts),
             (AnyServer::Wave3d(s), Grid::F64x3(a)) => s.try_submit_with(a, t0, t1, opts),
-            (AnyServer::HeatGiant1d(s), Grid::F64x1(a)) => s.try_submit_sharded(a, t0, t1, opts),
+            (AnyServer::HeatGiant1d(s), Grid::F64x1(a)) => s.try_submit_with(a, t0, t1, opts),
             // Unreachable in practice: `grid` was built for the session's own
             // app a few lines up.
             _ => {

@@ -2,7 +2,9 @@
 //! clients across three geometries with results **bitwise-identical** to
 //! running the same batches in-process, while compiling each geometry exactly
 //! once (the process-global session registry is shared across the network
-//! boundary).
+//! boundary).  Then a giant: two tenants of the trace corpus's 1-D giant
+//! (`GIANT_CELLS`, which the engine compiles whole at its own base case) sent
+//! back-to-back, each fetched result bitwise-equal to the same in-process run.
 //!
 //! One `#[test]` on purpose: the registry-miss accounting needs the whole
 //! scenario in one deterministic scope.
@@ -19,6 +21,7 @@ use pochoir_serve::server::{ServeConfig, Server};
 use pochoir_serve::Client;
 use pochoir_stencils::traffic::{digest_grid, heat_grid, life_grid, usizes, wave_grid, DigestBits};
 use pochoir_stencils::{heat, life, wave};
+use pochoir_trace::corpus::GIANT_CELLS;
 use pochoir_trace::TraceApp;
 
 const WINDOW: i64 = 4;
@@ -29,7 +32,7 @@ fn geometry_of(app: TraceApp) -> Vec<u64> {
         TraceApp::Heat2d => vec![24, 24],
         TraceApp::Life => vec![20, 20],
         TraceApp::Wave3d => vec![12, 12, 12],
-        TraceApp::HeatGiant1d => unreachable!("not served in this test"),
+        TraceApp::HeatGiant1d => vec![GIANT_CELLS],
     }
 }
 
@@ -128,13 +131,40 @@ fn live_server_matches_in_process_bitwise_with_one_compile_per_geometry() {
                 &wave_server,
                 wave_grid(usizes::<3>(&geometry_of(app)), tenant),
             ),
-            TraceApp::HeatGiant1d => unreachable!(),
+            TraceApp::HeatGiant1d => unreachable!("no giant among the 8 clients"),
         };
         assert_eq!(
             live_digest, expected,
             "tenant {tenant} ({app:?}): wire result differs from in-process CompiledProgram::run"
         );
     }
+
+    // The giant: two tenants submitted back-to-back on one connection, so both
+    // can land in one drain, then fetched in order.
+    let geometry = geometry_of(TraceApp::HeatGiant1d);
+    let mut client = Client::connect(&addr).expect("connect");
+    let session = client
+        .negotiate(TraceApp::HeatGiant1d, &geometry, WINDOW)
+        .expect("negotiate the giant");
+    let tenants = [3u32, 11];
+    let requests = tenants.map(|tenant| {
+        client
+            .submit_tenant(&session, tenant, T1, 1, Deadline::None)
+            .expect("submit the giant")
+    });
+    let giant_server = heat::serve_giant_1d(GIANT_CELLS as usize, WINDOW);
+    for (tenant, request) in tenants.into_iter().zip(requests) {
+        let live_digest = client
+            .wait_fetch(request, Duration::from_secs(120))
+            .expect("wait+fetch the giant")
+            .digest();
+        let expected = local_digest(&giant_server, heat_grid(usizes::<1>(&geometry), tenant));
+        assert_eq!(
+            live_digest, expected,
+            "giant tenant {tenant}: wire result differs from in-process CompiledProgram::run"
+        );
+    }
+    client.close().expect("close");
 
     server.shutdown();
 }

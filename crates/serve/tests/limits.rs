@@ -1,9 +1,8 @@
 //! Resource-ceiling and small-geometry pins for `pochoir-serve`:
 //!
-//! * a giant session whose extent is **smaller than the configured tile
-//!   count** (the shard plan clamps to the extent) keeps its per-request
-//!   bookkeeping aligned — back-to-back submissions each fetch their own
-//!   result, bitwise-equal to the in-process sharded run;
+//! * a giant session of a tiny extent keeps its per-request bookkeeping
+//!   aligned — back-to-back submissions each fetch their own result,
+//!   bitwise-equal to a plain in-process submission;
 //! * the session table is bounded: a `Negotiate` for a new geometry past
 //!   `max_sessions` is refused with a typed `Shed` error while existing
 //!   geometries keep re-joining;
@@ -21,57 +20,31 @@
 
 use std::time::Duration;
 
-use pochoir_core::engine::{Coarsening, ExecutionPlan, Sharding, StencilServer, SubmitOptions};
 use pochoir_core::grid::PochoirArray;
-use pochoir_core::kernel::StencilSpec;
 use pochoir_runtime::Serial;
 use pochoir_serve::protocol::Deadline;
 use pochoir_serve::server::{ServeConfig, Server};
 use pochoir_serve::{Client, ClientError, ErrorCode, Session};
-use pochoir_stencils::heat::HeatKernel;
 use pochoir_stencils::traffic::{digest_grid, heat_grid, usizes, wave_grid};
-use pochoir_stencils::{heat, traffic, wave};
-use pochoir_trace::corpus::GIANT_TILES;
+use pochoir_stencils::{heat, wave};
 use pochoir_trace::TraceApp;
 
 const WINDOW: i64 = 4;
 const T1: i64 = 8;
 
-/// Extent below `GIANT_TILES`, so `Sharding::Tiles` clamps the tile count and
-/// every submission creates fewer scheduler tickets than the configured K.
+/// A 1-D giant-preset extent smaller than any tile count the wire ever used.
 const SMALL_GIANT: [u64; 1] = [3];
 
-/// In-process baselines: the same sharded preset the server builds, one
-/// submission per tenant, digests taken at each group's lead ticket.
+/// In-process baselines: the giant preset, one plain submission per tenant.
 fn local_giant_digests(tenants: &[u32]) -> Vec<u64> {
-    let mut server: StencilServer<f64, HeatKernel<1>, 1> = StencilServer::try_new(
-        StencilSpec::new(heat::shape::<1>()),
-        HeatKernel::<1>::default(),
-        ExecutionPlan::trap()
-            .with_coarsening(Coarsening::none())
-            .with_sharding(Sharding::Tiles(GIANT_TILES)),
-        traffic::usizes::<1>(&SMALL_GIANT),
-        WINDOW,
-    )
-    .unwrap();
-    let leads: Vec<usize> = tenants
-        .iter()
-        .map(|&tenant| {
-            server
-                .try_submit_sharded(
-                    heat_grid(usizes::<1>(&SMALL_GIANT), tenant),
-                    0,
-                    T1,
-                    SubmitOptions::default(),
-                )
-                .expect("in-process sharded submit")
-        })
-        .collect();
+    let mut server = heat::serve_giant_1d(SMALL_GIANT[0] as usize, WINDOW);
+    for &tenant in tenants {
+        server
+            .try_submit(heat_grid(usizes::<1>(&SMALL_GIANT), tenant), 0, T1)
+            .expect("in-process submit");
+    }
     let results = server.try_drain().unwrap();
-    leads
-        .iter()
-        .map(|&lead| digest_grid(&results[lead], T1))
-        .collect()
+    results.iter().map(|grid| digest_grid(grid, T1)).collect()
 }
 
 #[test]
@@ -84,9 +57,8 @@ fn small_extent_giant_requests_each_get_their_own_result() {
         .expect("negotiate small giant");
 
     // Submit all requests back-to-back before fetching anything, so several
-    // groups can land in one drain batch — the regression this pins is a
-    // later request being paired with an earlier request's result when the
-    // bookkeeping assumed `GIANT_TILES` tickets per group.
+    // land in one drain batch — the regression this pins is a later request
+    // being paired with an earlier request's result.
     let tenants: Vec<u32> = (0..4).collect();
     let requests: Vec<u64> = tenants
         .iter()
@@ -112,7 +84,7 @@ fn small_extent_giant_requests_each_get_their_own_result() {
     assert_eq!(
         live, expected,
         "each small-extent giant request must fetch its own grid, \
-         bitwise-equal to the in-process sharded run"
+         bitwise-equal to the in-process run"
     );
 }
 

@@ -204,12 +204,13 @@ pub fn try_serve_2d(
 }
 
 /// A serving preset for giant 1D heat grids — extents that fail `should_compile`
-/// uncoarsened and therefore take the sharded route (see `docs/sharding.md`): an
-/// intentionally uncoarsened TRAP plan with `Sharding::Auto`, so
-/// [`try_submit_sharded`](StencilServer::try_submit_sharded) scatters each submission
-/// into halo-exchanged compiled tiles that the drain schedules as one ticket, a round
-/// of the tile pipeline per window.  Panics with the error's text if `n` or `window`
-/// cannot be served.
+/// uncoarsened: an intentionally uncoarsened TRAP plan with `Sharding::Auto`.  A
+/// plain `try_submit` runs each window on the whole grid compiled at the engine's own
+/// base case; the explicit
+/// [`try_submit_sharded`](StencilServer::try_submit_sharded) scatters a submission
+/// into halo-exchanged compiled tiles instead (see `docs/sharding.md`), a round of the
+/// tile pipeline per window.  Panics with the error's text if `n` or `window` cannot
+/// be served.
 ///
 /// ```
 /// use pochoir_core::boundary::Boundary;

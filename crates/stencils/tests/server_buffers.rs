@@ -5,6 +5,9 @@
 //!
 //! * an unsharded 2-D heat ticket (512², a 4 MiB array) allocates none — the array
 //!   travels into the queue and back out;
+//! * a plain ticket of a giant (`heat::serve_giant_1d(600_000, 4)`, the trace
+//!   corpus's giant, 8 steps) allocates none either: each window replays the whole
+//!   grid's schedule, compiled once at the engine-made base case, in place;
 //! * a sharded ticket (`heat::serve_giant_1d(200_000, 4)`, the benchmark's
 //!   `shard-giant` shape, K = 2 tiles on a two-worker pool) allocates exactly its K
 //!   tile arrays, every op: unlike a `CompiledStencil`, the server keeps no spare
@@ -97,6 +100,26 @@ fn steady_state_server_ops_allocate_only_sharded_tiles() {
             );
         }
     }
+
+    // A plain giant ticket: the corpus giant, two windows per op.
+    let mut server = heat::serve_giant_1d(600_000, window).with_runtime(Arc::clone(&runtime));
+    let mut grid = heat::build([600_000], Boundary::Periodic);
+    for op in 0..=OPS {
+        let (large, mut drained) = large_allocations(|| {
+            server
+                .try_submit(grid, op * steps, (op + 1) * steps)
+                .unwrap();
+            server.try_drain().unwrap()
+        });
+        grid = drained.pop().expect("one ticket, one array");
+        if op > 0 {
+            assert_eq!(
+                large, 0,
+                "plain giant op {op} made {large} allocations of ≥ 1 MiB"
+            );
+        }
+    }
+    assert_eq!(server.stats().sharded_runs, 0);
 
     // Sharded: the shard-giant shape, one ticket per op.
     let steps = 24;

@@ -10,13 +10,9 @@ use crate::format::Trace;
 use crate::gen::{self, DayCycle, GiantCell, WorkShape};
 
 /// Giant-grid cells used by the `giant` scenario: large enough that
-/// `should_compile` rejects the whole grid at the serving chunk height (forcing the
-/// `try_submit_sharded` route), small enough to replay in CI.
+/// `should_compile` rejects the uncoarsened grid at the serving chunk height (so the
+/// engine compiles it at its own base case), small enough to replay in CI.
 pub const GIANT_CELLS: u64 = 600_000;
-
-/// Tile count the replay harness pins for sharded giants (auto mode would size the
-/// tiling off the host's worker count, breaking cross-machine determinism).
-pub const GIANT_TILES: u32 = 4;
 
 /// The standard corpus, in replay order.  File stems under `traces/` equal the
 /// trace names.
@@ -44,7 +40,7 @@ pub fn standard() -> Vec<Trace> {
         ),
         // Registry thrash: ~24 distinct geometries across two apps.
         gen::geometry_churn(0x5EED_0004, 8, 48, 24, 24, 4, 4),
-        // Sharded giants interleaved with background 2D tenants.
+        // Giants interleaved with background 2D tenants.
         gen::giant_grid(
             0x5EED_0005,
             &heat,
@@ -98,8 +94,8 @@ mod tests {
     #[test]
     fn giants_fail_compile_heuristics_by_construction() {
         // should_compile's leaf estimate for an uncoarsened 1D grid at chunk height
-        // c is c × n; the giant must exceed the ~2M-leaf bound so the sharded
-        // route (not a warm compile) is what the trace exercises.
+        // c is c × n; the giant must exceed the ~2M-leaf bound so the giant
+        // route (not a literal compile) is what the trace exercises.
         let corpus = standard();
         let giant = corpus.iter().find(|t| t.name == "giant").unwrap();
         for r in giant

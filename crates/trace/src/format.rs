@@ -34,8 +34,8 @@ pub enum TraceApp {
     Life,
     /// 3D wave (f64, two time slices) via `wave::try_serve`.
     Wave3d,
-    /// A giant 1D heat grid submitted through `try_submit_sharded`
-    /// (`heat::serve_giant_1d`): one ticket whose windows are halo-exchanged tile rounds.
+    /// A giant 1D heat grid (f64, uncoarsened plan) via a plain `try_submit_with`:
+    /// the engine compiles the whole grid at its own base case.
     HeatGiant1d,
 }
 
@@ -86,7 +86,7 @@ impl fmt::Display for TraceApp {
 }
 
 /// One tenant request: the tuple the replay harness turns into a
-/// `try_submit_with`/`try_submit_sharded` call.
+/// `try_submit_with` call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Tenant identity; seeds the deterministic initial grid and groups requests in

@@ -20,8 +20,8 @@
 //! * [`geometry_churn`] — every arrival draws from a pool of distinct geometries so
 //!   almost no submission reuses a warm session: the `SessionRegistry`
 //!   compile/evict stressor.
-//! * [`giant_grid`] — background 2D traffic plus periodic giant 1D grids routed
-//!   through `try_submit_sharded`: shard rounds interleaving with plain windows.
+//! * [`giant_grid`] — background 2D traffic plus periodic giant 1D grids: giant
+//!   windows interleaving with small ones.
 
 use crate::format::{Trace, TraceApp, TraceRecord};
 
@@ -315,9 +315,8 @@ pub struct GiantCell {
     pub window: i64,
 }
 
-/// Sharded giants amid background traffic: every `giant.every`-th arrival is a
-/// giant 1D heat grid of `giant.cells` cells (replayed through
-/// `try_submit_sharded`, so its shard rounds interleave with the background 2D
+/// Giants amid background traffic: every `giant.every`-th arrival is a giant 1D
+/// heat grid of `giant.cells` cells (its windows interleave with the background 2D
 /// tenants' windows).
 pub fn giant_grid(
     seed: u64,
@@ -455,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn giant_grid_mixes_sharded_records() {
+    fn giant_grid_mixes_giant_records() {
         let shape = WorkShape::heat2d(48, 8);
         let t = giant_grid(
             9,

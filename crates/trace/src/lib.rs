@@ -8,7 +8,7 @@
 //! The Pochoir paper's amortization claim — compile a trapezoidal schedule once,
 //! replay it across many invocations — is exercised in this workspace by a
 //! multi-tenant serving layer whose scheduler claims (EDF ordering, weighted-stride
-//! fairness, shed/quarantine behaviour, shard-round pipelining) need *reproducible
+//! fairness, shed/quarantine behaviour, giant-grid pipelining) need *reproducible
 //! traffic* to be testable.  A [`Trace`] is that reproducible
 //! artifact: a named, seeded stream of
 //! `(tenant, app, geometry, window, weight, deadline, arrival_tick)` records that
@@ -19,7 +19,7 @@
 //!   property-pinned round trip, and validation against the closed app vocabulary.
 //! * [`gen`] — integer-only seeded generators: memoryless (Poisson-analogue)
 //!   arrivals, heavy-tail tenant skew, diurnal bursts, session-registry geometry
-//!   churn, and sharded giant-grid traffic.
+//!   churn, and giant-grid traffic.
 //! * [`corpus`] — the committed `traces/` corpus definition (pinned seeds).
 //! * [`json`] — the dependency-free JSON value this workspace's harness layers
 //!   share (the workspace builds offline, without serde).

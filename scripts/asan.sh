@@ -7,9 +7,11 @@
 # `SimdPolicy::Auto`, so the compiled AVX2 copies of the heat and wave row loops and
 # Life's hand-written AVX2 body run on an AVX2 host; then the wire codec's property
 # suite and the live end-to-end test, since the codec streams straight into and out
-# of `AlignedVec`-backed rows (`rows_mut`).  The shard suites ride along: tile scatter,
-# gather and halo exchange are slab-span arithmetic over the same storage (gather
-# writes through `row_bands_mut`'s split), and the tile arrays are reused across runs.
+# of `AlignedVec`-backed rows (`rows_mut`).  The shard suites ride along: their giant
+# route runs the whole grid through the same rows, and the explicit tile path's
+# scatter, gather and halo exchange are slab-span arithmetic over the same storage
+# (gather writes through `row_bands_mut`'s split), with tile arrays reused across
+# `run_sharded` ops.
 # Needs a nightly toolchain (for `-Zsanitizer`); the sanitizer runtime ships with it,
 # so no `-Zbuild-std` and no network.  Exits non-zero on a failing test or an ASan report.
 set -euo pipefail
@@ -25,7 +27,7 @@ cargo +nightly test --offline --target "$target" -p pochoir-core \
 cargo +nightly test --offline --target "$target" -p pochoir-stencils \
     --test simd_equivalence
 
-echo "== AddressSanitizer, shard tiles: span arithmetic, row bands, reused tile arrays"
+echo "== AddressSanitizer, giants whole and as tiles: span arithmetic, row bands, reused tile arrays"
 cargo +nightly test --offline --target "$target" -p pochoir-core \
     --test shard_equivalence --test shard_properties --test shard_buffers
 
