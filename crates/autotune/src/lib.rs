@@ -4,24 +4,22 @@
 //! block-size tuner used by the Berkeley-autotuner-style loop baseline of Figure 5.
 //!
 //! The paper integrates Intel's ISAT tool to pick the base-case coarsening of the
-//! recursion and notes that exhaustive tuning "can take hours"; in practice Pochoir ships
-//! heuristics.  This crate reproduces both options: [`Coarsening::heuristic`] lives in
-//! `pochoir-core`, and the searches here find tuned values given any user-supplied cost
-//! function (wall-clock time of a pilot run, simulated cache misses, …).
+//! recursion once and bakes the result into the generated code; in practice Pochoir
+//! ships heuristics.  This crate reproduces both options: [`Coarsening::heuristic`]
+//! lives in `pochoir-core`, and the searches here find tuned values given any
+//! user-supplied cost function (wall-clock time of a pilot run, simulated cache
+//! misses, …).  Their results are reports: the per-application presets in
+//! `pochoir-stencils` are committed constants, and re-fitting one means editing it.
 //!
-//! Since the compiled-schedule path landed (`pochoir_core::engine::schedule`), tuning
-//! runs compose with the process-global schedule cache: every pilot run of a candidate
-//! compiles its decomposition once and replays it on the repeat measurements, so the
-//! searches here time schedule *execution*, not schedule construction.  The searches
-//! also gained [`tune_grain`] for the parallel-loop grain that TRAP/STRAP's wide
-//! dependency levels and the compiled executor's phases both honour.
+//! Tuning runs compose with the process-global schedule cache: every pilot run of a
+//! candidate compiles its decomposition once and replays it on the repeat
+//! measurements, so the searches here time schedule *execution*, not schedule
+//! construction.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod profile;
-
-use pochoir_core::engine::{BaseCase, Coarsening};
+use pochoir_core::engine::Coarsening;
 
 /// Outcome of a tuning search.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -130,60 +128,6 @@ where
         evaluations += 1;
         if best.map(|(_, b)| c < b).unwrap_or(true) {
             best = Some((block, c));
-        }
-    }
-    let (best, cost) = best.unwrap();
-    TuneOutcome {
-        best,
-        cost,
-        evaluations,
-    }
-}
-
-/// Picks between the row-oriented and point-by-point base cases by measuring both.
-///
-/// The row path ([`BaseCase::Row`]) is the right default for arithmetic-light stencils
-/// walked at unit stride, but kernels without a row override — or branchy kernels whose
-/// row form does not vectorize — may not gain from it; like the coarsening search, this
-/// lets a pilot run decide.  Ties go to [`BaseCase::Row`].
-pub fn tune_base_case<F>(mut cost: F) -> TuneOutcome<BaseCase>
-where
-    F: FnMut(BaseCase) -> f64,
-{
-    let row = cost(BaseCase::Row);
-    let point = cost(BaseCase::Point);
-    let (best, best_cost) = if point < row {
-        (BaseCase::Point, point)
-    } else {
-        (BaseCase::Row, row)
-    };
-    TuneOutcome {
-        best,
-        cost: best_cost,
-        evaluations: 2,
-    }
-}
-
-/// Picks the parallel-loop grain (zoids per task on TRAP/STRAP dependency levels and
-/// compiled-schedule phases, rows per task in the loop engines) by measuring each
-/// candidate.  Ties go to the smaller grain, which exposes more stealable parallelism.
-pub fn tune_grain<F>(candidates: &[usize], mut cost: F) -> TuneOutcome<usize>
-where
-    F: FnMut(usize) -> f64,
-{
-    assert!(!candidates.is_empty());
-    let mut best: Option<(usize, f64)> = None;
-    let mut evaluations = 0usize;
-    for &grain in candidates {
-        let grain = grain.max(1);
-        let c = cost(grain);
-        evaluations += 1;
-        let better = match best {
-            None => true,
-            Some((bg, bc)) => c < bc || (c == bc && grain < bg),
-        };
-        if better {
-            best = Some((grain, c));
         }
     }
     let (best, cost) = best.unwrap();
@@ -303,31 +247,6 @@ mod tests {
         let out = refine_coarsening(Coarsening::<1>::new(8, [16]), 5, synthetic_cost::<1>);
         assert_eq!(out.best.dt, 8);
         assert_eq!(out.best.dx, [16]);
-    }
-
-    #[test]
-    fn base_case_tuner_picks_the_cheaper_path() {
-        let out = tune_base_case(|b| if b == BaseCase::Row { 1.0 } else { 2.0 });
-        assert_eq!(out.best, BaseCase::Row);
-        assert_eq!(out.evaluations, 2);
-        let out = tune_base_case(|b| if b == BaseCase::Row { 3.0 } else { 2.0 });
-        assert_eq!(out.best, BaseCase::Point);
-        // Ties go to the row path.
-        let out = tune_base_case(|_| 1.0);
-        assert_eq!(out.best, BaseCase::Row);
-    }
-
-    #[test]
-    fn grain_tuner_picks_cheapest_and_breaks_ties_small() {
-        let out = tune_grain(&[1, 4, 16], |g| (g as f64 - 4.0).abs());
-        assert_eq!(out.best, 4);
-        assert_eq!(out.evaluations, 3);
-        // Ties go to the smaller grain.
-        let out = tune_grain(&[16, 4, 1], |_| 2.0);
-        assert_eq!(out.best, 1);
-        // Zero candidates are clamped to 1.
-        let out = tune_grain(&[0], |g| g as f64);
-        assert_eq!(out.best, 1);
     }
 
     #[test]

@@ -1,25 +1,20 @@
-//! `pochoir-autotune`: a one-shot sweep that persists a per-host [`TuneProfile`].
+//! `pochoir-autotune`: reports how far each application's committed coarsening preset
+//! is from the best point of a local search on this machine.
 //!
-//! For each application the sweep measures, on this machine:
+//! For each application the sweep hill-climbs the TRAP base-case coarsening from that
+//! application's own `tuned_coarsening*()` preset (serial pilot runs, each timing
+//! schedule execution only), then prints the preset, the best point found and the
+//! best/preset time ratio.  Nothing is persisted: the presets are committed constants,
+//! as in the paper, so re-fitting one means editing its literal and measuring the edit
+//! with `bash benchmark/run.sh`.
 //!
-//! 1. the TRAP base-case coarsening (hill-climbing refinement around the committed
-//!    in-tree default), and
-//! 2. the parallel-loop grain,
-//!
-//! then writes the winners to the tune profile (default `target/pochoir-tune.json`,
-//! overridable with `POCHOIR_TUNE_PROFILE` or `--out`).  The stencil presets
-//! (`heat::session_2d`, `life::try_serve`, …) pick the profile up automatically on their
-//! next run, so the sweep runs once per host, not per process.
-//!
-//! Usage: `pochoir-autotune [--scale tiny|small|medium|paper] [--out PATH]`
+//! Usage: `pochoir-autotune [--scale tiny|small|medium|paper]`
 
-use std::path::Path;
 use std::sync::Arc;
 
-use pochoir_autotune::profile::{self, TuneEntry, TuneProfile};
-use pochoir_autotune::{refine_coarsening, tune_grain};
+use pochoir_autotune::refine_coarsening;
 use pochoir_bench::apps::time_with_plan;
-use pochoir_bench::{out_path_from_args, scale_from_args, Table};
+use pochoir_bench::{scale_from_args, Table};
 use pochoir_core::boundary::Boundary;
 use pochoir_core::engine::{Coarsening, ExecutionPlan};
 use pochoir_core::grid::PochoirArray;
@@ -94,110 +89,90 @@ fn sweep_scale(scale: ProblemScale) -> SweepScale {
     }
 }
 
-/// Sweeps one application and records the winners in `prof`; returns a table row.
+/// Formats a coarsening as `dt=5 dx=50x4096`.
+fn show<const D: usize>(c: Coarsening<D>) -> String {
+    let dx = c.dx.map(|v| v.to_string()).join("x");
+    format!("dt={} dx={dx}", c.dt)
+}
+
+/// Hill-climbs one application's coarsening from its preset; returns a table row.
 /// `run` is the pilot-run step count paired with the hill-climbing round budget.
 fn sweep_app<T, K, const D: usize>(
-    app: &'static str,
-    start: Coarsening<D>,
+    app: &str,
+    preset: Coarsening<D>,
     build: impl Fn() -> PochoirArray<T, D>,
     spec: &StencilSpec<D>,
     kernel: &K,
     run: (i64, usize),
-    prof: &mut TuneProfile,
-) -> [String; 4]
+) -> [String; 5]
 where
     T: Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
 {
     let (steps, rounds) = run;
-    let cost = |plan: &ExecutionPlan<D>, parallel: bool| -> f64 {
-        time_with_plan(build(), spec, kernel, steps, plan, parallel).seconds
-    };
-
-    // 1. Coarsening: hill-climb around the committed in-tree default.
-    let coarse = refine_coarsening(start, rounds, |c| {
-        cost(&ExecutionPlan::trap().with_coarsening(c), false)
+    // `refine_coarsening` evaluates its start point first: that is the preset's time.
+    let mut preset_s = None;
+    let out = refine_coarsening(preset, rounds, |c| {
+        let plan = ExecutionPlan::trap().with_coarsening(c);
+        let s = time_with_plan(build(), spec, kernel, steps, &plan, false).seconds;
+        preset_s.get_or_insert(s);
+        s
     });
-    let base = ExecutionPlan::trap().with_coarsening(coarse.best);
-
-    // 2. Grain: zoids per task on wide dependency levels, measured parallel.
-    let grain = tune_grain(&[1, 2, 4, 8], |g| cost(&base.with_grain(g), true));
-
-    prof.apps.insert(
-        app.to_string(),
-        TuneEntry {
-            dt: coarse.best.dt,
-            dx: coarse.best.dx.to_vec(),
-            grain: grain.best,
-        },
-    );
-    let dx = coarse
-        .best
-        .dx
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join("x");
     [
         app.to_string(),
-        format!("dt={} dx={dx}", coarse.best.dt),
-        grain.best.to_string(),
-        format!("{}", coarse.evaluations + grain.evaluations),
+        show(preset),
+        show(out.best),
+        format!("{:.2}", out.cost / preset_s.unwrap_or(out.cost)),
+        out.evaluations.to_string(),
     ]
 }
 
 fn main() {
     let scale = scale_from_args(
-        "pochoir-autotune: sweep coarsening and grain per app and persist a per-host tune \
-         profile",
+        "pochoir-autotune: hill-climb each app's coarsening from its committed preset and \
+         report preset vs best",
     );
-    let out = out_path_from_args(&profile::default_path().display().to_string());
     let s = sweep_scale(scale);
-    let mut prof = TuneProfile::for_this_host();
-    let mut table = Table::new(["app", "coarsening", "grain", "evals"]);
+    let mut table = Table::new(["app", "preset", "best", "best/preset", "evals"]);
 
     let heat_spec = StencilSpec::new(heat::shape::<2>());
     table.row(sweep_app(
         "heat2d",
-        Coarsening::new(5, [50, 4096]),
+        heat::tuned_coarsening_2d(),
         || heat::build([s.n2, s.n2], Boundary::Periodic),
         &heat_spec,
         &heat::HeatKernel::<2>::default(),
         (s.s2, s.rounds),
-        &mut prof,
     ));
 
     let life_spec = StencilSpec::new(life::shape());
     table.row(sweep_app(
         "life",
-        Coarsening::new(5, [64, 512]),
+        life::tuned_coarsening(),
         || life::build([s.n2, s.n2], 350),
         &life_spec,
         &life::LifeKernel,
         (s.s2, s.rounds),
-        &mut prof,
     ));
 
     let wave_spec = StencilSpec::new(wave::shape());
     table.row(sweep_app(
         "wave3d",
-        Coarsening::new(8, [8, 8, 1000]),
+        wave::tuned_coarsening(),
         || wave::build([s.n3, s.n3, s.n3]),
         &wave_spec,
         &wave::WaveKernel::default(),
         (s.s3, s.rounds),
-        &mut prof,
     ));
 
     let lbm_spec = StencilSpec::new(lbm::shape());
     table.row(sweep_app(
         "lbm3d",
-        Coarsening::new(5, [8, 8, 1000]),
+        lbm::tuned_coarsening(),
         || lbm::build([s.lbm_n, s.lbm_n, s.lbm_n]),
         &lbm_spec,
         &lbm::LbmKernel::default(),
         (s.lbm_s, s.rounds),
-        &mut prof,
     ));
 
     let apop_spec = StencilSpec::new(apop::shape());
@@ -208,12 +183,11 @@ fn main() {
     };
     table.row(sweep_app(
         "apop",
-        Coarsening::new(16, [4096]),
+        apop::tuned_coarsening(),
         || apop::build(&params, s.n1),
         &apop_spec,
         &apop_kernel,
         (s.s1, s.rounds),
-        &mut prof,
     ));
 
     let psa_spec = StencilSpec::new(psa::shape());
@@ -237,18 +211,14 @@ fn main() {
     };
     table.row(sweep_app(
         "psa",
-        Coarsening::new(16, [2048]),
+        psa::tuned_coarsening(),
         || psa::build(b.len(), scoring),
         &psa_spec,
         &psa_kernel,
         (psa::steps(a.len(), b.len()), s.rounds),
-        &mut prof,
     ));
 
-    println!("host ISA: {}", prof.host_isa);
+    let isa = pochoir_core::simd::detected().map_or("scalar", |i| i.name());
+    println!("host ISA: {isa}");
     println!("{table}");
-
-    prof.save(Path::new(&out))
-        .expect("failed to write the tune profile");
-    println!("wrote {out}");
 }

@@ -21,11 +21,11 @@
 //! repo's performance numbers come from the one benchmark under `benchmark/`
 //! (`bash benchmark/run.sh`, see `benchmark/README.md`).
 //!
-//! Two more binaries are tools rather than figures: `pochoir-autotune` sweeps the
-//! tunables and writes the tune profile, and `trace_corpus` regenerates (or, with
-//! `--check`, byte-pins) the committed `traces/` corpus that [`replay`] drives through
-//! the serving layer; the corpus' deterministic counters are asserted by
-//! `tests/corpus_counters.rs`.
+//! Two more binaries are tools rather than figures: `pochoir-autotune` reports how far
+//! each app's committed coarsening preset is from a local search's best point on this
+//! machine, and `trace_corpus` regenerates (or, with `--check`, byte-pins) the
+//! committed `traces/` corpus that [`replay`] drives through the serving layer; the
+//! corpus' deterministic counters are asserted by `tests/corpus_counters.rs`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -94,15 +94,6 @@ pub fn scale_from_args(usage: &str) -> ProblemScale {
         }
     }
     scale
-}
-
-/// Parses `--out PATH` from the command line, falling back to `default`.
-pub fn out_path_from_args(default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
 }
 
 /// A fixed-width text table printer for the harness outputs.

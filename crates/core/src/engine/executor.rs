@@ -797,8 +797,7 @@ fn run_recursive<T, K, P, const D: usize>(
     // the processing order.  Nonperiodic boundary conditions are recovered in the
     // boundary clone's base case.
     let params = crate::hyperspace::CutParams::unified(spec.slopes(), plan.coarsening.dx, sizes);
-    let walker =
-        Walker::with_params(params, plan.coarsening.dt, strategy, par, base).with_grain(plan.grain);
+    let walker = Walker::with_params(params, plan.coarsening.dt, strategy, par, base);
     walker.walk(&Zoid::full_grid(sizes, t0, t1));
 }
 

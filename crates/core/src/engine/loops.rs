@@ -177,7 +177,7 @@ fn run_interior_slabs<T, K, P, const D: usize>(
         });
         return;
     }
-    par.parallel_for(rows, plan.grain, |r| {
+    par.parallel_for(rows, 1, |r| {
         let mut lo = interior.lo;
         let mut hi = interior.hi;
         lo[0] = interior.lo[0] + r as i64;

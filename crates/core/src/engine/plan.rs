@@ -200,9 +200,6 @@ pub struct ExecutionPlan<const D: usize> {
     pub schedule: ScheduleMode,
     /// Spatial block edge lengths for [`EngineKind::LoopsBlocked`].
     pub block: [usize; D],
-    /// Parallel-loop grain: outer-dimension rows per task for the loop engines, and
-    /// zoids per task on wide dependency levels for TRAP/STRAP.
-    pub grain: usize,
     /// Row-kernel SIMD dispatch policy (resolved against host detection at run time;
     /// see [`crate::simd::resolve`]).  Never changes results — the AVX2 rows are
     /// bitwise-equal to the baseline loop.
@@ -223,7 +220,6 @@ impl<const D: usize> ExecutionPlan<D> {
             clone_mode: CloneMode::InteriorAndBoundary,
             schedule: ScheduleMode::Compiled,
             block: [64; D],
-            grain: 1,
             simd: SimdPolicy::Auto,
             sharding: Sharding::Auto,
         }
@@ -299,12 +295,6 @@ impl<const D: usize> ExecutionPlan<D> {
     /// Builder-style override of the TRAP/STRAP schedule mode.
     pub fn with_schedule_mode(mut self, mode: ScheduleMode) -> Self {
         self.schedule = mode;
-        self
-    }
-
-    /// Builder-style override of the loop grain.
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        self.grain = grain.max(1);
         self
     }
 
@@ -406,7 +396,6 @@ mod tests {
             .with_base_case(BaseCase::Point)
             .with_clone_mode(CloneMode::AlwaysBoundary)
             .with_schedule_mode(ScheduleMode::Recursive)
-            .with_grain(0)
             .with_simd(SimdPolicy::Scalar)
             .with_sharding(Sharding::Tiles(4));
         assert_eq!(plan.engine, EngineKind::Trap);
@@ -419,7 +408,6 @@ mod tests {
         assert_eq!(plan.base_case, BaseCase::Point);
         assert_eq!(plan.clone_mode, CloneMode::AlwaysBoundary);
         assert_eq!(plan.schedule, ScheduleMode::Recursive);
-        assert_eq!(plan.grain, 1);
         assert_eq!(ExecutionPlan::<2>::trap().schedule, ScheduleMode::Compiled);
         assert_eq!(ExecutionPlan::<2>::trap().base_case, BaseCase::Row);
         assert_eq!(ExecutionPlan::<3>::default().engine, EngineKind::Trap);

@@ -33,10 +33,10 @@
 //! single worker walks the arena front to back, which is the recursive walker's exact
 //! serial visit order (cache-oblivious locality intact).  A parallel runtime runs the
 //! phases in order and the leaves of one phase concurrently through
-//! [`Parallelism::for_each_with_grain`], honouring the plan's grain and replacing the
-//! walker's deeply nested fork-join latches.  Phase membership is exactly the greedy
-//! level schedule of the fork-join DAG, so two leaves share a phase only if the
-//! recursive walker could have run them concurrently.
+//! [`Parallelism::for_each`], replacing the walker's deeply nested fork-join
+//! latches.  Phase membership is exactly the greedy level schedule of the fork-join
+//! DAG, so two leaves share a phase only if the recursive walker could have run them
+//! concurrently.
 //!
 //! ## Leaf coalescing
 //!
@@ -363,7 +363,7 @@ impl<const D: usize> Schedule<D> {
     /// On a single worker the arena is swept in depth-first order — the exact visit
     /// order of the serial recursive walker, preserving its cache-oblivious locality.
     /// On a parallel runtime, phases run in order and the leaves of one phase run
-    /// concurrently via [`Parallelism::for_each_with_grain`] with the plan's grain.
+    /// concurrently via [`Parallelism::for_each`].
     pub fn execute<T, K, P>(
         &self,
         grid: RawGrid<'_, T, D>,
@@ -401,13 +401,12 @@ impl<const D: usize> Schedule<D> {
             }
             return;
         }
-        let grain = plan.grain.max(1);
         for &(start, end) in &self.phase_ranges {
             let index = &self.phase_index[start as usize..end as usize];
             match index.len() {
                 0 => {}
                 1 => run_leaf(&self.leaves[index[0] as usize]),
-                _ => par.for_each_with_grain(index, grain, |&i| run_leaf(&self.leaves[i as usize])),
+                _ => par.for_each(index, |&i| run_leaf(&self.leaves[i as usize])),
             }
         }
     }

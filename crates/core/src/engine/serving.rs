@@ -68,8 +68,8 @@
 //! Two callers share a session exactly when *every* input of schedule compilation
 //! matches: the stencil **spec fingerprint** (the shape's cells — which determine
 //! slopes, reach and depth), the grid **sizes**, the full **execution plan** (engine,
-//! coarsening, index/base-case/clone modes, schedule mode, block, grain) and the
-//! **window** height the program pre-compiles for.  The key deliberately excludes the
+//! coarsening, index/base-case/clone modes, schedule mode, block, SIMD policy,
+//! sharding) and the **window** height the program pre-compiles for.  The key deliberately excludes the
 //! element type and the kernel: a [`CompiledProgram`] is the kernel-free session half,
 //! so an `f64` heat solver and a `u8` cellular automaton with the same shape, plan and
 //! geometry share one decomposition.  Differing plans or windows therefore never
@@ -310,7 +310,6 @@ struct RegistryKey {
     clone_mode: crate::engine::plan::CloneMode,
     schedule: crate::engine::plan::ScheduleMode,
     block: Vec<usize>,
-    grain: usize,
     simd: crate::simd::SimdPolicy,
     sharding: crate::engine::plan::Sharding,
 }
@@ -339,7 +338,6 @@ impl RegistryKey {
             clone_mode: plan.clone_mode,
             schedule: plan.schedule,
             block: plan.block.to_vec(),
-            grain: plan.grain,
             simd: plan.simd,
             sharding: plan.sharding,
         }

@@ -63,7 +63,6 @@ where
     params: CutParams<D>,
     max_height: i64,
     strategy: CutStrategy,
-    grain: usize,
     par: &'a P,
     base: B,
 }
@@ -103,17 +102,9 @@ where
             params,
             max_height,
             strategy,
-            grain: 1,
             par,
             base,
         }
-    }
-
-    /// Sets the `parallel_for` grain used when a dependency level is wide enough to be
-    /// driven as a parallel loop (see [`ExecutionPlan::grain`](crate::engine::plan)).
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        self.grain = grain.max(1);
-        self
     }
 
     /// Recursively processes `zoid`.
@@ -145,10 +136,7 @@ where
                     let (a, b) = (&level[0], &level[1]);
                     self.par.join(|| self.walk(a), || self.walk(b));
                 }
-                _ => {
-                    self.par
-                        .for_each_with_grain(level, self.grain, |z| self.walk(z));
-                }
+                _ => self.par.for_each(level, |z| self.walk(z)),
             }
         }
     }

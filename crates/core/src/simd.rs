@@ -34,7 +34,7 @@ pub enum SimdIsa {
 }
 
 impl SimdIsa {
-    /// Lower-case name used by tune profiles and benchmark reports.
+    /// Lower-case name used by benchmark and autotune reports.
     pub fn name(self) -> &'static str {
         match self {
             SimdIsa::Avx2 => "avx2",

@@ -21,7 +21,8 @@ pub trait Parallelism: Sync {
         RA: Send,
         RB: Send;
 
-    /// Applies `body` to every index in `0..len`, possibly in parallel.
+    /// Applies `body` to every index in `0..len`, possibly in parallel, handing at most
+    /// `grain` consecutive indices to one task.
     fn parallel_for<F>(&self, len: usize, grain: usize, body: F)
     where
         F: Fn(usize) + Sync;
@@ -33,20 +34,6 @@ pub trait Parallelism: Sync {
         F: Fn(&T) + Sync,
     {
         self.parallel_for(items.len(), 1, |i| body(&items[i]));
-    }
-
-    /// Applies `body` to every element of `items`, possibly in parallel, handing at most
-    /// `grain` consecutive elements to one task.
-    ///
-    /// This is how the recursive engines and the compiled-schedule executor honour
-    /// `ExecutionPlan::grain` on wide dependency levels: a larger grain trades stealable
-    /// parallelism for lower spawn overhead on levels of many small zoids.
-    fn for_each_with_grain<T, F>(&self, items: &[T], grain: usize, body: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        self.parallel_for(items.len(), grain, |i| body(&items[i]));
     }
 
     /// The counters this provider reports into, if it keeps any.  The default is

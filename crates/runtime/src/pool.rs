@@ -159,15 +159,6 @@ impl Runtime {
     {
         self.parallel_for(items.len(), 1, |i| body(&items[i]));
     }
-
-    /// Applies `body` to every element of `items` in parallel, with an explicit grain.
-    pub fn for_each_with_grain<T, F>(&self, items: &[T], grain: usize, body: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        self.parallel_for(items.len(), grain, |i| body(&items[i]));
-    }
 }
 
 impl Drop for Runtime {

@@ -163,11 +163,11 @@ pub fn shape() -> Shape<1> {
 /// schedule path: wide 1D slabs — the 3-point row kernel is cheap per cell, so large
 /// base cases amortize the recursion overhead that dominates narrow 1D stencils.
 pub fn tuned_coarsening() -> Coarsening<1> {
-    crate::common::profile_coarsening("apop", Coarsening::new(16, [4096]))
+    Coarsening::new(16, [4096])
 }
 
 fn tuned_plan() -> ExecutionPlan<1> {
-    crate::common::tuned_plan(tuned_coarsening())
+    ExecutionPlan::trap().with_coarsening(tuned_coarsening())
 }
 
 /// A reusable executor session for the APOP kernel on an `n`-point grid: TRAP on the

@@ -1,27 +1,5 @@
-//! Shared helpers: problem-size scaling between the paper's machine-scale experiments and
-//! laptop/CI-scale reproductions, plus the tune-profile lookups behind every
-//! `tuned_coarsening` preset.
-
-use pochoir_autotune::profile;
-use pochoir_core::engine::{Coarsening, ExecutionPlan};
-
-/// The coarsening for `app`: the host's persisted tune profile when one exists and has
-/// a matching-dimensionality entry (see [`pochoir_autotune::profile`]), else the
-/// committed default measured on the reference host.
-pub(crate) fn profile_coarsening<const D: usize>(
-    app: &str,
-    default: Coarsening<D>,
-) -> Coarsening<D> {
-    profile::cached()
-        .and_then(|p| p.coarsening::<D>(app))
-        .unwrap_or(default)
-}
-
-/// The TRAP plan every session/serve preset uses: the given (already profile-aware)
-/// coarsening under the default `SimdPolicy::Auto`.
-pub(crate) fn tuned_plan<const D: usize>(coarsening: Coarsening<D>) -> ExecutionPlan<D> {
-    ExecutionPlan::trap().with_coarsening(coarsening)
-}
+//! Shared helper: problem-size scaling between the paper's machine-scale experiments
+//! and laptop/CI-scale reproductions.
 
 /// How large a benchmark instance to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

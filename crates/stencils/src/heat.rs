@@ -141,14 +141,14 @@ pub fn shape<const D: usize>() -> Shape<D> {
 /// schedule path: keep the unit-stride dimension uncut so the row path gets full-width
 /// rows — on a torus the compiled executor's segment-level clone resolution keeps them
 /// on the interior clone, elsewhere they run the boundary clone's ghost rows through
-/// the same row body — and slab the outer dimension at 50 rows.  A persisted host
-/// tune profile (see [`pochoir_autotune::profile`]) overrides this default when present.
+/// the same row body — and slab the outer dimension at 50 rows.  Like every preset this
+/// is a committed constant; `pochoir-autotune` reports how a host's best point compares.
 pub fn tuned_coarsening_2d() -> Coarsening<2> {
-    crate::common::profile_coarsening("heat2d", Coarsening::new(5, [50, 4096]))
+    Coarsening::new(5, [50, 4096])
 }
 
 fn tuned_plan_2d() -> ExecutionPlan<2> {
-    crate::common::tuned_plan(tuned_coarsening_2d())
+    ExecutionPlan::trap().with_coarsening(tuned_coarsening_2d())
 }
 
 /// A reusable executor session for the 2D heat kernel: TRAP on the compiled-schedule

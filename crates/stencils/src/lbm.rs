@@ -160,11 +160,11 @@ pub fn shape() -> Shape<3> {
 /// gets full-width rows, with 8×8 tiles on the outer axes (the 56-byte cells make rows
 /// heavy enough that small slabs already amortize the per-leaf overhead).
 pub fn tuned_coarsening() -> Coarsening<3> {
-    crate::common::profile_coarsening("lbm3d", Coarsening::new(5, [8, 8, 1000]))
+    Coarsening::new(5, [8, 8, 1000])
 }
 
 fn tuned_plan() -> ExecutionPlan<3> {
-    crate::common::tuned_plan(tuned_coarsening())
+    ExecutionPlan::trap().with_coarsening(tuned_coarsening())
 }
 
 /// A reusable executor session for the D3Q7 LBM kernel: TRAP on the compiled-schedule

@@ -89,11 +89,11 @@ pub fn shape() -> Shape<2> {
 /// TRAP/STRAP base-case coarsening tuned for Life under the compiled schedule path:
 /// long rows for the byte-wide vectorized row kernel, 64-row outer slabs.
 pub fn tuned_coarsening() -> Coarsening<2> {
-    crate::common::profile_coarsening("life", Coarsening::new(5, [64, 512]))
+    Coarsening::new(5, [64, 512])
 }
 
 fn tuned_plan() -> ExecutionPlan<2> {
-    crate::common::tuned_plan(tuned_coarsening())
+    ExecutionPlan::trap().with_coarsening(tuned_coarsening())
 }
 
 /// A reusable executor session for Life: TRAP on the compiled-schedule path with the

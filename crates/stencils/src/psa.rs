@@ -131,11 +131,11 @@ pub fn shape() -> Shape<1> {
 /// schedule path: wide anti-diagonal slabs — the branchy integer row kernel is cheap
 /// per cell, so large base cases amortize recursion overhead.
 pub fn tuned_coarsening() -> Coarsening<1> {
-    crate::common::profile_coarsening("psa", Coarsening::new(16, [2048]))
+    Coarsening::new(16, [2048])
 }
 
 fn tuned_plan() -> ExecutionPlan<1> {
-    crate::common::tuned_plan(tuned_coarsening())
+    ExecutionPlan::trap().with_coarsening(tuned_coarsening())
 }
 
 /// A reusable executor session for the PSA kernel aligning `a` against `b`: TRAP on

@@ -148,11 +148,11 @@ pub fn shape() -> Shape<3> {
 /// rows touch both domain ends, so they run the boundary clone — on ghost rows, with the
 /// same row body as the interior.)
 pub fn tuned_coarsening() -> Coarsening<3> {
-    crate::common::profile_coarsening("wave3d", Coarsening::new(8, [8, 8, 1000]))
+    Coarsening::new(8, [8, 8, 1000])
 }
 
 fn tuned_plan() -> ExecutionPlan<3> {
-    crate::common::tuned_plan(tuned_coarsening())
+    ExecutionPlan::trap().with_coarsening(tuned_coarsening())
 }
 
 /// A reusable executor session for the 3D wave kernel: TRAP on the compiled-schedule

@@ -17,7 +17,8 @@
 //! * [`stencils`] (`pochoir-stencils`) — the Figure 3 / Figure 5 benchmark applications.
 //! * [`analysis`] (`pochoir-analysis`) — the Cilkview-style work/span analyzer.
 //! * [`cachesim`] (`pochoir-cachesim`) — the ideal-cache and set-associative simulators.
-//! * [`autotune`] (`pochoir-autotune`) — ISAT-style coarsening/block tuning.
+//! * [`autotune`] (`pochoir-autotune`) — ISAT-style coarsening/block searches; the
+//!   stencil presets they are checked against are committed constants.
 //! * [`trace`] (`pochoir-trace`) — the traffic-trace format, generators and corpus
 //!   behind the trace-replay benchmark harness.
 //!
