@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! pochoir_serve [--addr HOST:PORT] [--record PATH [--record-name NAME]
-//!               [--record-seed N] [--epoch N]] [--max-pending N]
-//!               [--max-queued-windows N] [--max-session-leaves N]
+//!               [--record-seed N] [--epoch N]] [--max-queued-windows N]
+//!               [--max-session-leaves N]
 //!               [--max-sessions N] [--max-steps N]
 //!               [--assumed-window-micros X]
 //! ```
@@ -22,8 +22,8 @@ use pochoir_serve::server::{announce, RecordConfig, ServeConfig, Server};
 fn usage() -> ! {
     eprintln!(
         "usage: pochoir_serve [--addr HOST:PORT] [--record PATH] [--record-name NAME]\n\
-         \x20                    [--record-seed N] [--epoch N] [--max-pending N]\n\
-         \x20                    [--max-queued-windows N] [--max-session-leaves N]\n\
+         \x20                    [--record-seed N] [--epoch N] [--max-queued-windows N]\n\
+         \x20                    [--max-session-leaves N]\n\
          \x20                    [--max-sessions N] [--max-steps N]\n\
          \x20                    [--assumed-window-micros X]"
     );
@@ -63,11 +63,6 @@ fn main() {
             "--epoch" => {
                 record.get_or_insert_with(RecordConfig::default).epoch =
                     parse(&value("--epoch"), "--epoch");
-            }
-            "--max-pending" => {
-                admission
-                    .get_or_insert_with(AdmissionPolicy::default)
-                    .max_pending = Some(parse(&value("--max-pending"), "--max-pending"));
             }
             "--max-queued-windows" => {
                 admission

@@ -3,11 +3,11 @@
 //! The client is deliberately dumb: one [`TcpStream`] with `TCP_NODELAY` set
 //! (its read half behind a small `BufReader`), strictly request/response (every
 //! frame it sends but `Close` is answered by exactly one frame), no internal
-//! threads.  The one call that blocks on the server's progress is
-//! [`Client::wait`], which parks server-side in a `Wait` frame instead of
-//! polling.  A grid is never staged: [`Client::submit_grid`] writes the
-//! caller's rows straight to the socket, and a fetched result's payload is read
-//! into the one `Vec` [`FetchedResult::bytes`] hands back.  Anything fancier —
+//! threads.  A submit blocks until `pochoir-serve` has run the request, so
+//! [`Client::wait`] and [`Client::poll`] answer at once.  A grid is never
+//! staged: [`Client::submit_grid`] writes the caller's rows straight to the
+//! socket, and a fetched result's payload is read into the one `Vec`
+//! [`FetchedResult::bytes`] hands back.  Anything fancier —
 //! concurrency, retries — is the caller's business, which keeps the tests
 //! honest about what crossed the wire.
 
@@ -239,9 +239,10 @@ impl Client {
         }
     }
 
-    /// Parks on the server until the request leaves `Pending` or `timeout`
-    /// elapses.  The server caps each park, so a long wait is a few `Wait`
-    /// frames — one if the request finishes within the cap.
+    /// Waits on the server until the request leaves `Pending` or `timeout`
+    /// elapses, re-issuing `Wait` while the answer is `Pending`.
+    /// `pochoir-serve` finishes a request before answering its `Submit`, so
+    /// against it this is always one `Wait` frame.
     pub fn wait(&mut self, request: u64, timeout: Duration) -> Result<RequestStatus, ClientError> {
         let started = Instant::now();
         loop {

@@ -9,9 +9,10 @@
 //! wire is bitwise-identical to the one serialized.
 //!
 //! A grid is streamed, never staged: no hop holds a payload-sized buffer it
-//! does not need.  On the way out the length prefix and every fixed field leave
-//! in one write, and the bulk payload of a `Submit`/`Result` follows in writes
-//! of at most [`STREAM_CHUNK`] bytes — [`write_grid_frame`] converts it
+//! does not need.  On the way out a frame of at most [`STREAM_CHUNK`] bytes
+//! leaves in one write; a larger one sends the length prefix and every fixed
+//! field in one write, and the bulk payload of its `Submit`/`Result` follows in
+//! writes of at most [`STREAM_CHUNK`] bytes — [`write_grid_frame`] converts it
 //! straight from the grid's rows through one bounded buffer, [`write_frame`]
 //! slices a payload that already is bytes.  On the way in, [`read_frame_head`]
 //! reads and validates everything up to the payload and leaves the payload on
@@ -50,7 +51,8 @@ pub const MAX_FRAME: usize = 64 << 20;
 pub(crate) const MAX_SUBMIT_PAYLOAD: usize = MAX_FRAME - SUBMIT_HEAD;
 
 /// Largest single write — and the read-side scratch buffer — of a bulk payload
-/// (256 KiB): a grid crosses each hop through one buffer of at most this size.
+/// (256 KiB): a grid crosses each hop through one buffer of at most this size,
+/// and a whole frame up to this size leaves in one write.
 pub const STREAM_CHUNK: usize = 256 << 10;
 
 /// Capacity of the `BufReader` in front of every connection's read half, so the
@@ -188,7 +190,8 @@ impl Deadline {
 /// Where a polled request currently stands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RequestStatus {
-    /// Queued or draining; wait (or poll) again.
+    /// Queued or draining; wait (or poll) again.  `pochoir-serve` never sends
+    /// it: a request is finished before its `Submitted` goes out.
     Pending,
     /// Finished; `Fetch` will return the result (and consume it).
     Done,
@@ -233,7 +236,8 @@ pub enum ErrorCode {
     UnknownRequest = 20,
     /// The client's `Hello` version differs from [`PROTOCOL_VERSION`].
     VersionMismatch = 21,
-    /// `Fetch` arrived before the request finished draining.
+    /// `Fetch` arrived before the request finished draining.  `pochoir-serve`
+    /// never sends it: a request is finished before its `Submitted` goes out.
     NotReady = 22,
     /// The frame decoded but its contents are unusable (wrong grid byte count,
     /// wrong element type for the session's app, …).
@@ -330,9 +334,9 @@ pub enum Frame {
         /// The request id from [`Frame::Submitted`].
         request: u64,
     },
-    /// Park until the request leaves `Pending`, `timeout_micros` pass (the
-    /// server caps the park; re-issue to wait longer), or the server shuts
-    /// down; answered by [`Frame::Status`].
+    /// Park until the request leaves `Pending` or `timeout_micros` pass;
+    /// answered by [`Frame::Status`].  `pochoir-serve` finishes a request
+    /// before answering its `Submit`, so it answers a `Wait` at once.
     Wait {
         /// The request id from [`Frame::Submitted`].
         request: u64,
@@ -997,10 +1001,11 @@ pub fn read_grid<T: WireElem, const D: usize>(
     Ok(())
 }
 
-/// Writes the length prefix and header of `frame` for a `payload_len`-byte
-/// payload in one `write_all` — split, the second write would sit behind the
-/// peer's delayed ACK.  Returns the whole frame's size on the wire.
-fn write_head(w: &mut impl Write, frame: &Frame, payload_len: usize) -> io::Result<u64> {
+/// The length prefix and header of `frame` for a `payload_len`-byte payload.
+/// The writers send it in one write with its payload when the whole frame
+/// fits in [`STREAM_CHUNK`] bytes, else in one write of its own — split, the
+/// second write would sit behind the peer's delayed ACK.
+fn frame_head(frame: &Frame, payload_len: usize) -> Vec<u8> {
     // Every fixed-size header fits; only an error/status detail string grows it.
     let mut head = Vec::with_capacity(64);
     head.extend_from_slice(&[0; 4]);
@@ -1008,26 +1013,35 @@ fn write_head(w: &mut impl Write, frame: &Frame, payload_len: usize) -> io::Resu
     let body_len = head.len() - 4 + payload_len;
     debug_assert!(body_len <= MAX_FRAME, "outbound frame exceeds MAX_FRAME");
     head[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    w.write_all(&head)?;
-    Ok(4 + body_len as u64)
+    head
 }
 
-/// Writes one length-prefixed frame: prefix and header in one write, then a
+/// Writes one length-prefixed frame: in one write if it fits in
+/// [`STREAM_CHUNK`] bytes, else prefix and header in one write, then the
 /// `Submit`/`Result` payload in writes of at most [`STREAM_CHUNK`] bytes.
 /// Returns the bytes written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
     let payload = frame.payload();
-    let bytes = write_head(w, frame, payload.len())?;
-    for chunk in payload.chunks(STREAM_CHUNK) {
-        w.write_all(chunk)?;
+    let mut head = frame_head(frame, payload.len());
+    let bytes = head.len() + payload.len();
+    if bytes <= STREAM_CHUNK {
+        head.reserve_exact(payload.len());
+        head.extend_from_slice(payload);
+        w.write_all(&head)?;
+    } else {
+        w.write_all(&head)?;
+        for chunk in payload.chunks(STREAM_CHUNK) {
+            w.write_all(chunk)?;
+        }
     }
     w.flush()?;
-    Ok(bytes)
+    Ok(bytes as u64)
 }
 
 /// Writes a `Submit` or `Result` whose payload is time slices `slices` of
 /// `grid`, dense row-major in that order, converted straight from the rows
-/// through one buffer of at most [`STREAM_CHUNK`] bytes: write for write what
+/// through one buffer of at most [`STREAM_CHUNK`] bytes — the header's own
+/// buffer when the whole frame fits in it: write for write what
 /// [`write_frame`] sends for the same frame carrying those bytes.  `frame`'s
 /// own payload field is ignored.  Returns the bytes written.
 ///
@@ -1046,9 +1060,18 @@ pub fn write_grid_frame<T: WireElem, const D: usize>(
     );
     let size = T::ELEM.size();
     let len = slices.len() * grid.sizes().iter().product::<usize>() * size;
-    let bytes = write_head(w, frame, len)?;
-    let mut buf = vec![0u8; len.min(STREAM_CHUNK)];
-    let mut fill = 0;
+    let head = frame_head(frame, len);
+    let bytes = head.len() + len;
+    let (mut buf, mut fill) = if bytes <= STREAM_CHUNK {
+        let fill = head.len();
+        let mut buf = head;
+        buf.reserve_exact(len);
+        buf.resize(bytes, 0);
+        (buf, fill)
+    } else {
+        w.write_all(&head)?;
+        (vec![0u8; len.min(STREAM_CHUNK)], 0)
+    };
     for mut row in slices.iter().flat_map(|&t| grid.rows(t)) {
         while !row.is_empty() {
             let n = row.len().min((buf.len() - fill) / size);
@@ -1063,7 +1086,7 @@ pub fn write_grid_frame<T: WireElem, const D: usize>(
     }
     w.write_all(&buf[..fill])?;
     w.flush()?;
-    Ok(bytes)
+    Ok(bytes as u64)
 }
 
 #[cfg(test)]

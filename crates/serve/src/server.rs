@@ -1,5 +1,5 @@
-//! The blocking reactor: accept loop + one worker thread per connection + one
-//! shared drain thread, all over [`std::net::TcpListener`].
+//! The blocking reactor: an accept loop and one worker thread per connection,
+//! all over [`std::net::TcpListener`].
 //!
 //! The vendored-dependency constraint rules out an async runtime, and the
 //! serving layer underneath is synchronous anyway (a drain is a blocking call
@@ -13,31 +13,32 @@
 //!   `BufReader`: it reads a frame up to its payload, checks a `Submit`'s
 //!   header against the session, and only then builds the array and streams
 //!   the payload straight into its rows (a refused header has its payload
-//!   drained, so the stream stays framed); it submits into the shared session
-//!   table, and a `Fetch` writes the result straight from the drained array's
-//!   rows.  A `Wait` parks it on the completion condvar until its request
-//!   finishes (`Poll` is the same handler with a zero timeout);
-//! * the **drain thread** sleeps until a submit raises the `work` flag and
-//!   drains every session with pending work through
-//!   [`StencilServer::try_drain`] — per-tenant panics retire only their own
-//!   chain, exactly as in-process — and stores each drained array, as is, as
-//!   its request's result.  The flag is raised, checked and cleared under the
-//!   `State` mutex the condvar is paired with, so no wake-up can be lost and
-//!   the thread needs no timer.
+//!   drained, so the stream stays framed).  It submits the array to the
+//!   session and drains that ticket itself through
+//!   [`StencilServer::try_drain`] — a tenant panic fails only its own
+//!   request, exactly as in-process — and answers `Submitted` only once the
+//!   drained array is stored, as is, as the request's result.  So a `Wait`
+//!   never parks (`Poll` is the same handler), and a `Fetch` writes the
+//!   result straight from the drained array's rows.
 //!
 //! Sockets run with `TCP_NODELAY` (the protocol is request/response over small
-//! frames) and a write timeout ([`WRITE_TIMEOUT`]), a frame that has started to
-//! arrive must finish within [`FRAME_DEADLINE`], and a parked `Wait` is capped
-//! ([`WAIT_CAP`]): a peer that stops reading, trickles a frame or stops asking
-//! costs its own worker a bounded stall, never a pinned thread.
+//! frames) and a write timeout ([`WRITE_TIMEOUT`]), and a frame that has
+//! started to arrive must finish within [`FRAME_DEADLINE`]: a peer that stops
+//! reading or trickles a frame costs its own worker a bounded stall, never a
+//! pinned thread.
 //!
 //! **Locking model.**  There are two lock tiers and they are never nested:
 //! a global `State` mutex guards the request table, the session index, and
 //! record-mode bookkeeping — all cheap map operations — while each session's
-//! compiled server and drain queue live behind that session's own mutex.  The
-//! drain thread computes entirely under the session lock, so submits, polls,
-//! and fetches on every connection keep flowing while a session drains; only
-//! the brief result hand-off touches the global lock.
+//! compiled server lives behind that session's own mutex.  A submitting
+//! worker computes entirely under the session lock, so polls, fetches, and
+//! other sessions' submits keep flowing on every connection while it drains;
+//! a second submit to the same session waits for the lock, which makes each
+//! connection its own backpressure.  The result and its record entry are
+//! stored under one brief `State` lock afterwards.  While it holds the
+//! session lock the worker blocks in the pool's `run_on_worker`; that cannot
+//! deadlock, because the worker is an OS thread, not a pool job, and no pool
+//! job takes a session lock.
 //!
 //! Sessions are keyed `(app, geometry, chunk)` and backed by the process-global
 //! session registry, so two connections negotiating the same geometry share one
@@ -51,7 +52,8 @@
 //! unbounded drain.  Wall-clock deadlines are converted to the scheduler's
 //! logical ticks using a per-session cost model calibrated from
 //! [`SessionStats`](pochoir_core::engine::SessionStats) window counts and
-//! measured drain times.
+//! measured drain times.  A drain holds one ticket, so a `Submit`'s weight
+//! orders nothing here and its deadline only counts a miss.
 //!
 //! With [`ServeConfig::record`] set, every admitted epoch-zero submission
 //! appends a [`TraceRecord`]; the trace is written in the canonical emission
@@ -64,7 +66,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -153,11 +155,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Longest a connection worker parks in one `Wait` before answering `Pending`;
-/// the client re-issues to wait longer.  Bounds how long a worker can sit on a
-/// request whose client has silently gone.
-pub const WAIT_CAP: Duration = Duration::from_millis(250);
-
 /// Longest a socket write may make no progress before the connection is
 /// dropped: a peer that stops reading a 16 MiB `Result` retires its worker
 /// instead of pinning it.  The clock restarts whenever a write call buffered
@@ -220,7 +217,7 @@ fn next_frame(reader: &mut BufReader<FrameClock>) {
     reader.get_mut().deadline = buffered.then(|| Instant::now() + FRAME_DEADLINE);
 }
 
-/// A served `(app, geometry)` pair — one compiled session, one drain queue.  The
+/// A served `(app, geometry)` pair — one compiled session and its queue.  The
 /// one dispatch type of live serving and trace replay (`pochoir-bench`), so both
 /// route through identical presets (and therefore identical registry keys).
 pub enum AnyServer {
@@ -287,13 +284,6 @@ impl AnyServer {
     }
 }
 
-/// One queued ticket's bookkeeping: ticket `i` of the session's next drain belongs
-/// to `queued[i]`.
-struct QueuedTicket {
-    request: u64,
-    t1: i64,
-}
-
 /// The immutable identity of a negotiated session, readable without any lock,
 /// plus its mutable serving state behind the session's own mutex.
 struct SessionSlot {
@@ -305,7 +295,6 @@ struct SessionSlot {
 
 struct SessionInner {
     server: AnyServer,
-    queued: Vec<QueuedTicket>,
     /// Calibrated cost of one dispatch window in microseconds (EWMA over
     /// measured drains, seeded by `ServeConfig::assumed_window_micros`).
     cost_ewma_micros: f64,
@@ -314,13 +303,9 @@ struct SessionInner {
     calibrated_runs: u64,
 }
 
-/// Sentinel owner for a request whose client disconnected: the drain completes
-/// the work (it is already in the scheduler's queue) but the result is
-/// discarded instead of stored.
-const ORPHANED: u64 = u64::MAX;
-
+/// A finished request: a submit drains its ticket before it answers, so no
+/// request is ever seen unfinished.
 enum ReqState {
-    Queued,
     /// Drained: the array itself, whose last two slices a `Fetch` writes out.
     Done {
         grid: Grid,
@@ -343,9 +328,6 @@ struct State {
     session_ids: HashMap<(TraceApp, Vec<u64>, i64), u32>,
     requests: HashMap<u64, Request>,
     next_request: u64,
-    /// Raised by every admitted submit, cleared by the drain thread before it
-    /// scans the sessions.
-    work: bool,
     /// Logical arrival clock for record mode: one tick per admitted submission.
     arrival_clock: u64,
     record: Vec<TraceRecord>,
@@ -363,12 +345,6 @@ struct Shared {
     config: ServeConfig,
     state: Mutex<State>,
     conns: Mutex<ConnTable>,
-    /// The drain thread sleeps here until `State::work` or shutdown.
-    work: Condvar,
-    /// Workers parked in a `Wait` sleep here until completions are stored (or
-    /// shutdown).
-    done: Condvar,
-    /// Raised under the `state` lock, which both condvars are paired with.
     shutdown: AtomicBool,
     next_conn: AtomicU64,
 }
@@ -379,11 +355,10 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    drain: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the accept and drain threads, and returns immediately.
+    /// Binds, spawns the accept thread, and returns immediately.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -391,8 +366,6 @@ impl Server {
             config,
             state: Mutex::new(State::default()),
             conns: Mutex::new(ConnTable::default()),
-            work: Condvar::new(),
-            done: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
         });
@@ -402,17 +375,10 @@ impl Server {
                 .name("pochoir-serve-accept".into())
                 .spawn(move || accept_loop(listener, shared))?
         };
-        let drain = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("pochoir-serve-drain".into())
-                .spawn(move || drain_loop(shared))?
-        };
         Ok(Server {
             addr,
             shared,
             accept: Some(accept),
-            drain: Some(drain),
         })
     }
 
@@ -422,22 +388,13 @@ impl Server {
     }
 
     /// Stops the service and joins every thread it owns: the shutdown flag is
-    /// raised (waking the drain thread and every worker parked in a `Wait`),
-    /// every live connection socket is shut down so workers blocked in a read
-    /// or write fail out and retire their own chains, the workers and the
-    /// accept thread are joined, the drain thread finishes the drain it is in
-    /// and is joined, and only then — with no writer left — is the record
-    /// trace written (if recording).
+    /// raised, every live connection socket is shut down so workers blocked in
+    /// a read or write fail out and drop their own results (a worker inside a
+    /// drain finishes it first), the workers and the accept thread are joined,
+    /// and only then — with no writer left — is the record trace written (if
+    /// recording).
     pub fn shutdown(mut self) {
-        {
-            // Under the lock the sleepers check it under: a thread is either
-            // before its check (and sees the flag) or already waiting (and
-            // gets the notification).
-            let _state = lock(&self.shared.state);
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-        }
-        self.shared.work.notify_all();
-        self.shared.done.notify_all();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         let (streams, workers) = {
             let mut conns = lock(&self.shared.conns);
             (
@@ -454,9 +411,6 @@ impl Server {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.drain.take() {
             let _ = h.join();
         }
         if self.shared.config.record.is_some() {
@@ -507,7 +461,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             .name("pochoir-serve-conn".into())
             .spawn(move || {
                 connection_loop(stream, conn, &worker_shared);
-                orphan_connection(&worker_shared, conn);
+                // The connection is gone: its unfetched results go with it.
+                lock(&worker_shared.state)
+                    .requests
+                    .retain(|_, r| r.conn != conn);
                 lock(&worker_shared.conns).streams.remove(&conn);
             });
         if let Ok(handle) = spawned {
@@ -518,30 +475,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             // live connections, not connection history.
             conns.workers.retain(|h| !h.is_finished());
             conns.workers.push(handle);
-        }
-    }
-}
-
-/// Retires a disconnected client's chain: finished results are dropped,
-/// still-queued requests are marked orphaned so the drain discards theirs.
-/// No other tenant's state is touched.
-fn orphan_connection(shared: &Shared, conn: u64) {
-    let mut state = lock(&shared.state);
-    let mine: Vec<u64> = state
-        .requests
-        .iter()
-        .filter(|(_, r)| r.conn == conn)
-        .map(|(&id, _)| id)
-        .collect();
-    for id in mine {
-        let finished = matches!(
-            state.requests[&id].state,
-            ReqState::Done { .. } | ReqState::Failed { .. }
-        );
-        if finished {
-            state.requests.remove(&id);
-        } else if let Some(r) = state.requests.get_mut(&id) {
-            r.conn = ORPHANED;
         }
     }
 }
@@ -658,11 +591,9 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 Ok(reply) => reply.into(),
                 Err(_) => return, // the stream failed inside the payload
             },
-            Frame::Poll { request } => handle_wait(shared, conn, request, Duration::ZERO).into(),
-            Frame::Wait {
-                request,
-                timeout_micros,
-            } => handle_wait(shared, conn, request, Duration::from_micros(timeout_micros)).into(),
+            Frame::Poll { request } | Frame::Wait { request, .. } => {
+                handle_status(shared, conn, request).into()
+            }
             Frame::Fetch { request } => handle_fetch(shared, conn, request),
             Frame::Flush => {
                 let mut state = lock(&shared.state);
@@ -780,7 +711,6 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
         chunk,
         inner: Mutex::new(SessionInner {
             server,
-            queued: Vec::new(),
             cost_ewma_micros: shared.config.assumed_window_micros,
             calibrated_runs: 0,
         }),
@@ -871,9 +801,11 @@ impl Grid {
 /// Answers a `Submit` whose header has been read and whose `payload` bytes are
 /// still on `r`: the header is checked against the session first, and only
 /// then is the array built and the payload streamed into it, without any lock
-/// held (a large grid must stall neither the drain thread nor other
-/// connections).  A refused header has its payload drained before the typed
-/// error goes out, so the stream stays framed.  `Err` means the stream failed.
+/// held (a large grid must stall no other connection).  A refused header has
+/// its payload drained before the typed error goes out, so the stream stays
+/// framed.  An admitted array is submitted and drained under the session lock
+/// — it is the queue's one ticket — and the request exists, finished, before
+/// `Submitted` names it.  `Err` means the stream failed.
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     shared: &Shared,
@@ -899,25 +831,8 @@ fn handle_submit(
     let mut grid = Grid::for_submit(slot.app, &slot.geometry, spare.take());
     grid.read_payload(r)?;
 
-    // Register the request before the tickets exist: the drain thread only
-    // pairs results with requests it can find in the table, so the entry must
-    // be visible the moment the session queue is.
-    let request = {
-        let mut state = lock(&shared.state);
-        let id = state.next_request;
-        state.next_request += 1;
-        state.requests.insert(
-            id,
-            Request {
-                conn,
-                state: ReqState::Queued,
-            },
-        );
-        id
-    };
-
     let windows_needed = windows_of(t0, t1, slot.chunk);
-    let submitted: Result<Option<u64>, ServeError> = {
+    let (logical_deadline, finished) = {
         let mut inner = lock(&slot.inner);
         let logical_deadline = match deadline {
             Deadline::None => None,
@@ -930,7 +845,7 @@ fn handle_submit(
             weight,
             deadline: logical_deadline,
         };
-        let outcome = match (&mut inner.server, grid) {
+        let submitted = match (&mut inner.server, grid) {
             (AnyServer::Heat2d(s), Grid::F64x2(a)) => s.try_submit_with(a, t0, t1, opts),
             (AnyServer::Life(s), Grid::U8x2(a)) => s.try_submit_with(a, t0, t1, opts),
             (AnyServer::Wave3d(s), Grid::F64x3(a)) => s.try_submit_with(a, t0, t1, opts),
@@ -938,29 +853,29 @@ fn handle_submit(
             // Unreachable in practice: `grid` was built for the session's own
             // app a few lines up.
             _ => {
-                drop(inner);
-                lock(&shared.state).requests.remove(&request);
                 return Ok(Frame::Error {
                     code: ErrorCode::BadPayload,
                     detail: "grid/session element type mismatch".to_string(),
-                });
+                })
             }
         };
-        outcome.map(|_ticket| {
-            inner.queued.push(QueuedTicket { request, t1 });
-            logical_deadline
-        })
-    };
-    let logical_deadline = match submitted {
-        Ok(deadline) => deadline,
-        Err(e) => {
-            lock(&shared.state).requests.remove(&request);
+        if let Err(e) = submitted {
             let (code, detail) = wire_error(&e);
             return Ok(Frame::Error { code, detail });
         }
+        (logical_deadline, drain_session(&mut inner, t1))
     };
 
     let mut state = lock(&shared.state);
+    let request = state.next_request;
+    state.next_request += 1;
+    state.requests.insert(
+        request,
+        Request {
+            conn,
+            state: finished,
+        },
+    );
     if shared.config.record.is_some() {
         // The canonical trace format normalizes t0 to 0 and carries one chunk
         // per trace; submissions that fit are recorded, others pass through
@@ -984,9 +899,6 @@ fn handle_submit(
             });
         }
     }
-    state.work = true;
-    drop(state);
-    shared.work.notify_one();
     Ok(Frame::Submitted { request })
 }
 
@@ -1064,87 +976,52 @@ fn wall_to_ticks(wall_micros: u64, cost_micros: f64, windows_needed: u64) -> u64
     ticks.max(windows_needed)
 }
 
-/// Answers `Wait` (and `Poll`, its `timeout == 0` form): parks on the
-/// completion condvar until the request leaves `Queued`, `timeout` (capped at
-/// [`WAIT_CAP`]) passes, or the server shuts down, then reports where the
-/// request stands.
-fn handle_wait(shared: &Shared, conn: u64, request: u64, timeout: Duration) -> Frame {
-    let deadline = Instant::now() + timeout.min(WAIT_CAP);
-    let mut state = lock(&shared.state);
-    loop {
-        let status = match state.requests.get(&request) {
-            None => {
-                return Frame::Error {
-                    code: ErrorCode::UnknownRequest,
-                    detail: format!(
-                        "request {request} is unknown (never submitted, fetched, or retired)"
-                    ),
-                }
-            }
-            Some(r) if r.conn != conn => {
-                return Frame::Error {
-                    code: ErrorCode::UnknownRequest,
-                    detail: format!("request {request} belongs to another connection"),
-                }
-            }
-            Some(r) => match &r.state {
-                ReqState::Queued => RequestStatus::Pending,
-                ReqState::Done { .. } => RequestStatus::Done,
-                ReqState::Failed { code, detail } => RequestStatus::Failed {
-                    code: *code,
-                    detail: detail.clone(),
-                },
-            },
-        };
-        let left = deadline.saturating_duration_since(Instant::now());
-        if status != RequestStatus::Pending
-            || left.is_zero()
-            || shared.shutdown.load(Ordering::SeqCst)
-        {
-            return Frame::Status { status };
-        }
-        state = shared
-            .done
-            .wait_timeout(state, left)
-            .unwrap_or_else(|p| p.into_inner())
-            .0;
-    }
+/// Connection `conn`'s request `request`, or the `UnknownRequest` error for an
+/// id that is not (or no longer) one of its own.
+fn own_request(state: &State, conn: u64, request: u64) -> Result<&Request, Frame> {
+    let detail = match state.requests.get(&request) {
+        Some(r) if r.conn == conn => return Ok(r),
+        Some(_) => format!("request {request} belongs to another connection"),
+        None => format!("request {request} is unknown (never submitted, fetched, or retired)"),
+    };
+    Err(Frame::Error {
+        code: ErrorCode::UnknownRequest,
+        detail,
+    })
 }
 
-/// Answers `Fetch`: a finished request is consumed, and its array leaves the
+/// Answers `Wait` and `Poll` alike, at once: every request in the table is
+/// finished, so there is nothing to wait for.
+fn handle_status(shared: &Shared, conn: u64, request: u64) -> Frame {
+    let state = lock(&shared.state);
+    let status = match own_request(&state, conn, request) {
+        Err(refusal) => return refusal,
+        Ok(r) => match &r.state {
+            ReqState::Done { .. } => RequestStatus::Done,
+            ReqState::Failed { code, detail } => RequestStatus::Failed {
+                code: *code,
+                detail: detail.clone(),
+            },
+        },
+    };
+    Frame::Status { status }
+}
+
+/// Answers `Fetch`: the request is consumed, and a drained array leaves the
 /// state lock to be written out as the `Result`.
 fn handle_fetch(shared: &Shared, conn: u64, request: u64) -> Reply {
     let mut state = lock(&shared.state);
-    match state.requests.get(&request) {
-        None => {
-            return Frame::Error {
-                code: ErrorCode::UnknownRequest,
-                detail: format!("request {request} is unknown"),
-            }
-            .into()
-        }
-        Some(r) if r.conn != conn => {
-            return Frame::Error {
-                code: ErrorCode::UnknownRequest,
-                detail: format!("request {request} belongs to another connection"),
-            }
-            .into()
-        }
-        Some(r) if matches!(r.state, ReqState::Queued) => {
-            return Frame::Error {
-                code: ErrorCode::NotReady,
-                detail: format!("request {request} has not finished draining"),
-            }
-            .into()
-        }
-        Some(_) => {}
+    if let Err(refusal) = own_request(&state, conn, request) {
+        return refusal.into();
     }
-    // A finished fetch consumes the request either way.
-    let r = state.requests.remove(&request).expect("checked above");
-    match r.state {
+    match state
+        .requests
+        .remove(&request)
+        .expect("checked above")
+        .state
+    {
         ReqState::Done { grid, t1 } => Reply::Result { grid, t1 },
         ReqState::Failed { code, detail } => Frame::Error { code, detail }.into(),
-        ReqState::Queued => unreachable!("queued requests returned NotReady above"),
     }
 }
 
@@ -1169,70 +1046,34 @@ fn write_record(shared: &Shared, state: &mut State) -> u64 {
     state.record.len() as u64
 }
 
-fn drain_loop(shared: Arc<Shared>) {
-    loop {
-        // Sleep until a submit raised `work`; the flag is cleared before the
-        // scan, so a ticket queued behind the scan raises it again.  Then
-        // snapshot the session list (cheap Arc clones) and drain each busy
-        // session under its own lock only: submits, waits, and fetches on the
-        // global state lock keep flowing while a session computes.
-        let sessions: Vec<Arc<SessionSlot>> = {
-            let mut state = lock(&shared.state);
-            while !state.work {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                state = shared.work.wait(state).unwrap_or_else(|p| p.into_inner());
-            }
-            state.work = false;
-            state.sessions.clone()
-        };
-        for slot in &sessions {
-            let completions = {
-                let mut inner = lock(&slot.inner);
-                if inner.queued.is_empty() {
-                    continue;
-                }
-                drain_session(&mut inner)
-            };
-            store_completions(&mut lock(&shared.state), completions);
-            shared.done.notify_all();
-        }
-    }
-}
-
-/// Drains one session through the pipelined scheduler: the drained arrays in
-/// ticket order (none if the drain itself failed), each wrapped by `wrap`, plus
-/// the per-ticket outcomes from the drain report.
-fn drain_tickets<T, K, const D: usize>(
+/// Drains a session whose queue holds one ticket: its drained array, wrapped by
+/// `wrap` (none if the drain itself failed), and its outcome from the drain
+/// report.
+fn drain_ticket<T, K, const D: usize>(
     s: &mut StencilServer<T, K, D>,
     wrap: fn(PochoirArray<T, D>) -> Grid,
-) -> (Vec<Grid>, Vec<TicketOutcome>)
+) -> (Option<Grid>, Option<TicketOutcome>)
 where
     T: Copy + Send + Sync + 'static,
     K: StencilKernel<T, D>,
 {
-    let results = s.try_drain().unwrap_or_default();
-    let outcomes = s
-        .last_drain()
-        .map(|r| r.outcomes.clone())
-        .unwrap_or_default();
-    (results.into_iter().map(wrap).collect(), outcomes)
+    let grid = s.try_drain().ok().and_then(|r| r.into_iter().next());
+    let outcome = s.last_drain().and_then(|r| r.outcomes.first().cloned());
+    (grid.map(wrap), outcome)
 }
 
-/// Drains one session's queue under its own lock and returns each ticket's
-/// completion (result or typed failure) for the caller to store
-/// under the global lock.  Also recalibrates the session's per-window cost
-/// from the measured drain time over the
+/// Drains the session's one queued ticket — the submitting worker's own —
+/// under the session lock the caller holds, and returns the request's
+/// completion (result or typed failure).  Also recalibrates the session's
+/// per-window cost from the measured drain time over the
 /// [`SessionStats`](pochoir_core::engine::SessionStats) `runs` delta.
-fn drain_session(inner: &mut SessionInner) -> Vec<(u64, ReqState)> {
-    let queued = std::mem::take(&mut inner.queued);
+fn drain_session(inner: &mut SessionInner, t1: i64) -> ReqState {
     let started = Instant::now();
-    let (grids, outcomes) = match &mut inner.server {
-        AnyServer::Heat2d(s) => drain_tickets(s, Grid::F64x2),
-        AnyServer::Life(s) => drain_tickets(s, Grid::U8x2),
-        AnyServer::Wave3d(s) => drain_tickets(s, Grid::F64x3),
-        AnyServer::HeatGiant1d(s) => drain_tickets(s, Grid::F64x1),
+    let (grid, outcome) = match &mut inner.server {
+        AnyServer::Heat2d(s) => drain_ticket(s, Grid::F64x2),
+        AnyServer::Life(s) => drain_ticket(s, Grid::U8x2),
+        AnyServer::Wave3d(s) => drain_ticket(s, Grid::F64x3),
+        AnyServer::HeatGiant1d(s) => drain_ticket(s, Grid::F64x1),
     };
     let elapsed_micros = started.elapsed().as_secs_f64() * 1e6;
     let runs = with_server!(&inner.server, s => s.stats().runs);
@@ -1243,38 +1084,16 @@ fn drain_session(inner: &mut SessionInner) -> Vec<(u64, ReqState)> {
         inner.cost_ewma_micros = 0.7 * inner.cost_ewma_micros + 0.3 * measured;
     }
 
-    let mut grids = grids.into_iter();
-    queued
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let state = match (outcomes.get(i), grids.next()) {
-                (Some(TicketOutcome::Panicked { message }), _) => ReqState::Failed {
-                    code: ErrorCode::TenantPanicked,
-                    detail: format!("tenant ticket {i} panicked: {message}"),
-                },
-                (_, Some(grid)) => ReqState::Done { grid, t1: q.t1 },
-                (_, None) => ReqState::Failed {
-                    code: ErrorCode::RegistryPoisoned,
-                    detail: "drain failed before producing a result".to_string(),
-                },
-            };
-            (q.request, state)
-        })
-        .collect()
-}
-
-/// Stores drained completions on their requests; orphaned requests (client
-/// gone) are dropped instead.
-fn store_completions(state: &mut State, completions: Vec<(u64, ReqState)>) {
-    for (request, new_state) in completions {
-        match state.requests.get_mut(&request) {
-            Some(r) if r.conn == ORPHANED => {
-                state.requests.remove(&request);
-            }
-            Some(r) => r.state = new_state,
-            None => {}
-        }
+    match (outcome, grid) {
+        (Some(TicketOutcome::Panicked { message }), _) => ReqState::Failed {
+            code: ErrorCode::TenantPanicked,
+            detail: format!("tenant ticket panicked: {message}"),
+        },
+        (_, Some(grid)) => ReqState::Done { grid, t1 },
+        (_, None) => ReqState::Failed {
+            code: ErrorCode::RegistryPoisoned,
+            detail: "drain failed before producing a result".to_string(),
+        },
     }
 }
 

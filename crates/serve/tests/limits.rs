@@ -16,10 +16,15 @@
 //! * 16 MiB `Submit`s refused on their header have their payload drained, so
 //!   the connection stays framed and serves the next request bitwise;
 //! * the array a connection's last result left, which its next `Submit` of the
-//!   same shape refills, never carries one request's cells into another's.
+//!   same shape refills, never carries one request's cells into another's;
+//! * a session's queue holds at most the submitting connection's own ticket,
+//!   so each connection is its own backpressure: `max_pending: Some(1)` admits
+//!   back-to-back submits, and `max_queued_windows` still sheds one submission
+//!   that is too large on its own.
 
 use std::time::Duration;
 
+use pochoir_core::engine::AdmissionPolicy;
 use pochoir_core::grid::PochoirArray;
 use pochoir_runtime::Serial;
 use pochoir_serve::protocol::Deadline;
@@ -343,6 +348,63 @@ fn refilled_result_arrays_never_leak_between_requests() {
         };
         assert_eq!(live, expected, "tenant {tenant} on {:?}", session.geometry);
     }
+    client.close().expect("close");
+    server.shutdown();
+}
+
+/// Every `Submit` is drained before it is answered, so the session queue an
+/// admission check sees holds no other request: with `max_pending: Some(1)`,
+/// 8 back-to-back submits on one connection are all admitted and each fetches
+/// its own bitwise result, while `max_queued_windows` still sheds a single
+/// submission whose windows exceed it, leaving the connection usable.
+#[test]
+fn each_connection_is_its_own_backpressure() {
+    const GEOMETRY: [u64; 2] = [16, 16];
+    let server = Server::start(ServeConfig {
+        admission: Some(AdmissionPolicy {
+            max_pending: Some(1),
+            max_queued_windows: Some(4),
+            ..AdmissionPolicy::default()
+        }),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let session = client
+        .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
+        .expect("negotiate");
+
+    let tenants: Vec<u32> = (0..8).collect();
+    let requests: Vec<u64> = tenants
+        .iter()
+        .map(|&tenant| {
+            client
+                .submit_tenant(&session, tenant, T1, 1, Deadline::None)
+                .expect("admitted: the queue never holds an earlier submit")
+        })
+        .collect();
+    for (&tenant, request) in tenants.iter().zip(requests) {
+        let live = client
+            .wait_fetch(request, Duration::from_secs(120))
+            .expect("wait+fetch")
+            .digest();
+        assert_eq!(live, local_heat_digest(&GEOMETRY, WINDOW, tenant, T1));
+    }
+
+    // 5 windows of 4 steps: over the 4-window quota with nothing else queued.
+    expect_code(
+        client.submit_tenant(&session, 0, 5 * WINDOW, 1, Deadline::None),
+        ErrorCode::Shed,
+        "a submission over the window quota on its own",
+    );
+    let request = client
+        .submit_tenant(&session, 1, T1, 1, Deadline::None)
+        .expect("the connection survives the shed");
+    let live = client
+        .wait_fetch(request, Duration::from_secs(120))
+        .expect("wait+fetch")
+        .digest();
+    assert_eq!(live, local_heat_digest(&GEOMETRY, WINDOW, 1, T1));
     client.close().expect("close");
     server.shutdown();
 }

@@ -1,11 +1,12 @@
 //! Network chaos pin: a client that dies mid-submit, vanishes mid-poll or dies
-//! while parked in a `Wait` must retire only its own work.  Well-behaved
+//! with a `Wait` unread must retire only its own work.  Well-behaved
 //! survivors sharing the server drain to results bitwise-equal to a fault-free
 //! run, and the server keeps accepting fresh connections afterwards.  Every
 //! blocking call the server makes on a peer's behalf is bounded: a peer that
 //! stops reading loses its connection to the write timeout, a peer that
 //! trickles a frame loses it to the frame deadline, and shutdown never waits
-//! out a parked worker.
+//! out a client's long `Wait` (the server answers it at once: a request has
+//! run before its `Submitted` goes out).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -23,8 +24,8 @@ use pochoir_trace::TraceApp;
 const GEOMETRY: [u64; 2] = [16, 16];
 const WINDOW: i64 = 4;
 const T1: i64 = 8;
-/// A horizon long enough (1 Mi point updates on the 16×16 grid) that its owner
-/// can send a `Wait` and vanish before the drain gets there.
+/// A long horizon (1 Mi point updates on the 16×16 grid): the `Submitted`
+/// answer waits for all of it, and the owner then asks for a long `Wait`.
 const LONG_T1: i64 = 4096;
 
 /// Run the three well-behaved heat tenants against a server and return their
@@ -152,7 +153,7 @@ fn raw_submit<const D: usize>(
     }
 }
 
-/// Asks the server to park on `request` for up to a minute.
+/// Sends a `Wait` on `request` that allows up to a minute.
 fn send_long_wait(stream: &mut TcpStream, request: u64) {
     let wait = Frame::Wait {
         request,
@@ -162,8 +163,8 @@ fn send_long_wait(stream: &mut TcpStream, request: u64) {
 }
 
 /// Dies mid-poll: submits a valid grid, polls once, then vanishes without
-/// fetching.  Its queued/finished work must be orphaned, not delivered to or
-/// blocked on anyone else.
+/// fetching.  Its finished work must be dropped, not delivered to or blocked
+/// on anyone else.
 fn chaos_abandoned_poll(addr: &str) {
     let (mut stream, session) = raw_session(addr);
     let request = raw_submit(&mut stream, session, [16, 16], 77, T1);
@@ -172,14 +173,14 @@ fn chaos_abandoned_poll(addr: &str) {
     drop(stream); // abandons the request forever
 }
 
-/// Dies parked: submits a long request, asks the server to park on it for a
-/// minute, and vanishes without reading the answer.  The worker wakes to a dead
-/// socket and must orphan that one request — nothing of anyone else's.
+/// Dies waiting: submits a long request, sends a minute-long `Wait` on it, and
+/// vanishes without reading the answer.  The worker answers into a dead socket
+/// and must drop that one request — nothing of anyone else's.
 fn chaos_abandoned_wait(addr: &str) {
     let (mut stream, session) = raw_session(addr);
     let request = raw_submit(&mut stream, session, [16, 16], 55, LONG_T1);
     send_long_wait(&mut stream, request);
-    drop(stream); // gone while the worker is parked
+    drop(stream); // gone with the `Wait` answer unread
 }
 
 #[test]
@@ -296,8 +297,8 @@ fn a_peer_that_stops_reading_is_dropped_by_the_write_timeout() {
     assert!(started.elapsed() < Duration::from_secs(2));
 }
 
-/// `shutdown` wakes a worker parked in a `Wait` instead of waiting out its
-/// timeout.
+/// `shutdown` does not wait out a client's minute-long `Wait`: the worker
+/// answers it at once, and shutdown closes the connection.
 #[test]
 fn shutdown_does_not_wait_out_a_parked_worker() {
     let server = Server::start(ServeConfig::default()).expect("server");
@@ -310,8 +311,8 @@ fn shutdown_does_not_wait_out_a_parked_worker() {
     server.shutdown();
     let took = started.elapsed();
     assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
-    // The parked worker answered (`Pending`, or `Done` if the drain won the
-    // race) or its socket was closed under it; it did not hang.
+    // The worker answered (`Done`: the request ran inside its `Submit`) or its
+    // socket was closed under it; it did not hang.
     match read_frame(&mut stream) {
         Ok((Frame::Status { .. }, _)) | Err(_) => {}
         Ok((other, _)) => panic!("expected Status or a closed socket, got {other:?}"),

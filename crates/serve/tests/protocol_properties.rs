@@ -171,9 +171,10 @@ proptest! {
         prop_assert_eq!(read_frame(&mut r).expect("the next frame").0, Frame::Close);
     }
 
-    /// What `write_frame` puts on a socket — prefix and header in one write,
-    /// a bulk payload in writes of at most `STREAM_CHUNK` — is byte-for-byte
-    /// the single-buffer form, and reads back as the same frame.
+    /// What `write_frame` puts on a socket — a frame of at most
+    /// `STREAM_CHUNK` bytes in one write; a larger one's prefix and header in
+    /// one write, its bulk payload in writes of at most `STREAM_CHUNK` — is
+    /// byte-for-byte the single-buffer form, and reads back as the same frame.
     #[test]
     fn written_frames_are_one_header_write_then_chunks(seed in 0u64..u64::MAX) {
         let frame = arb_frame(seed);
@@ -237,6 +238,27 @@ impl Write for Writes {
     }
 }
 
+/// The writes a frame of `frame_len` bytes with a `payload`-byte payload must
+/// reach a socket as: one write if the frame fits in `STREAM_CHUNK`, else the
+/// header alone and then the payload in writes of at most `STREAM_CHUNK`.
+fn write_pattern(writes: &[Vec<u8>], frame_len: usize, payload: usize) -> Result<(), String> {
+    let lens: Vec<usize> = writes.iter().map(Vec::len).collect();
+    let ok = if frame_len <= STREAM_CHUNK {
+        lens == [frame_len]
+    } else {
+        lens.len() == 1 + payload.div_ceil(STREAM_CHUNK)
+            && lens[0] == frame_len - payload
+            && lens[1..].iter().all(|&n| n <= STREAM_CHUNK)
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!(
+            "a {frame_len}-byte frame with a {payload}-byte payload went out as writes of {lens:?}"
+        ))
+    }
+}
+
 fn check_written(frame: &Frame) -> Result<(), TestCaseError> {
     let single = framed(frame);
     let mut writes = Writes::default();
@@ -246,8 +268,7 @@ fn check_written(frame: &Frame) -> Result<(), TestCaseError> {
         Frame::Result { payload, .. } => payload.len(),
         _ => 0,
     };
-    prop_assert_eq!(writes.0.len(), 1 + payload.div_ceil(STREAM_CHUNK));
-    prop_assert!(writes.0[1..].iter().all(|w| w.len() <= STREAM_CHUNK));
+    write_pattern(&writes.0, single.len(), payload).map_err(TestCaseError::fail)?;
     let wire = writes.0.concat();
     prop_assert_eq!(written, wire.len() as u64);
     prop_assert_eq!(&wire, &single);
@@ -403,11 +424,11 @@ fn grid_case<T: Cell, const D: usize>(sizes: [usize; D], depth: usize) {
     let submit_frame = submit(T::ELEM, cell_bytes(&grid, &all));
     let mut by_bytes = Writes::default();
     write_frame(&mut by_bytes, &submit_frame).expect("memory write");
-    assert_eq!(
-        writes(&submit(T::ELEM, Vec::new()), &all),
-        by_bytes.0,
-        "{sizes:?}: Submit"
-    );
+    let by_rows = writes(&submit(T::ELEM, Vec::new()), &all);
+    assert_eq!(by_rows, by_bytes.0, "{sizes:?}: Submit");
+    let payload = cell_bytes(&grid, &all).len();
+    write_pattern(&by_rows, framed(&submit_frame).len(), payload)
+        .unwrap_or_else(|e| panic!("{sizes:?}: Submit: {e}"));
     let slice_len = sizes.iter().product::<usize>() as u64;
     for t1 in [depth as i64, 0] {
         let slices = [(t1 - 1).max(0), t1];
@@ -420,11 +441,14 @@ fn grid_case<T: Cell, const D: usize>(sizes: [usize; D], depth: usize) {
         let payload = cell_bytes(&grid, &slices);
         let mut by_bytes = Writes::default();
         write_frame(&mut by_bytes, &result(payload.clone())).expect("memory write");
-        assert_eq!(
-            writes(&result(Vec::new()), &slices),
-            by_bytes.0,
-            "{sizes:?}: Result at {t1}"
-        );
+        let by_rows = writes(&result(Vec::new()), &slices);
+        assert_eq!(by_rows, by_bytes.0, "{sizes:?}: Result at {t1}");
+        write_pattern(
+            &by_rows,
+            framed(&result(payload.clone())).len(),
+            payload.len(),
+        )
+        .unwrap_or_else(|e| panic!("{sizes:?}: Result at {t1}: {e}"));
 
         let fetched = FetchedResult {
             elem: T::ELEM,

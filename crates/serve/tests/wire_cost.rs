@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 use pochoir_runtime::Runtime;
 use pochoir_serve::server::{ServeConfig, Server};
 use pochoir_serve::{Client, Deadline, RequestStatus};
-use pochoir_trace::TraceApp;
+use pochoir_trace::corpus::GIANT_CELLS;
+use pochoir_trace::{TraceApp, TRACE_APPS};
 
 const GEOMETRY: [u64; 2] = [16, 16];
 const WINDOW: i64 = 4;
@@ -45,8 +46,8 @@ fn a_request_is_three_frames_each_way_and_no_stall() {
         let request = client
             .submit_tenant(&session, 0, T1, 1, Deadline::None)
             .expect("submit");
-        // One `Wait`, answered once, with `Done`: the worker parks until the
-        // drain stores the result, so no `Pending` crosses the wire in between.
+        // One `Wait`, answered at once with `Done`: the worker ran the request
+        // before it answered the `Submit`, so no `Pending` can cross the wire.
         let status = client
             .wait(request, Duration::from_secs(120))
             .expect("wait");
@@ -58,6 +59,31 @@ fn a_request_is_three_frames_each_way_and_no_stall() {
         (3, 3),
         "submit / wait / fetch is 3 frames in and 3 out (idle connection: {idle:?}, with one request: {one:?})"
     );
+
+    // Every app, the giant included: a `Poll` sent right after `Submitted`
+    // already answers `Done`, so it can stand in for the `Wait` and the
+    // request still costs 3 frames each way.
+    for app in TRACE_APPS {
+        let geometry: Vec<u64> = match app {
+            TraceApp::Heat2d | TraceApp::Life => GEOMETRY.to_vec(),
+            TraceApp::Wave3d => vec![8, 8, 8],
+            TraceApp::HeatGiant1d => vec![GIANT_CELLS],
+        };
+        let polled = frames_of(|client| {
+            let session = client.negotiate(app, &geometry, WINDOW).expect("negotiate");
+            let request = client
+                .submit_tenant(&session, 0, T1, 1, Deadline::None)
+                .expect("submit");
+            let status = client.poll(request).expect("poll");
+            assert_eq!(status, RequestStatus::Done, "{app:?}: poll after submit");
+            client.fetch(request).expect("fetch");
+        });
+        assert_eq!(
+            (polled.0 - idle.0, polled.1 - idle.1),
+            (3, 3),
+            "{app:?}: submit / poll / fetch is 3 frames in and 3 out"
+        );
+    }
 
     // A `Poll` on a finished request is the framing floor: one small frame each
     // way.  A single Nagle / delayed-ACK stall is ≥ 40 ms, so a lost
