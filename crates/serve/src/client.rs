@@ -3,17 +3,21 @@
 //! The client is deliberately dumb: one [`TcpStream`] with `TCP_NODELAY` set
 //! (its read half behind a small `BufReader`), strictly request/response (every
 //! frame it sends but `Close` is answered by exactly one frame), no internal
-//! threads.  A submit blocks until `pochoir-serve` has run the request, so
-//! [`Client::wait`] and [`Client::poll`] answer at once.  A grid is never
-//! staged: [`Client::submit_grid`] writes the caller's rows straight to the
-//! socket, and a fetched result's payload is read into the one `Vec`
-//! [`FetchedResult::bytes`] hands back.  Anything fancier —
-//! concurrency, retries — is the caller's business, which keeps the tests
-//! honest about what crossed the wire.
+//! threads.  A request is one round trip: `pochoir-serve` runs it before it
+//! answers the `Submit`, and the answer is the outcome itself — the `Result`,
+//! or the request's typed failure.  [`Client::submit_grid`] keeps that outcome
+//! under an id it assigns; [`Client::wait`] and [`Client::poll`] read it and
+//! [`Client::fetch`] hands it over, none of them sending a frame.  A grid is
+//! never staged: [`Client::submit_grid`] writes the caller's rows straight to
+//! the socket, and a result's payload is read into the one `Vec`
+//! [`FetchedResult::bytes`] hands back.  Anything fancier — concurrency,
+//! retries — is the caller's business, which keeps the tests honest about what
+//! crossed the wire.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pochoir_core::grid::PochoirArray;
 use pochoir_stencils::traffic::{digest_patterns, heat_grid, life_grid, usizes, wave_grid};
@@ -41,6 +45,9 @@ pub enum ClientError {
     },
     /// The server answered with a frame the protocol does not allow here.
     Protocol(String),
+    /// The request id was never returned by this client's submit, or its
+    /// result was already fetched.
+    UnknownRequest(u64),
 }
 
 impl std::fmt::Display for ClientError {
@@ -52,6 +59,9 @@ impl std::fmt::Display for ClientError {
                 write!(f, "server rejected request ({code:?}): {detail}")
             }
             ClientError::Protocol(detail) => write!(f, "protocol violation: {detail}"),
+            ClientError::UnknownRequest(request) => {
+                write!(f, "request {request} is unknown or already fetched")
+            }
         }
     }
 }
@@ -91,7 +101,7 @@ pub struct Session {
     pub window: i64,
 }
 
-/// A fetched result: the raw payload slices plus enough shape to digest them.
+/// A request's result: the raw payload slices plus enough shape to digest them.
 #[derive(Clone, Debug)]
 pub struct FetchedResult {
     /// Element type of the payload.
@@ -120,12 +130,21 @@ impl FetchedResult {
     }
 }
 
+/// A request's outcome as the server answered its `Submit`: the result, or
+/// the typed failure.
+type Outcome = Result<FetchedResult, (ErrorCode, String)>;
+
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     /// The write half.
     stream: TcpStream,
     /// The read half of the same socket.
     reader: BufReader<TcpStream>,
+    /// Outcomes of submitted requests not yet fetched, by the id the submit
+    /// returned.
+    outcomes: HashMap<u64, Outcome>,
+    /// The id the next submit returns.
+    next_request: u64,
 }
 
 impl Client {
@@ -136,7 +155,12 @@ impl Client {
         // the peer's delayed ACK.
         stream.set_nodelay(true)?;
         let reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
-        let mut client = Client { stream, reader };
+        let mut client = Client {
+            stream,
+            reader,
+            outcomes: HashMap::new(),
+            next_request: 0,
+        };
         match client.roundtrip(&Frame::Hello {
             version: PROTOCOL_VERSION,
         })? {
@@ -168,7 +192,9 @@ impl Client {
     }
 
     /// Submits `[t0, t1)` on `grid`, whose every time slice goes out straight
-    /// from its rows; returns the request id.
+    /// from its rows, and reads the request's outcome; returns the id that
+    /// [`wait`](Self::wait), [`poll`](Self::poll) and [`fetch`](Self::fetch)
+    /// take.  A submission refused on its header is an `Err` and gets no id.
     ///
     /// The arity mirrors the wire frame field-for-field on purpose.
     #[allow(clippy::too_many_arguments)]
@@ -194,10 +220,27 @@ impl Client {
         };
         let slices: Vec<i64> = (0..grid.time_slices() as i64).collect();
         write_grid_frame(&mut self.stream, &frame, grid, &slices)?;
-        match self.reply()? {
-            Frame::Submitted { request } => Ok(request),
-            other => Err(unexpected("Submitted", &other)),
-        }
+        let outcome = match self.reply()? {
+            Frame::Result {
+                elem,
+                t1,
+                slice_len,
+                payload,
+            } => Ok(FetchedResult {
+                elem,
+                t1,
+                slice_len,
+                bytes: payload,
+            }),
+            Frame::Status {
+                status: RequestStatus::Failed { code, detail },
+            } => Err((code, detail)),
+            other => return Err(unexpected("Result", &other)),
+        };
+        let request = self.next_request;
+        self.next_request += 1;
+        self.outcomes.insert(request, outcome);
+        Ok(request)
     }
 
     /// Builds the deterministic tenant grid for `(app, geometry, tenant)` —
@@ -231,68 +274,44 @@ impl Client {
         }
     }
 
-    /// One status probe; never blocks on the request's progress.
+    /// Where a submitted request stands: `Done` or its typed failure, read
+    /// from the outcome its submit received.  Sends nothing.
     pub fn poll(&mut self, request: u64) -> Result<RequestStatus, ClientError> {
-        match self.roundtrip(&Frame::Poll { request })? {
-            Frame::Status { status } => Ok(status),
-            other => Err(unexpected("Status", &other)),
-        }
-    }
-
-    /// Waits on the server until the request leaves `Pending` or `timeout`
-    /// elapses, re-issuing `Wait` while the answer is `Pending`.
-    /// `pochoir-serve` finishes a request before answering its `Submit`, so
-    /// against it this is always one `Wait` frame.
-    pub fn wait(&mut self, request: u64, timeout: Duration) -> Result<RequestStatus, ClientError> {
-        let started = Instant::now();
-        loop {
-            let left = timeout.saturating_sub(started.elapsed());
-            let frame = Frame::Wait {
-                request,
-                timeout_micros: left.as_micros().try_into().unwrap_or(u64::MAX),
-            };
-            match self.roundtrip(&frame)? {
-                Frame::Status {
-                    status: RequestStatus::Pending,
-                } if started.elapsed() < timeout => {}
-                Frame::Status { status } => return Ok(status),
-                other => return Err(unexpected("Status", &other)),
-            }
-        }
-    }
-
-    /// Fetches a finished result (consuming it server-side).  A request that
-    /// failed comes back as [`ClientError::Server`] with the typed code.
-    pub fn fetch(&mut self, request: u64) -> Result<FetchedResult, ClientError> {
-        match self.roundtrip(&Frame::Fetch { request })? {
-            Frame::Result {
-                elem,
-                t1,
-                slice_len,
-                payload,
-            } => Ok(FetchedResult {
-                elem,
-                t1,
-                slice_len,
-                bytes: payload,
+        match self.outcomes.get(&request) {
+            Some(Ok(_)) => Ok(RequestStatus::Done),
+            Some(Err((code, detail))) => Ok(RequestStatus::Failed {
+                code: *code,
+                detail: detail.clone(),
             }),
-            other => Err(unexpected("Result", &other)),
+            None => Err(ClientError::UnknownRequest(request)),
         }
     }
 
-    /// Waits for completion, then fetches; the common case.
+    /// The same answer as [`poll`](Self::poll), at once: a request has run
+    /// before its submit returns, so there is nothing to wait for.
+    pub fn wait(&mut self, request: u64, _timeout: Duration) -> Result<RequestStatus, ClientError> {
+        self.poll(request)
+    }
+
+    /// Hands over a finished request's result, consuming it.  A request that
+    /// failed comes back as [`ClientError::Server`] with the typed code.  Sends
+    /// nothing.
+    pub fn fetch(&mut self, request: u64) -> Result<FetchedResult, ClientError> {
+        match self.outcomes.remove(&request) {
+            Some(Ok(result)) => Ok(result),
+            Some(Err((code, detail))) => Err(ClientError::Server { code, detail }),
+            None => Err(ClientError::UnknownRequest(request)),
+        }
+    }
+
+    /// [`fetch`](Self::fetch) under the name of the wait-then-fetch pair it
+    /// stands for.
     pub fn wait_fetch(
         &mut self,
         request: u64,
-        timeout: Duration,
+        _timeout: Duration,
     ) -> Result<FetchedResult, ClientError> {
-        match self.wait(request, timeout)? {
-            RequestStatus::Failed { code, detail } => Err(ClientError::Server { code, detail }),
-            RequestStatus::Pending => Err(ClientError::Protocol(format!(
-                "request {request} still pending after {timeout:?}"
-            ))),
-            RequestStatus::Done => self.fetch(request),
-        }
+        self.fetch(request)
     }
 
     /// Asks a recording server to write its trace now; returns the record

@@ -12,8 +12,9 @@
 //! 2. it submits `(grid, t0, t1, weight, deadline)` requests, which drain
 //!    through the pipelined scheduler under the configured
 //!    [`AdmissionPolicy`](pochoir_core::engine::AdmissionPolicy);
-//! 3. it waits for and fetches results that are bitwise-identical to running the
-//!    same batch in-process — the end-to-end tests pin exactly that.
+//! 3. each `Submit` is answered by its result, bitwise-identical to running the
+//!    same batch in-process — the end-to-end tests pin exactly that — which the
+//!    client keeps until it is fetched.
 //!
 //! [`protocol`] is the wire codec (pure, fuzzed by property tests), which
 //! streams a grid between its rows and the socket with no payload-sized buffer

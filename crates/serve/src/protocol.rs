@@ -30,8 +30,8 @@
 //! byte-written frames are pinned by property tests
 //! (`tests/protocol_properties.rs`).
 //!
-//! See `docs/protocol.md` for the full frame catalogue and the session/request
-//! state machine.
+//! See `docs/protocol.md` for the full frame catalogue and the conversation a
+//! client drives.
 
 use std::io::{self, Read, Write};
 
@@ -39,7 +39,7 @@ use pochoir_core::grid::PochoirArray;
 use pochoir_trace::TraceApp;
 
 /// Protocol version spoken by this crate; negotiated by `Hello`/`HelloAck`.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Largest legal frame body in bytes (64 MiB) — enough for every grid the
 /// serve presets compile (the giant 1D corpus grid is ~9.6 MiB of slices),
@@ -187,15 +187,14 @@ impl Deadline {
     }
 }
 
-/// Where a polled request currently stands.
+/// How a submitted request ended.  `pochoir-serve` sends only `Failed`, as the
+/// reply to a `Submit` whose ticket failed inside its drain; the client reports
+/// `Done` for a request whose `Result` it holds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RequestStatus {
-    /// Queued or draining; wait (or poll) again.  `pochoir-serve` never sends
-    /// it: a request is finished before its `Submitted` goes out.
-    Pending,
-    /// Finished; `Fetch` will return the result (and consume it).
+    /// Finished; the client holds its result until it is fetched.
     Done,
-    /// The request failed; `Fetch` would return this same error.
+    /// The request failed; fetching it returns this same error.
     Failed {
         /// The typed wire error.
         code: ErrorCode,
@@ -207,9 +206,8 @@ pub enum RequestStatus {
 /// Typed error codes carried by [`Frame::Error`] and [`RequestStatus::Failed`].
 ///
 /// Codes 1–4 and 6 mirror [`ServeError`](pochoir_core::engine::ServeError)
-/// variant for variant; code 5 is retired (its error no longer exists, and no
-/// server sends it); codes 16+ are protocol-level failures that have no
-/// in-process counterpart.
+/// variant for variant; codes 5 and 22 are retired (no server sends them);
+/// codes 16+ are protocol-level failures that have no in-process counterpart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -231,14 +229,11 @@ pub enum ErrorCode {
     Oversized = 18,
     /// The session id was never negotiated on this server.
     UnknownSession = 19,
-    /// The request id is unknown (never submitted, already fetched, or retired
-    /// with its disconnected owner).
+    /// The request id is unknown.  The server keeps no requests, so it answers
+    /// every `Poll` with this code.
     UnknownRequest = 20,
     /// The client's `Hello` version differs from [`PROTOCOL_VERSION`].
     VersionMismatch = 21,
-    /// `Fetch` arrived before the request finished draining.  `pochoir-serve`
-    /// never sends it: a request is finished before its `Submitted` goes out.
-    NotReady = 22,
     /// The frame decoded but its contents are unusable (wrong grid byte count,
     /// wrong element type for the session's app, …).
     BadPayload = 23,
@@ -263,7 +258,6 @@ impl ErrorCode {
             19 => ErrorCode::UnknownSession,
             20 => ErrorCode::UnknownRequest,
             21 => ErrorCode::VersionMismatch,
-            22 => ErrorCode::NotReady,
             23 => ErrorCode::BadPayload,
             other => {
                 return Err(FrameError::BadPayload(format!(
@@ -307,7 +301,9 @@ pub enum Frame {
         chunk: i64,
     },
     /// Submit a `(array, t0, t1, weight, deadline)` request to a session.
-    /// Answered by [`Frame::Submitted`] or a typed error.
+    /// Answered, once the request has run, by its [`Frame::Result`], by a
+    /// [`Frame::Status`] carrying its typed failure, or — for a refused header
+    /// — by a typed [`Frame::Error`].
     Submit {
         /// The negotiated session id.
         session: u32,
@@ -328,25 +324,11 @@ pub enum Frame {
         /// 0 first.
         grid: Vec<u8>,
     },
-    /// Ask where a request stands; answered at once by [`Frame::Status`] — the
-    /// non-blocking form of [`Frame::Wait`].
+    /// Ask where a request stands.  The server keeps no requests — a `Submit`
+    /// is answered by its outcome — so `pochoir-serve` answers every `Poll`
+    /// with an `UnknownRequest` error, and the connection stays usable.
     Poll {
-        /// The request id from [`Frame::Submitted`].
-        request: u64,
-    },
-    /// Park until the request leaves `Pending` or `timeout_micros` pass;
-    /// answered by [`Frame::Status`].  `pochoir-serve` finishes a request
-    /// before answering its `Submit`, so it answers a `Wait` at once.
-    Wait {
-        /// The request id from [`Frame::Submitted`].
-        request: u64,
-        /// Longest park the client asks for, in microseconds.
-        timeout_micros: u64,
-    },
-    /// Fetch (and consume) a finished request's result; answered by
-    /// [`Frame::Result`], `NotReady`, or the request's typed failure.
-    Fetch {
-        /// The request id from [`Frame::Submitted`].
+        /// The request id.
         request: u64,
     },
     /// Polite goodbye; the server closes the connection.
@@ -367,17 +349,13 @@ pub enum Frame {
         /// The session's drain window height (echo of the negotiated chunk).
         window: i64,
     },
-    /// A submission was admitted and queued.
-    Submitted {
-        /// The request id to poll/fetch.
-        request: u64,
-    },
-    /// Answer to [`Frame::Poll`] and [`Frame::Wait`].
+    /// A request's state: the answer to a `Submit` whose ticket failed.
     Status {
         /// Where the request stands.
         status: RequestStatus,
     },
-    /// A finished request's result: the final two time slices (`max(t1-1, 0)`
+    /// A finished request's result, the answer to its `Submit`: the final two
+    /// time slices (`max(t1-1, 0)`
     /// then `t1`), densely packed row-major — exactly the slices the canonical
     /// traffic digest folds.
     Result {
@@ -408,13 +386,10 @@ const OP_HELLO: u8 = 0x01;
 const OP_NEGOTIATE: u8 = 0x02;
 const OP_SUBMIT: u8 = 0x03;
 const OP_POLL: u8 = 0x04;
-const OP_FETCH: u8 = 0x05;
 const OP_CLOSE: u8 = 0x06;
 const OP_FLUSH: u8 = 0x07;
-const OP_WAIT: u8 = 0x08;
 const OP_HELLO_ACK: u8 = 0x81;
 const OP_SESSION_ACK: u8 = 0x82;
-const OP_SUBMITTED: u8 = 0x83;
 const OP_STATUS: u8 = 0x84;
 const OP_RESULT: u8 = 0x85;
 const OP_FLUSHED: u8 = 0x86;
@@ -645,18 +620,6 @@ impl Frame {
                 out.push(OP_POLL);
                 out.extend_from_slice(&request.to_le_bytes());
             }
-            Frame::Fetch { request } => {
-                out.push(OP_FETCH);
-                out.extend_from_slice(&request.to_le_bytes());
-            }
-            Frame::Wait {
-                request,
-                timeout_micros,
-            } => {
-                out.push(OP_WAIT);
-                out.extend_from_slice(&request.to_le_bytes());
-                out.extend_from_slice(&timeout_micros.to_le_bytes());
-            }
             Frame::Close => out.push(OP_CLOSE),
             Frame::Flush => out.push(OP_FLUSH),
             Frame::HelloAck { version } => {
@@ -668,14 +631,9 @@ impl Frame {
                 out.extend_from_slice(&session.to_le_bytes());
                 out.extend_from_slice(&window.to_le_bytes());
             }
-            Frame::Submitted { request } => {
-                out.push(OP_SUBMITTED);
-                out.extend_from_slice(&request.to_le_bytes());
-            }
             Frame::Status { status } => {
                 out.push(OP_STATUS);
                 match status {
-                    RequestStatus::Pending => out.push(0),
                     RequestStatus::Done => out.push(1),
                     RequestStatus::Failed { code, detail } => {
                         out.push(2);
@@ -779,11 +737,6 @@ impl Frame {
                 },
             },
             OP_POLL => Frame::Poll { request: r.u64()? },
-            OP_FETCH => Frame::Fetch { request: r.u64()? },
-            OP_WAIT => Frame::Wait {
-                request: r.u64()?,
-                timeout_micros: r.u64()?,
-            },
             OP_CLOSE => Frame::Close,
             OP_FLUSH => Frame::Flush,
             OP_HELLO_ACK => Frame::HelloAck { version: r.u32()? },
@@ -791,10 +744,8 @@ impl Frame {
                 session: r.u32()?,
                 window: r.i64()?,
             },
-            OP_SUBMITTED => Frame::Submitted { request: r.u64()? },
             OP_STATUS => {
                 let status = match r.u8()? {
-                    0 => RequestStatus::Pending,
                     1 => RequestStatus::Done,
                     2 => RequestStatus::Failed {
                         code: ErrorCode::from_u8(r.u8()?)?,

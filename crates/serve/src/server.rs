@@ -16,10 +16,10 @@
 //!   drained, so the stream stays framed).  It submits the array to the
 //!   session and drains that ticket itself through
 //!   [`StencilServer::try_drain`] — a tenant panic fails only its own
-//!   request, exactly as in-process — and answers `Submitted` only once the
-//!   drained array is stored, as is, as the request's result.  So a `Wait`
-//!   never parks (`Poll` is the same handler), and a `Fetch` writes the
-//!   result straight from the drained array's rows.
+//!   request, exactly as in-process — and answers the `Submit` with the
+//!   `Result` itself, written straight from the drained array's rows.  The
+//!   server keeps nothing for a request once it has replied: the array stays
+//!   on as the connection's spare for its next `Submit` of the same shape.
 //!
 //! Sockets run with `TCP_NODELAY` (the protocol is request/response over small
 //! frames) and a write timeout ([`WRITE_TIMEOUT`]), and a frame that has
@@ -28,14 +28,14 @@
 //! pinned thread.
 //!
 //! **Locking model.**  There are two lock tiers and they are never nested:
-//! a global `State` mutex guards the request table, the session index, and
-//! record-mode bookkeeping — all cheap map operations — while each session's
-//! compiled server lives behind that session's own mutex.  A submitting
-//! worker computes entirely under the session lock, so polls, fetches, and
-//! other sessions' submits keep flowing on every connection while it drains;
-//! a second submit to the same session waits for the lock, which makes each
-//! connection its own backpressure.  The result and its record entry are
-//! stored under one brief `State` lock afterwards.  While it holds the
+//! a global `State` mutex guards the session index and record-mode
+//! bookkeeping — cheap map operations — while each session's compiled server
+//! lives behind that session's own mutex.  A submitting worker computes
+//! entirely under the session lock, so negotiations and other sessions'
+//! submits keep flowing on every connection while it drains; a second submit
+//! to the same session waits for the lock, which makes each connection its
+//! own backpressure.  In record mode the submission's record entry is stored
+//! under one brief `State` lock afterwards.  While it holds the
 //! session lock the worker blocks in the pool's `run_on_worker`; that cannot
 //! deadlock, because the worker is an OS thread, not a pool job, and no pool
 //! job takes a session lock.
@@ -303,31 +303,10 @@ struct SessionInner {
     calibrated_runs: u64,
 }
 
-/// A finished request: a submit drains its ticket before it answers, so no
-/// request is ever seen unfinished.
-enum ReqState {
-    /// Drained: the array itself, whose last two slices a `Fetch` writes out.
-    Done {
-        grid: Grid,
-        t1: i64,
-    },
-    Failed {
-        code: ErrorCode,
-        detail: String,
-    },
-}
-
-struct Request {
-    conn: u64,
-    state: ReqState,
-}
-
 #[derive(Default)]
 struct State {
     sessions: Vec<Arc<SessionSlot>>,
     session_ids: HashMap<(TraceApp, Vec<u64>, i64), u32>,
-    requests: HashMap<u64, Request>,
-    next_request: u64,
     /// Logical arrival clock for record mode: one tick per admitted submission.
     arrival_clock: u64,
     record: Vec<TraceRecord>,
@@ -389,10 +368,9 @@ impl Server {
 
     /// Stops the service and joins every thread it owns: the shutdown flag is
     /// raised, every live connection socket is shut down so workers blocked in
-    /// a read or write fail out and drop their own results (a worker inside a
-    /// drain finishes it first), the workers and the accept thread are joined,
-    /// and only then — with no writer left — is the record trace written (if
-    /// recording).
+    /// a read or write fail out (a worker inside a drain finishes it first),
+    /// the workers and the accept thread are joined, and only then — with no
+    /// writer left — is the record trace written (if recording).
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let (streams, workers) = {
@@ -460,11 +438,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let spawned = std::thread::Builder::new()
             .name("pochoir-serve-conn".into())
             .spawn(move || {
-                connection_loop(stream, conn, &worker_shared);
-                // The connection is gone: its unfetched results go with it.
-                lock(&worker_shared.state)
-                    .requests
-                    .retain(|_, r| r.conn != conn);
+                connection_loop(stream, &worker_shared);
                 lock(&worker_shared.conns).streams.remove(&conn);
             });
         if let Ok(handle) = spawned {
@@ -482,7 +456,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// What a connection worker answers one request frame with.
 enum Reply {
     Frame(Frame),
-    /// A fetched request's result, written straight from the drained array.
+    /// A finished request's result, written straight from the drained array.
     Result {
         grid: Grid,
         t1: i64,
@@ -495,7 +469,7 @@ impl From<Frame> for Reply {
     }
 }
 
-fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
+fn connection_loop(mut stream: TcpStream, shared: &Shared) {
     let rt = Runtime::global();
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -508,8 +482,8 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
             timeout: None,
         },
     );
-    // The last result this connection fetched, refilled by its next `Submit`
-    // of the same shape instead of a fresh array.
+    // The array of the last result this connection was sent, refilled by its
+    // next `Submit` of the same shape instead of a fresh array.
     let mut spare = None;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -576,7 +550,6 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 grid: _,
             } => match handle_submit(
                 shared,
-                conn,
                 &mut reader,
                 payload,
                 &mut spare,
@@ -588,13 +561,19 @@ fn connection_loop(mut stream: TcpStream, conn: u64, shared: &Shared) {
                 deadline,
                 elem,
             ) {
-                Ok(reply) => reply.into(),
+                Ok(reply) => reply,
                 Err(_) => return, // the stream failed inside the payload
             },
-            Frame::Poll { request } | Frame::Wait { request, .. } => {
-                handle_status(shared, conn, request).into()
+            // The server keeps no requests: a `Submit` is answered by its
+            // outcome, so there is nothing to poll.
+            Frame::Poll { request } => Frame::Error {
+                code: ErrorCode::UnknownRequest,
+                detail: format!(
+                    "request {request} is unknown: this server answers each Submit \
+                     with its Result and keeps no requests"
+                ),
             }
-            Frame::Fetch { request } => handle_fetch(shared, conn, request),
+            .into(),
             Frame::Flush => {
                 let mut state = lock(&shared.state);
                 let records = write_record(shared, &mut state);
@@ -723,7 +702,8 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
 }
 
 /// A served array, one arm per served shape: built for a `Submit` and filled
-/// from its payload, then — drained — kept as the request's result.
+/// from its payload, then — drained — written out as the request's `Result`
+/// and kept as the connection's spare.
 enum Grid {
     F64x2(PochoirArray<f64, 2>),
     U8x2(PochoirArray<u8, 2>),
@@ -804,12 +784,12 @@ impl Grid {
 /// held (a large grid must stall no other connection).  A refused header has
 /// its payload drained before the typed error goes out, so the stream stays
 /// framed.  An admitted array is submitted and drained under the session lock
-/// — it is the queue's one ticket — and the request exists, finished, before
-/// `Submitted` names it.  `Err` means the stream failed.
+/// — it is the queue's one ticket — and the reply is its outcome: the drained
+/// array as the `Result`, or the ticket's typed failure as a `Status`.  `Err`
+/// means the stream failed.
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     shared: &Shared,
-    conn: u64,
     r: &mut impl Read,
     payload: usize,
     spare: &mut Option<Grid>,
@@ -820,12 +800,12 @@ fn handle_submit(
     weight: u32,
     deadline: Deadline,
     elem: ElemType,
-) -> io::Result<Frame> {
+) -> io::Result<Reply> {
     let slot = match check_submit(shared, session, elem, t0, t1, payload) {
         Ok(slot) => slot,
         Err(refusal) => {
             skip_payload(r, payload)?;
-            return Ok(refusal);
+            return Ok(refusal.into());
         }
     };
     let mut grid = Grid::for_submit(slot.app, &slot.geometry, spare.take());
@@ -856,27 +836,19 @@ fn handle_submit(
                 return Ok(Frame::Error {
                     code: ErrorCode::BadPayload,
                     detail: "grid/session element type mismatch".to_string(),
-                })
+                }
+                .into())
             }
         };
         if let Err(e) = submitted {
             let (code, detail) = wire_error(&e);
-            return Ok(Frame::Error { code, detail });
+            return Ok(Frame::Error { code, detail }.into());
         }
         (logical_deadline, drain_session(&mut inner, t1))
     };
 
-    let mut state = lock(&shared.state);
-    let request = state.next_request;
-    state.next_request += 1;
-    state.requests.insert(
-        request,
-        Request {
-            conn,
-            state: finished,
-        },
-    );
     if shared.config.record.is_some() {
+        let mut state = lock(&shared.state);
         // The canonical trace format normalizes t0 to 0 and carries one chunk
         // per trace; submissions that fit are recorded, others pass through
         // unlogged (they still execute).
@@ -899,7 +871,7 @@ fn handle_submit(
             });
         }
     }
-    Ok(Frame::Submitted { request })
+    Ok(finished)
 }
 
 /// The checks a `Submit` header must pass before its payload is read: the
@@ -976,55 +948,6 @@ fn wall_to_ticks(wall_micros: u64, cost_micros: f64, windows_needed: u64) -> u64
     ticks.max(windows_needed)
 }
 
-/// Connection `conn`'s request `request`, or the `UnknownRequest` error for an
-/// id that is not (or no longer) one of its own.
-fn own_request(state: &State, conn: u64, request: u64) -> Result<&Request, Frame> {
-    let detail = match state.requests.get(&request) {
-        Some(r) if r.conn == conn => return Ok(r),
-        Some(_) => format!("request {request} belongs to another connection"),
-        None => format!("request {request} is unknown (never submitted, fetched, or retired)"),
-    };
-    Err(Frame::Error {
-        code: ErrorCode::UnknownRequest,
-        detail,
-    })
-}
-
-/// Answers `Wait` and `Poll` alike, at once: every request in the table is
-/// finished, so there is nothing to wait for.
-fn handle_status(shared: &Shared, conn: u64, request: u64) -> Frame {
-    let state = lock(&shared.state);
-    let status = match own_request(&state, conn, request) {
-        Err(refusal) => return refusal,
-        Ok(r) => match &r.state {
-            ReqState::Done { .. } => RequestStatus::Done,
-            ReqState::Failed { code, detail } => RequestStatus::Failed {
-                code: *code,
-                detail: detail.clone(),
-            },
-        },
-    };
-    Frame::Status { status }
-}
-
-/// Answers `Fetch`: the request is consumed, and a drained array leaves the
-/// state lock to be written out as the `Result`.
-fn handle_fetch(shared: &Shared, conn: u64, request: u64) -> Reply {
-    let mut state = lock(&shared.state);
-    if let Err(refusal) = own_request(&state, conn, request) {
-        return refusal.into();
-    }
-    match state
-        .requests
-        .remove(&request)
-        .expect("checked above")
-        .state
-    {
-        ReqState::Done { grid, t1 } => Reply::Result { grid, t1 },
-        ReqState::Failed { code, detail } => Frame::Error { code, detail }.into(),
-    }
-}
-
 /// Writes the recorded trace in canonical form; returns total records recorded.
 fn write_record(shared: &Shared, state: &mut State) -> u64 {
     let Some(record) = &shared.config.record else {
@@ -1063,11 +986,11 @@ where
 }
 
 /// Drains the session's one queued ticket — the submitting worker's own —
-/// under the session lock the caller holds, and returns the request's
-/// completion (result or typed failure).  Also recalibrates the session's
+/// under the session lock the caller holds, and returns the reply to its
+/// `Submit`: the result, or the typed failure.  Also recalibrates the session's
 /// per-window cost from the measured drain time over the
 /// [`SessionStats`](pochoir_core::engine::SessionStats) `runs` delta.
-fn drain_session(inner: &mut SessionInner, t1: i64) -> ReqState {
+fn drain_session(inner: &mut SessionInner, t1: i64) -> Reply {
     let started = Instant::now();
     let (grid, outcome) = match &mut inner.server {
         AnyServer::Heat2d(s) => drain_ticket(s, Grid::F64x2),
@@ -1084,17 +1007,21 @@ fn drain_session(inner: &mut SessionInner, t1: i64) -> ReqState {
         inner.cost_ewma_micros = 0.7 * inner.cost_ewma_micros + 0.3 * measured;
     }
 
-    match (outcome, grid) {
-        (Some(TicketOutcome::Panicked { message }), _) => ReqState::Failed {
-            code: ErrorCode::TenantPanicked,
-            detail: format!("tenant ticket panicked: {message}"),
-        },
-        (_, Some(grid)) => ReqState::Done { grid, t1 },
-        (_, None) => ReqState::Failed {
-            code: ErrorCode::RegistryPoisoned,
-            detail: "drain failed before producing a result".to_string(),
-        },
+    let (code, detail) = match (outcome, grid) {
+        (Some(TicketOutcome::Panicked { message }), _) => (
+            ErrorCode::TenantPanicked,
+            format!("tenant ticket panicked: {message}"),
+        ),
+        (_, Some(grid)) => return Reply::Result { grid, t1 },
+        (_, None) => (
+            ErrorCode::RegistryPoisoned,
+            "drain failed before producing a result".to_string(),
+        ),
+    };
+    Frame::Status {
+        status: RequestStatus::Failed { code, detail },
     }
+    .into()
 }
 
 /// Prints the resolved listen address on stdout (`listening on <addr>`), for

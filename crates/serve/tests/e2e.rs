@@ -139,8 +139,8 @@ fn live_server_matches_in_process_bitwise_with_one_compile_per_geometry() {
         );
     }
 
-    // The giant: two tenants submitted back-to-back on one connection, so both
-    // can land in one drain, then fetched in order.
+    // The giant: two tenants submitted back-to-back on one connection, so the
+    // client holds both results at once, then fetched in order.
     let geometry = geometry_of(TraceApp::HeatGiant1d);
     let mut client = Client::connect(&addr).expect("connect");
     let session = client

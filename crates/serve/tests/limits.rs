@@ -61,9 +61,9 @@ fn small_extent_giant_requests_each_get_their_own_result() {
         .negotiate(TraceApp::HeatGiant1d, &SMALL_GIANT, WINDOW)
         .expect("negotiate small giant");
 
-    // Submit all requests back-to-back before fetching anything, so several
-    // land in one drain batch — the regression this pins is a later request
-    // being paired with an earlier request's result.
+    // Submit all requests back-to-back before fetching anything, so the
+    // client holds several results at once — the regression this pins is a
+    // later request being paired with an earlier request's result.
     let tenants: Vec<u32> = (0..4).collect();
     let requests: Vec<u64> = tenants
         .iter()

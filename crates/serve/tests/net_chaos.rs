@@ -1,31 +1,32 @@
-//! Network chaos pin: a client that dies mid-submit, vanishes mid-poll or dies
-//! with a `Wait` unread must retire only its own work.  Well-behaved
-//! survivors sharing the server drain to results bitwise-equal to a fault-free
-//! run, and the server keeps accepting fresh connections afterwards.  Every
-//! blocking call the server makes on a peer's behalf is bounded: a peer that
-//! stops reading loses its connection to the write timeout, a peer that
-//! trickles a frame loses it to the frame deadline, and shutdown never waits
-//! out a client's long `Wait` (the server answers it at once: a request has
-//! run before its `Submitted` goes out).
+//! Network chaos pin: a client that dies mid-submit, vanishes after its
+//! `Submit` or vanishes before reading a long request's `Result` must retire
+//! only its own work.  Well-behaved survivors sharing the server drain to
+//! results bitwise-equal to a fault-free run, and the server keeps accepting
+//! fresh connections afterwards.  Every blocking call the server makes on a
+//! peer's behalf is bounded: a peer that stops reading loses its connection to
+//! the write timeout, a peer that trickles a frame loses it to the frame
+//! deadline, and shutdown never waits on a `Result` nobody reads.  A `Poll` —
+//! the server keeps no requests to poll — is a typed error on a stream that
+//! stays usable.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use pochoir_serve::protocol::{
-    read_frame, write_frame, write_grid_frame, Deadline, ElemType, Frame, RequestStatus,
+    read_frame, write_frame, write_grid_frame, Deadline, ElemType, ErrorCode, Frame,
     PROTOCOL_VERSION,
 };
 use pochoir_serve::server::{ServeConfig, Server, FRAME_DEADLINE, WRITE_TIMEOUT};
-use pochoir_serve::Client;
+use pochoir_serve::{Client, FetchedResult};
 use pochoir_stencils::traffic::heat_grid;
 use pochoir_trace::TraceApp;
 
 const GEOMETRY: [u64; 2] = [16, 16];
 const WINDOW: i64 = 4;
 const T1: i64 = 8;
-/// A long horizon (1 Mi point updates on the 16×16 grid): the `Submitted`
-/// answer waits for all of it, and the owner then asks for a long `Wait`.
+/// A long horizon (1 Mi point updates on the 16×16 grid): the `Result` waits
+/// for all of it.
 const LONG_T1: i64 = 4096;
 
 /// Run the three well-behaved heat tenants against a server and return their
@@ -63,6 +64,13 @@ fn raw_session(addr: &str) -> (TcpStream, u32) {
 }
 
 fn raw_session_for(addr: &str, geometry: &[u64], window: i64) -> (TcpStream, u32) {
+    let mut stream = raw_hello(addr);
+    let session = raw_negotiate(&mut stream, geometry, window);
+    (stream, session)
+}
+
+/// A bare socket past the `Hello`/`HelloAck` handshake.
+fn raw_hello(addr: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect raw");
     stream.set_nodelay(true).expect("nodelay");
     write_frame(
@@ -73,11 +81,15 @@ fn raw_session_for(addr: &str, geometry: &[u64], window: i64) -> (TcpStream, u32
     )
     .expect("hello");
     match read_frame(&mut stream).expect("hello ack").0 {
-        Frame::HelloAck { .. } => {}
+        Frame::HelloAck { .. } => stream,
         other => panic!("expected HelloAck, got {other:?}"),
     }
+}
+
+/// Negotiates a heat session over `geometry` on a raw socket.
+fn raw_negotiate(stream: &mut TcpStream, geometry: &[u64], window: i64) -> u32 {
     write_frame(
-        &mut stream,
+        stream,
         &Frame::Negotiate {
             app: TraceApp::Heat2d,
             geometry: geometry.to_vec(),
@@ -85,8 +97,8 @@ fn raw_session_for(addr: &str, geometry: &[u64], window: i64) -> (TcpStream, u32
         },
     )
     .expect("negotiate");
-    match read_frame(&mut stream).expect("session ack").0 {
-        Frame::SessionAck { session, .. } => (stream, session),
+    match read_frame(stream).expect("session ack").0 {
+        Frame::SessionAck { session, .. } => session,
         other => panic!("expected SessionAck, got {other:?}"),
     }
 }
@@ -132,14 +144,15 @@ fn chaos_truncated_submit(addr: &str) {
     drop(stream); // mid-frame disconnect
 }
 
-/// Submits tenant `tenant`'s heat grid over `[0, t1)` on a raw socket.
+/// Writes tenant `tenant`'s heat `Submit` over `[0, t1)` on a raw socket; the
+/// reply is left unread.
 fn raw_submit<const D: usize>(
     stream: &mut TcpStream,
     session: u32,
     sizes: [usize; D],
     tenant: u32,
     t1: i64,
-) -> u64 {
+) {
     write_grid_frame(
         stream,
         &submit_head(session, tenant, t1),
@@ -147,40 +160,44 @@ fn raw_submit<const D: usize>(
         &[0, 1],
     )
     .expect("submit");
-    match read_frame(stream).expect("submitted").0 {
-        Frame::Submitted { request } => request,
-        other => panic!("expected Submitted, got {other:?}"),
+}
+
+/// Reads the `Result` that answers a `Submit` on a raw socket.
+fn read_result(stream: &mut TcpStream) -> FetchedResult {
+    match read_frame(stream).expect("result").0 {
+        Frame::Result {
+            elem,
+            t1,
+            slice_len,
+            payload,
+        } => FetchedResult {
+            elem,
+            t1,
+            slice_len,
+            bytes: payload,
+        },
+        other => panic!("expected Result, got {other:?}"),
     }
 }
 
-/// Sends a `Wait` on `request` that allows up to a minute.
-fn send_long_wait(stream: &mut TcpStream, request: u64) {
-    let wait = Frame::Wait {
-        request,
-        timeout_micros: 60_000_000,
-    };
-    write_frame(stream, &wait).expect("wait");
+/// Vanishes after its `Submit`: reads the `Result`, sends a `Poll`, and
+/// vanishes with the answer unread.  The server holds nothing for the finished
+/// request, and the dead socket must cost nobody else anything.
+fn chaos_vanished_after_submit(addr: &str) {
+    let (mut stream, session) = raw_session(addr);
+    raw_submit(&mut stream, session, [16, 16], 77, T1);
+    let _ = read_result(&mut stream);
+    write_frame(&mut stream, &Frame::Poll { request: 0 }).expect("poll");
+    drop(stream); // gone with the `Poll` answer unread
 }
 
-/// Dies mid-poll: submits a valid grid, polls once, then vanishes without
-/// fetching.  Its finished work must be dropped, not delivered to or blocked
-/// on anyone else.
-fn chaos_abandoned_poll(addr: &str) {
+/// Vanishes before its `Result`: submits a long request and disconnects
+/// without reading a byte.  The worker finishes the drain, writes into a dead
+/// socket and drops that one connection — nothing of anyone else's.
+fn chaos_abandoned_result(addr: &str) {
     let (mut stream, session) = raw_session(addr);
-    let request = raw_submit(&mut stream, session, [16, 16], 77, T1);
-    write_frame(&mut stream, &Frame::Poll { request }).expect("poll");
-    let _ = read_frame(&mut stream).expect("status");
-    drop(stream); // abandons the request forever
-}
-
-/// Dies waiting: submits a long request, sends a minute-long `Wait` on it, and
-/// vanishes without reading the answer.  The worker answers into a dead socket
-/// and must drop that one request — nothing of anyone else's.
-fn chaos_abandoned_wait(addr: &str) {
-    let (mut stream, session) = raw_session(addr);
-    let request = raw_submit(&mut stream, session, [16, 16], 55, LONG_T1);
-    send_long_wait(&mut stream, request);
-    drop(stream); // gone with the `Wait` answer unread
+    raw_submit(&mut stream, session, [16, 16], 55, LONG_T1);
+    drop(stream); // gone with the `Result` unread
 }
 
 #[test]
@@ -199,8 +216,8 @@ fn client_failures_retire_only_their_own_chains() {
         let addr = addr.clone();
         std::thread::spawn(move || {
             chaos_truncated_submit(&addr);
-            chaos_abandoned_poll(&addr);
-            chaos_abandoned_wait(&addr);
+            chaos_vanished_after_submit(&addr);
+            chaos_abandoned_result(&addr);
         })
     };
     let survivors = run_survivors(&addr);
@@ -238,10 +255,10 @@ fn fresh_round_trip(addr: &str) -> u64 {
     result.digest()
 }
 
-/// A client that asks for a 16 MiB `Result` (more than loopback socket buffers
-/// hold) and then stops reading pins its worker in a blocked write.  The write
-/// timeout retires that worker — the client finds the stream cut short — and
-/// other connections are served throughout.
+/// A client whose `Submit` is answered by a 16 MiB `Result` (more than
+/// loopback socket buffers hold) and which stops reading pins its worker in a
+/// blocked write.  The write timeout retires that worker — the client finds the
+/// stream cut short — and other connections are served throughout.
 #[test]
 fn a_peer_that_stops_reading_is_dropped_by_the_write_timeout() {
     const BIG: [u64; 2] = [1024, 1024];
@@ -249,20 +266,7 @@ fn a_peer_that_stops_reading_is_dropped_by_the_write_timeout() {
     let addr = server.addr().to_string();
 
     let (mut stream, session) = raw_session_for(&addr, &BIG, 1);
-    let request = raw_submit(&mut stream, session, [1024, 1024], 1, 1);
-    loop {
-        send_long_wait(&mut stream, request);
-        match read_frame(&mut stream).expect("status").0 {
-            Frame::Status {
-                status: RequestStatus::Pending,
-            } => continue,
-            Frame::Status {
-                status: RequestStatus::Done,
-            } => break,
-            other => panic!("expected Done, got {other:?}"),
-        }
-    }
-    write_frame(&mut stream, &Frame::Fetch { request }).expect("fetch");
+    raw_submit(&mut stream, session, [1024, 1024], 1, 1);
     let mut prefix = [0u8; 4];
     stream.read_exact(&mut prefix).expect("result prefix");
     let declared = u32::from_le_bytes(prefix) as usize;
@@ -275,7 +279,7 @@ fn a_peer_that_stops_reading_is_dropped_by_the_write_timeout() {
     // on a reset connection fails.  A timeout that expires with part of the
     // frame newly buffered restarts the clock, hence a few of them.
     let stalled = Instant::now();
-    while write_frame(&mut stream, &Frame::Poll { request }).is_ok() {
+    while write_frame(&mut stream, &Frame::Poll { request: 0 }).is_ok() {
         assert!(
             stalled.elapsed() < 4 * WRITE_TIMEOUT,
             "the stalled write never timed out"
@@ -297,26 +301,47 @@ fn a_peer_that_stops_reading_is_dropped_by_the_write_timeout() {
     assert!(started.elapsed() < Duration::from_secs(2));
 }
 
-/// `shutdown` does not wait out a client's minute-long `Wait`: the worker
-/// answers it at once, and shutdown closes the connection.
+/// `shutdown` does not wait on a `Result` nobody reads: the worker finishes
+/// the long drain its `Submit` started, writes the small `Result` into the
+/// socket's buffer, and shutdown closes the connection.
 #[test]
-fn shutdown_does_not_wait_out_a_parked_worker() {
+fn shutdown_does_not_wait_on_an_unread_result() {
     let server = Server::start(ServeConfig::default()).expect("server");
     let addr = server.addr().to_string();
     let (mut stream, session) = raw_session(&addr);
-    let request = raw_submit(&mut stream, session, [16, 16], 5, LONG_T1);
-    send_long_wait(&mut stream, request);
+    raw_submit(&mut stream, session, [16, 16], 5, LONG_T1);
 
     let started = Instant::now();
     server.shutdown();
     let took = started.elapsed();
     assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
-    // The worker answered (`Done`: the request ran inside its `Submit`) or its
-    // socket was closed under it; it did not hang.
+    // The worker answered (the request ran inside its `Submit`) or its socket
+    // was closed under it; it did not hang.
     match read_frame(&mut stream) {
-        Ok((Frame::Status { .. }, _)) | Err(_) => {}
-        Ok((other, _)) => panic!("expected Status or a closed socket, got {other:?}"),
+        Ok((Frame::Result { .. }, _)) | Err(_) => {}
+        Ok((other, _)) => panic!("expected a Result or a closed socket, got {other:?}"),
     }
+}
+
+/// The server keeps no requests, so a `Poll` — here straight after `Hello` —
+/// is answered with a typed `UnknownRequest` error, and the same stream then
+/// negotiates and submits as if nothing had happened.
+#[test]
+fn a_poll_is_a_typed_error_and_the_stream_stays_usable() {
+    let server = Server::start(ServeConfig::default()).expect("server");
+    let addr = server.addr().to_string();
+    let baseline = fresh_round_trip(&addr);
+
+    let mut stream = raw_hello(&addr);
+    write_frame(&mut stream, &Frame::Poll { request: 0 }).expect("poll");
+    match read_frame(&mut stream).expect("poll answer").0 {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownRequest),
+        other => panic!("expected an UnknownRequest error, got {other:?}"),
+    }
+    let session = raw_negotiate(&mut stream, &GEOMETRY, WINDOW);
+    raw_submit(&mut stream, session, [16, 16], 0, T1);
+    assert_eq!(read_result(&mut stream).digest(), baseline);
+    server.shutdown();
 }
 
 /// A slow-loris `Submit` — a full header, then one payload byte every 100 ms —

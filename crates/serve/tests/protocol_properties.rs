@@ -23,7 +23,7 @@ use proptest::prelude::*;
 /// Detail-string alphabet crossing ASCII, escapes, and multi-byte UTF-8.
 const DETAIL_CHARS: [char; 10] = ['a', 'Z', '0', ' ', '_', '"', '\\', '\n', 'é', '🜁'];
 
-const ERROR_CODES: [ErrorCode; 13] = [
+const ERROR_CODES: [ErrorCode; 12] = [
     ErrorCode::InvalidGeometry,
     ErrorCode::CompileFailed,
     ErrorCode::TenantPanicked,
@@ -35,7 +35,6 @@ const ERROR_CODES: [ErrorCode; 13] = [
     ErrorCode::UnknownSession,
     ErrorCode::UnknownRequest,
     ErrorCode::VersionMismatch,
-    ErrorCode::NotReady,
     ErrorCode::BadPayload,
 ];
 
@@ -54,9 +53,8 @@ fn arb_deadline(rng: &mut Rng) -> Deadline {
 }
 
 fn arb_status(rng: &mut Rng) -> RequestStatus {
-    match rng.below(3) {
-        0 => RequestStatus::Pending,
-        1 => RequestStatus::Done,
+    match rng.below(2) {
+        0 => RequestStatus::Done,
         _ => RequestStatus::Failed {
             code: ERROR_CODES[rng.below(ERROR_CODES.len() as u64) as usize],
             detail: arb_string(rng, 24),
@@ -69,7 +67,7 @@ fn arb_status(rng: &mut Rng) -> RequestStatus {
 /// the same space reproducibly).
 fn arb_frame(seed: u64) -> Frame {
     let mut rng = Rng::new(seed ^ 0x0DDC_0FFE_E5E5_AA55);
-    match rng.below(15) {
+    match rng.below(12) {
         0 => Frame::Hello {
             version: rng.below(1 << 32) as u32,
         },
@@ -101,36 +99,26 @@ fn arb_frame(seed: u64) -> Frame {
         3 => Frame::Poll {
             request: rng.below(1 << 48),
         },
-        4 => Frame::Fetch {
-            request: rng.below(1 << 48),
-        },
-        5 => Frame::Close,
-        6 => Frame::Flush,
-        7 => Frame::HelloAck {
+        4 => Frame::Close,
+        5 => Frame::Flush,
+        6 => Frame::HelloAck {
             version: rng.below(1 << 32) as u32,
         },
-        8 => Frame::SessionAck {
+        7 => Frame::SessionAck {
             session: rng.below(1 << 16) as u32,
             window: rng.below(1 << 16) as i64,
         },
-        9 => Frame::Submitted {
-            request: rng.below(1 << 48),
-        },
-        10 => Frame::Status {
+        8 => Frame::Status {
             status: arb_status(&mut rng),
         },
-        11 => Frame::Result {
+        9 => Frame::Result {
             elem: ElemType::F64,
             t1: rng.below(1 << 16) as i64,
             slice_len: rng.below(1 << 20),
             payload: (0..rng.below(256)).map(|_| rng.below(256) as u8).collect(),
         },
-        12 => Frame::Flushed {
+        10 => Frame::Flushed {
             records: rng.below(1 << 32),
-        },
-        13 => Frame::Wait {
-            request: rng.below(1 << 48),
-            timeout_micros: rng.below(1 << 40),
         },
         _ => Frame::Error {
             code: ERROR_CODES[rng.below(ERROR_CODES.len() as u64) as usize],
@@ -642,6 +630,37 @@ fn negotiate_arity_checked_at_decode() {
     body[2] = 2;
     assert!(matches!(
         Frame::decode(&body),
+        Err(FrameError::BadPayload(_))
+    ));
+}
+
+/// What version 3 retired does not decode: the `Fetch` (0x05), `Wait` (0x08)
+/// and `Submitted` (0x83) opcodes, the `Pending` status tag (0) and the
+/// `NotReady` error code (22).
+#[test]
+fn retired_version_two_surface_is_rejected() {
+    for op in [0x05u8, 0x08, 0x83] {
+        let mut body = vec![op];
+        body.extend_from_slice(&[0; 16]);
+        assert_eq!(Frame::decode(&body), Err(FrameError::UnknownOpcode(op)));
+    }
+    let mut pending = Frame::Status {
+        status: RequestStatus::Done,
+    }
+    .encode();
+    pending[1] = 0;
+    assert!(matches!(
+        Frame::decode(&pending),
+        Err(FrameError::BadPayload(_))
+    ));
+    let mut not_ready = Frame::Error {
+        code: ErrorCode::BadFrame,
+        detail: String::new(),
+    }
+    .encode();
+    not_ready[1] = 22;
+    assert!(matches!(
+        Frame::decode(&not_ready),
         Err(FrameError::BadPayload(_))
     ));
 }

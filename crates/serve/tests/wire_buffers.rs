@@ -1,6 +1,7 @@
 //! How many payload-sized buffers one bulk request costs.  A counting global
 //! allocator tallies allocations of at least 1 MiB while a 1024² heat grid
-//! (16 MiB each way) goes submit / wait / fetch over loopback.  With the
+//! (16 MiB each way) goes submit / wait / fetch over loopback — one round
+//! trip, the `Result` answering the `Submit`.  With the
 //! payload streamed between rows and socket, a connection's first request makes
 //! exactly two — the array the server builds for the `Submit` (which the drain
 //! steps and keeps as the result) and the `Vec` the client's `FetchedResult`

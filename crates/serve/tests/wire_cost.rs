@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use pochoir_runtime::Runtime;
 use pochoir_serve::server::{ServeConfig, Server};
-use pochoir_serve::{Client, Deadline, RequestStatus};
+use pochoir_serve::{Client, ClientError, Deadline, RequestStatus};
+use pochoir_stencils::traffic::{heat_grid, usizes};
 use pochoir_trace::corpus::GIANT_CELLS;
 use pochoir_trace::{TraceApp, TRACE_APPS};
 
@@ -33,86 +34,83 @@ fn frames_of(session: impl FnOnce(&mut Client)) -> (u64, u64) {
 }
 
 #[test]
-fn a_request_is_three_frames_each_way_and_no_stall() {
+fn a_request_is_one_frame_each_way_and_no_stall() {
     let idle = frames_of(|client| {
         client
             .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
             .expect("negotiate");
     });
-    let one = frames_of(|client| {
-        let session = client
-            .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
-            .expect("negotiate");
-        let request = client
-            .submit_tenant(&session, 0, T1, 1, Deadline::None)
-            .expect("submit");
-        // One `Wait`, answered at once with `Done`: the worker ran the request
-        // before it answered the `Submit`, so no `Pending` can cross the wire.
-        let status = client
-            .wait(request, Duration::from_secs(120))
-            .expect("wait");
-        assert_eq!(status, RequestStatus::Done);
-        client.fetch(request).expect("fetch");
-    });
-    assert_eq!(
-        (one.0 - idle.0, one.1 - idle.1),
-        (3, 3),
-        "submit / wait / fetch is 3 frames in and 3 out (idle connection: {idle:?}, with one request: {one:?})"
-    );
 
-    // Every app, the giant included: a `Poll` sent right after `Submitted`
-    // already answers `Done`, so it can stand in for the `Wait` and the
-    // request still costs 3 frames each way.
+    // Every app, the giant included: the `Submit` is answered by its `Result`,
+    // so a request is one frame each way, and `wait`, `poll` and `fetch` read
+    // what the client already holds — the same connection with all three
+    // called, and a second `fetch` refused, moves exactly the frames of the
+    // submit alone.
     for app in TRACE_APPS {
         let geometry: Vec<u64> = match app {
             TraceApp::Heat2d | TraceApp::Life => GEOMETRY.to_vec(),
             TraceApp::Wave3d => vec![8, 8, 8],
             TraceApp::HeatGiant1d => vec![GIANT_CELLS],
         };
-        let polled = frames_of(|client| {
+        let submit = |client: &mut Client| {
             let session = client.negotiate(app, &geometry, WINDOW).expect("negotiate");
-            let request = client
+            client
                 .submit_tenant(&session, 0, T1, 1, Deadline::None)
-                .expect("submit");
-            let status = client.poll(request).expect("poll");
-            assert_eq!(status, RequestStatus::Done, "{app:?}: poll after submit");
+                .expect("submit")
+        };
+        let submitted = frames_of(|client| {
+            submit(client);
+        });
+        let collected = frames_of(|client| {
+            let request = submit(client);
+            let waited = client.wait(request, Duration::from_secs(120));
+            assert_eq!(waited.expect("wait"), RequestStatus::Done, "{app:?}");
+            let polled = client.poll(request).expect("poll");
+            assert_eq!(polled, RequestStatus::Done, "{app:?}");
             client.fetch(request).expect("fetch");
+            assert!(
+                matches!(client.fetch(request), Err(ClientError::UnknownRequest(r)) if r == request),
+                "{app:?}: a fetch consumes the result"
+            );
         });
         assert_eq!(
-            (polled.0 - idle.0, polled.1 - idle.1),
-            (3, 3),
-            "{app:?}: submit / poll / fetch is 3 frames in and 3 out"
+            (submitted.0 - idle.0, submitted.1 - idle.1),
+            (1, 1),
+            "{app:?}: a request is 1 frame in and 1 out (idle connection: {idle:?}, \
+             with one request: {submitted:?})"
+        );
+        assert_eq!(
+            collected, submitted,
+            "{app:?}: wait / poll / fetch must add no frames"
         );
     }
 
-    // A `Poll` on a finished request is the framing floor: one small frame each
-    // way.  A single Nagle / delayed-ACK stall is ≥ 40 ms, so a lost
-    // `TCP_NODELAY` or a frame split over two writes cannot hide under 10 ms.
+    // A small request is the framing floor: one 4 KiB `Submit` out, one 4 KiB
+    // `Result` back, around a few µs of stencil work.  A single Nagle /
+    // delayed-ACK stall is ≥ 40 ms, so a lost `TCP_NODELAY` or a frame split
+    // over two writes cannot hide under 10 ms.
     let server = Server::start(ServeConfig::default()).expect("server");
     let mut client = Client::connect(server.addr()).expect("connect");
     let session = client
         .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
         .expect("negotiate");
-    let request = client
-        .submit_tenant(&session, 1, T1, 1, Deadline::None)
-        .expect("submit");
-    let status = client
-        .wait(request, Duration::from_secs(120))
-        .expect("wait");
-    assert_eq!(status, RequestStatus::Done);
-    let mut polls: Vec<Duration> = (0..20)
+    let grid = heat_grid(usizes::<2>(&GEOMETRY), 1);
+    let mut round_trips: Vec<Duration> = (0..20)
         .map(|_| {
             let started = Instant::now();
-            let status = client.poll(request).expect("poll");
-            assert_eq!(status, RequestStatus::Done);
-            started.elapsed()
+            let request = client
+                .submit_grid(&session, &grid, 1, 0, T1, 1, Deadline::None)
+                .expect("submit");
+            let took = started.elapsed();
+            client.fetch(request).expect("fetch");
+            took
         })
         .collect();
-    polls.sort();
-    let median = polls[polls.len() / 2];
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
     assert!(
         median < Duration::from_millis(10),
-        "median poll round trip {median:?} (all: {polls:?})"
+        "median request round trip {median:?} (all: {round_trips:?})"
     );
     client.close().expect("close");
     server.shutdown();

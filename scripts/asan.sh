@@ -6,8 +6,10 @@
 # equivalence suite — which runs every case under both `SimdPolicy::Scalar` and
 # `SimdPolicy::Auto`, so the compiled AVX2 copies of the heat and wave row loops and
 # Life's hand-written AVX2 body run on an AVX2 host; then the wire codec's property
-# suite and the live end-to-end test, since the codec streams straight into and out
-# of `AlignedVec`-backed rows (`rows_mut`).  The shard suites ride along: their giant
+# suite and the live wire suites (end to end, frame counts, resource limits), since
+# the codec streams straight into and out of `AlignedVec`-backed rows (`rows_mut`),
+# the server refills a connection's last result array, and the client keeps each
+# result until it is fetched.  The shard suites ride along: their giant
 # route runs the whole grid through the same rows, and the explicit tile path's
 # scatter, gather and halo exchange are slab-span arithmetic over the same storage
 # (gather writes through `row_bands_mut`'s split), with tile arrays reused across
@@ -33,4 +35,4 @@ cargo +nightly test --offline --target "$target" -p pochoir-core \
 
 echo "== AddressSanitizer, the wire codec over grid rows"
 cargo +nightly test --offline --target "$target" -p pochoir-serve \
-    --test protocol_properties --test e2e
+    --test protocol_properties --test e2e --test wire_cost --test limits
