@@ -19,20 +19,19 @@
 //!
 //! [`CompiledProgram`] is the kernel-independent half of a session: the validated
 //! geometry, the execution plan, the resolved [`CutStrategy`], the **pinned**
-//! `Arc<Schedule>` (compiled eagerly at build time, replayed across shifted time
-//! windows), and per-session [`SessionStats`] counters.  [`CompiledStencil`] pairs a
-//! program with an owned kernel and an optional pinned runtime — the session object a
-//! serving deployment holds per stencil program, calling
-//! [`run`](CompiledStencil::run) once per time window.
+//! `Arc<Schedule>` of its own window height (compiled eagerly at build time, replayed
+//! across shifted time windows), and per-session [`SessionStats`] counters.
+//! [`CompiledStencil`] pairs a program with an owned kernel and an optional pinned
+//! runtime — the session object a serving deployment holds per stencil program,
+//! calling [`run`](CompiledStencil::run) once per time window.
 //!
 //! ## Execution routes
 //!
-//! * **Compiled** (TRAP/STRAP default): replay a pinned schedule; a window of a new
-//!   height fetches from the process-global schedule cache and joins the session's
-//!   small MRU pin set (so registry-shared sessions serving callers with different
-//!   window heights do not evict each other's pin).  Leaves execute
-//!   through [`base::execute_leaf`], whose segment-level clone resolution keeps
-//!   boundary-leaf interiors on the fast clone.
+//! * **Compiled** (TRAP/STRAP default): a window of the session's own height replays
+//!   the pinned schedule; a window of any other height fetches from the
+//!   process-global schedule cache, which compiles each key at most once.  Leaves
+//!   execute through [`base::execute_leaf`], whose segment-level clone resolution
+//!   keeps boundary-leaf interiors on the fast clone.
 //! * **Giant**: a window whose arena at the plan's literal base case would not be
 //!   worth materializing ([`schedule::should_compile`]) is geometry the engine makes
 //!   itself, so it replays the whole grid's schedule at [`Coarsening::engine_made`]
@@ -53,7 +52,7 @@
 //! points exactly once.
 
 use crate::engine::base;
-use crate::engine::faults::{self, lock_recover};
+use crate::engine::faults;
 use crate::engine::loops;
 use crate::engine::plan::{
     CloneMode, Coarsening, EngineKind, ExecutionPlan, ScheduleMode, Sharding,
@@ -66,8 +65,8 @@ use crate::kernel::{StencilKernel, StencilSpec};
 use crate::view::{AccessTracer, TracingView};
 use crate::zoid::Zoid;
 use pochoir_runtime::{Counter, Parallelism, Runtime, Serial};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Per-session executor counters (relaxed atomics; advisory, like the runtime's
 /// scheduler metrics).
@@ -87,10 +86,11 @@ struct SessionMetrics {
 pub struct SessionStats {
     /// Windows executed through this session (including traced runs).
     pub runs: u64,
-    /// Runs served by the session's pinned `Arc<Schedule>` with no cache traffic at all.
+    /// Runs of the session's own window height, served by its pinned `Arc<Schedule>`
+    /// with no cache traffic at all.
     pub schedule_reuses: u64,
-    /// Schedule-cache lookups this session performed (pin misses: build time, or a run
-    /// whose window height differs from the pinned schedule's).
+    /// Schedule-cache lookups this session performed: the one at build time, and one
+    /// per compiled run whose window height differs from the pinned schedule's.
     pub schedule_fetches: u64,
     /// Fetches that had to compile a fresh schedule (global-cache misses).
     pub schedule_compiles: u64,
@@ -110,7 +110,7 @@ pub struct SessionStats {
 /// A session geometry the executor cannot compile or run: non-positive grid extents,
 /// a negative window height, or an array that does not match the session's compiled
 /// geometry.  The `detail` message is exactly what the panicking entry points
-/// ([`CompiledProgram::new`], [`CompiledProgram::run`]) panic with, so callers that
+/// ([`CompiledStencil::new`], [`CompiledProgram::run`]) panic with, so callers that
 /// migrate from `expect`-style handling to the `try_` APIs keep their message matches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeometryError {
@@ -134,14 +134,6 @@ impl GeometryError {
     }
 }
 
-/// Default maximum number of compiled schedules one session keeps pinned (MRU-first).
-/// Sessions are shared process-wide through the serving registry, so callers of one
-/// geometry may replay a handful of distinct window heights; beyond the pin capacity,
-/// the least recently used pin is dropped (its schedule survives in the global cache
-/// and in any session still using it).  [`CompiledProgram::precompile_windows`] raises
-/// the capacity when more heights are pre-compiled deliberately.
-const DEFAULT_PINNED_SCHEDULES: usize = 4;
-
 /// The kernel-independent half of an executor session: validated geometry, resolved
 /// strategy, pinned schedule, and session counters.
 ///
@@ -157,38 +149,19 @@ pub struct CompiledProgram<const D: usize> {
     window: i64,
     /// Resolved once from the plan: `None` for the loop engines.
     strategy: Option<CutStrategy>,
-    /// The session's pinned schedules, most recently used first, replayed for every
-    /// window of a matching height.  A small *set* rather than a single slot: the
-    /// serving registry shares one program across callers, and callers replaying
-    /// different window heights must not evict each other's pin on every run.  Capped
-    /// at `pin_capacity`.
-    schedule: Mutex<Vec<Arc<Schedule<D>>>>,
-    /// How many schedules may stay pinned at once (default
-    /// [`DEFAULT_PINNED_SCHEDULES`]; raised by
-    /// [`precompile_windows`](Self::precompile_windows)).
-    pin_capacity: AtomicUsize,
-    /// Total leaves across the pinned schedules, maintained on every pin-set change
-    /// so readers (the serving registry's leaf-budget weigher) never take the
-    /// `schedule` mutex — which [`resolve_schedule`](Self::resolve_schedule) holds
-    /// across whole schedule compilations.
-    pinned_leaves: AtomicUsize,
+    /// The schedule of windows of height `window`, resolved at build and replayed by
+    /// every run of that height; `None` when such windows take no compiled route.
+    /// Immutable, so a replay takes no lock.
+    pinned: Option<Arc<Schedule<D>>>,
     metrics: SessionMetrics,
 }
 
 impl<const D: usize> CompiledProgram<D> {
     /// Builds a session program for grids of extent `sizes`, eagerly compiling (or
-    /// fetching from the process-global cache) the schedule for time windows of height
-    /// `window` when the plan takes the compiled route.
-    ///
-    /// Panics on invalid geometry; [`try_new`](Self::try_new) is the non-panicking
-    /// variant.
-    pub fn new(spec: StencilSpec<D>, plan: ExecutionPlan<D>, sizes: [i64; D], window: i64) -> Self {
-        Self::try_new(spec, plan, sizes, window).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a session program, returning [`GeometryError`] instead of panicking when
-    /// the geometry cannot be compiled (a non-positive grid extent or a negative
-    /// window height).
+    /// fetching from the process-global cache) and pinning the schedule for time
+    /// windows of height `window` when the plan takes the compiled route.  Returns
+    /// [`GeometryError`] when the geometry cannot be compiled (a non-positive grid
+    /// extent or a negative window height).
     pub fn try_new(
         spec: StencilSpec<D>,
         plan: ExecutionPlan<D>,
@@ -206,18 +179,19 @@ impl<const D: usize> CompiledProgram<D> {
                 "window height {window} is negative"
             )));
         }
-        let program = CompiledProgram {
+        let mut program = CompiledProgram {
             strategy: plan.cut_strategy(),
             spec,
             plan,
             sizes,
             window,
-            schedule: Mutex::new(Vec::new()),
-            pin_capacity: AtomicUsize::new(DEFAULT_PINNED_SCHEDULES),
-            pinned_leaves: AtomicUsize::new(0),
+            pinned: None,
             metrics: SessionMetrics::default(),
         };
-        program.precompile(window);
+        let coarsening = program.base_case(window);
+        if window > 0 && program.compiles(&coarsening, window) {
+            program.pinned = Some(program.fetch_schedule(window, coarsening));
+        }
         Ok(program)
     }
 
@@ -237,61 +211,24 @@ impl<const D: usize> CompiledProgram<D> {
     }
 
     /// The window height the session was built (and eagerly compiled) for.  Runs of
-    /// other heights still work — they pin additional schedules — but this height is
-    /// the steady-state replay unit, and the serving layer's pipelined drain chops
-    /// submissions into chunks of it.
+    /// other heights still work — each fetches its schedule from the process-global
+    /// cache — but this height is the steady-state replay unit, and the serving
+    /// layer's pipelined drain chops submissions into chunks of it.
     pub fn window(&self) -> i64 {
         self.window
     }
 
-    /// The most recently used pinned compiled schedule, if the session has resolved
-    /// one.
+    /// The pinned schedule of the session's own window height, if windows of that
+    /// height take the compiled route.
     pub fn schedule(&self) -> Option<Arc<Schedule<D>>> {
-        lock_recover(&self.schedule).first().cloned()
+        self.pinned.clone()
     }
 
-    /// Total base-case leaves across the session's pinned schedules — the dominant
-    /// memory term of a retained session, and the weight the serving registry's
-    /// leaf budget charges this program against.
-    ///
-    /// A lock-free read of a count maintained on every pin-set change: registry
-    /// bookkeeping (which calls this while holding the registry lock) must never
-    /// block behind this session's `schedule` mutex, held across whole schedule
-    /// compilations.
+    /// Base-case leaves of the pinned schedule — the dominant memory term of a
+    /// retained session, and the weight the serving registry's leaf budget charges
+    /// this program against.  Fixed at build.
     pub fn pinned_leaf_count(&self) -> usize {
-        self.pinned_leaves.load(Ordering::Relaxed)
-    }
-
-    /// Eagerly compiles (or fetches from the process-global cache) and pins the
-    /// schedules for every window height in `heights`, growing the session's pin
-    /// capacity so all of them stay pinned together.  Returns the number of heights
-    /// that had to be fetched (the rest were already pinned).
-    ///
-    /// A serving deployment replaying a known mix of window heights — say a steady
-    /// chunk height plus the shorter remainder windows of pipelined drains — calls
-    /// this once at startup so no drain ever touches the schedule cache.
-    pub fn precompile_windows(&self, heights: &[i64]) -> usize {
-        // Size the capacity for the union of the requested heights and the pins the
-        // session already holds (e.g. the build window): counting only `heights`
-        // would let this call evict the steady-state pin it is meant to protect.
-        let kept_existing = {
-            let slot = lock_recover(&self.schedule);
-            slot.iter()
-                .filter(|s| !heights.contains(&s.height()))
-                .count()
-        };
-        let wanted = (heights.len() + kept_existing).max(DEFAULT_PINNED_SCHEDULES);
-        self.pin_capacity.fetch_max(wanted, Ordering::Relaxed);
-        heights.iter().filter(|&&h| self.precompile(h)).count()
-    }
-
-    /// Pins the schedule `run` replays for windows of `height`, if it replays one;
-    /// returns whether that took a fetch.
-    fn precompile(&self, height: i64) -> bool {
-        let coarsening = self.base_case(height);
-        height > 0
-            && self.compiles(&coarsening, height)
-            && self.resolve_schedule(height, coarsening).1
+        self.pinned.as_ref().map_or(0, |s| s.num_leaves())
     }
 
     /// A snapshot of the session's executor counters.
@@ -334,22 +271,25 @@ impl<const D: usize> CompiledProgram<D> {
             && !self.compiles(&self.plan.coarsening, height)
     }
 
-    /// Returns the schedule for windows of `height` and whether it had to be fetched:
-    /// a pinned one when a pin of that height exists (an MRU *touch*), otherwise a
-    /// (counted) global-cache fetch at base case `coarsening` that pins the result,
-    /// dropping the least recently used pin beyond the session's pin capacity.  A
-    /// height has one base case per session, so pins never collide.
-    fn resolve_schedule(&self, height: i64, coarsening: Coarsening<D>) -> (Arc<Schedule<D>>, bool) {
+    /// The schedule for windows of `height` at base case `coarsening`: the pin when
+    /// `height` is the session's own window (a reuse), otherwise a fetch.  A height
+    /// has one base case per session, so the pin's height identifies it.
+    fn resolve_schedule(&self, height: i64, coarsening: Coarsening<D>) -> Arc<Schedule<D>> {
+        match &self.pinned {
+            Some(pinned) if pinned.height() == height => {
+                self.metrics.schedule_reuses.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(pinned)
+            }
+            _ => self.fetch_schedule(height, coarsening),
+        }
+    }
+
+    /// A (counted) process-global schedule-cache lookup for windows of `height` at
+    /// base case `coarsening`.
+    fn fetch_schedule(&self, height: i64, coarsening: Coarsening<D>) -> Arc<Schedule<D>> {
         let strategy = self
             .strategy
             .expect("compiled route requires a cut strategy");
-        let mut slot = lock_recover(&self.schedule);
-        if let Some(pos) = slot.iter().position(|s| s.height() == height) {
-            let pinned = slot.remove(pos);
-            slot.insert(0, Arc::clone(&pinned));
-            self.metrics.schedule_reuses.fetch_add(1, Ordering::Relaxed);
-            return (pinned, false);
-        }
         let (fetched, lookup) = schedule::schedule_for(
             self.sizes,
             self.spec.slopes(),
@@ -367,11 +307,7 @@ impl<const D: usize> CompiledProgram<D> {
                 .schedule_compiles
                 .fetch_add(1, Ordering::Relaxed);
         }
-        slot.insert(0, Arc::clone(&fetched));
-        slot.truncate(self.pin_capacity.load(Ordering::Relaxed));
-        self.pinned_leaves
-            .store(slot.iter().map(|s| s.num_leaves()).sum(), Ordering::Relaxed);
-        (fetched, true)
+        fetched
     }
 
     /// Validates `array` against the session geometry (the checks `Pochoir` and
@@ -438,7 +374,7 @@ impl<const D: usize> CompiledProgram<D> {
         let coarsening = self.base_case(height);
         match self.strategy {
             Some(_) if self.compiles(&coarsening, height) => {
-                let (schedule, _) = self.resolve_schedule(height, coarsening);
+                let schedule = self.resolve_schedule(height, coarsening);
                 schedule.execute(grid, kernel, t0, &self.plan, par);
             }
             Some(strategy) => {
@@ -542,7 +478,7 @@ impl<const D: usize> CompiledProgram<D> {
                 let view = TracingView::new(grid, tracer);
                 let literal = self.plan.coarsening;
                 if self.compiles(&literal, t1 - t0) {
-                    let (schedule, _) = self.resolve_schedule(t1 - t0, literal);
+                    let schedule = self.resolve_schedule(t1 - t0, literal);
                     for leaf in schedule.leaves() {
                         let z = leaf.zoid.shifted(t0);
                         base::execute_zoid(&z, kernel, &view, Some(sizes), self.plan.base_case);
@@ -632,11 +568,12 @@ where
     K: StencilKernel<T, D>,
 {
     /// Builds a session for grids of spatial extent `sizes`, compiling the schedule
-    /// eagerly for time windows of height `window`.
+    /// eagerly for time windows of height `window`.  Panics with
+    /// [`GeometryError`]'s text on invalid geometry.
     ///
-    /// Runs of a different height still work — the session pins the schedule for the
-    /// new height alongside the old one (one cache fetch; a few distinct heights stay
-    /// pinned at once), so `window` is a hint, not a contract.
+    /// Runs of a different height still work — each fetches its schedule from the
+    /// process-global cache, which compiles it once — so `window` is the height that
+    /// replays for free, not a contract.
     pub fn new(
         spec: StencilSpec<D>,
         kernel: K,
@@ -649,7 +586,8 @@ where
             extents[i] = sizes[i] as i64;
         }
         CompiledStencil {
-            program: CompiledProgram::new(spec, plan, extents, window),
+            program: CompiledProgram::try_new(spec, plan, extents, window)
+                .unwrap_or_else(|e| panic!("{e}")),
             kernel,
             runtime: None,
             tiles: shard::TileSpare::default(),
@@ -673,15 +611,9 @@ where
         &self.kernel
     }
 
-    /// The currently pinned compiled schedule, if the session has resolved one.
+    /// The pinned compiled schedule (see [`CompiledProgram::schedule`]).
     pub fn schedule(&self) -> Option<Arc<Schedule<D>>> {
         self.program.schedule()
-    }
-
-    /// Eagerly pins the schedules for several window heights (see
-    /// [`CompiledProgram::precompile_windows`]); returns the number fetched.
-    pub fn precompile_windows(&self, heights: &[i64]) -> usize {
-        self.program.precompile_windows(heights)
     }
 
     /// A snapshot of the session's executor counters.
@@ -886,62 +818,35 @@ mod tests {
     }
 
     #[test]
-    fn height_change_repins_without_losing_the_session() {
-        let s = session(17, 4);
-        let first = s.schedule().unwrap();
-        let mut a = make_array(17);
-        s.run_with(&mut a, 0, 4, &Serial);
-        s.run_with(&mut a, 4, 10, &Serial); // height 6: re-pin
-        let second = s.schedule().unwrap();
-        assert_eq!(second.height(), 6);
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(s.stats().schedule_fetches, 2);
-        s.run_with(&mut a, 10, 16, &Serial); // height 6 again: replay
-        assert_eq!(s.stats().schedule_fetches, 2);
-        assert_eq!(s.stats().schedule_reuses, 2);
-    }
-
-    #[test]
-    fn alternating_heights_keep_both_schedules_pinned() {
-        // Registry-shared sessions serve callers with different window heights; the
-        // MRU pin set must stop fetching once both heights are pinned instead of
-        // letting the callers evict each other's pin on every run.
+    fn only_the_build_height_replays_the_pin() {
+        // Registry-shared sessions serve callers of several window heights: the build
+        // height replays the pin, every other height is a counted cache fetch that
+        // the global schedule cache compiles once.
         let s = session(19, 4);
+        let pin = s.schedule().unwrap();
+        let leaves = s.program().pinned_leaf_count();
+        assert!(leaves > 0);
+        let built = s.stats();
         let mut a = make_array(19);
-        s.run_with(&mut a, 0, 4, &Serial); // height 4: pinned at build, reuse
-        s.run_with(&mut a, 4, 10, &Serial); // height 6: fetch, second pin
-        assert_eq!(s.stats().schedule_fetches, 2);
-        s.run_with(&mut a, 10, 14, &Serial); // height 4 again: still pinned
-        s.run_with(&mut a, 14, 20, &Serial); // height 6 again: still pinned
-        let stats = s.stats();
-        assert_eq!(
-            stats.schedule_fetches, 2,
-            "both heights stay pinned; alternating runs fetch nothing"
-        );
-        assert_eq!(stats.schedule_reuses, 3);
-    }
-
-    #[test]
-    fn precompile_windows_pins_every_height_up_front() {
-        let s = session(23, 5);
-        // Height 5 is already pinned from the eager build; 3, 4 and 6 are fresh.
-        let fetched = s.precompile_windows(&[5, 3, 4, 6]);
-        assert_eq!(fetched, 3);
-        assert_eq!(s.stats().schedule_fetches, 4);
-        let mut a = make_array(23);
-        s.run_with(&mut a, 0, 3, &Serial);
-        s.run_with(&mut a, 3, 7, &Serial);
-        s.run_with(&mut a, 7, 12, &Serial);
-        s.run_with(&mut a, 12, 18, &Serial);
-        let stats = s.stats();
-        assert_eq!(
-            stats.schedule_fetches, 4,
-            "every height was pre-pinned; runs fetch nothing"
-        );
-        // 4 replayed runs plus the precompile touch of the already-pinned height 5.
-        assert_eq!(stats.schedule_reuses, 5);
-        assert!(s.program().pinned_leaf_count() > 0);
-        assert_eq!(s.program().window(), 5);
+        let mut compiled_by_first_round = 0;
+        for round in 1..=3u64 {
+            let t = 10 * (round as i64 - 1);
+            s.run_with(&mut a, t, t + 4, &Serial); // height 4: the pin
+            s.run_with(&mut a, t + 4, t + 10, &Serial); // height 6: a fetch
+            let stats = s.stats();
+            assert_eq!(stats.schedule_reuses, round, "the build height is a reuse");
+            assert_eq!(stats.schedule_fetches - built.schedule_fetches, round);
+            let compiles = stats.schedule_compiles - built.schedule_compiles;
+            if round == 1 {
+                assert!(compiles <= 1, "height 6 compiles at most once");
+                compiled_by_first_round = compiles;
+            } else {
+                assert_eq!(compiles, compiled_by_first_round, "then a cache hit");
+            }
+            assert!(Arc::ptr_eq(&s.schedule().unwrap(), &pin));
+            assert_eq!(s.program().pinned_leaf_count(), leaves);
+        }
+        assert_eq!(pin.height(), 4);
     }
 
     #[test]

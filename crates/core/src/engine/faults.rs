@@ -3,8 +3,7 @@
 //!
 //! ## Poison recovery
 //!
-//! Every long-lived shared structure of the engine — the session registry, a
-//! [`CompiledProgram`](crate::engine::executor::CompiledProgram)'s pin set, the global
+//! Every long-lived shared structure of the engine — the session registry, the global
 //! schedule cache — takes its mutex through `lock_recover` instead of
 //! `lock().unwrap()`.  A mutex is *poisoned* when a thread panics while holding it; for
 //! these structures every critical section leaves the data structurally valid (counters
@@ -21,7 +20,7 @@
 //!
 //! * **Compile failures** — [`inject_compile_failures`] arms a *thread-local* counter;
 //!   the next N session compilations **on the calling thread** panic inside
-//!   [`CompiledProgram::new`](crate::engine::executor::CompiledProgram::new), which the
+//!   [`CompiledProgram::try_new`](crate::engine::executor::CompiledProgram::try_new), which the
 //!   registry's `try_get_or_compile` converts into a typed `CompileFailed` error.
 //!   Thread-local scope keeps concurrently running tests from failing each other's
 //!   compiles.

@@ -12,9 +12,10 @@
 //! * **In-flight slots are never evicted**, so a lookup blocked on a cell never loses
 //!   it.  A panicking `init` drops its slot and the panic propagates, so the next
 //!   lookup runs `init` afresh instead of finding a wedged key.
-//! * **Weights are read live.** The leaf budget charges every completed entry its
-//!   [`Weigh::weight`] when the budget is enforced — after every lookup — so an entry
-//!   whose weight grew since its last lookup is charged what it weighs now.
+//! * **Weights are fixed.** A value's [`Weigh::weight`] never changes once it is
+//!   built (a schedule's leaves; a session's one pinned schedule's), and the leaf
+//!   budget charges every completed entry that weight when it is enforced, after
+//!   every lookup.
 //! * **Eviction** drops least-recently-used entries until the entry cap and the leaf
 //!   budget both hold, never the key just looked up and never an in-flight slot: a
 //!   single over-budget entry stays (it is in use).  Eviction drops only the cache's
@@ -35,9 +36,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// A cacheable value and its weight against the leaf budget.
 pub(crate) trait Weigh: Any + Send + Sync {
-    /// The value's current weight in base-case leaves, the dominant memory term.
-    /// Read under the cache's lock, so it must not block: a session's pinned-leaf
-    /// count is an atomic, never its pin-set mutex (held across whole compiles).
+    /// The value's weight in base-case leaves, the dominant memory term; fixed once
+    /// the value is built.  Read under the cache's lock, so it must not block.
     fn weight(&self) -> usize;
 }
 

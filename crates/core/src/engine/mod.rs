@@ -45,7 +45,8 @@ fn transient_program<T, const D: usize>(
 where
     T: Copy,
 {
-    CompiledProgram::new(spec.clone(), *plan, array.sizes_i64(), height)
+    CompiledProgram::try_new(spec.clone(), *plan, array.sizes_i64(), height)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the stencil described by `spec`/`kernel` over kernel-invocation times `[t0, t1)`

@@ -80,8 +80,8 @@
 //! concurrency: each key holds a once-cell, so N threads racing on a cold key perform
 //! one compilation while the other N−1 block briefly and then share the result.
 //! Retention is bounded two ways: an entry capacity ([`set_registry_capacity`]) and a
-//! constant **pinned-leaf budget** charging each retained session the total base-case
-//! leaves of its pinned schedules, read live at every lookup — the dominant memory
+//! constant **pinned-leaf budget** charging each retained session the base-case
+//! leaves of its one pinned schedule, fixed at build — the dominant memory
 //! term, so a few giant geometries cannot silently pin hundreds of megabytes while the
 //! entry count looks small.  Eviction only drops the registry's `Arc`, never a session
 //! a caller still holds, and in-flight entries (compile still running) are pinned
@@ -345,9 +345,8 @@ impl RegistryKey {
 }
 
 impl<const D: usize> Weigh for CompiledProgram<D> {
-    /// The session's *current* pins: callers grow a shared session's pin set between
-    /// lookups (`precompile_windows`, runs of new window heights), and a weight
-    /// recorded at insert would let pinned memory exceed the budget invisibly.
+    /// The leaves of the session's one pinned schedule: runs of other window heights
+    /// fetch from the schedule cache, which weighs those schedules itself.
     fn weight(&self) -> usize {
         self.pinned_leaf_count()
     }
@@ -1606,39 +1605,6 @@ mod tests {
         assert!(!l3.hit, "the evicted key recompiles");
         assert_eq!(l3.evicted, 0);
         assert_eq!(registry.len(), 2);
-    }
-
-    /// Weights are read live: a session whose pin set grew after its lookup is
-    /// charged its new weight at the next lookup of any key.
-    #[test]
-    fn a_grown_pin_set_is_charged_at_the_next_lookup() {
-        let spec = StencilSpec::new(star_shape::<2>(1));
-        let probe = SessionRegistry::with_capacity(8);
-        let weigh = |n: i64| {
-            let (program, _) = probe.try_get_or_compile(&spec, &plan(), [n, n], 3).unwrap();
-            program.pinned_leaf_count()
-        };
-        // Exactly room for both sessions as built.
-        let registry = registry_with_budget(8, weigh(19) + weigh(21));
-        let (grown, _) = registry
-            .try_get_or_compile(&spec, &plan(), [19, 19], 3)
-            .unwrap();
-        registry
-            .try_get_or_compile(&spec, &plan(), [21, 21], 3)
-            .unwrap();
-        assert_eq!(registry.len(), 2);
-        assert_eq!(grown.precompile_windows(&[5]), 1);
-        // A hit on the other key sees the grown weight and evicts the LRU session.
-        let (_, lookup) = registry
-            .try_get_or_compile(&spec, &plan(), [21, 21], 3)
-            .unwrap();
-        assert!(lookup.hit);
-        assert_eq!(lookup.evicted, 1, "the grown session no longer fits");
-        assert_eq!(registry.len(), 1);
-        let (_, refetch) = registry
-            .try_get_or_compile(&spec, &plan(), [19, 19], 3)
-            .unwrap();
-        assert!(!refetch.hit, "the grown session was the one evicted");
     }
 
     #[test]

@@ -67,9 +67,11 @@ impl std::error::Error for PochoirError {}
 ///
 /// Phase 2 executes through a held executor session
 /// ([`CompiledProgram`]): the first `run` validates the geometry, resolves the
-/// engine strategy and compiles (or fetches) the schedule; every further `Run(T, kern)`
-/// on the same object replays the pinned schedule with zero validation and zero cache
-/// traffic.  The session is invalidated when the plan or the registered array changes.
+/// engine strategy and compiles (or fetches) the schedule for that run's step count;
+/// every further `Run(T, kern)` of the same `T` on the same object replays the pinned
+/// schedule with zero validation and zero cache traffic, and a run of another `T`
+/// fetches its schedule from the process-global cache, which compiles it once.  The
+/// session is invalidated when the plan or the registered array changes.
 ///
 /// The session is fetched from the process-global
 /// [`SessionRegistry`](pochoir_core::engine::serving::SessionRegistry), so two
@@ -236,30 +238,14 @@ where
         ))
     }
 
-    /// Eagerly compiles (and pins into the held session's MRU pin set) the schedules
-    /// for every window height in `heights`, so subsequent [`run`](Self::run) calls of
-    /// those step counts replay a pinned schedule with zero cache traffic — the
-    /// `Pochoir`-level face of
-    /// [`CompiledProgram::precompile_windows`].  Builds (or fetches from the
-    /// process-global session registry) the session if the object does not hold one
-    /// yet, keyed by the *first* height.  Returns the number of heights that had to
-    /// be fetched from the schedule cache.
-    ///
-    /// Call it after [`register_array`](Self::register_array) and any
-    /// [`set_plan`](Self::set_plan): both invalidate the session and its pins.
-    pub fn precompile_windows(&mut self, heights: &[i64]) -> Result<usize, PochoirError> {
-        let first = heights.first().copied().unwrap_or(0).max(0);
-        let (session, _) = self.session_and_array(first)?;
-        Ok(session.precompile_windows(heights))
-    }
-
     /// Executor-session counters of the held Phase-2 session: runs, pinned-schedule
     /// reuses, cache fetches and fresh compilations.  `None` before the first run (or
     /// after a plan/array change invalidated the session).
     ///
-    /// A steady-state object reports `schedule_compiles` and `schedule_fetches`
-    /// constant while `runs`/`schedule_reuses` grow — the observable form of the
-    /// "compile once, run many times" contract.  The session is *shared* through the
+    /// A steady-state object running one step count reports `schedule_compiles` and
+    /// `schedule_fetches` constant while `runs`/`schedule_reuses` grow — the
+    /// observable form of the "compile once, run many times" contract; each run of
+    /// another step count adds a fetch.  The session is *shared* through the
     /// process-global registry, so the counters aggregate over every `Pochoir` object
     /// (and [`StencilServer`](pochoir_core::engine::serving::StencilServer)) of the
     /// same geometry — a second object over an already-served geometry contributes
@@ -474,24 +460,6 @@ mod tests {
             a.array().unwrap().snapshot(a.result_time()),
             b.array().unwrap().snapshot(b.result_time())
         );
-    }
-
-    #[test]
-    fn precompiled_windows_replay_without_fetching() {
-        // A geometry unique to this test (the session registry is process-global).
-        let mut p = heat_object(52);
-        // Building the session for height 4 fetches once; height 7 is the extra pin.
-        let fetched = p.precompile_windows(&[4, 7]).unwrap();
-        assert_eq!(fetched, 1);
-        p.run_with(4, &Heat1D, &Serial).unwrap();
-        p.run_with(7, &Heat1D, &Serial).unwrap();
-        p.run_with(4, &Heat1D, &Serial).unwrap();
-        let stats = p.session_stats().unwrap();
-        assert_eq!(
-            stats.schedule_fetches, 2,
-            "the eager build and the height-7 precompile; runs fetch nothing"
-        );
-        assert_eq!(stats.runs, 3);
     }
 
     #[test]

@@ -166,7 +166,7 @@ counters! {
     /// Session keys quarantined (evicted from the serving registry) after a tenant
     /// panic.
     ServingQuarantined => serving_quarantined: sum,
-    /// Poisoned shared-state locks (registry, session pin sets, schedule cache)
+    /// Poisoned shared-state locks (session registry, schedule cache)
     /// recovered instead of propagating the poison panic.
     RegistryPoisonRecoveries => registry_poison_recoveries: sum,
     /// Window runs whose plan's literal base case failed `should_compile`: giants,

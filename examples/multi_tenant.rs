@@ -47,8 +47,6 @@ fn main() {
     ];
 
     let mut server = heat::try_serve_2d([N, N], WINDOW).unwrap();
-    // Pre-pin the chunk height so the drain replays pinned schedules only.
-    server.program().precompile_windows(&[WINDOW]);
     for (i, &(t0, t1, opts, _)) in tenants.iter().enumerate() {
         let ticket = server
             .try_submit_with(tenant_grid(i as i64), t0, t1, opts)
