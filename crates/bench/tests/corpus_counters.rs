@@ -71,7 +71,7 @@ fn expected() -> Vec<(&'static str, Counters, Ticks)> {
          Ticks { peak_ready: 10, deadline_misses: 0, completion_p50: 14, completion_p99: 20 }),
         ("skew",
          Counters { records: 48, shed: 0, giant_submissions: 0, points: 884_736, windows: 96, drains: 6,
-                    deadline_total: 15, session: session(1, 216, 215, 2, 2, 0), registry: registry(1, 0, 0) },
+                    deadline_total: 15, session: session(1, 216, 176, 41, 2, 0), registry: registry(1, 0, 0) },
          Ticks { peak_ready: 14, deadline_misses: 9, completion_p50: 10, completion_p99: 27 }),
         ("diurnal",
          Counters { records: 48, shed: 0, giant_submissions: 0, points: 663_552, windows: 96, drains: 3,
@@ -79,7 +79,7 @@ fn expected() -> Vec<(&'static str, Counters, Ticks)> {
          Ticks { peak_ready: 23, deadline_misses: 23, completion_p50: 20, completion_p99: 45 }),
         ("churn",
          Counters { records: 48, shed: 0, giant_submissions: 0, points: 1_009_344, windows: 48, drains: 45,
-                    deadline_total: 0, session: session(33, 312, 311, 34, 34, 0), registry: registry(1, 32, 18) },
+                    deadline_total: 0, session: session(33, 312, 224, 121, 34, 0), registry: registry(1, 32, 18) },
          Ticks { peak_ready: 3, deadline_misses: 0, completion_p50: 1, completion_p99: 2 }),
         ("giant",
          Counters { records: 18, shed: 0, giant_submissions: 3, points: 14_676_480, windows: 36, drains: 4,

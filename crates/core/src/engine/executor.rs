@@ -821,12 +821,14 @@ mod tests {
     fn only_the_build_height_replays_the_pin() {
         // Registry-shared sessions serve callers of several window heights: the build
         // height replays the pin, every other height is a counted cache fetch that
-        // the global schedule cache compiles once.
+        // the global schedule cache compiles once.  That cache is shared with every
+        // test in this binary, so a recompile is allowed only after an eviction.
         let s = session(19, 4);
         let pin = s.schedule().unwrap();
         let leaves = s.program().pinned_leaf_count();
         assert!(leaves > 0);
         let built = s.stats();
+        let evicted_before = schedule::cache_stats().evictions;
         let mut a = make_array(19);
         let mut compiled_by_first_round = 0;
         for round in 1..=3u64 {
@@ -841,7 +843,11 @@ mod tests {
                 assert!(compiles <= 1, "height 6 compiles at most once");
                 compiled_by_first_round = compiles;
             } else {
-                assert_eq!(compiles, compiled_by_first_round, "then a cache hit");
+                let evicted = schedule::cache_stats().evictions - evicted_before;
+                assert!(
+                    compiles - compiled_by_first_round <= evicted,
+                    "then a cache hit, unless the key was evicted"
+                );
             }
             assert!(Arc::ptr_eq(&s.schedule().unwrap(), &pin));
             assert_eq!(s.program().pinned_leaf_count(), leaves);

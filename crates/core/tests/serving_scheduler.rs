@@ -6,6 +6,7 @@
 //! Ordering assertions drive the drain with `Serial`, where windows execute exactly in
 //! priority order and [`DrainReport::completion_tick`] is deterministic.
 
+use pochoir_core::engine::schedule;
 use pochoir_core::engine::serving::{DrainReport, StencilServer, SubmitOptions, TicketOutcome};
 use pochoir_core::prelude::*;
 use pochoir_runtime::{Runtime, Serial};
@@ -437,12 +438,14 @@ fn serving_counters_surface_in_runtime_metrics() {
 
 /// Session counters across a pipelined drain: every window of the server's own
 /// height replays the pinned schedule; a shorter remainder window fetches from the
-/// global schedule cache, which compiles its height at most once.
+/// global schedule cache, which compiles its height at most once (plus once per
+/// eviction, since that cache is shared with every test in this binary).
 #[test]
 fn pipelined_windows_replay_pinned_schedules() {
     let n = 27;
     let mut s = server(n, 4);
     let before = s.stats();
+    let evicted_before = schedule::cache_stats().evictions;
     for i in 0..3i64 {
         s.try_submit(make_array(n, i), 0, 10).unwrap(); // windows 4+4+2
     }
@@ -459,8 +462,9 @@ fn pipelined_windows_replay_pinned_schedules() {
         3,
         "one fetch per 2-step remainder"
     );
+    let evicted = schedule::cache_stats().evictions - evicted_before;
     assert!(
-        stats.schedule_compiles - before.schedule_compiles <= 1,
-        "the remainder height compiles at most once"
+        stats.schedule_compiles - before.schedule_compiles <= 1 + evicted,
+        "the remainder height compiles at most once, unless it was evicted"
     );
 }
