@@ -126,6 +126,44 @@ impl<T> DerefMut for AlignedVec<T> {
 unsafe impl<T: Send> Send for AlignedVec<T> {}
 unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u8 {}
+    impl Sealed for f64 {}
+}
+
+/// Grid elements whose storage is their own little-endian encoding — no padding
+/// bytes, no invalid bit patterns — so cells may be viewed, and written, as plain
+/// bytes ([`as_bytes`], [`PochoirArray::slice_bytes`]).  Sealed: only `u8` and
+/// `f64`, and only on little-endian targets, where a cell's memory is its
+/// `to_le_bytes`.
+pub trait ByteElem: Copy + sealed::Sealed {}
+
+#[cfg(target_endian = "little")]
+impl ByteElem for u8 {}
+#[cfg(target_endian = "little")]
+impl ByteElem for f64 {}
+
+/// The bytes of `cells`, in memory order.
+pub fn as_bytes<T: ByteElem>(cells: &[T]) -> &[u8] {
+    // SAFETY: the pointer and byte length describe exactly the memory of `cells`,
+    // borrowed for the same lifetime; `u8` has alignment 1, and a `ByteElem` has no
+    // padding, so every byte of that memory is initialized.
+    unsafe { std::slice::from_raw_parts(cells.as_ptr().cast::<u8>(), std::mem::size_of_val(cells)) }
+}
+
+/// The bytes of `cells`, in memory order, for writing.
+pub fn as_bytes_mut<T: ByteElem>(cells: &mut [T]) -> &mut [u8] {
+    // SAFETY: as in `as_bytes`, under the unique borrow of `cells`; and a `ByteElem`
+    // has no invalid bit patterns, so whatever bytes are written leave valid cells.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            cells.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(cells),
+        )
+    }
+}
+
 /// Precomputed reciprocal for the division-free time wrap (see [`wrap_time`]).
 #[inline]
 fn time_magic(time_slices: usize) -> u64 {
@@ -476,6 +514,30 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
             boundary: &self.boundary,
             _marker: PhantomData,
         }
+    }
+}
+
+impl<T: ByteElem, const D: usize> PochoirArray<T, D> {
+    /// The bytes of time slice `t` when its rows carry no alignment padding — then
+    /// they are exactly [`PochoirArray::snapshot`]'s cells, in order — else `None`,
+    /// and the slice is [`as_bytes`] of each of its [`PochoirArray::rows`].
+    pub fn slice_bytes(&self, t: i64) -> Option<&[u8]> {
+        let (slice, _) = self.row_layout(t);
+        self.is_dense().then(|| as_bytes(&self.data[slice]))
+    }
+
+    /// Mutable counterpart of [`PochoirArray::slice_bytes`].
+    pub fn slice_bytes_mut(&mut self, t: i64) -> Option<&mut [u8]> {
+        let (slice, _) = self.row_layout(t);
+        if self.is_dense() {
+            Some(as_bytes_mut(&mut self.data[slice]))
+        } else {
+            None
+        }
+    }
+
+    fn is_dense(&self) -> bool {
+        self.slice_len == self.sizes.iter().product::<usize>()
     }
 }
 
@@ -1035,6 +1097,41 @@ mod tests {
         check_rows::<u8, 3>([2, 3, 7], |n| n as u8);
         // A row that is already a multiple of the pad has no padding to skip.
         check_rows::<f64, 2>([3, 8], |n| n as f64);
+    }
+
+    #[test]
+    fn slice_bytes_view_only_dense_slices() {
+        // 8 f64s and 64 u8s fill a 64-byte row exactly; 5 f64s and 65 u8s are padded.
+        let mut dense: PochoirArray<f64, 2> = PochoirArray::with_depth([3, 8], 2);
+        let mut padded: PochoirArray<u8, 2> = PochoirArray::new([2, 65]);
+        assert!(PochoirArray::<f64, 2>::new([3, 5]).slice_bytes(0).is_none());
+        assert!(padded.slice_bytes(1).is_none() && padded.slice_bytes_mut(0).is_none());
+        assert!(PochoirArray::<u8, 1>::new([64]).slice_bytes(0).is_some());
+
+        dense.fill_time_slice(1, |x| (x[0] * 8 + x[1]) as f64);
+        let bytes = dense.slice_bytes(4).expect("a dense slice"); // time 4 is slot 1
+        let expected: Vec<u8> = dense
+            .snapshot(1)
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        assert_eq!(bytes, &expected[..]);
+
+        // Writes through the view land in the cells of that slice alone.
+        let view = dense.slice_bytes_mut(2).expect("a dense slice");
+        assert_eq!(view.len(), 3 * 8 * 8);
+        view[8 * 9..8 * 10].copy_from_slice(&(-2.5f64).to_le_bytes());
+        assert_eq!(dense.get(2, [1, 1]), -2.5);
+        assert_eq!(dense.snapshot(2).iter().filter(|&&v| v != 0.0).count(), 1);
+        assert_eq!(dense.snapshot(0), vec![0.0; 24]);
+        assert_eq!(dense.slice_bytes(1), Some(&expected[..]));
+
+        // A padded slice is a byte view per row.
+        for (i, row) in padded.rows_mut(1).enumerate() {
+            as_bytes_mut(row).fill(i as u8 + 7);
+        }
+        assert_eq!(padded.snapshot(1), [vec![7; 65], vec![8; 65]].concat());
+        assert_eq!(padded.snapshot(0), vec![0; 130]);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! or the request's typed failure.  [`Client::submit_grid`] keeps that outcome
 //! under an id it assigns; [`Client::wait`] and [`Client::poll`] read it and
 //! [`Client::fetch`] hands it over, none of them sending a frame.  A grid is
-//! never staged: [`Client::submit_grid`] writes the caller's rows straight to
-//! the socket, and a result's payload is read into the one `Vec`
-//! [`FetchedResult::bytes`] hands back.  Anything fancier — concurrency,
-//! retries — is the caller's business, which keeps the tests honest about what
-//! crossed the wire.
+//! never staged: [`Client::submit_grid`] writes the slices the run reads
+//! straight from the caller's grid to the socket, and a result's payload is
+//! read into the one `Vec` [`FetchedResult::bytes`] hands back.  Anything
+//! fancier — concurrency, retries — is the caller's business, which keeps the
+//! tests honest about what crossed the wire.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -24,8 +24,8 @@ use pochoir_stencils::traffic::{digest_patterns, heat_grid, life_grid, usizes, w
 use pochoir_trace::TraceApp;
 
 use crate::protocol::{
-    read_frame, write_frame, write_grid_frame, Deadline, ElemType, ErrorCode, Frame, FrameError,
-    ReadError, RequestStatus, WireElem, PROTOCOL_VERSION, READ_BUFFER,
+    read_frame, submit_slices, write_frame, write_grid_frame, Deadline, ElemType, ErrorCode, Frame,
+    FrameError, ReadError, RequestStatus, WireElem, PROTOCOL_VERSION, READ_BUFFER,
 };
 
 /// Client-side failures, separating transport problems from typed server
@@ -191,10 +191,12 @@ impl Client {
         }
     }
 
-    /// Submits `[t0, t1)` on `grid`, whose every time slice goes out straight
-    /// from its rows, and reads the request's outcome; returns the id that
-    /// [`wait`](Self::wait), [`poll`](Self::poll) and [`fetch`](Self::fetch)
-    /// take.  A submission refused on its header is an `Err` and gets no id.
+    /// Submits `[t0, t1)` on `grid` and reads the request's outcome; returns
+    /// the id that [`wait`](Self::wait), [`poll`](Self::poll) and
+    /// [`fetch`](Self::fetch) take.  Only the slices the run reads go out —
+    /// the `depth` ending at `t0` ([`submit_slices`]), straight from grid
+    /// storage — so `t1` must exceed `t0`.  A submission refused on its header
+    /// is an `Err` and gets no id.
     ///
     /// The arity mirrors the wire frame field-for-field on purpose.
     #[allow(clippy::too_many_arguments)]
@@ -218,7 +220,7 @@ impl Client {
             elem: T::ELEM,
             grid: Vec::new(),
         };
-        let slices: Vec<i64> = (0..grid.time_slices() as i64).collect();
+        let slices = submit_slices(t0, grid.time_slices() - 1);
         write_grid_frame(&mut self.stream, &frame, grid, &slices)?;
         let outcome = match self.reply()? {
             Frame::Result {

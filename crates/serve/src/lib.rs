@@ -17,9 +17,9 @@
 //!    client keeps until it is fetched.
 //!
 //! [`protocol`] is the wire codec (pure, fuzzed by property tests), which
-//! streams a grid between its rows and the socket with no payload-sized buffer
-//! on any hop; [`server`] is the blocking reactor, and [`client`] a minimal
-//! blocking client.
+//! moves a grid's bytes between its storage and the socket with no
+//! payload-sized buffer on any hop; [`server`] is the blocking reactor, and
+//! [`client`] a minimal blocking client.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

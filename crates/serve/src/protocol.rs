@@ -5,21 +5,30 @@
 //! payload.  All integers are little-endian; strings are a `u32` length plus
 //! UTF-8 bytes; grids travel as densely packed row-major time slices (exactly
 //! [`PochoirArray::snapshot`](pochoir_core::grid::PochoirArray::snapshot)
-//! order), one per time slice of the session's app, so a grid rebuilt from the
-//! wire is bitwise-identical to the one serialized.
+//! order), so the slices rebuilt from the wire are bitwise-identical to the
+//! ones serialized.
 //!
 //! A grid is streamed, never staged: no hop holds a payload-sized buffer it
-//! does not need.  On the way out a frame of at most [`STREAM_CHUNK`] bytes
-//! leaves in one write; a larger one sends the length prefix and every fixed
-//! field in one write, and the bulk payload of its `Submit`/`Result` follows in
-//! writes of at most [`STREAM_CHUNK`] bytes — [`write_grid_frame`] converts it
-//! straight from the grid's rows through one bounded buffer, [`write_frame`]
-//! slices a payload that already is bytes.  On the way in, [`read_frame_head`]
-//! reads and validates everything up to the payload and leaves the payload on
-//! the stream: the server decodes it straight into the rows of the array it
-//! submits ([`read_grid`]), or drains it ([`skip_payload`]) when it refuses the
+//! does not need, and a grid's bytes move as bytes — [`WireElem`]s are
+//! [`ByteElem`]s, whose storage is their wire encoding.  On the way out a frame
+//! of at most [`STREAM_CHUNK`] bytes leaves in one write; a larger one sends
+//! the length prefix and every fixed field in one write, and the bulk payload
+//! of its `Submit`/`Result` follows in writes of exactly [`STREAM_CHUNK`] bytes
+//! (the last one shorter).  A write goes straight from grid storage wherever a
+//! whole chunk lies in one span — a time slice without row padding is one span
+//! — and [`write_grid_frame`] gathers the rest (padded rows, chunks that straddle
+//! two spans) through one buffer of at most [`STREAM_CHUNK`] bytes;
+//! [`write_frame`] sends a payload that already is bytes the same way.  On the
+//! way in, [`read_frame_head`] reads and validates everything up to the payload
+//! and leaves the payload on the stream: the server reads it straight into the
+//! storage of the array it submits ([`read_grid`]: one read per dense slice, one
+//! per row of a padded one), or drains it ([`skip_payload`]) when it refuses the
 //! header, and [`read_frame`] — the client's `Result` — reads it into one
 //! exactly sized `Vec`.
+//!
+//! A `Submit` carries only the time slices its run reads ([`submit_slices`]):
+//! the `depth` newest, ending at `t0`.  Step `t0` overwrites the oldest slot of
+//! the array without reading it.
 //!
 //! The codec is hardened the way a network parser must be: [`Frame::decode`]
 //! never panics, every length field is validated against the body length
@@ -35,11 +44,11 @@
 
 use std::io::{self, Read, Write};
 
-use pochoir_core::grid::PochoirArray;
+use pochoir_core::grid::{as_bytes, as_bytes_mut, ByteElem, PochoirArray};
 use pochoir_trace::TraceApp;
 
 /// Protocol version spoken by this crate; negotiated by `Hello`/`HelloAck`.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Largest legal frame body in bytes (64 MiB) — enough for every grid the
 /// serve presets compile (the giant 1D corpus grid is ~9.6 MiB of slices),
@@ -111,40 +120,29 @@ impl ElemType {
     }
 }
 
-/// Grid element types that can cross the wire.
-pub trait WireElem: Copy + Default {
+/// Grid element types that can cross the wire: their storage bytes are their
+/// wire bytes.
+pub trait WireElem: ByteElem + Default {
     /// This element's wire tag.
     const ELEM: ElemType;
-    /// Writes `row`'s wire bytes into `out` (exactly `row.len() * ElemType::size`
-    /// of them).
-    fn put_row(row: &[Self], out: &mut [u8]);
-    /// Reads `row.len()` elements from `bytes` (exactly `row.len() *
-    /// ElemType::size` of them).
-    fn take_row(bytes: &[u8], row: &mut [Self]);
 }
 
 impl WireElem for f64 {
     const ELEM: ElemType = ElemType::F64;
-    fn put_row(row: &[f64], out: &mut [u8]) {
-        for (bytes, v) in out.chunks_exact_mut(8).zip(row) {
-            bytes.copy_from_slice(&v.to_le_bytes());
-        }
-    }
-    fn take_row(bytes: &[u8], row: &mut [f64]) {
-        for (v, bytes) in row.iter_mut().zip(bytes.chunks_exact(8)) {
-            *v = f64::from_le_bytes(bytes.try_into().expect("8-byte chunks"));
-        }
-    }
 }
 
 impl WireElem for u8 {
     const ELEM: ElemType = ElemType::U8;
-    fn put_row(row: &[u8], out: &mut [u8]) {
-        out.copy_from_slice(row);
-    }
-    fn take_row(bytes: &[u8], row: &mut [u8]) {
-        row.copy_from_slice(bytes);
-    }
+}
+
+/// The time slices a `Submit` from `t0` carries for a depth-`depth` run, oldest
+/// first: `t0 - depth + 1 ..= t0`, the only slices its steps read.  Always
+/// `depth` of them (times wrap at the ends of `i64`; the array wraps them again).
+pub fn submit_slices(t0: i64, depth: usize) -> Vec<i64> {
+    (0..depth as i64)
+        .rev()
+        .map(|back| t0.wrapping_sub(back))
+        .collect()
 }
 
 /// A submission's deadline, as requested on the wire.
@@ -313,6 +311,7 @@ pub enum Frame {
         /// First time step.
         t0: i64,
         /// Last time step (exclusive of further stepping; the result horizon).
+        /// Must exceed `t0`: a zero-step `Submit` is refused.
         t1: i64,
         /// Weighted-stride share (clamped to ≥ 1 server-side).
         weight: u32,
@@ -320,8 +319,8 @@ pub enum Frame {
         deadline: Deadline,
         /// Element type of `grid`; must match the session app's element type.
         elem: ElemType,
-        /// All time slices of the input array, densely packed row-major, slice
-        /// 0 first.
+        /// The [`submit_slices`] of the input array — the `depth` slices ending
+        /// at `t0`, oldest first — each densely packed row-major.
         grid: Vec<u8>,
     },
     /// Ask where a request stands.  The server keeps no requests — a `Submit`
@@ -917,35 +916,23 @@ pub fn skip_payload(r: &mut impl Read, n: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// Fills every time slice of `grid`, slice 0 first, from the dense row-major
-/// payload on `r`: `time_slices × cells × size` bytes, which the caller has
-/// matched against the frame's declared payload length.  The bytes pass
-/// through one scratch buffer of at most [`STREAM_CHUNK`] bytes straight into
-/// the rows (alignment padding is never touched); a row longer than the buffer
-/// fills in pieces.
+/// Fills time slices `slices` of `grid`, in that order, from the dense
+/// row-major payload on `r`: `slices.len() × cells × size` bytes, which the
+/// caller has matched against the frame's declared payload length.  The bytes
+/// go straight into grid storage — one read per slice without row padding,
+/// one per row of a padded slice, whose padding is never touched.
 pub fn read_grid<T: WireElem, const D: usize>(
     r: &mut impl Read,
     grid: &mut PochoirArray<T, D>,
+    slices: &[i64],
 ) -> io::Result<()> {
-    let size = T::ELEM.size();
-    let slice_bytes = grid.sizes().iter().product::<usize>() * size;
-    let mut buf = vec![0u8; slice_bytes.min(STREAM_CHUNK)];
-    for t in 0..grid.time_slices() as i64 {
-        let mut left = slice_bytes; // this slice's bytes still on the stream
-        let (mut at, mut end) = (0, 0); // decoded and filled extent of `buf`
-        for mut row in grid.rows_mut(t) {
-            while !row.is_empty() {
-                if at == end {
-                    end = left.min(buf.len());
-                    r.read_exact(&mut buf[..end])?;
-                    left -= end;
-                    at = 0;
+    for &t in slices {
+        match grid.slice_bytes_mut(t) {
+            Some(bytes) => r.read_exact(bytes)?,
+            None => {
+                for row in grid.rows_mut(t) {
+                    r.read_exact(as_bytes_mut(row))?;
                 }
-                let n = row.len().min((end - at) / size);
-                let (part, rest) = std::mem::take(&mut row).split_at_mut(n);
-                T::take_row(&buf[at..at + n * size], part);
-                at += n * size;
-                row = rest;
             }
         }
     }
@@ -953,9 +940,6 @@ pub fn read_grid<T: WireElem, const D: usize>(
 }
 
 /// The length prefix and header of `frame` for a `payload_len`-byte payload.
-/// The writers send it in one write with its payload when the whole frame
-/// fits in [`STREAM_CHUNK`] bytes, else in one write of its own — split, the
-/// second write would sit behind the peer's delayed ACK.
 fn frame_head(frame: &Frame, payload_len: usize) -> Vec<u8> {
     // Every fixed-size header fits; only an error/status detail string grows it.
     let mut head = Vec::with_capacity(64);
@@ -967,34 +951,92 @@ fn frame_head(frame: &Frame, payload_len: usize) -> Vec<u8> {
     head
 }
 
+/// The writes of one frame's bytes, put in order: each leaves once `chunk`
+/// bytes have gathered — straight from the caller's span when a whole one lies
+/// there, else through `buf` — and the rest at [`Chunks::finish`].
+struct Chunks<'w, W: Write> {
+    w: &'w mut W,
+    buf: Vec<u8>,
+    chunk: usize,
+}
+
+impl<W: Write> Chunks<'_, W> {
+    fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            if self.buf.is_empty() && bytes.len() >= self.chunk {
+                let (chunk, rest) = bytes.split_at(self.chunk);
+                self.w.write_all(chunk)?;
+                bytes = rest;
+                continue;
+            }
+            if self.buf.capacity() == 0 {
+                self.buf.reserve_exact(self.chunk);
+            }
+            let n = bytes.len().min(self.chunk - self.buf.len());
+            self.buf.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            if self.buf.len() == self.chunk {
+                self.w.write_all(&self.buf)?;
+                self.buf.clear();
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.w.write_all(&self.buf)?;
+        }
+        self.w.flush()
+    }
+}
+
+/// Writes one length-prefixed frame whose `payload_len`-byte payload `payload`
+/// puts: in one write if the frame fits in [`STREAM_CHUNK`] bytes — split, the
+/// second write would sit behind the peer's delayed ACK — else prefix and
+/// header in one write, then the payload in writes of [`STREAM_CHUNK`] bytes.
+/// Returns the bytes written.
+fn write_bulk<W: Write>(
+    w: &mut W,
+    frame: &Frame,
+    payload_len: usize,
+    payload: impl FnOnce(&mut Chunks<'_, W>) -> io::Result<()>,
+) -> io::Result<u64> {
+    let mut head = frame_head(frame, payload_len);
+    let bytes = head.len() + payload_len;
+    let mut out = if bytes <= STREAM_CHUNK {
+        head.reserve_exact(payload_len);
+        Chunks {
+            w,
+            buf: head,
+            chunk: bytes,
+        }
+    } else {
+        w.write_all(&head)?;
+        Chunks {
+            w,
+            buf: Vec::new(),
+            chunk: STREAM_CHUNK,
+        }
+    };
+    payload(&mut out)?;
+    out.finish()?;
+    Ok(bytes as u64)
+}
+
 /// Writes one length-prefixed frame: in one write if it fits in
 /// [`STREAM_CHUNK`] bytes, else prefix and header in one write, then the
 /// `Submit`/`Result` payload in writes of at most [`STREAM_CHUNK`] bytes.
 /// Returns the bytes written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
     let payload = frame.payload();
-    let mut head = frame_head(frame, payload.len());
-    let bytes = head.len() + payload.len();
-    if bytes <= STREAM_CHUNK {
-        head.reserve_exact(payload.len());
-        head.extend_from_slice(payload);
-        w.write_all(&head)?;
-    } else {
-        w.write_all(&head)?;
-        for chunk in payload.chunks(STREAM_CHUNK) {
-            w.write_all(chunk)?;
-        }
-    }
-    w.flush()?;
-    Ok(bytes as u64)
+    write_bulk(w, frame, payload.len(), |out| out.put(payload))
 }
 
 /// Writes a `Submit` or `Result` whose payload is time slices `slices` of
-/// `grid`, dense row-major in that order, converted straight from the rows
-/// through one buffer of at most [`STREAM_CHUNK`] bytes — the header's own
-/// buffer when the whole frame fits in it: write for write what
-/// [`write_frame`] sends for the same frame carrying those bytes.  `frame`'s
-/// own payload field is ignored.  Returns the bytes written.
+/// `grid`, dense row-major in that order, straight from grid storage: write
+/// for write what [`write_frame`] sends for the same frame carrying those
+/// bytes.  `frame`'s own payload field is ignored.  Returns the bytes written.
 ///
 /// # Panics
 ///
@@ -1009,35 +1051,20 @@ pub fn write_grid_frame<T: WireElem, const D: usize>(
         matches!(frame, Frame::Submit { .. } | Frame::Result { .. }),
         "only a Submit or a Result carries a grid"
     );
-    let size = T::ELEM.size();
-    let len = slices.len() * grid.sizes().iter().product::<usize>() * size;
-    let head = frame_head(frame, len);
-    let bytes = head.len() + len;
-    let (mut buf, mut fill) = if bytes <= STREAM_CHUNK {
-        let fill = head.len();
-        let mut buf = head;
-        buf.reserve_exact(len);
-        buf.resize(bytes, 0);
-        (buf, fill)
-    } else {
-        w.write_all(&head)?;
-        (vec![0u8; len.min(STREAM_CHUNK)], 0)
-    };
-    for mut row in slices.iter().flat_map(|&t| grid.rows(t)) {
-        while !row.is_empty() {
-            let n = row.len().min((buf.len() - fill) / size);
-            T::put_row(&row[..n], &mut buf[fill..fill + n * size]);
-            fill += n * size;
-            row = &row[n..];
-            if fill == buf.len() {
-                w.write_all(&buf)?;
-                fill = 0;
+    let len = slices.len() * grid.sizes().iter().product::<usize>() * T::ELEM.size();
+    write_bulk(w, frame, len, |out| {
+        for &t in slices {
+            match grid.slice_bytes(t) {
+                Some(bytes) => out.put(bytes)?,
+                None => {
+                    for row in grid.rows(t) {
+                        out.put(as_bytes(row))?;
+                    }
+                }
             }
         }
-    }
-    w.write_all(&buf[..fill])?;
-    w.flush()?;
-    Ok(bytes as u64)
+        Ok(())
+    })
 }
 
 #[cfg(test)]

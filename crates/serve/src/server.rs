@@ -11,15 +11,16 @@
 //!   join it);
 //! * each **connection worker** speaks the frame protocol behind a small
 //!   `BufReader`: it reads a frame up to its payload, checks a `Submit`'s
-//!   header against the session, and only then builds the array and streams
-//!   the payload straight into its rows (a refused header has its payload
-//!   drained, so the stream stays framed).  It submits the array to the
-//!   session and drains that ticket itself through
-//!   [`StencilServer::try_drain`] — a tenant panic fails only its own
+//!   header against the session, and only then builds the array and reads
+//!   the payload — the slices the run reads — straight into its storage (a
+//!   refused header has its payload drained, so the stream stays framed).
+//!   It submits the array to the session and drains that ticket itself
+//!   through [`StencilServer::try_drain`] — a tenant panic fails only its own
 //!   request, exactly as in-process — and answers the `Submit` with the
-//!   `Result` itself, written straight from the drained array's rows.  The
-//!   server keeps nothing for a request once it has replied: the array stays
-//!   on as the connection's spare for its next `Submit` of the same shape.
+//!   `Result` itself, written straight from the drained array's storage.
+//!   The server keeps nothing for a request once it has replied: the array
+//!   stays on as the connection's spare for its next `Submit` of the same
+//!   shape.
 //!
 //! Sockets run with `TCP_NODELAY` (the protocol is request/response over small
 //! frames) and a write timeout ([`WRITE_TIMEOUT`]), and a frame that has
@@ -85,9 +86,9 @@ use pochoir_stencils::{heat, life, traffic, wave};
 use pochoir_trace::{Trace, TraceApp, TraceRecord};
 
 use crate::protocol::{
-    read_frame_head, read_grid, skip_payload, wire_error, write_frame, write_grid_frame, Deadline,
-    ElemType, ErrorCode, Frame, FrameHead, ReadError, RequestStatus, WireElem, MAX_FRAME,
-    MAX_SUBMIT_PAYLOAD, PROTOCOL_VERSION, READ_BUFFER,
+    read_frame_head, read_grid, skip_payload, submit_slices, wire_error, write_frame,
+    write_grid_frame, Deadline, ElemType, ErrorCode, Frame, FrameHead, ReadError, RequestStatus,
+    WireElem, MAX_FRAME, MAX_SUBMIT_PAYLOAD, PROTOCOL_VERSION, READ_BUFFER,
 };
 
 /// Record-mode settings: where and how to write the trace of admitted traffic.
@@ -622,12 +623,13 @@ fn send(stream: &mut TcpStream, reply: &Reply) -> bool {
     }
 }
 
-/// Dense time slices a `Submit` grid payload carries for `app` (the wave
-/// stencil is second-order in time and needs three).
-fn submit_slices(app: TraceApp) -> u64 {
+/// The stencil depth of `app`: the time slices a step reads, and so the slices
+/// a `Submit` carries (the wave stencil is second-order in time).  Its arrays
+/// keep one slice more.
+fn depth(app: TraceApp) -> usize {
     match app {
-        TraceApp::Wave3d => 3,
-        TraceApp::Heat2d | TraceApp::Life | TraceApp::HeatGiant1d => 2,
+        TraceApp::Wave3d => 2,
+        TraceApp::Heat2d | TraceApp::Life | TraceApp::HeatGiant1d => 1,
     }
 }
 
@@ -644,10 +646,10 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
             detail: format!("geometry extents must be in 1..=2^32, got {geometry:?}"),
         };
     }
-    // A geometry whose submit frame cannot fit in MAX_FRAME can never be
-    // legally used, so refuse it before compiling anything for it.
+    // A geometry whose arrays (every time slice) cannot fit in a MAX_FRAME
+    // payload is refused before anything is compiled for it.
     let payload_bytes = geometry.iter().map(|&g| g as u128).product::<u128>()
-        * submit_slices(app) as u128
+        * (depth(app) + 1) as u128
         * ElemType::for_app(app).size() as u128;
     if payload_bytes > MAX_SUBMIT_PAYLOAD as u128 {
         return Frame::Error {
@@ -712,17 +714,17 @@ enum Grid {
 }
 
 impl Grid {
-    /// The array a `Submit` of `app` over `geometry` fills — [`submit_slices`]
-    /// time slices, the app's boundary: `spare` when it has that shape (every
-    /// cell is about to be overwritten), else a fresh one.
+    /// The array a `Submit` of `app` over `geometry` fills — `depth + 1` time
+    /// slices, the app's boundary: `spare` when it has that shape (the `Submit`
+    /// overwrites every slice the run reads, and the run the rest), else a
+    /// fresh one.
     fn for_submit(app: TraceApp, geometry: &[u64], spare: Option<Grid>) -> Grid {
         fn fresh<T: WireElem, const D: usize>(
             geometry: &[u64],
             app: TraceApp,
             boundary: Boundary<T, D>,
         ) -> PochoirArray<T, D> {
-            let depth = submit_slices(app) as usize - 1;
-            let mut a = PochoirArray::with_depth(traffic::usizes::<D>(geometry), depth);
+            let mut a = PochoirArray::with_depth(traffic::usizes::<D>(geometry), depth(app));
             a.register_boundary(boundary);
             a
         }
@@ -741,19 +743,26 @@ impl Grid {
         }
     }
 
-    /// Fills every time slice from the `Submit` payload on `r`, a length the
-    /// caller has matched against the frame.
-    fn read_payload(&mut self, r: &mut impl Read) -> io::Result<()> {
+    /// Fills the [`submit_slices`] of a run from `t0` from the `Submit`
+    /// payload on `r`, a length the caller has matched against the frame.
+    fn read_payload(&mut self, r: &mut impl Read, t0: i64) -> io::Result<()> {
+        fn fill<T: WireElem, const D: usize>(
+            r: &mut impl Read,
+            a: &mut PochoirArray<T, D>,
+            t0: i64,
+        ) -> io::Result<()> {
+            read_grid(r, a, &submit_slices(t0, a.time_slices() - 1))
+        }
         match self {
-            Grid::F64x2(a) => read_grid(r, a),
-            Grid::U8x2(a) => read_grid(r, a),
-            Grid::F64x3(a) => read_grid(r, a),
-            Grid::F64x1(a) => read_grid(r, a),
+            Grid::F64x2(a) => fill(r, a, t0),
+            Grid::U8x2(a) => fill(r, a, t0),
+            Grid::F64x3(a) => fill(r, a, t0),
+            Grid::F64x1(a) => fill(r, a, t0),
         }
     }
 
     /// Writes the `Result` frame for horizon `t1` — slices `max(t1 - 1, 0)`
-    /// and `t1` — straight from the rows.
+    /// and `t1` — straight from grid storage.
     fn write_result(&self, w: &mut impl Write, t1: i64) -> io::Result<u64> {
         fn result<T: WireElem, const D: usize>(
             w: &mut impl Write,
@@ -809,7 +818,7 @@ fn handle_submit(
         }
     };
     let mut grid = Grid::for_submit(slot.app, &slot.geometry, spare.take());
-    grid.read_payload(r)?;
+    grid.read_payload(r, t0)?;
 
     let windows_needed = windows_of(t0, t1, slot.chunk);
     let (logical_deadline, finished) = {
@@ -875,9 +884,10 @@ fn handle_submit(
 }
 
 /// The checks a `Submit` header must pass before its payload is read: the
-/// session exists, the element type is the app's, the step span is sane and
-/// capped, and the declared payload is exactly the session's grid.  `Err` is
-/// the typed refusal.
+/// session exists, the element type is the app's, the step span is positive
+/// and capped, and the declared payload is exactly the session's `depth`
+/// slices.  `Err` is the typed refusal.  A zero-step span is refused because
+/// its `Result` would echo slice `t0 - 1`, which the `Submit` does not carry.
 fn check_submit(
     shared: &Shared,
     session: u32,
@@ -905,8 +915,13 @@ fn check_submit(
         );
     }
     let span = match t1.checked_sub(t0) {
-        Some(span) if span >= 0 => span,
-        _ => return refuse(ErrorCode::BadPayload, format!("t1 {t1} precedes t0 {t0}")),
+        Some(span) if span > 0 => span,
+        _ => {
+            return refuse(
+                ErrorCode::BadPayload,
+                format!("t1 {t1} must follow t0 {t0}: a Submit runs at least one step"),
+            )
+        }
     };
     if span > shared.config.max_steps_per_submit {
         return refuse(
@@ -920,8 +935,8 @@ fn check_submit(
     }
     // Negotiation bounded the geometry's payload by MAX_FRAME, so this fits
     // in usize.
-    let slices = submit_slices(slot.app);
-    let expected = (slot.geometry.iter().product::<u64>() * slices) as usize * elem.size();
+    let slices = depth(slot.app);
+    let expected = slot.geometry.iter().product::<u64>() as usize * slices * elem.size();
     if payload != expected {
         return refuse(
             ErrorCode::BadPayload,

@@ -13,8 +13,9 @@
 //!   before any session is created;
 //! * a span whose window arithmetic overflows `i64` is refused with a typed
 //!   error instead of wedging the session's drain;
-//! * 16 MiB `Submit`s refused on their header have their payload drained, so
-//!   the connection stays framed and serves the next request bitwise;
+//! * bulk `Submit`s refused on their header — a zero-step one and one carrying
+//!   every slice of its array among them — have their payload drained, so the
+//!   connection stays framed and serves the next request bitwise;
 //! * the array a connection's last result left, which its next `Submit` of the
 //!   same shape refills, never carries one request's cells into another's;
 //! * a session's queue holds at most the submitting connection's own ticket,
@@ -248,10 +249,11 @@ fn a_span_whose_windows_overflow_is_refused_and_the_session_survives() {
     server.shutdown();
 }
 
-/// On one connection, four 16 MiB `Submit`s each refused on its header —
+/// On one connection, six bulk `Submit`s each refused on its header —
 /// unknown session, wrong element type, span over the cap, payload not the
-/// geometry — get their typed errors, and the next request on the same
-/// connection returns the bitwise result: every refused payload was drained.
+/// geometry, zero steps, and a version-3-shaped payload of every slice — get
+/// their typed errors, and the next request on the same connection returns
+/// the bitwise result: every refused payload was drained.
 #[test]
 fn refused_bulk_submits_keep_the_connection_framed() {
     const BIG: [u64; 2] = [1024, 1024];
@@ -289,10 +291,24 @@ fn refused_bulk_submits_keep_the_connection_framed() {
         ErrorCode::BadPayload,
         "payload shorter than the geometry",
     );
+    // Its `Result` would echo slice `t0 - 1`, which the `Submit` does not carry.
+    expect_code(
+        client.submit_grid(&session, &grid, 1, 0, 0, 1, Deadline::None),
+        ErrorCode::BadPayload,
+        "a zero-step submit",
+    );
+    // A depth-2 array sends two slices: the 16 MiB a version-3 heat `Submit`
+    // carried (both slices of its array), one slice more than heat reads.
+    let every_slice: PochoirArray<f64, 2> = PochoirArray::with_depth([1024, 1024], 2);
+    expect_code(
+        client.submit_grid(&session, &every_slice, 1, 0, steps, 1, Deadline::None),
+        ErrorCode::BadPayload,
+        "a payload of every slice",
+    );
 
     let request = client
         .submit_grid(&session, &grid, 1, 0, steps, 1, Deadline::None)
-        .expect("a valid submit after four refusals");
+        .expect("a valid submit after six refusals");
     let live = client
         .wait_fetch(request, Duration::from_secs(120))
         .expect("wait+fetch")
@@ -304,8 +320,8 @@ fn refused_bulk_submits_keep_the_connection_framed() {
 
 /// One connection alternates shapes and tenants — runs of the same shape
 /// (the server refills the array the last result left), shape changes (it
-/// builds a fresh one), and a depth-2 app (three slices) — and every result is
-/// the in-process one bitwise.
+/// builds a fresh one), and a depth-2 app (two carried slices) — and every
+/// result is the in-process one bitwise.
 #[test]
 fn refilled_result_arrays_never_leak_between_requests() {
     let server = Server::start(ServeConfig::default()).expect("bind");

@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use pochoir_serve::protocol::{
-    read_frame, write_frame, write_grid_frame, Deadline, ElemType, ErrorCode, Frame,
+    read_frame, submit_slices, write_frame, write_grid_frame, Deadline, ElemType, ErrorCode, Frame,
     PROTOCOL_VERSION,
 };
 use pochoir_serve::server::{ServeConfig, Server, FRAME_DEADLINE, WRITE_TIMEOUT};
@@ -118,16 +118,27 @@ fn submit_head(session: u32, tenant: u32, t1: i64) -> Frame {
     }
 }
 
+/// Writes tenant `tenant`'s heat `Submit` over `[0, t1)` to `w`.  Heat is a
+/// depth-1 stencil, so the frame carries one slice of its grid: slice 0.
+fn write_submit(
+    w: &mut impl Write,
+    session: u32,
+    sizes: [usize; 2],
+    tenant: u32,
+    t1: i64,
+) -> std::io::Result<u64> {
+    write_grid_frame(
+        w,
+        &submit_head(session, tenant, t1),
+        &heat_grid::<2>(sizes, tenant),
+        &submit_slices(0, 1),
+    )
+}
+
 /// Tenant `tenant`'s whole heat `Submit` frame as it goes on the wire.
 fn submit_bytes(session: u32, sizes: [usize; 2], tenant: u32, t1: i64) -> Vec<u8> {
     let mut wire = Vec::new();
-    write_grid_frame(
-        &mut wire,
-        &submit_head(session, tenant, t1),
-        &heat_grid::<2>(sizes, tenant),
-        &[0, 1],
-    )
-    .expect("memory write");
+    write_submit(&mut wire, session, sizes, tenant, t1).expect("memory write");
     wire
 }
 
@@ -146,20 +157,8 @@ fn chaos_truncated_submit(addr: &str) {
 
 /// Writes tenant `tenant`'s heat `Submit` over `[0, t1)` on a raw socket; the
 /// reply is left unread.
-fn raw_submit<const D: usize>(
-    stream: &mut TcpStream,
-    session: u32,
-    sizes: [usize; D],
-    tenant: u32,
-    t1: i64,
-) {
-    write_grid_frame(
-        stream,
-        &submit_head(session, tenant, t1),
-        &heat_grid::<D>(sizes, tenant),
-        &[0, 1],
-    )
-    .expect("submit");
+fn raw_submit(stream: &mut TcpStream, session: u32, sizes: [usize; 2], tenant: u32, t1: i64) {
+    write_submit(stream, session, sizes, tenant, t1).expect("submit");
 }
 
 /// Reads the `Result` that answers a `Submit` on a raw socket.
@@ -360,7 +359,7 @@ fn a_trickled_frame_is_dropped_at_the_frame_deadline() {
 
     let (mut loris, loris_session) = raw_session(&addr);
     let wire = submit_bytes(loris_session, [16, 16], 7, T1);
-    let header = wire.len() - 2 * 16 * 16 * 8;
+    let header = wire.len() - 16 * 16 * 8; // the payload is one f64 slice
     loris.write_all(&wire[..header]).expect("header");
     let started = Instant::now();
     loris

@@ -4,17 +4,20 @@
 //! no allocation beyond the bytes present).  The stream reader (`read_frame`,
 //! `read_frame_head` + `read_grid`) and the writers (`write_frame`,
 //! `write_grid_frame`) are pinned against the plain `decode`/`encode` pair and
-//! against a per-cell encoding of `snapshot` on the same frames and grids.
+//! against a per-cell encoding of `snapshot` on the same frames and grids; a
+//! server refuses the previous version's `Hello`.
 
 use std::fmt::Debug;
 use std::io::{self, Write};
+use std::net::TcpStream;
 
 use pochoir_core::grid::PochoirArray;
 use pochoir_serve::protocol::{
-    read_frame, read_frame_head, read_grid, skip_payload, write_frame, write_grid_frame, Deadline,
-    ElemType, ErrorCode, Frame, FrameError, FrameHead, ReadError, RequestStatus, WireElem,
-    MAX_FRAME, STREAM_CHUNK,
+    read_frame, read_frame_head, read_grid, skip_payload, submit_slices, write_frame,
+    write_grid_frame, Deadline, ElemType, ErrorCode, Frame, FrameError, FrameHead, ReadError,
+    RequestStatus, WireElem, MAX_FRAME, PROTOCOL_VERSION, STREAM_CHUNK,
 };
+use pochoir_serve::server::{ServeConfig, Server};
 use pochoir_serve::FetchedResult;
 use pochoir_stencils::traffic::{digest_grid, DigestBits};
 use pochoir_trace::{Rng, TraceApp, TRACE_APPS};
@@ -382,11 +385,15 @@ fn arb_grid<T: Cell, const D: usize>(sizes: [usize; D], depth: usize) -> Pochoir
     grid
 }
 
+/// The `t0` of [`submit`]'s frames: a depth-2 grid's carried slices wrap
+/// below 0.
+const SUBMIT_T0: i64 = 0;
+
 fn submit(elem: ElemType, grid: Vec<u8>) -> Frame {
     Frame::Submit {
         session: 2,
         tenant: 5,
-        t0: 0,
+        t0: SUBMIT_T0,
         t1: 3,
         weight: 1,
         deadline: Deadline::Logical(9),
@@ -397,24 +404,25 @@ fn submit(elem: ElemType, grid: Vec<u8>) -> Frame {
 
 /// Every pin on one grid: row-written frames are `write_frame` of the per-cell
 /// payload write for write; the streamed decode (head, then the payload into a
-/// fresh array's rows) is the buffered decode bitwise; every truncation of the
-/// stream is a structured error; and a fetched result's digest, folded over
-/// its payload bytes, is the grid's digest.
+/// fresh array's storage) is the buffered decode bitwise and fills only the
+/// carried slices; every truncation of the stream is a structured error; and a
+/// fetched result's digest, folded over its payload bytes, is the grid's
+/// digest.
 fn grid_case<T: Cell, const D: usize>(sizes: [usize; D], depth: usize) {
     let grid: PochoirArray<T, D> = arb_grid(sizes, depth);
-    let all: Vec<i64> = (0..=depth as i64).collect();
+    let carried = submit_slices(SUBMIT_T0, depth);
 
     let writes = |head: &Frame, slices: &[i64]| {
         let mut rows = Writes::default();
         write_grid_frame(&mut rows, head, &grid, slices).expect("memory write");
         rows.0
     };
-    let submit_frame = submit(T::ELEM, cell_bytes(&grid, &all));
+    let submit_frame = submit(T::ELEM, cell_bytes(&grid, &carried));
     let mut by_bytes = Writes::default();
     write_frame(&mut by_bytes, &submit_frame).expect("memory write");
-    let by_rows = writes(&submit(T::ELEM, Vec::new()), &all);
+    let by_rows = writes(&submit(T::ELEM, Vec::new()), &carried);
     assert_eq!(by_rows, by_bytes.0, "{sizes:?}: Submit");
-    let payload = cell_bytes(&grid, &all).len();
+    let payload = cell_bytes(&grid, &carried).len();
     write_pattern(&by_rows, framed(&submit_frame).len(), payload)
         .unwrap_or_else(|e| panic!("{sizes:?}: Submit: {e}"));
     let slice_len = sizes.iter().product::<usize>() as u64;
@@ -462,14 +470,21 @@ fn grid_case<T: Cell, const D: usize>(sizes: [usize; D], depth: usize) {
         stream.is_empty(),
         "{sizes:?}: the payload was consumed exactly"
     );
+    // The one slot the `Submit` does not carry — step `t0`'s output — is left
+    // as the array was built.
     assert_eq!(
-        cell_bytes(&streamed, &all),
+        streamed.snapshot(SUBMIT_T0 + 1),
+        vec![T::default(); sizes.iter().product()],
+        "{sizes:?}: only the carried slices are filled"
+    );
+    assert_eq!(
+        cell_bytes(&streamed, &carried),
         buffered,
         "{sizes:?}: streamed ≡ buffered"
     );
     assert_eq!(
         buffered,
-        cell_bytes(&grid, &all),
+        cell_bytes(&grid, &carried),
         "{sizes:?}: bitwise round trip"
     );
 
@@ -498,16 +513,18 @@ fn stream_grid<T: Cell, const D: usize>(
     let mut grid = PochoirArray::with_depth(sizes, depth);
     assert_eq!(
         payload,
-        (depth + 1) * sizes.iter().product::<usize>() * T::ELEM.size()
+        depth * sizes.iter().product::<usize>() * T::ELEM.size()
     );
-    read_grid(stream, &mut grid).map_err(ReadError::Io)?;
+    read_grid(stream, &mut grid, &submit_slices(SUBMIT_T0, depth)).map_err(ReadError::Io)?;
     Ok(grid)
 }
 
 /// Row lengths on both sides of the 64-byte pad (8 `f64`s, 64 `u8`s), every
 /// served dimensionality, payloads shorter than one chunk, rows that cross a
-/// chunk boundary (`[300, 200]`), and one row longer than the whole scratch
-/// buffer (1-D, 200 000 `f64`).
+/// chunk boundary (`[300, 200]`), one row longer than the whole scratch
+/// buffer (1-D, 200 000 `f64`), and two bulk slices over `STREAM_CHUNK`: a
+/// dense one that goes straight between storage and stream (`[1024, 1024]`
+/// `f64`) and a padded one gathered row by row (`[1024, 1000]` `u8`).
 #[test]
 fn grids_stream_like_their_per_cell_bytes() {
     for n in [1, 5, 8, 13] {
@@ -523,6 +540,9 @@ fn grids_stream_like_their_per_cell_bytes() {
     grid_case::<f64, 2>([300, 200], 1);
     const { assert!(200_000 * 8 > STREAM_CHUNK) };
     grid_case::<f64, 1>([200_000], 1);
+    const { assert!(1024 * 1000 > STREAM_CHUNK) };
+    grid_case::<f64, 2>([1024, 1024], 1);
+    grid_case::<u8, 2>([1024, 1000], 1);
 }
 
 /// A frame refused after its head — by the server for its header, or by the
@@ -632,6 +652,25 @@ fn negotiate_arity_checked_at_decode() {
         Frame::decode(&body),
         Err(FrameError::BadPayload(_))
     ));
+}
+
+/// Version 4 changed what a `Submit` carries, so a server answers a
+/// version-3 `Hello` with a typed `VersionMismatch` and closes the connection.
+#[test]
+fn a_version_three_hello_is_refused() {
+    assert_eq!(PROTOCOL_VERSION, 4);
+    let server = Server::start(ServeConfig::default()).expect("server");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut stream, &Frame::Hello { version: 3 }).expect("hello");
+    match read_frame(&mut stream).expect("the refusal").0 {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::VersionMismatch),
+        other => panic!("expected a VersionMismatch error, got {other:?}"),
+    }
+    assert!(
+        read_frame(&mut stream).is_err(),
+        "the server closes after the refusal"
+    );
+    server.shutdown();
 }
 
 /// What version 3 retired does not decode: the `Fetch` (0x05), `Wait` (0x08)

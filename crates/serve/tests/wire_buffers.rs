@@ -1,12 +1,15 @@
 //! How many payload-sized buffers one bulk request costs.  A counting global
 //! allocator tallies allocations of at least 1 MiB while a 1024² heat grid
-//! (16 MiB each way) goes submit / wait / fetch over loopback — one round
-//! trip, the `Result` answering the `Submit`.  With the
-//! payload streamed between rows and socket, a connection's first request makes
-//! exactly two — the array the server builds for the `Submit` (which the drain
-//! steps and keeps as the result) and the `Vec` the client's `FetchedResult`
-//! hands back — and its next request of the same shape one, because the server
-//! refills the array its last result left.  The result's digest adds none.
+//! goes submit / wait / fetch over loopback (8 MiB in: the one slice heat
+//! reads; 16 MiB out) — one round trip, the `Result` answering the `Submit`.
+//! With the payload moved between grid storage and socket, a connection's
+//! first request makes exactly two — the array the server builds for the
+//! `Submit` (which the drain steps and keeps as the result) and the `Vec` the
+//! client's `FetchedResult` hands back — and its next request of the same
+//! shape one, because the server refills the array its last result left.  The
+//! result's digest adds none.  In an optimized build on Linux, the connection
+//! worker takes at most [`MAX_STEADY_FAULTS`] minor page faults per
+//! steady-state request (read from `/proc/self/task/*/stat`).
 //!
 //! Alone in its test binary on purpose: the allocator is process-wide.  The
 //! allocator's `unsafe impl` forwards to `System` unchanged; it is the only
@@ -63,6 +66,46 @@ static ALLOCATOR: Counting = Counting;
 const GEOMETRY: [u64; 2] = [1024, 1024];
 const STEPS: i64 = 4;
 
+/// Steady-state requests whose connection-worker page faults are pinned.
+const STEADY_REQUESTS: usize = 8;
+
+/// Most minor page faults the connection worker may take in one steady-state
+/// request.  Measured on x86-64 Linux in a release build: 0 in seven of the
+/// eight, 1 in the other.  The worker reads the 8 MiB `Submit` slice into the
+/// array it kept and writes the `Result` from it, so its pages are already
+/// mapped; a fresh 8 MiB array would fault 2 048 4 KiB pages, a fresh 256 KiB
+/// buffer 64.
+const MAX_STEADY_FAULTS: u64 = 4;
+
+/// `comm` of a connection worker: its name, `pochoir-serve-conn`, cut to the
+/// 15 bytes `comm` keeps.
+const CONN_COMM: &str = "pochoir-serve-c";
+
+/// Minor page faults so far of every connection worker in the process: field
+/// 10 of `/proc/self/task/<tid>/stat` for each thread whose `comm` is
+/// [`CONN_COMM`].
+fn conn_minor_faults() -> u64 {
+    let mut faults = 0;
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let dir = task.expect("task entry").path();
+        let (Ok(comm), Ok(stat)) = (
+            std::fs::read_to_string(dir.join("comm")),
+            std::fs::read_to_string(dir.join("stat")),
+        ) else {
+            continue; // the thread exited between the listing and the read
+        };
+        if comm.trim_end() != CONN_COMM {
+            continue;
+        }
+        // Fields run from 1; field 2 is the parenthesized comm, and field 3
+        // starts after its closing parenthesis.
+        let after_comm = &stat[stat.rfind(')').expect("stat has a comm") + 1..];
+        let minflt = after_comm.split_whitespace().nth(10 - 3).expect("field 10");
+        faults += minflt.parse::<u64>().expect("a fault count");
+    }
+    faults
+}
+
 /// Large allocations made by `f`.
 fn large_allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = LARGE.load(Ordering::Relaxed);
@@ -109,6 +152,19 @@ fn a_bulk_request_allocates_two_payload_sized_buffers_then_one() {
     assert_eq!(digest_value, expected);
     let (next, fetched) = large_allocations(|| request(&mut client, &session));
     assert_eq!(fetched.digest(), expected);
+    // Minor faults of the connection workers per steady-state request (the
+    // warm-up connection's worker idles meanwhile), in optimized builds on
+    // Linux: `/proc` is Linux's, and the bound is a release-build measurement
+    // (under AddressSanitizer, which runs this binary unoptimized, every
+    // allocation lands on fresh pages: 33–177 faults per request).
+    let mut steady = Vec::new();
+    if cfg!(all(target_os = "linux", not(debug_assertions))) {
+        for _ in 0..STEADY_REQUESTS {
+            let before = conn_minor_faults();
+            assert_eq!(request(&mut client, &session).digest(), expected);
+            steady.push(conn_minor_faults() - before);
+        }
+    }
 
     drop((warm, client));
     server.shutdown();
@@ -121,5 +177,10 @@ fn a_bulk_request_allocates_two_payload_sized_buffers_then_one() {
     assert_eq!(
         next, 1,
         "the next request made {next}; the server should refill its last result's array"
+    );
+    assert!(
+        steady.iter().all(|&faults| faults <= MAX_STEADY_FAULTS),
+        "connection-worker minor faults per steady-state request: {steady:?}; \
+         over {MAX_STEADY_FAULTS} means the worker touches fresh pages each request"
     );
 }

@@ -1,4 +1,5 @@
-//! What one request costs on the wire, in frames and in round-trip time.
+//! What one request costs on the wire, in frames, in bytes and in round-trip
+//! time.
 //!
 //! Alone in its test binary on purpose: the frame counters are
 //! `Runtime::global()`'s, so a second test in the process would count into the
@@ -17,12 +18,22 @@ const GEOMETRY: [u64; 2] = [16, 16];
 const WINDOW: i64 = 4;
 const T1: i64 = 8;
 
-/// Frames (in, out) a whole connection moved: a fresh server, `session` on one
-/// connection, and a shutdown — which joins the worker, so every frame it
-/// handled is counted by the time the totals are read.  The client hangs up
-/// without a `Close`: that frame has no reply, so whether the worker reads it
-/// before it sees the shutdown flag would be a race in the count.
-fn frames_of(session: impl FnOnce(&mut Client)) -> (u64, u64) {
+/// Bytes of a `Submit` before its payload: the 4-byte length prefix, then
+/// opcode, session, tenant, `t0`, `t1`, weight, deadline kind and value, elem
+/// and payload length.
+const SUBMIT_HEAD: u64 = 4 + 1 + 4 + 4 + 8 + 8 + 4 + 1 + 8 + 1 + 4;
+
+/// Bytes of a `Result` before its payload: the length prefix, then opcode,
+/// elem, `t1`, `slice_len` and payload length.
+const RESULT_HEAD: u64 = 4 + 1 + 1 + 8 + 8 + 4;
+
+/// Frames in, frames out, bytes in and bytes out a whole connection moved: a
+/// fresh server, `session` on one connection, and a shutdown — which joins the
+/// worker, so every frame it handled is counted by the time the totals are
+/// read.  The client hangs up without a `Close`: that frame has no reply, so
+/// whether the worker reads it before it sees the shutdown flag would be a
+/// race in the count.
+fn frames_of(session: impl FnOnce(&mut Client)) -> [u64; 4] {
     let before = Runtime::global().metrics();
     let server = Server::start(ServeConfig::default()).expect("server");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -30,30 +41,36 @@ fn frames_of(session: impl FnOnce(&mut Client)) -> (u64, u64) {
     drop(client);
     server.shutdown();
     let moved = before.delta(&Runtime::global().metrics());
-    (moved.net_frames_in, moved.net_frames_out)
+    [
+        moved.net_frames_in,
+        moved.net_frames_out,
+        moved.net_bytes_in,
+        moved.net_bytes_out,
+    ]
 }
 
 #[test]
 fn a_request_is_one_frame_each_way_and_no_stall() {
-    let idle = frames_of(|client| {
-        client
-            .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
-            .expect("negotiate");
-    });
-
     // Every app, the giant included: the `Submit` is answered by its `Result`,
     // so a request is one frame each way, and `wait`, `poll` and `fetch` read
     // what the client already holds — the same connection with all three
     // called, and a second `fetch` refused, moves exactly the frames of the
-    // submit alone.
+    // submit alone.  The `Submit` carries the `depth` slices the run reads,
+    // the `Result` the last two.
     for app in TRACE_APPS {
-        let geometry: Vec<u64> = match app {
-            TraceApp::Heat2d | TraceApp::Life => GEOMETRY.to_vec(),
-            TraceApp::Wave3d => vec![8, 8, 8],
-            TraceApp::HeatGiant1d => vec![GIANT_CELLS],
+        let (geometry, elem_bytes, depth): (Vec<u64>, u64, u64) = match app {
+            TraceApp::Heat2d => (GEOMETRY.to_vec(), 8, 1),
+            TraceApp::Life => (GEOMETRY.to_vec(), 1, 1),
+            TraceApp::Wave3d => (vec![8, 8, 8], 8, 2),
+            TraceApp::HeatGiant1d => (vec![GIANT_CELLS], 8, 1),
         };
+        let slice = geometry.iter().product::<u64>() * elem_bytes;
+        let negotiate = |client: &mut Client| client.negotiate(app, &geometry, WINDOW);
+        let idle = frames_of(|client| {
+            negotiate(client).expect("negotiate");
+        });
         let submit = |client: &mut Client| {
-            let session = client.negotiate(app, &geometry, WINDOW).expect("negotiate");
+            let session = negotiate(client).expect("negotiate");
             client
                 .submit_tenant(&session, 0, T1, 1, Deadline::None)
                 .expect("submit")
@@ -73,11 +90,13 @@ fn a_request_is_one_frame_each_way_and_no_stall() {
                 "{app:?}: a fetch consumes the result"
             );
         });
+        let request: [u64; 4] = std::array::from_fn(|i| submitted[i] - idle[i]);
         assert_eq!(
-            (submitted.0 - idle.0, submitted.1 - idle.1),
-            (1, 1),
-            "{app:?}: a request is 1 frame in and 1 out (idle connection: {idle:?}, \
-             with one request: {submitted:?})"
+            request,
+            [1, 1, SUBMIT_HEAD + depth * slice, RESULT_HEAD + 2 * slice],
+            "{app:?}: a request is 1 frame in and 1 out, the Submit {depth} slice(s) of \
+             {slice} bytes and the Result 2 (idle connection: {idle:?}, with one request: \
+             {submitted:?})"
         );
         assert_eq!(
             collected, submitted,

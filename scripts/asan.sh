@@ -6,10 +6,11 @@
 # equivalence suite — which runs every case under both `SimdPolicy::Scalar` and
 # `SimdPolicy::Auto`, so the compiled AVX2 copies of the heat and wave row loops and
 # Life's hand-written AVX2 body run on an AVX2 host; then the wire codec's property
-# suite and the live wire suites (end to end, frame counts, resource limits), since
-# the codec streams straight into and out of `AlignedVec`-backed rows (`rows_mut`),
-# the server refills a connection's last result array, and the client keeps each
-# result until it is fetched.  The shard suites ride along: their giant
+# suite and the live wire suites (end to end, frame and byte counts, resource limits,
+# bulk buffers), since the socket reads straight into and writes straight out of
+# `AlignedVec` storage through the grid's `unsafe` byte view (`slice_bytes_mut`,
+# `as_bytes_mut`), the server refills a connection's last result array, and the
+# client keeps each result until it is fetched.  The shard suites ride along: their giant
 # route runs the whole grid through the same rows, and the explicit tile path's
 # scatter, gather and halo exchange are slab-span arithmetic over the same storage
 # (gather writes through `row_bands_mut`'s split), with tile arrays reused across
@@ -33,6 +34,6 @@ echo "== AddressSanitizer, giants whole and as tiles: span arithmetic, row bands
 cargo +nightly test --offline --target "$target" -p pochoir-core \
     --test shard_equivalence --test shard_properties --test shard_buffers
 
-echo "== AddressSanitizer, the wire codec over grid rows"
+echo "== AddressSanitizer, the wire codec over grid storage bytes"
 cargo +nightly test --offline --target "$target" -p pochoir-serve \
-    --test protocol_properties --test e2e --test wire_cost --test limits
+    --test protocol_properties --test e2e --test wire_cost --test limits --test wire_buffers
