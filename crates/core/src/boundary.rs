@@ -103,14 +103,18 @@ impl<T: std::fmt::Debug, const D: usize> std::fmt::Debug for Boundary<T, D> {
     }
 }
 
-/// Wraps `x` into `[0, n)` (mathematical modulus).
+/// Wraps `x` into `[0, n)` (mathematical modulus).  Coordinates within one period of
+/// the domain — every halo cell — skip the division.
 #[inline]
 pub fn wrap(x: i64, n: i64) -> i64 {
-    let r = x % n;
-    if r < 0 {
-        r + n
+    if (0..n).contains(&x) {
+        x
+    } else if (-n..0).contains(&x) {
+        x + n
+    } else if (n..2 * n).contains(&x) {
+        x - n
     } else {
-        r
+        x.rem_euclid(n)
     }
 }
 

@@ -22,22 +22,37 @@
 //! row's span along the last dimension is split at wrap points into unfolded segments,
 //! instead of paying a `fold()` on every point of the inner loop.
 //!
-//! ## The hybrid walk is two-way
+//! ## Boundary leaves: a padded copy when small, ghost rows otherwise
 //!
-//! A boundary leaf is walked by folded segments ([`execute_zoid_hybrid`]).  A segment
-//! whose whole read halo lies in the domain runs the interior view; every other segment
-//! goes **whole** to the boundary view, which hands the kernel ghost rows
+//! A boundary leaf whose *padded read footprint* — its widest step's box dilated by the
+//! shape's read cells, over every slice the shape reads
+//! ([`ReadFootprint::padded_bytes`]) — fits [`PADDED_BUDGET`] runs on a padded copy
+//! ([`execute_zoid_padded`]): each step gathers that footprint once into per-thread
+//! scratch, resolving the boundary as ghost rows do, and every row of the box then runs
+//! the kernel's row body on the copy ([`PaddedView`](crate::view::PaddedView)).  A small
+//! torus stepped in short windows is one such leaf, and the gather replaces a ghost row
+//! per row request.
+//!
+//! A larger boundary leaf is walked by folded segments ([`execute_zoid_hybrid`]): a
+//! segment whose whole read halo lies in the domain runs the interior view; every other
+//! segment goes **whole** to the boundary view, which hands the kernel ghost rows
 //! ([`BoundaryView`]), so edge rows and row ends run the same row body as the interior.
-//! Only [`BaseCase::Point`], the `CloneMode::AlwaysBoundary` ablation (a boundary view
-//! built [`per_access`](BoundaryView::per_access)) and one-point rows (a row of one
-//! point is dispatched as the point it is) still resolve the boundary once per access.
+//! There most rows are interior, and a copy of the whole footprint would cost more than
+//! the ghost rows it saves (the crossover table is in `docs/performance.md`, "Small
+//! leaves").  Only [`BaseCase::Point`], the `CloneMode::AlwaysBoundary` ablation (a
+//! boundary view built [`per_access`](BoundaryView::per_access)) and one-point rows of
+//! the hybrid walk (a row of one point is dispatched as the point it is) still resolve
+//! the boundary once per access.
 
 use crate::boundary::wrap;
 use crate::engine::plan::{BaseCase, IndexMode};
 use crate::grid::RawGrid;
 use crate::kernel::StencilKernel;
-use crate::view::{BoundaryView, CheckedInteriorView, GridAccess, InteriorView};
+use crate::shape::ReadFootprint;
+use crate::view::{BoundaryView, CheckedInteriorView, GridAccess, InteriorView, PadScratch};
 use crate::zoid::Zoid;
+use std::any::Any;
+use std::cell::RefCell;
 
 /// Runs the base case for `zoid` under a pre-selected kernel clone (Section 4, "code
 /// cloning"): the fast interior clone — monomorphized over the unchecked or checked
@@ -241,16 +256,39 @@ fn dispatch_row<T, K, A, const D: usize>(
     }
 }
 
+/// Largest padded read footprint ([`ReadFootprint::padded_bytes`] of a leaf's widest
+/// step) that a boundary leaf gathers into a padded copy instead of walking ghost rows.
+/// Chosen from the crossover table in `docs/performance.md` ("Small leaves").
+pub const PADDED_BUDGET: usize = 32 * 1024;
+
+/// Whether boundary leaf `zoid` of a grid of extents `sizes` runs on a padded copy
+/// under the row base case: its box is at most one period wide on every axis at every
+/// step, so each step folds into whole in-domain pieces, and its widest step's padded
+/// read footprint fits [`PADDED_BUDGET`].
+pub fn runs_padded<T, const D: usize>(
+    zoid: &Zoid<D>,
+    sizes: [i64; D],
+    reads: &ReadFootprint<D>,
+) -> bool {
+    // Widths are linear in time, so the widest step is the first or the last.
+    let width = |i: usize, t: i64| zoid.upper_at(i, t) - zoid.lower_at(i, t);
+    let widest: [i64; D] = std::array::from_fn(|i| width(i, zoid.t0).max(width(i, zoid.t1 - 1)));
+    (0..D).all(|i| widest[i] <= sizes[i])
+        && reads.padded_bytes(widest, std::mem::size_of::<T>()) <= PADDED_BUDGET
+}
+
 /// Executes one base-case leaf under the unified clone policy shared by the compiled
 /// schedule and the recursive reference walker.
 ///
 /// `interior` is the leaf-level classification ([`Zoid::is_interior`], resolved at
 /// schedule-compile time or at walk time): interior leaves run the fast interior clone
 /// outright.  Everything else runs through the boundary machinery, where `hybrid`
-/// selects between segment-level clone resolution ([`execute_zoid_hybrid`], the
-/// production default) and the pure boundary clone (the
+/// selects between boundary-leaf execution proper and the pure boundary clone (the
 /// [`CloneMode::AlwaysBoundary`](crate::engine::plan::CloneMode) ablation, whose point
-/// is that no access may skip the boundary/modulo checks).
+/// is that no access may skip the boundary/modulo checks).  A boundary leaf under the
+/// row base case and unchecked indexing runs on a padded copy when
+/// [`runs_padded`] says it is small ([`execute_zoid_padded`]); any other goes through
+/// segment-level clone resolution ([`execute_zoid_hybrid`]).
 ///
 /// Keeping this dispatch in one place is what guarantees the compiled and recursive
 /// paths execute bit-identically: both feed their leaves through this function.
@@ -260,19 +298,27 @@ pub fn execute_leaf<T, K, const D: usize>(
     grid: RawGrid<'_, T, D>,
     kernel: &K,
     sizes: [i64; D],
-    reach: [i64; D],
+    reads: &ReadFootprint<D>,
     interior: bool,
     hybrid: bool,
     index_mode: IndexMode,
     base_case: BaseCase,
 ) where
-    T: Copy,
+    T: Copy + 'static,
     K: StencilKernel<T, D>,
 {
     if interior || !hybrid {
         execute_clone(zoid, grid, kernel, sizes, interior, index_mode, base_case);
         return;
     }
+    if base_case == BaseCase::Row
+        && index_mode == IndexMode::Unchecked
+        && runs_padded::<T, D>(zoid, sizes, reads)
+    {
+        with_pad_scratch(|pad| execute_zoid_padded(zoid, grid, kernel, sizes, reads, pad));
+        return;
+    }
+    let reach = reads.reach();
     let boundary = BoundaryView::new(grid);
     match index_mode {
         IndexMode::Unchecked => {
@@ -298,6 +344,68 @@ pub fn execute_leaf<T, K, const D: usize>(
                 reach,
                 base_case,
             );
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's padded scratch, one per element type and dimensionality.
+    static PAD_SCRATCH: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's [`PadScratch`] for `T` and `D`.  The scratch is taken out
+/// of the thread-local list while `f` runs, so a panicking kernel only drops it.
+fn with_pad_scratch<T: Copy + 'static, const D: usize>(f: impl FnOnce(&mut PadScratch<T, D>)) {
+    let taken = PAD_SCRATCH.with_borrow_mut(|pads| {
+        let i = pads.iter().position(|p| p.is::<PadScratch<T, D>>())?;
+        Some(pads.swap_remove(i))
+    });
+    let mut pad: Box<PadScratch<T, D>> = taken.and_then(|p| p.downcast().ok()).unwrap_or_default();
+    f(&mut pad);
+    PAD_SCRATCH.with_borrow_mut(|pads| pads.push(pad));
+}
+
+/// Small-boundary-leaf execution on a *padded copy*: at every step, each in-domain
+/// piece of the leaf's box (the box folded at periodic seams, at most two pieces per
+/// axis) has what the kernel reads gathered once into `pad`
+/// ([`PadScratch::gather`]), and every row of the piece then runs the kernel's row
+/// body on the copy, writing straight to the grid.  No row is split or resolved on its
+/// own, which is what makes a small leaf — a whole tenant torus — cheap.
+///
+/// The leaf must satisfy [`runs_padded`].
+pub fn execute_zoid_padded<T, K, const D: usize>(
+    zoid: &Zoid<D>,
+    grid: RawGrid<'_, T, D>,
+    kernel: &K,
+    sizes: [i64; D],
+    reads: &ReadFootprint<D>,
+    pad: &mut PadScratch<T, D>,
+) where
+    T: Copy,
+    K: StencilKernel<T, D>,
+{
+    let last = D - 1;
+    for t in zoid.t0..zoid.t1 {
+        let Some((lo, hi)) = box_at(zoid, t) else {
+            continue;
+        };
+        let pieces: [[(i64, i64); 2]; D] = std::array::from_fn(|i| {
+            let start = wrap(lo[i], sizes[i]);
+            let first = (hi[i] - lo[i]).min(sizes[i] - start);
+            [(start, start + first), (0, hi[i] - lo[i] - first)]
+        });
+        for pick in 0..1usize << D {
+            let piece: [(i64, i64); D] = std::array::from_fn(|i| pieces[i][(pick >> i) & 1]);
+            if piece.iter().any(|&(a, b)| a >= b) {
+                continue;
+            }
+            let (a, b) = (piece.map(|p| p.0), piece.map(|p| p.1));
+            // SAFETY: `[a, b)` is an in-domain piece of the leaf's box at step `t`; the
+            // decomposition gives the leaf exclusive use of its output cells and keeps
+            // every writer off what its kernel reads while the step runs.
+            let view = unsafe { pad.gather(grid, reads, t, a, b) };
+            let len = b[last] - a[last];
+            for_each_row(a, b, |x| kernel.update_row(&view, t, x, len));
         }
     }
 }

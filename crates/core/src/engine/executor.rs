@@ -375,7 +375,7 @@ impl<const D: usize> CompiledProgram<D> {
         match self.strategy {
             Some(_) if self.compiles(&coarsening, height) => {
                 let schedule = self.resolve_schedule(height, coarsening);
-                schedule.execute(grid, kernel, t0, &self.plan, par);
+                schedule.execute(grid, kernel, self.spec.footprint(), t0, &self.plan, par);
             }
             Some(strategy) => {
                 self.metrics.recursive_runs.fetch_add(1, Ordering::Relaxed);
@@ -707,6 +707,7 @@ fn run_recursive<T, K, P, const D: usize>(
 {
     let sizes = grid.sizes();
     let reach = spec.reach();
+    let reads = spec.footprint();
     let force_boundary = plan.clone_mode == CloneMode::AlwaysBoundary;
     let hybrid = !force_boundary;
     let index_mode = plan.index_mode;
@@ -719,7 +720,7 @@ fn run_recursive<T, K, P, const D: usize>(
     let base = move |z: &Zoid<D>| {
         let interior = !force_boundary && z.is_interior(sizes, reach);
         base::execute_leaf(
-            z, grid, kernel, sizes, reach, interior, hybrid, index_mode, base_case,
+            z, grid, kernel, sizes, reads, interior, hybrid, index_mode, base_case,
         );
     };
 

@@ -69,8 +69,12 @@
 //! folded row segment*: a segment whose read halo is fully in-domain runs the interior
 //! clone, and a segment touching an edge or seam goes whole to the boundary clone, which
 //! serves it ghost rows so the same vectorized row body runs there
-//! ([`base::execute_zoid_hybrid`]).  The recursive walker feeds its leaves through the
-//! same dispatch (`benchmark/`'s `schedule.compiled_over_recursive` compares the two).
+//! ([`base::execute_zoid_hybrid`]).  A boundary leaf small enough for
+//! [`base::runs_padded`] skips the segments: it gathers its halo once per step into a
+//! padded copy ([`base::execute_zoid_padded`]).  Which path a leaf takes depends on its
+//! geometry and the stencil's [`ReadFootprint`], which the executor passes in (the cache
+//! key holds only the reach).  The recursive walker feeds its leaves through the same
+//! dispatch (`benchmark/`'s `schedule.compiled_over_recursive` compares the two).
 //!
 //! ## Schedule cache and time-origin shifting
 //!
@@ -98,6 +102,7 @@ use crate::engine::walker::{cut_with_strategy, CutStrategy};
 use crate::grid::RawGrid;
 use crate::hyperspace::CutParams;
 use crate::kernel::StencilKernel;
+use crate::shape::ReadFootprint;
 use crate::zoid::Zoid;
 use pochoir_runtime::Parallelism;
 use std::sync::{Arc, OnceLock};
@@ -358,7 +363,9 @@ impl<const D: usize> Schedule<D> {
         self.leaves.iter().map(|l| l.zoid.volume()).sum()
     }
 
-    /// Replays the schedule over the window `[t_offset, t_offset + height)`.
+    /// Replays the schedule over the window `[t_offset, t_offset + height)`; `reads` is
+    /// the stencil's [`ReadFootprint`] (the cache key holds only its reach, so the
+    /// caller passes it).
     ///
     /// On a single worker the arena is swept in depth-first order — the exact visit
     /// order of the serial recursive walker, preserving its cache-oblivious locality.
@@ -368,16 +375,17 @@ impl<const D: usize> Schedule<D> {
         &self,
         grid: RawGrid<'_, T, D>,
         kernel: &K,
+        reads: &ReadFootprint<D>,
         t_offset: i64,
         plan: &ExecutionPlan<D>,
         par: &P,
     ) where
-        T: Copy + Send + Sync,
+        T: Copy + Send + Sync + 'static,
         K: StencilKernel<T, D>,
         P: Parallelism,
     {
+        debug_assert_eq!(reads.reach(), self.reach, "footprint of another stencil");
         let sizes = self.sizes;
-        let reach = self.reach;
         let hybrid = self.hybrid;
         let index_mode = plan.index_mode;
         let base_case = plan.base_case;
@@ -388,7 +396,7 @@ impl<const D: usize> Schedule<D> {
                 grid,
                 kernel,
                 sizes,
-                reach,
+                reads,
                 leaf.interior,
                 hybrid,
                 index_mode,
@@ -637,7 +645,15 @@ mod tests {
         a.register_boundary(crate::boundary::Boundary::Constant(0.0));
         let s = compile_2d(12, 1, 1, 4);
         let plan = ExecutionPlan::<2>::trap();
-        s.execute(a.raw(), &CountKernel, 0, &plan, &pochoir_runtime::Serial);
+        let reads = crate::shape::star_shape::<2>(1).footprint().clone();
+        s.execute(
+            a.raw(),
+            &CountKernel,
+            &reads,
+            0,
+            &plan,
+            &pochoir_runtime::Serial,
+        );
         for x in 0..12 {
             for y in 0..12 {
                 assert_eq!(a.get(1, [x, y]), 1.0, "point ({x},{y})");

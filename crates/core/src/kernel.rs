@@ -111,6 +111,11 @@ impl<const D: usize> StencilSpec<D> {
         self.shape.reach()
     }
 
+    /// The cells a kernel invocation reads, by time slice.
+    pub fn footprint(&self) -> &crate::shape::ReadFootprint<D> {
+        self.shape.footprint()
+    }
+
     /// The stencil depth *k*.
     pub fn depth(&self) -> i32 {
         self.shape.depth()

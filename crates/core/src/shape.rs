@@ -80,7 +80,107 @@ pub struct Shape<const D: usize> {
     home_dt: i32,
     depth: i32,
     slopes: [i64; D],
+    footprint: ReadFootprint<D>,
+}
+
+/// What a kernel invocation reads, slice by slice: the shape's read cells grouped by
+/// time offset.  A small boundary leaf gathers exactly these cells around its box once
+/// per step (a *padded copy*, see `engine::base`), so a star shape's corners are never
+/// read and a boundary function is called once per halo cell the kernel reads.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReadFootprint<const D: usize> {
+    /// Time offset of the written (home) cell.
+    home_dt: i64,
+    /// Time offset of `slices[0]`; slice `k` is read at offset `newest − k`.
+    newest: i64,
+    slices: Vec<SliceReads<D>>,
     reach: [i64; D],
+}
+
+/// The cells a kernel reads from one time slice.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SliceReads<const D: usize> {
+    /// Smallest offset on each axis: how far a box is dilated below (0 if unread).
+    pub min: [i64; D],
+    /// Largest offset on each axis: how far a box is dilated above (0 if unread).
+    pub max: [i64; D],
+    /// The distinct spatial offsets read, ascending by their last coordinate; empty for
+    /// a slice between the oldest and newest read that the shape skips.
+    pub offsets: Vec<[i64; D]>,
+}
+
+impl<const D: usize> ReadFootprint<D> {
+    fn new(cells: &[ShapeCell<D>], home_dt: i32) -> Self {
+        let reads = || cells.iter().filter(|c| c.dt < home_dt);
+        let newest = reads().map(|c| c.dt).max().unwrap_or(home_dt - 1);
+        let oldest = reads().map(|c| c.dt).min().unwrap_or(newest);
+        let slices = (oldest..=newest)
+            .rev()
+            .map(|dt| {
+                let mut offsets: Vec<[i64; D]> = reads()
+                    .filter(|c| c.dt == dt)
+                    .map(|c| c.dx.map(i64::from))
+                    .collect();
+                offsets.sort_unstable_by_key(|o| (o[D - 1], *o));
+                offsets.dedup();
+                let bound = |pick: fn(i64, i64) -> i64, d: usize| {
+                    offsets.iter().map(|o| o[d]).reduce(pick).unwrap_or(0)
+                };
+                SliceReads {
+                    min: std::array::from_fn(|d| bound(i64::min, d)),
+                    max: std::array::from_fn(|d| bound(i64::max, d)),
+                    offsets,
+                }
+            })
+            .collect::<Vec<SliceReads<D>>>();
+        let reach = std::array::from_fn(|d| {
+            let far = |s: &SliceReads<D>| s.max[d].max(-s.min[d]);
+            slices.iter().map(far).max().unwrap_or(0)
+        });
+        ReadFootprint {
+            home_dt: home_dt.into(),
+            newest: newest.into(),
+            slices,
+            reach,
+        }
+    }
+
+    /// Time offset of the written (home) cell relative to the kernel invocation time.
+    pub fn home_dt(&self) -> i64 {
+        self.home_dt
+    }
+
+    /// Time offset of [`slices`](Self::slices)`[0]`, the newest slice read; entry `k`
+    /// is read at offset `newest − k`.
+    pub fn newest(&self) -> i64 {
+        self.newest
+    }
+
+    /// The read cells, newest slice first.
+    pub fn slices(&self) -> &[SliceReads<D>] {
+        &self.slices
+    }
+
+    /// Per-axis maximal spatial reach: `max |offset|` over every slice read.
+    pub fn reach(&self) -> [i64; D] {
+        self.reach
+    }
+
+    /// Bytes a padded copy of a box of extents `widths` occupies: the box dilated by
+    /// each read slice's offsets, summed over those slices, times `elem_bytes`.
+    pub fn padded_bytes(&self, widths: [i64; D], elem_bytes: usize) -> usize {
+        let cells: usize = self
+            .slices
+            .iter()
+            .filter(|s| !s.offsets.is_empty())
+            .map(|s| {
+                (0..D)
+                    .map(|d| (widths[d] + s.max[d] - s.min[d]).max(0) as usize)
+                    .product::<usize>()
+            })
+            .sum();
+        cells * elem_bytes
+    }
 }
 
 impl<const D: usize> Shape<D> {
@@ -129,27 +229,25 @@ impl<const D: usize> Shape<D> {
             return Err(ShapeError::ZeroDepth);
         }
         let mut slopes = [0i64; D];
-        let mut reach = [0i64; D];
         for (i, cell) in cells.iter().enumerate() {
             if i == home_index {
                 continue;
             }
             let dt_back = (home_dt - cell.dt) as i64;
             debug_assert!(dt_back >= 1);
-            for d in 0..D {
-                let off = cell.dx[d].unsigned_abs() as i64;
+            for (slope, dx) in slopes.iter_mut().zip(cell.dx) {
+                let off = dx.unsigned_abs() as i64;
                 // Slope σᵢ = max over cells of ⌈|xᵢ| / (t_home − t)⌉ (paper, Section 3).
-                let s = (off + dt_back - 1) / dt_back;
-                slopes[d] = slopes[d].max(s);
-                reach[d] = reach[d].max(off);
+                *slope = (*slope).max((off + dt_back - 1) / dt_back);
             }
         }
+        let footprint = ReadFootprint::new(&cells, home_dt);
         Ok(Shape {
             cells,
             home_dt,
             depth,
             slopes,
-            reach,
+            footprint,
         })
     }
 
@@ -195,7 +293,12 @@ impl<const D: usize> Shape<D> {
     /// Maximum spatial reach per dimension: `max |dxᵢ|` over all cells.  Used to decide
     /// whether a zoid is an interior zoid (its kernel invocations never leave the domain).
     pub fn reach(&self) -> [i64; D] {
-        self.reach
+        self.footprint.reach()
+    }
+
+    /// The cells a kernel invocation reads, grouped by time slice.
+    pub fn footprint(&self) -> &ReadFootprint<D> {
+        &self.footprint
     }
 
     /// Number of time slices an array registered with this shape needs (`depth + 1`).

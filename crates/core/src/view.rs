@@ -40,9 +40,21 @@
 //! edge rows exactly as on interior rows.  [`BoundaryView::per_access`] builds the view
 //! without rows, for the `CloneMode::AlwaysBoundary` ablation whose point is that no
 //! access skips the boundary check.
+//!
+//! ## Padded copies: small boundary leaves gather their halo once per step
+//!
+//! When a boundary leaf is small (`engine::base::runs_padded`), ghost rows cost more in
+//! per-row set-up than in arithmetic.  [`PadScratch::gather`] instead copies, once per
+//! step, everything the kernel reads for one in-domain box: one dense block per read
+//! slice, the box dilated by that slice's shape offsets, filled only where some offset
+//! reaches (a star's corners are skipped, so a boundary function is called once per
+//! halo cell the kernel reads).  Each row is resolved by the same code as a ghost row.
+//! The returned [`PaddedView`] serves every read row as a slice of the copy and writes
+//! rows straight to the grid.
 
 use crate::boundary::{clamp, wrap, AxisRule};
 use crate::grid::{RawGrid, RowWriter};
+use crate::shape::ReadFootprint;
 use std::cell::{Cell, UnsafeCell};
 
 /// Read/write access to a space-time grid, as seen by a stencil kernel.
@@ -279,18 +291,6 @@ impl<'a, T: Copy, const D: usize> BoundaryView<'a, T, D> {
         BoundaryView { grid, ghosts: None }
     }
 
-    #[inline]
-    fn fold(&self, x: [i64; D]) -> [i64; D] {
-        let sizes = self.grid.sizes();
-        let mut w = x;
-        for d in 0..D {
-            if w[d] >= sizes[d] || w[d] < 0 {
-                w[d] = wrap(w[d], sizes[d]);
-            }
-        }
-        w
-    }
-
     /// True if the `len` cells starting at `x` along the last axis are all in-domain.
     #[inline]
     fn row_in_domain(&self, x: [i64; D], len: usize) -> bool {
@@ -311,71 +311,183 @@ impl<'a, T: Copy, const D: usize> BoundaryView<'a, T, D> {
         len: usize,
     ) -> &'s [T] {
         let grid = &self.grid;
-        let sizes = grid.sizes();
-        let boundary = grid.boundary();
         let last = D - 1;
-        let n = sizes[last];
-        let (start, end) = (x[last], x[last] + len as i64);
-        let at = |mut p: [i64; D], j: i64| {
-            p[last] = j;
-            p
-        };
-        let per_point = |j: i64| grid.read_with_boundary(t, at(x, j));
-
-        // The outer axes, once per row and in axis order (the order `Boundary::resolve`
-        // applies them in, which decides which of two out-of-range `Constant` axes wins).
-        let mut w = x;
-        for d in 0..last {
-            if (0..sizes[d]).contains(&x[d]) {
-                continue;
-            }
-            match boundary.axis_rule(d) {
-                Some(AxisRule::Periodic) => w[d] = wrap(x[d], sizes[d]),
-                Some(AxisRule::Clamp) => w[d] = clamp(x[d], sizes[d]),
-                // SAFETY (both fills): the writers touch only their buffer and the grid.
-                Some(AxisRule::Constant(v)) => {
-                    return unsafe { ghosts.fill(len, |buf| buf.resize(len, v)) }
-                }
-                None => {
-                    return unsafe {
-                        ghosts.fill(len, |buf| buf.extend((start..end).map(per_point)))
-                    }
-                }
+        let outer = resolve_outer(grid, x);
+        if let Outer::At(mut w) = outer {
+            if x[last] >= 0 && x[last] + len as i64 <= grid.sizes()[last] {
+                w[last] = x[last];
+                // SAFETY: `w` is in-domain on the outer axes after resolution and the
+                // span fits the last extent; aliasing is the caller's contract.
+                return unsafe { grid.row(t, w, len) };
             }
         }
-        if start >= 0 && end <= n {
-            // SAFETY: `w` is in-domain on the outer axes after resolution and the span
-            // fits the last extent; aliasing is the caller's contract.
-            return unsafe { grid.row(t, at(w, start), len) };
-        }
-
-        // Only cells the per-point path would read are touched: the in-domain span as one
-        // slice, the ghost cells' sources one by one.
-        let (lo, hi) = (start.max(0), end.min(n));
-        let inside: &[T] = if lo < hi {
-            // SAFETY: in-domain on the outer axes after resolution, and `[lo, hi)` lies in
-            // the last extent; aliasing is the caller's contract.
-            unsafe { grid.row(t, at(w, lo), (hi - lo) as usize) }
-        } else {
-            &[]
-        };
-        let rule = boundary.axis_rule(last);
-        let ghost = |j: i64| match &rule {
-            Some(AxisRule::Periodic) => grid.read(t, at(w, wrap(j, n))),
-            Some(AxisRule::Clamp) => grid.read(t, at(w, clamp(j, n))),
-            Some(AxisRule::Constant(v)) => *v,
-            // A function-valued boundary got here with every outer axis in range, so
-            // `x` with the cell's own coordinate is what a per-point read passes.
-            None => per_point(j),
-        };
-        // SAFETY: the writer touches only its buffer and the grid.
+        // SAFETY: the writer touches only its buffer and the grid, whose cells in the
+        // row are unwritten by the caller's contract.
         unsafe {
+            let last_rule = grid.boundary().axis_rule(last);
             ghosts.fill(len, |buf| {
-                buf.extend((start..end.min(0)).map(&ghost));
-                buf.extend_from_slice(inside);
-                buf.extend((start.max(n)..end).map(&ghost));
+                resolve_row(grid, t, x, len, outer, &last_rule, buf)
             })
         }
+    }
+}
+
+/// `x` with every coordinate wrapped into the domain: the home cell a write through
+/// virtual (wrapped) coordinates targets.
+#[inline]
+fn fold<const D: usize>(x: [i64; D], sizes: [i64; D]) -> [i64; D] {
+    std::array::from_fn(|d| wrap(x[d], sizes[d]))
+}
+
+/// Where a row's outer `D − 1` axes land, resolved once per row and in axis order (the
+/// order `Boundary::resolve` applies them in, which decides which of two out-of-range
+/// `Constant` axes wins).
+#[derive(Clone, Copy)]
+enum Outer<T, const D: usize> {
+    /// Every outer axis lands in the domain, at these coordinates (the last is unused).
+    At([i64; D]),
+    /// An out-of-range `Constant` axis: every cell of the row is this value.
+    Fill(T),
+    /// A function-valued boundary with an outer axis out of range: every cell is one
+    /// boundary call with its own coordinate.
+    PerCell,
+}
+
+fn resolve_outer<T: Copy, const D: usize>(grid: &RawGrid<'_, T, D>, x: [i64; D]) -> Outer<T, D> {
+    let sizes = grid.sizes();
+    let mut w = x;
+    for d in 0..D - 1 {
+        if (0..sizes[d]).contains(&x[d]) {
+            continue;
+        }
+        match grid.boundary().axis_rule(d) {
+            Some(AxisRule::Periodic) => w[d] = wrap(x[d], sizes[d]),
+            Some(AxisRule::Clamp) => w[d] = clamp(x[d], sizes[d]),
+            Some(AxisRule::Constant(v)) => return Outer::Fill(v),
+            None => return Outer::PerCell,
+        }
+    }
+    Outer::At(w)
+}
+
+/// Cell `j` of the row at `(t, x)` outside the last axis: `w` is the row's resolved
+/// outer coordinates, `last_rule` the last axis's `Boundary::axis_rule`, and `inside`
+/// the row's in-domain span `[lo, ..)`, which serves a periodic or clamped ghost whose
+/// source it holds.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn ghost_cell<T: Copy, const D: usize>(
+    grid: &RawGrid<'_, T, D>,
+    t: i64,
+    mut x: [i64; D],
+    mut w: [i64; D],
+    j: i64,
+    last_rule: &Option<AxisRule<T>>,
+    inside: &[T],
+    lo: i64,
+) -> T {
+    let n = grid.sizes()[D - 1];
+    let src = match last_rule {
+        Some(AxisRule::Periodic) => wrap(j, n),
+        Some(AxisRule::Clamp) => clamp(j, n),
+        Some(AxisRule::Constant(v)) => return *v,
+        // A function-valued boundary got here with every outer axis in range, so `x`
+        // with the cell's own coordinate is what a per-point read passes.
+        None => {
+            x[D - 1] = j;
+            return grid.read_with_boundary(t, x);
+        }
+    };
+    if (lo..lo + inside.len() as i64).contains(&src) {
+        inside[(src - lo) as usize]
+    } else {
+        w[D - 1] = src;
+        grid.read(t, w)
+    }
+}
+
+/// Where [`resolve_row`] puts a row's values: element `i` of the row is `cell(i, v)` or
+/// part of `span(i, cells)`.
+trait RowSink<T> {
+    fn cell(&mut self, i: usize, value: T);
+    fn span(&mut self, i: usize, cells: &[T]);
+}
+
+/// Appends the row (a ghost row's buffer).
+impl<T: Copy> RowSink<T> for Vec<T> {
+    #[inline]
+    fn cell(&mut self, _i: usize, value: T) {
+        self.push(value)
+    }
+    #[inline]
+    fn span(&mut self, _i: usize, cells: &[T]) {
+        self.extend_from_slice(cells)
+    }
+}
+
+/// Writes the row over a slice (a padded copy's row).
+impl<T: Copy> RowSink<T> for [T] {
+    #[inline]
+    fn cell(&mut self, i: usize, value: T) {
+        self[i] = value
+    }
+    #[inline]
+    fn span(&mut self, i: usize, cells: &[T]) {
+        self[i..i + cells.len()].copy_from_slice(cells)
+    }
+}
+
+/// Resolves the row of `len` cells starting at `(t, x)` into `out`, with `outer` its
+/// [`resolve_outer`] and `last_rule` the last axis's `Boundary::axis_rule`: element `i`
+/// equals `read_with_boundary(t, x + i·e_last)`.  Only cells the per-point path would
+/// read are touched — the in-domain span as one slice, each ghost cell's source on its
+/// own — and a function-valued boundary is called once per ghost cell, with the
+/// coordinate a per-point read passes.
+///
+/// # Safety
+///
+/// No in-domain cell the row reads may be written while this runs.
+#[inline(always)]
+unsafe fn resolve_row<T: Copy, const D: usize>(
+    grid: &RawGrid<'_, T, D>,
+    t: i64,
+    x: [i64; D],
+    len: usize,
+    outer: Outer<T, D>,
+    last_rule: &Option<AxisRule<T>>,
+    out: &mut (impl RowSink<T> + ?Sized),
+) {
+    let last = D - 1;
+    let (start, end) = (x[last], x[last] + len as i64);
+    let at = |mut p: [i64; D], j: i64| {
+        p[last] = j;
+        p
+    };
+    let per_point = |j: i64| grid.read_with_boundary(t, at(x, j));
+    let i = |j: i64| (j - start) as usize;
+    let w = match outer {
+        Outer::At(w) => w,
+        Outer::Fill(v) => return (start..end).for_each(|j| out.cell(i(j), v)),
+        Outer::PerCell => return (start..end).for_each(|j| out.cell(i(j), per_point(j))),
+    };
+    let n = grid.sizes()[last];
+    let (lo, hi) = (start.max(0), end.min(n));
+    let inside: &[T] = if lo < hi {
+        // SAFETY: in-domain on the outer axes after resolution, `[lo, hi)` lies in the
+        // last extent, and the slice dies before this returns; no writer by the
+        // caller's contract.
+        unsafe { grid.row(t, at(w, lo), (hi - lo) as usize) }
+    } else {
+        &[]
+    };
+    for j in start..end.min(0) {
+        out.cell(i(j), ghost_cell(grid, t, x, w, j, last_rule, inside, lo));
+    }
+    if lo < hi {
+        out.span(i(lo), inside);
+    }
+    for j in start.max(n)..end {
+        out.cell(i(j), ghost_cell(grid, t, x, w, j, last_rule, inside, lo));
     }
 }
 
@@ -389,7 +501,7 @@ impl<'a, T: Copy, const D: usize> GridAccess<T, D> for BoundaryView<'a, T, D> {
     fn set(&self, t: i64, x: [i64; D], value: T) {
         // Writes always target the home cell of some in-domain point; if the caller used
         // virtual coordinates we wrap them back into the domain.
-        let w = self.fold(x);
+        let w = fold(x, self.grid.sizes());
         self.grid.write(t, w, value)
     }
 
@@ -425,6 +537,271 @@ impl<'a, T: Copy, const D: usize> GridAccess<T, D> for BoundaryView<'a, T, D> {
             return None;
         }
         // SAFETY: in-domain, checked above; aliasing is the caller's contract.
+        Some(unsafe { self.grid.row_out(t, x, len) })
+    }
+}
+
+/// Scratch for padded copies (see the module docs), kept by its owner from step to
+/// step and leaf to leaf so that a padded leaf allocates nothing in steady state.
+pub struct PadScratch<T, const D: usize> {
+    cells: Vec<T>,
+    blocks: Vec<Block<D>>,
+    /// The last-axis spans of a row every offset reaches, for the slice being gathered.
+    full: Vec<(i64, i64)>,
+    /// The spans of the row being gathered, when not every offset reaches it.
+    part: Vec<(i64, i64)>,
+    /// How a row every offset reaches is filled when its last axis wraps or clamps:
+    /// `(dst, src)` copies within the row, after the one in-domain span.
+    ghosts: Vec<(usize, usize)>,
+}
+
+/// One read slice's block of a padded copy: the box dilated by that slice's offsets,
+/// dense and row-major.  A slice the shape skips gets an empty block.
+#[derive(Clone, Copy)]
+struct Block<const D: usize> {
+    origin: [i64; D],
+    end: [i64; D],
+    strides: [usize; D],
+    base: usize,
+}
+
+impl<T: Copy, const D: usize> Default for PadScratch<T, D> {
+    fn default() -> Self {
+        PadScratch {
+            cells: Vec::new(),
+            blocks: Vec::new(),
+            full: Vec::new(),
+            part: Vec::new(),
+            ghosts: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy, const D: usize> PadScratch<T, D> {
+    /// Gathers what the kernel invoked at `t` reads for the points of the in-domain box
+    /// `[lo, hi)`, and returns the view that serves it.
+    ///
+    /// Each read slice gets one block, the box dilated by that slice's offsets.  Within
+    /// it only the cells some offset reaches are read — through the boundary exactly as
+    /// a ghost row resolves them — and the rest (a star's corners) hold filler.
+    ///
+    /// # Safety
+    ///
+    /// `[lo, hi)` must lie in the domain, and while this runs no cell it reads may be
+    /// written, nor may the box's cells of the slice the kernel writes at `t` be read
+    /// or written elsewhere: the guarantee a leaf's step gets from the decomposition.
+    pub unsafe fn gather<'s>(
+        &'s mut self,
+        grid: RawGrid<'s, T, D>,
+        reads: &ReadFootprint<D>,
+        t: i64,
+        lo: [i64; D],
+        hi: [i64; D],
+    ) -> PaddedView<'s, T, D> {
+        let last = D - 1;
+        self.blocks.clear();
+        let mut total = 0;
+        for slice in reads.slices() {
+            let (origin, end) = if slice.offsets.is_empty() {
+                (lo, lo)
+            } else {
+                (
+                    std::array::from_fn(|d| lo[d] + slice.min[d]),
+                    std::array::from_fn(|d| hi[d] + slice.max[d]),
+                )
+            };
+            let mut strides = [1usize; D];
+            for d in (0..last).rev() {
+                strides[d] = strides[d + 1] * (end[d + 1] - origin[d + 1]) as usize;
+            }
+            self.blocks.push(Block {
+                origin,
+                end,
+                strides,
+                base: total,
+            });
+            total += strides[0] * (end[0] - origin[0]) as usize;
+        }
+        if self.cells.len() < total {
+            // The cells no offset reaches keep whatever they hold, so growth needs a
+            // value read without a race: this leaf alone touches its own output cells
+            // during the step.
+            let filler = grid.read(t + reads.home_dt(), lo);
+            self.cells.resize(total, filler);
+        }
+        let last_rule = grid.boundary().axis_rule(last);
+        for (k, (slice, block)) in reads.slices().iter().zip(&self.blocks).enumerate() {
+            if slice.offsets.is_empty() {
+                continue;
+            }
+            let ts = t + reads.newest() - k as i64;
+            let width = (block.end[last] - block.origin[last]) as usize;
+            // The offsets that reach a row cover `[lo + o, hi + o)` on the last axis;
+            // sorted by `o[last]`, their union merges in one pass.
+            let merge = |spans: &mut Vec<(i64, i64)>, o: &[i64; D]| {
+                let (s, e) = (lo[last] + o[last], hi[last] + o[last]);
+                match spans.last_mut() {
+                    Some((_, end)) if s <= *end => *end = (*end).max(e),
+                    _ => spans.push((s, e)),
+                }
+            };
+            // Rows that every offset reaches — all but a halo's worth at the block's
+            // outer edges — share their spans.
+            self.full.clear();
+            slice.offsets.iter().for_each(|o| merge(&mut self.full, o));
+            // When those spans are one, holding the whole last extent, and the last axis
+            // wraps or clamps, every ghost cell's source is a cell of the same row copy.
+            let n = grid.sizes()[last];
+            let cell = |j: i64| (j - block.origin[last]) as usize;
+            self.ghosts.clear();
+            let mut whole = matches!(self.full[..], [(s, e)] if s <= 0 && e >= n);
+            if whole {
+                let (s, e) = self.full[0];
+                for j in (s..0).chain(n..e) {
+                    let src = match last_rule {
+                        Some(AxisRule::Periodic) => wrap(j, n),
+                        Some(AxisRule::Clamp) => clamp(j, n),
+                        _ => {
+                            whole = false;
+                            break;
+                        }
+                    };
+                    self.ghosts.push((cell(j), cell(src)));
+                }
+            }
+            let (mut y, mut at) = (block.origin, block.base);
+            'rows: loop {
+                let outer = resolve_outer(&grid, y);
+                let row = &mut self.cells[at..at + width];
+                let reached_by_all =
+                    (0..last).all(|d| y[d] >= lo[d] + slice.max[d] && y[d] < hi[d] + slice.min[d]);
+                match outer {
+                    Outer::At(mut w) if whole && reached_by_all => {
+                        w[last] = 0;
+                        // SAFETY: the kernel reads the whole in-domain row at this step;
+                        // no writer by the contract of `gather`.
+                        let inside = unsafe { grid.row(ts, w, n as usize) };
+                        row[cell(0)..cell(n)].copy_from_slice(inside);
+                        for &(dst, src) in &self.ghosts {
+                            row[dst] = row[src];
+                        }
+                    }
+                    _ => {
+                        let spans = if reached_by_all {
+                            &self.full
+                        } else {
+                            self.part.clear();
+                            slice
+                                .offsets
+                                .iter()
+                                .filter(|o| {
+                                    (0..last).all(|d| (lo[d]..hi[d]).contains(&(y[d] - o[d])))
+                                })
+                                .for_each(|o| merge(&mut self.part, o));
+                            &self.part
+                        };
+                        for &(s, e) in spans {
+                            let mut x = y;
+                            x[last] = s;
+                            let dst = &mut row[(s - block.origin[last]) as usize..];
+                            // SAFETY: the span is cells the kernel reads at this step; no
+                            // writer by the contract of `gather`.
+                            unsafe {
+                                resolve_row(&grid, ts, x, (e - s) as usize, outer, &last_rule, dst)
+                            };
+                        }
+                    }
+                }
+                // Next row: an odometer over the outer axes.
+                at += width;
+                let mut d = last;
+                loop {
+                    if d == 0 {
+                        break 'rows;
+                    }
+                    d -= 1;
+                    y[d] += 1;
+                    if y[d] < block.end[d] {
+                        break;
+                    }
+                    y[d] = block.origin[d];
+                }
+            }
+        }
+        PaddedView {
+            grid,
+            top: t + reads.newest(),
+            blocks: &self.blocks,
+            cells: &self.cells,
+        }
+    }
+}
+
+/// The view over one padded copy (see the module docs), built by
+/// [`PadScratch::gather`] for one box at one step: reads come from the copy, writes go
+/// to the grid.  The box is in-domain, so the engines dispatch it without folding.
+///
+/// A read outside the copy falls back to the boundary clone's per-point read; a read
+/// of a cell the shape does not declare, inside the copy, sees filler — the engines
+/// rely on kernels reading only what their shape declares (the Phase-1 check).
+pub struct PaddedView<'a, T, const D: usize> {
+    grid: RawGrid<'a, T, D>,
+    /// Block `k` holds time slice `top − k`.
+    top: i64,
+    blocks: &'a [Block<D>],
+    cells: &'a [T],
+}
+
+impl<'a, T: Copy, const D: usize> PaddedView<'a, T, D> {
+    /// Index in `cells` of the `len` cells starting at `(t, x)`, when the copy holds
+    /// them all.
+    #[inline]
+    fn locate(&self, t: i64, x: [i64; D], len: usize) -> Option<usize> {
+        let block = self.blocks.get(usize::try_from(self.top - t).ok()?)?;
+        let mut at = block.base;
+        for (d, &c) in x.iter().enumerate() {
+            let stop = if d == D - 1 { c + len as i64 } else { c + 1 };
+            if c < block.origin[d] || stop > block.end[d] {
+                return None;
+            }
+            at += (c - block.origin[d]) as usize * block.strides[d];
+        }
+        Some(at)
+    }
+}
+
+impl<'a, T: Copy, const D: usize> GridAccess<T, D> for PaddedView<'a, T, D> {
+    #[inline]
+    fn get(&self, t: i64, x: [i64; D]) -> T {
+        match self.locate(t, x, 1) {
+            Some(i) => self.cells[i],
+            None => self.grid.read_with_boundary(t, x),
+        }
+    }
+
+    #[inline]
+    fn set(&self, t: i64, x: [i64; D], value: T) {
+        self.grid.write(t, fold(x, self.grid.sizes()), value)
+    }
+
+    #[inline]
+    fn size(&self, dim: usize) -> i64 {
+        self.grid.sizes()[dim]
+    }
+
+    #[inline]
+    unsafe fn row(&self, t: i64, x: [i64; D], len: usize) -> Option<&[T]> {
+        let i = self.locate(t, x, len)?;
+        Some(&self.cells[i..i + len])
+    }
+
+    #[inline]
+    unsafe fn row_out(&self, t: i64, x: [i64; D], len: usize) -> Option<RowWriter<'_, T>> {
+        if !(self.grid.in_domain(x) && x[D - 1] + len as i64 <= self.grid.sizes()[D - 1]) {
+            return None;
+        }
+        // SAFETY: in-domain, checked above; the copy, not the grid, serves every read
+        // row, and aliasing with the grid is the caller's contract.
         Some(unsafe { self.grid.row_out(t, x, len) })
     }
 }
@@ -472,13 +849,7 @@ impl<'a, 't, T: Copy, const D: usize, C: AccessTracer> GridAccess<T, D>
     }
 
     fn set(&self, t: i64, x: [i64; D], value: T) {
-        let sizes = self.grid.sizes();
-        let mut w = x;
-        for d in 0..D {
-            if w[d] < 0 || w[d] >= sizes[d] {
-                w[d] = wrap(w[d], sizes[d]);
-            }
-        }
+        let w = fold(x, self.grid.sizes());
         self.tracer
             .on_write(self.addr(t, w), self.grid.element_bytes());
         self.grid.write(t, w, value)
@@ -647,6 +1018,94 @@ mod tests {
         for sizes in [[1, 2, 3], [2, 1, 4], [3, 3, 2]] {
             check_ghost_rows(sizes);
         }
+    }
+
+    /// Padded copies ≡ per-access reads: for in-domain boxes at the grid's corners and
+    /// edges, every cell the footprint reaches reads through the copy exactly as
+    /// `read_with_boundary` does, on the depth-2 three-slice layout, for a star
+    /// (corners skipped), a box and a depth-2 shape, under every boundary variant.
+    fn check_padded_copies<const D: usize>(sizes: [usize; D]) {
+        use crate::shape::{box_shape, star_shape, Shape, ShapeCell};
+        let mut wave = vec![ShapeCell::new(1, [0; D]), ShapeCell::new(-1, [0; D])];
+        wave.extend(star_shape::<D>(1).cells().iter().skip(1).copied());
+        let shapes = [star_shape::<D>(1), box_shape::<D>(1), Shape::must(wave)];
+        let ext: [i64; D] = sizes.map(|s| s as i64);
+        for boundary in all_boundaries::<D>() {
+            let mut a: PochoirArray<f64, D> = PochoirArray::with_depth(sizes, 2);
+            for t in 0..3i64 {
+                a.fill_time_slice(t, |x| {
+                    x.iter()
+                        .fold(t as f64 + 1.0, |acc, &c| acc * 17.0 + c as f64)
+                });
+            }
+            a.register_boundary(boundary.clone());
+            let raw = a.raw();
+            let mut pad = PadScratch::<f64, D>::default();
+            for shape in &shapes {
+                let reads = shape.footprint();
+                let t = 1;
+                // Boxes: every `[lo, hi)` with `lo` and `hi − lo` from {0, 1, extent − 1}.
+                for lo_pick in crate::grid::SpaceIter::new([3i64; D]) {
+                    for w_pick in crate::grid::SpaceIter::new([3i64; D]) {
+                        let pick = |p: i64, d: usize| [0, 1, ext[d] - 1][p as usize];
+                        let lo: [i64; D] = std::array::from_fn(|d| pick(lo_pick[d], d));
+                        let hi: [i64; D] = std::array::from_fn(|d| {
+                            (lo[d] + pick(w_pick[d], d).max(1)).min(ext[d])
+                        });
+                        // SAFETY: single-threaded; nothing writes the grid meanwhile.
+                        let view = unsafe { pad.gather(raw, reads, t, lo, hi) };
+                        for (k, slice) in reads.slices().iter().enumerate() {
+                            let ts = t + reads.newest() - k as i64;
+                            let span: [i64; D] = std::array::from_fn(|d| hi[d] - lo[d]);
+                            for p in crate::grid::SpaceIter::new(span) {
+                                for o in &slice.offsets {
+                                    let x: [i64; D] = std::array::from_fn(|d| lo[d] + p[d] + o[d]);
+                                    assert_eq!(
+                                        view.get(ts, x).to_bits(),
+                                        raw.read_with_boundary(ts, x).to_bits(),
+                                        "{boundary:?} {shape:?} box {lo:?}..{hi:?} x={x:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_copies_equal_per_access_reads() {
+        for n in [1, 2, 3, 9] {
+            check_padded_copies([n]);
+        }
+        for sizes in [[1, 1], [2, 3], [4, 1], [5, 9]] {
+            check_padded_copies(sizes);
+        }
+        for sizes in [[1, 2, 3], [3, 3, 2]] {
+            check_padded_copies(sizes);
+        }
+    }
+
+    #[test]
+    fn padded_copies_call_a_boundary_function_once_per_reached_ghost() {
+        use crate::shape::star_shape;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let n = 6i64;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = calls.clone();
+        let mut a: PochoirArray<f64, 2> = PochoirArray::new([n as usize; 2]);
+        a.register_boundary(Boundary::constant_fn(move |_, _| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            -1.0
+        }));
+        let raw = a.raw();
+        let mut pad = PadScratch::<f64, 2>::default();
+        // SAFETY: single-threaded; nothing writes the grid meanwhile.
+        let _ = unsafe { pad.gather(raw, star_shape::<2>(1).footprint(), 0, [0, 0], [n, n]) };
+        // The ring around the grid without its four corners.
+        assert_eq!(calls.load(Ordering::Relaxed), 4 * n as usize);
     }
 
     #[test]

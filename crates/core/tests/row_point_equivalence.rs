@@ -329,3 +329,304 @@ fn traced_runs_still_see_every_access() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------------------
+// Padded copies ≡ ghost rows ≡ per-point.  A small boundary leaf runs on a padded copy
+// (`base::runs_padded`), a large one on ghost rows; both must match the per-point base
+// case and the serial loops bitwise, on every boundary, for TRAP and STRAP, compiled and
+// recursive.
+// ---------------------------------------------------------------------------------------
+
+use pochoir_core::engine::base::{runs_padded, PADDED_BUDGET};
+use pochoir_core::engine::CutStrategy;
+
+/// Every route a run can take: TRAP and STRAP, compiled and recursive, row and point,
+/// plus the serial loops.
+fn routes<const D: usize>(coarsening: Coarsening<D>) -> Vec<(String, ExecutionPlan<D>)> {
+    let mut plans = vec![("loops_serial".to_string(), ExecutionPlan::loops_serial())];
+    for engine in [EngineKind::Trap, EngineKind::Strap] {
+        for mode in [ScheduleMode::Compiled, ScheduleMode::Recursive] {
+            for base_case in [BaseCase::Row, BaseCase::Point] {
+                plans.push((
+                    format!("{engine:?}/{mode:?}/{base_case:?}"),
+                    ExecutionPlan::new(engine)
+                        .with_coarsening(coarsening)
+                        .with_schedule_mode(mode)
+                        .with_base_case(base_case),
+                ));
+            }
+        }
+    }
+    plans
+}
+
+/// How many of the TRAP and STRAP schedules' boundary leaves run padded, and how many
+/// of those have a step whose box leaves `[0, sizes)` (a leaf across a periodic seam).
+fn padded_leaves<const D: usize>(
+    spec: &StencilSpec<D>,
+    sizes: [usize; D],
+    coarsening: Coarsening<D>,
+    steps: i64,
+) -> (usize, usize) {
+    let sizes = sizes.map(|s| s as i64);
+    let (mut padded, mut straddling) = (0, 0);
+    for strategy in [CutStrategy::Hyperspace, CutStrategy::SingleDimension] {
+        let schedule = Schedule::compile(
+            sizes,
+            spec.slopes(),
+            spec.reach(),
+            coarsening,
+            strategy,
+            false,
+            steps,
+        );
+        for leaf in schedule.leaves().filter(|l| !l.interior) {
+            let z = &leaf.zoid;
+            if !runs_padded::<f64, D>(z, sizes, spec.footprint()) {
+                continue;
+            }
+            padded += 1;
+            let outside = (z.t0..z.t1)
+                .any(|t| (0..D).any(|i| z.lower_at(i, t) < 0 || z.upper_at(i, t) > sizes[i]));
+            straddling += usize::from(outside);
+        }
+    }
+    (padded, straddling)
+}
+
+/// Runs `kernel` over `[first, first + steps)` on every route and every boundary variant
+/// and compares each result with the serial loops by `to_bits`.
+fn assert_routes_agree<K, const D: usize>(
+    shape: Shape<D>,
+    sizes: [usize; D],
+    steps: i64,
+    coarsening: Coarsening<D>,
+    kernel: &K,
+) where
+    K: StencilKernel<f64, D>,
+{
+    let spec = StencilSpec::new(shape);
+    let depth = spec.depth() as usize;
+    let first = spec.shape().first_step();
+    for boundary_id in 0..BOUNDARIES {
+        let boundary = boundary_f64::<D>(boundary_id);
+        let mut reference: Option<Vec<u64>> = None;
+        for (label, plan) in routes(coarsening) {
+            let mut a: PochoirArray<f64, D> = PochoirArray::with_depth(sizes, depth);
+            a.register_boundary(boundary.clone());
+            for t in 0..depth as i64 {
+                a.fill_time_slice(t, |x| {
+                    let h = x.iter().fold(t as u64 + 7, |h, &c| {
+                        h.wrapping_mul(0x100000001B3).wrapping_add(c as u64)
+                    });
+                    (h % 10007) as f64 / 97.0
+                });
+            }
+            run(&mut a, &spec, kernel, first, first + steps, &plan, &Serial);
+            let bits: Vec<u64> = a
+                .snapshot(first + steps)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(want) => assert!(
+                    *want == bits,
+                    "{label} differs from loops_serial: sizes {sizes:?}, {boundary:?}"
+                ),
+            }
+        }
+    }
+}
+
+#[test]
+fn padded_leaves_equal_per_point_1d() {
+    let coarsening = Coarsening::new(2, [4]);
+    for n in [1, 2, 3, 16] {
+        let spec = StencilSpec::new(star_shape::<1>(1));
+        assert!(padded_leaves(&spec, [n], coarsening, 6).0 > 0, "n = {n}");
+        assert_routes_agree(star_shape::<1>(1), [n], 6, coarsening, &Avg1D);
+    }
+}
+
+#[test]
+fn padded_leaves_equal_per_point_2d() {
+    let coarsening = Coarsening::new(2, [4, 4]);
+    let kernel = RowHeat2D { cx: 0.11, cy: 0.07 };
+    for sizes in [[1, 1], [2, 3], [3, 16], [16, 2], [16, 16]] {
+        let spec = StencilSpec::new(star_shape::<2>(1));
+        assert!(
+            padded_leaves(&spec, sizes, coarsening, 5).0 > 0,
+            "{sizes:?}"
+        );
+        assert_routes_agree(star_shape::<2>(1), sizes, 5, coarsening, &kernel);
+    }
+}
+
+#[test]
+fn padded_leaves_equal_per_point_3d() {
+    let coarsening = Coarsening::new(2, [3, 3, 1000]);
+    for sizes in [[1, 2, 3], [3, 3, 16], [2, 16, 1]] {
+        let spec = StencilSpec::new(star_shape::<3>(1));
+        assert!(
+            padded_leaves(&spec, sizes, coarsening, 4).0 > 0,
+            "{sizes:?}"
+        );
+        assert_routes_agree(star_shape::<3>(1), sizes, 4, coarsening, &Star3D);
+    }
+}
+
+/// A star kernel in any dimension, relying on the default `update_row`.
+struct StarN;
+impl<const D: usize> StencilKernel<f64, D> for StarN {
+    fn update<A: GridAccess<f64, D>>(&self, g: &A, t: i64, x: [i64; D]) {
+        let c = g.get(t, x);
+        let mut acc = c;
+        for d in 0..D {
+            let (mut lo, mut hi) = (x, x);
+            lo[d] -= 1;
+            hi[d] += 1;
+            acc += 0.05 * (g.get(t, lo) + g.get(t, hi) - 2.0 * c);
+        }
+        g.set(t + 1, x, acc);
+    }
+}
+
+#[test]
+fn padded_leaves_equal_per_point_4d() {
+    let coarsening = Coarsening::new(2, [2, 2, 2, 1000]);
+    for sizes in [[1, 2, 3, 2], [3, 2, 2, 16]] {
+        let spec = StencilSpec::new(star_shape::<4>(1));
+        assert!(
+            padded_leaves(&spec, sizes, coarsening, 3).0 > 0,
+            "{sizes:?}"
+        );
+        assert_routes_agree(star_shape::<4>(1), sizes, 3, coarsening, &StarN);
+    }
+}
+
+/// A depth-2 wave with a row override: reads slices `t` (a star) and `t − 1` (the
+/// centre), so a padded copy holds two blocks of different halos.
+struct RowWave2D;
+
+fn wave_shape() -> Shape<2> {
+    let mut cells = vec![
+        ShapeCell::new(1, [0, 0]),
+        ShapeCell::new(0, [0, 0]),
+        ShapeCell::new(-1, [0, 0]),
+    ];
+    for dx in [[1, 0], [-1, 0], [0, 1], [0, -1]] {
+        cells.push(ShapeCell::new(0, dx));
+    }
+    Shape::must(cells)
+}
+
+impl StencilKernel<f64, 2> for RowWave2D {
+    fn update<A: GridAccess<f64, 2>>(&self, g: &A, t: i64, x: [i64; 2]) {
+        let c = g.get(t, x);
+        let lap = g.get(t, [x[0] - 1, x[1]])
+            + g.get(t, [x[0] + 1, x[1]])
+            + g.get(t, [x[0], x[1] - 1])
+            + g.get(t, [x[0], x[1] + 1])
+            - 4.0 * c;
+        g.set(t + 1, x, 2.0 * c - g.get(t - 1, x) + 0.1 * lap);
+    }
+
+    fn update_row<A: GridAccess<f64, 2>>(&self, g: &A, t: i64, x0: [i64; 2], len: i64) {
+        if len <= 0 {
+            return;
+        }
+        let n = len as usize;
+        'fast: {
+            // Safety (row contract): reads of slices `t` and `t − 1`, write row in the
+            // distinct slice `t + 1`.
+            let (Some(mut out), Some(up), Some(mid), Some(down), Some(old)) = (unsafe {
+                (
+                    g.row_out(t + 1, x0, n),
+                    g.row(t, [x0[0] - 1, x0[1]], n),
+                    g.row(t, [x0[0], x0[1] - 1], n + 2),
+                    g.row(t, [x0[0] + 1, x0[1]], n),
+                    g.row(t - 1, x0, n),
+                )
+            }) else {
+                break 'fast;
+            };
+            for i in 0..n {
+                let c = mid[i + 1];
+                let lap = up[i] + down[i] + mid[i] + mid[i + 2] - 4.0 * c;
+                out.set(i, 2.0 * c - old[i] + 0.1 * lap);
+            }
+            return;
+        }
+        pochoir_core::kernel::update_row_pointwise(self, g, t, x0, len);
+    }
+}
+
+#[test]
+fn padded_depth_two_leaves_equal_per_point() {
+    let coarsening = Coarsening::new(2, [4, 4]);
+    for sizes in [[2, 3], [16, 16], [5, 16]] {
+        let spec = StencilSpec::new(wave_shape());
+        assert!(
+            padded_leaves(&spec, sizes, coarsening, 6).0 > 0,
+            "{sizes:?}"
+        );
+        assert_routes_agree(wave_shape(), sizes, 6, coarsening, &RowWave2D);
+    }
+}
+
+/// Narrow base cases on a torus: TRAP's wrap pieces are sloped leaves described in
+/// virtual coordinates across the seam, and the small ones run padded.
+#[test]
+fn padded_leaves_across_the_periodic_seam_equal_per_point() {
+    let coarsening = Coarsening::new(2, [3]);
+    let spec = StencilSpec::new(star_shape::<1>(1));
+    let (padded, straddling) = padded_leaves(&spec, [16], coarsening, 8);
+    assert!(
+        padded > 0 && straddling > 0,
+        "{padded} padded, {straddling} across"
+    );
+    assert_routes_agree(star_shape::<1>(1), [16], 8, coarsening, &Avg1D);
+    let coarsening = Coarsening::new(2, [3, 3]);
+    let spec = StencilSpec::new(star_shape::<2>(1));
+    let (padded, straddling) = padded_leaves(&spec, [12, 16], coarsening, 6);
+    assert!(
+        padded > 0 && straddling > 0,
+        "{padded} padded, {straddling} across"
+    );
+    let kernel = RowHeat2D { cx: 0.1, cy: 0.12 };
+    assert_routes_agree(star_shape::<2>(1), [12, 16], 6, coarsening, &kernel);
+}
+
+/// One whole-grid leaf whose padded footprint is `(h + 2)·(w + 2)·8` bytes: 62 × 62
+/// fits the budget exactly (64² · 8 = 32 KiB) and runs padded; one row more does not,
+/// and runs on ghost rows.  Both agree with the per-point routes.
+#[test]
+fn leaves_one_row_either_side_of_the_budget_equal_per_point() {
+    let kernel = RowHeat2D { cx: 0.1, cy: 0.1 };
+    let spec = StencilSpec::new(star_shape::<2>(1));
+    for (sizes, padded) in [([62, 62], true), ([63, 62], false)] {
+        let coarsening = Coarsening::new(3, sizes.map(|s| s as i64));
+        let leaf = Zoid::full_grid(sizes.map(|s| s as i64), 0, 3);
+        let bytes = spec.footprint().padded_bytes(leaf.x1, 8);
+        assert_eq!(bytes <= PADDED_BUDGET, padded, "{sizes:?}: {bytes} bytes");
+        assert_eq!(
+            runs_padded::<f64, 2>(&leaf, leaf.x1, spec.footprint()),
+            padded,
+            "{sizes:?}"
+        );
+        let schedule = Schedule::compile(
+            leaf.x1,
+            spec.slopes(),
+            spec.reach(),
+            coarsening,
+            CutStrategy::Hyperspace,
+            false,
+            3,
+        );
+        let leaves: Vec<_> = schedule.leaves().collect();
+        assert_eq!(leaves.len(), 1, "{sizes:?}: one whole-grid leaf");
+        assert_eq!(leaves[0].zoid, leaf);
+        assert_routes_agree(star_shape::<2>(1), sizes, 3, coarsening, &kernel);
+    }
+}

@@ -995,15 +995,18 @@ impl<W: Write> Chunks<'_, W> {
 /// puts: in one write if the frame fits in [`STREAM_CHUNK`] bytes — split, the
 /// second write would sit behind the peer's delayed ACK — else prefix and
 /// header in one write, then the payload in writes of [`STREAM_CHUNK`] bytes.
-/// Returns the bytes written.
+/// `announce` learns the frame's length in bytes before the first of them is
+/// written.  Returns the bytes written.
 fn write_bulk<W: Write>(
     w: &mut W,
     frame: &Frame,
     payload_len: usize,
+    announce: impl FnOnce(u64),
     payload: impl FnOnce(&mut Chunks<'_, W>) -> io::Result<()>,
 ) -> io::Result<u64> {
     let mut head = frame_head(frame, payload_len);
     let bytes = head.len() + payload_len;
+    announce(bytes as u64);
     let mut out = if bytes <= STREAM_CHUNK {
         head.reserve_exact(payload_len);
         Chunks {
@@ -1029,8 +1032,19 @@ fn write_bulk<W: Write>(
 /// `Submit`/`Result` payload in writes of at most [`STREAM_CHUNK`] bytes.
 /// Returns the bytes written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<u64> {
+    write_frame_announced(w, frame, |_| {})
+}
+
+/// [`write_frame`], telling `announce` the frame's length in bytes before the
+/// first of them is written: a reply counted there is counted before its
+/// reader can have it.
+pub(crate) fn write_frame_announced(
+    w: &mut impl Write,
+    frame: &Frame,
+    announce: impl FnOnce(u64),
+) -> io::Result<u64> {
     let payload = frame.payload();
-    write_bulk(w, frame, payload.len(), |out| out.put(payload))
+    write_bulk(w, frame, payload.len(), announce, |out| out.put(payload))
 }
 
 /// Writes a `Submit` or `Result` whose payload is time slices `slices` of
@@ -1047,12 +1061,24 @@ pub fn write_grid_frame<T: WireElem, const D: usize>(
     grid: &PochoirArray<T, D>,
     slices: &[i64],
 ) -> io::Result<u64> {
+    write_grid_frame_announced(w, frame, grid, slices, |_| {})
+}
+
+/// [`write_grid_frame`], telling `announce` the frame's length in bytes before
+/// the first of them is written (see [`write_frame_announced`]).
+pub(crate) fn write_grid_frame_announced<T: WireElem, const D: usize>(
+    w: &mut impl Write,
+    frame: &Frame,
+    grid: &PochoirArray<T, D>,
+    slices: &[i64],
+    announce: impl FnOnce(u64),
+) -> io::Result<u64> {
     assert!(
         matches!(frame, Frame::Submit { .. } | Frame::Result { .. }),
         "only a Submit or a Result carries a grid"
     );
     let len = slices.len() * grid.sizes().iter().product::<usize>() * T::ELEM.size();
-    write_bulk(w, frame, len, |out| {
+    write_bulk(w, frame, len, announce, |out| {
         for &t in slices {
             match grid.slice_bytes(t) {
                 Some(bytes) => out.put(bytes)?,

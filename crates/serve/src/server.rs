@@ -86,9 +86,9 @@ use pochoir_stencils::{heat, life, traffic, wave};
 use pochoir_trace::{Trace, TraceApp, TraceRecord};
 
 use crate::protocol::{
-    read_frame_head, read_grid, skip_payload, submit_slices, wire_error, write_frame,
-    write_grid_frame, Deadline, ElemType, ErrorCode, Frame, FrameHead, ReadError, RequestStatus,
-    WireElem, MAX_FRAME, MAX_SUBMIT_PAYLOAD, PROTOCOL_VERSION, READ_BUFFER,
+    read_frame_head, read_grid, skip_payload, submit_slices, wire_error, write_frame_announced,
+    write_grid_frame_announced, Deadline, ElemType, ErrorCode, Frame, FrameHead, ReadError,
+    RequestStatus, WireElem, MAX_FRAME, MAX_SUBMIT_PAYLOAD, PROTOCOL_VERSION, READ_BUFFER,
 };
 
 /// Record-mode settings: where and how to write the trace of admitted traffic.
@@ -605,22 +605,20 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Writes one reply, folding the byte count into the runtime metrics; `false`
-/// means the peer is gone.
+/// Writes one reply, folding the frame and its bytes into the runtime metrics
+/// before the first byte leaves — a client that has read a reply finds it
+/// counted; `false` means the peer is gone.
 fn send(stream: &mut TcpStream, reply: &Reply) -> bool {
-    let written = match reply {
-        Reply::Frame(frame) => write_frame(stream, frame),
-        Reply::Result { grid, t1 } => grid.write_result(stream, *t1),
+    let count = |bytes| {
+        let rt = Runtime::global();
+        rt.count(Counter::NetFramesOut, 1);
+        rt.count(Counter::NetBytesOut, bytes);
     };
-    match written {
-        Ok(bytes) => {
-            let rt = Runtime::global();
-            rt.count(Counter::NetFramesOut, 1);
-            rt.count(Counter::NetBytesOut, bytes);
-            true
-        }
-        Err(_) => false,
-    }
+    let written = match reply {
+        Reply::Frame(frame) => write_frame_announced(stream, frame, count),
+        Reply::Result { grid, t1 } => grid.write_result(stream, *t1, count),
+    };
+    written.is_ok()
 }
 
 /// The stencil depth of `app`: the time slices a step reads, and so the slices
@@ -762,12 +760,19 @@ impl Grid {
     }
 
     /// Writes the `Result` frame for horizon `t1` — slices `max(t1 - 1, 0)`
-    /// and `t1` — straight from grid storage.
-    fn write_result(&self, w: &mut impl Write, t1: i64) -> io::Result<u64> {
+    /// and `t1` — straight from grid storage, telling `announce` its length
+    /// before its first byte.
+    fn write_result(
+        &self,
+        w: &mut impl Write,
+        t1: i64,
+        announce: impl FnOnce(u64),
+    ) -> io::Result<u64> {
         fn result<T: WireElem, const D: usize>(
             w: &mut impl Write,
             grid: &PochoirArray<T, D>,
             t1: i64,
+            announce: impl FnOnce(u64),
         ) -> io::Result<u64> {
             let frame = Frame::Result {
                 elem: T::ELEM,
@@ -776,13 +781,13 @@ impl Grid {
                 slice_len: grid.sizes().iter().product::<usize>() as u64,
                 payload: Vec::new(),
             };
-            write_grid_frame(w, &frame, grid, &[(t1 - 1).max(0), t1])
+            write_grid_frame_announced(w, &frame, grid, &[(t1 - 1).max(0), t1], announce)
         }
         match self {
-            Grid::F64x2(a) => result(w, a, t1),
-            Grid::U8x2(a) => result(w, a, t1),
-            Grid::F64x3(a) => result(w, a, t1),
-            Grid::F64x1(a) => result(w, a, t1),
+            Grid::F64x2(a) => result(w, a, t1, announce),
+            Grid::U8x2(a) => result(w, a, t1, announce),
+            Grid::F64x3(a) => result(w, a, t1, announce),
+            Grid::F64x1(a) => result(w, a, t1, announce),
         }
     }
 }

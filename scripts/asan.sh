@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # AddressSanitizer over the code whose memory safety rests on `unsafe`: the grid and
-# view row accessors (ghost rows included) and the AVX2 rows.
+# view row accessors (ghost rows and padded copies included) and the AVX2 rows.
 #
-# Runs the core unit tests, the row/point and schedule equivalence suites and the SIMD
-# equivalence suite — which runs every case under both `SimdPolicy::Scalar` and
+# Runs the core unit tests, the row/point and schedule equivalence suites (padded
+# boundary leaves hand out row slices of their copy and `RowWriter`s into the grid) and
+# the SIMD equivalence suite — which runs every case under both `SimdPolicy::Scalar` and
 # `SimdPolicy::Auto`, so the compiled AVX2 copies of the heat and wave row loops and
-# Life's hand-written AVX2 body run on an AVX2 host; then the wire codec's property
-# suite and the live wire suites (end to end, frame and byte counts, resource limits,
-# bulk buffers), since the socket reads straight into and writes straight out of
+# Life's hand-written AVX2 body run on an AVX2 host — plus the benchmark geometries'
+# boundary paths, both of them, through the real row kernels; then the wire codec's
+# property suite and the live wire suites (end to end, frame and byte counts per request
+# and per reply read, resource limits, bulk buffers), since the socket reads straight
+# into and writes straight out of
 # `AlignedVec` storage through the grid's `unsafe` byte view (`slice_bytes_mut`,
 # `as_bytes_mut`), the server refills a connection's last result array, and the
 # client keeps each result until it is fetched.  The shard suites ride along: their giant
@@ -28,7 +31,7 @@ echo "== AddressSanitizer, row accessors and row kernels"
 cargo +nightly test --offline --target "$target" -p pochoir-core \
     --lib --test row_point_equivalence --test schedule_equivalence
 cargo +nightly test --offline --target "$target" -p pochoir-stencils \
-    --test simd_equivalence
+    --test simd_equivalence --test boundary_paths
 
 echo "== AddressSanitizer, giants whole and as tiles: span arithmetic, row bands, reused tile arrays"
 cargo +nightly test --offline --target "$target" -p pochoir-core \
@@ -36,4 +39,5 @@ cargo +nightly test --offline --target "$target" -p pochoir-core \
 
 echo "== AddressSanitizer, the wire codec over grid storage bytes"
 cargo +nightly test --offline --target "$target" -p pochoir-serve \
-    --test protocol_properties --test e2e --test wire_cost --test limits --test wire_buffers
+    --test protocol_properties --test e2e --test wire_cost --test limits --test wire_buffers \
+    --test reply_count
