@@ -168,7 +168,7 @@ fn run_interior_slabs<T, K, P, const D: usize>(
         // The outermost axis is the unit-stride axis: slabs of it would be one-point
         // rows.  Cut the single row into one contiguous chunk per worker instead.
         let tasks = par.num_workers().clamp(1, rows);
-        par.parallel_for(tasks, 1, |k| {
+        par.parallel_for(tasks, |k| {
             let mut lo = interior.lo;
             let mut hi = interior.hi;
             lo[0] = interior.lo[0] + (rows * k / tasks) as i64;
@@ -177,7 +177,7 @@ fn run_interior_slabs<T, K, P, const D: usize>(
         });
         return;
     }
-    par.parallel_for(rows, 1, |r| {
+    par.parallel_for(rows, |r| {
         let mut lo = interior.lo;
         let mut hi = interior.hi;
         lo[0] = interior.lo[0] + r as i64;
@@ -207,7 +207,7 @@ fn run_interior_blocked<T, K, P, const D: usize>(
         *count = extent.div_ceil(b);
         total *= *count;
     }
-    par.parallel_for(total, 1, |linear| {
+    par.parallel_for(total, |linear| {
         let mut rem = linear;
         let mut lo = interior.lo;
         let mut hi = interior.hi;

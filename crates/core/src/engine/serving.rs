@@ -1188,7 +1188,7 @@ where
                     }
                 }
             };
-            par.parallel_for(par.num_workers().min(slots.len()), 1, |_| worker());
+            par.parallel_for(par.num_workers().min(slots.len()), |_| worker());
         }
         let state = into_inner_transient(sched);
         par.count(Counter::ServingWindows, state.ticks);

@@ -12,7 +12,7 @@
 //! two-phase pipeline:
 //!
 //! 1. **Compute** — every tile advances one W-step window through its compiled
-//!    schedule, one task per tile (`parallel_for(K, 1, …)`).
+//!    schedule, one task per tile (`parallel_for(K, …)`).
 //! 2. **Exchange** — seam strips are copied between neighbours so each tile's halo
 //!    rows again hold the owning tile's freshly computed interior values.
 //!
@@ -525,7 +525,7 @@ impl<const D: usize> ShardPlan<D> {
         P: Parallelism,
     {
         let slots = array.time_slices() as i64;
-        par.parallel_for(self.tiles.len(), 1, |i| {
+        par.parallel_for(self.tiles.len(), |i| {
             let tile = &self.tiles[i];
             let tile_array = &mut *lock_tile(&tiles[i]);
             tile_array.register_boundary(rebase_boundary(array.boundary(), tile.origin()));
@@ -553,7 +553,7 @@ impl<const D: usize> ShardPlan<D> {
             .into_iter()
             .map(Mutex::new)
             .collect();
-        par.parallel_for(self.tiles.len(), 1, |i| {
+        par.parallel_for(self.tiles.len(), |i| {
             let tile = &self.tiles[i];
             let tile_array = lock_tile(&tiles[i]);
             for (slot, band) in lock_tile(&bands[i]).iter_mut().enumerate() {
@@ -693,7 +693,7 @@ where
         P: Parallelism,
     {
         let (plan, programs, tiles) = (&*self.plan, &self.programs, &self.tiles);
-        par.parallel_for(tiles.len(), 1, |i| {
+        par.parallel_for(tiles.len(), |i| {
             let tile_array = &mut *lock_tile(&tiles[i]);
             programs[&plan.tiles[i].extent()]
                 .0

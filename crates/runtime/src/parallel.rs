@@ -21,9 +21,9 @@ pub trait Parallelism: Sync {
         RA: Send,
         RB: Send;
 
-    /// Applies `body` to every index in `0..len`, possibly in parallel, handing at most
-    /// `grain` consecutive indices to one task.
-    fn parallel_for<F>(&self, len: usize, grain: usize, body: F)
+    /// Applies `body` to every index in `0..len`, possibly in parallel, one task per
+    /// index.
+    fn parallel_for<F>(&self, len: usize, body: F)
     where
         F: Fn(usize) + Sync;
 
@@ -33,7 +33,7 @@ pub trait Parallelism: Sync {
         T: Sync,
         F: Fn(&T) + Sync,
     {
-        self.parallel_for(items.len(), 1, |i| body(&items[i]));
+        self.parallel_for(items.len(), |i| body(&items[i]));
     }
 
     /// The counters this provider reports into, if it keeps any.  The default is
@@ -76,7 +76,7 @@ impl Parallelism for Serial {
         (oper_a(), oper_b())
     }
 
-    fn parallel_for<F>(&self, len: usize, _grain: usize, body: F)
+    fn parallel_for<F>(&self, len: usize, body: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -101,11 +101,11 @@ impl Parallelism for Runtime {
         Runtime::join(self, oper_a, oper_b)
     }
 
-    fn parallel_for<F>(&self, len: usize, grain: usize, body: F)
+    fn parallel_for<F>(&self, len: usize, body: F)
     where
         F: Fn(usize) + Sync,
     {
-        Runtime::parallel_for(self, len, grain, body)
+        Runtime::parallel_for(self, len, body)
     }
 
     fn counters(&self) -> Option<&Metrics> {
@@ -128,11 +128,11 @@ impl<P: Parallelism> Parallelism for &P {
         (**self).join(oper_a, oper_b)
     }
 
-    fn parallel_for<F>(&self, len: usize, grain: usize, body: F)
+    fn parallel_for<F>(&self, len: usize, body: F)
     where
         F: Fn(usize) + Sync,
     {
-        (**self).parallel_for(len, grain, body)
+        (**self).parallel_for(len, body)
     }
 
     fn counters(&self) -> Option<&Metrics> {
@@ -151,7 +151,7 @@ mod tests {
 
     fn sum_with<P: Parallelism>(p: &P, n: usize) -> usize {
         let total = AtomicUsize::new(0);
-        p.parallel_for(n, 7, |i| {
+        p.parallel_for(n, |i| {
             total.fetch_add(i, Ordering::Relaxed);
         });
         total.load(Ordering::Relaxed)

@@ -130,16 +130,12 @@ impl Runtime {
     }
 
     /// Applies `body` to every index in `0..len`, in parallel, recursively splitting the
-    /// range until pieces are at most `grain` long.
-    pub fn parallel_for<F>(&self, len: usize, grain: usize, body: F)
+    /// range down to single indices: one task per index.
+    pub fn parallel_for<F>(&self, len: usize, body: F)
     where
         F: Fn(usize) + Sync,
     {
-        let grain = grain.max(1);
-        if len == 0 {
-            return;
-        }
-        if len <= grain || self.num_threads() == 1 {
+        if len <= 1 || self.num_threads() == 1 {
             for i in 0..len {
                 body(i);
             }
@@ -147,7 +143,7 @@ impl Runtime {
         }
         self.install(|| {
             let worker = unsafe { &*WorkerThread::current() };
-            parallel_for_range(self, worker, 0, len, grain, &body);
+            parallel_for_range(self, worker, 0, len, &body);
         });
     }
 
@@ -157,7 +153,7 @@ impl Runtime {
         T: Sync,
         F: Fn(&T) + Sync,
     {
-        self.parallel_for(items.len(), 1, |i| body(&items[i]));
+        self.parallel_for(items.len(), |i| body(&items[i]));
     }
 }
 
@@ -222,33 +218,24 @@ where
     }
 }
 
-fn parallel_for_range<F>(
-    rt: &Runtime,
-    worker: &WorkerThread,
-    start: usize,
-    end: usize,
-    grain: usize,
-    body: &F,
-) where
+fn parallel_for_range<F>(rt: &Runtime, worker: &WorkerThread, start: usize, end: usize, body: &F)
+where
     F: Fn(usize) + Sync,
 {
-    let len = end - start;
-    if len <= grain {
-        for i in start..end {
-            body(i);
-        }
+    if end - start == 1 {
+        body(start);
         return;
     }
-    let mid = start + len / 2;
+    let mid = start + (end - start) / 2;
     let _ = worker; // recursion re-derives the worker after potential migration
     rt.join(
         || {
             let w = unsafe { &*WorkerThread::current() };
-            parallel_for_range(rt, w, start, mid, grain, body)
+            parallel_for_range(rt, w, start, mid, body)
         },
         || {
             let w = unsafe { &*WorkerThread::current() };
-            parallel_for_range(rt, w, mid, end, grain, body)
+            parallel_for_range(rt, w, mid, end, body)
         },
     );
 }
@@ -265,11 +252,11 @@ where
 }
 
 /// Convenience wrapper: `parallel_for` on the global runtime.
-pub fn parallel_for<F>(len: usize, grain: usize, body: F)
+pub fn parallel_for<F>(len: usize, body: F)
 where
     F: Fn(usize) + Sync,
 {
-    Runtime::global().parallel_for(len, grain, body)
+    Runtime::global().parallel_for(len, body)
 }
 
 #[cfg(test)]
@@ -328,7 +315,7 @@ mod tests {
         let rt = Runtime::new(4);
         let n = 1000;
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        rt.parallel_for(n, 8, |i| {
+        rt.parallel_for(n, |i| {
             counters[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
@@ -337,7 +324,7 @@ mod tests {
     #[test]
     fn parallel_for_empty_range() {
         let rt = Runtime::new(2);
-        rt.parallel_for(0, 4, |_| panic!("must not be called"));
+        rt.parallel_for(0, |_| panic!("must not be called"));
     }
 
     #[test]
@@ -364,7 +351,7 @@ mod tests {
         let (a, b) = rt.join(|| 1, || 2);
         assert_eq!(a + b, 3);
         let sum = AtomicUsize::new(0);
-        rt.parallel_for(100, 10, |i| {
+        rt.parallel_for(100, |i| {
             sum.fetch_add(i, Ordering::SeqCst);
         });
         assert_eq!(sum.load(Ordering::SeqCst), 4950);
@@ -379,7 +366,7 @@ mod tests {
     fn metrics_observe_activity() {
         let rt = Runtime::new(2);
         let before = rt.metrics();
-        rt.parallel_for(256, 1, |_| {});
+        rt.parallel_for(256, |_| {});
         let after = rt.metrics();
         assert!(after.executed >= before.executed);
         assert!(after.spawned > before.spawned);
@@ -389,7 +376,7 @@ mod tests {
     fn drop_terminates_cleanly() {
         for _ in 0..4 {
             let rt = Runtime::new(2);
-            rt.parallel_for(64, 4, |_| {});
+            rt.parallel_for(64, |_| {});
             drop(rt);
         }
     }

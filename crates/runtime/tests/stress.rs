@@ -23,7 +23,7 @@ fn parallel_for_with_uneven_work() {
     let rt = Runtime::new(4);
     let n = 500usize;
     let total = AtomicU64::new(0);
-    rt.parallel_for(n, 3, |i| {
+    rt.parallel_for(n, |i| {
         // Simulate uneven work per iteration.
         let mut acc = 0u64;
         for k in 0..(i % 37) {
@@ -48,7 +48,7 @@ fn many_small_parallel_fors() {
     let rt = Runtime::new(2);
     for round in 0..200 {
         let count = AtomicUsize::new(0);
-        rt.parallel_for(round % 17, 1, |_| {
+        rt.parallel_for(round % 17, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), round % 17);
@@ -63,7 +63,7 @@ fn concurrent_external_installs() {
         let rt = Arc::clone(&rt);
         handles.push(std::thread::spawn(move || {
             let sum = AtomicU64::new(0);
-            rt.parallel_for(256, 8, |i| {
+            rt.parallel_for(256, |i| {
                 sum.fetch_add((i + t) as u64, Ordering::Relaxed);
             });
             sum.load(Ordering::Relaxed)
@@ -80,7 +80,7 @@ fn concurrent_external_installs() {
 fn serial_matches_parallel_reduction() {
     fn reduce<P: Parallelism>(p: &P, data: &[u64]) -> u64 {
         let acc = AtomicU64::new(0);
-        p.parallel_for(data.len(), 16, |i| {
+        p.parallel_for(data.len(), |i| {
             acc.fetch_add(data[i], Ordering::Relaxed);
         });
         acc.load(Ordering::Relaxed)
@@ -94,7 +94,7 @@ fn serial_matches_parallel_reduction() {
 fn panic_in_parallel_for_body_propagates() {
     let rt = Runtime::new(2);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        rt.parallel_for(64, 1, |i| {
+        rt.parallel_for(64, |i| {
             if i == 33 {
                 panic!("iteration 33 exploded");
             }
@@ -103,7 +103,7 @@ fn panic_in_parallel_for_body_propagates() {
     assert!(result.is_err());
     // Pool must still be usable afterwards.
     let c = AtomicUsize::new(0);
-    rt.parallel_for(10, 1, |_| {
+    rt.parallel_for(10, |_| {
         c.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(c.load(Ordering::Relaxed), 10);
@@ -128,7 +128,7 @@ fn steals_happen_under_contention() {
     }
     let before = rt.metrics();
     let spin = AtomicU64::new(0);
-    rt.parallel_for(4096, 1, |_| {
+    rt.parallel_for(4096, |_| {
         // a little work so thieves have time to engage
         spin.fetch_add(1, Ordering::Relaxed);
     });

@@ -2,11 +2,14 @@
 //!
 //! ```text
 //! pochoir_serve [--addr HOST:PORT] [--record PATH [--record-name NAME]
-//!               [--record-seed N] [--epoch N]] [--max-queued-windows N]
-//!               [--max-session-leaves N]
+//!               [--record-seed N] [--epoch N]] [--max-session-leaves N]
 //!               [--max-sessions N] [--max-steps N]
-//!               [--assumed-window-micros X]
 //! ```
+//!
+//! `--max-session-leaves` sheds a `Submit` to a session whose pinned schedule
+//! has more leaves; `--max-sessions` caps the session table and `--max-steps`
+//! the step span of one `Submit` (see `docs/protocol.md`, "Quota semantics"
+//! and "Resource ceilings").
 //!
 //! Prints `listening on <addr>` once the socket is bound (with the ephemeral
 //! port resolved when `--addr` ends in `:0`), which is what the CI smoke step
@@ -16,16 +19,13 @@
 
 use std::path::PathBuf;
 
-use pochoir_core::engine::AdmissionPolicy;
 use pochoir_serve::server::{announce, RecordConfig, ServeConfig, Server};
 
 fn usage() -> ! {
     eprintln!(
         "usage: pochoir_serve [--addr HOST:PORT] [--record PATH] [--record-name NAME]\n\
-         \x20                    [--record-seed N] [--epoch N] [--max-queued-windows N]\n\
-         \x20                    [--max-session-leaves N]\n\
-         \x20                    [--max-sessions N] [--max-steps N]\n\
-         \x20                    [--assumed-window-micros X]"
+         \x20                    [--record-seed N] [--epoch N] [--max-session-leaves N]\n\
+         \x20                    [--max-sessions N] [--max-steps N]"
     );
     std::process::exit(2);
 }
@@ -33,7 +33,6 @@ fn usage() -> ! {
 fn main() {
     let mut config = ServeConfig::default();
     let mut record: Option<RecordConfig> = None;
-    let mut admission: Option<AdmissionPolicy> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -64,18 +63,8 @@ fn main() {
                 record.get_or_insert_with(RecordConfig::default).epoch =
                     parse(&value("--epoch"), "--epoch");
             }
-            "--max-queued-windows" => {
-                admission
-                    .get_or_insert_with(AdmissionPolicy::default)
-                    .max_queued_windows = Some(parse(
-                    &value("--max-queued-windows"),
-                    "--max-queued-windows",
-                ));
-            }
             "--max-session-leaves" => {
-                admission
-                    .get_or_insert_with(AdmissionPolicy::default)
-                    .max_session_leaves = Some(parse(
+                config.max_session_leaves = Some(parse(
                     &value("--max-session-leaves"),
                     "--max-session-leaves",
                 ));
@@ -86,12 +75,6 @@ fn main() {
             "--max-steps" => {
                 config.max_steps_per_submit = parse(&value("--max-steps"), "--max-steps");
             }
-            "--assumed-window-micros" => {
-                config.assumed_window_micros = match value("--assumed-window-micros").parse() {
-                    Ok(x) => x,
-                    Err(_) => usage(),
-                };
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -100,7 +83,6 @@ fn main() {
         }
     }
     config.record = record;
-    config.admission = admission;
 
     let server = match Server::start(config) {
         Ok(server) => server,

@@ -48,7 +48,7 @@ use pochoir_core::grid::{as_bytes, as_bytes_mut, ByteElem, PochoirArray};
 use pochoir_trace::TraceApp;
 
 /// Protocol version spoken by this crate; negotiated by `Hello`/`HelloAck`.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Largest legal frame body in bytes (64 MiB) — enough for every grid the
 /// serve presets compile (the giant 1D corpus grid is ~9.6 MiB of slices),
@@ -145,16 +145,14 @@ pub fn submit_slices(t0: i64, depth: usize) -> Vec<i64> {
         .collect()
 }
 
-/// A submission's deadline, as requested on the wire.
+/// A submission's deadline, as requested on the wire: none (kind 0) or a
+/// logical drain tick (kind 1); any other kind fails to decode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Deadline {
     /// No deadline: scheduled behind all deadline work, weighted-stride order.
     None,
     /// Logical deadline in drain ticks (the serving layer's native unit).
     Logical(u64),
-    /// Wall-clock budget in microseconds; the server converts it to drain ticks
-    /// using its calibrated per-window cost (see `docs/protocol.md`).
-    WallMicros(u64),
 }
 
 impl Deadline {
@@ -162,7 +160,6 @@ impl Deadline {
         let (kind, value) = match self {
             Deadline::None => (0u8, 0u64),
             Deadline::Logical(t) => (1, t),
-            Deadline::WallMicros(us) => (2, us),
         };
         out.push(kind);
         out.extend_from_slice(&value.to_le_bytes());
@@ -177,7 +174,6 @@ impl Deadline {
                 "deadline kind 0 carries value {value}"
             ))),
             1 => Ok(Deadline::Logical(value)),
-            2 => Ok(Deadline::WallMicros(value)),
             other => Err(FrameError::BadPayload(format!(
                 "unknown deadline kind {other}"
             ))),
@@ -1107,7 +1103,7 @@ mod tests {
             t0: 3,
             t1: 4,
             weight: 5,
-            deadline: Deadline::WallMicros(6),
+            deadline: Deadline::Logical(6),
             elem: ElemType::U8,
             grid: Vec::new(),
         };

@@ -47,14 +47,14 @@
 //! asserted by the end-to-end test.  Because negotiation compiles and the
 //! service is unauthenticated, the session table is bounded
 //! ([`ServeConfig::max_sessions`], answered with a typed `Shed` error when
-//! full), geometries whose submit frame could never fit in [`MAX_FRAME`] are
-//! refused at negotiation, and each submission's step span is capped
-//! ([`ServeConfig::max_steps_per_submit`]) so one cheap frame cannot buy an
-//! unbounded drain.  Wall-clock deadlines are converted to the scheduler's
-//! logical ticks using a per-session cost model calibrated from
-//! [`SessionStats`](pochoir_core::engine::SessionStats) window counts and
-//! measured drain times.  A drain holds one ticket, so a `Submit`'s weight
-//! orders nothing here and its deadline only counts a miss.
+//! full), geometries whose `Submit` or `Result` could never fit in
+//! [`MAX_FRAME`] are refused at negotiation, and each submission's step span is
+//! capped ([`ServeConfig::max_steps_per_submit`]) so one cheap frame cannot buy
+//! an unbounded drain.  The one admission quota a one-ticket drain can enforce,
+//! [`ServeConfig::max_session_leaves`], sheds a `Submit` with a typed `Shed`
+//! error.  A deadline is a logical drain tick, passed to the scheduler as is;
+//! a drain holds one ticket, so a `Submit`'s weight orders nothing here and its
+//! deadline only counts a miss.
 //!
 //! With [`ServeConfig::record`] set, every admitted epoch-zero submission
 //! appends a [`TraceRecord`]; the trace is written in the canonical emission
@@ -73,11 +73,10 @@ use std::time::{Duration, Instant};
 
 use pochoir_core::boundary::Boundary;
 use pochoir_core::engine::{
-    AdmissionPolicy, Coarsening, ExecutionPlan, ServeError, StencilServer, SubmitOptions,
-    TicketOutcome,
+    AdmissionPolicy, ServeError, StencilServer, SubmitOptions, TicketOutcome,
 };
 use pochoir_core::grid::PochoirArray;
-use pochoir_core::kernel::{StencilKernel, StencilSpec};
+use pochoir_core::kernel::StencilKernel;
 use pochoir_runtime::{Counter, Parallelism, Runtime};
 use pochoir_stencils::heat::HeatKernel;
 use pochoir_stencils::life::LifeKernel;
@@ -122,14 +121,13 @@ impl Default for RecordConfig {
 pub struct ServeConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port.
     pub addr: String,
-    /// Per-tenant quotas and watermarks installed on every session's server;
-    /// `None` admits everything.
-    pub admission: Option<AdmissionPolicy>,
+    /// Most schedule leaves a session may have pinned and still admit a
+    /// `Submit` ([`AdmissionPolicy::max_session_leaves`], installed on every
+    /// session); a `Submit` to a larger one is refused with a typed `Shed`
+    /// error.  `None` admits everything.
+    pub max_session_leaves: Option<usize>,
     /// Record admitted traffic as a replayable trace.
     pub record: Option<RecordConfig>,
-    /// Per-window cost assumed for wall-clock deadline conversion until the
-    /// first drain calibrates the session (microseconds per window).
-    pub assumed_window_micros: f64,
     /// Ceiling on live sessions.  Every negotiated session holds a compiled
     /// program for the life of the server, so an unauthenticated peer could
     /// otherwise grow the table (and the compile registry) without bound; a
@@ -147,9 +145,8 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            admission: None,
+            max_session_leaves: None,
             record: None,
-            assumed_window_micros: 50.0,
             max_sessions: 64,
             max_steps_per_submit: 1 << 20,
         }
@@ -265,13 +262,9 @@ impl AnyServer {
             TraceApp::Wave3d => {
                 AnyServer::Wave3d(wave::try_serve(traffic::usizes::<3>(geometry), chunk)?)
             }
-            TraceApp::HeatGiant1d => AnyServer::HeatGiant1d(StencilServer::try_new(
-                StencilSpec::new(heat::shape::<1>()),
-                HeatKernel::<1>::default(),
-                ExecutionPlan::trap().with_coarsening(Coarsening::none()),
-                traffic::usizes::<1>(geometry),
-                chunk,
-            )?),
+            TraceApp::HeatGiant1d => {
+                AnyServer::HeatGiant1d(heat::try_serve_giant_1d(geometry[0] as usize, chunk)?)
+            }
         };
         Ok(match (server, admission) {
             (server, None) => server,
@@ -286,22 +279,12 @@ impl AnyServer {
 }
 
 /// The immutable identity of a negotiated session, readable without any lock,
-/// plus its mutable serving state behind the session's own mutex.
+/// plus its server behind the session's own mutex.
 struct SessionSlot {
     app: TraceApp,
     geometry: Vec<u64>,
     chunk: i64,
-    inner: Mutex<SessionInner>,
-}
-
-struct SessionInner {
-    server: AnyServer,
-    /// Calibrated cost of one dispatch window in microseconds (EWMA over
-    /// measured drains, seeded by `ServeConfig::assumed_window_micros`).
-    cost_ewma_micros: f64,
-    /// `SessionStats::runs` at the last calibration, so each drain's window
-    /// delta comes from the session's own counters.
-    calibrated_runs: u64,
+    server: Mutex<AnyServer>,
 }
 
 #[derive(Default)]
@@ -644,16 +627,16 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
             detail: format!("geometry extents must be in 1..=2^32, got {geometry:?}"),
         };
     }
-    // A geometry whose arrays (every time slice) cannot fit in a MAX_FRAME
-    // payload is refused before anything is compiled for it.
+    // A geometry whose `Submit` (`depth` slices) or `Result` (2 slices) cannot
+    // fit in a frame is refused before anything is compiled for it.
     let payload_bytes = geometry.iter().map(|&g| g as u128).product::<u128>()
-        * (depth(app) + 1) as u128
+        * depth(app).max(2) as u128
         * ElemType::for_app(app).size() as u128;
     if payload_bytes > MAX_SUBMIT_PAYLOAD as u128 {
         return Frame::Error {
             code: ErrorCode::BadPayload,
             detail: format!(
-                "geometry {geometry:?} needs {payload_bytes}-byte submit payloads, \
+                "geometry {geometry:?} needs {payload_bytes}-byte Submit or Result payloads, \
                  over the {MAX_SUBMIT_PAYLOAD}-byte ceiling of a {MAX_FRAME}-byte frame"
             ),
         };
@@ -676,7 +659,11 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
             ),
         };
     }
-    let server = match AnyServer::build(app, &geometry, chunk, shared.config.admission) {
+    let admission = shared.config.max_session_leaves.map(|max| AdmissionPolicy {
+        max_session_leaves: Some(max),
+        ..AdmissionPolicy::default()
+    });
+    let server = match AnyServer::build(app, &geometry, chunk, admission) {
         Ok(server) => server,
         Err(e) => {
             let (code, detail) = wire_error(&e);
@@ -688,11 +675,7 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
         app,
         geometry,
         chunk,
-        inner: Mutex::new(SessionInner {
-            server,
-            cost_ewma_micros: shared.config.assumed_window_micros,
-            calibrated_runs: 0,
-        }),
+        server: Mutex::new(server),
     }));
     state.session_ids.insert(key, id);
     Frame::SessionAck {
@@ -825,21 +808,17 @@ fn handle_submit(
     let mut grid = Grid::for_submit(slot.app, &slot.geometry, spare.take());
     grid.read_payload(r, t0)?;
 
-    let windows_needed = windows_of(t0, t1, slot.chunk);
-    let (logical_deadline, finished) = {
-        let mut inner = lock(&slot.inner);
-        let logical_deadline = match deadline {
-            Deadline::None => None,
-            Deadline::Logical(ticks) => Some(ticks),
-            Deadline::WallMicros(us) => {
-                Some(wall_to_ticks(us, inner.cost_ewma_micros, windows_needed))
-            }
-        };
+    let logical_deadline = match deadline {
+        Deadline::None => None,
+        Deadline::Logical(ticks) => Some(ticks),
+    };
+    let finished = {
+        let mut server = lock(&slot.server);
         let opts = SubmitOptions {
             weight,
             deadline: logical_deadline,
         };
-        let submitted = match (&mut inner.server, grid) {
+        let submitted = match (&mut *server, grid) {
             (AnyServer::Heat2d(s), Grid::F64x2(a)) => s.try_submit_with(a, t0, t1, opts),
             (AnyServer::Life(s), Grid::U8x2(a)) => s.try_submit_with(a, t0, t1, opts),
             (AnyServer::Wave3d(s), Grid::F64x3(a)) => s.try_submit_with(a, t0, t1, opts),
@@ -858,7 +837,7 @@ fn handle_submit(
             let (code, detail) = wire_error(&e);
             return Ok(Frame::Error { code, detail }.into());
         }
-        (logical_deadline, drain_session(&mut inner, t1))
+        drain_session(&mut server, t1)
     };
 
     if shared.config.record.is_some() {
@@ -954,20 +933,6 @@ fn check_submit(
     Ok(slot)
 }
 
-fn windows_of(t0: i64, t1: i64, chunk: i64) -> u64 {
-    let span = (t1 - t0).max(0) as u64;
-    span.div_ceil(chunk.max(1) as u64).max(1)
-}
-
-/// Converts a wall-clock budget to drain ticks via the calibrated per-window
-/// cost; never below the ticks the submission itself needs (a budget that
-/// cannot even cover its own work is clamped: the request still runs, and a
-/// late finish counts as a deadline miss).
-fn wall_to_ticks(wall_micros: u64, cost_micros: f64, windows_needed: u64) -> u64 {
-    let ticks = (wall_micros as f64 / cost_micros.max(1e-3)).floor() as u64;
-    ticks.max(windows_needed)
-}
-
 /// Writes the recorded trace in canonical form; returns total records recorded.
 fn write_record(shared: &Shared, state: &mut State) -> u64 {
     let Some(record) = &shared.config.record else {
@@ -1007,26 +972,14 @@ where
 
 /// Drains the session's one queued ticket — the submitting worker's own —
 /// under the session lock the caller holds, and returns the reply to its
-/// `Submit`: the result, or the typed failure.  Also recalibrates the session's
-/// per-window cost from the measured drain time over the
-/// [`SessionStats`](pochoir_core::engine::SessionStats) `runs` delta.
-fn drain_session(inner: &mut SessionInner, t1: i64) -> Reply {
-    let started = Instant::now();
-    let (grid, outcome) = match &mut inner.server {
+/// `Submit`: the result, or the typed failure.
+fn drain_session(server: &mut AnyServer, t1: i64) -> Reply {
+    let (grid, outcome) = match server {
         AnyServer::Heat2d(s) => drain_ticket(s, Grid::F64x2),
         AnyServer::Life(s) => drain_ticket(s, Grid::U8x2),
         AnyServer::Wave3d(s) => drain_ticket(s, Grid::F64x3),
         AnyServer::HeatGiant1d(s) => drain_ticket(s, Grid::F64x1),
     };
-    let elapsed_micros = started.elapsed().as_secs_f64() * 1e6;
-    let runs = with_server!(&inner.server, s => s.stats().runs);
-    let windows = runs.saturating_sub(inner.calibrated_runs);
-    inner.calibrated_runs = runs;
-    if windows > 0 {
-        let measured = elapsed_micros / windows as f64;
-        inner.cost_ewma_micros = 0.7 * inner.cost_ewma_micros + 0.3 * measured;
-    }
-
     let (code, detail) = match (outcome, grid) {
         (Some(TicketOutcome::Panicked { message }), _) => (
             ErrorCode::TenantPanicked,

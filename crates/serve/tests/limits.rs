@@ -6,9 +6,10 @@
 //! * the session table is bounded: a `Negotiate` for a new geometry past
 //!   `max_sessions` is refused with a typed `Shed` error while existing
 //!   geometries keep re-joining;
-//! * geometries whose submit payload can never fit in a frame are refused at
-//!   negotiation, and oversized step spans are refused at submit — in both
-//!   cases with a typed error that leaves the connection usable;
+//! * geometries whose `Submit` (`depth` slices) or `Result` (2 slices) can
+//!   never fit in a frame are refused at negotiation, and oversized step spans
+//!   are refused at submit — in both cases with a typed error that leaves the
+//!   connection usable; a geometry whose two frames both fit negotiates;
 //! * a `Negotiate` extent of 0 or above 2^32 is refused with `BadPayload`
 //!   before any session is created;
 //! * a span whose window arithmetic overflows `i64` is refused with a typed
@@ -19,13 +20,13 @@
 //! * the array a connection's last result left, which its next `Submit` of the
 //!   same shape refills, never carries one request's cells into another's;
 //! * a session's queue holds at most the submitting connection's own ticket,
-//!   so each connection is its own backpressure: `max_pending: Some(1)` admits
-//!   back-to-back submits, and `max_queued_windows` still sheds one submission
-//!   that is too large on its own.
+//!   so each connection is its own backpressure: back-to-back submits each
+//!   fetch their own result;
+//! * the one admission quota, `max_session_leaves`, sheds a `Submit` with a
+//!   typed `Shed` error and drains its payload, so the connection stays framed.
 
 use std::time::Duration;
 
-use pochoir_core::engine::AdmissionPolicy;
 use pochoir_core::grid::PochoirArray;
 use pochoir_runtime::Serial;
 use pochoir_serve::protocol::Deadline;
@@ -136,9 +137,9 @@ fn oversized_spans_and_geometries_are_refused_typed() {
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).expect("connect");
 
-    // A geometry whose submit payload exceeds MAX_FRAME can never be used:
-    // refused at negotiation, before anything is compiled for it.
-    // 2048² heat is a 64 MiB payload: with the Submit header in front, one
+    // A geometry whose Submit or Result payload exceeds MAX_FRAME can never
+    // be used: refused at negotiation, before anything is compiled for it.
+    // 2048² heat's Result is a 64 MiB payload: with its header in front, one
     // frame past the ceiling.
     for geometry in [[1 << 16, 1 << 16], [2048, 2048]] {
         expect_code(
@@ -368,23 +369,13 @@ fn refilled_result_arrays_never_leak_between_requests() {
     server.shutdown();
 }
 
-/// Every `Submit` is drained before it is answered, so the session queue an
-/// admission check sees holds no other request: with `max_pending: Some(1)`,
-/// 8 back-to-back submits on one connection are all admitted and each fetches
-/// its own bitwise result, while `max_queued_windows` still sheds a single
-/// submission whose windows exceed it, leaving the connection usable.
+/// Every `Submit` is drained before it is answered, so the session queue holds
+/// no other request when the next one arrives: 8 back-to-back submits on one
+/// connection are all run, and each fetches its own bitwise result.
 #[test]
 fn each_connection_is_its_own_backpressure() {
     const GEOMETRY: [u64; 2] = [16, 16];
-    let server = Server::start(ServeConfig {
-        admission: Some(AdmissionPolicy {
-            max_pending: Some(1),
-            max_queued_windows: Some(4),
-            ..AdmissionPolicy::default()
-        }),
-        ..ServeConfig::default()
-    })
-    .expect("bind");
+    let server = Server::start(ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let session = client
         .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
@@ -396,7 +387,7 @@ fn each_connection_is_its_own_backpressure() {
         .map(|&tenant| {
             client
                 .submit_tenant(&session, tenant, T1, 1, Deadline::None)
-                .expect("admitted: the queue never holds an earlier submit")
+                .expect("submit")
         })
         .collect();
     for (&tenant, request) in tenants.iter().zip(requests) {
@@ -406,21 +397,55 @@ fn each_connection_is_its_own_backpressure() {
             .digest();
         assert_eq!(live, local_heat_digest(&GEOMETRY, WINDOW, tenant, T1));
     }
+    client.close().expect("close");
+    server.shutdown();
+}
 
-    // 5 windows of 4 steps: over the 4-window quota with nothing else queued.
+/// `max_session_leaves: Some(0)` admits no `Submit` to a session that pins a
+/// schedule: each is refused with a typed `Shed` after its 512 KiB payload is
+/// drained, so a second `Submit` on the same connection reads as a frame and
+/// gets the same refusal.
+#[test]
+fn the_session_leaf_quota_sheds_typed_and_keeps_the_connection_framed() {
+    const GEOMETRY: [u64; 2] = [256, 256];
+    let server = Server::start(ServeConfig {
+        max_session_leaves: Some(0),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let session = client
+        .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
+        .expect("the quota is checked at Submit, not at Negotiate");
+    for tenant in 0..2 {
+        match client.submit_tenant(&session, tenant, T1, 1, Deadline::None) {
+            Err(ClientError::Server { code, detail }) => {
+                assert_eq!(code, ErrorCode::Shed, "submit {tenant}");
+                assert!(detail.contains("pinned-leaf"), "submit {tenant}: {detail}");
+            }
+            other => panic!("submit {tenant}: expected a typed Shed, got {other:?}"),
+        }
+    }
+    client.close().expect("close");
+    server.shutdown();
+}
+
+/// The negotiation bound is the larger of a `Submit` (`depth` slices) and a
+/// `Result` (2 slices).  Wave 160³'s two slices are 65 536 000 bytes, under
+/// the ceiling, so it negotiates (its three-slice array was refused before
+/// version 5); 160 × 160 × 164 is over it.
+#[test]
+fn negotiation_bounds_the_larger_of_submit_and_result() {
+    let server = Server::start(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .negotiate(TraceApp::Wave3d, &[160, 160, 160], WINDOW)
+        .expect("both frames of wave 160³ fit");
     expect_code(
-        client.submit_tenant(&session, 0, 5 * WINDOW, 1, Deadline::None),
-        ErrorCode::Shed,
-        "a submission over the window quota on its own",
+        client.negotiate(TraceApp::Wave3d, &[160, 160, 164], WINDOW),
+        ErrorCode::BadPayload,
+        "a wave geometry whose two slices exceed a frame",
     );
-    let request = client
-        .submit_tenant(&session, 1, T1, 1, Deadline::None)
-        .expect("the connection survives the shed");
-    let live = client
-        .wait_fetch(request, Duration::from_secs(120))
-        .expect("wait+fetch")
-        .digest();
-    assert_eq!(live, local_heat_digest(&GEOMETRY, WINDOW, 1, T1));
     client.close().expect("close");
     server.shutdown();
 }

@@ -5,7 +5,8 @@
 //! `read_frame_head` + `read_grid`) and the writers (`write_frame`,
 //! `write_grid_frame`) are pinned against the plain `decode`/`encode` pair and
 //! against a per-cell encoding of `snapshot` on the same frames and grids; a
-//! server refuses the previous version's `Hello`.
+//! server refuses the previous version's `Hello`, and what earlier versions
+//! retired (opcodes, status and error tags, deadline kind 2) does not decode.
 
 use std::fmt::Debug;
 use std::io::{self, Write};
@@ -48,10 +49,9 @@ fn arb_string(rng: &mut Rng, max_len: u64) -> String {
 }
 
 fn arb_deadline(rng: &mut Rng) -> Deadline {
-    match rng.below(3) {
+    match rng.below(2) {
         0 => Deadline::None,
-        1 => Deadline::Logical(rng.below(1 << 40)),
-        _ => Deadline::WallMicros(rng.below(1 << 40)),
+        _ => Deadline::Logical(rng.below(1 << 40)),
     }
 }
 
@@ -286,7 +286,7 @@ fn empty_and_multi_mib_payloads_round_trip() {
                 t0: 0,
                 t1: 4,
                 weight: 2,
-                deadline: Deadline::WallMicros(1500),
+                deadline: Deadline::Logical(1500),
                 elem: ElemType::U8,
                 grid: bytes.clone(),
             },
@@ -654,14 +654,14 @@ fn negotiate_arity_checked_at_decode() {
     ));
 }
 
-/// Version 4 changed what a `Submit` carries, so a server answers a
-/// version-3 `Hello` with a typed `VersionMismatch` and closes the connection.
+/// Version 5 retired the wall-clock deadline, so a server answers a version-4
+/// `Hello` with a typed `VersionMismatch` and closes the connection.
 #[test]
-fn a_version_three_hello_is_refused() {
-    assert_eq!(PROTOCOL_VERSION, 4);
+fn a_version_four_hello_is_refused() {
+    assert_eq!(PROTOCOL_VERSION, 5);
     let server = Server::start(ServeConfig::default()).expect("server");
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    write_frame(&mut stream, &Frame::Hello { version: 3 }).expect("hello");
+    write_frame(&mut stream, &Frame::Hello { version: 4 }).expect("hello");
     match read_frame(&mut stream).expect("the refusal").0 {
         Frame::Error { code, .. } => assert_eq!(code, ErrorCode::VersionMismatch),
         other => panic!("expected a VersionMismatch error, got {other:?}"),
@@ -702,4 +702,29 @@ fn retired_version_two_surface_is_rejected() {
         Frame::decode(&not_ready),
         Err(FrameError::BadPayload(_))
     ));
+}
+
+/// What version 5 retired does not decode: a `Submit` whose deadline is kind 2,
+/// the wall-clock budget of versions 1–4, is an unknown deadline kind.
+#[test]
+fn retired_version_four_deadline_is_rejected() {
+    let mut body = Frame::Submit {
+        session: 0,
+        tenant: 0,
+        t0: 0,
+        t1: 4,
+        weight: 1,
+        deadline: Deadline::Logical(1500),
+        elem: ElemType::F64,
+        grid: vec![0; 8],
+    }
+    .encode();
+    // The deadline kind follows opcode, session, tenant, t0, t1 and weight.
+    let kind = 1 + 4 + 4 + 8 + 8 + 4;
+    assert_eq!(body[kind], 1);
+    body[kind] = 2;
+    match Frame::decode(&body) {
+        Err(FrameError::BadPayload(detail)) => assert!(detail.contains("deadline kind 2")),
+        other => panic!("expected BadPayload for deadline kind 2, got {other:?}"),
+    }
 }

@@ -230,6 +230,23 @@ pub fn try_serve_2d(
 /// assert_eq!(results[ticket].snapshot(8).len(), 600_000); // the reassembled giant
 /// ```
 pub fn serve_giant_1d(n: usize, window: i64) -> StencilServer<f64, HeatKernel<1>, 1> {
+    try_serve_giant_1d(n, window).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`serve_giant_1d`] with an invalid `n` or `window` (or a compile-failed registry
+/// key) returned as a typed [`ServeError`] instead of a panic, so the extent may
+/// arrive from a request.
+///
+/// ```
+/// use pochoir_stencils::heat;
+///
+/// assert!(heat::try_serve_giant_1d(0, 4).is_err()); // zero extent: typed, not a panic
+/// assert!(heat::try_serve_giant_1d(3, 4).is_ok());
+/// ```
+pub fn try_serve_giant_1d(
+    n: usize,
+    window: i64,
+) -> Result<StencilServer<f64, HeatKernel<1>, 1>, ServeError> {
     StencilServer::try_new(
         StencilSpec::new(shape::<1>()),
         HeatKernel::<1>::default(),
@@ -237,7 +254,6 @@ pub fn serve_giant_1d(n: usize, window: i64) -> StencilServer<f64, HeatKernel<1>
         [n],
         window,
     )
-    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Builds an initialized heat array: a smooth bump plus deterministic pseudo-random

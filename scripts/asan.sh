@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# AddressSanitizer over the code whose memory safety rests on `unsafe`: the grid and
-# view row accessors (ghost rows and padded copies included) and the AVX2 rows.
+# AddressSanitizer over the code whose memory safety rests on `unsafe`: the work-stealing
+# pool, the grid and view row accessors (ghost rows and padded copies included) and the
+# AVX2 rows.
 #
-# Runs the core unit tests, the row/point and schedule equivalence suites (padded
+# Runs the runtime's unit tests and its stress suite first: a `join` hands a thief a
+# pointer to a job on the forking worker's stack (`job.rs`), a caller outside the pool
+# hands it raw pointers into its own frame and workers are found through a thread-local
+# raw pointer (`registry.rs`), and `pool.rs` dereferences them.  Then
+# the core unit tests, the row/point and schedule equivalence suites (padded
 # boundary leaves hand out row slices of their copy and `RowWriter`s into the grid) and
 # the SIMD equivalence suite — which runs every case under both `SimdPolicy::Scalar` and
 # `SimdPolicy::Auto`, so the compiled AVX2 copies of the heat and wave row loops and
@@ -26,6 +31,9 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # An explicit --target keeps RUSTFLAGS off build scripts and proc macros.
 target=x86_64-unknown-linux-gnu
 export RUSTFLAGS="-Zsanitizer=address"
+
+echo "== AddressSanitizer, the work-stealing pool: stack jobs, latches, worker pointers"
+cargo +nightly test --offline --target "$target" -p pochoir-runtime --lib --test stress
 
 echo "== AddressSanitizer, row accessors and row kernels"
 cargo +nightly test --offline --target "$target" -p pochoir-core \
