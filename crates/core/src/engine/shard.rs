@@ -497,7 +497,7 @@ impl<const D: usize> ShardPlan<D> {
     /// One array per tile, laid out like `array` (same inner extents, same slot
     /// count) and filled with an arbitrary element of it: scatter overwrites every
     /// cell before any is read.
-    fn new_tiles<T: Copy>(&self, array: &PochoirArray<T, D>) -> Tiles<T, D> {
+    fn new_tiles<T: Copy + Send + Sync>(&self, array: &PochoirArray<T, D>) -> Tiles<T, D> {
         let fill = array.get_interior(0, [0; D]);
         self.tiles
             .iter()

@@ -12,6 +12,8 @@ use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut, Range};
 use std::ptr::NonNull;
 
+use pochoir_runtime::Runtime;
+
 /// Alignment (bytes) of grid storage: every time-slice base — and, thanks to padded
 /// row strides, every interior row start — lands on a 64-byte boundary, one cache
 /// line and the widest vector width we dispatch to (see [`crate::simd`]).
@@ -62,9 +64,55 @@ impl<T> AlignedVec<T> {
     }
 }
 
-impl<T: Copy> AlignedVec<T> {
+/// Buffers of at least this many bytes are first-touched by the pool: their
+/// elements are written as one contiguous chunk per [`Runtime::global`] worker, so
+/// the page faults of a fresh allocation split across the pool instead of landing
+/// on the allocating thread.  Smaller buffers are written where they are
+/// allocated: handing a buffer to the pool costs about as much as splitting the
+/// faults of a few MiB saves (docs/performance.md, "Set-up").  So is every
+/// buffer while the global pool has not been started (allocating never starts
+/// threads, so a process that runs only a dedicated pool never gets a second
+/// one), and any buffer allocated on a worker of another pool, which must not
+/// block on the global one.
+pub const FIRST_TOUCH_BYTES: usize = 4 << 20;
+
+/// A buffer pointer that pool workers write through, each into its own range.
+#[derive(Clone, Copy)]
+struct SharedPtr<T>(*mut T);
+
+impl<T> SharedPtr<T> {
+    /// The pointer.  A method, so a closure captures the whole (`Sync`) wrapper
+    /// rather than its raw-pointer field.
+    fn get(self) -> *mut T {
+        self.0
+    }
+}
+
+// SAFETY: the one field is a pointer into a buffer whose owner blocks until every
+// worker holding a copy has finished; the workers write disjoint ranges of it (or read
+// a source nobody writes).  Elements move to other threads (`T: Send`) and a source
+// is shared between them (`T: Sync`).
+unsafe impl<T: Send + Sync> Send for SharedPtr<T> {}
+unsafe impl<T: Send + Sync> Sync for SharedPtr<T> {}
+
+impl<T: Copy + Send + Sync> AlignedVec<T> {
     /// Allocates `len` elements, every one set to `value`.
     pub fn filled(len: usize, value: T) -> Self {
+        Self::init_with(len, |range, dst| {
+            for i in range {
+                // SAFETY: `range` lies within the fresh allocation of `len` elements;
+                // T: Copy has no drop glue to skip.
+                unsafe { dst.add(i).write(value) };
+            }
+        })
+    }
+
+    /// Allocates `len` elements and has `init(range, base)` write every element of
+    /// `range` through the allocation's `base` pointer.  The ranges partition
+    /// `0..len`: one page-aligned chunk per [`Runtime::global`] worker, run on the
+    /// pool, for a buffer of at least [`FIRST_TOUCH_BYTES`] while that pool runs
+    /// and the caller is not another pool's worker; else one range.
+    fn init_with(len: usize, init: impl Fn(Range<usize>, *mut T) + Sync) -> Self {
         if Self::is_dangling(len) {
             return AlignedVec {
                 ptr: NonNull::dangling(),
@@ -72,26 +120,40 @@ impl<T: Copy> AlignedVec<T> {
             };
         }
         let ptr = Self::alloc_uninit(len);
-        for i in 0..len {
-            // Safety: i < len, within the fresh allocation; T: Copy has no drop glue.
-            unsafe { ptr.as_ptr().add(i).write(value) };
+        let base = SharedPtr(ptr.as_ptr());
+        let pool = (len * std::mem::size_of::<T>() >= FIRST_TOUCH_BYTES)
+            .then(Runtime::global_if_started)
+            .flatten()
+            .filter(|pool| !pool.is_foreign_worker());
+        if let Some(pool) = pool {
+            let workers = pool.num_threads();
+            let page = (4096 / std::mem::size_of::<T>()).max(1);
+            let chunk = len.div_ceil(workers).div_ceil(page) * page;
+            pool.parallel_for(workers, |w| {
+                let range = (w * chunk).min(len)..((w + 1) * chunk).min(len);
+                init(range, base.get());
+            });
+        } else {
+            init(0..len, base.get());
         }
         AlignedVec { ptr, len }
     }
 }
 
-impl<T: Copy> Clone for AlignedVec<T> {
+impl<T: Copy + Send + Sync> Clone for AlignedVec<T> {
     fn clone(&self) -> Self {
-        if Self::is_dangling(self.len) {
-            return AlignedVec {
-                ptr: NonNull::dangling(),
-                len: self.len,
+        let src = SharedPtr(self.ptr.as_ptr());
+        Self::init_with(self.len, |range, dst| {
+            // SAFETY: both buffers hold `len` elements, `range` lies within them, and
+            // they cannot overlap.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    src.get().add(range.start),
+                    dst.add(range.start),
+                    range.len(),
+                )
             };
-        }
-        let ptr = Self::alloc_uninit(self.len);
-        // Safety: both buffers hold `len` elements and cannot overlap.
-        unsafe { std::ptr::copy_nonoverlapping(self.ptr.as_ptr(), ptr.as_ptr(), self.len) };
-        AlignedVec { ptr, len: self.len }
+        })
     }
 }
 
@@ -210,7 +272,7 @@ pub struct PochoirArray<T, const D: usize> {
     boundary: Boundary<T, D>,
 }
 
-impl<T: Copy + Default, const D: usize> PochoirArray<T, D> {
+impl<T: Copy + Default + Send + Sync, const D: usize> PochoirArray<T, D> {
     /// Creates an array for a depth-1 stencil (two time slices), filled with `T::default()`.
     pub fn new(sizes: [usize; D]) -> Self {
         Self::with_depth(sizes, 1)
@@ -222,7 +284,7 @@ impl<T: Copy + Default, const D: usize> PochoirArray<T, D> {
     }
 }
 
-impl<T: Copy, const D: usize> PochoirArray<T, D> {
+impl<T: Copy + Send + Sync, const D: usize> PochoirArray<T, D> {
     /// Creates an array with `depth + 1` time slices, filled with `fill` — the
     /// `Default`-free constructor behind [`PochoirArray::with_depth`] and the shard
     /// layer's tile arrays (whose fill is an arbitrary element of the parent array,
@@ -277,7 +339,9 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
             boundary: Boundary::Constant(fill),
         }
     }
+}
 
+impl<T: Copy, const D: usize> PochoirArray<T, D> {
     /// The spatial extent along `dim`.
     pub fn size(&self, dim: usize) -> usize {
         self.sizes[dim]
@@ -471,15 +535,14 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
             .map(move |row| &mut row[..row_len])
     }
 
-    /// Fills time slice `t` from a function of the spatial coordinates.
-    pub fn fill_time_slice(&mut self, t: i64, mut f: impl FnMut([i64; D]) -> T) {
+    /// Calls `f(x, row)` on every unit-stride row of time slice `t` in row-major
+    /// order, alignment padding skipped, where `x` is the row's first point
+    /// (`x[D - 1] == 0`).
+    pub fn for_each_row_mut(&mut self, t: i64, mut f: impl FnMut([i64; D], &mut [T])) {
         let sizes = self.sizes;
         let mut x = [0i64; D]; // odometer over the outer (non-row) dimensions
         for row in self.rows_mut(t) {
-            for (i, cell) in row.iter_mut().enumerate() {
-                x[D - 1] = i as i64;
-                *cell = f(x);
-            }
+            f(x, row);
             for d in (0..D - 1).rev() {
                 x[d] += 1;
                 if (x[d] as usize) < sizes[d] {
@@ -488,6 +551,23 @@ impl<T: Copy, const D: usize> PochoirArray<T, D> {
                 x[d] = 0;
             }
         }
+    }
+
+    /// Fills time slice `t` from a function of the spatial coordinates.
+    pub fn fill_time_slice(&mut self, t: i64, mut f: impl FnMut([i64; D]) -> T) {
+        self.for_each_row_mut(t, |mut x, row| {
+            for (i, cell) in row.iter_mut().enumerate() {
+                x[D - 1] = i as i64;
+                *cell = f(x);
+            }
+        });
+    }
+
+    /// Copies time slice `from` over time slice `to`.
+    pub fn copy_time_slice(&mut self, from: i64, to: i64) {
+        let (src, _) = self.row_layout(from);
+        let (dst, _) = self.row_layout(to);
+        self.data.copy_within(src, dst.start);
     }
 
     /// Copies time slice `t` into a flat, densely packed `Vec` in row-major order
@@ -541,7 +621,7 @@ impl<T: ByteElem, const D: usize> PochoirArray<T, D> {
     }
 }
 
-impl<T: Copy, const D: usize> Clone for PochoirArray<T, D> {
+impl<T: Copy + Send + Sync, const D: usize> Clone for PochoirArray<T, D> {
     fn clone(&self) -> Self {
         PochoirArray {
             sizes: self.sizes,
@@ -1061,7 +1141,7 @@ mod tests {
     /// multiples of the 64-byte row pad, at every time slice.
     fn check_rows<T, const D: usize>(sizes: [usize; D], cell: impl Fn(u64) -> T)
     where
-        T: Copy + Default + PartialEq + std::fmt::Debug,
+        T: Copy + Default + Send + Sync + PartialEq + std::fmt::Debug,
     {
         let mut a: PochoirArray<T, D> = PochoirArray::with_depth(sizes, 2);
         let row_len = sizes[D - 1];

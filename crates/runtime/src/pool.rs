@@ -66,6 +66,11 @@ impl Runtime {
         GLOBAL.get_or_init(Runtime::with_default_threads)
     }
 
+    /// The process-wide shared runtime if something has already started it.
+    pub fn global_if_started() -> Option<&'static Runtime> {
+        GLOBAL.get()
+    }
+
     /// Number of worker threads in this pool.
     pub fn num_threads(&self) -> usize {
         self.registry.num_threads()
@@ -84,6 +89,20 @@ impl Runtime {
         self.registry.metrics().worker_executed()
     }
 
+    /// Whether the calling thread is a worker of this pool.
+    fn is_current_worker(&self) -> bool {
+        let current = WorkerThread::current();
+        // SAFETY: a non-null current worker is this thread's own, live for the
+        // thread's whole life.
+        !current.is_null() && Arc::ptr_eq(unsafe { &*current }.registry(), &self.registry)
+    }
+
+    /// Whether the calling thread is a worker of some other pool: it must not
+    /// block in this pool's [`install`](Self::install).
+    pub fn is_foreign_worker(&self) -> bool {
+        !WorkerThread::current().is_null() && !self.is_current_worker()
+    }
+
     /// Runs `op` inside the pool, blocking the calling thread until it completes.
     ///
     /// If the calling thread is already a worker of this pool, `op` runs inline.
@@ -92,12 +111,8 @@ impl Runtime {
         R: Send,
         F: FnOnce() -> R + Send,
     {
-        let current = WorkerThread::current();
-        if !current.is_null() {
-            let worker = unsafe { &*current };
-            if Arc::ptr_eq(worker.registry(), &self.registry) {
-                return op();
-            }
+        if self.is_current_worker() {
+            return op();
         }
         self.registry.run_on_worker(|_| op())
     }

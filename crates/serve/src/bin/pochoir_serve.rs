@@ -6,8 +6,8 @@
 //!               [--max-sessions N] [--max-steps N]
 //! ```
 //!
-//! `--max-session-leaves` sheds a `Submit` to a session whose pinned schedule
-//! has more leaves; `--max-sessions` caps the session table and `--max-steps`
+//! `--max-session-leaves` refuses a `Negotiate` for a session whose pinned
+//! schedule has more leaves; `--max-sessions` caps the session table and `--max-steps`
 //! the step span of one `Submit` (see `docs/protocol.md`, "Quota semantics"
 //! and "Resource ceilings").
 //!

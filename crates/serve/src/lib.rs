@@ -10,9 +10,10 @@
 //!    program is shared with every other client (and every in-process caller)
 //!    of the same geometry;
 //! 2. it submits `(grid, t0, t1, weight, deadline)` requests — a deadline is a
-//!    logical drain tick — which drain through the pipelined scheduler, shed
-//!    only by the configured
-//!    [`max_session_leaves`](server::ServeConfig::max_session_leaves) quota;
+//!    logical drain tick — which drain through the pipelined scheduler (the
+//!    configured
+//!    [`max_session_leaves`](server::ServeConfig::max_session_leaves) quota
+//!    refuses a session at negotiation, not a request);
 //! 3. each `Submit` is answered by its result, bitwise-identical to running the
 //!    same batch in-process — the end-to-end tests pin exactly that — which the
 //!    client keeps until it is fetched.

@@ -122,7 +122,7 @@ impl ElemType {
 
 /// Grid element types that can cross the wire: their storage bytes are their
 /// wire bytes.
-pub trait WireElem: ByteElem + Default {
+pub trait WireElem: ByteElem + Default + Send + Sync {
     /// This element's wire tag.
     const ELEM: ElemType;
 }

@@ -51,10 +51,11 @@
 //! [`MAX_FRAME`] are refused at negotiation, and each submission's step span is
 //! capped ([`ServeConfig::max_steps_per_submit`]) so one cheap frame cannot buy
 //! an unbounded drain.  The one admission quota a one-ticket drain can enforce,
-//! [`ServeConfig::max_session_leaves`], sheds a `Submit` with a typed `Shed`
-//! error.  A deadline is a logical drain tick, passed to the scheduler as is;
-//! a drain holds one ticket, so a `Submit`'s weight orders nothing here and its
-//! deadline only counts a miss.
+//! [`ServeConfig::max_session_leaves`], refuses a `Negotiate` with a typed
+//! `Shed` error, before any payload is sent to the session.  A deadline is a
+//! logical drain tick, passed to the scheduler as is; a drain holds one ticket,
+//! so a `Submit`'s weight orders nothing here and its deadline only counts a
+//! miss.
 //!
 //! With [`ServeConfig::record`] set, every admitted epoch-zero submission
 //! appends a [`TraceRecord`]; the trace is written in the canonical emission
@@ -73,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use pochoir_core::boundary::Boundary;
 use pochoir_core::engine::{
-    AdmissionPolicy, ServeError, StencilServer, SubmitOptions, TicketOutcome,
+    AdmissionPolicy, ServeError, ShedReason, StencilServer, SubmitOptions, TicketOutcome,
 };
 use pochoir_core::grid::PochoirArray;
 use pochoir_core::kernel::StencilKernel;
@@ -121,10 +122,11 @@ impl Default for RecordConfig {
 pub struct ServeConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port.
     pub addr: String,
-    /// Most schedule leaves a session may have pinned and still admit a
-    /// `Submit` ([`AdmissionPolicy::max_session_leaves`], installed on every
-    /// session); a `Submit` to a larger one is refused with a typed `Shed`
-    /// error.  `None` admits everything.
+    /// Most schedule leaves a negotiated session may pin.  A session's pinned
+    /// leaf count is fixed when it is built, so a `Negotiate` for a larger one
+    /// is refused with a typed `Shed` error (its detail names the "pinned-leaf"
+    /// quota) and registers nothing; no `Submit` ever carries a payload to it.
+    /// `None` admits everything.
     pub max_session_leaves: Option<usize>,
     /// Record admitted traffic as a replayable trace.
     pub record: Option<RecordConfig>,
@@ -659,17 +661,29 @@ fn handle_negotiate(shared: &Shared, app: TraceApp, geometry: Vec<u64>, chunk: i
             ),
         };
     }
-    let admission = shared.config.max_session_leaves.map(|max| AdmissionPolicy {
-        max_session_leaves: Some(max),
-        ..AdmissionPolicy::default()
-    });
-    let server = match AnyServer::build(app, &geometry, chunk, admission) {
+    let server = match AnyServer::build(app, &geometry, chunk, None) {
         Ok(server) => server,
         Err(e) => {
             let (code, detail) = wire_error(&e);
             return Frame::Error { code, detail };
         }
     };
+    // A session's pinned leaf count is fixed when it is built, so its quota is
+    // checked once, here, before any `Submit` can send a payload to it.
+    let leaves = with_server!(&server, s => s.program().pinned_leaf_count());
+    if shared
+        .config
+        .max_session_leaves
+        .is_some_and(|max| leaves > max)
+    {
+        let (code, detail) = wire_error(&ServeError::Shed {
+            reason: ShedReason::SessionLeafQuota,
+        });
+        return Frame::Error {
+            code,
+            detail: format!("{detail}: the session pins {leaves} leaves"),
+        };
+    }
     let id = state.sessions.len() as u32;
     state.sessions.push(Arc::new(SessionSlot {
         app,

@@ -22,8 +22,9 @@
 //! * a session's queue holds at most the submitting connection's own ticket,
 //!   so each connection is its own backpressure: back-to-back submits each
 //!   fetch their own result;
-//! * the one admission quota, `max_session_leaves`, sheds a `Submit` with a
-//!   typed `Shed` error and drains its payload, so the connection stays framed.
+//! * the one admission quota, `max_session_leaves`, refuses a `Negotiate` with a
+//!   typed `Shed` error before any payload is sent, and the connection stays
+//!   framed.
 
 use std::time::Duration;
 
@@ -401,31 +402,52 @@ fn each_connection_is_its_own_backpressure() {
     server.shutdown();
 }
 
-/// `max_session_leaves: Some(0)` admits no `Submit` to a session that pins a
-/// schedule: each is refused with a typed `Shed` after its 512 KiB payload is
-/// drained, so a second `Submit` on the same connection reads as a frame and
-/// gets the same refusal.
+/// A quota of the small session's pinned leaves refuses a `Negotiate` for the
+/// larger geometry with a typed `Shed` — nothing is registered, no payload is
+/// ever sent — and the same connection then negotiates the small session and
+/// fetches a bitwise result.
 #[test]
 fn the_session_leaf_quota_sheds_typed_and_keeps_the_connection_framed() {
-    const GEOMETRY: [u64; 2] = [256, 256];
+    const SMALL: [u64; 2] = [16, 16];
+    const LARGE: [u64; 2] = [256, 256];
+    let pinned = |geometry: &[u64]| {
+        heat::try_serve_2d(usizes::<2>(geometry), WINDOW)
+            .expect("in-process session")
+            .program()
+            .pinned_leaf_count()
+    };
+    let quota = pinned(&SMALL);
+    assert!(pinned(&LARGE) > quota, "the large session pins more leaves");
     let server = Server::start(ServeConfig {
-        max_session_leaves: Some(0),
+        max_session_leaves: Some(quota),
         ..ServeConfig::default()
     })
     .expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let session = client
-        .negotiate(TraceApp::Heat2d, &GEOMETRY, WINDOW)
-        .expect("the quota is checked at Submit, not at Negotiate");
-    for tenant in 0..2 {
-        match client.submit_tenant(&session, tenant, T1, 1, Deadline::None) {
+    for attempt in 0..2 {
+        match client.negotiate(TraceApp::Heat2d, &LARGE, WINDOW) {
             Err(ClientError::Server { code, detail }) => {
-                assert_eq!(code, ErrorCode::Shed, "submit {tenant}");
-                assert!(detail.contains("pinned-leaf"), "submit {tenant}: {detail}");
+                assert_eq!(code, ErrorCode::Shed, "negotiate {attempt}");
+                assert!(
+                    detail.contains("pinned-leaf"),
+                    "negotiate {attempt}: {detail}"
+                );
             }
-            other => panic!("submit {tenant}: expected a typed Shed, got {other:?}"),
+            other => panic!("negotiate {attempt}: expected a typed Shed, got {other:?}"),
         }
     }
+    let session = client
+        .negotiate(TraceApp::Heat2d, &SMALL, WINDOW)
+        .expect("the small session is within the quota");
+    assert_eq!(session.id, 0, "the refused sessions registered nothing");
+    let request = client
+        .submit_tenant(&session, 3, T1, 1, Deadline::None)
+        .expect("submit");
+    let live = client
+        .wait_fetch(request, Duration::from_secs(120))
+        .expect("wait+fetch")
+        .digest();
+    assert_eq!(live, local_heat_digest(&SMALL, WINDOW, 3, T1));
     client.close().expect("close");
     server.shutdown();
 }

@@ -258,15 +258,56 @@ pub fn try_serve_giant_1d(
 
 /// Builds an initialized heat array: a smooth bump plus deterministic pseudo-random
 /// noise, with the requested boundary condition.
+///
+/// Slice 0 holds [`init_value`] bit for bit, summed in its order, but each axis's
+/// sine is computed once per index and the outer axes' terms once per row.
 pub fn build<const D: usize>(
     sizes: [usize; D],
     boundary: Boundary<f64, D>,
 ) -> PochoirArray<f64, D> {
     let mut a = PochoirArray::new(sizes);
     a.register_boundary(boundary);
-    a.fill_time_slice(0, |x| init_value(sizes, x));
+    let sines: [Vec<f64>; D] = std::array::from_fn(|d| {
+        (0..sizes[d])
+            .map(|i| (std::f64::consts::PI * (i as f64 / sizes[d] as f64)).sin())
+            .collect()
+    });
+    let noise: Vec<f64> = (0..HASH_MOD).map(|r| r as f64 / HASH_MOD as f64).collect();
+    a.for_each_row_mut(0, |x, row| {
+        let mut v = 0.0;
+        let mut h = 0u64;
+        for d in 0..D - 1 {
+            v += sines[d][x[d] as usize];
+            h = h.wrapping_mul(HASH_MUL).wrapping_add(x[d] as u64 + 1);
+        }
+        init_row(row, v, h.wrapping_mul(HASH_MUL), &sines[D - 1], &noise);
+    });
     a
 }
+
+/// One row of [`init_value`]: `v` is the sum of the outer axes' sines, `h` their
+/// hash already multiplied for the last axis, `sines` the last axis's terms and
+/// `noise[r]` is `r / 997`.  The last axis adds `x + 1` to the hash, so along the
+/// row the hash counts up by one and its residue with it, except where the 64-bit
+/// sum wraps to 0.
+fn init_row(row: &mut [f64], v: f64, h: u64, sines: &[f64], noise: &[f64]) {
+    let mut h = h.wrapping_add(1);
+    let mut r = (h % HASH_MOD) as usize;
+    for (cell, &s) in row.iter_mut().zip(sines) {
+        *cell = (v + s) + noise[r];
+        h = h.wrapping_add(1);
+        r = if h == 0 || r + 1 == HASH_MOD as usize {
+            0
+        } else {
+            r + 1
+        };
+    }
+}
+
+/// Multiplier of [`init_value`]'s per-axis coordinate hash.
+const HASH_MUL: u64 = 6364136223846793005;
+/// Modulus taking [`init_value`]'s hash to its noise term.
+const HASH_MOD: u64 = 997;
 
 /// Deterministic initial condition used by every heat benchmark and test.
 pub fn init_value<const D: usize>(sizes: [usize; D], x: [i64; D]) -> f64 {
@@ -275,11 +316,9 @@ pub fn init_value<const D: usize>(sizes: [usize; D], x: [i64; D]) -> f64 {
     for d in 0..D {
         let f = x[d] as f64 / sizes[d] as f64;
         v += (std::f64::consts::PI * f).sin();
-        h = h
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(x[d] as u64 + 1);
+        h = h.wrapping_mul(HASH_MUL).wrapping_add(x[d] as u64 + 1);
     }
-    v + (h % 997) as f64 / 997.0
+    v + (h % HASH_MOD) as f64 / HASH_MOD as f64
 }
 
 /// Reference implementation: a plain double-buffered loop nest with out-of-domain reads
@@ -350,6 +389,24 @@ mod tests {
     use super::*;
     use pochoir_core::engine::{run, Coarsening, ExecutionPlan};
     use pochoir_runtime::Serial;
+
+    /// A row whose hash wraps past `u64::MAX` mid-row still reads
+    /// `init_value`'s residue at every cell (no grid of a test's size reaches the
+    /// wrap, so the row is driven directly).
+    #[test]
+    fn init_row_follows_the_hash_across_its_wrap() {
+        let noise: Vec<f64> = (0..HASH_MOD).map(|r| r as f64 / HASH_MOD as f64).collect();
+        let sines = [0.25; 9];
+        for start in [u64::MAX - 4, u64::MAX - 1, u64::MAX, 995, 996] {
+            let mut row = [0.0; 9];
+            init_row(&mut row, 0.5, start, &sines, &noise);
+            for (i, &cell) in row.iter().enumerate() {
+                let h = start.wrapping_add(i as u64 + 1);
+                let expected = (0.5 + 0.25) + (h % HASH_MOD) as f64 / HASH_MOD as f64;
+                assert_eq!(cell.to_bits(), expected.to_bits(), "start {start} cell {i}");
+            }
+        }
+    }
 
     fn check_against_reference<const D: usize>(
         sizes: [usize; D],

@@ -204,7 +204,23 @@ pub fn try_serve(
 pub fn build(sizes: [usize; 3]) -> PochoirArray<Cell, 3> {
     let mut a: PochoirArray<Cell, 3> = PochoirArray::new(sizes);
     a.register_boundary(Boundary::Periodic);
-    a.fill_time_slice(0, |x| equilibrium_cell(initial_density(sizes, x)));
+    // `initial_density` term by term: each axis's squared offset once per index,
+    // summed in its order.
+    let squares: [Vec<f64>; 3] = std::array::from_fn(|d| {
+        let (n, c) = (sizes[d] as f64, (sizes[d] as f64 - 1.0) / 2.0);
+        (0..sizes[d])
+            .map(|i| {
+                let dx = (i as f64 - c) / n;
+                dx * dx
+            })
+            .collect()
+    });
+    a.for_each_row_mut(0, |x, row| {
+        let r2 = 0.0 + squares[0][x[0] as usize] + squares[1][x[1] as usize];
+        for (cell, &s) in row.iter_mut().zip(&squares[2]) {
+            *cell = equilibrium_cell(1.0 + 0.1 * (-20.0 * (r2 + s)).exp());
+        }
+    });
     a
 }
 

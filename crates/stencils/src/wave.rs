@@ -194,9 +194,24 @@ pub fn try_serve(
 pub fn build(sizes: [usize; 3]) -> PochoirArray<f64, 3> {
     let mut a = PochoirArray::with_depth(sizes, 2);
     a.register_boundary(Boundary::Constant(0.0));
-    let init = |x: [i64; 3]| init_value(sizes, x);
-    a.fill_time_slice(0, init);
-    a.fill_time_slice(1, init);
+    // `init_value` term by term: each axis's squared offset once per index, summed
+    // in its order; slice 1 is a copy.
+    let squares: [Vec<f64>; 3] = std::array::from_fn(|d| {
+        let (n, c) = (sizes[d] as f64, (sizes[d] as f64 - 1.0) / 2.0);
+        (0..sizes[d])
+            .map(|i| {
+                let dx = (i as f64 - c) / (n / 4.0);
+                dx * dx
+            })
+            .collect()
+    });
+    a.for_each_row_mut(0, |x, row| {
+        let r2 = 0.0 + squares[0][x[0] as usize] + squares[1][x[1] as usize];
+        for (cell, &s) in row.iter_mut().zip(&squares[2]) {
+            *cell = (-(r2 + s)).exp();
+        }
+    });
+    a.copy_time_slice(0, 1);
     a
 }
 

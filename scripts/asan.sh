@@ -12,7 +12,9 @@
 # the SIMD equivalence suite — which runs every case under both `SimdPolicy::Scalar` and
 # `SimdPolicy::Auto`, so the compiled AVX2 copies of the heat and wave row loops and
 # Life's hand-written AVX2 body run on an AVX2 host — plus the benchmark geometries'
-# boundary paths, both of them, through the real row kernels; then the wire codec's
+# boundary paths, both of them, through the real row kernels, and the grid builders,
+# whose large buffers `AlignedVec` first-touches from the pool's workers through raw
+# pointers (`filled`, `clone`); then the wire codec's
 # property suite and the live wire suites (end to end, frame and byte counts per request
 # and per reply read, resource limits, bulk buffers), since the socket reads straight
 # into and writes straight out of
@@ -39,7 +41,7 @@ echo "== AddressSanitizer, row accessors and row kernels"
 cargo +nightly test --offline --target "$target" -p pochoir-core \
     --lib --test row_point_equivalence --test schedule_equivalence
 cargo +nightly test --offline --target "$target" -p pochoir-stencils \
-    --test simd_equivalence --test boundary_paths
+    --test simd_equivalence --test boundary_paths --test builders
 
 echo "== AddressSanitizer, giants whole and as tiles: span arithmetic, row bands, reused tile arrays"
 cargo +nightly test --offline --target "$target" -p pochoir-core \
